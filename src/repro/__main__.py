@@ -156,8 +156,7 @@ def _resolve_scenario(args):
 
 def _cmd_ycsb_scenario(args) -> int:
     """Paced open-loop run of a production traffic scenario."""
-    from .harness.runner import run_open_loop
-    from .harness.systems import fusee_bed
+    from .harness import fusee_bed, run_open_loop
     from .obs import Metrics
     from .workloads import tenant_report
 
@@ -489,8 +488,7 @@ def cmd_monitor(args) -> int:
     # Clean-bed mode: a monitored YCSB (or pure-load scenario) run on a
     # healthy cluster must produce zero detector flags (the
     # zero-false-positive guarantee).
-    from .harness.runner import run_closed_loop, run_open_loop
-    from .harness.systems import fusee_bed
+    from .harness import fusee_bed, run_closed_loop, run_open_loop
     from .obs import Tracer
     from .workloads import YcsbConfig, YcsbWorkload
 

@@ -26,8 +26,8 @@ from ..core.client import CrashPoint, ClientCrashed
 from ..workloads import MicroConfig, MicroWorkload, YcsbConfig, YcsbWorkload
 from ..workloads.scenarios import SCENARIOS, get_scenario, tenant_report
 from ..workloads.ycsb import key_bytes, make_value
-from .runner import RunResult, cdf_points, percentile, run_closed_loop, \
-    run_latency, run_open_loop
+from .runner import RunResult, StopLoop, cdf_points, percentile, \
+    run_closed_loop, run_latency, run_open_loop
 from .systems import SystemBed, clover_bed, fusee_bed, pdpm_bed
 
 __all__ = [
@@ -663,7 +663,6 @@ def fig21_elasticity(scale: Optional[Scale] = None,
 
     def execute(client, op, key, value):
         if id(client) in retired:
-            from .runner import StopLoop
             raise StopLoop()
         return (yield from bed.execute(client, op, key, value))
 

@@ -206,23 +206,15 @@ class Fabric:
         self.monitor = None
         # Hot-path memo tables.  Port/CPU affinity is a pure function of
         # (mn, direction, qp) at salt 0 (ports never change after build),
-        # and per-verb service time is a pure function of (NIC profile,
-        # verb kind, payload bytes) — cache both so the per-verb cost is
-        # a dict hit instead of SplitMix64 hashing / float arithmetic.
+        # and per-verb service time is a pure function of (mn, verb
+        # class, payload bytes) — cache both so the per-verb cost is a
+        # dict hit instead of SplitMix64 hashing / float arithmetic.  The
+        # service key is low-cardinality (a handful of distinct sizes per
+        # verb kind), unlike any key that folds in the posting qp, which
+        # would never converge at scale.
         self._port_cache: Dict[tuple, tuple] = {}
         self._cpu_cache: Dict[tuple, object] = {}
-        self._service_cache: Dict[tuple, float] = {}
-        # Service-time memo for the hooks-off post() loop, keyed
-        # (mn, verb class, payload bytes) — low-cardinality (a handful
-        # of distinct sizes per verb kind), unlike any key that folds
-        # in the posting qp, which would never converge at scale.
         self._verb_cache: Dict[tuple, float] = {}
-        # Hot-path copies of the (frozen) config delays.
-        cfg = self.config
-        self._post_overhead = cfg.post_overhead_us
-        self._one_way = cfg.one_way_delay_us
-        self._fail_delay = cfg.fail_delay_us
-        self._coalesce_off = cfg.max_coalesce_width <= 1
 
     def trace_phase(self, name: str) -> None:
         """Label the current operation's next batches (no-op untraced)."""
@@ -261,18 +253,14 @@ class Fabric:
             if cached is not None:
                 return cached
         ports = node.tx_ports if tx else node.rx_ports
-        n = len(ports)
-        if n == 1:
-            choice = 0, ports[0]
-            if salt == 0:
-                self._port_cache[(node.mn_id, tx, qp)] = choice
-            return choice
-        if self.config.port_affinity == "rss":
-            key = _mix64(_mix64(2 * qp + 1)
-                         ^ (node.mn_id * 0x9E3779B97F4A7C15 + (2 if tx else 1)))
+        if len(ports) == 1:
+            key = 0
+        elif self.config.port_affinity == "rss":
+            key = salt + _mix64(_mix64(2 * qp + 1) ^ (
+                node.mn_id * 0x9E3779B97F4A7C15 + (2 if tx else 1)))
         else:  # "qp"
-            key = _mix64(2 * qp + 1)
-        index = (key + salt) % n
+            key = salt + _mix64(2 * qp + 1)
+        index = key % len(ports)
         choice = index, ports[index]
         if salt == 0:
             self._port_cache[(node.mn_id, tx, qp)] = choice
@@ -291,9 +279,9 @@ class Fabric:
         self._cpu_cache[(node.mn_id, qp)] = shard
         return shard
 
-    def _note_port(self, port, n: int = 1) -> None:
+    def _note_port(self, port) -> None:
         per_port = self.stats.per_port_ops
-        per_port[port.label] = per_port.get(port.label, 0) + n
+        per_port[port.label] = per_port.get(port.label, 0) + 1
 
     def _note_drop(self, port) -> None:
         per_port = self.stats.per_port_drops
@@ -317,91 +305,19 @@ class Fabric:
         if self.injector is not None:
             return self._post_faulty(ops, unsignaled, qp)
         env = self.env
+        cfg = self.config
         now = env._now
-        one_way = self._one_way
-        arrive = now + self._post_overhead + one_way
+        one_way = cfg.one_way_delay_us
+        arrive = now + cfg.post_overhead_us + one_way
         stats = self.stats
         stats.batches += 1
+        # Optional stages, resolved once per batch and tested on locals
+        # per verb: latency attribution, schedule-exploration footprints,
+        # the telemetry monitor, and doorbell coalescing.
         prof = env._profiler
-        if prof is None and env._access_hook is None \
-                and self._coalesce_off and self.monitor is None:
-            # Hot path: no hooks, no coalescing — singleton groups with
-            # inlined counting/affinity/service lookups.  Timing and stat
-            # totals are identical to the general loop below.
-            completions = []
-            append = completions.append
-            finish = now
-            nodes = self.nodes
-            per_mn = stats.per_mn_ops
-            per_port = stats.per_port_ops
-            pcache = self._port_cache
-            vcache = self._verb_cache
-            reads = writes = atomics = moved = 0
-            for op in ops:
-                mn = op.mn_id
-                node = nodes[mn]
-                cls = op.__class__
-                if cls is ReadOp:
-                    reads += 1
-                    nbytes = op.length
-                elif cls is WriteOp:
-                    writes += 1
-                    nbytes = len(op.data)
-                else:
-                    atomics += 1
-                    nbytes = 8
-                moved += nbytes
-                per_mn[mn] = per_mn.get(mn, 0) + 1
-                if node.crashed:
-                    stats.failed_verbs += 1
-                    append(Completion(op, FAIL))
-                    done = now + self._fail_delay
-                    if done > finish:
-                        finish = done
-                    continue
-                is_read = cls is ReadOp
-                # Inlined MemoryNode.apply for READ/WRITE (the access
-                # hook is known off here, so the noting branch is dead);
-                # atomics keep the full dispatch.
-                if is_read:
-                    addr = op.addr
-                    if addr < 0 or addr + nbytes > node.capacity:
-                        node._check_range(addr, nbytes)
-                    append(Completion(
-                        op, bytes(node._view[addr:addr + nbytes])))
-                elif cls is WriteOp:
-                    addr = op.addr
-                    if addr < 0 or addr + nbytes > node.capacity:
-                        node._check_range(addr, nbytes)
-                    node.memory[addr:addr + nbytes] = op.data
-                    append(Completion(op, None))
-                else:
-                    append(Completion(op, node.apply(op)))
-                choice = pcache.get((mn, is_read, qp))
-                if choice is None:
-                    choice = self._port_for(node, is_read, qp)
-                port = choice[1]
-                vkey = (mn, cls, nbytes)
-                service = vcache.get(vkey)
-                if service is None:
-                    service = self._service_time(node, op)
-                    vcache[vkey] = service
-                label = port.label
-                per_port[label] = per_port.get(label, 0) + 1
-                done = port.finish_time(service, not_before=arrive) + one_way
-                if done > finish:
-                    finish = done
-            stats.reads += reads
-            stats.writes += writes
-            stats.atomics += atomics
-            stats.bytes_moved += moved
-            if self.tracer.enabled:
-                self.tracer.on_batch(ops, completions, now, finish,
-                                     unsignaled=unsignaled)
-            return env.timeout(finish - now, value=completions)
-        cfg = self.config
-        completions = []
-        finish = now
+        hook = env._access_hook
+        monitor = self.monitor
+        width = cfg.max_coalesce_width
         if prof is not None:
             # Fire-and-forget batches (§4.6 selective signaling) are not
             # waited on, so their intervals must not land in the active
@@ -410,52 +326,125 @@ class Fabric:
             prof.note("client", "post", now, now + cfg.post_overhead_us)
             prof.note("propagation", "net.request",
                       now + cfg.post_overhead_us, arrive)
-        for group in self._coalesce(ops, arrive, qp):
-            node = self.nodes[group[0].mn_id]
-            if node.crashed:
-                # Crashed-node verbs are always singleton groups.
-                op = group[0]
-                self._count(op, node)
-                self.env.note_access(("crash", node.mn_id), False)
-                self.stats.failed_verbs += 1
-                completions.append(Completion(op, FAIL))
-                finish = max(finish, now + cfg.fail_delay_us)
-                if prof is not None:
-                    prof.note("propagation", "net.fail", now,
-                              now + cfg.fail_delay_us)
-                continue
-            for op in group:
-                self._count(op, node)
-                self.env.note_access(("crash", node.mn_id), False)
-                completions.append(Completion(op, node.apply(op)))
-            if len(group) == 1:
-                service = self._service_time(node, group[0])
+        completions = []
+        append = completions.append
+        finish = now
+        nodes = self.nodes
+        per_mn = stats.per_mn_ops
+        per_port = stats.per_port_ops
+        pcache = self._port_cache
+        vcache = self._verb_cache
+        n_ops = len(ops)
+        reads = writes = atomics = moved = 0
+        room = 0    # riders the open NIC slot may still take
+        i = 0       # index of the verb after ``op``
+        for op in ops:
+            i += 1
+            mn = op.mn_id
+            node = nodes[mn]
+            cls = op.__class__
+            if cls is ReadOp:
+                reads += 1
+                nbytes = op.length
+            elif cls is WriteOp:
+                writes += 1
+                nbytes = len(op.data)
             else:
-                # One shared serialisation slot: the fixed per-verb
-                # overhead is paid once for the whole group.
-                profile = node.nic.profile
-                service = profile.op_overhead + sum(
-                    profile.byte_time(op_bytes(op)) for op in group)
-                self.stats.coalesced_slots += 1
-                self.stats.coalesced_verbs += len(group) - 1
-            _, port = self._port_for(node, isinstance(group[0], ReadOp), qp)
-            self._note_port(port, len(group))
-            if self.monitor is not None:
-                self.monitor.note_verb(node.mn_id, port.label,
-                                       group[0].__class__,
-                                       op_bytes(group[0]), service,
-                                       len(group))
-            done = port.finish_time(service, not_before=arrive)
-            finish = max(finish, done + cfg.one_way_delay_us)
+                atomics += 1
+                nbytes = 8
+            moved += nbytes
+            per_mn[mn] = per_mn.get(mn, 0) + 1
+            if hook is not None:
+                hook(("crash", mn), False)
+            if node.crashed:
+                # No slot is open here: a rider targets its head's node,
+                # which was live, so a crashed-node verb is never a rider.
+                stats.failed_verbs += 1
+                append(Completion(op, FAIL))
+                done = now + cfg.fail_delay_us
+                if done > finish:
+                    finish = done
+                if prof is not None:
+                    prof.note("propagation", "net.fail", now, done)
+                continue
+            # Apply at post time, in posted order.  READ/WRITE are
+            # MemoryNode.apply inlined; a footprint hook wants the
+            # touched words, and atomics keep the full dispatch.
+            if cls is ReadOp and hook is None:
+                addr = op.addr
+                if addr < 0 or addr + nbytes > node.capacity:
+                    node._check_range(addr, nbytes)
+                append(Completion(op, bytes(node._view[addr:addr + nbytes])))
+            elif cls is WriteOp and hook is None:
+                addr = op.addr
+                if addr < 0 or addr + nbytes > node.capacity:
+                    node._check_range(addr, nbytes)
+                node.memory[addr:addr + nbytes] = op.data
+                append(Completion(op, None))
+            else:
+                append(Completion(op, node.apply(op)))
+            if room:
+                # Rider (the lookahead below vouched for it): extends the
+                # open slot by its byte time only — the fixed per-verb
+                # overhead is paid once, by the head.
+                room -= 1
+                riders += 1
+                slot_bytes += profile.byte_time(nbytes)
+            else:
+                # Slot head: a singleton slot on this QP's port.
+                is_read = cls is ReadOp
+                choice = pcache.get((mn, is_read, qp))
+                if choice is None:
+                    choice = self._port_for(node, is_read, qp)
+                port = choice[1]
+                service = vcache.get((mn, cls, nbytes))
+                if service is None:
+                    service = self._service_time(node, op)
+                riders = 0
+                # Adjacent same-node READs (or WRITEs) may ride along,
+                # up to ``width`` per slot; atomics never do.  Adaptive
+                # mode widens only a port already backlogged at arrival,
+                # probed here so the slot sees the queue that earlier
+                # slots of this batch just built.
+                if width > 1 and (is_read or cls is WriteOp) and (
+                        not cfg.coalesce_adaptive
+                        or port.backlog(arrive) > 0.0):
+                    room = width - 1
+                    head_bytes = nbytes
+                    profile = node.nic.profile
+                    slot_bytes = profile.byte_time(nbytes)
+            if room:
+                if i < n_ops and ops[i].mn_id == mn \
+                        and ops[i].__class__ is cls:
+                    continue    # the next verb rides this slot
+                room = 0
+            # Close the slot: one reservation on the serialisation line.
+            label = port.label
+            if riders:
+                service = profile.op_overhead + slot_bytes
+                nbytes = head_bytes   # a slot is filed under its head
+                stats.coalesced_slots += 1
+                stats.coalesced_verbs += riders
+            per_port[label] = per_port.get(label, 0) + 1 + riders
+            if monitor is not None:
+                monitor.note_verb(mn, label, cls, nbytes, service,
+                                  1 + riders)
+            done = port.finish_time(service, arrive)
             if prof is not None:
-                prof.note("propagation", "net.reply", done,
-                          done + cfg.one_way_delay_us)
+                prof.note("propagation", "net.reply", done, done + one_way)
+            done += one_way
+            if done > finish:
+                finish = done
+        stats.reads += reads
+        stats.writes += writes
+        stats.atomics += atomics
+        stats.bytes_moved += moved
         if prof is not None:
             prof.end_batch()
         if self.tracer.enabled:
             self.tracer.on_batch(ops, completions, now, finish,
                                  unsignaled=unsignaled)
-        return self.env.timeout(finish - now, value=completions)
+        return env.timeout(finish - now, completions)
 
     def post_one(self, op: Verb, qp: int = 0) -> Event:
         """Post a single verb; the event fires with one :class:`Completion`."""
@@ -484,6 +473,12 @@ class Fabric:
         hash by one, so a QP stuck behind a partitioned or gray *port*
         deterministically reaches a healthy one within ``num_ports``
         attempts.
+
+        This is deliberately a second verb path, not a mode of the loop
+        in :meth:`post`: only a process per verb can express loss,
+        duplication and retry, and a process per verb cannot be the
+        default.  It shares ``_port_for`` and ``_service_time`` with the
+        clean loop, so affinity and service costs have one definition.
         """
         env = self.env
         t0 = env.now
@@ -624,12 +619,12 @@ class Fabric:
         shard on multi-queue nodes.
         """
         span = self.tracer.current_span() if self.tracer.enabled else None
-        if self.injector is not None:
-            gen = self._rpc_faulty_proc(mn_id, name, payload,
-                                        self.env.next_uid(), span, qp)
-        else:
-            gen = self._rpc_proc(mn_id, name, payload, qp)
-        proc = self.env.process(gen, name=f"rpc:{name}@MN{mn_id}")
+        # The idempotency token is drawn only under an injector, so
+        # clean-bed uid sequences (resource labels, footprints) never move.
+        token = self.env.next_uid() if self.injector is not None else None
+        proc = self.env.process(
+            self._rpc_proc(mn_id, name, payload, token, span, qp),
+            name=f"rpc:{name}@MN{mn_id}")
         prof = self.env._profiler
         if prof is not None:
             # The RPC runs in its own process; bind it to the caller's
@@ -645,63 +640,30 @@ class Fabric:
             proc.callbacks.append(_finish)
         return proc
 
-    def _rpc_proc(self, mn_id: int, name: str, payload: dict, qp: int = 0):
-        cfg = self.config
-        node = self.nodes[mn_id]
-        self.stats.rpcs += 1
-        self.env.note_access(("crash", mn_id), False)
-        if node.crashed:
-            yield _prop(self.env, cfg.fail_delay_us, "net.fail")
-            return FAIL
-        _, port = self._port_for(node, False, qp)
-        cpu = self._cpu_for(node, qp)
-        # request propagation + NIC receive
-        yield _prop(self.env, cfg.one_way_delay_us, "net.request")
-        self._note_port(port)
-        yield port.occupy(port.profile.rpc_overhead)
-        if node.crashed:
-            yield _prop(self.env, cfg.one_way_delay_us, "net.fail")
-            return FAIL
-        # CPU service
-        req = cpu.request()
-        yield req
-        try:
-            # RPC handlers mutate MN-side Python state (allocator maps,
-            # master metadata) that word-level footprints cannot see; mark
-            # the whole endpoint as written so schedule exploration never
-            # prunes a reordering across a handler invocation.
-            self.env.note_access(("rpc", mn_id, name), True)
-            handler = node.rpc_handler(name)
-            reply, cpu_time = handler(payload)
-            if self.monitor is not None:
-                self.monitor.note_rpc(mn_id, cpu.label, name, cpu_time)
-            yield self.env.timeout(cpu_time)
-        finally:
-            req.release()
-        if node.crashed:
-            yield _prop(self.env, cfg.one_way_delay_us, "net.fail")
-            return FAIL
-        # reply NIC + propagation
-        yield port.occupy(port.profile.rpc_overhead)
-        yield _prop(self.env, cfg.one_way_delay_us, "net.reply")
-        return reply
+    def _rpc_proc(self, mn_id: int, name: str, payload: dict, token,
+                  span, qp: int = 0):
+        """One RPC: request NIC, MN CPU, reply NIC, with retries.
 
-    def _rpc_faulty_proc(self, mn_id: int, name: str, payload: dict,
-                         token: int, span, qp: int = 0):
-        """RPC path under fault injection: per-attempt timeout, capped
-        backoff, and reply caching keyed by idempotency token on the
-        memory node — a retransmission after a lost reply is answered
-        from the cache, so ALLOC can never leak a block and FREE can
-        never double-free.  Returns :data:`FAIL` when the retry budget
-        runs out (callers already handle FAIL replies)."""
+        Without an injector (``token`` is None) this is a single attempt
+        with no fate draw: nothing is lost, delayed or cached.  Under an
+        injector each attempt draws a fate and has a timeout with capped
+        backoff, and the reply is cached on the memory node under the
+        idempotency ``token`` — a retransmission after a lost reply is
+        answered from the cache, so ALLOC can never leak a block and
+        FREE can never double-free.  Returns :data:`FAIL` for a crashed
+        node or when the retry budget runs out (callers already handle
+        FAIL replies).
+        """
         cfg = self.config
         env = self.env
         inj = self.injector
-        policy = inj.retry
+        attempts = 1 if inj is None else inj.retry.max_attempts
         node = self.nodes[mn_id]
         self.stats.rpcs += 1
-        ident = ("rpc", name, token)
-        for attempt in range(1, policy.max_attempts + 1):
+        # The clean-fabric fate; "+ 0.0" leaves every delay bit-identical.
+        request_jitter = reply_jitter = 0.0
+        drop_reply = False
+        for attempt in range(1, attempts + 1):
             if attempt > 1:
                 self.stats.rpc_retries += 1
                 if span is not None:
@@ -711,47 +673,63 @@ class Fabric:
             if node.crashed:
                 yield _prop(env, cfg.fail_delay_us, "net.fail")
                 return FAIL
+            # per-attempt salt: a retry re-hashes onto the next port
             pidx, port = self._port_for(node, False, qp, salt=attempt - 1)
-            fate = inj.fate(ident, mn_id, attempt, t_attempt, port=pidx)
-            backoff = policy.backoff_us(attempt, fate.backoff_u)
-            if fate.drop_request:
-                self.stats.dropped_requests += 1
-                self._note_drop(port)
-                yield _backoff(env, policy.rpc_timeout_us + backoff,
-                               "rpc.timeout")
-                continue
-            yield _prop(env, cfg.one_way_delay_us + fate.request_jitter_us,
+            if inj is not None:
+                policy = inj.retry
+                fate = inj.fate(("rpc", name, token), mn_id, attempt,
+                                t_attempt, port=pidx)
+                backoff = policy.backoff_us(attempt, fate.backoff_u)
+                if fate.drop_request:
+                    self.stats.dropped_requests += 1
+                    self._note_drop(port)
+                    yield _backoff(env, policy.rpc_timeout_us + backoff,
+                                   "rpc.timeout")
+                    continue
+                request_jitter = fate.request_jitter_us
+                reply_jitter = fate.reply_jitter_us
+                drop_reply = fate.drop_reply
+            # request propagation + NIC receive
+            yield _prop(env, cfg.one_way_delay_us + request_jitter,
                         "net.request")
             self._note_port(port)
             yield port.occupy(port.profile.rpc_overhead)
             if node.crashed:
                 yield _prop(env, cfg.one_way_delay_us, "net.fail")
                 return FAIL
-            cached = node.rpc_reply_cached(token)
+            cached = None if inj is None else node.rpc_reply_cached(token)
             if cached is not None:
                 self.stats.rpc_dedup_hits += 1
                 reply = cached[0]
             else:
+                # CPU service
                 cpu = self._cpu_for(node, qp)
                 req = cpu.request()
                 yield req
                 try:
-                    self.env.note_access(("rpc", mn_id, name), True)
+                    # RPC handlers mutate MN-side Python state (allocator
+                    # maps, master metadata) that word-level footprints
+                    # cannot see; mark the whole endpoint as written so
+                    # schedule exploration never prunes a reordering
+                    # across a handler invocation.
+                    env.note_access(("rpc", mn_id, name), True)
                     handler = node.rpc_handler(name)
                     reply, cpu_time = handler(payload)
-                    cpu_eff = cpu_time * inj.service_factor(mn_id, env.now,
-                                                            port=pidx)
+                    if inj is not None:
+                        cpu_time *= inj.service_factor(mn_id, env.now,
+                                                       port=pidx)
                     if self.monitor is not None:
                         self.monitor.note_rpc(mn_id, cpu.label, name,
-                                              cpu_eff)
-                    yield env.timeout(cpu_eff)
+                                              cpu_time)
+                    yield env.timeout(cpu_time)
                 finally:
                     req.release()
-                node.cache_rpc_reply(token, reply)
+                if inj is not None:
+                    node.cache_rpc_reply(token, reply)
             if node.crashed:
                 yield _prop(env, cfg.one_way_delay_us, "net.fail")
                 return FAIL
-            if fate.drop_reply:
+            if drop_reply:
                 self.stats.dropped_replies += 1
                 self._note_drop(port)
                 elapsed = env.now - t_attempt
@@ -760,76 +738,28 @@ class Fabric:
                     max(0.0, policy.rpc_timeout_us - elapsed) + backoff,
                     "rpc.timeout")
                 continue
+            # reply NIC + propagation
             yield port.occupy(port.profile.rpc_overhead)
-            yield _prop(env, cfg.one_way_delay_us + fate.reply_jitter_us,
+            yield _prop(env, cfg.one_way_delay_us + reply_jitter,
                         "net.reply")
             return reply
         self.stats.rpc_timeouts += 1
         return FAIL
 
     # -- internals -----------------------------------------------------------
-    def _coalesce(self, ops: Sequence[Verb], arrive: float, qp: int = 0):
-        """Split a doorbell batch into NIC serialisation groups (lazily).
-
-        Consecutive same-node READs (or same-node WRITEs) form one group
-        of up to ``max_coalesce_width`` verbs that will share a single
-        serialisation slot.  Atomics and verbs to crashed nodes always
-        stand alone.  With ``coalesce_adaptive`` a group only widens when
-        its target port is already backlogged at ``arrive`` — evaluated
-        lazily, so later groups of the same batch see the queue the
-        earlier ones just built.
-        """
-        cfg = self.config
-        width = cfg.max_coalesce_width
-        if width <= 1:
-            for op in ops:
-                yield [op]
-            return
-        group: List[Verb] = []
-        key = None
-        limit = 1
-        for op in ops:
-            node = self.nodes[op.mn_id]
-            if isinstance(op, ReadOp):
-                kind = "r"
-            elif isinstance(op, WriteOp):
-                kind = "w"
-            else:
-                kind = None
-            op_key = (None if kind is None or node.crashed
-                      else (op.mn_id, kind))
-            if group and op_key is not None and op_key == key \
-                    and len(group) < limit:
-                group.append(op)
-                continue
-            if group:
-                yield group
-            group = [op]
-            key = op_key
-            if op_key is None:
-                limit = 1
-            else:
-                # the backlog probe must look at the port this batch
-                # will actually ride (same qp, same mn, same direction
-                # => same port for every verb in the group)
-                _, port = self._port_for(node, kind == "r", qp)
-                limit = (width if not cfg.coalesce_adaptive
-                         or port.backlog(arrive) > 0.0 else 1)
-        if group:
-            yield group
-
     def _service_time(self, node: MemoryNode, op: Verb) -> float:
-        profile = node.nic.profile
-        key = (id(profile), op.__class__, op_bytes(op))
-        cached = self._service_cache.get(key)
-        if cached is not None:
-            return cached
-        if isinstance(op, (CasOp, FaaOp)):
-            fixed = profile.atomic_overhead
-        else:
-            fixed = profile.op_overhead
-        service = fixed + profile.byte_time(op_bytes(op))
-        self._service_cache[key] = service
+        """NIC service time of one verb alone in its slot (memoised)."""
+        nbytes = op_bytes(op)
+        key = (node.mn_id, op.__class__, nbytes)
+        service = self._verb_cache.get(key)
+        if service is None:
+            profile = node.nic.profile
+            if isinstance(op, (CasOp, FaaOp)):
+                fixed = profile.atomic_overhead
+            else:
+                fixed = profile.op_overhead
+            service = self._verb_cache[key] = \
+                fixed + profile.byte_time(nbytes)
         return service
 
     def _count(self, op: Verb, node: MemoryNode) -> None:

@@ -19,26 +19,26 @@ The kernel provides exactly what the FUSEE reproduction needs:
 Kernel modes
 ------------
 
-The environment runs in one of two modes (see
-``docs/simulation_model.md``, "Kernel fast path & determinism contract"):
+:meth:`Environment.run` is the one drain loop; the mode (see
+``docs/simulation_model.md``, "Kernel fast path & determinism contract")
+selects how events are allocated and dispatched inside it:
 
-* ``"fast"`` (the default) — when no controlled scheduler and no profiler
-  are installed, :meth:`Environment.run` drains the queue through an
-  inlined loop that pools :class:`Timeout`, :class:`Initialize` and
-  resume-proxy events on free lists and recycles them once their sole
-  remaining reference is the drain loop's own local.  Event *identity*
-  is reused but every observable field is reset, the heap tie-break is a
+* ``"fast"`` (the default) — while no controlled scheduler and no profiler
+  is installed (``env._fast``), the loop runs :meth:`Environment.step`'s
+  body inlined and pools :class:`Timeout`, :class:`Initialize` and
+  resume-proxy events on free lists, recycling one only when its sole
+  remaining reference is the loop's own local.  Event *identity* is
+  reused but every observable field is reset, the heap tie-break is a
   monotone insertion id, and the sequence of ``_schedule`` calls is
   unchanged — so event ordering (time, priority, insertion) is
-  bit-for-bit identical to the reference path.
-* ``"reference"`` — the pre-optimisation allocation behaviour, kept as
-  the oracle for the conformance and differential suites: every proxy /
-  timeout / initialize is a fresh object and ``run`` dispatches through
-  :meth:`Environment.step`.
+  bit-for-bit identical to reference mode.
+* ``"reference"`` — the oracle for the conformance and differential
+  suites: every proxy / timeout / initialize is a fresh object and the
+  loop dispatches each event through :meth:`Environment.step`.
 
-Installing a scheduler or profiler on a ``"fast"`` environment demotes it
-to the hook-aware path automatically (``env._fast`` goes False); the mode
-only controls whether the demotion is *permanent*.
+Installing a scheduler or profiler on a ``"fast"`` environment makes it
+behave as ``"reference"`` (``env._fast`` goes False) until the hook is
+removed; the mode only controls whether that is permanent.
 """
 
 from __future__ import annotations
@@ -214,9 +214,9 @@ class Initialize(Event):
 class _Proxy(Event):
     """Resume-proxy for a yield on an already-processed target.
 
-    Behaviourally identical to the plain :class:`Event` the reference
-    path allocates; a distinct class only so the fast drain loop can
-    recognise and recycle it.
+    Behaviourally identical to the plain :class:`Event` reference mode
+    allocates; a distinct class only so the drain loop can recognise and
+    recycle it.
     """
 
     __slots__ = ()
@@ -471,10 +471,10 @@ class Environment:
                       and self._profiler is None)
 
     def require_fast(self) -> None:
-        """Raise unless the fast drain loop is eligible to run.
+        """Raise unless the drain loop is eligible for its inlined fast body.
 
-        The kernel silently falls back to the hook-aware path when a
-        controlled scheduler, profiler, or access hook is installed.
+        The kernel silently falls back to per-event :meth:`step` dispatch
+        when a controlled scheduler, profiler, or access hook is installed.
         Callers that promised a fast bed (``run_op(fast=True)``, the
         harness sweeps) call this to surface the fallback as an error
         instead of paying a hidden order-of-magnitude slowdown.  The
@@ -606,26 +606,21 @@ class Environment:
         scheduler = self._scheduler
         if scheduler is None:
             when, _key, event = heappop(self._queue)
-            self._now = when
-            callbacks, event.callbacks = event.callbacks, None
-            event._processed = True
-            for callback in callbacks or ():
-                callback(event)
-            if event._ok is False and not event._defused:
-                # Unhandled failure: surface it to the run()/step() caller.
-                raise event._value
-            return
-        when, _key, event = scheduler.select(self)
+        else:
+            when, _key, event = scheduler.select(self)
         self._now = when
-        scheduler.begin_event(event)
+        if scheduler is not None:
+            scheduler.begin_event(event)
         try:
             callbacks, event.callbacks = event.callbacks, None
             event._processed = True
             for callback in callbacks or ():
                 callback(event)
         finally:
-            scheduler.end_event(event)
+            if scheduler is not None:
+                scheduler.end_event(event)
         if event._ok is False and not event._defused:
+            # Unhandled failure: surface it to the run()/step() caller.
             raise event._value
 
     def peek(self) -> float:
@@ -638,54 +633,21 @@ class Environment:
         ``until`` may be ``None`` (run until the queue drains), a number
         (run until that simulated time), or an :class:`Event` (run until it
         fires, returning its value).
-        """
-        if self._fast:
-            return self._run_fast(until)
-        return self._run_hooked(until)
 
-    def _run_hooked(self, until: Any = None) -> Any:
-        """The reference/hook-aware loop: dispatch through :meth:`step`."""
-        if until is None:
-            while self._queue:
-                self.step()
-            return None
-        if isinstance(until, Event):
-            stop = until
-            while not stop._processed:
-                if not self._queue:
-                    raise SimulationError(
-                        "simulation ended before awaited event fired")
-                self.step()
-            if stop._ok:
-                return stop._value
-            stop._defused = True
-            raise stop._value
-        deadline = float(until)
-        if deadline < self._now:
-            raise SimulationError(
-                f"until={deadline} is in the past (now={self._now})")
-        while self._queue and self._queue[0][0] <= deadline:
-            self.step()
-        self._now = deadline
-        return None
-
-    def _run_fast(self, until: Any = None) -> Any:
-        """Inlined drain loop for the no-hook case.
-
-        Per event this costs one heap pop, the callback sweep, and one
-        class check for free-list reclamation — no per-step method
-        dispatch, no scheduler/profiler/access-hook triple check.  An
-        event is recycled only when ``getrefcount`` proves the loop's
+        One drain loop serves every mode.  Per event it either dispatches
+        through :meth:`step` (reference mode, or a scheduler or profiler
+        installed — even one installed from a callback mid-run) or, when
+        ``self._fast``, runs step's uncontrolled body inlined and then
+        recycles the event: no per-step method dispatch, no hook checks.
+        An event is recycled only when ``getrefcount`` proves the loop's
         local is its last reference; events never expose ``__weakref__``
         (slots-only), so no observer can tell identities were reused.
         """
         stop: Optional[Event] = None
         deadline: Optional[float] = None
-        if until is None:
-            pass
-        elif isinstance(until, Event):
+        if isinstance(until, Event):
             stop = until
-        else:
+        elif until is not None:
             deadline = float(until)
             if deadline < self._now:
                 raise SimulationError(
@@ -703,19 +665,12 @@ class Environment:
                 if not queue:
                     raise SimulationError(
                         "simulation ended before awaited event fired")
-            elif not queue:
-                if deadline is not None:
-                    self._now = deadline
-                return None
-            elif deadline is not None and queue[0][0] > deadline:
-                self._now = deadline
-                return None
+            elif not queue or (deadline is not None
+                               and queue[0][0] > deadline):
+                break
             if not self._fast:
-                # A hook was installed mid-run (e.g. a profiler attached
-                # from a callback): finish on the hook-aware path.
-                return self._run_hooked(
-                    stop if stop is not None else
-                    (deadline if deadline is not None else None))
+                self.step()
+                continue
             when, _key, event = pop(queue)
             self._now = when
             callbacks = event.callbacks
@@ -725,33 +680,28 @@ class Environment:
                 callback(event)
             if event._ok is False and not event._defused:
                 raise event._value
-            # -- free-list reclamation ---------------------------------
+            # Free-list reclamation.  Only fields that outlive a firing
+            # are reset; the factories set the rest on reuse.
             cls = event.__class__
             if cls is Timeout:
-                if getrc(event) == 2 and callbacks is not None:
-                    callbacks.clear()
-                    event.callbacks = callbacks
-                    event._processed = False
-                    event._defused = False
-                    event._value = None
-                    tpool.append(event)
+                pool = tpool
             elif cls is _Proxy:
-                if getrc(event) == 2 and callbacks is not None:
-                    callbacks.clear()
-                    event.callbacks = callbacks
-                    event._processed = False
-                    event._triggered = False
-                    event._defused = False
-                    event._ok = None
-                    event._value = None
-                    ppool.append(event)
+                pool = ppool
             elif cls is Initialize:
-                if getrc(event) == 2 and callbacks is not None:
-                    callbacks.clear()
-                    event.callbacks = callbacks
-                    event._processed = False
-                    event._defused = False
-                    ipool.append(event)
+                pool = ipool
+            else:
+                continue
+            if getrc(event) == 2 and callbacks is not None:
+                callbacks.clear()
+                event.callbacks = callbacks
+                event._processed = False
+                event._defused = False
+                event._value = None
+                pool.append(event)
+        if stop is None:
+            if deadline is not None:
+                self._now = deadline
+            return None
         if stop._ok:
             return stop._value
         stop._defused = True

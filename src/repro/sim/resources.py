@@ -163,36 +163,29 @@ class NicPort:
 
     def occupy(self, service_time: float,
                not_before: Optional[float] = None) -> Event:
-        """Reserve the port for ``service_time``; event fires at completion.
+        """Like :meth:`finish_time`, but as an event firing at completion."""
+        env = self.env
+        return env.timeout(
+            self.finish_time(service_time, not_before) - env._now)
+
+    def finish_time(self, service_time: float,
+                    not_before: Optional[float] = None) -> float:
+        """Reserve the port for ``service_time``; returns the completion time.
 
         ``not_before`` lets the caller model propagation delay before the
         operation reaches the port (service cannot start earlier).
         """
         env = self.env
         earliest = env._now if not_before is None else not_before
-        start = max(earliest, self._next_free)
+        # max(earliest, next_free), spelled without the call: every verb
+        # of every batch comes through here.
+        start = earliest
+        if self._next_free > start:
+            start = self._next_free
         end = start + service_time
         if service_time > 0.0 and not env._fast:
             # With zero service time the line never queues, so occupancy is
             # not observable shared state — keep it out of footprints.
-            if env._access_hook is not None:
-                env.note_access(("nic", self._uid), True)
-            prof = env._profiler
-            if prof is not None:
-                prof.note_nic(self.label, earliest, start, end)
-        self._next_free = end
-        self.total_busy += service_time
-        self.ops += 1
-        return env.timeout(end - env._now)
-
-    def finish_time(self, service_time: float,
-                    not_before: Optional[float] = None) -> float:
-        """Like :meth:`occupy` but returns the absolute completion time."""
-        env = self.env
-        earliest = env._now if not_before is None else not_before
-        start = max(earliest, self._next_free)
-        end = start + service_time
-        if service_time > 0.0 and not env._fast:
             if env._access_hook is not None:
                 env.note_access(("nic", self._uid), True)
             prof = env._profiler

@@ -1,9 +1,14 @@
 """Tests for the simulated RDMA fabric and memory nodes."""
 
+from dataclasses import replace
+from heapq import heappop
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.faults import FaultInjector, FaultPlan
+from repro.obs import Profiler
 from repro.rdma import (
     FAIL,
     PORT_AFFINITY_MODES,
@@ -668,3 +673,149 @@ class TestCoalescingOrdering:
         for comp, want in zip(comps, expect):
             if want is not None:
                 assert comp.value == want
+
+
+class _HeapOrderScheduler:
+    """The smallest controlled scheduler: heap order, footprints kept."""
+
+    env = None
+
+    def __init__(self):
+        self.tokens = []
+
+    def select(self, env):
+        return heappop(env._queue)
+
+    def begin_event(self, event):
+        pass
+
+    def end_event(self, event):
+        pass
+
+    def note_access(self, token, write):
+        self.tokens.append((token, write))
+
+
+class _SlotRecorder:
+    """Monitor-shaped: the two hooks the fabric feeds, nothing else."""
+
+    def __init__(self):
+        self.verbs = 0
+
+    def note_verb(self, mn_id, port_label, verb_cls, nbytes, service_us,
+                  n=1):
+        self.verbs += n
+
+    def note_rpc(self, mn_id, shard_label, name, cpu_us):
+        pass
+
+
+_VERB = st.one_of(
+    st.tuples(st.just("r"), st.integers(0, 1), st.integers(0, 48),
+              st.integers(1, 16)),
+    st.tuples(st.just("w"), st.integers(0, 1), st.integers(0, 48),
+              st.binary(min_size=1, max_size=16)),
+    st.tuples(st.just("cas"), st.integers(0, 1), st.integers(0, 6),
+              st.integers(0, 3)),
+    st.tuples(st.just("faa"), st.integers(0, 1), st.integers(0, 6),
+              st.integers(1, 5)))
+
+
+def _verbs(batch, n_mns):
+    ops = []
+    for kind, mn, at, arg in batch:
+        mn %= n_mns
+        if kind == "r":
+            ops.append(ReadOp(mn, at, arg))
+        elif kind == "w":
+            ops.append(WriteOp(mn, at, arg))
+        elif kind == "cas":
+            ops.append(CasOp(mn, at * 8, arg, arg + 1))
+        else:
+            ops.append(FaaOp(mn, at * 8, arg))
+    return ops
+
+
+class TestOneVerbLoop:
+    """``Fabric.post`` is one loop whose profiler / footprint / monitor
+    stages are optional: switching a stage on must observe the batch, never
+    change it.  The injector path is a different mechanism (a process per
+    verb) that must agree with the loop whenever no fault is drawn."""
+
+    @given(batch=st.lists(_VERB, min_size=1, max_size=12),
+           n_mns=st.integers(1, 2),
+           crashed=st.booleans(),
+           width=st.integers(1, 12),
+           adaptive=st.booleans(),
+           preload=st.booleans(),
+           num_ports=st.integers(1, 4),
+           affinity=st.sampled_from(PORT_AFFINITY_MODES),
+           qp=st.integers(0, 7))
+    @example(batch=[("w", 0, 0, b"a" * 8)] * 3 + [("r", 0, 0, 8)] * 2
+             + [("cas", 0, 0, 0), ("w", 1, 8, b"b" * 8), ("faa", 1, 1, 2)],
+             n_mns=2, crashed=True, width=8, adaptive=False, preload=False,
+             num_ports=2, affinity="rss", qp=3)
+    @settings(max_examples=80, deadline=None)
+    def test_optional_stages_never_change_a_batch(
+            self, batch, n_mns, crashed, width, adaptive, preload,
+            num_ports, affinity, qp):
+        def run(stage):
+            env = Environment()
+            fab = Fabric(env, FabricConfig(max_coalesce_width=width,
+                                           coalesce_adaptive=adaptive,
+                                           port_affinity=affinity))
+            for mn_id in range(n_mns):
+                fab.add_node(MemoryNode(env, mn_id, capacity=128,
+                                        num_ports=num_ports))
+            if crashed:
+                fab.node(n_mns - 1).crash()
+            observer = None
+            if stage == "profiler":
+                observer = Profiler().install(env)
+            elif stage == "access_hook":
+                observer = _HeapOrderScheduler()
+                env.set_scheduler(observer)
+            elif stage == "monitor":
+                observer = fab.monitor = _SlotRecorder()
+            elif stage == "injector":
+                fab.injector = FaultInjector(FaultPlan())
+            if preload:
+                # queue service on every node's ports so adaptive mode
+                # has a backlog to widen on
+                def busy():
+                    yield fab.post([op for mn_id in range(n_mns)
+                                    for op in (WriteOp(mn_id, 64, bytes(64)),
+                                               ReadOp(mn_id, 64, 64))],
+                                   qp=qp)
+                env.process(busy())
+            comps = run_batch(env, fab, _verbs(batch, n_mns), qp=qp)
+            values = [c.value for c in comps]
+            memory = [bytes(fab.node(m).memory) for m in range(n_mns)]
+            return values, memory, env.now, fab.stats.snapshot(), observer
+
+        values, memory, now, stats, _ = run("bare")
+        for stage in ("profiler", "access_hook", "monitor"):
+            got = run(stage)
+            assert got[:4] == (values, memory, now, stats), stage
+            observer = got[4]
+            if stage == "profiler":
+                assert observer.intervals
+            elif stage == "access_hook":
+                assert {token for token, write in observer.tokens
+                        if token[0] == "crash" and not write} \
+                    >= {("crash", op[1] % n_mns) for op in batch}
+            else:
+                assert observer.verbs == (stats.reads + stats.writes
+                                          + stats.atomics
+                                          - stats.failed_verbs)
+
+        f_values, f_memory, f_now, f_stats, _ = run("injector")
+        assert (f_values, f_memory) == (values, memory)
+        # the per-verb delivery path never coalesces: timing and the
+        # coalescing counters agree only when the loop shared no slot
+        if stats.coalesced_slots == 0:
+            assert f_now == pytest.approx(now, rel=1e-12)
+            assert f_stats == stats
+        else:
+            assert replace(f_stats, coalesced_slots=stats.coalesced_slots,
+                           coalesced_verbs=stats.coalesced_verbs) == stats

@@ -1,9 +1,12 @@
 """Tests for the closed-loop runner, latency driver, and system beds."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.harness import (
     Scale,
+    StopLoop,
     cdf_points,
     clover_bed,
     fusee_bed,
@@ -11,8 +14,8 @@ from repro.harness import (
     percentile,
     run_closed_loop,
     run_latency,
+    run_open_loop,
 )
-from repro.harness.runner import StopLoop
 from repro.sim import Environment
 from repro.workloads import MicroConfig, MicroWorkload
 from repro.workloads.ycsb import key_bytes, make_value
@@ -40,6 +43,14 @@ class TestPercentiles:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             percentile([], 50)
+
+    @pytest.mark.parametrize("p", [-50, -0.001, 100.001, 150,
+                                   float("nan")])
+    def test_p_outside_0_100_rejected(self, p):
+        """A negative ``p`` used to wrap around to the top of the list and
+        ``p > 100`` died with a bare IndexError."""
+        with pytest.raises(ValueError, match="outside"):
+            percentile([1, 2, 3], p)
 
     def test_cdf_points(self):
         points = cdf_points(list(range(1000)), (50, 99))
@@ -157,6 +168,49 @@ class TestRunner:
                                  lambda i: _FixedWorkload(),
                                  execute, duration_us=1000.0)
         assert len(calls) == 5
+
+    def test_closed_and_paced_agree_on_one_op_list(self):
+        """Both runners are one driver with a different pacing generator:
+        the same single-client op list must be counted identically."""
+        ops = ([("search", key_bytes(i), None) for i in range(6)]
+               + [("search", b"missing-key", None)]
+               + [("update", key_bytes(i), make_value(100, salt=50 + i))
+                  for i in range(4)]
+               + [("insert", key_bytes(200 + i), make_value(100, salt=i))
+                  for i in range(3)]
+               + [("delete", key_bytes(9), None),
+                  ("search", key_bytes(9), None)])
+
+        class _ListWorkload:
+            def __init__(self):
+                self._ops = iter(ops + [("stop", b"", None)])
+
+            def next_op(self):
+                return next(self._ops)
+
+        def run(paced):
+            bed = self.make_bed()
+
+            def execute(client, op, key, value):
+                if op == "stop":
+                    raise StopLoop()
+                return (yield from bed.execute(client, op, key, value))
+
+            if paced:
+                stream = [SimpleNamespace(at_us=0.0, op=op, key=key,
+                                          value=value)
+                          for op, key, value in ops]
+                return run_open_loop(bed.env, [bed.new_client()],
+                                     lambda i: stream, execute,
+                                     duration_us=5000.0)
+            return run_closed_loop(bed.env, [bed.new_client()],
+                                   lambda i: _ListWorkload(), execute,
+                                   duration_us=5000.0)
+
+        closed, paced = run(paced=False), run(paced=True)
+        assert closed.ops == paced.ops == len(ops) - 2
+        assert closed.errors == paced.errors == 2
+        assert closed.per_op_counts == paced.per_op_counts
 
     def test_run_latency_sequential(self):
         bed = self.make_bed()

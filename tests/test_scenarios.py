@@ -257,8 +257,7 @@ class TestScenarioVerdicts:
 # ---------------------------------------------------------------------------
 class TestTenantReport:
     def test_shares_track_weights_on_a_live_bed(self):
-        from repro.harness.runner import run_open_loop
-        from repro.harness.systems import fusee_bed
+        from repro.harness import fusee_bed, run_open_loop
         from repro.obs import Metrics
 
         scn = get_scenario("multi-tenant", seed=0, duration_us=4_000.0,

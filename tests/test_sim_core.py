@@ -581,3 +581,39 @@ class TestKernelConformance:
                 return log
 
         assert run_zero("fast") == run_zero("reference")
+
+    def test_profiler_installed_mid_run_matches_reference(self):
+        """A hook installed from a callback takes the single drain loop
+        off its inlined body at the next event; the run must still end
+        at its deadline with the log the reference kernel produces."""
+        from repro.obs import Profiler
+
+        def run_mid(mode):
+            with kernel_mode(mode):
+                env = Environment()
+                log, inlined = [], []
+
+                def ticker(pid, period):
+                    while True:
+                        yield env.timeout(period)
+                        log.append((pid, env.now))
+                        inlined.append(env._fast)
+
+                def install():
+                    yield env.timeout(4.0)
+                    Profiler().install(env)
+                    log.append(("installed", env.now))
+
+                for pid, period in enumerate((1.0, 1.5, 2.5)):
+                    env.process(ticker(pid, period), name=f"t{pid}")
+                env.process(install(), name="install")
+                env.run(until=10.25)
+                return log, env.now, env._eid, inlined
+
+        fast, reference = run_mid("fast"), run_mid("reference")
+        assert fast[:3] == reference[:3]
+        assert fast[1] == 10.25
+        assert fast[0][-1] == (0, 10.0)
+        # the fast run really did switch bodies part-way
+        assert fast[3][0] and not fast[3][-1]
+        assert not any(reference[3])
