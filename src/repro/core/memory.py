@@ -342,9 +342,6 @@ class ClientAllocator:
     def head(self, class_idx: int) -> int:
         return self._classes[class_idx].head
 
-    def last_allocated(self, class_idx: int) -> int:
-        return self._classes[class_idx].last_alloc
-
     def owned_blocks(self) -> List[Tuple[int, int, int]]:
         return list(self._owned_blocks)
 

@@ -2,10 +2,16 @@
 
 The paper preloads 100,000 keys before each YCSB run.  Driving every load
 through the full simulated protocol is wasted wall-clock time (load-phase
-performance is not measured), so the loaders below populate memory-node
-``bytearray`` state directly — producing byte-for-byte the same layout the
-normal INSERT path would (verified by ``tests/test_loader.py``) — while
+performance is not measured), so the loaders below write memory-node
+memory directly — producing byte-for-byte the same layout the normal
+INSERT path would (verified by ``tests/test_loader.py``) — while
 registering ownership with the same allocators the clients use.
+
+A FUSEE load is one simulation process for the whole key set: the only
+simulated work is the allocator's (ALLOC RPCs and list-head WRITEs, at
+the simulated times a protocol-driven load would issue them); blocks and
+slot words are stored straight into the MNs' mappings, which stay zero —
+and unmaterialised on the host — wherever nothing was loaded.
 """
 
 from __future__ import annotations
@@ -18,58 +24,86 @@ from ..baselines.pdpm import PdpmCluster
 from ..core.client import FuseeClient
 from ..core.kvstore import FuseeCluster
 from ..core.oplog import entry_for_alloc
-from ..core.wire import OP_INSERT, encode_kv_block, kv_block_size, \
-    kv_len_units, pack_slot
+from ..core.wire import OP_INSERT, SLOT_SIZE, decode_kv_payload, \
+    encode_kv_block, kv_block_size, kv_len_units, pack_slot, unpack_slot
 
 __all__ = ["fusee_load", "clover_load", "pdpm_load"]
 
 
 def fusee_load(cluster: FuseeCluster, client: FuseeClient,
                items: Iterable[Tuple[bytes, bytes]]) -> int:
-    """Bulk-load KV pairs through ``client``'s allocator, bypassing the DES.
+    """Bulk-load KV pairs through ``client``'s allocator, bypassing the
+    protocol.
 
     Every byte written matches what the INSERT path would produce
     (KV block + embedded log entry on all data replicas, slot words on all
     index replicas, block tables/heads via the allocator), so subsequent
     simulated operations behave identically to a protocol-driven load.
+    Raises ``ValueError`` for a key that is already in the index, whether
+    from earlier in ``items`` or from an earlier load.
     """
-    env = cluster.env
+    return cluster.run_op(_load(cluster, client, items))
+
+
+def _load(cluster: FuseeCluster, client: FuseeClient, items):
+    """The load as one DES generator; its only yields are the allocator's."""
+    allocator = client.allocator
+    translate = cluster.region_map.translate
+    node = cluster.fabric.node
     loaded = 0
     for key, value in items:
-        class_idx = client.allocator.class_for(
-            kv_block_size(len(key), len(value)))
-        # Drain the allocator generator synchronously: its only yields are
-        # RPC/post events, which the env can run to completion.
-        alloc = cluster.run_op(client.allocator.alloc(class_idx))
+        meta = cluster.race.key_meta(key)
+        # Before allocating: a rejected key must not leave an unwritten
+        # object in the client's log chain (recovery stops walking there).
+        ref = _pick_slot(cluster, meta, key)
+        class_idx = allocator.class_for(kv_block_size(len(key), len(value)))
+        alloc = yield from allocator.alloc(class_idx)
         entry = entry_for_alloc(alloc, OP_INSERT)
         block = encode_kv_block(key, value, alloc.size, entry)
-        for mn_id, addr in cluster.region_map.translate(alloc.gaddr):
-            node = cluster.fabric.node(mn_id)
-            node.memory[addr:addr + len(block)] = block
-        meta = cluster.race.key_meta(key)
+        for mn_id, addr in translate(alloc.gaddr):
+            node(mn_id).memory[addr:addr + len(block)] = block
         word = pack_slot(meta.fingerprint, kv_len_units(len(key), len(value)),
                          alloc.gaddr)
-        ref = _pick_slot(cluster, meta)
         for mn_id, addr in ref.locations():
-            cluster.fabric.node(mn_id).write_word(addr, word)
+            node(mn_id).write_word(addr, word)
         client.cache.store(key, ref, word)
         loaded += 1
     return loaded
 
 
-def _pick_slot(cluster: FuseeCluster, meta):
-    """First empty candidate slot for a key, reading memory directly."""
+def _pick_slot(cluster: FuseeCluster, meta, key: bytes):
+    """First empty candidate slot for ``key``, reading memory directly.
+
+    Scans every candidate, not just up to the first hole: a live slot
+    whose fingerprint and stored key both match means the key is already
+    installed, and a second slot for it would break the one-live-slot-
+    per-key invariant every reader relies on.
+    """
     race = cluster.race
-    ranges = race._combined_ranges(meta)
-    placement = race.placement(meta.subtable)
-    mn_id, base = placement[0]
-    node = cluster.fabric.node(mn_id)
-    for start, count in ranges:
-        for i in range(count):
-            index = start + i
-            if node.read_word(base + index * 8) == 0:
-                return race.slot_ref(meta.subtable, index)
-    raise RuntimeError("index full during bulk load — enlarge RaceConfig")
+    mn_id, base = race.placement(meta.subtable)[0]
+    memory = cluster.fabric.node(mn_id).memory
+    fingerprint = meta.fingerprint
+    empty = None
+    for start, _count in race._combined_ranges(meta):
+        words = race._cb_struct.unpack_from(memory, base + start * SLOT_SIZE)
+        for i, word in enumerate(words):
+            if word == 0:
+                if empty is None:
+                    empty = start + i
+            elif word >> 56 == fingerprint \
+                    and _stored_key(cluster, word) == key:
+                raise ValueError(f"bulk load: key {key!r} is already loaded")
+    if empty is None:
+        raise RuntimeError("index full during bulk load — enlarge RaceConfig")
+    return race.slot_ref(meta.subtable, empty)
+
+
+def _stored_key(cluster: FuseeCluster, word: int) -> bytes:
+    """The key of the KV block a live slot word points at."""
+    slot = unpack_slot(word)
+    mn_id, addr = cluster.region_map.translate(slot.pointer)[0]
+    memory = cluster.fabric.node(mn_id).memory
+    return decode_kv_payload(memory[addr:addr + slot.block_bytes])[1]
 
 
 def clover_load(cluster: CloverCluster, items) -> int:

@@ -117,10 +117,6 @@ class FabricConfig:
                 f"unknown port_affinity {self.port_affinity!r}; "
                 f"pick from {PORT_AFFINITY_MODES}")
 
-    @property
-    def rtt_us(self) -> float:
-        return 2.0 * self.one_way_delay_us + self.post_overhead_us
-
 
 @dataclass
 class FabricStats:
@@ -374,7 +370,7 @@ class Fabric:
                 addr = op.addr
                 if addr < 0 or addr + nbytes > node.capacity:
                     node._check_range(addr, nbytes)
-                append(Completion(op, bytes(node._view[addr:addr + nbytes])))
+                append(Completion(op, node.memory[addr:addr + nbytes]))
             elif cls is WriteOp and hook is None:
                 addr = op.addr
                 if addr < 0 or addr + nbytes > node.capacity:

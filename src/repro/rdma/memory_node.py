@@ -1,6 +1,9 @@
 """A memory node (MN): byte-addressable memory plus a weak CPU.
 
-Each MN owns one ``bytearray`` of registered memory, ``num_ports``
+Each MN owns one flat, fixed-length buffer of registered memory — an
+anonymous private mapping that the OS zero-fills page by page on first
+touch, so a node costs the host what a run writes to it, not its
+``capacity`` (slices of it read as ``bytes``) — plus ``num_ports``
 rx/tx RNIC port pairs (each a serialisation line — see
 :class:`repro.sim.NicPort`), and a small CPU pool (1-2 cores per §2.1)
 that serves memory-management RPCs (ALLOC/FREE) only.  All data-path
@@ -21,6 +24,7 @@ completes with :data:`~repro.rdma.verbs.FAIL`.
 
 from __future__ import annotations
 
+import mmap
 import struct
 from collections import OrderedDict
 from typing import Callable, Dict, Optional, Tuple
@@ -47,6 +51,10 @@ class MemoryNode:
                  rpc_service_us: float = 2.0,
                  num_ports: int = 1,
                  rpc_shards: int = 1):
+        if not isinstance(capacity, int) or capacity < 1:
+            raise ValueError(
+                f"MN{mn_id}: capacity must be a positive int, "
+                f"got {capacity!r}")
         if num_ports < 1:
             raise ValueError("num_ports must be >= 1")
         if rpc_shards < 1:
@@ -54,11 +62,13 @@ class MemoryNode:
         self.env = env
         self.mn_id = mn_id
         self.capacity = capacity
-        self.memory = bytearray(capacity)
-        # Read path: one copy instead of two (bytearray slice + bytes).
-        # The buffer is never resized (length-preserving slice writes and
-        # pack_into only), so a persistent exporting view is safe.
-        self._view = memoryview(self.memory)
+        # The OS is the page table: a page exists once it is written.
+        # Private (ACCESS_COPY), not the shared default: a read of a
+        # never-written range then maps the kernel's zero page instead
+        # of allocating one, and a fork()ed child gets its own copy.
+        # Slice writes are length-preserving (mmap enforces it) and a
+        # slice reads as bytes, so READ is one copy.
+        self.memory = mmap.mmap(-1, capacity, access=mmap.ACCESS_COPY)
         profile = nic_profile or NicProfile()
         # Full-duplex RNIC: inbound (writes, atomics, RPC) and outbound
         # (read payloads) directions serialize independently, as on real
@@ -168,7 +178,7 @@ class MemoryNode:
                 self._check_range(addr, length)
             if noting:
                 self._note_words(addr, length, write=False)
-            return bytes(self._view[addr:addr + length])
+            return self.memory[addr:addr + length]
         if cls is WriteOp:
             addr = op.addr
             data = op.data

@@ -214,10 +214,6 @@ class Completion:
         value = self.value
         return value is FAIL or value is TIMEOUT
 
-    @property
-    def timed_out(self) -> bool:
-        return self.value is TIMEOUT
-
     def cas_succeeded(self) -> bool:
         """For a CAS completion: did the swap take effect?"""
         if not isinstance(self.op, CasOp):

@@ -92,11 +92,6 @@ class RateSchedule:
     def peak_rate(self) -> float:
         raise NotImplementedError
 
-    def mean_rate(self, t0_us: float, t1_us: float) -> float:
-        if t1_us <= t0_us:
-            return 0.0
-        return self.integral(t0_us, t1_us) / (t1_us - t0_us)
-
     def __add__(self, other: "RateSchedule") -> "SumRate":
         return SumRate(parts=(self, other))
 

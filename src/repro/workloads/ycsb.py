@@ -17,6 +17,7 @@ algorithm) with the zeta constants precomputed.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -63,7 +64,10 @@ class ZipfianGenerator:
                      / (1.0 - self._zeta2 / self._zetan))
 
     @staticmethod
+    @functools.cache
     def _zeta(n: int, theta: float) -> float:
+        """The n-term zeta constant: O(n), so summed once per key space,
+        not once per client stream (every client of a bed shares it)."""
         return sum(1.0 / math.pow(i, theta) for i in range(1, n + 1))
 
     def next(self) -> int:

@@ -1,5 +1,6 @@
 """Tests for the simulated RDMA fabric and memory nodes."""
 
+import os
 from dataclasses import replace
 from heapq import heappop
 
@@ -73,6 +74,37 @@ class TestMemoryNode:
     def test_duplicate_node_id_rejected(self, env, fabric):
         with pytest.raises(ValueError):
             fabric.add_node(MemoryNode(env, 0, capacity=64))
+
+    @pytest.mark.parametrize("capacity", [0, -5, 4096.0, "4096", None])
+    def test_bad_capacity_rejected_naming_the_node(self, env, capacity):
+        with pytest.raises(ValueError, match="MN3: capacity"):
+            MemoryNode(env, 3, capacity=capacity)
+
+    def test_slices_read_as_bytes_and_writes_keep_the_length(self, env):
+        node = MemoryNode(env, 0, capacity=64)
+        node.memory[8:12] = b"abcd"
+        assert node.memory[6:14] == b"\0\0abcd\0\0"
+        assert type(node.memory[6:14]) is bytes
+        assert type(node.apply(ReadOp(0, 6, 8))) is bytes
+        with pytest.raises((IndexError, ValueError)):
+            node.memory[8:12] = b"too long"
+        assert len(node.memory) == 64
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/statm"),
+                        reason="resident set is read from /proc/self/statm")
+    def test_a_node_costs_what_it_touches_not_its_capacity(self, env):
+        def resident_mb():
+            with open("/proc/self/statm") as statm:
+                pages = int(statm.read().split()[1])
+            return pages * os.sysconf("SC_PAGE_SIZE") / (1 << 20)
+
+        before = resident_mb()
+        node = MemoryNode(env, 0, capacity=1 << 30)
+        last = (1 << 30) - 8
+        node.write_word(last, 7)
+        assert node.read_word(last) == 7
+        assert node.apply(ReadOp(0, 1 << 29, 4096)) == bytes(4096)
+        assert resident_mb() - before < 8
 
 
 class TestVerbSemantics:
@@ -819,3 +851,63 @@ class TestOneVerbLoop:
         else:
             assert replace(f_stats, coalesced_slots=stats.coalesced_slots,
                            coalesced_verbs=stats.coalesced_verbs) == stats
+
+
+_PAGE = 4096
+# Byte addresses within 16 of an interior page edge of a three-page node,
+# and words that end at, start at, or straddle one (or end the mapping).
+_NEAR_EDGE = st.builds(lambda page, off: page * _PAGE + off,
+                       st.integers(1, 2), st.integers(-16, 8))
+_EDGE_WORD = st.sampled_from([_PAGE - 8, _PAGE - 4, _PAGE, 2 * _PAGE - 8,
+                              2 * _PAGE, 3 * _PAGE - 8])
+_PAGED_VERB = st.one_of(
+    st.tuples(st.just("r"), _NEAR_EDGE, st.integers(1, 32)),
+    st.tuples(st.just("w"), _NEAR_EDGE, st.binary(min_size=1, max_size=32)),
+    st.tuples(st.just("cas"), _EDGE_WORD, st.integers(0, 3)),
+    st.tuples(st.just("faa"), _EDGE_WORD, st.integers(1, 5)))
+
+
+class TestMemoryAcrossPages:
+    """MN memory is one flat buffer whatever the host's page table looks
+    like: verbs that touch several pages, or a word flush against a page
+    edge, behave as on a ``bytearray``."""
+
+    @given(batch=st.lists(_PAGED_VERB, min_size=1, max_size=16),
+           hooked=st.booleans())
+    @example(batch=[("w", _PAGE - 8, b"\xff" * 8), ("faa", _PAGE - 8, 1),
+                    ("cas", _PAGE - 8, 0), ("r", _PAGE - 8, 16),
+                    ("w", 2 * _PAGE - 3, b"abcdef"), ("cas", 2 * _PAGE - 8, 0),
+                    ("faa", 3 * _PAGE - 8, 5), ("r", 2 * _PAGE - 8, 16)],
+             hooked=False)
+    @settings(max_examples=80, deadline=None)
+    def test_verbs_near_page_edges_match_a_bytearray(self, batch, hooked):
+        env = Environment()
+        fab = Fabric(env, FabricConfig())
+        node = MemoryNode(env, 0, capacity=3 * _PAGE)
+        fab.add_node(node)
+        if hooked:
+            # READ/WRITE go through MemoryNode.apply, not its inlined copy
+            env.set_scheduler(_HeapOrderScheduler())
+        reference = bytearray(3 * _PAGE)
+        ops, expect = [], []
+        for kind, addr, arg in batch:
+            if kind == "r":
+                ops.append(ReadOp(0, addr, arg))
+                expect.append(bytes(reference[addr:addr + arg]))
+            elif kind == "w":
+                ops.append(WriteOp(0, addr, arg))
+                reference[addr:addr + len(arg)] = arg
+                expect.append(None)
+            else:
+                old = int.from_bytes(reference[addr:addr + 8], "big")
+                if kind == "cas":
+                    ops.append(CasOp(0, addr, arg, arg + 1))
+                    new = arg + 1 if old == arg else old
+                else:
+                    ops.append(FaaOp(0, addr, arg))
+                    new = (old + arg) % (1 << 64)
+                reference[addr:addr + 8] = new.to_bytes(8, "big")
+                expect.append(old)
+        comps = run_batch(env, fab, ops)
+        assert [comp.value for comp in comps] == expect
+        assert bytes(node.memory) == bytes(reference)

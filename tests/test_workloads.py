@@ -64,6 +64,16 @@ class TestZipfian:
         gen = ZipfianGenerator(1, seed=1)
         assert all(gen.next() == 0 for _ in range(50))
 
+    @pytest.mark.parametrize("n,theta", [(3, 0.99), (1000, 0.5),
+                                         (20000, 0.99)])
+    def test_memoised_zeta_is_the_plain_sum(self, n, theta):
+        """Same float, bit for bit: it scales every draw, so the
+        summation order is part of every workload's op sequence."""
+        plain = sum(1.0 / math.pow(i, theta) for i in range(1, n + 1))
+        assert ZipfianGenerator._zeta(n, theta) == plain
+        assert ZipfianGenerator._zeta(n, theta) == plain   # from the memo
+        assert ZipfianGenerator(n, theta)._zetan == plain
+
 
 class TestScrambledZipfian:
     def test_range(self):
@@ -169,6 +179,34 @@ class TestYcsbWorkload:
             op, _key, value = wl.next_op()
             if op == "update":
                 assert len(value) == config.value_size
+
+    # (op, key index) of the first 64 ops of the benchmark's key space at
+    # its seed, captured before the zeta constant was memoised.
+    GOLDEN_A_20000_SEED_13 = [
+        ("u", 6178), ("u", 2161), ("u", 1894), ("u", 18475), ("u", 3814),
+        ("s", 7360), ("u", 13223), ("s", 7360), ("u", 15614), ("u", 4996),
+        ("s", 4784), ("s", 16769), ("s", 7470), ("u", 16502), ("u", 15678),
+        ("u", 7894), ("s", 14405), ("s", 8652), ("s", 13223), ("s", 12003),
+        ("u", 1993), ("u", 15696), ("s", 14755), ("s", 5078), ("s", 6508),
+        ("u", 7683), ("u", 6178), ("u", 18028), ("s", 8601), ("s", 7081),
+        ("s", 3441), ("u", 5911), ("u", 5373), ("u", 5911), ("u", 19243),
+        ("u", 4996), ("s", 12222), ("s", 17685), ("s", 13493), ("s", 10054),
+        ("s", 12634), ("u", 2286), ("u", 4996), ("s", 4686), ("u", 9567),
+        ("s", 3814), ("u", 16769), ("u", 16557), ("s", 6178), ("u", 8224),
+        ("s", 3335), ("u", 6983), ("s", 4996), ("s", 9029), ("u", 7360),
+        ("s", 15587), ("s", 3814), ("s", 15964), ("u", 14405), ("s", 2620),
+        ("s", 10716), ("u", 19781), ("u", 19373), ("s", 9268),
+    ]
+
+    def test_op_sequence_is_pinned(self):
+        """The sequence is part of every benchmark fingerprint."""
+        wl = YcsbWorkload(YcsbConfig(n_keys=20000), seed=13)
+        expect = [
+            ("search", key_bytes(index), None) if op == "s" else
+            ("update", key_bytes(index), make_value(1000, salt=index ^ serial))
+            for serial, (op, index) in enumerate(
+                self.GOLDEN_A_20000_SEED_13, start=1)]
+        assert [wl.next_op() for _ in range(64)] == expect
 
     def test_distinct_seeds_distinct_streams(self):
         a = YcsbWorkload(YcsbConfig(workload="A", n_keys=1000), seed=1)
