@@ -7,10 +7,9 @@ explorer finds a violating schedule for every mutation within its
 documented budget — i.e. that the checker would actually catch these
 bugs — and that the unmutated protocol survives the same exploration.
 
-``snapshot_write`` is bound by name in :mod:`repro.core.client` at import
-time, so mutations that replace it patch *both* modules; scenarios call
-it via the module attribute (``snapshot_mod.snapshot_write``) so slot
-workloads see the patch too.
+Clients reach ``snapshot_write`` through their replication strategy and
+scenarios through the module attribute (``snapshot_mod.snapshot_write``),
+so patching that one attribute mutates both.
 """
 
 from __future__ import annotations
@@ -124,13 +123,12 @@ def _primary_first_write(fabric, ref, v_old: int, v_new: int, on_win=None,
 
 @contextmanager
 def reorder_replica_writes():
-    originals = (snapshot_mod.snapshot_write, client_mod.snapshot_write)
+    original = snapshot_mod.snapshot_write
     snapshot_mod.snapshot_write = _primary_first_write
-    client_mod.snapshot_write = _primary_first_write
     try:
         yield
     finally:
-        snapshot_mod.snapshot_write, client_mod.snapshot_write = originals
+        snapshot_mod.snapshot_write = original
 
 
 # --------------------------------------------------------------------------

@@ -11,10 +11,18 @@ one doorbell batch (1 RTT), reproducing the paper's RTT counts:
 * SEARCH — ① read primary slot + cached KV pair in parallel; ② read the
   KV pair on a miss/invalidation.
 
-Index replication is pluggable: the SNAPSHOT protocol (default) or
-sequential CAS replication (the FUSEE-CR ablation).  Disabling the cache
-yields FUSEE-NC.  Crash points ``c0``-``c3`` (Fig. 9) can be armed to
-leave real partial state behind for the recovery path (§5.3).
+Slot replication is pluggable through the strategy registry in
+:mod:`repro.core.replication`: the SNAPSHOT protocol (default),
+sequential CAS replication (the FUSEE-CR ablation) or SWARM-style 1-RTT
+broadcast writes.  Disabling the cache yields FUSEE-NC.  Crash points
+``c0``-``c3`` (Fig. 9) can be armed to leave real partial state behind
+for the recovery path (§5.3).
+
+Every way a key is found — slot ‖ cached KV block in one RTT, slot
+*then* KV block when the adaptive cache bypasses a write-hot key,
+combined buckets then fingerprint hits — is tabulated in
+``docs/protocol.md`` ("How a key is found"), with the rule for
+reclaiming an operation's staged object.
 """
 
 from __future__ import annotations
@@ -31,20 +39,22 @@ from .oplog import clear_used_ops, commit_old_value_ops, entry_for_alloc
 from .race import IndexFullError, KeyMeta, RaceHashing, SlotRef
 from .readpolicy import READ_SPREAD_MODES, ReplicaReadPolicy
 from .replication import create_protocol, validate_replication_mode
-# snapshot_write/sequential_write are re-exported for backwards
-# compatibility (repro.check.mutations patches them by name here too).
-from .snapshot import Outcome, snapshot_write, sequential_write  # noqa: F401
+from .snapshot import Outcome
 from .wire import (
     FLAG_INVALID,
+    KV_HOLDS_KEY,
+    KV_INVALID,
+    KV_LIVE,
+    KV_OTHER_KEY,
     LOG_ENTRY_SIZE,
     OP_DELETE,
     OP_INSERT,
     OP_UPDATE,
-    decode_kv_payload,
     encode_kv_body,
     encode_log_entry,
     kv_block_size,
     kv_len_units,
+    match_kv,
     pack_slot,
     unpack_slot,
 )
@@ -120,6 +130,31 @@ class _Unavailable:
 
 
 _UNAVAILABLE = _Unavailable()
+
+#: Two more statuses beside ``match_kv``'s, for a block a slot word named
+#: but no READ returned: nothing was read (no alive data replica, or the
+#: replica failed mid-read), or the READ timed out under fault injection
+#: and the block's content is unknown.
+_KV_UNREAD = "unread"
+_KV_TIMED_OUT = "timed out"
+
+
+def _as_located(ref: SlotRef, word, status):
+    """A write's reading of a slot→KV probe: ``(ref, v_old)`` when the
+    slot holds the key, None when it does not, :data:`_UNAVAILABLE` when
+    a timeout left that unknown (a piggy-backed KV write may not have
+    applied either, so neither proceeding nor falling back is safe)."""
+    if status is _KV_TIMED_OUT:
+        return _UNAVAILABLE
+    return (ref, word) if status in KV_HOLDS_KEY else None
+
+
+def _not_located(located) -> OpResult:
+    """The result of a write whose key was not found: a plain failure
+    for a definite absence (None), a typed one for :data:`_UNAVAILABLE`."""
+    return OpResult(ok=False, error=None if located is None
+                    else "index unavailable")
+
 
 #: Link id of the client<->master connection for fault-fate draws (the
 #: master lives in the compute pool, not on a memory node).
@@ -317,7 +352,6 @@ class FuseeClient:
         entry in its own round trip (generator)."""
         if self.config.embedded_log:
             return
-        from .wire import LOG_ENTRY_SIZE
         entry_off = prepared.alloc.size - LOG_ENTRY_SIZE
         ops = []
         for mn_id, addr in self.region_map.translate(prepared.alloc.gaddr):
@@ -388,9 +422,14 @@ class FuseeClient:
                                                                entry)
                 if result is not None:
                     return result
-            result = yield from self._search_full(key, meta)
-            if result.ok or self.master is None \
-                    or self.master.epoch == epoch0:
+            found, error = yield from self._scan_buckets(
+                key, meta, "search.bucket_read")
+            if found is not None:
+                ref, word, value = found
+                self.cache.store(key, ref, word)
+                return OpResult(ok=True, value=value)
+            result = OpResult(ok=False, error=error)
+            if self.master is None or self.master.epoch == epoch0:
                 return result
             # a membership/directory change (failover or index split)
             # raced with this op: re-hash the key and retry
@@ -399,7 +438,13 @@ class FuseeClient:
 
     def _search_via_cache(self, key: bytes, meta: KeyMeta,
                           entry: CacheEntry):
-        """The 1-RTT fast path; returns None to fall back to the full path."""
+        """The 1-RTT fast path; returns None to fall back to the full path.
+
+        Kept apart from the cached probe of ``_locate_for_write`` on
+        purpose: the two differ in whether an invalidated pair is a hit,
+        what a timeout means, when the entry is charged, re-stored and
+        dropped — a shared body would branch on its caller at each.
+        """
         slot = unpack_slot(entry.slot_word)
         # Re-materialise the ref: the master may have reconfigured the
         # subtable placement since this entry was cached (§5.2).
@@ -417,99 +462,143 @@ class FuseeClient:
             return None
         word_now = int.from_bytes(comps[0].value, "big")
         if word_now == entry.slot_word:
-            try:
-                header, kv_key, kv_value = decode_kv_payload(comps[1].value)
-            except ValueError:
-                header = None
-            if header is not None and not header.invalid and kv_key == key:
-                return OpResult(ok=True, value=kv_value)
+            status, value = match_kv(comps[1].value, key)
+            if status is KV_LIVE:
+                return OpResult(ok=True, value=value)
         # The cached address was stale: charge the invalid counter (§4.6).
         self.cache.record_invalid(key)
         if word_now == 0:
             self.cache.drop(key)
             return None  # likely deleted; confirm via the full path
-        now = unpack_slot(word_now)
-        if now.fingerprint == meta.fingerprint:
-            # Same slot, new version: one more RTT fetches it.
-            self.fabric.trace_phase("search.kv_refetch")
-            comp = yield self.fabric.post_one(
-                self._kv_read_op(now.pointer, now.block_bytes))
-            self._note_kv_timeout(comp)
-            if not comp.failed:
-                try:
-                    header, kv_key, kv_value = decode_kv_payload(comp.value)
-                    if not header.invalid and kv_key == key:
-                        self.cache.store(key, ref, word_now)
-                        return OpResult(ok=True, value=kv_value)
-                except ValueError:
-                    pass
+        # Same slot, new version: one more RTT fetches it.
+        status, value = yield from self._read_slot_kv(
+            key, meta, word_now, "search.kv_refetch")
+        if status is KV_LIVE:
+            self.cache.store(key, ref, word_now)
+            return OpResult(ok=True, value=value)
         return None
 
     def _search_bypass(self, key: bytes, meta: KeyMeta,
                        entry: CacheEntry):
         """Write-intensive key: read the cached *slot* first, then the KV
         pair it currently names — 2 RTTs, but no bandwidth wasted on a
-        probably-invalidated pair (§4.6)."""
+        probably-invalidated pair (§4.6).  A reader can always fall back:
+        anything but the key's live pair returns None for the full path."""
         ref = self.race.slot_ref(entry.slot_ref.subtable,
                                  entry.slot_ref.slot_index)
-        primary_mn, primary_addr = ref.primary()
-        if self.fabric.node(primary_mn).crashed:
-            return None
-        self.fabric.trace_phase("search.bypass_slot_read")
-        comp = yield self.fabric.post_one(
-            ReadOp(primary_mn, primary_addr, 8))
-        if comp.failed:
-            return None
-        word = int.from_bytes(comp.value, "big")
-        if word == 0:
+        word, status, value = yield from self._probe_slot(
+            key, meta, ref, None,
+            "search.bypass_slot_read", "search.bypass_kv_read")
+        if status is KV_LIVE:
+            self.cache.store(key, ref, word)
+            return OpResult(ok=True, value=value)
+        if status is KV_INVALID:
+            self.cache.record_invalid(key)
+        elif word == 0:
             self.cache.drop(key)
-            return None
+        return None
+
+    # ------------------------------------------------- index-access steps
+    def _read_slot_kv(self, key: bytes, meta: KeyMeta, word: int,
+                      phase: Optional[str] = None):
+        """READ the KV block a non-null slot word names and say what it
+        holds for ``key`` (generator).
+
+        Returns a ``match_kv`` ``(status, value)``, or one of two more
+        statuses when no image came back: :data:`_KV_UNREAD` (no alive
+        data replica, or the replica failed mid-read) and
+        :data:`_KV_TIMED_OUT` (the content is unknown).  A word carrying
+        another fingerprint is another key's without a READ.  ``phase``
+        labels the READ in traces; None leaves the caller's label on it.
+        """
         slot = unpack_slot(word)
         if slot.fingerprint != meta.fingerprint:
-            return None
+            return KV_OTHER_KEY, None
         kv_read = self._kv_read_op(slot.pointer, slot.block_bytes)
         if kv_read is None:
-            return None
-        self.fabric.trace_phase("search.bypass_kv_read")
+            return _KV_UNREAD, None
+        if phase is not None:
+            self.fabric.trace_phase(phase)
         comp = yield self.fabric.post_one(kv_read)
         if comp.failed:
             self._note_kv_timeout(comp)
-            return None
-        try:
-            header, kv_key, kv_value = decode_kv_payload(comp.value)
-        except ValueError:
-            return None
-        if kv_key != key:
-            return None
-        if header.invalid:
-            self.cache.record_invalid(key)
-            return None
-        self.cache.store(key, ref, word)
-        return OpResult(ok=True, value=kv_value)
+            return (_KV_TIMED_OUT if comp.value is TIMEOUT
+                    else _KV_UNREAD), None
+        return match_kv(comp.value, key)
 
-    def _search_full(self, key: bytes, meta: KeyMeta):
+    def _probe_slot(self, key: bytes, meta: KeyMeta, ref: SlotRef,
+                    piggyback: Optional[List[WriteOp]], slot_phase: str,
+                    kv_phase: Optional[str] = None):
+        """The 2-RTT probe of a known slot: READ its primary word, then
+        the KV block the word names (generator).
+
+        ``piggyback`` WRITEs (a write op's new-KV replica writes) share
+        the slot READ's doorbell batch and are posted exactly once even
+        when the primary is down.  Returns ``(word, status, value)``:
+        ``word`` is None when the slot was not read and 0 when it is
+        empty (both with :data:`_KV_UNREAD`, or :data:`_KV_TIMED_OUT` if
+        anything in the first batch timed out); otherwise the rest is
+        ``_read_slot_kv``'s verdict on the block.  What a timeout, an
+        invalidated pair or an empty slot *mean* is the caller's policy.
+        """
+        primary_mn, primary_addr = ref.primary()
+        if self.fabric.node(primary_mn).crashed:
+            if piggyback:
+                comps = yield self.fabric.post(piggyback)
+                if any(c.value is TIMEOUT for c in comps):
+                    return None, _KV_TIMED_OUT, None
+            return None, _KV_UNREAD, None
+        slot_read = ReadOp(primary_mn, primary_addr, 8)
+        self.fabric.trace_phase(slot_phase)
+        if piggyback is None:
+            comp = yield self.fabric.post_one(slot_read)
+            timed_out = comp.value is TIMEOUT
+        else:
+            # A list, even an empty one, keeps the batch form: to the
+            # kernel post_one(x) is one event more than post([x]).
+            comps = yield self.fabric.post(list(piggyback) + [slot_read])
+            comp = comps[-1]
+            timed_out = any(c.value is TIMEOUT for c in comps)
+        if timed_out:
+            return None, _KV_TIMED_OUT, None
+        if comp.failed:
+            return None, _KV_UNREAD, None
+        word = int.from_bytes(comp.value, "big")
+        if word == 0:
+            return 0, _KV_UNREAD, None
+        status, value = yield from self._read_slot_kv(key, meta, word,
+                                                      kv_phase)
+        return word, status, value
+
+    def _scan_buckets(self, key: bytes, meta: KeyMeta, phase: str,
+                      piggyback: Optional[List[WriteOp]] = None):
+        """The full path: read the key's combined buckets and match the
+        fingerprint hits against their KV blocks (generator).
+
+        ``piggyback`` WRITEs ride the first bucket read only.  Returns
+        ``(found, error)``: ``found`` is ``(ref, word, value)`` or None;
+        with None, ``error`` None means the key is definitely absent and
+        an error string that its presence could not be determined.
+        """
         for _ in range(self.config.max_op_retries):
-            self.fabric.trace_phase("search.bucket_read")
-            view = yield from self._read_buckets(meta)
+            self.fabric.trace_phase(phase)
+            view = yield from self._read_buckets(meta, extra_ops=piggyback)
+            piggyback = None
             if view is None:
-                return OpResult(ok=False, error="index unavailable")
+                return None, "index unavailable"
             if not view.matches:
-                return OpResult(ok=False)
+                return None, None
             found, saw_invalid, unreadable = yield from \
                 self._match_candidates(key, view.matches)
-            if found is not None:
-                ref, word, value = found
-                self.cache.store(key, ref, word)
-                return OpResult(ok=True, value=value)
-            if not saw_invalid and not unreadable:
-                return OpResult(ok=False)
+            if found is not None or not (saw_invalid or unreadable):
+                return found, None
             # The key's pair was invalidation-marked (a writer is
             # mid-replacement) or unreadable (transport timeout); re-read
             # the slot shortly rather than conclude absence.
             self._retry()
             yield self.env.attributed_timeout(
                 self.config.retry_sleep_us, "backoff", "client.retry")
-        return OpResult(ok=False, error="retries exhausted")
+        return None, "retries exhausted"
 
     def _read_buckets(self, meta: KeyMeta, extra_ops: Optional[list] = None):
         """Read the key's combined buckets (generator); returns a
@@ -597,6 +686,23 @@ class FuseeClient:
         payloads = [c.value for c in comps[:len(ops)]]
         return self.race.parse_buckets(meta, payloads), False
 
+    def _read_candidates(self, snaps, phase: str):
+        """One batch READ of the KV blocks a set of slot snapshots name
+        (generator); returns ``[(snap, completion)]`` for the snapshots
+        whose block has an alive data replica."""
+        reads = []
+        usable = []
+        for snap in snaps:
+            op = self._kv_read_op(snap.slot.pointer, snap.slot.block_bytes)
+            if op is not None:
+                reads.append(op)
+                usable.append(snap)
+        if not reads:
+            return []
+        self.fabric.trace_phase(phase)
+        comps = yield self.fabric.post(reads)
+        return list(zip(usable, comps))
+
     def _match_candidates(self, key: bytes, matches):
         """Read fingerprint-hit KV blocks and return the true key match
         (lowest slot index wins so concurrent readers agree), as
@@ -610,36 +716,21 @@ class FuseeClient:
         out (fault injection): the key's presence is unknown, so callers
         must not conclude absence from this view.
         """
-        reads = []
-        usable = []
-        for snap in matches:
-            op = self._kv_read_op(snap.slot.pointer, snap.slot.block_bytes)
-            if op is not None:
-                reads.append(op)
-                usable.append(snap)
-        if not reads:
-            return None, False, False
         saw_invalid = False
         unreadable = False
-        self.fabric.trace_phase("kv.match_read")
-        comps = yield self.fabric.post(reads)
-        for snap, comp in zip(usable, comps):
+        candidates = yield from self._read_candidates(matches,
+                                                      "kv.match_read")
+        for snap, comp in candidates:
             if comp.failed:
                 if comp.value is TIMEOUT:
                     unreadable = True
                     self._note_kv_timeout(comp)
                 continue
-            try:
-                header, kv_key, kv_value = decode_kv_payload(comp.value)
-            except ValueError:
-                saw_invalid = True  # torn read: a writer is mid-flight
-                continue
-            if kv_key != key:
-                continue
-            if header.invalid:
-                saw_invalid = True
-                continue
-            return (snap.ref, snap.word, kv_value), saw_invalid, False
+            status, value = match_kv(comp.value, key)
+            if status is KV_LIVE:
+                return (snap.ref, snap.word, value), saw_invalid, False
+            if status is not KV_OTHER_KEY:
+                saw_invalid = True  # marked, or torn: a writer is mid-flight
         return None, saw_invalid, unreadable
 
     # ------------------------------------------------------------- INSERT
@@ -656,6 +747,18 @@ class FuseeClient:
         meta = self.race.key_meta(key)
         yield from self._wait_if_blocked(meta.subtable)
         prepared = yield from self._prepare_kv(key, value, OP_INSERT, meta)
+        try:
+            result = yield from self._insert_staged(key, meta, prepared)
+        except IndexFullError:
+            self._discard_object(prepared.alloc, OP_INSERT)
+            raise
+        self._reclaim_unless_linked(prepared, OP_INSERT, result)
+        return result
+
+    def _insert_staged(self, key: bytes, meta: KeyMeta,
+                       prepared: _PreparedKv):
+        """INSERT from phase ① on, its object staged (generator).  Never
+        reclaims the object: ``_insert_impl`` does, from the result."""
         # Phase ①: KV replica writes + combined-bucket read, one batch.
         self.fabric.trace_phase("insert.kv_write+bucket_read")
         view = yield from self._read_buckets(meta,
@@ -663,7 +766,6 @@ class FuseeClient:
         yield from self._maybe_separate_log(prepared)
         self._maybe_crash(CrashPoint.C0)
         if view is None:
-            self._discard_object(prepared.alloc, OP_INSERT)
             return OpResult(ok=False, error="index unavailable")
         for _expansion in range(8):
             if view.matches:
@@ -671,19 +773,16 @@ class FuseeClient:
                     self._match_candidates(key, view.matches)
                 if found is not None or saw_invalid:
                     # present (or mid-replacement by a concurrent writer)
-                    self._discard_object(prepared.alloc, OP_INSERT)
                     return OpResult(ok=False, existed=True)
                 if unreadable:
                     # A candidate KV read timed out: we cannot rule out
                     # that this key already exists, so we must not insert.
-                    self._discard_object(prepared.alloc, OP_INSERT)
                     return OpResult(ok=False, error="index unavailable")
             if view.empties:
                 break
             # Candidate buckets are full: ask the master to split the
             # subtable (RACE extendible resize), re-hash, and retry.
             if self.master is None:
-                self._discard_object(prepared.alloc, OP_INSERT)
                 raise IndexFullError(
                     f"no free slot for key {key!r} in subtable "
                     f"{meta.subtable} and no master to expand it")
@@ -692,22 +791,18 @@ class FuseeClient:
                 lambda token: self.master.request_expand(meta.subtable,
                                                          token=token))
             if expanded is _UNAVAILABLE:
-                self._discard_object(prepared.alloc, OP_INSERT)
                 return OpResult(ok=False, error="master unavailable")
             if not expanded:
-                self._discard_object(prepared.alloc, OP_INSERT)
                 raise IndexFullError(
                     f"subtable {meta.subtable} full and expansion failed")
             meta = self.race.key_meta(key)
             self.fabric.trace_phase("insert.bucket_reread")
             view = yield from self._read_buckets(meta)
             if view is None:
-                self._discard_object(prepared.alloc, OP_INSERT)
                 return OpResult(ok=False, error="index unavailable")
         empties = list(view.empties)
         for attempt in range(self.config.max_op_retries):
             if not empties:
-                self._discard_object(prepared.alloc, OP_INSERT)
                 raise IndexFullError(
                     f"no free slot for key {key!r} in subtable "
                     f"{meta.subtable} after conflict retries")
@@ -716,25 +811,17 @@ class FuseeClient:
             result = yield from self._replicated_write(ref, 0,
                                                        prepared.slot_word,
                                                        prepared)
-            if result.outcome.won:
+            installed = result.outcome.won
+            if result.outcome is Outcome.NEED_MASTER:
+                # installed after all if the master completed our round
+                installed = (yield from self._escalate(ref, 0)) \
+                    == prepared.slot_word
+            if installed:
                 kept = yield from self._insert_dedup(key, meta, ref, prepared)
                 if not kept:
-                    self._discard_object(prepared.alloc, OP_INSERT)
                     return OpResult(ok=False, existed=True)
                 self.cache.store(key, ref, prepared.slot_word)
                 return OpResult(ok=True, outcome=result.outcome)
-            if result.outcome is Outcome.NEED_MASTER:
-                resolved = yield from self._escalate(ref, 0)
-                if resolved == prepared.slot_word:
-                    kept = yield from self._insert_dedup(key, meta, ref,
-                                                         prepared)
-                    if not kept:
-                        self._discard_object(prepared.alloc, OP_INSERT)
-                        return OpResult(ok=False, existed=True)
-                    self.cache.store(key, ref, prepared.slot_word)
-                    return OpResult(ok=True, outcome=result.outcome)
-                # fall through: treat like a lost round on this slot
-                result = result
             # Lost the slot to a concurrent writer.  If it was a concurrent
             # INSERT of the same key, ours linearizes right before it.
             same_key = yield from self._insert_conflict_recheck(
@@ -743,10 +830,8 @@ class FuseeClient:
                 # Could not read the winner's object (timeout): unknown
                 # whether it holds our key, so neither success nor another
                 # slot attempt is safe.
-                self._discard_object(prepared.alloc, OP_INSERT)
                 return OpResult(ok=False, error="conflict check unavailable")
             if same_key:
-                self._discard_object(prepared.alloc, OP_INSERT)
                 return OpResult(ok=True, outcome=result.outcome)
             self._retry()
             if not empties:
@@ -755,7 +840,6 @@ class FuseeClient:
                 if view is None:
                     break
                 empties = list(view.empties)
-        self._discard_object(prepared.alloc, OP_INSERT)
         return OpResult(ok=False, error="retries exhausted")
 
     def _insert_dedup(self, key: bytes, meta: KeyMeta, ref: SlotRef,
@@ -790,29 +874,15 @@ class FuseeClient:
             # slot; the master's subtable repair owns consistency now.
             return True
         own_id = (ref.subtable, ref.slot_index)
-        reads, usable = [], []
-        for snap in view.matches:
-            if (snap.ref.subtable, snap.ref.slot_index) == own_id:
-                continue
-            op = self._kv_read_op(snap.slot.pointer, snap.slot.block_bytes)
-            if op is not None:
-                reads.append(op)
-                usable.append(snap)
-        foreigns = []
-        if reads:
-            self.fabric.trace_phase("insert.dedup_match_read")
-            comps = yield self.fabric.post(reads)
-            for snap, comp in zip(usable, comps):
-                if comp.failed:
-                    continue
-                try:
-                    header, kv_key, _v = decode_kv_payload(comp.value)
-                except ValueError:
-                    continue
-                # Invalidation-marked copies are already mid-concession
-                # (or mid-replacement); they never reach a reader.
-                if kv_key == key and not header.invalid:
-                    foreigns.append(snap)
+        candidates = yield from self._read_candidates(
+            [snap for snap in view.matches
+             if (snap.ref.subtable, snap.ref.slot_index) != own_id],
+            "insert.dedup_match_read")
+        # Invalidation-marked copies are already mid-concession (or
+        # mid-replacement); they never reach a reader.
+        foreigns = [snap for snap, comp in candidates
+                    if not comp.failed
+                    and match_kv(comp.value, key)[0] is KV_LIVE]
         if not foreigns:
             return True
         if self.master is None:
@@ -833,9 +903,8 @@ class FuseeClient:
             if verdict is _UNAVAILABLE:
                 return True
         if verdict == "win":
-            doomed = foreigns
             clear = [(self.race.slot_ref(s.ref.subtable, s.ref.slot_index),
-                      s.word) for s in doomed]
+                      s.word) for s in foreigns]
         else:
             clear = [(ref, prepared.slot_word)]
         ops = []
@@ -863,38 +932,39 @@ class FuseeClient:
         """
         if committed is None or committed == 0:
             return False
-        other = unpack_slot(committed)
-        if other.fingerprint != meta.fingerprint:
-            return False
-        comp_op = self._kv_read_op(other.pointer, other.block_bytes)
-        if comp_op is None:
-            return False
-        self.fabric.trace_phase("insert.conflict_check")
-        comp = yield self.fabric.post_one(comp_op)
-        if comp.failed:
-            self._note_kv_timeout(comp)
-            # TIMEOUT means "could not tell" (None), not "different key".
-            return None if comp.value is TIMEOUT else False
-        try:
-            _h, kv_key, _v = decode_kv_payload(comp.value)
-        except ValueError:
-            return False
-        return kv_key == key
+        status, _value = yield from self._read_slot_kv(
+            key, meta, committed, "insert.conflict_check")
+        # A timeout means "could not tell" (None), not "different key".
+        return None if status is _KV_TIMED_OUT else status in KV_HOLDS_KEY
 
-    # ------------------------------------------------------------- UPDATE
+    # ------------------------------------------------------ UPDATE / DELETE
     def update(self, key: bytes, value: bytes):
         """UPDATE (generator): ok=False if the key does not exist."""
+        impl = self._write_impl("update", key, value, OP_UPDATE)
         if not self.fabric.tracer.enabled:
-            return self._update_impl(key, value)
-        return self._traced("update", self._update_impl(key, value),
-                            key=key, wrote=value)
+            return impl
+        return self._traced("update", impl, key=key, wrote=value)
 
-    def _update_impl(self, key: bytes, value: bytes):
+    def delete(self, key: bytes):
+        """DELETE (generator): sets the slot to null; ok=False if absent.
+
+        A temporary object carries the operation's log entry and target
+        key; it is freed once the request completes (§4.5).
+        """
+        impl = self._write_impl("delete", key, b"", OP_DELETE)
+        if not self.fabric.tracer.enabled:
+            return impl
+        return self._traced("delete", impl, key=key)
+
+    def _write_impl(self, name: str, key: bytes, value: bytes, opcode: int):
+        """UPDATE and DELETE are the same phases ①-④ (Fig. 9): DELETE
+        stages a temp object and installs the null word instead of a
+        pointer to it."""
         self._require_alive()
-        self.stats.count_op("update")
+        self.stats.count_op(name)
         meta = self.race.key_meta(key)
         yield from self._wait_if_blocked(meta.subtable)
-        prepared = yield from self._prepare_kv(key, value, OP_UPDATE, meta)
+        prepared = yield from self._prepare_kv(key, value, opcode, meta)
         epoch0 = self.master.epoch if self.master else -1
         located = yield from self._locate_for_write(key, meta,
                                                     prepared.write_ops)
@@ -905,57 +975,37 @@ class FuseeClient:
             # directory/membership changed under us: re-hash and re-locate
             meta = self.race.key_meta(key)
             located = yield from self._locate_for_write(key, meta, [])
-        if located is _UNAVAILABLE:
-            self._discard_object(prepared.alloc, OP_UPDATE)
-            return OpResult(ok=False, error="index unavailable")
-        if located is None:
-            self._discard_object(prepared.alloc, OP_UPDATE)
-            return OpResult(ok=False)
-        ref, v_old = located
-        return (yield from self._write_slot(key, meta, prepared, ref, v_old,
-                                            prepared.slot_word, OP_UPDATE))
-
-    # ------------------------------------------------------------- DELETE
-    def delete(self, key: bytes):
-        """DELETE (generator): sets the slot to null; ok=False if absent.
-
-        A temporary object carries the operation's log entry and target
-        key; it is freed once the request completes (§4.5).
-        """
-        if not self.fabric.tracer.enabled:
-            return self._delete_impl(key)
-        return self._traced("delete", self._delete_impl(key), key=key)
-
-    def _delete_impl(self, key: bytes):
-        self._require_alive()
-        self.stats.count_op("delete")
-        meta = self.race.key_meta(key)
-        yield from self._wait_if_blocked(meta.subtable)
-        prepared = yield from self._prepare_kv(key, b"", OP_DELETE, meta)
-        epoch0 = self.master.epoch if self.master else -1
-        located = yield from self._locate_for_write(key, meta,
-                                                    prepared.write_ops)
-        yield from self._maybe_separate_log(prepared)
-        self._maybe_crash(CrashPoint.C0)
-        if (located is None or located is _UNAVAILABLE) \
-                and self.master is not None and self.master.epoch != epoch0:
-            meta = self.race.key_meta(key)
-            located = yield from self._locate_for_write(key, meta, [])
-        if located is _UNAVAILABLE:
-            self._discard_object(prepared.alloc, OP_DELETE)
-            return OpResult(ok=False, error="index unavailable")
-        if located is None:
-            self._discard_object(prepared.alloc, OP_DELETE)
-            return OpResult(ok=False)
-        ref, v_old = located
-        result = yield from self._write_slot(key, meta, prepared, ref, v_old,
-                                             0, OP_DELETE)
-        # The temp object is reclaimed on completion regardless of outcome.
-        self._discard_object(prepared.alloc, OP_DELETE)
-        self.cache.drop(key)
+        if located is None or located is _UNAVAILABLE:
+            result = _not_located(located)
+        else:
+            ref, v_old = located
+            v_new = 0 if opcode == OP_DELETE else prepared.slot_word
+            result = yield from self._write_slot(key, meta, prepared, ref,
+                                                 v_old, v_new, opcode)
+            if opcode == OP_DELETE:
+                self.cache.drop(key)
+        self._reclaim_unless_linked(prepared, opcode, result)
         return result
 
     # --------------------------------------------------------- write common
+    def _reclaim_unless_linked(self, prepared: _PreparedKv, opcode: int,
+                               result: OpResult) -> None:
+        """The one exit every operation that staged an object leaves by:
+        reclaim the object exactly once unless a slot now points at it.
+
+        A slot points at it when the op succeeded by winning its round or
+        by the master completing the round on its behalf — every ok
+        outcome but LOSE / FINISH, which linearized just *before* the
+        winner.  A DELETE's temp object is never linked.  An op that lost
+        that way or failed for any reason leaves garbage, and reclaiming
+        it here is what keeps recovery from replaying a request the
+        application was told had failed.
+        """
+        linked = (opcode != OP_DELETE and result.ok
+                  and result.outcome not in (Outcome.LOSE, Outcome.FINISH))
+        if not linked:
+            self._discard_object(prepared.alloc, opcode)
+
     def _write_slot(self, key: bytes, meta: KeyMeta, prepared: _PreparedKv,
                     ref: SlotRef, v_old: int, v_new: int, opcode: int):
         """Phases ②-④ for UPDATE/DELETE, including conflict retries."""
@@ -964,66 +1014,48 @@ class FuseeClient:
             ref = self.race.slot_ref(ref.subtable, ref.slot_index)
             result = yield from self._replicated_write(ref, v_old, v_new,
                                                        prepared)
-            if result.outcome.won:
-                self._after_win(key, meta, ref, v_old, v_new, opcode)
-                return OpResult(ok=True, outcome=result.outcome)
-            if result.outcome is Outcome.NEED_MASTER:
+            outcome = result.outcome
+            resolved = None
+            if outcome is Outcome.NEED_MASTER:
                 resolved = yield from self._escalate(ref, v_old)
                 if resolved is None:
-                    # the op failed for good: reclaim the staged object so
-                    # recovery never replays a request we reported failed
-                    self._discard_object(prepared.alloc, opcode)
                     return OpResult(ok=False, error="unresolvable failure")
-                if resolved == v_new:
-                    # The master completed our round on our behalf.
-                    self._after_win(key, meta, ref, v_old, v_new, opcode)
-                    return OpResult(ok=True, outcome=result.outcome)
-                if resolved == v_old:
-                    self._retry()
-                    continue  # retry the write (Algorithm 4 line 38)
+            if outcome.won or resolved == v_new:
+                # We won, or the master completed our round on our behalf.
+                self._after_win(key, meta, ref, v_old, v_new, opcode)
+                return OpResult(ok=True, outcome=outcome)
+            if outcome is Outcome.NEED_MASTER:
+                # The master settled the slot at another value (possibly
+                # v_old again): retry the write against it (Algorithm 4
+                # line 38).
                 v_old = resolved
                 self._retry()
                 continue
-            if result.outcome in (Outcome.LOSE, Outcome.FINISH):
-                if self.protocol.retry_on_lose:
-                    # FUSEE-CR serializes: a lost CAS means retry the op.
-                    refreshed = yield from self._refresh_v_old(key, meta, ref)
-                    if refreshed is _UNAVAILABLE:
-                        if opcode == OP_UPDATE:
-                            self._discard_object(prepared.alloc, opcode)
-                        return OpResult(ok=False, error="index unavailable")
-                    if refreshed is None:
-                        if opcode == OP_UPDATE:
-                            self._discard_object(prepared.alloc, opcode)
-                        return OpResult(ok=False)
-                    v_old = refreshed
-                    self._retry()
-                    continue
-                if (result.committed == 0 and v_new != 0
-                        and result.outcome is Outcome.LOSE):
-                    # The slot emptied under us: a concurrent DELETE won,
-                    # or an index split moved the key.  Re-resolve the key
-                    # (the directory may have changed) and retry; if it is
-                    # gone, the op fails like any update of a missing key.
-                    meta = self.race.key_meta(key)
-                    located = yield from self._locate_for_write(key, meta,
-                                                                [])
-                    if located is _UNAVAILABLE:
-                        self._discard_object(prepared.alloc, opcode)
-                        return OpResult(ok=False, error="index unavailable")
-                    if located is None:
-                        self._discard_object(prepared.alloc, opcode)
-                        return OpResult(ok=False)
-                    ref, v_old = located
-                    self._retry()
-                    continue
+            # LOSE / FINISH: another writer won this round.
+            if self.protocol.retry_on_lose:
+                # FUSEE-CR serializes: a lost CAS means retry the op, if
+                # the slot still holds our key.
+                word, status, _value = yield from self._probe_slot(
+                    key, meta, ref, None, "write.refresh_slot")
+                located = _as_located(ref, word, status)
+            elif (result.committed == 0 and v_new != 0
+                    and outcome is Outcome.LOSE):
+                # The slot emptied under us: a concurrent DELETE won,
+                # or an index split moved the key.  Re-resolve the key
+                # (the directory may have changed) and retry; if it is
+                # gone, the op fails like any update of a missing key.
+                meta = self.race.key_meta(key)
+                located = yield from self._locate_for_write(key, meta, [])
+            else:
                 # SNAPSHOT: last-writer-wins — ours linearized just before
-                # the winner's; the installed object is garbage now.
-                if opcode == OP_UPDATE:
-                    self._discard_object(prepared.alloc, opcode)
+                # the winner's; the staged object is garbage now.
                 if result.committed is not None and result.committed != 0:
                     self.cache.store(key, ref, result.committed)
-                return OpResult(ok=True, outcome=result.outcome)
+                return OpResult(ok=True, outcome=outcome)
+            if located is None or located is _UNAVAILABLE:
+                return _not_located(located)
+            ref, v_old = located
+            self._retry()
         return OpResult(ok=False, error="retries exhausted")
 
     def _after_win(self, key: bytes, meta: KeyMeta, ref: SlotRef,
@@ -1054,19 +1086,25 @@ class FuseeClient:
         unknown (generator).
         """
         entry, bypassed = self.cache.lookup_for_access(key)
-        if entry is not None and bypassed:
-            located = yield from self._locate_bypass(key, meta, entry,
-                                                     kv_write_ops)
-            if located is _UNAVAILABLE:
-                return _UNAVAILABLE
-            if located is not None:
-                return located
-            kv_write_ops = []  # the KV writes were posted by the bypass
-            entry = None
         if entry is not None:
-            slot = unpack_slot(entry.slot_word)
+            # Re-materialise the ref: the master may have reconfigured the
+            # subtable placement since this entry was cached (§5.2).
             ref = self.race.slot_ref(entry.slot_ref.subtable,
                                      entry.slot_ref.slot_index)
+            if bypassed:
+                word, status, _value = yield from self._probe_slot(
+                    key, meta, ref, kv_write_ops, "write.locate_bypass")
+                located = _as_located(ref, word, status)
+                if located is not None:
+                    return located
+                if word == 0:
+                    self.cache.drop(key)
+                kv_write_ops = []  # the KV writes were posted by the probe
+                entry = None
+        if entry is not None:
+            # The 1-RTT cached probe; see _search_via_cache for why the
+            # two are not one.
+            slot = unpack_slot(entry.slot_word)
             primary_mn, primary_addr = ref.primary()
             kv_read = self._kv_read_op(slot.pointer, slot.block_bytes)
             if not self.fabric.node(primary_mn).crashed and kv_read:
@@ -1085,129 +1123,30 @@ class FuseeClient:
                 slot_comp, kv_comp = comps[-2], comps[-1]
                 if not slot_comp.failed:
                     word_now = int.from_bytes(slot_comp.value, "big")
-                    verified = False
-                    if not kv_comp.failed:
-                        try:
-                            _h, kv_key, _v = decode_kv_payload(kv_comp.value)
-                            verified = kv_key == key
-                        except ValueError:
-                            verified = False
-                    if word_now == entry.slot_word and verified:
+                    if (word_now == entry.slot_word and not kv_comp.failed
+                            and match_kv(kv_comp.value, key)[0]
+                            in KV_HOLDS_KEY):
                         return ref, word_now
                     self.cache.record_invalid(key)
-                    if word_now != 0 and (
-                            unpack_slot(word_now).fingerprint
-                            == meta.fingerprint):
+                    if word_now != 0:
                         # Same slot, newer version: verify the key (1 RTT).
-                        now = unpack_slot(word_now)
-                        op = self._kv_read_op(now.pointer, now.block_bytes)
-                        if op is not None:
-                            self.fabric.trace_phase("write.locate_refetch")
-                            comp = yield self.fabric.post_one(op)
-                            self._note_kv_timeout(comp)
-                            if not comp.failed:
-                                try:
-                                    _h, kv_key, _v = decode_kv_payload(
-                                        comp.value)
-                                    if kv_key == key:
-                                        return ref, word_now
-                                except ValueError:
-                                    pass
+                        status, _value = yield from self._read_slot_kv(
+                            key, meta, word_now, "write.locate_refetch")
+                        if status in KV_HOLDS_KEY:
+                            return ref, word_now
                     self.cache.drop(key)
                 # fall through to the full path (the KV writes already
                 # happened; do not post them again)
                 kv_write_ops = []
         # Cache miss / bypass / stale: full bucket path.
-        for attempt in range(self.config.max_op_retries):
-            self.fabric.trace_phase("write.locate_buckets")
-            view = yield from self._read_buckets(
-                meta, extra_ops=kv_write_ops if kv_write_ops else None)
-            kv_write_ops = []  # only piggy-back the KV writes once
-            if view is None:
-                return _UNAVAILABLE
-            if not view.matches:
-                return None
-            found, saw_invalid, unreadable = yield from \
-                self._match_candidates(key, view.matches)
-            if found is not None:
-                ref, word, _value = found
-                return ref, word
-            if not saw_invalid and not unreadable:
-                return None
-            self._retry()
-            yield self.env.attributed_timeout(
-                self.config.retry_sleep_us, "backoff", "client.retry")
-        return _UNAVAILABLE
-
-    def _locate_bypass(self, key: bytes, meta: KeyMeta,
-                       entry: CacheEntry, kv_write_ops: List[WriteOp]):
-        """Write path for a bypassed key: read the cached slot (batched
-        with the new-KV writes), then verify the key with one KV read."""
-        ref = self.race.slot_ref(entry.slot_ref.subtable,
-                                 entry.slot_ref.slot_index)
-        primary_mn, primary_addr = ref.primary()
-        if self.fabric.node(primary_mn).crashed:
-            if kv_write_ops:
-                comps = yield self.fabric.post(kv_write_ops)
-                if any(c.value is TIMEOUT for c in comps):
-                    return _UNAVAILABLE
-            return None
-        batch = list(kv_write_ops) + [ReadOp(primary_mn, primary_addr, 8)]
-        self.fabric.trace_phase("write.locate_bypass")
-        comps = yield self.fabric.post(batch)
-        if any(c.value is TIMEOUT for c in comps):
-            # The piggy-backed KV writes (or the slot read) may not have
-            # applied: neither proceeding nor falling back is safe.
+        found, error = yield from self._scan_buckets(
+            key, meta, "write.locate_buckets", kv_write_ops)
+        if error is not None:
             return _UNAVAILABLE
-        if comps[-1].failed:
+        if found is None:
             return None
-        word = int.from_bytes(comps[-1].value, "big")
-        if word == 0:
-            self.cache.drop(key)
-            return None
-        slot = unpack_slot(word)
-        if slot.fingerprint != meta.fingerprint:
-            return None
-        kv_read = self._kv_read_op(slot.pointer, slot.block_bytes)
-        if kv_read is None:
-            return None
-        comp = yield self.fabric.post_one(kv_read)
-        if comp.failed:
-            self._note_kv_timeout(comp)
-            return _UNAVAILABLE if comp.value is TIMEOUT else None
-        try:
-            _h, kv_key, _v = decode_kv_payload(comp.value)
-        except ValueError:
-            return None
-        return (ref, word) if kv_key == key else None
-
-    def _refresh_v_old(self, key: bytes, meta: KeyMeta, ref: SlotRef):
-        """Re-read the slot and confirm it still holds our key (generator)."""
-        primary_mn, primary_addr = ref.primary()
-        if self.fabric.node(primary_mn).crashed:
-            return None
-        self.fabric.trace_phase("write.refresh_slot")
-        comp = yield self.fabric.post_one(ReadOp(primary_mn, primary_addr, 8))
-        if comp.failed:
-            return _UNAVAILABLE if comp.value is TIMEOUT else None
-        word = int.from_bytes(comp.value, "big")
-        if word == 0:
-            return None
-        slot = unpack_slot(word)
-        if slot.fingerprint != meta.fingerprint:
-            return None
-        op = self._kv_read_op(slot.pointer, slot.block_bytes)
-        if op is None:
-            return None
-        kv = yield self.fabric.post_one(op)
-        if kv.failed:
-            self._note_kv_timeout(kv)
-            return _UNAVAILABLE if kv.value is TIMEOUT else None
-        try:
-            _h, kv_key, _v = decode_kv_payload(kv.value)
-        except ValueError:
-            return None
-        return word if kv_key == key else None
+        ref, word, _value = found
+        return ref, word
 
     # ------------------------------------------------------------ failures
     def _wait_if_blocked(self, subtable: int):

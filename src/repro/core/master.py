@@ -24,7 +24,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..rdma import CasOp, Fabric, ReadOp, WriteOp
+from ..rdma import CasOp, FaaOp, Fabric, ReadOp, WriteOp
 from ..sim import Environment, Event, Resource
 from .addressing import RegionMap
 from .memory import ClientTable, unpack_block_entry
@@ -33,10 +33,14 @@ from .race import KeyMeta, RaceHashing, SlotRef
 from .snapshot import snapshot_write
 from .race import hash_key
 from .wire import (
+    KV_HOLDS_KEY,
     NULL_ADDR,
     OP_DELETE,
     OP_INSERT,
     SLOT_SIZE,
+    decode_kv_payload,
+    kv_len_units,
+    match_kv,
     pack_slot,
     unpack_slot,
 )
@@ -383,7 +387,6 @@ class Master:
             if not reads:
                 continue
             comps = yield self.fabric.post(reads)
-            from .wire import decode_kv_payload
             for index, comp in zip(owners, comps):
                 if comp.failed:
                     continue
@@ -722,7 +725,6 @@ class Master:
         is_delete = tail.entry.opcode == OP_DELETE
 
         meta = self.race.key_meta(tail.key)
-        from .wire import kv_len_units
         word = pack_slot(meta.fingerprint,
                          kv_len_units(len(tail.key), len(tail.value or b"")),
                          tail.gaddr)
@@ -878,14 +880,9 @@ class Master:
                     ReadOp(mn_id, addr, snap.slot.block_bytes))
                 if comp.failed:
                     continue
-                try:
-                    from .wire import decode_kv_payload
-                    _h, kv_key, _v = decode_kv_payload(comp.value)
-                except ValueError:
-                    break
-                if kv_key == key:
+                if match_kv(comp.value, key)[0] in KV_HOLDS_KEY:
                     return snap.ref, snap.word
-                break  # fingerprint collision with a different key
+                break  # torn, or a fingerprint collision with another key
         return None
 
     def _locate_slot_by_word(self, meta: KeyMeta, word: int):
@@ -932,7 +929,6 @@ class Master:
         ops = []
         for mn_id, base in self.region_map.placement(region_id):
             if not self.fabric.node(mn_id).crashed:
-                from ..rdma import FaaOp
                 ops.append(FaaOp(mn_id, base + word_off, 1 << shift))
         if ops:
             yield self.fabric.post(ops)

@@ -324,7 +324,7 @@ class ClientAllocator:
         self._rr = cid  # round-robin cursor, staggered per client
         self._classes = [_ClassState() for _ in size_classes]
         self._owned_blocks: List[Tuple[int, int, int]] = []  # (region, block, class)
-        self._pending_frees: List[int] = []
+        self._pending_frees: Dict[int, None] = {}  # an ordered set
         self.stats_blocks_allocated = 0
 
     # -- helpers ---------------------------------------------------------------
@@ -449,8 +449,17 @@ class ClientAllocator:
 
     # -- freeing and reclaiming ----------------------------------------------------
     def note_free(self, gaddr: int) -> None:
-        """Queue an object for the batched background free (§4.4)."""
-        self._pending_frees.append(gaddr)
+        """Queue an object for the batched background free (§4.4).
+
+        Raises ``ValueError`` for an object already in the pending batch:
+        two FAAs of one free bit in one flush carry into the neighbouring
+        object's bit, so a double free must fail here, loudly, rather
+        than corrupt the bitmap later.
+        """
+        if gaddr in self._pending_frees:
+            raise ValueError(f"object {gaddr:#x} is already queued to be "
+                             f"freed by client {self.cid}")
+        self._pending_frees[gaddr] = None
 
     @property
     def pending_free_count(self) -> int:
@@ -464,7 +473,7 @@ class ClientAllocator:
         """
         if not self._pending_frees:
             return
-        pending, self._pending_frees = self._pending_frees, []
+        pending, self._pending_frees = self._pending_frees, {}
         layout = self.region_map.layout
         ops = []
         for gaddr in pending:

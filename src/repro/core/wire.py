@@ -52,6 +52,11 @@ __all__ = [
     "OP_UPDATE",
     "OP_DELETE",
     "FLAG_INVALID",
+    "KV_TORN",
+    "KV_OTHER_KEY",
+    "KV_INVALID",
+    "KV_LIVE",
+    "KV_HOLDS_KEY",
     "committed_old_value_bytes",
     "old_value_offset",
     "Slot",
@@ -66,6 +71,7 @@ __all__ = [
     "encode_kv_body",
     "decode_kv_block",
     "decode_kv_payload",
+    "match_kv",
     "encode_log_entry",
     "decode_log_entry",
     "log_entry_offset",
@@ -262,14 +268,9 @@ def encode_kv_body(key: bytes, value: bytes) -> bytes:
     return header + key + value
 
 
-def decode_kv_payload(data: bytes):
-    """Decode just the KV payload (header + key + value) of a block image.
-
-    This is what SEARCH-path reads decode: a slot's ``Len`` field covers
-    only the payload (``kv_len_units``), not the trailing log entry.
-    Returns ``(header, key, value)``; raises ``ValueError`` on torn or
-    inconsistent data.
-    """
+def _split_payload(data: bytes):
+    """``(flags, key, value, crc)`` of a payload image (header + key +
+    value); raises ``ValueError`` on torn or inconsistent data."""
     if len(data) < KV_HEADER_SIZE:
         raise ValueError("block too small")
     flags, key_len, value_len, crc = _KV_HEADER.unpack_from(data, 0)
@@ -279,11 +280,53 @@ def decode_kv_payload(data: bytes):
     body = bytes(data[KV_HEADER_SIZE:end])
     if zlib.crc32(body) & 0xFFFFFFFF != crc:
         raise ValueError("KV body CRC mismatch")
-    key = body[:key_len]
-    value = body[key_len:]
-    header = KvHeader(invalid=bool(flags & FLAG_INVALID),
-                      key_len=key_len, value_len=value_len, crc32=crc)
+    return flags, body[:key_len], body[key_len:], crc
+
+
+def decode_kv_payload(data: bytes):
+    """Decode just the KV payload (header + key + value) of a block image.
+
+    A slot's ``Len`` field covers only the payload (``kv_len_units``),
+    not the trailing log entry, so this is what an index-path READ
+    returns.  Returns ``(header, key, value)``; raises ``ValueError`` on
+    torn or inconsistent data.  Code that asks whether the image holds a
+    given key uses :func:`match_kv` instead.
+    """
+    flags, key, value, crc = _split_payload(data)
+    header = KvHeader(invalid=bool(flags & FLAG_INVALID), key_len=len(key),
+                      value_len=len(value), crc32=crc)
     return header, key, value
+
+
+# What a KV image says about a key (the statuses of ``match_kv``).
+KV_TORN = "torn"            # truncated or CRC-failed: a writer is mid-flight
+KV_OTHER_KEY = "other key"  # an intact pair of another key
+KV_INVALID = "invalid"      # the key's pair, invalidation-marked (§4.6)
+KV_LIVE = "live"            # the key's live pair
+#: "This block is the key's pair", marked or not — all a writer, recovery
+#: or the loader asks of it; only a reader cares about the flag.
+KV_HOLDS_KEY = (KV_INVALID, KV_LIVE)
+
+
+def match_kv(image: bytes, key: bytes):
+    """What the payload image a slot pointed at says about ``key``.
+
+    The one answer to "does this block hold this key?", shared by the
+    client's SEARCH and locate paths, the master's recovery and the bulk
+    loader.  Returns ``(status, value)``: :data:`KV_TORN` for an image
+    that does not decode (a torn write, or a reclaimed and reused
+    block), :data:`KV_OTHER_KEY` for a fingerprint collision, and
+    :data:`KV_INVALID` / :data:`KV_LIVE` for the key's own pair with and
+    without the invalidation flag.  ``value`` is the pair's value for the
+    last two and None otherwise.
+    """
+    try:
+        flags, kv_key, value, _crc = _split_payload(image)
+    except ValueError:
+        return KV_TORN, None
+    if kv_key != key:
+        return KV_OTHER_KEY, None
+    return (KV_INVALID if flags & FLAG_INVALID else KV_LIVE), value
 
 
 def decode_kv_block(data: bytes):

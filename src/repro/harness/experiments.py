@@ -296,8 +296,6 @@ def fig10_latency_cdf(scale: Optional[Scale] = None) -> ExperimentResult:
             latencies = run_latency(bed.env, client, bed.execute, ops)
             if op == "delete":
                 latencies = latencies[0::2]  # deletes only, not re-inserts
-            if op == "insert":
-                pass
             points = cdf_points(latencies, (50, 90, 99))
             rows.append([system, op, points[50], points[90], points[99]])
     return ExperimentResult(

@@ -24,8 +24,9 @@ from ..baselines.pdpm import PdpmCluster
 from ..core.client import FuseeClient
 from ..core.kvstore import FuseeCluster
 from ..core.oplog import entry_for_alloc
-from ..core.wire import OP_INSERT, SLOT_SIZE, decode_kv_payload, \
-    encode_kv_block, kv_block_size, kv_len_units, pack_slot, unpack_slot
+from ..core.wire import KV_HOLDS_KEY, OP_INSERT, SLOT_SIZE, \
+    encode_kv_block, kv_block_size, kv_len_units, match_kv, pack_slot, \
+    unpack_slot
 
 __all__ = ["fusee_load", "clover_load", "pdpm_load"]
 
@@ -91,19 +92,20 @@ def _pick_slot(cluster: FuseeCluster, meta, key: bytes):
                 if empty is None:
                     empty = start + i
             elif word >> 56 == fingerprint \
-                    and _stored_key(cluster, word) == key:
+                    and _holds_key(cluster, word, key):
                 raise ValueError(f"bulk load: key {key!r} is already loaded")
     if empty is None:
         raise RuntimeError("index full during bulk load — enlarge RaceConfig")
     return race.slot_ref(meta.subtable, empty)
 
 
-def _stored_key(cluster: FuseeCluster, word: int) -> bytes:
-    """The key of the KV block a live slot word points at."""
+def _holds_key(cluster: FuseeCluster, word: int, key: bytes) -> bool:
+    """Does the KV block a live slot word points at hold ``key``?"""
     slot = unpack_slot(word)
     mn_id, addr = cluster.region_map.translate(slot.pointer)[0]
     memory = cluster.fabric.node(mn_id).memory
-    return decode_kv_payload(memory[addr:addr + slot.block_bytes])[1]
+    image = memory[addr:addr + slot.block_bytes]
+    return match_kv(image, key)[0] in KV_HOLDS_KEY
 
 
 def clover_load(cluster: CloverCluster, items) -> int:

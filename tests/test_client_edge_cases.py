@@ -6,6 +6,7 @@ from repro.core import ClusterConfig, FuseeCluster
 from repro.core.addressing import RegionConfig
 from repro.core.memory import AllocationError
 from repro.core.race import IndexFullError, RaceConfig
+from repro.core.wire import unpack_slot
 from tests.conftest import small_config, run
 
 
@@ -215,3 +216,88 @@ class TestPrimaryBucketRead:
         with pytest.raises(StopIteration) as stop:
             gen.send(comps)
         assert stop.value.value == (None, False)
+
+
+class TestStagedObjectReclaim:
+    """An op that staged an object reclaims it exactly once, at its one
+    exit, unless a slot now points at it (docs/protocol.md)."""
+
+    @staticmethod
+    def bitmap_bytes(cluster, gaddr):
+        """(the object's free-bitmap byte on each alive replica, its bit)"""
+        region_id, offset = cluster.region_map.split(gaddr)
+        byte_off, bit = cluster.region_map.layout.object_bit(offset)
+        return [cluster.fabric.node(mn_id).memory[base + byte_off]
+                for mn_id, base in cluster.region_map.placement(region_id)
+                if not cluster.fabric.node(mn_id).crashed], bit
+
+    def test_unresolvable_delete_frees_its_temp_object_once(self):
+        """Reclaiming it twice put two FAAs of one bit in one flush: they
+        carry, clearing the object's own free bit and setting its
+        neighbour's."""
+        cluster = FuseeCluster(small_config(index_replication=2))
+        client = cluster.new_client()
+        assert run(cluster, client.insert(b"k", b"v")).ok
+        run(cluster, client.maintenance())
+        meta = cluster.race.key_meta(b"k")
+        backup_mn = cluster.race.placement(meta.subtable)[1][0]
+        client.master = None
+        cluster.crash_memory_node(backup_mn)
+        result = run(cluster, client.delete(b"k"))
+        assert not result.ok and result.error == "unresolvable failure"
+        assert client.allocator.pending_free_count == 1
+        (gaddr,) = client.allocator._pending_frees
+        run(cluster, client.allocator.flush_frees())
+        bytes_now, bit = self.bitmap_bytes(cluster, gaddr)
+        assert bytes_now and all(byte == 1 << bit for byte in bytes_now)
+
+    def test_update_out_of_retries_reclaims_its_object(self):
+        """Left behind, it is a used, uncommitted entry in the client's
+        log chain: recovery may replay a request the application was
+        told had failed."""
+        cluster = FuseeCluster(small_config())
+        writer = cluster.new_client()
+        assert run(cluster, writer.insert(b"k", b"v")).ok
+        client = cluster.new_client(max_op_retries=0)
+        entry = writer.cache.peek(b"k")
+        client.cache.store(b"k", entry.slot_ref, entry.slot_word)
+        result = run(cluster, client.update(b"k", b"v2"))
+        assert not result.ok and result.error == "retries exhausted"
+        assert client.allocator.pending_free_count == 1
+        assert run(cluster, writer.search(b"k")).value == b"v"
+
+    def test_index_full_insert_reclaims_its_object(self):
+        config = small_config(
+            race=RaceConfig(n_subtables=1, n_groups=2, slots_per_bucket=1))
+        cluster = FuseeCluster(config)
+        client = cluster.new_client()
+        client.master = None
+        with pytest.raises(IndexFullError):
+            for i in range(100):
+                run(cluster, client.insert(f"k{i}".encode(), b"v"))
+        assert client.allocator.pending_free_count == 1
+
+    def test_cached_search_survives_losing_the_new_object(self):
+        """The slot moved on to an object whose only data replica then
+        crashed: like every other unreadable block that is a fall back
+        to the full path, not an ``AttributeError`` from posting the
+        READ that could not be built."""
+        cluster = FuseeCluster(small_config(replication_factor=1,
+                                            index_replication=1))
+        reader, writer = cluster.new_client(), cluster.new_client()
+        assert run(cluster, reader.insert(b"k0", b"v")).ok
+        assert run(cluster, reader.search(b"k0")).ok
+        assert run(cluster, writer.update(b"k0", b"v2")).ok
+
+        def data_mn(client):
+            pointer = unpack_slot(client.cache.peek(b"k0").slot_word).pointer
+            return cluster.region_map.translate(pointer)[0][0]
+
+        meta = cluster.race.key_meta(b"k0")
+        index_mn = cluster.race.placement(meta.subtable)[0][0]
+        # the new object shares a node with neither the index primary
+        # nor the old object, so only the refetch can fail
+        assert (index_mn, data_mn(reader), data_mn(writer)) == (0, 1, 2)
+        cluster.crash_memory_node(data_mn(writer))
+        result = run(cluster, reader.search(b"k0"))
+        assert not result.ok

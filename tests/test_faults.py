@@ -364,9 +364,21 @@ def test_mixed_campaign_without_retries_fails():
     assert report.ops_failed > 0 or not report.balance_ok
 
 
-@pytest.mark.parametrize("name", sorted(CAMPAIGNS))
-def test_every_named_campaign_is_sound(name):
-    report = run_campaign(name, seed=1, clients=2, ops_per_client=40)
+@pytest.mark.parametrize("name,replication,index_replication", [
+    # the paper's default bed: one index replica
+    *[pytest.param(name, "snapshot", 1, id=name)
+      for name in sorted(CAMPAIGNS)],
+    # every strategy with its multi-replica machinery actually running:
+    # FUSEE-CR's lost-CAS retries leaked staged objects under faults
+    *[pytest.param(name, replication, 2, id=f"{name}-{replication}-2")
+      for name in sorted(CAMPAIGNS)
+      for replication in ("snapshot", "sequential", "swarm")],
+])
+def test_every_named_campaign_is_sound(name, replication,
+                                       index_replication):
+    report = run_campaign(name, seed=1, clients=2, ops_per_client=40,
+                          replication=replication,
+                          index_replication=index_replication)
     assert report.sound, report.render()
 
 

@@ -182,6 +182,24 @@ class TestFreeAndReclaim:
         client.allocator.note_free(result.gaddr)
         assert client.allocator.pending_free_count == 1
 
+    def test_note_free_rejects_an_object_already_queued(self, cluster,
+                                                         client):
+        """Two FAAs of one free bit in one flush carry into the next
+        object's bit, so the second ``note_free`` fails instead."""
+        result = alloc(cluster, client, 0)
+        client.allocator.note_free(result.gaddr)
+        with pytest.raises(ValueError, match=hex(result.gaddr)):
+            client.allocator.note_free(result.gaddr)
+        assert client.allocator.pending_free_count == 1
+        # once flushed, the object may come round (and be freed) again
+
+        def proc():
+            yield from client.allocator.flush_frees()
+
+        run(cluster, proc())
+        client.allocator.note_free(result.gaddr)
+        assert client.allocator.pending_free_count == 1
+
     def test_flush_sets_bit_on_all_replicas(self, cluster, client):
         result = alloc(cluster, client, 0)
         client.allocator.note_free(result.gaddr)

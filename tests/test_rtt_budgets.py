@@ -15,6 +15,11 @@ operation              RTTs        phases (signaled doorbell batches)
 =====================  ==========  =========================================
 SEARCH, cache hit      1           cached slot+KV read
 SEARCH, no cache       2           bucket read, KV match read
+SEARCH, stale entry    2           cached slot+KV read, KV refetch
+SEARCH, bypassed key   2           slot read, then the KV block it names
+UPDATE, stale entry    +1          the refetch verifies the slot's new block
+UPDATE, bypassed key   +1          slot read (KV write batched in), KV read
+FUSEE-CR, lost CAS     +2 / retry  slot re-read, KV read, then CAS again
 UPDATE, r_idx = 1      2           locate (KV write batched in), primary CAS
 UPDATE, r_idx >= 2     4           locate, backup CAS broadcast, log commit,
                                    primary CAS — flat in the replica count
@@ -272,6 +277,170 @@ class TestInsertDeleteBudget:
         assert span.unsignaled >= 1
         unsignaled = [b for b in span.batches if b.get("unsignaled")]
         assert all(b["phase"].startswith("cleanup.") for b in unsignaled)
+
+
+def batch_kinds(span):
+    """[(phase, [verb kind, ...])] of a span's signaled batches."""
+    return [(b["phase"], [v["kind"] for v in b["verbs"]])
+            for b in span.batches
+            if b["kind"] == "batch" and not b.get("unsignaled")]
+
+
+class TestHowAKeyIsFound:
+    """The strategies beside the warm 1-RTT probe (docs/protocol.md, "How
+    a key is found"): a stale cached entry costs one refetch, a key the
+    adaptive cache bypasses (§4.6) costs slot-then-KV, an empty slot
+    drops the entry, and a FUSEE-CR writer that loses its CAS re-reads
+    the slot before retrying.  A second client makes the first one's
+    entry stale; ``cache_threshold=0.0`` turns one invalidation into a
+    bypass."""
+
+    @staticmethod
+    def stale_pair(**overrides):
+        cluster, reader, tracer = traced_cluster(**overrides)
+        writer = cluster.new_client()
+        assert cluster.run_op(reader.insert(b"key", b"val")).ok
+        assert cluster.run_op(writer.update(b"key", b"v2")).ok
+        return cluster, reader, writer, tracer
+
+    def bypassed_pair(self):
+        cluster, reader, writer, tracer = self.stale_pair(
+            cache_threshold=0.0)
+        assert cluster.run_op(reader.search(b"key")).value == b"v2"
+        assert reader.cache.stats.invalidations == 1
+        return cluster, reader, writer, tracer
+
+    def test_stale_cached_search_refetches_once(self):
+        cluster, reader, writer, tracer = self.stale_pair()
+        result = cluster.run_op(reader.search(b"key"))
+        assert result.ok and result.value == b"v2"
+        span = tracer.last_span("search")
+        assert span.rtts == 2
+        assert batch_kinds(span) == [("search.cached_read", ["read", "read"]),
+                                     ("search.kv_refetch", ["read"])]
+        assert reader.cache.stats.invalidations == 1
+        assert reader.cache.peek(b"key").slot_word == \
+            writer.cache.peek(b"key").slot_word
+        # re-stored: the next search is the 1-RTT hit again
+        assert cluster.run_op(reader.search(b"key")).ok
+        assert tracer.last_span("search").phases() == ["search.cached_read"]
+        assert reader.cache.stats.invalidations == 1
+
+    def test_bypassed_search_reads_slot_then_kv(self):
+        cluster, reader, writer, tracer = self.bypassed_pair()
+        assert cluster.run_op(writer.update(b"key", b"v3")).ok
+        result = cluster.run_op(reader.search(b"key"))
+        assert result.ok and result.value == b"v3"
+        span = tracer.last_span("search")
+        assert span.rtts == 2
+        assert batch_kinds(span) == [("search.bypass_slot_read", ["read"]),
+                                     ("search.bypass_kv_read", ["read"])]
+        assert reader.cache.stats.bypasses == 1
+        # reading the live pair charges nothing and re-stores the entry
+        assert reader.cache.stats.invalidations == 1
+        assert reader.cache.peek(b"key").slot_word == \
+            writer.cache.peek(b"key").slot_word
+
+    @pytest.mark.parametrize("op", ["update", "delete"])
+    def test_stale_cached_write_refetches_once(self, op):
+        cluster, client, _writer, tracer = self.stale_pair()
+        call = client.update(b"key", b"v3") if op == "update" \
+            else client.delete(b"key")
+        assert cluster.run_op(call).ok
+        batches = batch_kinds(tracer.last_span(op))
+        assert [phase for phase, _ in batches] == [
+            "write.locate_cached", "write.locate_refetch",
+            "repl.primary_cas"]
+        # the new object's replica WRITEs ride the first batch only
+        assert batches[0][1] == ["write"] * 4 + ["read", "read"]
+        assert batches[1][1] == ["read"]
+        assert client.cache.stats.invalidations == 1
+        found = cluster.run_op(client.search(b"key"))
+        assert found.value == (b"v3" if op == "update" else None)
+
+    @pytest.mark.parametrize("op", ["update", "delete"])
+    def test_bypassed_write_reads_slot_then_kv(self, op):
+        cluster, client, _writer, tracer = self.bypassed_pair()
+        call = client.update(b"key", b"v3") if op == "update" \
+            else client.delete(b"key")
+        assert cluster.run_op(call).ok
+        batches = batch_kinds(tracer.last_span(op))
+        # the KV read keeps the probe's label: one phase, two batches
+        assert [phase for phase, _ in batches] == [
+            "write.locate_bypass", "write.locate_bypass",
+            "repl.primary_cas"]
+        assert batches[0][1] == ["write"] * 4 + ["read"]
+        assert batches[1][1] == ["read"]
+        assert client.cache.stats.bypasses == 1
+        assert client.cache.stats.invalidations == 1
+        assert (b"key" in client.cache) == (op == "update")
+
+    @pytest.mark.parametrize("op,phases", [
+        ("search", ["search.bypass_slot_read", "search.bucket_read"]),
+        ("update", ["write.locate_bypass", "write.locate_buckets"]),
+        ("delete", ["write.locate_bypass", "write.locate_buckets"]),
+    ])
+    def test_empty_slot_drops_a_bypassed_entry(self, op, phases):
+        cluster, client, writer, tracer = self.bypassed_pair()
+        assert cluster.run_op(writer.delete(b"key")).ok
+        assert b"key" in client.cache
+        call = {"search": lambda: client.search(b"key"),
+                "update": lambda: client.update(b"key", b"v3"),
+                "delete": lambda: client.delete(b"key")}[op]()
+        result = cluster.run_op(call)
+        assert not result.ok and result.error is None
+        span = tracer.last_span(op)
+        assert span.phases() == phases
+        if op != "search":
+            # the KV WRITEs went with the slot read, not again with the
+            # bucket read
+            assert batch_kinds(span)[0][1] == ["write"] * 4 + ["read"]
+            assert batch_kinds(span)[1][1] == ["read", "read"]
+        assert b"key" not in client.cache
+
+    @pytest.mark.parametrize("op,phases", [
+        ("search", ["search.cached_read", "search.bucket_read"]),
+        ("update", ["write.locate_cached", "write.locate_buckets"]),
+    ])
+    def test_empty_slot_drops_a_cached_entry(self, op, phases):
+        cluster, client, tracer = traced_cluster()
+        writer = cluster.new_client()
+        assert cluster.run_op(client.insert(b"key", b"val")).ok
+        assert cluster.run_op(writer.delete(b"key")).ok
+        call = client.search(b"key") if op == "search" \
+            else client.update(b"key", b"v3")
+        assert not cluster.run_op(call).ok
+        assert tracer.last_span(op).phases() == phases
+        assert client.cache.stats.invalidations == 1
+        assert b"key" not in client.cache
+
+    def test_chain_replication_lost_cas_refreshes_the_slot(self):
+        """Two warm FUSEE-CR writers CAS the same slot in the same RTT:
+        the loser re-reads the slot and the block it names (one phase,
+        two batches) and retries against the winner's word."""
+        cluster, first, tracer = traced_cluster(
+            replication_mode="sequential")
+        second = cluster.new_client()
+        assert cluster.run_op(first.insert(b"key", b"val")).ok
+        assert cluster.run_op(second.insert(b"other", b"val")).ok
+        assert cluster.run_op(second.search(b"key")).ok
+        env = cluster.env
+        procs = [env.process(first.update(b"key", b"from-first")),
+                 env.process(second.update(b"key", b"from-second"))]
+        for proc in procs:
+            env.run(until=proc)
+            assert proc.value.ok and proc.value.outcome.won
+        winner, loser = tracer.spans_of("update")[-2:]
+        assert winner.phases() == ["write.locate_cached",
+                                   "repl.seq_primary_cas"]
+        assert batch_kinds(loser) == [
+            ("write.locate_cached", ["write"] * 4 + ["read", "read"]),
+            ("repl.seq_primary_cas", ["cas"]),
+            ("write.refresh_slot", ["read"]),
+            ("write.refresh_slot", ["read"]),
+            ("repl.seq_primary_cas", ["cas"])]
+        assert loser.retries == 1
+        assert cluster.run_op(first.search(b"key")).value == b"from-second"
 
 
 class TestBudgetsUnderHotPathKnobs:

@@ -170,8 +170,8 @@ def _inline_replicated_write(self, ref, v_old, v_new, prepared):
     """The pre-seam ``FuseeClient._replicated_write``, copied verbatim:
     inline if/else dispatch on ``replication_mode`` instead of the
     ``ReplicationProtocol`` strategy object."""
-    from repro.core.client import CrashPoint, sequential_write, \
-        snapshot_write
+    from repro.core.client import CrashPoint
+    from repro.core.snapshot import sequential_write, snapshot_write
 
     on_win = None
     if prepared is not None and len(ref.placement) > 1:

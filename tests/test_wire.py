@@ -7,7 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.wire import (
+    FLAG_INVALID,
     KV_HEADER_SIZE,
+    KV_HOLDS_KEY,
+    KV_INVALID,
+    KV_LIVE,
+    KV_OTHER_KEY,
+    KV_TORN,
     LOG_ENTRY_SIZE,
     LogEntry,
     MASTER_COMMIT_OLD_VALUE,
@@ -19,10 +25,12 @@ from repro.core.wire import (
     decode_kv_block,
     decode_log_entry,
     encode_kv_block,
+    encode_kv_body,
     encode_log_entry,
     kv_block_size,
     log_entry_offset,
     make_fingerprint,
+    match_kv,
     old_value_offset,
     pack_slot,
     unpack_slot,
@@ -209,3 +217,51 @@ class TestKvBlock:
             encode_kv_block(key, value, size, entry))
         assert (k, v) == (key, value)
         assert (header.key_len, header.value_len) == (len(key), len(value))
+
+
+def _flagged(image: bytes) -> bytes:
+    return bytes([image[0] | FLAG_INVALID]) + image[1:]
+
+
+def _crc_broken(image: bytes) -> bytes:
+    return image[:-1] + bytes([image[-1] ^ 0xFF])
+
+
+class TestMatchKv:
+    """``match_kv`` is the one place a KV image is compared with a key;
+    the table is everything its callers distinguish."""
+
+    BODY = encode_kv_body(b"key", b"value")
+
+    @pytest.mark.parametrize("image,status,value", [
+        pytest.param(BODY[:KV_HEADER_SIZE - 1], KV_TORN, None,
+                     id="shorter-than-a-header"),
+        pytest.param(BODY[:-2], KV_TORN, None, id="truncated-body"),
+        pytest.param(bytes(64), KV_OTHER_KEY, None,
+                     id="zeroed-block-decodes-as-the-empty-key"),
+        pytest.param(_crc_broken(BODY), KV_TORN, None, id="bad-crc"),
+        pytest.param(encode_kv_body(b"kex", b"value"), KV_OTHER_KEY, None,
+                     id="other-key"),
+        pytest.param(encode_kv_body(b"ke", b"yvalue"), KV_OTHER_KEY, None,
+                     id="same-bytes-other-key-length"),
+        pytest.param(_flagged(encode_kv_body(b"kex", b"value")),
+                     KV_OTHER_KEY, None, id="other-key-invalidated"),
+        pytest.param(_flagged(BODY), KV_INVALID, b"value",
+                     id="invalid-flag"),
+        pytest.param(BODY, KV_LIVE, b"value", id="live-pair"),
+        pytest.param(BODY + bytes(40), KV_LIVE, b"value",
+                     id="live-pair-read-to-the-len-unit"),
+        pytest.param(encode_kv_body(b"key", b""), KV_LIVE, b"",
+                     id="empty-value"),
+        pytest.param(_flagged(encode_kv_body(b"key", b"")), KV_INVALID, b"",
+                     id="empty-value-invalidated"),
+    ])
+    def test_table(self, image, status, value):
+        assert match_kv(image, b"key") == (status, value)
+
+    def test_accepts_the_views_memory_nodes_hand_out(self):
+        assert match_kv(memoryview(bytearray(self.BODY)), b"key") \
+            == (KV_LIVE, b"value")
+
+    def test_holds_key_is_the_pair_marked_or_not(self):
+        assert set(KV_HOLDS_KEY) == {KV_INVALID, KV_LIVE}
