@@ -54,7 +54,7 @@ import pathlib
 import sys
 import time
 
-from .harness import ALL_EXPERIMENTS, Scale
+from .harness import ALL_EXPERIMENTS, PROFILE_SYSTEMS, Scale
 from .harness.report import render
 
 
@@ -147,181 +147,131 @@ def cmd_demo(args) -> int:
 
 
 def _resolve_scenario(args):
-    """Resolve ``--scenario [--smoke]`` into a Scenario instance."""
+    """Resolve ``--scenario [--smoke]`` into a Scenario (None without)."""
     from .workloads import SMOKE_TRIM, get_scenario
 
+    if not args.scenario:
+        return None
     overrides = dict(SMOKE_TRIM) if getattr(args, "smoke", False) else {}
     return get_scenario(args.scenario, seed=args.seed, **overrides)
 
 
-def _cmd_ycsb_scenario(args) -> int:
-    """Paced open-loop run of a production traffic scenario."""
-    from .harness import fusee_bed, run_open_loop
-    from .obs import Metrics
+def _hotpath_kw(args) -> dict:
+    """The ``fusee_bed`` keywords chosen by the hot-path and replication
+    flags: the one place a knob is named between its flag and its builder."""
+    return dict(read_spread=args.read_spread,
+                max_coalesce_width=args.coalesce_width,
+                nic_ports=args.nic_ports, rpc_shards=args.rpc_shards,
+                port_affinity=args.port_affinity,
+                replication=args.replication)
+
+
+def _observed_ycsb(args, scn, bed_kw, **observers):
+    """Load a FUSEE bed and drive it under the observed-run recipe: the
+    paced tenant streams of scenario ``scn``, else closed-loop YCSB.
+    Prints the load and throughput lines; returns the ``ProfiledRun``."""
+    from .harness.profiling import observed_run
+    from .harness.systems import fusee_bed
+    from .workloads import YcsbConfig, YcsbWorkload
+
+    n_clients = args.clients if scn is None else scn.n_clients
+    bed = fusee_bed(n_memory_nodes=args.memory_nodes,
+                    dataset_bytes=args.keys * 1024 if scn is None
+                    else max(args.keys * 1024, 1 << 21),
+                    max_clients=max(256, n_clients + 8), **bed_kw)
+    if scn is not None:
+        loaded = bed.load(scn.preload_items())
+        print(f"loaded {loaded} keys across {len(scn.tenants)} tenant(s) "
+              f"(scenario {scn.name}, family {scn.family}, seed {scn.seed})")
+        source, duration_us = scn.client_stream, scn.duration_us
+        offered = scn.schedule.integral(0.0, scn.duration_us)
+        suffix = f"; ~{offered:.0f} offered"
+    else:
+        config = YcsbConfig(workload=args.workload, n_keys=args.keys)
+        seeder = YcsbWorkload(config, seed=args.seed)
+        loaded = bed.load((key, seeder.load_value(i))
+                          for i, key in enumerate(seeder.load_keys()))
+        print(f"loaded {loaded}/{args.keys} keys "
+              f"(YCSB-{args.workload}, seed {args.seed})")
+
+        def source(index):
+            return YcsbWorkload(config, seed=args.seed + 1 + index)
+        duration_us, suffix = args.duration_us, ""
+    # Observers attach inside the recipe, after the load: it stays untraced.
+    result = observed_run(bed, n_clients, source, duration_us,
+                          paced=scn is not None, **observers)
+    run = result.run
+    print(f"{run.ops} ops in {run.duration_us:.0f} simulated us "
+          f"-> {run.mops:.3f} Mops ({run.errors} errors{suffix})")
+    return result
+
+
+def cmd_ycsb(args) -> int:
     from .workloads import tenant_report
 
     scn = _resolve_scenario(args)
     monitor_config, slos = _monitor_setup(args)
-    tracer = profiler = None
-    if args.trace or args.jsonl or args.profile \
-            or monitor_config is not None:
-        from .obs import Tracer
-        tracer = Tracer()
-    bed = fusee_bed(n_memory_nodes=args.memory_nodes,
-                    replication_factor=args.replicas,
-                    dataset_bytes=max(args.keys * 1024, 1 << 21),
-                    variant=args.variant,
-                    read_spread=args.read_spread,
-                    max_coalesce_width=args.coalesce_width,
-                    nic_ports=args.nic_ports,
-                    rpc_shards=args.rpc_shards,
-                    port_affinity=args.port_affinity,
-                    replication=args.replication,
-                    max_clients=max(256, scn.n_clients + 8))
-    loaded = bed.load(scn.preload_items())
-    print(f"loaded {loaded} keys across {len(scn.tenants)} tenant(s) "
-          f"(scenario {scn.name}, family {scn.family}, seed {scn.seed})")
-    # Attach observability only now, so the bulk load stays untraced.
-    if tracer is not None:
-        bed.cluster.attach_tracer(tracer)
-    if args.profile:
-        from .obs import Profiler
-        profiler = Profiler(tracer=tracer).install(bed.env)
-    metrics = Metrics()  # always on: the tenant report reads it
-    if args.metrics:
-        from .obs import sample_fabric
-        sample_fabric(bed.env, metrics, bed.cluster.fabric,
-                      interval_us=args.sample_interval)
-    monitor = None
-    if monitor_config is not None:
-        from .obs import Monitor
-        monitor = Monitor(bed.env, bed.cluster.fabric,
-                          config=monitor_config, slos=slos,
-                          race=bed.cluster.race)
-        bed.cluster.attach_monitor(monitor)
-    clients = [bed.new_client() for _ in range(scn.n_clients)]
-    result = run_open_loop(bed.env, clients, scn.client_stream,
-                           bed.execute, duration_us=scn.duration_us,
-                           metrics=metrics, fast=profiler is None,
-                           monitor=monitor)
-    offered = scn.schedule.integral(0.0, scn.duration_us)
-    print(f"{result.ops} ops in {result.duration_us:.0f} simulated us "
-          f"-> {result.mops:.3f} Mops ({result.errors} errors; "
-          f"~{offered:.0f} offered)")
-    print()
-    print(f"{'tenant':>10} {'ops':>6} {'share':>6} {'err':>4} "
-          f"{'p50_us':>8} {'p99_us':>8}")
-    for name, row in tenant_report(metrics, scn).items():
-        print(f"{name:>10} {row['ops']:>6} "
-              f"{row['throughput_share']:>6.2f} {row['errors']:>4} "
-              f"{row['p50_us']:>8.2f} {row['p99_us']:>8.2f}")
+    result = _observed_ycsb(
+        args, scn, dict(replication_factor=args.replicas,
+                        variant=args.variant, **_hotpath_kw(args)),
+        trace=bool(args.trace or args.jsonl), profile=args.profile,
+        # a scenario's tenant report reads the registry, --metrics or not
+        metrics=args.metrics or scn is not None,
+        sample_interval_us=args.sample_interval if args.metrics else None,
+        monitor_config=monitor_config, slos=slos)
+    if scn is not None:
+        print()
+        print(f"{'tenant':>10} {'ops':>6} {'share':>6} {'err':>4} "
+              f"{'p50_us':>8} {'p99_us':>8}")
+        for name, row in tenant_report(result.metrics, scn).items():
+            print(f"{name:>10} {row['ops']:>6} "
+                  f"{row['throughput_share']:>6.2f} {row['errors']:>4} "
+                  f"{row['p50_us']:>8.2f} {row['p99_us']:>8.2f}")
     if result.health is not None:
         _report_health(args, result.health)
-    if profiler is not None:
-        from .obs import (RunProfile, analyze_critical_path,
-                          critical_report, profile_report)
-        print()
-        print(profile_report(RunProfile.collect(profiler, tracer.spans)))
-        print()
-        print(critical_report(analyze_critical_path(profiler,
-                                                    tracer.spans)))
-    _export_obs(args, tracer, metrics if args.metrics else None)
-    return 0
-
-
-def cmd_ycsb(args) -> int:
-    from .harness.runner import run_closed_loop
-    from .harness.systems import fusee_bed
-    from .workloads import YcsbConfig, YcsbWorkload
-
-    if args.scenario:
-        return _cmd_ycsb_scenario(args)
-    monitor_config, slos = _monitor_setup(args)
-    tracer = metrics = profiler = None
-    if args.trace or args.jsonl or args.profile \
-            or monitor_config is not None:
-        from .obs import Tracer
-        tracer = Tracer()
-    bed = fusee_bed(n_memory_nodes=args.memory_nodes,
-                    replication_factor=args.replicas,
-                    dataset_bytes=args.keys * 1024,
-                    variant=args.variant,
-                    read_spread=args.read_spread,
-                    max_coalesce_width=args.coalesce_width,
-                    nic_ports=args.nic_ports,
-                    rpc_shards=args.rpc_shards,
-                    port_affinity=args.port_affinity,
-                    replication=args.replication,
-                    max_clients=max(256, args.clients + 8))
-    config = YcsbConfig(workload=args.workload, n_keys=args.keys)
-    seeder = YcsbWorkload(config, seed=args.seed)
-    loaded = bed.load((key, seeder.load_value(i))
-                      for i, key in enumerate(seeder.load_keys()))
-    print(f"loaded {loaded}/{args.keys} keys "
-          f"(YCSB-{args.workload}, seed {args.seed})")
-    # Attach observability only now, so the bulk load stays untraced.
-    if tracer is not None:
-        bed.cluster.attach_tracer(tracer)
     if args.profile:
-        from .obs import Profiler
-        profiler = Profiler(tracer=tracer).install(bed.env)
-    if args.metrics:
-        from .obs import Metrics, sample_fabric
-        metrics = Metrics()
-        sample_fabric(bed.env, metrics, bed.cluster.fabric,
-                      interval_us=args.sample_interval)
-    monitor = None
-    if monitor_config is not None:
-        from .obs import Monitor
-        monitor = Monitor(bed.env, bed.cluster.fabric,
-                          config=monitor_config, slos=slos,
-                          race=bed.cluster.race)
-        bed.cluster.attach_monitor(monitor)
-    clients = [bed.new_client() for _ in range(args.clients)]
-    result = run_closed_loop(
-        bed.env, clients,
-        lambda index: YcsbWorkload(config, seed=args.seed + 1 + index),
-        bed.execute, duration_us=args.duration_us, metrics=metrics,
-        fast=profiler is None, monitor=monitor)
-    print(f"{result.ops} ops in {result.duration_us:.0f} simulated us "
-          f"-> {result.mops:.3f} Mops ({result.errors} errors)")
-    if result.health is not None:
-        _report_health(args, result.health)
-    if profiler is not None:
-        from .obs import (RunProfile, analyze_critical_path,
-                          critical_report, profile_report)
         print()
-        print(profile_report(RunProfile.collect(profiler, tracer.spans)))
-        print()
-        print(critical_report(analyze_critical_path(profiler,
-                                                    tracer.spans)))
-    _export_obs(args, tracer, metrics)
+        print(result.attribution())
+    _export_obs(args, result.tracer,
+                result.metrics if args.metrics else None)
     return 0
 
 
 def cmd_profile(args) -> int:
+    import inspect
     import json
 
     from .harness.profiling import profile_ycsb
+    from .harness.systems import fusee_bed
     from .obs import write_chrome_trace, write_folded
 
     monitor_config, slos = _monitor_setup(args)
-    scenario = _resolve_scenario(args) if args.scenario else None
+    bed_kw = {"n_memory_nodes": args.memory_nodes}
+    if args.system == "fusee":
+        bed_kw.update(_hotpath_kw(args))
+    else:
+        # A baseline bed has none of FUSEE's knobs and cannot host the
+        # monitor: refuse the flags instead of reporting on a bed that
+        # silently ignored them.
+        defaults = inspect.signature(fusee_bed).parameters
+        refused = [f"{k}={v}" for k, v in _hotpath_kw(args).items()
+                   if v != defaults[k].default]
+        if monitor_config is not None:
+            refused.append("--windows/--slo/--hotkeys")
+        if refused:
+            print(f"profile --system {args.system}: {', '.join(refused)} "
+                  "need(s) a FUSEE bed", file=sys.stderr)
+            return 2
+        if args.system == "clover":
+            bed_kw["metadata_cores"] = args.metadata_cores
     result = profile_ycsb(system=args.system, workload=args.workload,
                           scale=_scale_from(args.scale),
                           n_clients=args.clients,
-                          n_memory_nodes=args.memory_nodes,
-                          metadata_cores=args.metadata_cores,
                           tail_pct=args.tail_pct,
                           sample_interval_us=args.sample_interval,
-                          read_spread=args.read_spread,
-                          max_coalesce_width=args.coalesce_width,
-                          nic_ports=args.nic_ports,
-                          rpc_shards=args.rpc_shards,
-                          port_affinity=args.port_affinity,
-                          replication=args.replication,
                           monitor_config=monitor_config, slos=slos,
-                          scenario=scenario, seed=args.seed)
+                          scenario=_resolve_scenario(args), seed=args.seed,
+                          **bed_kw)
     print(result.report())
     if result.health is not None:
         _report_health(args, result.health)
@@ -438,7 +388,6 @@ def cmd_faults(args) -> int:
             print(f"scenario:{name}")
         return 0
     monitor_config, slos = _monitor_setup(args)
-    scenario = _resolve_scenario(args) if args.scenario else None
     report = run_campaign(args.campaign, seed=args.seed,
                           retries=not args.no_retries,
                           clients=args.clients,
@@ -446,7 +395,7 @@ def cmd_faults(args) -> int:
                           replication=args.replication,
                           index_replication=args.index_replication,
                           monitor_config=monitor_config, slos=slos,
-                          scenario=scenario)
+                          scenario=_resolve_scenario(args))
     print(report.render())
     if report.health is not None:
         _report_health(args, report.health)
@@ -454,8 +403,6 @@ def cmd_faults(args) -> int:
 
 
 def cmd_monitor(args) -> int:
-    from .obs import Monitor, render_health, write_health
-
     monitor_config, slos = _monitor_setup(args)
     if monitor_config is None:
         # The subcommand IS the opt-in: monitor with defaults even when
@@ -463,7 +410,7 @@ def cmd_monitor(args) -> int:
         from .obs import MonitorConfig
         monitor_config = MonitorConfig()
 
-    scenario = _resolve_scenario(args) if args.scenario else None
+    scenario = _resolve_scenario(args)
     if args.campaign or (scenario is not None and scenario.faults):
         # Faulted mode: every seeded gray/port fault must be caught.
         # A compound scenario (one carrying fault events) routes here
@@ -488,47 +435,10 @@ def cmd_monitor(args) -> int:
     # Clean-bed mode: a monitored YCSB (or pure-load scenario) run on a
     # healthy cluster must produce zero detector flags (the
     # zero-false-positive guarantee).
-    from .harness import fusee_bed, run_closed_loop, run_open_loop
-    from .obs import Tracer
-    from .workloads import YcsbConfig, YcsbWorkload
-
-    tracer = Tracer()
-    n_clients = scenario.n_clients if scenario is not None \
-        else args.clients
-    bed = fusee_bed(n_memory_nodes=args.memory_nodes,
-                    dataset_bytes=args.keys * 1024,
-                    nic_ports=args.nic_ports,
-                    rpc_shards=args.rpc_shards,
-                    max_clients=max(256, n_clients + 8))
-    if scenario is not None:
-        loaded = bed.load(scenario.preload_items())
-        print(f"loaded {loaded} keys across "
-              f"{len(scenario.tenants)} tenant(s) "
-              f"(scenario {scenario.name}, seed {scenario.seed})")
-    else:
-        config = YcsbConfig(workload=args.workload, n_keys=args.keys)
-        seeder = YcsbWorkload(config, seed=args.seed)
-        loaded = bed.load((key, seeder.load_value(i))
-                          for i, key in enumerate(seeder.load_keys()))
-        print(f"loaded {loaded}/{args.keys} keys "
-              f"(YCSB-{args.workload}, seed {args.seed})")
-    bed.cluster.attach_tracer(tracer)
-    monitor = Monitor(bed.env, bed.cluster.fabric, config=monitor_config,
-                      slos=slos, race=bed.cluster.race)
-    bed.cluster.attach_monitor(monitor)
-    clients = [bed.new_client() for _ in range(n_clients)]
-    if scenario is not None:
-        result = run_open_loop(bed.env, clients, scenario.client_stream,
-                               bed.execute,
-                               duration_us=scenario.duration_us,
-                               monitor=monitor)
-    else:
-        result = run_closed_loop(
-            bed.env, clients,
-            lambda index: YcsbWorkload(config, seed=args.seed + 1 + index),
-            bed.execute, duration_us=args.duration_us, monitor=monitor)
-    print(f"{result.ops} ops in {result.duration_us:.0f} simulated us "
-          f"-> {result.mops:.3f} Mops ({result.errors} errors)")
+    result = _observed_ycsb(
+        args, scenario, dict(nic_ports=args.nic_ports,
+                             rpc_shards=args.rpc_shards),
+        monitor_config=monitor_config, slos=slos)
     _report_health(args, result.health)
     flags = (result.health.get("detector") or {}).get("flags", [])
     if flags:
@@ -698,7 +608,7 @@ def main(argv=None) -> int:
         help="run a profiled YCSB mix and print/write the latency "
              "attribution (see docs/profiling.md)")
     profile_parser.add_argument("--system", default="fusee",
-                                choices=("fusee", "clover", "pdpm"))
+                                choices=PROFILE_SYSTEMS)
     profile_parser.add_argument("--workload", default="A",
                                 choices=sorted("ABCD"))
     profile_parser.add_argument("--scale", default="bench",

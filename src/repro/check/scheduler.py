@@ -76,12 +76,6 @@ class Footprint:
             return True
         return bool(self.reads & other.writes)
 
-    def merge(self, other: "Footprint") -> "Footprint":
-        return Footprint(self.reads | other.reads,
-                         self.writes | other.writes)
-
-
-EMPTY_FOOTPRINT = Footprint()
 
 # (branch index, candidate index within that branch's raw group, footprint
 # the candidate exhibited in the run that created the entry).
@@ -136,7 +130,6 @@ class ControlledScheduler:
         self.branches: List[BranchPoint] = []
         self.steps = 0                    # events dispatched so far
         self.timeline: List[Footprint] = []   # per-step footprints
-        self._order = {}                  # event -> step index
         self._footprints = {}             # event -> Footprint
         self._clock = 0
         self._cur_reads: set = set()
@@ -215,7 +208,6 @@ class ControlledScheduler:
     def end_event(self, event) -> None:
         footprint = Footprint(frozenset(self._cur_reads),
                               frozenset(self._cur_writes))
-        self._order[event] = len(self.timeline)
         self._footprints[event] = footprint
         self.timeline.append(footprint)
         if self._sleeping and (footprint.reads or footprint.writes):
@@ -235,13 +227,3 @@ class ControlledScheduler:
     # ------------------------------------------------------------ queries
     def footprint_of(self, event) -> Optional[Footprint]:
         return self._footprints.get(event)
-
-    def position_of(self, event) -> Optional[int]:
-        return self._order.get(event)
-
-    def segment_footprint(self, start: int, stop: int) -> Footprint:
-        """Union footprint of timeline[start:stop]."""
-        merged = EMPTY_FOOTPRINT
-        for fp in self.timeline[start:stop]:
-            merged = merged.merge(fp)
-        return merged

@@ -244,6 +244,14 @@ class CampaignReport:
 # --------------------------------------------------------------------------
 # The campaign driver
 # --------------------------------------------------------------------------
+# Every pinned campaign verdict was taken on this geometry: a 3-MN cluster,
+# 32 preloaded shared keys, and a gray/port fault caught within three
+# monitor windows of its onset.
+N_MNS = 3
+PRELOAD = 32
+DETECT_WINDOWS = 3
+
+
 def _small_cluster(n_mns: int, tracer=None, nic_ports: int = 1,
                    rpc_shards: int = 1,
                    replication: str = "snapshot",
@@ -263,16 +271,14 @@ def _small_cluster(n_mns: int, tracer=None, nic_ports: int = 1,
 
 def run_campaign(name: str = "mixed", seed: int = 0, retries: bool = True,
                  clients: int = 3, ops_per_client: int = 120,
-                 preload: int = 32, value_size: int = 48,
-                 retry: Optional[RetryPolicy] = None,
+                 value_size: int = 48,
                  plan: Optional[FaultPlan] = None,
-                 n_mns: int = 3, nic_ports: int = 1,
+                 nic_ports: int = 1,
                  rpc_shards: int = 1,
                  replication: str = "snapshot",
                  index_replication: int = 1,
                  monitor_config=None,
                  slos=(),
-                 detect_windows: int = 3,
                  scenario=None,
                  scenario_overrides: Optional[dict] = None
                  ) -> CampaignReport:
@@ -297,7 +303,7 @@ def run_campaign(name: str = "mixed", seed: int = 0, retries: bool = True,
     port-scoped faults (``Partition(port=...)`` etc.).  ``replication``
     selects the slot replication strategy the clients run under faults
     ("snapshot" | "sequential" | "swarm"), and ``index_replication`` the
-    index replica count (capped at ``n_mns``) — raise it so multi-replica
+    index replica count (capped at the 3 MNs) — raise it so multi-replica
     protocol machinery (broadcasts, fixups, validated reads) actually
     runs under the fault plan.
 
@@ -305,7 +311,7 @@ def run_campaign(name: str = "mixed", seed: int = 0, retries: bool = True,
     online monitor for the faulted window; the campaign then also
     scores the gray-failure detector against the seeded plan — every
     gray node / port-scoped fault must be flagged within
-    ``detect_windows`` windows of onset with no unexplained flags — and
+    ``DETECT_WINDOWS`` windows of onset with no unexplained flags — and
     folds that verdict into ``CampaignReport.sound``.
     """
     ambient = name  # the named plan pure-load scenarios run under
@@ -319,10 +325,8 @@ def run_campaign(name: str = "mixed", seed: int = 0, retries: bool = True,
         if plan is None and scenario.faults:
             plan = scenario_fault_plan(scenario, seed)
     if plan is None:
-        plan = campaign_plan(ambient, n_mns, seed)
-    if retry is None:
-        retry = RetryPolicy() if retries else NO_RETRY
-    cluster = _small_cluster(n_mns, nic_ports=nic_ports,
+        plan = campaign_plan(ambient, N_MNS, seed)
+    cluster = _small_cluster(N_MNS, nic_ports=nic_ports,
                              rpc_shards=rpc_shards,
                              replication=replication,
                              index_replication=index_replication)
@@ -337,7 +341,7 @@ def run_campaign(name: str = "mixed", seed: int = 0, retries: bool = True,
         preload_items = [
             (f"k{i:03d}".encode(),
              f"v0-{i:03d}".encode().ljust(value_size, b"."))
-            for i in range(preload)]
+            for i in range(PRELOAD)]
     initial: Dict[bytes, bytes] = {}
     for key, value in preload_items:
         result = env.run(until=env.process(loader.insert(key, value)))
@@ -359,7 +363,8 @@ def run_campaign(name: str = "mixed", seed: int = 0, retries: bool = True,
                    for mn, alloc in cluster.mn_allocators.items()}
     owned_before = sum(len(c.allocator.owned_blocks())
                       for c in cluster.clients)
-    cluster.install_faults(plan, retry=retry)
+    cluster.install_faults(plan,
+                           retry=RetryPolicy() if retries else NO_RETRY)
 
     # ---- the workload: YCSB-A on shared keys + scratch-key churn
     def client_loop(client, cid: int):
@@ -458,7 +463,7 @@ def run_campaign(name: str = "mixed", seed: int = 0, retries: bool = True,
                                if s.end_us is not None), default=None)
             report.detector = detector_verdict(
                 plan, monitor.detector.flags, monitor.width,
-                windows=detect_windows, traffic_end_us=traffic_end)
+                windows=DETECT_WINDOWS, traffic_end_us=traffic_end)
 
     report.ops_total = len(spans)
     for span in spans:

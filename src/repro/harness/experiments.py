@@ -23,12 +23,14 @@ from ..baselines.fig3 import (
     SnapshotReplicatedObject,
 )
 from ..core.client import CrashPoint, ClientCrashed
-from ..workloads import MicroConfig, MicroWorkload, YcsbConfig, YcsbWorkload
+from ..workloads import MicroConfig, MicroWorkload
 from ..workloads.scenarios import SCENARIOS, get_scenario, tenant_report
-from ..workloads.ycsb import key_bytes, make_value
+from ..workloads.ycsb import make_value
+from .profiling import observed_run
 from .runner import RunResult, StopLoop, cdf_points, percentile, \
-    run_closed_loop, run_latency, run_open_loop
-from .systems import SystemBed, clover_bed, fusee_bed, pdpm_bed
+    run_closed_loop, run_latency
+from .systems import Scale, SystemBed, _dataset, _make_system, \
+    _ycsb_factory, fusee_bed
 
 __all__ = [
     "Scale",
@@ -54,53 +56,6 @@ __all__ = [
     "resource_efficiency",
     "ALL_EXPERIMENTS",
 ]
-
-
-@dataclass(frozen=True)
-class Scale:
-    """Knobs shrinking experiments below the paper's testbed size."""
-
-    n_keys: int = 2_000
-    kv_size: int = 1024
-    n_clients: int = 32
-    clients_sweep: Tuple[int, ...] = (4, 8, 16, 32)
-    mns_sweep: Tuple[int, ...] = (2, 3, 4, 5)
-    duration_us: float = 2_000.0
-    warmup_us: float = 400.0
-    latency_ops: int = 300
-    seed: int = 42
-
-    @classmethod
-    def bench(cls) -> "Scale":
-        return cls()
-
-    @classmethod
-    def tiny(cls) -> "Scale":
-        return cls(n_keys=400, n_clients=8, clients_sweep=(2, 4, 8),
-                   duration_us=800.0, warmup_us=200.0, latency_ops=60)
-
-    @classmethod
-    def full(cls) -> "Scale":
-        return cls(n_keys=10_000, n_clients=128,
-                   clients_sweep=(8, 16, 32, 64, 128),
-                   duration_us=4_000.0, warmup_us=800.0, latency_ops=2_000)
-
-    @classmethod
-    def production(cls) -> "Scale":
-        """Hundreds-to-a-thousand clients and 8-16 MNs: the scaling bed.
-
-        Sized to show where the plateau moves once ``nic_ports`` /
-        ``rpc_shards`` lift the single-queue tx-NIC wall (ISSUE 6); pair
-        it with ``fig13_ycsb_scalability(..., nic_ports=4,
-        rpc_shards=2)`` or the ``--nic-ports`` CLI flags.  The sweep
-        reaches 1024 clients, which the kernel fast path (ISSUE 7)
-        makes affordable — the beds assert the fast drain loop via
-        ``run_closed_loop(fast=True)``.  Minutes of wall-clock.
-        """
-        return cls(n_keys=10_000, n_clients=256,
-                   clients_sweep=(32, 64, 128, 256, 384, 512, 768, 1024),
-                   mns_sweep=(2, 4, 8, 12, 16),
-                   duration_us=3_000.0, warmup_us=600.0, latency_ops=2_000)
 
 
 @dataclass
@@ -135,24 +90,6 @@ class ExperimentResult:
 
 
 # ---------------------------------------------------------------- helpers
-def _dataset(scale: Scale):
-    return [(key_bytes(i), make_value(scale.kv_size - 24, salt=i))
-            for i in range(scale.n_keys)]
-
-
-def _ycsb_factory(scale: Scale, workload: str,
-                  mix: Optional[Tuple[float, float, float]] = None,
-                  kv_size: Optional[int] = None):
-    config = YcsbConfig(workload=workload if mix is None else "A",
-                        n_keys=scale.n_keys,
-                        kv_size=kv_size or scale.kv_size, mix=mix)
-
-    def factory(index: int):
-        return YcsbWorkload(config, seed=scale.seed * 1_000 + index)
-
-    return factory
-
-
 def _run_ycsb(bed: SystemBed, scale: Scale, workload: str,
               n_clients: Optional[int] = None,
               mix: Optional[Tuple[float, float, float]] = None,
@@ -165,12 +102,6 @@ def _run_ycsb(bed: SystemBed, scale: Scale, workload: str,
         warmup_us=scale.warmup_us, collect_latency=collect_latency)
 
 
-def _loaded_bed(maker: Callable[[], SystemBed], scale: Scale) -> SystemBed:
-    bed = maker()
-    bed.load(_dataset(scale))
-    return bed
-
-
 # ======================================================================
 # Motivation figures
 # ======================================================================
@@ -181,10 +112,7 @@ def fig02_clover_metadata_cpu(scale: Optional[Scale] = None,
     scale = scale or Scale.bench()
     rows = []
     for cores in cores_sweep:
-        bed = _loaded_bed(
-            lambda: clover_bed(n_memory_nodes=2, metadata_cores=cores,
-                               dataset_bytes=scale.n_keys * scale.kv_size),
-            scale)
+        bed = _make_system("clover", scale, metadata_cores=cores)
         result = _run_ycsb(bed, scale, "A")
         rows.append([cores, result.mops])
     return ExperimentResult(
@@ -278,16 +206,7 @@ def fig10_latency_cdf(scale: Optional[Scale] = None) -> ExperimentResult:
     keys = [k for k, _v in dataset]
     rows = []
     for system in _LAT_SYSTEMS:
-        if system == "fusee":
-            bed = _loaded_bed(lambda: fusee_bed(
-                dataset_bytes=scale.n_keys * scale.kv_size), scale)
-        elif system == "clover":
-            bed = _loaded_bed(lambda: clover_bed(
-                dataset_bytes=scale.n_keys * scale.kv_size), scale)
-        else:
-            bed = _loaded_bed(lambda: pdpm_bed(
-                dataset_bytes=scale.n_keys * scale.kv_size,
-                n_keys_hint=scale.n_keys), scale)
+        bed = _make_system(system, scale)
         client = bed.new_client()
         for op in ("insert", "update", "search", "delete"):
             if system == "clover" and op == "delete":
@@ -315,16 +234,7 @@ def fig11_micro_throughput(scale: Optional[Scale] = None) -> ExperimentResult:
             if system == "clover" and op == "delete":
                 row.append(None)
                 continue
-            if system == "fusee":
-                bed = _loaded_bed(lambda: fusee_bed(
-                    dataset_bytes=scale.n_keys * scale.kv_size), scale)
-            elif system == "clover":
-                bed = _loaded_bed(lambda: clover_bed(
-                    dataset_bytes=scale.n_keys * scale.kv_size), scale)
-            else:
-                bed = _loaded_bed(lambda: pdpm_bed(
-                    dataset_bytes=scale.n_keys * scale.kv_size,
-                    n_keys_hint=scale.n_keys * 4), scale)
+            bed = _make_system(system, scale)
             clients = [bed.new_client() for _ in range(scale.n_clients)]
             config = MicroConfig(op=op, n_keys=scale.n_keys,
                                  kv_size=scale.kv_size, use_ycsb_keys=True)
@@ -361,8 +271,7 @@ def fig12_kv_sizes(scale: Optional[Scale] = None,
         row = [kv_size]
         for workload in ("A", "C"):
             sub = replace(scale, kv_size=kv_size)
-            bed = _loaded_bed(lambda: fusee_bed(
-                dataset_bytes=scale.n_keys * kv_size), sub)
+            bed = _make_system("fusee", sub)
             result = _run_ycsb(bed, sub, workload, n_clients=n_clients)
             row.append(result.mops)
         rows.append(row)
@@ -409,25 +318,6 @@ def fig13_ycsb_scalability(scale: Optional[Scale] = None,
         rows,
         notes="expect: FUSEE scales; Clover flat (metadata CPU); pDPM "
               "collapses on writes (paper: 4.9x and 117x at 128 clients)")
-
-
-def _make_system(system: str, scale: Scale, n_memory_nodes: int = 2,
-                 **kw) -> SystemBed:
-    dataset_bytes = scale.n_keys * scale.kv_size
-    if system == "fusee":
-        bed = fusee_bed(n_memory_nodes=n_memory_nodes,
-                        dataset_bytes=dataset_bytes, **kw)
-    elif system == "clover":
-        bed = clover_bed(n_memory_nodes=n_memory_nodes,
-                         dataset_bytes=dataset_bytes, **kw)
-    elif system == "pdpm-direct":
-        bed = pdpm_bed(n_memory_nodes=n_memory_nodes,
-                       dataset_bytes=dataset_bytes,
-                       n_keys_hint=scale.n_keys * 4, **kw)
-    else:
-        raise ValueError(f"unknown system {system!r}")
-    bed.load(_dataset(scale))
-    return bed
 
 
 def fig14_memory_nodes(scale: Optional[Scale] = None,
@@ -493,9 +383,7 @@ def fig16_cache_threshold(scale: Optional[Scale] = None,
     scale = scale or Scale.bench()
     rows = []
     for threshold in thresholds:
-        bed = _loaded_bed(lambda: fusee_bed(
-            dataset_bytes=scale.n_keys * scale.kv_size,
-            cache_threshold=threshold), scale)
+        bed = _make_system("fusee", scale, cache_threshold=threshold)
         result = _run_ycsb(bed, scale, "A")
         rows.append([threshold, result.mops])
     return ExperimentResult(
@@ -512,7 +400,7 @@ def fig17_allocation(scale: Optional[Scale] = None) -> ExperimentResult:
     for workload in ("A", "C"):
         row = [workload]
         for mn_centric in (False, True):
-            bed = fusee_bed(dataset_bytes=scale.n_keys * scale.kv_size)
+            bed = _make_system("fusee", scale, load=False)
             if mn_centric:
                 base = bed.cluster.config.client
                 bed.cluster.config = replace(
@@ -548,11 +436,9 @@ def fig18_replication_throughput(scale: Optional[Scale] = None,
     for r in factors:
         row = [r]
         for workload in workloads:
-            bed = _loaded_bed(lambda: fusee_bed(
-                n_memory_nodes=max(3, r),
-                replication_factor=r, index_replication=r,
-                dataset_bytes=scale.n_keys * scale.kv_size,
-                replication=replication), scale)
+            bed = _make_system("fusee", scale, n_memory_nodes=max(3, r),
+                               replication_factor=r, index_replication=r,
+                               replication=replication)
             result = _run_ycsb(bed, scale, workload)
             row.append(result.mops)
         rows.append(row)
@@ -577,16 +463,13 @@ def fig19_replication_latency(scale: Optional[Scale] = None,
     shoot-out bed: SWARM's UPDATE latency should stay flat in ``r`` and
     beat SNAPSHOT's in the low-conflict single-client regime."""
     scale = scale or Scale.bench()
-    dataset = _dataset(scale)
-    keys = [k for k, _v in dataset]
+    keys = [k for k, _v in _dataset(scale)]
     rows = []
     for variant in variants:
         for r in factors:
-            bed = fusee_bed(n_memory_nodes=max(4, r),
-                            replication_factor=r, index_replication=r,
-                            dataset_bytes=scale.n_keys * scale.kv_size,
-                            variant=variant)
-            bed.load(dataset)
+            bed = _make_system("fusee", scale, n_memory_nodes=max(4, r),
+                               replication_factor=r, index_replication=r,
+                               variant=variant)
             client = bed.new_client()
             row = [variant, r]
             for op in ("insert", "update", "search", "delete"):
@@ -608,9 +491,7 @@ def fig20_mn_crash(scale: Optional[Scale] = None,
                    n_buckets: int = 9) -> ExperimentResult:
     """Fig. 20: YCSB-C throughput timeline; one MN crashes mid-run."""
     scale = scale or Scale.bench()
-    bed = _loaded_bed(lambda: fusee_bed(
-        n_memory_nodes=2, replication_factor=2, index_replication=2,
-        dataset_bytes=scale.n_keys * scale.kv_size), scale)
+    bed = _make_system("fusee", scale, index_replication=2)
     bucket_us = scale.duration_us / 2.0
     duration = bucket_us * n_buckets
     crash_at = bucket_us * 5
@@ -651,8 +532,7 @@ def fig21_elasticity(scale: Optional[Scale] = None,
     scale = scale or Scale.bench()
     if saturate:
         return _fig21_saturating(scale, n_buckets, scenario, seed)
-    bed = _loaded_bed(lambda: fusee_bed(
-        dataset_bytes=scale.n_keys * scale.kv_size), scale)
+    bed = _make_system("fusee", scale)
     base = max(4, scale.n_clients // 2)
     extra = base
     bucket_us = scale.duration_us / 2.0
@@ -693,26 +573,26 @@ def fig21_elasticity(scale: Optional[Scale] = None,
         notes="expect throughput steps up then returns (paper Fig. 21)")
 
 
+def _scenario_bed(scn, scale: Scale) -> SystemBed:
+    """A FUSEE bed sized for, and loaded with, a scenario's key spaces."""
+    dataset = scn.preload_items()
+    bed = fusee_bed(dataset_bytes=max(1 << 22,
+                                      len(dataset) * scale.kv_size * 4))
+    bed.load(dataset)
+    return bed
+
+
 def _fig21_saturating(scale: Scale, n_buckets: int, scenario: str,
                       seed: int) -> ExperimentResult:
     """fig21 saturating-load mode: grow the pool under saturation and
     attribute rebalance time with the profiler."""
-    from ..obs import Profiler, RunProfile, Tracer
-
     bucket_us = scale.duration_us / 2.0
     duration = bucket_us * n_buckets
     n_clients = max(4, scale.n_clients // 2)
     scn = get_scenario(scenario, duration_us=duration,
                        keys_per_tenant=max(64, scale.n_keys // 4),
                        n_clients=n_clients, seed=seed)
-    dataset = scn.preload_items()
-    tracer = Tracer()
-    bed = fusee_bed(dataset_bytes=max(1 << 22, len(dataset)
-                                      * scale.kv_size * 4),
-                    tracer=tracer)
-    bed.load(dataset)
-    profiler = Profiler(tracer=tracer).install(bed.env)
-    tracer.clear()
+    bed = _scenario_bed(scn, scale)
     grown: Dict[str, int] = {}
 
     def grow():
@@ -722,14 +602,11 @@ def _fig21_saturating(scale: Scale, n_buckets: int, scenario: str,
             grown["mn_id"] = yield from bed.cluster.grow_pool(regions=2)
         bed.env.process(proc(), name="grow-pool")
 
-    clients = [bed.new_client() for _ in range(n_clients)]
-    result = run_closed_loop(
-        bed.env, clients, lambda i: scn.saturating_workload(i),
-        bed.execute, duration_us=duration, warmup_us=0.0,
-        timeline_bucket_us=bucket_us,
-        events=[(bucket_us * 3, grow)], fast=False)
-
-    profile = RunProfile.collect(profiler, tracer.spans, tail_pct=99.0)
+    observed = observed_run(bed, n_clients, scn.saturating_workload,
+                            duration, profile=True,
+                            timeline_bucket_us=bucket_us,
+                            events=[(bucket_us * 3, grow)])
+    result, profile = observed.run, observed.profile
     window = profile.ops.get("rebalance.snapshot_window",
                              {"total_us": 0.0})["total_us"]
     copy = profile.ops.get("rebalance.copy", {"total_us": 0.0})["total_us"]
@@ -770,8 +647,6 @@ def scenario_suite(scale: Optional[Scale] = None,
     suite (``tests/test_scenarios.py``); this experiment is the
     throughput/latency readout.
     """
-    from ..obs import Metrics
-
     scale = scale or Scale.bench()
     names = list(scenarios) if scenarios else sorted(SCENARIOS)
     rows: List[List] = []
@@ -780,15 +655,10 @@ def scenario_suite(scale: Optional[Scale] = None,
         scn = get_scenario(name, duration_us=scale.duration_us * 4,
                            keys_per_tenant=max(64, scale.n_keys // 8),
                            n_clients=min(scale.n_clients, 8), seed=seed)
-        dataset = scn.preload_items()
-        bed = fusee_bed(dataset_bytes=max(1 << 22, len(dataset)
-                                          * scale.kv_size * 4))
-        bed.load(dataset)
-        metrics = Metrics()
-        clients = [bed.new_client() for _ in range(scn.n_clients)]
-        result = run_open_loop(
-            bed.env, clients, lambda i: scn.client_stream(i),
-            bed.execute, duration_us=scn.duration_us, metrics=metrics)
+        observed = observed_run(_scenario_bed(scn, scale), scn.n_clients,
+                                scn.client_stream, scn.duration_us,
+                                paced=True, metrics=True)
+        result, metrics = observed.run, observed.metrics
         offered = scn.schedule.integral(0.0, scn.duration_us)
         p99 = max((metrics.histogram(f"tenant.{t.name}.latency_us")
                    .percentile(99.0) for t in scn.tenants), default=0.0)
@@ -848,7 +718,7 @@ def ablation_oplog(scale: Optional[Scale] = None) -> ExperimentResult:
     keys = [k for k, _v in dataset]
     rows = []
     for embedded in (True, False):
-        bed = fusee_bed(dataset_bytes=scale.n_keys * scale.kv_size)
+        bed = _make_system("fusee", scale, load=False)
         base = bed.cluster.config.client
         bed.cluster.config = replace(
             bed.cluster.config, client=replace(base, embedded_log=embedded))
@@ -875,8 +745,9 @@ def ablation_expansion(scale: Optional[Scale] = None) -> ExperimentResult:
     """
     scale = scale or Scale.bench()
     from ..core.race import RaceConfig as _RC
-    bed = fusee_bed(dataset_bytes=scale.n_keys * scale.kv_size,
-                    race=_RC(n_subtables=2, n_groups=8, slots_per_bucket=7))
+    bed = _make_system("fusee", scale, load=False,
+                       race=_RC(n_subtables=2, n_groups=8,
+                                slots_per_bucket=7))
     cluster = bed.cluster
     initial_capacity = (2 * cluster.race.config.slots_per_subtable)
     target = initial_capacity * 3

@@ -1,10 +1,13 @@
-"""Profiled workload runs: where do the simulated microseconds go?
+"""Observed workload runs: where do the simulated microseconds go?
 
-Glue between the harness beds and :mod:`repro.obs.profile`: run a YCSB
-mix on any system bed with a profiler installed and return the full
-attribution bundle — per-op breakdowns, tail attribution, the critical
-path, folded flamegraph stacks, and sampled resource counters — in one
-deterministic, JSON-serialisable result.
+Glue between the harness beds and :mod:`repro.obs`.
+:func:`observed_run` is the one recipe that stands up the observers on a
+loaded bed — tracer, profiler, fabric sampler, online monitor — spawns
+the clients and drives them; every CLI subcommand and experiment that
+watches a run calls it.  :func:`profile_ycsb` is its profiled YCSB front
+end: it returns the full attribution bundle — per-op breakdowns, tail
+attribution, the critical path, folded flamegraph stacks, and sampled
+resource counters — in one deterministic, JSON-serialisable result.
 
 FUSEE traces its own spans (`attach_tracer`); the baseline beds (Clover,
 pDPM) have no internal tracing, so their ``execute`` is wrapped in a
@@ -14,12 +17,13 @@ wait/service/propagation still lands via the resource layer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional
+from dataclasses import dataclass, replace
+from typing import Callable, List, Optional
 
 from ..obs import (
     CriticalPath,
     Metrics,
+    Monitor,
     Profiler,
     RunProfile,
     Tracer,
@@ -30,27 +34,31 @@ from ..obs import (
     sample_fabric,
 )
 from ..workloads.scenarios import get_scenario
-from .experiments import Scale, _dataset, _ycsb_factory
-from .runner import RunResult, run_closed_loop
-from .systems import SystemBed, clover_bed, fusee_bed, pdpm_bed
+from .runner import RunResult, run_closed_loop, run_open_loop
+from .systems import Scale, SystemBed, _dataset, _make_system, _ycsb_factory
 
-__all__ = ["ProfiledRun", "profile_ycsb", "PROFILE_SYSTEMS"]
+__all__ = ["ProfiledRun", "observed_run", "profile_ycsb", "PROFILE_SYSTEMS"]
 
 PROFILE_SYSTEMS = ("fusee", "clover", "pdpm")
 
 
 @dataclass
 class ProfiledRun:
-    """Everything a profiled run produced."""
+    """Everything an observed run produced.
+
+    The field of an observer :func:`observed_run` was not asked for is
+    ``None``; the reports and ``to_dict`` need a profiled run with a
+    metrics registry (what :func:`profile_ycsb` returns).
+    """
 
     system: str
     workload: str
     run: RunResult
-    profile: RunProfile
-    critical: CriticalPath
-    tracer: Tracer
-    profiler: Profiler
-    metrics: Metrics
+    profile: Optional[RunProfile] = None
+    critical: Optional[CriticalPath] = None
+    tracer: Optional[Tracer] = None
+    profiler: Optional[Profiler] = None
+    metrics: Optional[Metrics] = None
     # Monitor health report (repro.obs.monitor); None when the run was
     # not monitored.
     health: Optional[dict] = None
@@ -62,13 +70,15 @@ class ProfiledRun:
     def folded(self) -> List[str]:
         return folded_stacks(self.profiler, self.tracer.spans)
 
+    def attribution(self) -> str:
+        """The latency-breakdown and critical-path reports."""
+        return "\n\n".join([profile_report(self.profile),
+                            critical_report(self.critical)])
+
     def report(self) -> str:
-        return "\n\n".join([
-            f"profile: {self.system} YCSB-{self.workload} "
-            f"({self.run.ops} ops, {self.run.mops:.3f} Mops)",
-            profile_report(self.profile),
-            critical_report(self.critical),
-        ])
+        return (f"profile: {self.system} YCSB-{self.workload} "
+                f"({self.run.ops} ops, {self.run.mops:.3f} Mops)\n\n"
+                + self.attribution())
 
     def to_dict(self) -> dict:
         """Deterministic payload for ``BENCH_profile.json``."""
@@ -104,72 +114,109 @@ def _traced_execute(bed: SystemBed, tracer: Tracer):
     return execute
 
 
-def _make_bed(system: str, scale: Scale, n_memory_nodes: int,
-              metadata_cores: int, tracer: Tracer,
-              read_spread: str = "primary",
-              max_coalesce_width: int = 1,
-              nic_ports: int = 1,
-              rpc_shards: int = 1,
-              port_affinity: str = "qp",
-              replication: Optional[str] = None,
-              max_clients: int = 256) -> SystemBed:
-    dataset_bytes = scale.n_keys * scale.kv_size
-    if system == "fusee":
-        return fusee_bed(n_memory_nodes=n_memory_nodes,
-                         dataset_bytes=dataset_bytes,
-                         read_spread=read_spread,
-                         max_coalesce_width=max_coalesce_width,
-                         nic_ports=nic_ports,
-                         rpc_shards=rpc_shards,
-                         port_affinity=port_affinity,
-                         replication=replication,
-                         max_clients=max_clients,
-                         tracer=tracer)
-    if system == "clover":
-        return clover_bed(n_memory_nodes=n_memory_nodes,
-                          metadata_cores=metadata_cores,
-                          dataset_bytes=dataset_bytes)
-    if system == "pdpm":
-        return pdpm_bed(n_memory_nodes=n_memory_nodes,
-                        dataset_bytes=dataset_bytes,
-                        n_keys_hint=scale.n_keys)
-    raise ValueError(f"unknown system {system!r}; "
-                     f"pick from {PROFILE_SYSTEMS}")
+def observed_run(bed: SystemBed, n_clients: int, source_factory: Callable,
+                 duration_us: float, *, paced: bool = False,
+                 trace: bool = False, profile: bool = False,
+                 metrics: bool = False,
+                 sample_interval_us: Optional[float] = None,
+                 monitor_config=None, slos=(), tail_pct: float = 99.0,
+                 **run_kw) -> ProfiledRun:
+    """Attach the requested observers to a loaded ``bed``, spawn
+    ``n_clients`` clients and drive them for ``duration_us``.
+
+    ``source_factory(index)`` is a per-client workload for the closed
+    loop, or — with ``paced=True`` — a stream of timed arrivals for
+    :func:`run_open_loop`; ``run_kw`` (``warmup_us``, ``events``,
+    ``timeline_bucket_us``, ``collect_latency``) goes to the runner as is.
+
+    Observers attach *after* the bulk load, so the load stays untraced and
+    unprofiled on the kernel's fast drain loop, and always in this order —
+    the sampler and the monitor are simulation processes, so event ids
+    (and with them every same-seed trace) depend on it:
+
+    1. a :class:`Tracer` iff something needs spans (``trace``, ``profile``
+       or a monitor): ``attach_tracer`` on FUSEE; Clover and pDPM get one
+       coarse span per op around ``bed.execute``;
+    2. ``profile`` installs the :class:`Profiler`; the run is then
+       hook-aware (``fast=False``) and ``tail_pct`` sets the tail of the
+       collected :class:`RunProfile`.  Anything else asserts the fast path;
+    3. ``metrics`` hands the runner a :class:`Metrics` registry;
+       ``sample_interval_us`` additionally samples NIC/CPU series into it;
+    4. ``monitor_config`` (a :class:`repro.obs.MonitorConfig`, with
+       ``slos``) attaches the online monitor; its report lands in
+       ``ProfiledRun.health``.  Only a FUSEE bed can host one.
+    """
+    if n_clients < 1:
+        raise ValueError(f"n_clients must be >= 1, got {n_clients}")
+    self_traced = hasattr(bed.cluster, "attach_tracer")
+    if monitor_config is not None and not self_traced:
+        raise ValueError(f"monitor_config needs a FUSEE bed; a {bed.name} "
+                         "bed cannot host the online monitor")
+    # Guards against a check hook accidentally left on the bed: without
+    # this a profiled run (fast=False) would silently inherit it.
+    bed.env.require_fast()
+    tracer = profiler = registry = monitor = None
+    execute = bed.execute
+    if trace or profile or monitor_config is not None:
+        tracer = Tracer()
+        if self_traced:
+            bed.cluster.attach_tracer(tracer)
+        else:
+            execute = _traced_execute(bed, tracer)
+    if profile:
+        profiler = Profiler(tracer=tracer).install(bed.env)
+    if metrics or sample_interval_us is not None:
+        registry = Metrics()
+    if sample_interval_us is not None:
+        sample_fabric(bed.env, registry, bed.cluster.fabric,
+                      interval_us=sample_interval_us)
+    if monitor_config is not None:
+        monitor = Monitor(bed.env, bed.cluster.fabric, config=monitor_config,
+                          slos=slos, race=bed.cluster.race)
+        bed.cluster.attach_monitor(monitor)
+    clients = [bed.new_client() for _ in range(n_clients)]
+    drive = run_open_loop if paced else run_closed_loop
+    run = drive(bed.env, clients, source_factory, execute,
+                duration_us=duration_us, metrics=registry,
+                fast=profiler is None, monitor=monitor, **run_kw)
+    result = ProfiledRun(system=bed.name, workload="", run=run,
+                         tracer=tracer, profiler=profiler, metrics=registry,
+                         health=run.health)
+    if profiler is not None:
+        result.profile = RunProfile.collect(profiler, tracer.spans,
+                                            tail_pct=tail_pct)
+        result.critical = analyze_critical_path(profiler, tracer.spans)
+    return result
 
 
 def profile_ycsb(system: str = "fusee", workload: str = "A",
                  scale: Optional[Scale] = None,
                  n_clients: Optional[int] = None,
-                 n_memory_nodes: int = 2,
-                 metadata_cores: int = 2,
                  tail_pct: float = 99.0,
                  sample_interval_us: float = 50.0,
-                 read_spread: str = "primary",
-                 max_coalesce_width: int = 1,
-                 nic_ports: int = 1,
-                 rpc_shards: int = 1,
-                 port_affinity: str = "qp",
-                 replication: Optional[str] = None,
                  monitor_config=None,
                  slos=(),
                  scenario: Optional[object] = None,
-                 seed: int = 0) -> ProfiledRun:
+                 seed: int = 0,
+                 **bed_kw) -> ProfiledRun:
     """Run a profiled closed-loop YCSB mix and attribute its time.
 
-    The bulk load runs unprofiled on the fast kernel (the profiler is
-    installed after it).  No warmup: every span that *ends* inside the run
-    is attributed; spans cut off at the deadline are skipped and counted
-    (``RunProfile.unfinished_spans``).  ``read_spread``,
-    ``max_coalesce_width``, ``nic_ports``, ``rpc_shards``,
-    ``port_affinity`` and ``replication`` (FUSEE only) select the
-    replica read-spread policy, the doorbell coalescing width, the
-    multi-queue NIC / sharded-RPC configuration, and the slot
-    replication strategy of the bed.
+    The bulk load runs unprofiled on the fast kernel (the observers
+    attach after it, see :func:`observed_run`).  No warmup: every span
+    that *ends* inside the run is attributed; spans cut off at the
+    deadline are skipped and counted (``RunProfile.unfinished_spans``).
+
+    ``bed_kw`` goes untouched to the builder of ``system``'s bed, which
+    owns the knob names and rejects the ones it does not have:
+    :func:`fusee_bed` (``n_memory_nodes``, ``replication``, the hot-path
+    and multi-queue knobs, ...), :func:`clover_bed` (``n_memory_nodes``,
+    ``metadata_cores`` — 2 here unless given) or :func:`pdpm_bed`.
+    ``n_clients=None`` means the scenario's, else the scale's, count.
 
     ``monitor_config`` (a :class:`repro.obs.MonitorConfig`) attaches the
     online monitor to the measured window — windowed quantiles, SLO
     burn-rate alerts from ``slos``, the gray-failure detector — and
-    lands its health report in ``ProfiledRun.health``.
+    lands its health report in ``ProfiledRun.health`` (FUSEE only).
 
     ``scenario`` (a name from ``repro.workloads.SCENARIOS`` or a
     :class:`~repro.workloads.Scenario`) replaces the YCSB mix with the
@@ -180,63 +227,27 @@ def profile_ycsb(system: str = "fusee", workload: str = "A",
     scale = scale or Scale.bench()
     if isinstance(scenario, str):
         scenario = get_scenario(scenario, seed=seed)
-    tracer = Tracer()
-    if scenario is not None:
-        want_clients = n_clients or scenario.n_clients
-    else:
-        want_clients = n_clients or scale.n_clients
-    bed = _make_bed(system, scale, n_memory_nodes, metadata_cores, tracer,
-                    read_spread=read_spread,
-                    max_coalesce_width=max_coalesce_width,
-                    nic_ports=nic_ports,
-                    rpc_shards=rpc_shards,
-                    port_affinity=port_affinity,
-                    replication=replication,
-                    # scaled beds run hundreds of clients; keep headroom
-                    # for the loader client and background churn
-                    max_clients=max(256, want_clients + 8))
-    self_traced = hasattr(bed.cluster, "attach_tracer")
-    # The bulk load runs on the kernel's fast drain loop: the profiler
-    # is only installed afterwards (its load intervals were discarded
-    # before the measured window anyway, so this is observationally
-    # identical and much faster).  require_fast() guards against a
-    # check hook accidentally left on the bed.
-    bed.env.require_fast()
+    if n_clients is None:
+        n_clients = (scale if scenario is None else scenario).n_clients
+    if system == "fusee":
+        # scaled beds run hundreds of clients; keep headroom for the
+        # loader client and background churn
+        bed_kw.setdefault("max_clients", max(256, n_clients + 8))
+    elif system == "clover":
+        bed_kw.setdefault("metadata_cores", 2)
+    bed = _make_system(system, scale, load=False, **bed_kw)
     if scenario is not None:
         bed.load(scenario.preload_items())
-    else:
-        bed.load(_dataset(scale))
-    profiler = Profiler(tracer=tracer).install(bed.env)
-    tracer.clear()
-
-    execute = bed.execute if self_traced else _traced_execute(bed, tracer)
-    metrics = Metrics()
-    if hasattr(bed.cluster, "fabric"):
-        sample_fabric(bed.env, metrics, bed.cluster.fabric,
-                      interval_us=sample_interval_us)
-    monitor = None
-    if monitor_config is not None and self_traced:
-        from ..obs import Monitor
-        monitor = Monitor(bed.env, bed.cluster.fabric,
-                          config=monitor_config, slos=slos,
-                          race=getattr(bed.cluster, "race", None))
-        bed.cluster.attach_monitor(monitor)
-    clients = [bed.new_client() for _ in range(want_clients)]
-    if scenario is not None:
         factory = scenario.saturating_workload
         duration_us = scenario.duration_us
         workload = f"scenario:{scenario.name}"
     else:
+        bed.load(_dataset(scale))
         factory = _ycsb_factory(scale, workload)
         duration_us = scale.duration_us
-    run = run_closed_loop(bed.env, clients, factory,
-                          execute, duration_us=duration_us,
-                          warmup_us=0.0, metrics=metrics,
-                          fast=False,  # the profiler is the point here
-                          monitor=monitor)
-    profile = RunProfile.collect(profiler, tracer.spans, tail_pct=tail_pct)
-    critical = analyze_critical_path(profiler, tracer.spans)
-    return ProfiledRun(system=system, workload=workload, run=run,
-                       profile=profile, critical=critical, tracer=tracer,
-                       profiler=profiler, metrics=metrics,
-                       health=run.health)
+    result = observed_run(bed, n_clients, factory, duration_us,
+                          profile=True, metrics=True,
+                          sample_interval_us=sample_interval_us,
+                          monitor_config=monitor_config, slos=slos,
+                          tail_pct=tail_pct)
+    return replace(result, system=system, workload=workload)

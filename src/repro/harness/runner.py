@@ -65,6 +65,9 @@ def _drive(env: Environment, clients: Sequence, source_factory: Callable,
     decides *when* a client issues its next operation — the only thing
     closed-loop and paced runs disagree on.
     """
+    if not 0 <= warmup_us < duration_us:
+        raise ValueError(f"need 0 <= warmup_us < duration_us, got "
+                         f"warmup_us={warmup_us}, duration_us={duration_us}")
     if monitor is not None:
         monitor.start()
     if fast:

@@ -9,7 +9,10 @@ Every bed exposes::
     bed.load(items)  # bulk-load the dataset
 
 so the closed-loop runner and the experiment functions can treat all
-systems identically.
+systems identically.  :class:`Scale` and the helpers that size, pick and
+load a bed from one (``_make_system``, ``_dataset``, ``_ycsb_factory``)
+live here too, beside the builders they feed, so both the experiments and
+the profiling recipe can use them without importing each other.
 """
 
 from __future__ import annotations
@@ -25,9 +28,10 @@ from ..core.client import ClientConfig
 from ..core.kvstore import ClusterConfig, FuseeCluster
 from ..core.race import RaceConfig
 from ..rdma.fabric import FabricConfig
+from ..workloads.ycsb import YcsbConfig, YcsbWorkload, key_bytes, make_value
 from .loader import clover_load, fusee_load, pdpm_load
 
-__all__ = ["SystemBed", "fusee_bed", "clover_bed", "pdpm_bed"]
+__all__ = ["Scale", "SystemBed", "fusee_bed", "clover_bed", "pdpm_bed"]
 
 
 @dataclass
@@ -38,6 +42,53 @@ class SystemBed:
     new_client: Callable[[], object]
     execute: Callable
     load: Callable[[Iterable[Tuple[bytes, bytes]]], int]
+
+
+@dataclass(frozen=True)
+class Scale:
+    """Knobs shrinking experiments below the paper's testbed size."""
+
+    n_keys: int = 2_000
+    kv_size: int = 1024
+    n_clients: int = 32
+    clients_sweep: Tuple[int, ...] = (4, 8, 16, 32)
+    mns_sweep: Tuple[int, ...] = (2, 3, 4, 5)
+    duration_us: float = 2_000.0
+    warmup_us: float = 400.0
+    latency_ops: int = 300
+    seed: int = 42
+
+    @classmethod
+    def bench(cls) -> "Scale":
+        return cls()
+
+    @classmethod
+    def tiny(cls) -> "Scale":
+        return cls(n_keys=400, n_clients=8, clients_sweep=(2, 4, 8),
+                   duration_us=800.0, warmup_us=200.0, latency_ops=60)
+
+    @classmethod
+    def full(cls) -> "Scale":
+        return cls(n_keys=10_000, n_clients=128,
+                   clients_sweep=(8, 16, 32, 64, 128),
+                   duration_us=4_000.0, warmup_us=800.0, latency_ops=2_000)
+
+    @classmethod
+    def production(cls) -> "Scale":
+        """Hundreds-to-a-thousand clients and 8-16 MNs: the scaling bed.
+
+        Sized to show where the plateau moves once ``nic_ports`` /
+        ``rpc_shards`` lift the single-queue tx-NIC wall (ISSUE 6); pair
+        it with ``fig13_ycsb_scalability(..., nic_ports=4,
+        rpc_shards=2)`` or the ``--nic-ports`` CLI flags.  The sweep
+        reaches 1024 clients, which the kernel fast path (ISSUE 7)
+        makes affordable — the beds assert the fast drain loop via
+        ``run_closed_loop(fast=True)``.  Minutes of wall-clock.
+        """
+        return cls(n_keys=10_000, n_clients=256,
+                   clients_sweep=(32, 64, 128, 256, 384, 512, 768, 1024),
+                   mns_sweep=(2, 4, 8, 12, 16),
+                   duration_us=3_000.0, warmup_us=600.0, latency_ops=2_000)
 
 
 # ---------------------------------------------------------------- FUSEE
@@ -66,10 +117,8 @@ def fusee_bed(n_memory_nodes: int = 2,
               background_interval_us: float = 1000.0,
               race: Optional[RaceConfig] = None,
               max_clients: int = 256,
-              mn_cpu_cores: int = 2,
               read_spread: str = "primary",
               max_coalesce_width: int = 1,
-              coalesce_adaptive: bool = True,
               nic_ports: int = 1,
               rpc_shards: int = 1,
               port_affinity: str = "qp",
@@ -86,8 +135,8 @@ def fusee_bed(n_memory_nodes: int = 2,
     variant's default.
     ``read_spread`` ("primary" | "round_robin" | "least_loaded") spreads
     KV READs across alive replicas; ``max_coalesce_width`` > 1 enables
-    doorbell verb coalescing on the fabric (``coalesce_adaptive`` limits
-    it to backlogged ports) — both default to the paper-faithful model.
+    doorbell verb coalescing on the fabric (adaptively: only backlogged
+    ports coalesce) — both default to the paper-faithful model.
     ``nic_ports`` > 1 gives every MN that many rx/tx NIC port pairs with
     per-QP ``port_affinity`` ("qp" | "rss"), and ``rpc_shards`` > 1
     splits each MN's RPC CPU into independent shards — the multi-queue
@@ -118,10 +167,8 @@ def fusee_bed(n_memory_nodes: int = 2,
         race=race or RaceConfig(n_subtables=32, n_groups=256,
                                 slots_per_bucket=7),
         fabric=FabricConfig(max_coalesce_width=max_coalesce_width,
-                            coalesce_adaptive=coalesce_adaptive,
                             port_affinity=port_affinity),
         client=client_cfg,
-        mn_cpu_cores=mn_cpu_cores,
         nic_ports=nic_ports,
         rpc_shards=rpc_shards,
     )
@@ -200,3 +247,45 @@ def pdpm_bed(n_memory_nodes: int = 2,
                      new_client=cluster.new_client,
                      execute=_pdpm_execute,
                      load=lambda items: pdpm_load(cluster, items))
+
+
+# ------------------------------------------------- a bed from a Scale
+def _dataset(scale: Scale):
+    return [(key_bytes(i), make_value(scale.kv_size - 24, salt=i))
+            for i in range(scale.n_keys)]
+
+
+def _ycsb_factory(scale: Scale, workload: str,
+                  mix: Optional[Tuple[float, float, float]] = None,
+                  kv_size: Optional[int] = None):
+    config = YcsbConfig(workload=workload if mix is None else "A",
+                        n_keys=scale.n_keys,
+                        kv_size=kv_size or scale.kv_size, mix=mix)
+
+    def factory(index: int):
+        return YcsbWorkload(config, seed=scale.seed * 1_000 + index)
+
+    return factory
+
+
+def _make_system(system: str, scale: Scale, load: bool = True,
+                 **kw) -> SystemBed:
+    """The one bed-by-system-name dispatch: size the bed for ``scale``'s
+    dataset, forward ``kw`` untouched to the system's builder (a knob the
+    builder does not own is its ``TypeError``) and, unless ``load=False``,
+    bulk-load the dataset.  pDPM's index is sized for 4x the key count
+    unless the caller passes its own ``n_keys_hint``."""
+    kw.setdefault("dataset_bytes", scale.n_keys * scale.kv_size)
+    if system == "fusee":
+        bed = fusee_bed(**kw)
+    elif system == "clover":
+        bed = clover_bed(**kw)
+    elif system in ("pdpm", "pdpm-direct"):
+        kw.setdefault("n_keys_hint", scale.n_keys * 4)
+        bed = pdpm_bed(**kw)
+    else:
+        raise ValueError(f"unknown system {system!r}; pick from "
+                         "fusee, clover, pdpm")
+    if load:
+        bed.load(_dataset(scale))
+    return bed

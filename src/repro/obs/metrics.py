@@ -257,6 +257,8 @@ def sample_fabric(env, metrics: Metrics, fabric, interval_us: float = 50.0,
     are sampled too.  Returns the sampler process; it self-terminates at
     ``until_us`` when given, else runs as long as the simulation does.
     """
+    if not interval_us > 0:
+        raise ValueError(f"interval_us must be > 0, got {interval_us}")
 
     def proc():
         last_busy: Dict[Tuple, float] = {}

@@ -146,16 +146,6 @@ class Profiler:
             self.intervals.append((span, "nic_service", label, start, end))
 
     # --------------------------------------------------------- queries
-    def spans_seen(self) -> List[object]:
-        """Distinct spans with intervals, in first-appearance order."""
-        seen = []
-        ids = set()
-        for span, *_rest in self.intervals:
-            if span is not None and id(span) not in ids:
-                ids.add(id(span))
-                seen.append(span)
-        return seen
-
     def intervals_of(self, span) -> List[Tuple[str, str, float, float]]:
         return [(cat, label, t0, t1)
                 for s, cat, label, t0, t1 in self.intervals if s is span]

@@ -130,12 +130,6 @@ class WindowStore:
              if p in per_pane),
             alpha=self.alpha)
 
-    def sketch_names(self) -> List[str]:
-        return sorted(self.sketches)
-
-    def counter_names(self) -> List[str]:
-        return sorted(self.counts)
-
     def pane_summary(self, pane: int) -> dict:
         """Per-window rate/p50/p99 view of every instrument (sorted)."""
         width = self.width_us

@@ -73,9 +73,138 @@ class TestProfile:
         assert "clover" in text
         assert "metadata.cpu" in text
 
+    @pytest.mark.parametrize("flags", [
+        "--windows 250", "--slo errors:0.05", "--hotkeys 4",
+        "--read-spread least_loaded", "--coalesce-width 4",
+        "--nic-ports 2", "--rpc-shards 2", "--port-affinity rss",
+        "--replication swarm"])
+    @pytest.mark.parametrize("system", ["clover", "pdpm"])
+    def test_fusee_only_flags_refused_on_baseline_beds(self, system, flags,
+                                                       capsys):
+        """Used to print a report for a bed that ignored the flag."""
+        try:
+            status = main(["profile", "--system", system, "--scale", "tiny",
+                           "--out", "", *flags.split()])
+        except SystemExit as exc:   # argparse's own parser.error
+            status = exc.code
+        assert status == 2
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert len(captured.err.splitlines()) == 1
+        assert "FUSEE bed" in captured.err
+
     def test_ycsb_profile_flag_prints_breakdown(self, capsys):
         assert main(["ycsb", "--keys", "100", "--clients", "2",
                      "--duration-us", "500", "--profile"]) == 0
         text = capsys.readouterr().out
         assert "overall:" in text
         assert "makespan:" in text
+
+
+# --------------------------------------------------------------------------
+# Every run-driving entry point, once: the CLI bodies share one recipe
+# (harness.profiling.observed_run), and a flag that stops reaching it — or
+# a result line that drifts between subcommands — must fail here rather
+# than in a CI smoke job.
+# --------------------------------------------------------------------------
+_LOADED = r"^loaded \d+(/\d+)? keys .*seed \d+\)$"
+_OPS = r"^\d+ ops in \d+ simulated us -> \d+\.\d{3} Mops \(\d+ errors"
+_BREAKDOWN = [r"^overall: \d+ spans, ", r"^makespan: "]
+_CLEAN = r"^monitor verdict: clean \(no detector flags\)$"
+_YCSB = "ycsb --keys 300 --clients 3 --duration-us 3000 "
+_MONITOR = "monitor --keys 300 --clients 4 --duration-us 3000 "
+_PROFILE = "profile --scale tiny --out {tmp}/p.json "
+
+ENTRY_POINTS = {
+    "ycsb": (_YCSB, [_LOADED, _OPS + r"\)$"]),
+    "ycsb-trace-jsonl-metrics": (
+        _YCSB + "--trace {tmp}/t.json --jsonl {tmp}/t.jsonl --metrics",
+        [_LOADED, _OPS, r"^chrome trace: ", r"^jsonl events: ",
+         r"^== metrics ==$", r"^  mn0\.nic_tx\.util "]),
+    "ycsb-profile": (_YCSB + "--profile", [_LOADED, _OPS, *_BREAKDOWN]),
+    "ycsb-monitored": (
+        _YCSB + "--windows 250 --slo errors:0.05 --hotkeys 4 "
+                "--health-out {tmp}/h.json",
+        [_LOADED, _OPS, r"^== health report ==$", r"^health json: "]),
+    "ycsb-bed-flags": (
+        _YCSB + "--replication swarm --read-spread least_loaded "
+                "--coalesce-width 4 --nic-ports 2 --rpc-shards 2 "
+                "--port-affinity rss --metrics",
+        # per-port and per-shard series only exist on a multi-queue bed,
+        # the skew series only under a non-primary read spread
+        [_LOADED, _OPS, r"^  mn0\.nic_tx\.p1\.util ",
+         r"^  mn0\.cpu\.s1\.queue_depth ", r"^  kv_read_skew "]),
+    "ycsb-scenario": (
+        "ycsb --scenario multi-tenant --smoke --seed 0 --metrics",
+        [_LOADED, _OPS + r"; ~\d+ offered\)$",
+         r"^\s+tenant\s+ops\s+share\s+err\s+p50_us\s+p99_us$",
+         r"^\s+readmost\s+\d+\s+0\.\d\d\s+\d+ "]),
+    "monitor": (_MONITOR, [_LOADED, _OPS, r"^== health report ==$", _CLEAN]),
+    "monitor-scenario": ("monitor --scenario diurnal --smoke --seed 0",
+                         [_LOADED, _OPS, _CLEAN]),
+    "monitor-multiqueue": (_MONITOR + "--nic-ports 2 --rpc-shards 2",
+                           [_LOADED, _OPS, _CLEAN]),
+    "profile-fusee": (
+        _PROFILE, [r"^profile: fusee YCSB-A \(\d+ ops, \d+\.\d{3} Mops\)$",
+                   *_BREAKDOWN, r"^profile json: "]),
+    "profile-clover": (
+        _PROFILE + "--system clover --clients 4",
+        [r"^profile: clover YCSB-A \(\d+ ops, ", *_BREAKDOWN,
+         r"cpu_wait:metadata\.cpu"]),
+    "profile-pdpm": (_PROFILE + "--system pdpm --clients 4",
+                     [r"^profile: pdpm YCSB-A \(\d+ ops, ", *_BREAKDOWN]),
+    "profile-scenario": (
+        _PROFILE + "--scenario hot-key-storm --smoke --seed 3",
+        [r"^profile: fusee YCSB-scenario:hot-key-storm \(\d+ ops, ",
+         *_BREAKDOWN]),
+    "faults-monitored": (
+        "faults --campaign mixed --seed 0 --windows 250",
+        [r"^campaign 'mixed' seed=0 retries=on$", r"^  linearizable: yes$",
+         r"^  verdict: (CLEAN|sound)$", r"^== health report ==$"]),
+}
+
+
+def _run_cli(command: str, tmp_path, capsys):
+    status = main(command.replace("{tmp}", str(tmp_path)).split())
+    return status, capsys.readouterr().out
+
+
+class TestEntryPoints:
+    @pytest.mark.parametrize("name", ENTRY_POINTS)
+    def test_runs_and_reports(self, name, tmp_path, capsys):
+        import json
+        import re
+
+        command, patterns = ENTRY_POINTS[name]
+        status, out = _run_cli(command, tmp_path, capsys)
+        assert status == 0, out
+        for pattern in patterns:
+            assert re.search(pattern, out, re.MULTILINE), (pattern, out)
+        # every artefact the command asked for parses and is non-trivial
+        written = {path.name: path for path in tmp_path.iterdir()}
+        assert set(written) == set(re.findall(r"\{tmp\}/(\S+)", command))
+        if "t.json" in written:
+            assert json.loads(written["t.json"].read_text())["traceEvents"]
+        if "t.jsonl" in written:
+            lines = written["t.jsonl"].read_text().splitlines()
+            assert len(lines) > 50
+            assert {json.loads(l)["type"] for l in lines} \
+                == {"span", "fabric_event"}
+        if "h.json" in written:
+            health = json.loads(written["h.json"].read_text())
+            assert health["run"]["panes_evaluated"] > 0
+        if "p.json" in written:
+            bundle = json.loads(written["p.json"].read_text())
+            assert bundle["profile"]["overall"]["count"] > 0
+            assert bundle["critical_path"]["makespan_us"] > 0
+            assert bundle["series"]
+
+    def test_same_seed_gives_identical_jsonl(self, tmp_path, capsys):
+        command = _YCSB + "--seed 7 --jsonl {tmp}/"
+        first, _ = _run_cli(command + "a.jsonl", tmp_path, capsys)
+        second, _ = _run_cli(command + "b.jsonl", tmp_path, capsys)
+        other, _ = _run_cli(command.replace("--seed 7", "--seed 8")
+                            + "c.jsonl", tmp_path, capsys)
+        assert (first, second, other) == (0, 0, 0)
+        a, b, c = ((tmp_path / f"{n}.jsonl").read_bytes() for n in "abc")
+        assert a == b and a != c

@@ -10,13 +10,17 @@ from repro.harness import (
     cdf_points,
     clover_bed,
     fusee_bed,
+    observed_run,
     pdpm_bed,
     percentile,
+    profile_ycsb,
     run_closed_loop,
     run_latency,
     run_open_loop,
 )
+from repro.obs import MonitorConfig
 from repro.sim import Environment
+from repro.sim.core import SimulationError
 from repro.workloads import MicroConfig, MicroWorkload
 from repro.workloads.ycsb import key_bytes, make_value
 
@@ -212,6 +216,24 @@ class TestRunner:
         assert closed.errors == paced.errors == 2
         assert closed.per_op_counts == paced.per_op_counts
 
+    @pytest.mark.parametrize("run", [run_closed_loop, run_open_loop])
+    @pytest.mark.parametrize("duration_us, warmup_us", [
+        (100.0, 200.0),   # used to report ops=0 over a -100 us window
+        (100.0, 100.0),   # an empty window
+        (0.0, 0.0),       # used to return silently
+        (-5.0, 0.0),      # used to die in the kernel after spawning
+        (100.0, -1.0),
+    ])
+    def test_bad_window_rejected_before_anything_spawns(
+            self, run, duration_us, warmup_us):
+        bed = self.make_bed()
+        sources, loaded_at = [], bed.env.now
+        with pytest.raises(ValueError, match="warmup_us < duration_us"):
+            run(bed.env, [bed.new_client()],
+                lambda i: sources.append(i) or _FixedWorkload(),
+                bed.execute, duration_us=duration_us, warmup_us=warmup_us)
+        assert not sources and bed.env.now == loaded_at
+
     def test_run_latency_sequential(self):
         bed = self.make_bed()
         client = bed.new_client()
@@ -219,6 +241,155 @@ class TestRunner:
         latencies = run_latency(bed.env, client, bed.execute, ops)
         assert len(latencies) == 20
         assert all(lat > 0 for lat in latencies)
+
+
+class TestObservedRun:
+    """The one recipe behind every watched run (``ycsb``, ``monitor``,
+    ``profile``, fig21 saturating, the scenario suite)."""
+
+    OBSERVERS = {  # observed_run keyword -> the ProfiledRun fields it fills
+        "trace": {"tracer"},
+        "profile": {"tracer", "profiler", "profile", "critical"},
+        "metrics": {"metrics"},
+        "sample_interval_us": {"metrics"},
+        "monitor_config": {"tracer", "health"},
+    }
+
+    @staticmethod
+    def run(bed=None, n_clients=2, **observers):
+        if bed is None:
+            bed = fusee_bed(dataset_bytes=1 << 20, background_interval_us=0)
+            bed.load(tiny_dataset())
+        return bed, observed_run(
+            bed, n_clients, lambda i: _FixedWorkload(key=key_bytes(i)),
+            300.0, **observers)
+
+    @pytest.mark.parametrize("mask", range(32))
+    def test_returns_exactly_the_observers_asked_for(self, mask):
+        values = {"trace": True, "profile": True, "metrics": True,
+                  "sample_interval_us": 50.0,
+                  "monitor_config": MonitorConfig()}
+        asked = [name for bit, name in enumerate(self.OBSERVERS)
+                 if mask >> bit & 1]
+        bed, result = self.run(**{name: values[name] for name in asked})
+        expected = set().union(*(self.OBSERVERS[name] for name in asked))
+        got = {name for name in ("tracer", "profiler", "profile", "critical",
+                                 "metrics", "health")
+               if getattr(result, name) is not None}
+        assert got == expected
+        assert result.run.ops > 0 and result.system == bed.name
+        if "tracer" in expected:
+            assert result.spans
+        if "sample_interval_us" in asked:
+            assert result.metrics.series
+        elif "metrics" in asked:
+            assert result.metrics.counters and not result.metrics.series
+        if "health" in expected:
+            assert result.health["run"]["panes_evaluated"] > 0
+
+    def test_only_a_profiled_run_is_hook_aware(self):
+        bed, plain = self.run(trace=True, metrics=True,
+                              monitor_config=MonitorConfig())
+        bed.env.require_fast()          # nothing left the fast path
+        bed, profiled = self.run(profile=True)
+        with pytest.raises(SimulationError, match="profiler"):
+            bed.env.require_fast()
+        assert profiled.profile.overall["count"] == profiled.run.ops > 0
+
+    def test_leftover_check_hook_rejected_before_anything_attaches(self):
+        from repro.check import ControlledScheduler
+
+        bed = fusee_bed(dataset_bytes=1 << 20, background_interval_us=0)
+        bed.load(tiny_dataset())
+        bed.env.set_scheduler(ControlledScheduler())
+        clients_before = len(bed.cluster.clients)
+        # profile=True drives with fast=False, so only the recipe's own
+        # guard stands between a forgotten hook and a wasted load
+        with pytest.raises(SimulationError, match="scheduler"):
+            self.run(bed, profile=True, monitor_config=MonitorConfig())
+        assert not bed.cluster.fabric.tracer.enabled   # still the null one
+        assert len(bed.cluster.clients) == clients_before
+
+    def test_paced_run_and_runner_keywords(self):
+        from repro.workloads import SMOKE_TRIM, get_scenario
+
+        scn = get_scenario("multi-tenant", seed=0, **SMOKE_TRIM)
+        bed = fusee_bed(dataset_bytes=1 << 21)
+        bed.load(scn.preload_items())
+        result = observed_run(bed, scn.n_clients, scn.client_stream,
+                              scn.duration_us, paced=True, metrics=True,
+                              timeline_bucket_us=scn.duration_us / 4)
+        assert result.run.ops > 0 and len(result.run.timeline) == 4
+        assert any(name.startswith("tenant.")
+                   for name in result.metrics.counters)
+
+    @pytest.mark.parametrize("make_bed", [clover_bed, pdpm_bed])
+    def test_baseline_beds_get_one_span_per_op(self, make_bed):
+        bed = make_bed(dataset_bytes=1 << 20)
+        bed.load(tiny_dataset())
+        bed, result = self.run(bed, profile=True, sample_interval_us=50.0)
+        finished = [s for s in result.spans if s.end_us is not None]
+        assert len(finished) >= result.run.ops > 0
+        assert result.profile.overall["count"] == len(finished)
+
+    @pytest.mark.parametrize("make_bed", [clover_bed, pdpm_bed])
+    def test_monitor_on_a_baseline_bed_rejected(self, make_bed):
+        """Used to run unmonitored and return ``health=None``."""
+        bed = make_bed(dataset_bytes=1 << 20)
+        with pytest.raises(ValueError, match="FUSEE bed"):
+            self.run(bed, monitor_config=MonitorConfig())
+
+    @pytest.mark.parametrize("n_clients", [0, -1])
+    def test_client_count_validated(self, n_clients):
+        with pytest.raises(ValueError, match="n_clients"):
+            self.run(n_clients=n_clients)
+
+
+class TestProfileYcsb:
+    def test_forwards_bed_keywords_to_the_builder(self):
+        result = profile_ycsb(scale=Scale.tiny(), n_clients=2, nic_ports=2,
+                              rpc_shards=2, read_spread="least_loaded")
+        series = result.to_dict()["series"]
+        assert "mn0.nic_tx.p1.util" in series
+        assert "mn0.cpu.s1.queue_depth" in series
+        assert "kv_read_skew" in series
+
+    def test_monitor_on_clover_rejected(self):
+        with pytest.raises(ValueError, match="FUSEE bed"):
+            profile_ycsb(system="clover", scale=Scale.tiny(), n_clients=2,
+                         monitor_config=MonitorConfig())
+
+    @pytest.mark.parametrize("system", ["clover", "pdpm"])
+    def test_fusee_only_knob_on_a_baseline_rejected(self, system):
+        """Used to run a single-queue bed without a word."""
+        with pytest.raises(TypeError, match="nic_ports"):
+            profile_ycsb(system=system, scale=Scale.tiny(), n_clients=2,
+                         nic_ports=4)
+
+    def test_zero_clients_is_not_the_default(self):
+        """``n_clients or scale.n_clients`` used to run the scale's 8."""
+        with pytest.raises(ValueError, match="n_clients"):
+            profile_ycsb(scale=Scale.tiny(), n_clients=0)
+        assert profile_ycsb(scale=Scale.tiny()).run.ops > 0
+
+    def test_unknown_system_rejected(self):
+        with pytest.raises(ValueError, match="unknown system"):
+            profile_ycsb(system="redis", scale=Scale.tiny())
+
+    def test_pdpm_index_holds_a_full_scale_key_set(self):
+        """``profile_ycsb`` and fig10 used to size pDPM's index for 1x the
+        key count where every other caller said 4x: the same 4096 buckets
+        up to bench scale, "pDPM bucket full during load" at
+        ``Scale.full()``'s 10k keys."""
+        from dataclasses import replace
+
+        from repro.harness import fig10_latency_cdf
+
+        scale = replace(Scale.tiny(), n_keys=Scale.full().n_keys)
+        assert profile_ycsb(system="pdpm", scale=scale,
+                            n_clients=2).run.ops > 0
+        rows = fig10_latency_cdf(scale).rows
+        assert {row[0] for row in rows} == {"fusee", "clover", "pdpm-direct"}
 
 
 class TestBeds:

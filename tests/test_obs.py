@@ -239,6 +239,17 @@ class TestSampleFabric:
             for mn in cluster.fabric.nodes)
         assert 0.0 < busiest <= 1.0
 
+    @pytest.mark.parametrize("interval_us", [0.0, -25.0, float("nan")])
+    def test_non_positive_interval_rejected_up_front(self, interval_us):
+        """``interval_us=0`` used to die with ZeroDivisionError inside
+        the sampler process, mid-run."""
+        cluster = FuseeCluster(small_config())
+        events_before = cluster.env._eid
+        with pytest.raises(ValueError, match="interval_us"):
+            sample_fabric(cluster.env, Metrics(), cluster.fabric,
+                          interval_us=interval_us)
+        assert cluster.env._eid == events_before   # no sampler spawned
+
 
 class TestExporters:
     def _tracer_with_ops(self):

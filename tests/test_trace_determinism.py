@@ -13,49 +13,43 @@ import json
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import Tracer
-from repro.harness.runner import run_closed_loop
-from repro.harness.systems import fusee_bed
-from repro.obs import (
-    Metrics,
-    Profiler,
-    chrome_trace,
-    folded_stacks,
-    jsonl_lines,
-    sample_fabric,
-)
+from repro.harness import fusee_bed, observed_run
+from repro.obs import chrome_trace, folded_stacks, jsonl_lines
 from repro.workloads import YcsbConfig, YcsbWorkload
 
 
-def traced_ycsb_run(seed: int, duration_us: float = 1500.0, profile=False,
-                    metrics=False, replication=None):
-    """Build a small FUSEE bed, run seeded YCSB-A clients, return the
-    tracer (bulk load is untraced; only the measured run is recorded).
-    With ``profile``/``metrics``, also return a profiler and a sampled
-    metrics registry (in that order).  ``replication`` selects the slot
-    replication strategy (default: the bed's, i.e. snapshot)."""
-    bed = fusee_bed(n_memory_nodes=2, replication_factor=2,
-                    dataset_bytes=1 << 18, background_interval_us=0.0,
-                    replication=replication)
+def observed_ycsb(seed: int, duration_us: float, n_clients: int = 2,
+                  bed_kw=None, **observers):
+    """A small seeded YCSB-A bed driven through the recipe every CLI
+    subcommand uses (``harness.profiling.observed_run``), always traced:
+    the bulk load stays untraced, only the measured run is recorded."""
+    bed = fusee_bed(replication_factor=2, dataset_bytes=1 << 18,
+                    background_interval_us=0.0, **(bed_kw or {}))
     config = YcsbConfig(workload="A", n_keys=200)
     seeder = YcsbWorkload(config, seed=seed)
     bed.load((key, seeder.load_value(i))
              for i, key in enumerate(seeder.load_keys()))
-    tracer = Tracer()
-    bed.cluster.attach_tracer(tracer)
-    out = [tracer]
+    return observed_run(
+        bed, n_clients,
+        lambda index: YcsbWorkload(config, seed=seed + 1 + index),
+        duration_us, trace=True, **observers)
+
+
+def traced_ycsb_run(seed: int, duration_us: float = 1500.0, profile=False,
+                    metrics=False, replication=None):
+    """Run seeded YCSB-A clients on a small FUSEE bed, return the tracer.
+    With ``profile``/``metrics``, also return a profiler and a sampled
+    metrics registry (in that order).  ``replication`` selects the slot
+    replication strategy (default: the bed's, i.e. snapshot)."""
+    result = observed_ycsb(seed, duration_us,
+                           bed_kw={"replication": replication},
+                           profile=profile,
+                           sample_interval_us=50.0 if metrics else None)
+    out = [result.tracer]
     if profile:
-        out.append(Profiler(tracer=tracer).install(bed.env))
+        out.append(result.profiler)
     if metrics:
-        registry = Metrics()
-        sample_fabric(bed.env, registry, bed.cluster.fabric,
-                      interval_us=50.0)
-        out.append(registry)
-    clients = [bed.new_client() for _ in range(2)]
-    run_closed_loop(bed.env, clients,
-                    lambda index: YcsbWorkload(config, seed=seed + 1 + index),
-                    bed.execute, duration_us=duration_us,
-                    fast=not profile)
+        out.append(result.metrics)
     return out[0] if len(out) == 1 else tuple(out)
 
 
@@ -93,22 +87,12 @@ def scaled_ycsb_trace(seed: int, n_clients: int = 256,
                       rpc_shards: int = 2, duration_us: float = 250.0):
     """A multi-queue bed at scale-test size (hundreds of clients, many
     MNs), short measured window to keep the wall clock bounded."""
-    bed = fusee_bed(n_memory_nodes=n_memory_nodes, replication_factor=2,
-                    dataset_bytes=1 << 18, background_interval_us=0.0,
-                    nic_ports=nic_ports, rpc_shards=rpc_shards,
-                    port_affinity="rss",
-                    max_clients=n_clients + 8)
-    config = YcsbConfig(workload="A", n_keys=200)
-    seeder = YcsbWorkload(config, seed=seed)
-    bed.load((key, seeder.load_value(i))
-             for i, key in enumerate(seeder.load_keys()))
-    tracer = Tracer()
-    bed.cluster.attach_tracer(tracer)
-    clients = [bed.new_client() for _ in range(n_clients)]
-    run_closed_loop(bed.env, clients,
-                    lambda index: YcsbWorkload(config, seed=seed + 1 + index),
-                    bed.execute, duration_us=duration_us)
-    return jsonl_lines(tracer)
+    result = observed_ycsb(
+        seed, duration_us, n_clients,
+        bed_kw=dict(n_memory_nodes=n_memory_nodes, nic_ports=nic_ports,
+                    rpc_shards=rpc_shards, port_affinity="rss",
+                    max_clients=n_clients + 8))
+    return jsonl_lines(result.tracer)
 
 
 class TestScaledBedDeterminism:
@@ -284,30 +268,14 @@ def monitored_ycsb_trace(seed: int, duration_us: float = 1500.0,
                          monitored: bool = True, slos=()):
     """Like :func:`traced_ycsb_run` but with the online monitor attached;
     returns ``(jsonl_lines, health)`` (health None when unmonitored)."""
-    from repro.obs import Monitor, MonitorConfig, SloSpec
+    from repro.obs import MonitorConfig, SloSpec
 
-    bed = fusee_bed(n_memory_nodes=2, replication_factor=2,
-                    dataset_bytes=1 << 18, background_interval_us=0.0)
-    config = YcsbConfig(workload="A", n_keys=200)
-    seeder = YcsbWorkload(config, seed=seed)
-    bed.load((key, seeder.load_value(i))
-             for i, key in enumerate(seeder.load_keys()))
-    tracer = Tracer()
-    bed.cluster.attach_tracer(tracer)
-    monitor = None
-    if monitored:
-        monitor = Monitor(bed.env, bed.cluster.fabric,
-                          config=MonitorConfig(hotkey_capacity=8),
-                          slos=[SloSpec.parse(s) for s in slos],
-                          race=bed.cluster.race)
-        bed.cluster.attach_monitor(monitor)
-    clients = [bed.new_client() for _ in range(2)]
-    result = run_closed_loop(bed.env, clients,
-                             lambda index: YcsbWorkload(config,
-                                                        seed=seed + 1 + index),
-                             bed.execute, duration_us=duration_us,
-                             monitor=monitor)
-    return jsonl_lines(tracer), result.health
+    result = observed_ycsb(
+        seed, duration_us,
+        monitor_config=MonitorConfig(hotkey_capacity=8) if monitored
+        else None,
+        slos=[SloSpec.parse(s) for s in slos])
+    return jsonl_lines(result.tracer), result.health
 
 
 class TestMonitorDeterminism:
