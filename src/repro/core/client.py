@@ -693,7 +693,8 @@ class FuseeClient:
         reads = []
         usable = []
         for snap in snaps:
-            op = self._kv_read_op(snap.slot.pointer, snap.slot.block_bytes)
+            slot = snap.slot
+            op = self._kv_read_op(slot.pointer, slot.block_bytes)
             if op is not None:
                 reads.append(op)
                 usable.append(snap)

@@ -873,11 +873,12 @@ class Master:
         if view is None:
             return None
         for snap in view.matches:
-            for mn_id, addr in self.region_map.translate(snap.slot.pointer):
+            slot = snap.slot
+            for mn_id, addr in self.region_map.translate(slot.pointer):
                 if self.fabric.node(mn_id).crashed:
                     continue
                 comp = yield self.fabric.post_one(
-                    ReadOp(mn_id, addr, snap.slot.block_bytes))
+                    ReadOp(mn_id, addr, slot.block_bytes))
                 if comp.failed:
                     continue
                 if match_kv(comp.value, key)[0] in KV_HOLDS_KEY:

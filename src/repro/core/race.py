@@ -18,11 +18,14 @@ FUSEE did ("we implement RACE hashing carefully according to the paper"):
 
 This module is deliberately **pure**: it computes verb lists and parses
 payloads but never talks to the fabric, so the protocol layers above own
-all timing.  RACE's extendible-resize directory is implemented here
-(``staged_split`` / ``commit_split``); the split itself — a stop-the-world
-per-subtable reorganisation — is executed by the master
-(``Master.expand_subtable``), reusing the same barrier machinery as MN
-failover, since the FUSEE paper leaves replicated resizing undefined.
+all timing.  A bucket read is decoded on demand (:class:`BucketView`):
+fingerprint hits by a scan of the payload's fingerprint column, free
+slots when an INSERT reads them; nothing is kept per read.  RACE's
+extendible-resize directory is implemented here (``staged_split`` /
+``commit_split``); the split itself — a stop-the-world per-subtable
+reorganisation — is executed by the master (``Master.expand_subtable``),
+reusing the same barrier machinery as MN failover, since the FUSEE paper
+leaves replicated resizing undefined.
 A subtable whose candidate buckets are all full raises
 :class:`IndexFullError`, which clients escalate into an expansion request.
 """
@@ -48,6 +51,7 @@ __all__ = [
 ]
 
 BUCKETS_PER_GROUP = 3
+_unpack_word = _struct.Struct(">Q").unpack_from   # one big-endian slot word
 
 
 class IndexFullError(Exception):
@@ -155,19 +159,38 @@ class SlotSnapshot:
 
     @property
     def slot(self) -> Slot:
+        """The decoded word — a fresh :class:`Slot` per access: bind it."""
         return unpack_slot(self.word)
 
 
 class BucketView:
-    """Parsed candidate slots for one key, from one bucket read."""
+    """Candidate slots for one key, from one bucket read.
 
-    __slots__ = ("matches", "empties", "occupied")
+    ``matches`` (fingerprint hits, ordered by slot index) is decoded with
+    the view; ``empties`` (free slots, preferred insert order) and
+    ``occupied`` (non-empty slots seen, the load metric) from the kept
+    payloads when first read — only an INSERT does.
+    """
 
-    def __init__(self, matches: Tuple[SlotSnapshot, ...],
-                 empties: Tuple[SlotRef, ...], occupied: int):
-        self.matches = matches   # fingerprint hits, ordered by slot index
-        self.empties = empties   # free slots, preferred insert order
-        self.occupied = occupied  # non-empty slots seen (load metric)
+    __slots__ = ("matches", "_undecoded", "_empties", "_occupied",
+                 "__weakref__")   # so a test can watch a view die
+
+    def __init__(self, matches: Tuple[SlotSnapshot, ...], undecoded: tuple):
+        self.matches = matches
+        self._undecoded = undecoded   # (race, subtable, scan, payloads)
+
+    @property
+    def empties(self) -> Tuple[SlotRef, ...]:
+        if self._undecoded:
+            race, *read = self._undecoded
+            self._empties, self._occupied = race._free_slots(*read)
+            self._undecoded = None   # the payloads are not needed again
+        return self._empties
+
+    @property
+    def occupied(self) -> int:
+        self.empties   # decodes both
+        return self._occupied
 
     def __repr__(self) -> str:
         return (f"BucketView(matches={self.matches!r}, "
@@ -207,22 +230,11 @@ class RaceHashing:
         self._directory: List[int] = list(range(config.n_subtables))
         self._local_depth: Dict[int, int] = {
             st: depth for st in range(config.n_subtables)}
-        # SlotRef objects are immutable and hot (every bucket parse builds
-        # dozens); memoise them per (subtable, index).  Any placement
-        # change invalidates the cache — refs embed the placement tuple.
+        # SlotRef objects are immutable and shared by every op on a slot;
+        # memoise them per (subtable, index).  Any placement change
+        # invalidates the cache — refs embed the placement tuple.
         self._slot_ref_cache: Dict[Tuple[int, int], SlotRef] = {}
         self._n_slots = config.slots_per_subtable
-        # parse_buckets-local view of the same memo: one list per
-        # subtable indexed by slot (a list index beats a tuple-keyed
-        # dict hit on the per-slot path).  Invalidated together with
-        # _slot_ref_cache.
-        self._subtable_refs: Dict[int, list] = {}
-        # (meta, payload bytes) -> BucketView.  parse_buckets is a pure
-        # function of its arguments given fixed bucket geometry, and hot
-        # zipfian keys re-read identical bucket states constantly, so a
-        # content-keyed memo is exact.  Invalidated with _slot_ref_cache
-        # because the cached views embed SlotRefs.
-        self._parse_cache: Dict[tuple, "BucketView"] = {}
         # (group1, group2) -> combined-bucket ranges; geometry-only, so
         # it never needs invalidation.
         self._range_cache: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
@@ -244,8 +256,6 @@ class RaceHashing:
             raise ValueError("placement cannot be empty")
         self._placements[subtable] = tuple(placement)
         self._slot_ref_cache.clear()
-        self._subtable_refs.clear()
-        self._parse_cache.clear()
 
     def subtables_on(self, mn_id: int) -> List[int]:
         return [st for st, pl in self._placements.items()
@@ -302,8 +312,6 @@ class RaceHashing:
         self._local_depth[new_id] = self._local_depth[old]
         self._placements[new_id] = tuple(placement)
         self._slot_ref_cache.clear()
-        self._subtable_refs.clear()
-        self._parse_cache.clear()
         self._meta_cache.clear()
 
     def check_directory_invariants(self) -> None:
@@ -360,12 +368,17 @@ class RaceHashing:
 
         Memoised per (group1, group2): a pure function of the groups and
         the (fixed) bucket geometry, recomputed on every bucket read and
-        parse otherwise.
+        parse otherwise — so the group check costs a call nothing either.
         """
         key = (meta.group1, meta.group2)
         ranges = self._range_cache.get(key)
         if ranges is None:
-            spb = self.config.slots_per_bucket
+            cfg = self.config
+            for group in key:
+                if not 0 <= group < cfg.n_groups:
+                    raise ValueError(f"group {group} not in a subtable's "
+                                     f"0..{cfg.n_groups - 1}")
+            spb = cfg.slots_per_bucket
             cb1 = (meta.group1 * BUCKETS_PER_GROUP) * spb       # main0+ovfl
             cb2 = (meta.group2 * BUCKETS_PER_GROUP + 1) * spb   # ovfl+main1
             ranges = [(cb1, 2 * spb), (cb2, 2 * spb)]
@@ -381,77 +394,60 @@ class RaceHashing:
 
     def parse_buckets(self, meta: KeyMeta,
                       payloads: Sequence[bytes]) -> BucketView:
-        """Parse the two combined-bucket payloads into candidates.
+        """Parse the two combined-bucket payloads (bytes-like) into candidates.
 
+        The fingerprint is byte 0 of each big-endian slot word, so every
+        eighth byte of a payload is its fingerprint column and
+        ``bytes.find`` names the hits without unpacking the other words.
         Fingerprint hits are ordered by (subtable-wide) slot index so that
-        concurrent readers resolve duplicate keys identically.  Empty slots
-        are ordered to fill the *less loaded* combined bucket first, which
-        is RACE's load-balancing rule.
+        concurrent readers resolve duplicate keys identically.  The view
+        keeps ``payloads`` to decode the empty slots if asked.
         """
-        ckey = (meta, *payloads)
-        cached = self._parse_cache.get(ckey)
-        if cached is not None:
-            return cached
         ranges = self._combined_ranges(meta)
         if len(payloads) != len(ranges):
             raise ValueError("expected one payload per combined bucket")
-        matches: List[SlotSnapshot] = []
-        per_cb_empties: List[List[SlotRef]] = []
-        per_cb_load: List[int] = []
-        subtable = meta.subtable
-        fingerprint = meta.fingerprint
-        unpack = self._cb_struct.unpack
-        cb_bytes = self._cb_struct.size
-        refs = self._subtable_refs.get(subtable)
-        if refs is None:
-            refs = [None] * self._n_slots
-            self._subtable_refs[subtable] = refs
-        slot_ref = self.slot_ref
-        # The two combined buckets can share the overflow bucket; count a
-        # shared slot once.  Their ranges are contiguous, so "already seen
-        # by an earlier range" is a bounds check, not a membership set.
-        seen_end = -1
-        seen_start = 0
-        for (start, count), payload in zip(ranges, payloads):
+        # Visit the ranges by slot index — (payload number, first slot,
+        # leading slots the range before covered) — so each candidate is
+        # seen once and in order.  They overlap only when both hashes name
+        # one group: the second range then opens with the overflow bucket
+        # that closes the first.
+        (cb1, count), (cb2, _count) = ranges
+        shared = count // 2 if meta.group1 == meta.group2 else 0
+        scan = (((0, cb1, 0), (1, cb2, shared)) if cb1 < cb2
+                else ((1, cb2, 0), (0, cb1, 0)))
+        fingerprint, cb_bytes = meta.fingerprint, self._cb_struct.size
+        matches: Tuple[SlotSnapshot, ...] = ()
+        for which, start, skip in scan:
+            payload = payloads[which]
             if len(payload) != cb_bytes:
                 raise ValueError("payload length mismatch")
-            empties: List[SlotRef] = []
-            load = 0
-            for i, word in enumerate(unpack(payload)):
-                index = start + i
-                if seen_start <= index <= seen_end:
-                    continue  # shared overflow bucket counted once
-                # Resolve the SlotRef lazily: occupied slots with a
-                # foreign fingerprint never need one.
-                if word == 0:
-                    ref = refs[index]
-                    if ref is None:
-                        ref = slot_ref(subtable, index)
-                        refs[index] = ref
-                    empties.append(ref)
-                else:
-                    load += 1
-                    if (word >> 56) & 0xFF == fingerprint:
-                        ref = refs[index]
-                        if ref is None:
-                            ref = slot_ref(subtable, index)
-                            refs[index] = ref
-                        matches.append(SlotSnapshot(ref=ref, word=word))
-            seen_start = min(seen_start, start) if seen_end >= 0 else start
-            seen_end = max(seen_end, start + count - 1)
-            per_cb_empties.append(empties)
-            per_cb_load.append(load)
-        matches.sort(key=lambda snap: snap.ref.slot_index)
-        order = sorted(range(len(per_cb_empties)), key=lambda i: per_cb_load[i])
-        empties_flat: List[SlotRef] = []
-        for i in order:
-            empties_flat.extend(per_cb_empties[i])
-        view = BucketView(matches=tuple(matches), empties=tuple(empties_flat),
-                          occupied=sum(per_cb_load))
-        if len(self._parse_cache) > 65536:
-            self._parse_cache.clear()
-        self._parse_cache[ckey] = view
-        return view
+            column = bytes(payload[::SLOT_SIZE])
+            i = column.find(fingerprint, skip)
+            while i >= 0:
+                word, = _unpack_word(payload, i * SLOT_SIZE)
+                if word:  # an all-zero word is an empty slot, not a hit
+                    matches += (SlotSnapshot(
+                        self.slot_ref(meta.subtable, start + i), word),)
+                i = column.find(fingerprint, i + 1)
+        return BucketView(matches, (self, meta.subtable, scan, payloads))
+
+    def _free_slots(self, subtable: int, scan: tuple, payloads):
+        """``(empties, occupied)`` of one bucket read, for its view.
+
+        Empty slots are ordered to fill the *less loaded* combined bucket
+        first, which is RACE's load-balancing rule (ties in hash order,
+        slot order within a bucket; a shared slot counts for the first).
+        """
+        per_cb = []
+        for which, start, skip in scan:
+            words = self._cb_struct.unpack(payloads[which])[skip:]
+            free = [index for index, word in enumerate(words, start + skip)
+                    if not word]
+            per_cb.append((len(words) - len(free), which, free))
+        per_cb.sort()   # by (load, hash order); never reaches the lists
+        return (tuple([self.slot_ref(subtable, index)
+                       for _load, _which, free in per_cb for index in free]),
+                sum(load for load, _which, _free in per_cb))
 
     # -- bulk helpers for the master ------------------------------------------------
     def subtable_read_op(self, subtable: int, replica_mn: int,
@@ -461,6 +457,7 @@ class RaceHashing:
 
     def iter_slot_words(self, payload: bytes):
         """Yield (slot_index, word) for a whole-subtable payload."""
-        for index in range(len(payload) // SLOT_SIZE):
-            yield index, int.from_bytes(
-                payload[index * SLOT_SIZE:(index + 1) * SLOT_SIZE], "big")
+        n_slots, ragged = divmod(len(payload), SLOT_SIZE)
+        if ragged:
+            raise ValueError(f"not a whole number of slots: {len(payload)} B")
+        return enumerate(_struct.unpack(">%dQ" % n_slots, payload))

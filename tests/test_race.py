@@ -1,16 +1,25 @@
 """Tests for RACE hashing geometry, parsing, and placement."""
 
+import gc
+import struct
+import weakref
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import FuseeCluster
 from repro.core.race import (
     BUCKETS_PER_GROUP,
+    KeyMeta,
     RaceConfig,
     RaceHashing,
+    SlotSnapshot,
     hash_key,
 )
 from repro.core.wire import SLOT_SIZE, pack_slot
+from repro.harness.loader import fusee_load
+from tests.conftest import run, small_config
 
 
 def make_race(n_subtables=4, n_groups=16, spb=7, replicas=2):
@@ -133,6 +142,24 @@ class TestBucketOps:
         ops1 = race.bucket_read_ops(meta, replica=1)
         assert ops0[0].mn_id != ops1[0].mn_id
 
+    @pytest.mark.parametrize("groups", [(0, 9), (4, 1), (-1, 2), (2, -3)])
+    def test_group_outside_the_table_rejected(self, groups):
+        """A hand-made meta must not address the neighbouring subtable
+        (group 9 of a 4-group table starts 448 bytes into a 192-byte
+        one), nor die in the parse with a bare IndexError."""
+        race = make_race(n_subtables=2, n_groups=4, spb=2, replicas=1)
+        meta = KeyMeta(subtable=0, group1=groups[0], group2=groups[1],
+                       fingerprint=3)
+        bad = next(g for g in groups if not 0 <= g < 4)
+        with pytest.raises(ValueError, match=f"group {bad} "):
+            race.bucket_read_ops(meta)
+        with pytest.raises(ValueError, match=f"group {bad} "):
+            race.parse_buckets(meta, [bytes(32), bytes(32)])
+        # the last group of the table is still addressable
+        edge = KeyMeta(subtable=0, group1=3, group2=0, fingerprint=3)
+        assert max(op.addr + op.length for op in race.bucket_read_ops(edge)) \
+            <= race.config.subtable_bytes
+
 
 class TestParsing:
     def payload_pair(self, race, meta, slots=None):
@@ -218,6 +245,32 @@ class TestParsing:
         with pytest.raises(ValueError):
             race.parse_buckets(meta, [b"", b""])
 
+    def test_payload_checks_run_on_every_call(self):
+        """No memo answers for a read that was never validated: the same
+        good read parses, then each malformed variant of it is refused."""
+        race = make_race()
+        meta = race.key_meta(b"key")
+        good = self.payload_pair(race, meta)
+        race.parse_buckets(meta, good)
+        for bad in ([good[0]], good + [good[0]], [good[0], good[1][:-8]],
+                    [good[0] + bytes(8), good[1]]):
+            with pytest.raises(ValueError):
+                race.parse_buckets(meta, bad)
+
+    def test_any_bytes_like_payload_gives_the_same_view(self):
+        race = make_race()
+        meta = race.key_meta(b"key")
+        ranges = race._combined_ranges(meta)
+        slots = {ranges[0][0] + 2: pack_slot(meta.fingerprint, 1, 0x1000),
+                 ranges[1][0] + 5: pack_slot(meta.fingerprint, 2, 0x2000),
+                 ranges[1][0]: pack_slot((meta.fingerprint % 255) + 1, 1, 0x40)}
+        payloads = self.payload_pair(race, meta, slots)
+        views = [race.parse_buckets(meta, [kind(p) for p in payloads])
+                 for kind in (bytes, bytearray, memoryview)]
+        assert len(views[0].matches) == 2 and views[0].occupied == 3
+        assert views[0] == views[1] == views[2]
+        assert len({hash(view) for view in views}) == 1
+
     @given(st.binary(min_size=1, max_size=16))
     @settings(max_examples=50)
     def test_candidate_count_bounded_by_associativity(self, key):
@@ -248,3 +301,280 @@ class TestWholeSubtableHelpers:
         assert words[1] == 42
         assert words[0] == 0
         assert len(words) == race.config.slots_per_subtable
+
+    @pytest.mark.parametrize("n_bytes", [1, 12, 8 * 5 + 7])
+    def test_iter_slot_words_rejects_a_ragged_payload(self, n_bytes):
+        """A truncated subtable read must not pass for a shorter table
+        (the split would silently lose the tail slot's key)."""
+        race = make_race()
+        with pytest.raises(ValueError, match="whole number"):
+            list(race.iter_slot_words(bytes(n_bytes)))
+        assert list(race.iter_slot_words(b"")) == []
+        assert list(race.iter_slot_words(memoryview(bytes(7) + b"\x05"))) \
+            == [(0, 5)]
+
+
+# -- decode on demand -----------------------------------------------------------
+def eager_reference_decode(race, meta, payloads):
+    """The decoder ``parse_buckets`` replaced, kept as the reference: it
+    unpacks every slot word of both combined buckets in a Python loop,
+    resolves a ``SlotRef`` for every empty slot and every fingerprint
+    hit, and ranks the two buckets by load.  Returns ``(matches,
+    empties, occupied)``."""
+    ranges = race._combined_ranges(meta)
+    matches = []
+    per_cb_empties = []
+    per_cb_load = []
+    seen_end = -1
+    seen_start = 0
+    for (start, count), payload in zip(ranges, payloads):
+        empties = []
+        load = 0
+        for i, word in enumerate(struct.unpack(">%dQ" % count, payload)):
+            index = start + i
+            if seen_start <= index <= seen_end:
+                continue  # shared overflow bucket counted once
+            if word == 0:
+                empties.append(race.slot_ref(meta.subtable, index))
+            else:
+                load += 1
+                if (word >> 56) & 0xFF == meta.fingerprint:
+                    matches.append(SlotSnapshot(
+                        ref=race.slot_ref(meta.subtable, index), word=word))
+        seen_start = min(seen_start, start) if seen_end >= 0 else start
+        seen_end = max(seen_end, start + count - 1)
+        per_cb_empties.append(empties)
+        per_cb_load.append(load)
+    matches.sort(key=lambda snap: snap.ref.slot_index)
+    order = sorted(range(len(per_cb_empties)), key=lambda i: per_cb_load[i])
+    empties_flat = []
+    for i in order:
+        empties_flat.extend(per_cb_empties[i])
+    return tuple(matches), tuple(empties_flat), sum(per_cb_load)
+
+
+@st.composite
+def bucket_reads(draw):
+    """(race, meta, payloads): any small geometry, any two groups — the
+    same one twice included, the only case where the two ranges overlap
+    — and slot words chosen to confuse a fingerprint-column scan."""
+    spb = draw(st.integers(1, 8))
+    n_groups = draw(st.integers(2, 6))
+    race = make_race(n_subtables=2, n_groups=n_groups, spb=spb, replicas=2)
+    fingerprint = draw(st.integers(0, 255))
+    meta = KeyMeta(subtable=draw(st.integers(0, 1)),
+                   group1=draw(st.integers(0, n_groups - 1)),
+                   group2=draw(st.integers(0, n_groups - 1)),
+                   fingerprint=fingerprint)
+    other = (fingerprint + draw(st.integers(1, 255))) & 0xFF
+    words = st.one_of(
+        st.just(0),                                        # empty slot
+        st.integers(1, (1 << 56) - 1).map(                 # a true hit
+            lambda low: (fingerprint << 56) | low),
+        st.just(int.from_bytes(                            # the byte, but
+            bytes([other]) + bytes([fingerprint]) * 7,     # not in byte 0
+            "big")),
+        st.integers(0, (1 << 64) - 1))
+    kind = draw(st.sampled_from([bytes, bytearray, memoryview]))
+    payloads = [kind(struct.pack(">%dQ" % (2 * spb),
+                                 *draw(st.lists(words, min_size=2 * spb,
+                                                max_size=2 * spb))))
+                for _ in range(2)]
+    return race, meta, payloads
+
+
+class TestDecodeOnDemand:
+    @given(bucket_reads(), st.permutations(["matches", "empties", "occupied"]))
+    @settings(max_examples=400)
+    def test_same_view_as_the_eager_decoder(self, read, access_order):
+        race, meta, payloads = read
+        matches, empties, occupied = eager_reference_decode(
+            race, meta, payloads)
+        view = race.parse_buckets(meta, payloads)
+        want = {"matches": matches, "empties": empties, "occupied": occupied}
+        # Tuple equality is ordered, and the order is the point: INSERT
+        # installs into empties[0], so it decides bytes in MN memory, and
+        # readers take the first live match.
+        for name in access_order + access_order:   # any order, and twice
+            assert getattr(view, name) == want[name]
+        assert view.empties is view.empties
+        untouched = race.parse_buckets(meta, payloads)
+        assert untouched == view and hash(untouched) == hash(view)
+        assert hash(view) == hash((matches, empties, occupied))
+        assert repr(view) == (f"BucketView(matches={matches!r}, "
+                              f"empties={empties!r}, occupied={occupied!r})")
+
+    def test_shared_overflow_bucket_counted_once(self):
+        """group1 == group2 (key_meta_for_digest never produces it): the
+        second range opens with the bucket that closes the first."""
+        race = make_race(n_subtables=2, n_groups=4, spb=2, replicas=1)
+        meta = KeyMeta(subtable=1, group1=2, group2=2, fingerprint=9)
+        hit = pack_slot(9, 1, 0x40)
+        # slots 12..15 then 14..17; the copies of 14 and 15 disagree
+        first = struct.pack(">4Q", 0, hit, 0, hit + 1)
+        second = struct.pack(">4Q", hit + 2, 0, hit + 3, 0)
+        view = race.parse_buckets(meta, [first, second])
+        assert [(m.ref.slot_index, m.word) for m in view.matches] \
+            == [(13, hit), (15, hit + 1), (16, hit + 3)]
+        assert [ref.slot_index for ref in view.empties] == [17, 12, 14]
+        assert view.occupied == 3
+        assert (view.matches, view.empties, view.occupied) \
+            == eager_reference_decode(race, meta, [first, second])
+
+    def test_zero_fingerprint_never_matches_an_empty_slot(self):
+        """An all-zero word carries fingerprint byte 0 but is no hit."""
+        race = make_race()
+        meta = KeyMeta(subtable=0, group1=1, group2=5, fingerprint=0)
+        start = race._combined_ranges(meta)[0][0]
+        live = pack_slot(0, 3, 0x1240)
+        first = bytearray(race.config.bucket_bytes * 2)
+        first[8:16] = live.to_bytes(8, "big")
+        view = race.parse_buckets(
+            meta, [bytes(first), bytes(race.config.bucket_bytes * 2)])
+        assert [(m.ref.slot_index, m.word) for m in view.matches] \
+            == [(start + 1, live)]
+        assert view.occupied == 1 and len(view.empties) == 27
+
+
+class _Counted:
+    """Count, through wrappers on one ``RaceHashing``, what an operation
+    asks of it: bucket parses (with the views they returned), ``SlotRef``
+    resolutions and free-slot decodes."""
+
+    def __init__(self, race):
+        self.views, self.resolved, self.free_decodes = [], [], 0
+        parse, slot_ref, free = (race.parse_buckets, race.slot_ref,
+                                 race._free_slots)
+
+        def parse_buckets(meta, payloads):
+            view = parse(meta, payloads)
+            self.views.append(view)
+            return view
+
+        def counted_slot_ref(subtable, slot_index):
+            self.resolved.append((subtable, slot_index))
+            return slot_ref(subtable, slot_index)
+
+        def free_slots(*read):
+            self.free_decodes += 1
+            return free(*read)
+
+        race.parse_buckets = parse_buckets
+        race.slot_ref = counted_slot_ref
+        race._free_slots = free_slots
+
+    def hits(self):
+        return [m.ref.key for view in self.views for m in view.matches]
+
+
+@pytest.fixture
+def loaded_cluster():
+    """A small bed loaded without the protocol: the bulk loader resolves
+    a SlotRef for each slot it fills and nothing else."""
+    cluster = FuseeCluster(small_config())
+    fusee_load(cluster, cluster.new_client(),
+               [(f"key-{i:03d}".encode(), f"value-{i}".encode())
+                for i in range(120)])
+    return cluster
+
+
+class TestAnOpPaysForWhatItUses:
+    """Cache-miss ops on a freshly loaded bed: a fresh client has no
+    index cache, so each op below takes the full bucket-read path."""
+
+    @pytest.mark.parametrize("op, rereads", [
+        ("search", 0),
+        # _write_slot re-resolves the located ref against the current
+        # placement (a failover may have moved it) — the same slot again
+        ("update", 1),
+        ("delete", 1),
+    ])
+    def test_no_slot_ref_for_a_slot_the_op_does_not_use(
+            self, loaded_cluster, op, rereads):
+        cluster = loaded_cluster
+        client = cluster.new_client()
+        counted = _Counted(cluster.race)
+        args = (b"key-017",) + ((b"new-value",) if op == "update" else ())
+        assert run(cluster, getattr(client, op)(*args)).ok
+        assert len(counted.views) == 1
+        hits = counted.hits()
+        assert len(hits) >= 1
+        assert counted.resolved[:len(hits)] == hits
+        assert len(counted.resolved) == len(hits) + rereads
+        assert set(counted.resolved) == set(hits)
+        assert counted.free_decodes == 0
+
+    def test_search_of_an_absent_key_resolves_collisions_only(
+            self, loaded_cluster):
+        cluster = loaded_cluster
+        client = cluster.new_client()
+        counted = _Counted(cluster.race)
+        for i in range(40):
+            assert not run(cluster, client.search(f"absent-{i}".encode())).ok
+        assert len(counted.views) == 40
+        assert counted.resolved == counted.hits()
+        assert len(counted.resolved) < 40 and counted.free_decodes == 0
+
+    def test_insert_decodes_the_free_slots_of_the_read_it_acts_on(
+            self, loaded_cluster):
+        """Two bucket reads per INSERT — the one it picks a slot from and
+        the post-install duplicate sweep — and one free-slot decode."""
+        cluster = loaded_cluster
+        client = cluster.new_client()
+        counted = _Counted(cluster.race)
+        assert run(cluster, client.insert(b"a-new-key", b"v")).ok
+        first, sweep = counted.views
+        assert counted.free_decodes == 1
+        assert first._undecoded is None and sweep._undecoded is not None
+        empties = [ref.key for ref in first.empties]
+        # every ref resolved is a hit, a free slot of the first read, or
+        # the chosen slot re-resolved before the write
+        assert counted.resolved == (
+            [m.ref.key for m in first.matches] + empties + empties[:1]
+            + [m.ref.key for m in sweep.matches])
+        assert empties[0] in [m.ref.key for m in sweep.matches]
+
+
+class TestNothingRetainedPerRead:
+    def test_the_view_dies_with_the_op(self, loaded_cluster):
+        cluster = loaded_cluster
+        client = cluster.new_client()
+        views = []
+        parse = cluster.race.parse_buckets
+
+        def parse_buckets(meta, payloads):
+            view = parse(meta, payloads)
+            views.append(weakref.ref(view))
+            return view
+
+        cluster.race.parse_buckets = parse_buckets
+        assert run(cluster, client.search(b"key-003")).ok
+        assert run(cluster, client.insert(b"another-key", b"v")).ok
+        assert run(cluster, client.update(b"key-004", b"w")).ok
+        assert run(cluster, client.delete(b"key-005")).ok
+        gc.collect()
+        assert len(views) == 5   # search, insert + sweep, update, delete
+        assert [ref() for ref in views] == [None] * 5
+
+    def test_distinct_bucket_states_leave_no_residue(self):
+        race = make_race()
+        meta = race.key_meta(b"key")
+        start = race._combined_ranges(meta)[1][0]
+        hit = pack_slot(meta.fingerprint, 1, 0x1000).to_bytes(8, "big")
+        empty = bytes(2 * race.config.bucket_bytes)
+
+        def state(serial):
+            foreign = pack_slot((meta.fingerprint % 255) + 1, 1, serial)
+            return [empty, hit + foreign.to_bytes(8, "big") + empty[16:]]
+
+        def sizes():
+            return {name: len(value) for name, value in vars(race).items()
+                    if hasattr(value, "__len__")}
+
+        race.parse_buckets(meta, state(0)).empties   # warm the ref memo
+        before = sizes()
+        for serial in range(1, 2001):
+            view = race.parse_buckets(meta, state(serial))
+            assert view.matches[0].ref.slot_index == start
+            assert view.occupied == 2 and len(view.empties) == 26
+        assert sizes() == before
