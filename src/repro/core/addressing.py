@@ -21,6 +21,15 @@ no metadata server involved, which is the whole point of the design::
   one array for alignment) by a *free bitmap*: one bit per
   ``min_object_size`` unit; a freeing client sets the bit at the object's
   start with an RDMA_FAA and the owning client reclaims in the background.
+  Unit ``u`` is bit ``u % 8`` of bitmap byte ``u // 8``; an FAA addresses
+  the aligned 8-byte big-endian word holding that byte.
+
+This module is the one definition of those bytes: the MN block allocator,
+the client slab allocator and the master's recovery all ask
+:class:`RegionLayout` for the objects of a block (``object_offsets``), an
+object's free bit (``free_bit``) and the objects a run of bitmap bytes marks
+freed (``freed_offsets``), and :class:`RegionMap` for the block holding a
+global address (``block_of``) — ``docs/memory_layout.md``, "Who touches what".
 
 The paper uses 2 GB regions and 16 MB blocks; the defaults here are scaled
 down so simulations stay small, and are configurable.
@@ -117,6 +126,31 @@ class RegionLayout:
         byte = self.bitmap_offset_of(block) + unit // 8
         return byte, unit % 8
 
+    def free_bit(self, region_offset: int) -> Tuple[int, int]:
+        """(region offset of the bitmap word, FAA mask) setting the free
+        bit of the object starting at ``region_offset``: RDMA atomics work
+        on aligned 8-byte words, read big-endian, so the word is the one
+        holding the object's bitmap byte and the mask that byte's bit at
+        its place in the word."""
+        byte, bit = self.object_bit(region_offset)
+        return byte - byte % 8, 1 << ((7 - byte % 8) * 8 + bit)
+
+    def freed_offsets(self, bitmap: bytes, first_byte: int) -> List[int]:
+        """Offsets from the block start, ascending, of the objects whose
+        free bits are set in ``bitmap`` — a run of a block's bitmap bytes
+        beginning at byte ``first_byte`` of that bitmap (0 for a whole
+        bitmap).  Only bits at object starts are ever set (``free_bit``)."""
+        unit = self.config.min_object_size
+        return [((first_byte + index) * 8 + bit) * unit
+                for index, byte in enumerate(bitmap) if byte
+                for bit in range(8) if byte >> bit & 1]
+
+    def object_offsets(self, size: int) -> range:
+        """Offsets from the block start of the objects a block carved
+        into ``size``-byte slabs holds (``len()`` counts them; a tail too
+        short for one more object stays unused)."""
+        return range(0, self.config.block_size - size + 1, size)
+
     def _check_block(self, index: int) -> None:
         if not 0 <= index < self.n_blocks:
             raise IndexError(f"block index {index} out of [0, {self.n_blocks})")
@@ -195,12 +229,16 @@ class RegionMap:
         return [(mn_id, base + offset)
                 for mn_id, base in self._placement[gaddr >> self._shift]]
 
-    def translate_alive(self, gaddr: int, alive) -> List[Tuple[int, int]]:
-        """Replica locations restricted to MNs in ``alive``."""
-        return [(mn, addr) for mn, addr in self.translate(gaddr)
-                if mn in alive]
+    def block_gaddr(self, region_id: int, block: int) -> int:
+        """Global address of a block's first byte (``block_of``'s inverse);
+        an object of the block is that plus its ``object_offsets`` entry."""
+        return self.gaddr(region_id, self.layout.block_offset(block))
 
-    def translate_primary(self, gaddr: int) -> Tuple[int, int]:
+    def block_of(self, gaddr: int) -> Optional[Tuple[int, int]]:
+        """``(region id, block index)`` of the block holding ``gaddr``;
+        None for an address in region metadata (no object lives there —
+        the null pointer, or a pointer decoded from garbage)."""
         region_id, offset = self.split(gaddr)
-        mn_id, base = self._placement[region_id][0]
-        return mn_id, base + offset
+        if offset < self.layout.data_offset:
+            return None
+        return region_id, self.layout.block_index_of(offset)

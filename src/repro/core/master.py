@@ -16,6 +16,13 @@ on the data path; it only
   embedded operation logs, classifying every potentially-crashed request
   into the paper's c0-c3 cases.  The timing breakdown it returns
   reproduces Table 1.
+
+What the bytes it reads *mean* is not decided here: block tables, free
+bitmaps and the objects of a block are :mod:`repro.core.addressing`'s, a
+whole subtable ``RaceHashing.iter_slot_words``', a slab object ``oplog.
+parse_object``'s, and every recovery READ is ``oplog.read_first_alive`` —
+the definitions the allocators write those bytes with
+(``docs/memory_layout.md``, "Who touches what").
 """
 
 from __future__ import annotations
@@ -28,10 +35,10 @@ from ..rdma import CasOp, FaaOp, Fabric, ReadOp, WriteOp
 from ..sim import Environment, Event, Resource
 from .addressing import RegionMap
 from .memory import ClientTable, unpack_block_entry
-from .oplog import CrashCase, LogWalker, WalkedObject, commit_old_value_ops
-from .race import KeyMeta, RaceHashing, SlotRef
+from .oplog import (CrashCase, LogWalker, WalkedObject, commit_old_value_ops,
+                    parse_object, read_first_alive)
+from .race import KeyMeta, RaceHashing, SlotRef, hash_key
 from .snapshot import snapshot_write
-from .race import hash_key
 from .wire import (
     KV_HOLDS_KEY,
     NULL_ADDR,
@@ -242,23 +249,20 @@ class Master:
         if len(arrays) != len(alive):
             return
         primary_alive = not self.fabric.node(placement[0][0]).crashed
-        n_slots = self.race.config.slots_per_subtable
-        resolved = bytearray(arrays[0])
         fix_writes: List[WriteOp] = []
         log_commits: List[Tuple[int, int]] = []
-        for index in range(n_slots):
-            lo, hi = index * SLOT_SIZE, (index + 1) * SLOT_SIZE
-            words = [int.from_bytes(arr[lo:hi], "big") for arr in arrays]
+        replicas = [[word for _index, word in self.race.iter_slot_words(arr)]
+                    for arr in arrays]
+        for index, words in enumerate(zip(*replicas)):
             if len(set(words)) == 1:
-                resolved[lo:hi] = arrays[0][lo:hi]
                 continue
-            choice_idx = self.replication.repair_choice(words, primary_alive)
+            choice_idx = self.replication.repair_choice(list(words),
+                                                        primary_alive)
             chosen = words[choice_idx]
-            resolved[lo:hi] = chosen.to_bytes(8, "big")
             old = words[0] if primary_alive else chosen
             for (mn, base), word in zip(alive, words):
                 if word != chosen:
-                    fix_writes.append(WriteOp(mn, base + lo,
+                    fix_writes.append(WriteOp(mn, base + index * SLOT_SIZE,
                                               chosen.to_bytes(8, "big")))
             # Commit the winner's log so its (crashed or alive) issuer never
             # redoes the operation (§5.2): write old value into the chosen
@@ -282,28 +286,19 @@ class Master:
     def _object_size_of(self, gaddr: int):
         """Slab object size of the block holding ``gaddr``, read from the
         block-allocation table (generator; None if unresolvable)."""
-        layout = self.region_map.layout
-        region_id, offset = self.region_map.split(gaddr)
-        try:
-            block = layout.block_index_of(offset)
-        except ValueError:
+        located = self.region_map.block_of(gaddr)
+        if located is None:
             return None
-        entry_off = layout.block_table_entry_offset(block)
-        for mn_id, base in self.region_map.placement(region_id):
-            if self.fabric.node(mn_id).crashed:
-                continue
-            comp = yield self.fabric.post_one(
-                ReadOp(mn_id, base + entry_off, 8))
-            if comp.failed:
-                continue
-            owner = unpack_block_entry(int.from_bytes(comp.value, "big"))
-            if owner is None:
-                return None
-            _cid, class_idx = owner
-            if class_idx >= len(self.size_classes):
-                return None
-            return self.size_classes[class_idx]
-        return None
+        region_id, block = located
+        entry = yield from read_first_alive(
+            self.fabric, self.region_map.placement(region_id),
+            self.region_map.layout.block_table_entry_offset(block), 8)
+        if entry is None:
+            return None
+        owner = unpack_block_entry(int.from_bytes(entry, "big"))
+        if owner is None or owner[1] >= len(self.size_classes):
+            return None
+        return self.size_classes[owner[1]]
 
     # --------------------------------------------------- index expansion
     def request_expand(self, subtable: int, token: Optional[int] = None):
@@ -453,7 +448,9 @@ class Master:
             token, self._arbitrate_insert(key, tuple(own),
                                           [tuple(f) for f in foreigns])))
 
-    def _arbitrate_insert(self, key: bytes, own, foreigns):
+    def _rpc_arrival(self):
+        """A client RPC reaching the master: one-way propagation, then the
+        service time on one of the master's cores (generator)."""
         yield self.env.timeout(self.config.rpc_one_way_us)
         req = self.cpu.request()
         yield req
@@ -461,6 +458,9 @@ class Master:
             yield self.env.timeout(self.config.rpc_service_us)
         finally:
             req.release()
+
+    def _arbitrate_insert(self, key: bytes, own, foreigns):
+        yield from self._rpc_arrival()
         self.insert_arbitrations += 1
         conceded = self._insert_conceded.setdefault(key, {})
         self._insert_conceded.move_to_end(key)
@@ -492,13 +492,7 @@ class Master:
             token, self._fail_query(ref, v_old)))
 
     def _fail_query(self, ref: SlotRef, v_old: int):
-        yield self.env.timeout(self.config.rpc_one_way_us)
-        req = self.cpu.request()
-        yield req
-        try:
-            yield self.env.timeout(self.config.rpc_service_us)
-        finally:
-            req.release()
+        yield from self._rpc_arrival()
         # The client may query before the failure detector has noticed the
         # crash: wait for the membership change (Algorithm 4, "wait for
         # membership change") — either the repair barrier, or one detector
@@ -603,27 +597,18 @@ class Master:
                 used_objects.setdefault(end.class_idx, set()).discard(
                     end.gaddr)
                 report.objects_reclaimed += 1
-        yield from self._recover_batched_frees(cid, chains, used_objects,
-                                               blocks)
+        own_blocks = {(info["region"], info["block"]) for info in blocks}
+        yield from self._recover_batched_frees(chains, used_objects,
+                                               own_blocks)
         # Old-value frees gathered from chain ends, guarded: only objects
         # in the crashed client's own blocks that are not currently in use
         # (a reused address may hold live data).
-        own_blocks = {(info["region"], info["block"]) for info in blocks}
-        layout = self.region_map.layout
         all_used = set()
         for used in used_objects.values():
             all_used |= used
         for old_ptr in free_candidates:
-            if old_ptr in all_used:
-                continue
-            region_id, offset = self.region_map.split(old_ptr)
-            try:
-                block = layout.block_index_of(offset)
-            except ValueError:
-                continue
-            if (region_id, block) not in own_blocks:
-                continue
-            yield from self._ensure_freed(old_ptr)
+            if old_ptr not in all_used:
+                yield from self._ensure_freed(old_ptr, own_blocks)
         report.recover_requests_us = self.env.now - t3
 
         # Step 5: reconstruct the free lists from block tables and bitmaps.
@@ -639,17 +624,13 @@ class Master:
     def _read_heads(self, cid: int):
         """Read the per-size-class list heads from any alive MN (generator)."""
         n = len(self.size_classes)
-        for mn_id, base in self.client_table.bases.items():
-            if self.fabric.node(mn_id).crashed:
-                continue
-            off = self.client_table.slot_offset(cid, 0)
-            comp = yield self.fabric.post_one(ReadOp(mn_id, base + off, n * 8))
-            if comp.failed:
-                continue
-            data = comp.value
-            return {ci: int.from_bytes(data[ci * 8:(ci + 1) * 8], "big")
-                    for ci in range(n)}
-        return {}
+        data = yield from read_first_alive(
+            self.fabric, self.client_table.bases.items(),
+            self.client_table.slot_offset(cid, 0), n * 8)
+        if data is None:
+            return {}
+        return {ci: int.from_bytes(data[ci * 8:(ci + 1) * 8], "big")
+                for ci in range(n)}
 
     def _scan_owned_objects(self, cid: int):
         """Authoritative object usage: read every block the client owns and
@@ -667,7 +648,6 @@ class Master:
             if reply and "blocks" in reply:
                 blocks.extend(reply["blocks"])
         layout = self.region_map.layout
-        walker = LogWalker(self.fabric, self.region_map, self.size_classes)
         objects: Dict[int, WalkedObject] = {}
         for info in blocks:
             region_id, block = info["region"], info["block"]
@@ -675,23 +655,15 @@ class Master:
             if class_idx >= len(self.size_classes):
                 continue
             size = self.size_classes[class_idx]
-            block_off = layout.block_offset(block)
-            data = None
-            for mn_id, base in self.region_map.placement(region_id):
-                if self.fabric.node(mn_id).crashed:
-                    continue
-                comp = yield self.fabric.post_one(
-                    ReadOp(mn_id, base + block_off,
-                           layout.config.block_size))
-                if not comp.failed:
-                    data = comp.value
-                    break
+            data = yield from read_first_alive(
+                self.fabric, self.region_map.placement(region_id),
+                layout.block_offset(block), layout.config.block_size)
             if data is None:
                 continue
-            for off in range(0, layout.config.block_size - size + 1, size):
-                gaddr = self.region_map.gaddr(region_id, block_off + off)
-                objects[gaddr] = walker._parse(gaddr, class_idx,
-                                               data[off:off + size])
+            start = self.region_map.block_gaddr(region_id, block)
+            for off in layout.object_offsets(size):
+                objects[start + off] = parse_object(start + off, class_idx,
+                                                    data[off:off + size])
         return blocks, objects
 
     @staticmethod
@@ -771,8 +743,7 @@ class Master:
         report.requests_finished += 1
         return CrashCase.C3_FINISHED, not is_delete
 
-    def _recover_batched_frees(self, cid: int, chains, used_objects,
-                               blocks):
+    def _recover_batched_frees(self, chains, used_objects, own_blocks):
         """§5.3: "the master asynchronously checks the v_olds in log
         entries of the crashed client to recover its batched free
         operations" (generator).
@@ -783,8 +754,6 @@ class Master:
         its walked used set) are freed — an address owned by another
         client may have been legitimately reclaimed and reused there.
         """
-        own_blocks = {(info["region"], info["block"]) for info in blocks}
-        layout = self.region_map.layout
         for class_idx, chain in chains.items():
             # Allocation order within the class: an object named as the
             # *old value* of a later entry was superseded after its own
@@ -800,24 +769,22 @@ class Master:
                     continue
                 if old_ptr not in position or position[old_ptr] >= j:
                     continue  # cross-class or re-allocated later: skip
-                region_id, offset = self.region_map.split(old_ptr)
-                try:
-                    block = layout.block_index_of(offset)
-                except ValueError:
-                    continue
-                if (region_id, block) not in own_blocks:
-                    continue  # another client's memory: its owner reclaims
-                yield from self._ensure_freed(old_ptr)
-                used_objects.setdefault(class_idx, set()).discard(old_ptr)
+                if (yield from self._ensure_freed(old_ptr, own_blocks)):
+                    used_objects.setdefault(class_idx, set()).discard(old_ptr)
 
     def _redo_request(self, tail: WalkedObject, meta: KeyMeta, word: int,
                       located=None):
         """Redo a c1 request on the crashed client's behalf (generator).
 
-        Safe because the request never returned to the application; the
-        master runs the normal SNAPSHOT protocol so it composes with
-        concurrent live writers (Appendix A.4.2).  Returns True when the
-        object ended up installed in the index.
+        Safe because the request never returned to the application
+        (Appendix A.4.2).  The write is ``snapshot_write`` whatever the
+        cluster replicates with, not ``self.replication.write``: the round
+        that crashed at c1 had already CASed the backups, which SNAPSHOT's
+        rules complete (every backup shows ``v_new``: rule 1) while
+        composing with live writers, whereas FUSEE-CR's sequential write
+        loses its first backup CAS to the crashed round's own value and
+        leaves the primary old.  Returns True when the object ended up
+        installed in the index.
         """
         if located is None:
             located = yield from self._locate_key(tail.key, meta)
@@ -854,17 +821,24 @@ class Master:
                 yield self.fabric.post(ops)
         return hook
 
+    def _replica_view(self, meta: KeyMeta, replica: int):
+        """The key's candidate buckets as index replica ``replica`` holds
+        them (generator; None when that MN is down or a READ fails)."""
+        mn_id, _ = self.race.placement(meta.subtable)[replica]
+        if self.fabric.node(mn_id).crashed:
+            return None
+        comps = yield self.fabric.post(
+            self.race.bucket_read_ops(meta, replica=replica))
+        if any(c.failed for c in comps):
+            return None
+        return self.race.parse_buckets(meta, [c.value for c in comps])
+
     def _read_view(self, meta: KeyMeta):
-        placement = self.race.placement(meta.subtable)
-        for replica in range(len(placement)):
-            mn_id, _ = placement[replica]
-            if self.fabric.node(mn_id).crashed:
-                continue
-            ops = self.race.bucket_read_ops(meta, replica=replica)
-            comps = yield self.fabric.post(ops)
-            if any(c.failed for c in comps):
-                continue
-            return self.race.parse_buckets(meta, [c.value for c in comps])
+        """The bucket view of the first readable replica, primary first."""
+        for replica in range(len(self.race.placement(meta.subtable))):
+            view = yield from self._replica_view(meta, replica)
+            if view is not None:
+                return view
         return None
 
     def _locate_key(self, key: bytes, meta: KeyMeta):
@@ -874,65 +848,45 @@ class Master:
             return None
         for snap in view.matches:
             slot = snap.slot
-            for mn_id, addr in self.region_map.translate(slot.pointer):
-                if self.fabric.node(mn_id).crashed:
-                    continue
-                comp = yield self.fabric.post_one(
-                    ReadOp(mn_id, addr, slot.block_bytes))
-                if comp.failed:
-                    continue
-                if match_kv(comp.value, key)[0] in KV_HOLDS_KEY:
-                    return snap.ref, snap.word
-                break  # torn, or a fingerprint collision with another key
+            data = yield from read_first_alive(
+                self.fabric, self.region_map.translate(slot.pointer), 0,
+                slot.block_bytes)
+            # else unreadable, torn, or a fingerprint collision
+            if data is not None and match_kv(data, key)[0] in KV_HOLDS_KEY:
+                return snap.ref, snap.word
         return None
 
     def _locate_slot_by_word(self, meta: KeyMeta, word: int):
         """Find the candidate slot holding ``word`` on any replica."""
-        placement = self.race.placement(meta.subtable)
-        for replica in range(len(placement) - 1, -1, -1):
-            mn_id, _ = placement[replica]
-            if self.fabric.node(mn_id).crashed:
+        n_replicas = len(self.race.placement(meta.subtable))
+        for replica in reversed(range(n_replicas)):
+            view = yield from self._replica_view(meta, replica)
+            if view is None:
                 continue
-            ops = self.race.bucket_read_ops(meta, replica=replica)
-            comps = yield self.fabric.post(ops)
-            if any(c.failed for c in comps):
-                continue
-            view = self.race.parse_buckets(meta, [c.value for c in comps])
             for snap in view.matches:
                 if snap.word == word:
                     return snap.ref
         return None
 
-    def _ensure_freed(self, gaddr: int):
-        """Make sure an old object's free bit is set (batched-free recovery)."""
-        layout = self.region_map.layout
+    def _ensure_freed(self, gaddr: int, own_blocks):
+        """Make sure an old object's free bit is set (batched-free
+        recovery; generator).  False, and nothing is touched, unless the
+        object lies in one of ``own_blocks``, the crashed client's:
+        another client's memory is reclaimed by its owner."""
+        if self.region_map.block_of(gaddr) not in own_blocks:
+            return False
         region_id, offset = self.region_map.split(gaddr)
-        try:
-            byte_off, bit = layout.object_bit(offset)
-        except ValueError:
-            return
-        word_off = byte_off - (byte_off % 8)
-        primary = None
-        for mn_id, base in self.region_map.placement(region_id):
-            if not self.fabric.node(mn_id).crashed:
-                primary = (mn_id, base)
-                break
-        if primary is None:
-            return
-        comp = yield self.fabric.post_one(
-            ReadOp(primary[0], primary[1] + word_off, 8))
-        if comp.failed:
-            return
-        current = int.from_bytes(comp.value, "big")
-        shift = (7 - (byte_off % 8)) * 8 + bit
-        if current & (1 << shift):
-            return
-        ops = []
-        for mn_id, base in self.region_map.placement(region_id):
-            if not self.fabric.node(mn_id).crashed:
-                ops.append(FaaOp(mn_id, base + word_off, 1 << shift))
-        if ops:
-            yield self.fabric.post(ops)
+        word_off, mask = self.region_map.layout.free_bit(offset)
+        placement = self.region_map.placement(region_id)
+        current = yield from read_first_alive(self.fabric, placement,
+                                              word_off, 8)
+        if current is not None and not int.from_bytes(current, "big") & mask:
+            ops = [FaaOp(mn_id, base + word_off, mask)
+                   for mn_id, base in placement
+                   if not self.fabric.node(mn_id).crashed]
+            if ops:
+                yield self.fabric.post(ops)
+        return True
 
     def _construct_free_lists(self, cid: int, used_objects, heads, chains,
                               state: RecoveredClientState,
@@ -947,33 +901,19 @@ class Master:
             class_idx = info["class_idx"]
             size = self.size_classes[class_idx]
             state.blocks.append((region_id, block, class_idx))
-            # Read the block's free bitmap from the first alive replica.
-            freed_units: Set[int] = set()
-            for mn_id, base in self.region_map.placement(region_id):
-                if self.fabric.node(mn_id).crashed:
-                    continue
-                bm_off = layout.bitmap_offset_of(block)
-                comp = yield self.fabric.post_one(
-                    ReadOp(mn_id, base + bm_off,
-                           layout.bitmap_bytes_per_block))
-                if comp.failed:
-                    continue
-                bitmap = comp.value
-                for byte_idx, byte in enumerate(bitmap):
-                    for bit in range(8):
-                        if byte & (1 << bit):
-                            freed_units.add(byte_idx * 8 + bit)
-                break
-            block_start = layout.block_offset(block)
+            # An unreadable bitmap marks nothing freed: the used set decides.
+            bitmap = yield from read_first_alive(
+                self.fabric, self.region_map.placement(region_id),
+                layout.bitmap_offset_of(block), layout.bitmap_bytes_per_block)
+            freed = set(layout.freed_offsets(bitmap or b"", 0))
+            start = self.region_map.block_gaddr(region_id, block)
             used = used_objects.get(class_idx, set())
             free_list = state.free_lists.setdefault(class_idx, [])
-            for off in range(0, layout.config.block_size - size + 1, size):
-                gaddr = self.region_map.gaddr(region_id, block_start + off)
-                unit = off // layout.config.min_object_size
+            for off in layout.object_offsets(size):
                 total_objects += 1
-                if gaddr in used and unit not in freed_units:
+                if start + off in used and off not in freed:
                     continue  # still allocated
-                free_list.append(gaddr)
+                free_list.append(start + off)
         for class_idx, head in heads.items():
             state.heads[class_idx] = head
             chain = chains.get(class_idx, [])

@@ -21,7 +21,7 @@ words with CAS and appending the objects to its free lists.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Tuple
 
@@ -139,25 +139,30 @@ class MnBlockAllocator:
         return self.injector.mn_reachable(self.node.mn_id, mn_id,
                                           self.node.env.now)
 
+    def _mirror_block(self, region_id: int, block: int, entry: int) -> None:
+        """Write ``entry`` into the block's table slot and zero its free
+        bitmap on every region replica this MN can reach (a crashed or
+        partitioned replica is skipped)."""
+        layout = self.region_map.layout
+        table_off = layout.block_table_entry_offset(block)
+        bitmap_off = layout.bitmap_offset_of(block)
+        cleared = bytes(layout.bitmap_bytes_per_block)
+        for mn_id, base in self.region_map.placement(region_id):
+            replica = self.nodes[mn_id]
+            if replica.crashed or not self._replica_reachable(mn_id):
+                continue
+            replica.write_word(base + table_off, entry)
+            replica.memory[base + bitmap_off:
+                           base + bitmap_off + len(cleared)] = cleared
+
     def _handle_alloc(self, payload: dict):
         cid = payload["cid"]
         class_idx = payload["class_idx"]
         if not self._free_blocks:
             return {"error": "no_space"}, self.alloc_cpu_us
         region_id, block = self._free_blocks.popleft()
-        layout = self.region_map.layout
-        entry = pack_block_entry(cid, class_idx)
-        table_off = layout.block_table_entry_offset(block)
-        bitmap_off = layout.bitmap_offset_of(block)
-        bitmap_len = layout.bitmap_bytes_per_block
-        for mn_id, base in self.region_map.placement(region_id):
-            replica = self.nodes[mn_id]
-            if replica.crashed or not self._replica_reachable(mn_id):
-                continue
-            replica.write_word(base + table_off, entry)
-            replica.memory[base + bitmap_off:base + bitmap_off + bitmap_len] = (
-                bytes(bitmap_len))
-        gaddr = self.region_map.gaddr(region_id, layout.block_offset(block))
+        self._mirror_block(region_id, block, pack_block_entry(cid, class_idx))
+        gaddr = self.region_map.block_gaddr(region_id, block)
         return ({"region": region_id, "block": block, "gaddr": gaddr},
                 self.alloc_cpu_us)
 
@@ -182,14 +187,7 @@ class MnBlockAllocator:
             primary_base + table_off))
         if owner is None or owner[0] != cid:
             return {"error": "not_owner"}, self.alloc_cpu_us
-        bitmap_off = layout.bitmap_offset_of(block)
-        bitmap_len = layout.bitmap_bytes_per_block
-        for mn_id, base in self.region_map.placement(region_id):
-            replica = self.nodes[mn_id]
-            if replica.crashed or not self._replica_reachable(mn_id):
-                continue
-            replica.write_word(base + table_off, 0)
-            replica.memory[base + bitmap_off:base + bitmap_off + bitmap_len]                 = bytes(bitmap_len)
+        self._mirror_block(region_id, block, 0)
         self._free_blocks.append((region_id, block))
         return {"ok": True}, self.alloc_cpu_us
 
@@ -206,16 +204,11 @@ class MnBlockAllocator:
             if not self._free_blocks:
                 return {"error": "no_space"}, self.alloc_object_cpu_us
             region_id, block = self._free_blocks.popleft()
-            layout = self.region_map.layout
-            entry = pack_block_entry(self.MN_CENTRAL_CID, class_idx)
-            table_off = layout.block_table_entry_offset(block)
-            for mn_id, base in self.region_map.placement(region_id):
-                replica = self.nodes[mn_id]
-                if not replica.crashed and self._replica_reachable(mn_id):
-                    replica.write_word(base + table_off, entry)
-            start = layout.block_offset(block)
-            for off in range(0, layout.config.block_size - size + 1, size):
-                free.append(self.region_map.gaddr(region_id, start + off))
+            self._mirror_block(region_id, block, pack_block_entry(
+                self.MN_CENTRAL_CID, class_idx))
+            start = self.region_map.block_gaddr(region_id, block)
+            free.extend(start + off for off in
+                        self.region_map.layout.object_offsets(size))
         gaddr = free.popleft()
         return {"gaddr": gaddr}, self.alloc_object_cpu_us
 
@@ -417,12 +410,10 @@ class ClientAllocator:
             f"({last_error or 'all MNs unreachable'})")
 
     def _adopt_block(self, region_id: int, block: int, class_idx: int) -> None:
-        layout = self.region_map.layout
-        size = self.size_classes[class_idx]
-        start = layout.block_offset(block)
-        state = self._classes[class_idx]
-        for off in range(0, layout.config.block_size - size + 1, size):
-            state.free.append(self.region_map.gaddr(region_id, start + off))
+        start = self.region_map.block_gaddr(region_id, block)
+        self._classes[class_idx].free.extend(
+            start + off for off in self.region_map.layout.object_offsets(
+                self.size_classes[class_idx]))
         self._owned_blocks.append((region_id, block, class_idx))
         self.stats_blocks_allocated += 1
 
@@ -478,14 +469,11 @@ class ClientAllocator:
         ops = []
         for gaddr in pending:
             region_id, offset = self.region_map.split(gaddr)
-            byte_off, bit = layout.object_bit(offset)
-            # FAA operates on the aligned 8-byte word containing the byte.
-            word_off = byte_off - (byte_off % 8)
-            shift = (7 - (byte_off % 8)) * 8 + bit  # big-endian bit position
+            word_off, mask = layout.free_bit(offset)
             for mn_id, base in self.region_map.placement(region_id):
                 if self.fabric.node(mn_id).crashed:
                     continue
-                ops.append(FaaOp(mn_id, base + word_off, 1 << shift))
+                ops.append(FaaOp(mn_id, base + word_off, mask))
         if ops:
             yield self.fabric.post(ops)
 
@@ -497,35 +485,20 @@ class ClientAllocator:
         closing the loop of the two-level scheme (ALLOC/FREE, §2.1).
         Returns the number of blocks released.
         """
-        layout = self.region_map.layout
+        block_of = self.region_map.block_of
         released = 0
-        # group free objects by (region, block)
-        free_by_block: Dict[Tuple[int, int], int] = {}
-        for state in self._classes:
-            for gaddr in state.free:
-                region_id, offset = self.region_map.split(gaddr)
-                try:
-                    block = layout.block_index_of(offset)
-                except ValueError:
-                    continue
-                key = (region_id, block)
-                free_by_block[key] = free_by_block.get(key, 0) + 1
+        # free objects per (region, block)
+        free_by_block = Counter(block_of(gaddr) for state in self._classes
+                                for gaddr in state.free)
         for region_id, block, class_idx in list(self._owned_blocks):
-            size = self.size_classes[class_idx]
-            objects = sum(1 for _ in range(
-                0, layout.config.block_size - size + 1, size))
-            if free_by_block.get((region_id, block), 0) != objects:
+            objects = len(self.region_map.layout.object_offsets(
+                self.size_classes[class_idx]))
+            if free_by_block[region_id, block] != objects:
                 continue
             # never release the block feeding the pre-positioned next ptr
             state = self._classes[class_idx]
-            head_block = None
-            if state.free:
-                rid, off = self.region_map.split(state.free[0])
-                try:
-                    head_block = (rid, layout.block_index_of(off))
-                except ValueError:
-                    head_block = None
-            if head_block == (region_id, block) and                     len(state.free) <= objects:
+            if state.free and block_of(state.free[0]) == (region_id, block) \
+                    and len(state.free) <= objects:
                 continue
             primary_mn = self.region_map.placement(region_id)[0][0]
             if self.fabric.node(primary_mn).crashed:
@@ -536,14 +509,8 @@ class ClientAllocator:
                                            "cid": self.cid})
             if reply is FAIL or "error" in reply:
                 continue
-            block_start = layout.block_offset(block)
-            block_end = block_start + layout.config.block_size
-            keep = []
-            for gaddr in state.free:
-                rid, off = self.region_map.split(gaddr)
-                if rid == region_id and block_start <= off < block_end:
-                    continue
-                keep.append(gaddr)
+            keep = [gaddr for gaddr in state.free
+                    if block_of(gaddr) != (region_id, block)]
             state.free.clear()
             state.free.extend(keep)
             self._owned_blocks.remove((region_id, block, class_idx))
@@ -573,7 +540,8 @@ class ClientAllocator:
                 continue
             bitmap = comps[0].value
             for word_idx in range(0, nbytes, 8):
-                word = int.from_bytes(bitmap[word_idx:word_idx + 8], "big")
+                run = bitmap[word_idx:word_idx + 8]
+                word = int.from_bytes(run, "big")
                 if word == 0:
                     continue
                 cas_ops = []
@@ -585,25 +553,9 @@ class ClientAllocator:
                 comps = yield self.fabric.post(cas_ops)
                 if not comps or not comps[0].cas_succeeded():
                     continue  # racing FAA; retry next cycle
-                reclaimed += self._reclaim_word(region_id, block, class_idx,
-                                                word_idx, word)
+                freed = layout.freed_offsets(run, word_idx)
+                start = self.region_map.block_gaddr(region_id, block)
+                self._classes[class_idx].free.extend(
+                    start + off for off in freed)
+                reclaimed += len(freed)
         return reclaimed
-
-    def _reclaim_word(self, region_id: int, block: int, class_idx: int,
-                      word_idx: int, word: int) -> int:
-        layout = self.region_map.layout
-        size = self.size_classes[class_idx]
-        state = self._classes[class_idx]
-        block_start = layout.block_offset(block)
-        count = 0
-        for byte_in_word in range(8):
-            byte = (word >> ((7 - byte_in_word) * 8)) & 0xFF
-            for bit in range(8):
-                if not byte & (1 << bit):
-                    continue
-                unit = (word_idx + byte_in_word) * 8 + bit
-                offset = block_start + unit * layout.config.min_object_size
-                # Only units at object starts are set by note_free().
-                state.free.append(self.region_map.gaddr(region_id, offset))
-                count += 1
-        return count

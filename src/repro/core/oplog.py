@@ -12,9 +12,11 @@ This module provides:
 * the verb lists for the three log mutations the client issues —
   committing the winner's old value (Fig. 9 phase 3), clearing a loser's
   used bit, and nothing else (that is the whole log-maintenance cost);
-* :class:`LogWalker` — the recovery-side traversal that walks a crashed
-  client's per-size-class lists over the fabric and classifies the tail
-  requests into the paper's c0-c3 crash cases (§5.3).
+* the recovery-side readers: :func:`read_first_alive` (the one "first
+  alive replica, fall over on failure" READ loop), :func:`parse_object`
+  and :class:`LogWalker`, which walks a crashed client's per-size-class
+  lists; sorting the chain ends into the paper's c0-c3 crash cases (§5.3)
+  is the master's ``_recover_request``.
 """
 
 from __future__ import annotations
@@ -40,6 +42,8 @@ __all__ = [
     "entry_for_alloc",
     "commit_old_value_ops",
     "clear_used_ops",
+    "read_first_alive",
+    "parse_object",
     "LogWalker",
     "WalkedObject",
     "CrashCase",
@@ -113,6 +117,36 @@ class WalkedObject:
         return self.entry is not None and self.entry.used
 
 
+def read_first_alive(fabric: Fabric, replicas, offset: int, nbytes: int):
+    """READ ``nbytes`` at ``base + offset`` of the first of ``replicas``
+    — ``(mn_id, base)`` pairs, primary first — that is alive and answers,
+    falling over to the next one when the READ fails (generator; returns
+    the bytes, or None when no replica could be read)."""
+    for mn_id, base in replicas:
+        if fabric.node(mn_id).crashed:
+            continue
+        comp = yield fabric.post_one(ReadOp(mn_id, base + offset, nbytes))
+        if not comp.failed:
+            return comp.value
+    return None
+
+
+def parse_object(gaddr: int, class_idx: int, data: bytes) -> WalkedObject:
+    """Decode one slab object: its trailing log entry and, when intact,
+    the KV pair in front of it."""
+    entry = decode_log_entry(data[len(data) - LOG_ENTRY_SIZE:])
+    blank = not any(data)
+    try:
+        _header, key, value, _ = decode_kv_block(data)
+        return WalkedObject(gaddr=gaddr, class_idx=class_idx, entry=entry,
+                            key=key, value=value, decode_error=None,
+                            is_blank=blank)
+    except ValueError as exc:
+        return WalkedObject(gaddr=gaddr, class_idx=class_idx, entry=entry,
+                            key=None, value=None, decode_error=str(exc),
+                            is_blank=blank)
+
+
 class LogWalker:
     """Walks a crashed client's per-size-class log lists over the fabric.
 
@@ -132,28 +166,10 @@ class LogWalker:
 
     def read_object(self, gaddr: int, class_idx: int):
         """Fetch one object from the first alive replica (generator)."""
-        size = self.size_classes[class_idx]
-        for mn_id, addr in self.region_map.translate(gaddr):
-            if self.fabric.node(mn_id).crashed:
-                continue
-            comp = yield self.fabric.post_one(ReadOp(mn_id, addr, size))
-            if comp.failed:
-                continue
-            return self._parse(gaddr, class_idx, comp.value)
-        return None
-
-    def _parse(self, gaddr: int, class_idx: int, data: bytes) -> WalkedObject:
-        entry = decode_log_entry(data[len(data) - LOG_ENTRY_SIZE:])
-        blank = not any(data)
-        try:
-            _header, key, value, _ = decode_kv_block(data)
-            return WalkedObject(gaddr=gaddr, class_idx=class_idx, entry=entry,
-                                key=key, value=value, decode_error=None,
-                                is_blank=blank)
-        except ValueError as exc:
-            return WalkedObject(gaddr=gaddr, class_idx=class_idx, entry=entry,
-                                key=None, value=None, decode_error=str(exc),
-                                is_blank=blank)
+        data = yield from read_first_alive(
+            self.fabric, self.region_map.translate(gaddr), 0,
+            self.size_classes[class_idx])
+        return None if data is None else parse_object(gaddr, class_idx, data)
 
     def walk_class(self, head: int, class_idx: int,
                    max_objects: int = 1_000_000):
@@ -191,20 +207,3 @@ class LogWalker:
         if visited:
             visited[-1].is_tail = True
         return visited, terminator
-
-    @staticmethod
-    def classify_tail(obj: WalkedObject,
-                      primary_slot_value: Optional[int]) -> CrashCase:
-        """Map a tail object to the paper's c0-c3 crash cases.
-
-        ``primary_slot_value`` is the current primary slot word of the
-        key's slot (None when the object is too torn to locate a key).
-        """
-        if obj.entry is None or not obj.entry.used or obj.key is None:
-            return CrashCase.C0_INCOMPLETE_OBJECT
-        if not obj.entry.old_value_committed:
-            return CrashCase.C1_UNCOMMITTED
-        if (primary_slot_value is not None
-                and primary_slot_value == obj.entry.old_value):
-            return CrashCase.C2_BEFORE_PRIMARY
-        return CrashCase.C3_FINISHED

@@ -60,8 +60,12 @@ class ZipfianGenerator:
         self._zetan = self._zeta(n, theta)
         self._zeta2 = self._zeta(2, theta)
         self._alpha = 1.0 / (1.0 - theta)
-        self._eta = ((1.0 - math.pow(2.0 / n, 1.0 - theta))
-                     / (1.0 - self._zeta2 / self._zetan))
+        # next() settles ranks 0 and 1 before it reads eta, so two keys or
+        # fewer never use it — and at n == 2 its denominator is zero.  1.0
+        # keeps the formula in range there whatever rounding does.
+        self._eta = 1.0 if n <= 2 else (
+            (1.0 - math.pow(2.0 / n, 1.0 - theta))
+            / (1.0 - self._zeta2 / self._zetan))
 
     @staticmethod
     @functools.cache

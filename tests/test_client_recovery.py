@@ -4,7 +4,7 @@ re-management, and the Table 1 breakdown."""
 import pytest
 
 from repro.core import FuseeCluster
-from repro.core.client import ClientCrashed, CrashPoint
+from repro.core.client import ClientConfig, ClientCrashed, CrashPoint
 from repro.core.oplog import CrashCase
 from tests.conftest import small_config, run
 
@@ -162,7 +162,94 @@ class TestIndexRepair:
             assert run(cluster, reader.search(f"live-{i}".encode())).ok
 
 
+class TestEveryReplicationStrategy:
+    """Recovery at every crash point under every slot-replication
+    strategy, on 3 MNs with 2 index replicas: the reported cases, one
+    word on every replica of the slot, the legal value, no leaked block.
+
+    The c1 rows are why ``Master._redo_request`` calls ``snapshot_write``
+    and not the cluster's own strategy: routed through FUSEE-CR's
+    ``sequential_write`` the redo loses its first backup CAS to the
+    crashed round's own value, and the key ends with the old value on
+    the primary and the new one on the backup.
+    """
+
+    # SWARM commits at the primary, which its 1-RTT broadcast has written
+    # before the c1/c2 hooks run: recovery finds the request already live.
+    REPORTED = {
+        "c0": {"c0": 1, "c3": 1},   # torn object + the finished insert
+        "c1": {"c1": 1}, "c2": {"c2": 1}, "c3": {"c3": 1},
+    }
+    REPORTED_SWARM = {**REPORTED, "c1": {"c3": 1}, "c2": {"c3": 1}}
+
+    @pytest.mark.parametrize("mode", ["snapshot", "sequential", "swarm"])
+    @pytest.mark.parametrize("point", [p.value for p in CrashPoint])
+    def test_crash_point_recovers(self, mode, point):
+        cluster = FuseeCluster(small_config(
+            client=ClientConfig(replication_mode=mode)))
+        granted = {mn: alloc.free_block_count
+                   for mn, alloc in cluster.mn_allocators.items()}
+        client = crash_during_update(cluster, CrashPoint(point))
+        report, state = recover(cluster, client)
+        reported = self.REPORTED_SWARM if mode == "swarm" else self.REPORTED
+        assert report.crash_cases == reported[point]
+
+        reader = cluster.new_client()
+        legal = b"old-value" if point == "c0" else b"new-value"
+        assert run(cluster, reader.search(b"k")).value == legal
+        slot = reader.cache.peek(b"k").slot_ref
+        assert len(slot.placement) == 2
+        assert len({cluster.fabric.node(mn).read_word(addr)
+                    for mn, addr in slot.locations()}) == 1
+
+        revived = cluster.revive_client(client, state)
+        assert run(cluster, revived.update(b"k", b"after-revival")).ok
+        assert run(cluster, reader.search(b"k")).value == b"after-revival"
+        for _ in range(2):
+            run(cluster, revived.maintenance(release_blocks=True))
+        outstanding = sum(granted[mn] - alloc.free_block_count
+                          for mn, alloc in cluster.mn_allocators.items())
+        assert outstanding == sum(len(c.allocator.owned_blocks())
+                                  for c in cluster.clients if not c.crashed)
+
+
 class TestMemoryRemanagement:
+    def test_batched_free_survives_a_failed_bitmap_read(self, cluster):
+        """Every recovery READ falls over to the next replica when the
+        first one fails — the free-bit check too, which used to give up
+        and leak the superseded object."""
+        from repro.rdma import TIMEOUT, ReadOp
+        from repro.rdma.verbs import Completion
+        from repro.core.wire import unpack_slot
+
+        client = cluster.new_client()
+        assert run(cluster, client.insert(b"k", b"old-value")).ok
+        old = unpack_slot(client.cache.peek(b"k").slot_word).pointer
+        client.arm_crash(CrashPoint.C3)
+        with pytest.raises(ClientCrashed):
+            run(cluster, client.update(b"k", b"new-value"))
+
+        region_id, offset = cluster.region_map.split(old)
+        word_off, mask = cluster.region_map.layout.free_bit(offset)
+        replicas = [(mn, base + word_off) for mn, base
+                    in cluster.region_map.placement(region_id)]
+        fabric, timed_out = cluster.fabric, []
+        post_one = fabric.post_one
+
+        def flaky_post_one(op, qp=0):
+            # the primary never answers a READ of that bitmap word
+            if isinstance(op, ReadOp) and op.length == 8 \
+                    and (op.mn_id, op.addr) == replicas[0]:
+                timed_out.append(op)
+                return cluster.env.timeout(5.0, Completion(op, TIMEOUT))
+            return post_one(op, qp)
+
+        fabric.post_one = flaky_post_one
+        recover(cluster, client)
+        assert timed_out
+        for mn, addr in replicas:
+            assert fabric.node(mn).read_word(addr) & mask
+
     def test_blocks_found(self, cluster):
         client = crash_during_update(cluster, CrashPoint.C1)
         report, state = recover(cluster, client)

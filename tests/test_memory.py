@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.memory import (
     AllocationError,
+    MnBlockAllocator,
     pack_block_entry,
     size_classes_for,
     unpack_block_entry,
@@ -86,6 +87,32 @@ class TestMnAllocation:
         bitmap = cluster.fabric.node(mn_id).memory[
             base + off:base + off + layout.bitmap_bytes_per_block]
         assert bitmap == bytearray(layout.bitmap_bytes_per_block)
+
+    @pytest.mark.parametrize("mn_centric", [False, True])
+    def test_grant_mirrors_entry_and_clean_bitmap(self, cluster, mn_centric):
+        """ALLOC and the Fig. 17 per-object path grant a block through one
+        mirror: its entry and an all-zero bitmap land on every replica,
+        whatever bits a FREE that could not reach a replica left behind."""
+        region_map, layout = cluster.region_map, cluster.region_map.layout
+        nbytes = layout.bitmap_bytes_per_block
+
+        def bitmaps(region_id, block):
+            for mn_id, base in region_map.placement(region_id):
+                off = base + layout.bitmap_offset_of(block)
+                yield cluster.fabric.node(mn_id).memory, off
+
+        for mn_allocator in cluster.mn_allocators.values():
+            for memory, off in bitmaps(*mn_allocator._free_blocks[0]):
+                memory[off:off + nbytes] = b"\xff" * nbytes
+        client = cluster.new_client(mn_centric_alloc=mn_centric)
+        region_id, block = region_map.block_of(alloc(cluster, client, 0).gaddr)
+        owner = MnBlockAllocator.MN_CENTRAL_CID if mn_centric else client.cid
+        entry_off = layout.block_table_entry_offset(block)
+        for mn_id, base in region_map.placement(region_id):
+            word = cluster.fabric.node(mn_id).read_word(base + entry_off)
+            assert unpack_block_entry(word) == (owner, 0)
+        for memory, off in bitmaps(region_id, block):
+            assert not any(memory[off:off + nbytes])
 
     def test_exhaustion_raises(self, cluster, client):
         layout = cluster.region_map.layout

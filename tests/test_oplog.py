@@ -5,7 +5,6 @@ import pytest
 from repro.core import FuseeCluster
 from repro.core.memory import AllocResult
 from repro.core.oplog import (
-    CrashCase,
     LogWalker,
     clear_used_ops,
     commit_old_value_ops,
@@ -176,29 +175,3 @@ class TestLogWalker:
         for prev, cur in zip(visited, visited[1:]):
             assert prev.entry.next_ptr == cur.gaddr
             assert cur.entry.prev_ptr == prev.gaddr
-
-    def test_classify_tail_cases(self):
-        from repro.core.oplog import WalkedObject
-        from repro.core.wire import LogEntry, committed_old_value_bytes
-
-        torn = WalkedObject(gaddr=1, class_idx=0, entry=None, key=None,
-                            value=None, decode_error="torn")
-        assert LogWalker.classify_tail(torn, None) \
-            is CrashCase.C0_INCOMPLETE_OBJECT
-
-        uncommitted = WalkedObject(
-            gaddr=1, class_idx=0,
-            entry=LogEntry(0, 0, 0, 0, OP_UPDATE, True),
-            key=b"k", value=b"v", decode_error=None)
-        assert LogWalker.classify_tail(uncommitted, 5) \
-            is CrashCase.C1_UNCOMMITTED
-
-        payload = committed_old_value_bytes(5)
-        committed = WalkedObject(
-            gaddr=1, class_idx=0,
-            entry=LogEntry(0, 0, 5, payload[8], OP_UPDATE, True),
-            key=b"k", value=b"v", decode_error=None)
-        assert LogWalker.classify_tail(committed, 5) \
-            is CrashCase.C2_BEFORE_PRIMARY
-        assert LogWalker.classify_tail(committed, 99) \
-            is CrashCase.C3_FINISHED

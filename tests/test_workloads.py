@@ -64,6 +64,19 @@ class TestZipfian:
         gen = ZipfianGenerator(1, seed=1)
         assert all(gen.next() == 0 for _ in range(50))
 
+    @pytest.mark.parametrize("theta", [0.01, 0.5, 0.99])
+    def test_two_keys(self, theta):
+        """zeta(2) == zeta(n) at n = 2: eta's denominator is zero there
+        (the constructor used to raise ZeroDivisionError), and no draw
+        reaches the formula that uses it."""
+        gen = ZipfianGenerator(2, theta=theta, seed=3)
+        counts = Counter(gen.next() for _ in range(2000))
+        assert set(counts) == {0, 1}
+        assert counts[0] > counts[1]
+        workload = YcsbWorkload(YcsbConfig(workload="A", n_keys=2), seed=1)
+        assert {workload.next_op()[1] for _ in range(200)} \
+            == set(workload.load_keys())
+
     @pytest.mark.parametrize("n,theta", [(3, 0.99), (1000, 0.5),
                                          (20000, 0.99)])
     def test_memoised_zeta_is_the_plain_sum(self, n, theta):
