@@ -106,13 +106,35 @@ class ClientConfig:
                              f"pick from {READ_SPREAD_MODES}")
 
 
-@dataclass(frozen=True)
+# One per KV operation, so a hand-written value class like ``Slot`` and
+# ``Completion`` (wire.py, verbs.py) rather than a frozen dataclass: plain
+# assignment, with eq/hash/repr mirroring the dataclass exactly.
 class OpResult:
-    ok: bool
-    value: Optional[bytes] = None
-    existed: bool = False       # INSERT: the key was already present
-    outcome: Optional[Outcome] = None
-    error: Optional[str] = None
+    __slots__ = ("ok", "value", "existed", "outcome", "error")
+
+    def __init__(self, ok: bool, value: Optional[bytes] = None,
+                 existed: bool = False, outcome: Optional[Outcome] = None,
+                 error: Optional[str] = None):
+        self.ok = ok
+        self.value = value
+        self.existed = existed      # INSERT: the key was already present
+        self.outcome = outcome
+        self.error = error
+
+    def _fields(self) -> tuple:
+        return (self.ok, self.value, self.existed, self.outcome, self.error)
+
+    def __repr__(self) -> str:
+        return ("OpResult(ok=%r, value=%r, existed=%r, outcome=%r, "
+                "error=%r)" % self._fields())
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not OpResult:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
 
 
 class _Unavailable:
@@ -277,9 +299,10 @@ class FuseeClient:
         paper-faithful default reads the first alive (primary-most)
         replica; spreading modes rotate or load-balance across them.
         """
-        candidates = [(mn_id, addr)
-                      for mn_id, addr in self.region_map.translate(gaddr)
-                      if not self.fabric.node(mn_id).crashed]
+        nodes = self.fabric.nodes
+        candidates = [replica
+                      for replica in self.region_map.translate(gaddr)
+                      if not nodes[replica[0]].crashed]
         if not candidates:
             return None
         mn_id, addr = self.read_policy.choose(candidates)
@@ -407,7 +430,6 @@ class FuseeClient:
     def _search_impl(self, key: bytes):
         self._require_alive()
         self.stats.count_op("search")
-        result = OpResult(ok=False)
         for _attempt in range(4):
             epoch0 = self.master.epoch if self.master else -1
             meta = self.race.key_meta(key)

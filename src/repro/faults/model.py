@@ -28,7 +28,7 @@ import random
 import struct
 from dataclasses import dataclass
 from hashlib import blake2b
-from typing import Iterable, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..rdma.verbs import verb_ident
 from .retry import RetryPolicy
@@ -209,9 +209,10 @@ class FaultInjector:
         self._key = struct.pack(">q", plan.seed & ((1 << 63) - 1))
 
     # ------------------------------------------------------------ draws
-    def _u(self, *parts) -> float:
-        """Deterministic uniform in [0, 1) keyed by seed + ``parts``."""
-        h = blake2b(repr(parts).encode(), digest_size=8, key=self._key)
+    def _u(self, parts: str) -> float:
+        """Deterministic uniform in [0, 1) keyed by seed + ``parts``, the
+        ``repr`` of the draw's tuple of parts."""
+        h = blake2b(parts.encode(), digest_size=8, key=self._key)
         return int.from_bytes(h.digest(), "big") / 2.0 ** 64
 
     # ------------------------------------------------------------ topology
@@ -265,11 +266,10 @@ class FaultInjector:
     # ------------------------------------------------------------ fates
     def _active_link_faults(self, mn_id: int, now: float,
                             port: Optional[int] = None
-                            ) -> Iterable[Tuple[int, LinkFault]]:
-        for i, lf in enumerate(self.plan.link_faults):
-            if (lf.mn_id is None or lf.mn_id == mn_id) and lf.active(now) \
-                    and self._port_match(lf.port, port):
-                yield i, lf
+                            ) -> List[Tuple[int, LinkFault]]:
+        return [(i, lf) for i, lf in enumerate(self.plan.link_faults)
+                if (lf.mn_id is None or lf.mn_id == mn_id)
+                and lf.active(now) and self._port_match(lf.port, port)]
 
     def fate(self, ident: tuple, mn_id: int, attempt: int,
              now: float, port: Optional[int] = None) -> Fate:
@@ -282,25 +282,28 @@ class FaultInjector:
         fates with or without the multi-queue machinery.
         """
         drop_req, drop_rep = self.cn_partition(mn_id, now, port)
+        active = self._active_link_faults(mn_id, now, port)
+        if not (active or drop_req or drop_rep):
+            return _CLEAN_FATE
         dup = False
         jit_req = jit_rep = 0.0
-        for i, lf in self._active_link_faults(mn_id, now, port):
+        # A draw hashes repr((kind, i, mn_id, ident, attempt, now)); all
+        # but the first two parts are the fate's own and ident may carry
+        # a WRITE's whole body, so that tail is repr'd once per fate.
+        tail = repr((mn_id, ident, attempt, now))[1:]
+        for i, lf in active:
+            at = f"{i}, {tail}"
             if lf.drop_p > 0.0:
-                drop_req = drop_req or (
-                    self._u("dq", i, mn_id, ident, attempt, now) < lf.drop_p)
-                drop_rep = drop_rep or (
-                    self._u("dr", i, mn_id, ident, attempt, now) < lf.drop_p)
+                drop_req = drop_req or self._u("('dq', " + at) < lf.drop_p
+                drop_rep = drop_rep or self._u("('dr', " + at) < lf.drop_p
             if lf.dup_p > 0.0:
-                dup = dup or (
-                    self._u("dup", i, mn_id, ident, attempt, now) < lf.dup_p)
+                dup = dup or self._u("('dup', " + at) < lf.dup_p
             if lf.jitter_us > 0.0:
-                jit_req += lf.jitter_us * self._u("jq", i, mn_id, ident,
-                                                  attempt, now)
-                jit_rep += lf.jitter_us * self._u("jr", i, mn_id, ident,
-                                                  attempt, now)
+                jit_req += lf.jitter_us * self._u("('jq', " + at)
+                jit_rep += lf.jitter_us * self._u("('jr', " + at)
         if not (drop_req or drop_rep or dup or jit_req or jit_rep):
             return _CLEAN_FATE
         return Fate(drop_request=drop_req, drop_reply=drop_rep,
                     duplicate=dup, request_jitter_us=jit_req,
                     reply_jitter_us=jit_rep,
-                    backoff_u=self._u("bo", mn_id, ident, attempt, now))
+                    backoff_u=self._u("('bo', " + tail))

@@ -39,14 +39,6 @@ class RunResult:
         return self.ops / self.duration_us
 
 
-def _normalize(op_tuple):
-    """Accept (op, key, value) or (op, key, value, measured)."""
-    if len(op_tuple) == 3:
-        op, key, value = op_tuple
-        return op, key, value, True
-    return op_tuple
-
-
 class StopLoop(Exception):
     """Raised inside ``execute`` to retire a client from the loop."""
 
@@ -134,9 +126,14 @@ def _drive(env: Environment, clients: Sequence, source_factory: Callable,
 
 def _closed_client(env, client, workload, execute, start, deadline, record):
     """Closed loop: the next operation starts when the last one ends."""
-    while env.now < deadline:
-        op, key, value, measured = _normalize(workload.next_op())
-        began = env.now
+    while env._now < deadline:
+        op_tuple = workload.next_op()    # (op, key, value[, measured])
+        if len(op_tuple) == 3:
+            op, key, value = op_tuple
+            measured = True
+        else:
+            op, key, value, measured = op_tuple
+        began = env._now
         try:
             ok = yield from execute(client, op, key, value)
         except StopLoop:

@@ -23,22 +23,23 @@ Kernel modes
 ``docs/simulation_model.md``, "Kernel fast path & determinism contract")
 selects how events are allocated and dispatched inside it:
 
-* ``"fast"`` (the default) — while no controlled scheduler and no profiler
-  is installed (``env._fast``), the loop runs :meth:`Environment.step`'s
-  body inlined and pools :class:`Timeout`, :class:`Initialize` and
-  resume-proxy events on free lists, recycling one only when its sole
-  remaining reference is the loop's own local.  Event *identity* is
-  reused but every observable field is reset, the heap tie-break is a
-  monotone insertion id, and the sequence of ``_schedule`` calls is
-  unchanged — so event ordering (time, priority, insertion) is
-  bit-for-bit identical to reference mode.
+* ``"fast"`` (the default) — while no controlled scheduler is installed
+  (``env._fast``), the loop runs :meth:`Environment.step`'s body inlined
+  and pools :class:`Timeout`, :class:`Initialize` and resume-proxy events
+  on free lists, recycling one only when its sole remaining reference is
+  the loop's own local.  Event *identity* is reused but every observable
+  field is reset, the heap tie-break is a monotone insertion id, and the
+  sequence of ``_schedule`` calls is unchanged — so event ordering (time,
+  priority, insertion) is bit-for-bit identical to reference mode.
 * ``"reference"`` — the oracle for the conformance and differential
   suites: every proxy / timeout / initialize is a fresh object and the
   loop dispatches each event through :meth:`Environment.step`.
 
-Installing a scheduler or profiler on a ``"fast"`` environment makes it
-behave as ``"reference"`` (``env._fast`` goes False) until the hook is
-removed; the mode only controls whether that is permanent.
+Installing a scheduler on a ``"fast"`` environment makes it behave as
+``"reference"`` (``env._fast`` goes False) until it is removed; the mode
+only controls whether that is permanent.  A profiler does not: the fabric
+and the resources feed it, not :meth:`Environment.step`, so a profiled
+run keeps the pooled loop.
 """
 
 from __future__ import annotations
@@ -450,9 +451,11 @@ class Environment:
         self._timeout_pool: List[Timeout] = []
         self._proxy_pool: List[_Proxy] = []
         self._init_pool: List[Initialize] = []
-        # Single hot-path flag: true iff fast mode AND no scheduler AND no
-        # profiler.  Collapses the per-event three-hook check.
+        # The hot-path flags _update_fast keeps: _fast iff fast mode AND no
+        # scheduler (the drain loop's per-event check), _hooked iff a profiler
+        # or access hook is installed (NicPort.finish_time's per-verb check).
         self._fast = kernel == "fast"
+        self._hooked = False
 
     @property
     def now(self) -> float:
@@ -467,17 +470,18 @@ class Environment:
         return self._kernel
 
     def _update_fast(self) -> None:
-        self._fast = (self._kernel == "fast" and self._scheduler is None
-                      and self._profiler is None)
+        self._fast = self._kernel == "fast" and self._scheduler is None
+        self._hooked = (self._profiler is not None
+                        or self._access_hook is not None)
 
     def require_fast(self) -> None:
         """Raise unless the drain loop is eligible for its inlined fast body.
 
         The kernel silently falls back to per-event :meth:`step` dispatch
-        when a controlled scheduler, profiler, or access hook is installed.
-        Callers that promised a fast bed (``run_op(fast=True)``, the
-        harness sweeps) call this to surface the fallback as an error
-        instead of paying a hidden order-of-magnitude slowdown.  The
+        under a controlled scheduler, and every verb feeds an installed
+        profiler or access hook.  Callers that promised a fast, unobserved
+        bed (``run_op(fast=True)``, the harness sweeps) call this to surface
+        either as an error instead of paying a hidden slowdown.  The
         retained reference mode (``kernel_mode("reference")``) passes:
         it is a deliberate differential-testing choice with identical
         semantics and similar speed, not an accidental hook.
@@ -635,8 +639,8 @@ class Environment:
         fires, returning its value).
 
         One drain loop serves every mode.  Per event it either dispatches
-        through :meth:`step` (reference mode, or a scheduler or profiler
-        installed — even one installed from a callback mid-run) or, when
+        through :meth:`step` (reference mode, or a scheduler installed —
+        even one installed from a callback mid-run) or, when
         ``self._fast``, runs step's uncontrolled body inlined and then
         recycles the event: no per-step method dispatch, no hook checks.
         An event is recycled only when ``getrefcount`` proves the loop's

@@ -183,7 +183,7 @@ class NicPort:
         if self._next_free > start:
             start = self._next_free
         end = start + service_time
-        if service_time > 0.0 and not env._fast:
+        if service_time > 0.0 and env._hooked:
             # With zero service time the line never queues, so occupancy is
             # not observable shared state — keep it out of footprints.
             if env._access_hook is not None:

@@ -44,7 +44,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
-from .ycsb import ZIPFIAN_CONSTANT, ZipfianGenerator, make_value
+from .ycsb import (FNV_OFFSET, FNV_PRIME, ZIPFIAN_CONSTANT, ZipfianGenerator,
+                   make_value, scatter)
 
 __all__ = [
     "RateSchedule",
@@ -404,19 +405,6 @@ class ScenarioOp(tuple):
                           self.key, value])
 
 
-_FNV_OFFSET = 0xCBF29CE484222325
-_FNV_PRIME = 0x100000001B3
-
-
-def _fnv1a64(value: int) -> int:
-    h = _FNV_OFFSET
-    for _ in range(8):
-        h ^= value & 0xFF
-        h = (h * _FNV_PRIME) & 0xFFFFFFFFFFFFFFFF
-        value >>= 8
-    return h
-
-
 @dataclass(frozen=True)
 class Scenario:
     """A named, seeded production-traffic scenario.
@@ -466,7 +454,7 @@ class Scenario:
     def hot_index(self, tenant: TenantSpec, t_us: float) -> int:
         """The key index a rank-0 (hottest) draw maps to at ``t_us``."""
         off = self.shift.offset(t_us) if self.shift is not None else 0
-        return _fnv1a64(off) % tenant.n_keys
+        return scatter(off, tenant.n_keys)
 
     # ---------------------------------------------------------- streams
     def client_stream(self, client_index: int,
@@ -541,7 +529,7 @@ class ScenarioStream:
         rank = self._choosers[tenant.name].next()
         shift = self.scenario.shift
         off = shift.offset(t_us) if shift is not None else 0
-        return tenant.key(_fnv1a64(rank + off) % tenant.n_keys)
+        return tenant.key(scatter(rank + off, tenant.n_keys))
 
     def _make_op(self, at_us: float) -> ScenarioOp:
         tenant = self._pick_tenant()
@@ -612,10 +600,10 @@ class SaturatingStream:
 
 def hash_name(name: str) -> int:
     """Stable (non-PYTHONHASHSEED) tenant-name hash for seeding."""
-    h = _FNV_OFFSET
+    h = FNV_OFFSET
     for b in name.encode():
         h ^= b
-        h = (h * _FNV_PRIME) & 0xFFFFFFFFFFFFFFFF
+        h = (h * FNV_PRIME) & 0xFFFFFFFFFFFFFFFF
     return h
 
 

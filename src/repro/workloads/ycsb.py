@@ -20,8 +20,9 @@ from __future__ import annotations
 import functools
 import math
 import random
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 __all__ = [
     "ZipfianGenerator",
@@ -89,29 +90,43 @@ class ZipfianGenerator:
             yield self.next()
 
 
+FNV_OFFSET = 0xCBF29CE484222325
+FNV_PRIME = 0x100000001B3
+#: Per key space ``n``, rank -> key index: filled as ranks are first drawn
+#: and shared by every stream over that key space.
+_SCATTER: Dict[int, Dict[int, int]] = defaultdict(dict)
+
+
+def scatter(rank: int, n: int) -> int:
+    """Where a popularity rank lands in an ``n``-key space: FNV-1a of its
+    eight little-endian bytes, mod ``n``.  A pure function of ``(rank, n)``
+    that a Zipfian stream calls with the same few ranks over and over, so
+    it is hashed once per rank of a key space, not once per draw (the byte
+    loop costs more than a kernel event)."""
+    table = _SCATTER[n]
+    index = table.get(rank)
+    if index is None:
+        h = FNV_OFFSET
+        value = rank
+        for _ in range(8):
+            h ^= value & 0xFF
+            h = (h * FNV_PRIME) & 0xFFFFFFFFFFFFFFFF
+            value >>= 8
+        index = table[rank] = h % n
+    return index
+
+
 class ScrambledZipfian:
     """Zipfian ranks scattered over the key space (YCSB's scrambled mode),
     so hot keys are not clustered in the same hash-index region."""
-
-    FNV_OFFSET = 0xCBF29CE484222325
-    FNV_PRIME = 0x100000001B3
 
     def __init__(self, n: int, theta: float = ZIPFIAN_CONSTANT,
                  seed: Optional[int] = None):
         self.n = n
         self._zipf = ZipfianGenerator(n, theta, seed)
 
-    @classmethod
-    def _fnv1a64(cls, value: int) -> int:
-        h = cls.FNV_OFFSET
-        for _ in range(8):
-            h ^= value & 0xFF
-            h = (h * cls.FNV_PRIME) & 0xFFFFFFFFFFFFFFFF
-            value >>= 8
-        return h
-
     def next(self) -> int:
-        return self._fnv1a64(self._zipf.next()) % self.n
+        return scatter(self._zipf.next(), self.n)
 
 
 class LatestGenerator:

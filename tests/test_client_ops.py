@@ -1,10 +1,15 @@
 """End-to-end tests of FUSEE client operations on a live cluster."""
 
+import dataclasses
+from typing import Optional
+
 import pytest
 
 from repro.core import ClusterConfig, FuseeCluster
-from repro.core.client import ClientCrashed, CrashPoint
+from repro.core.client import ClientCrashed, CrashPoint, OpResult
 from repro.core.snapshot import Outcome
+from repro.core.wire import unpack_slot
+from repro.rdma.verbs import ReadOp
 from tests.conftest import small_config, run
 
 
@@ -87,6 +92,110 @@ class TestBasicOps:
         value = bytes(reversed(range(256)))
         assert run(cluster, client.insert(key, value)).ok
         assert run(cluster, client.search(key)).value == value
+
+
+class TestOpResult:
+    """``OpResult`` is a hand-written value class; it must behave as the
+    frozen dataclass it replaced (kept here as the oracle)."""
+
+    @dataclasses.dataclass(frozen=True)
+    class Dataclass:
+        ok: bool
+        value: Optional[bytes] = None
+        existed: bool = False
+        outcome: Optional[Outcome] = None
+        error: Optional[str] = None
+
+    CASES = [
+        ((True,), {}), ((False,), {}), ((), {"ok": False}),
+        ((True, b"v"), {}), ((True,), {"value": b""}),
+        ((False, None, True), {}), ((False,), {"existed": True}),
+        ((True, None, False, Outcome.WIN_RULE1), {}),
+        ((True,), {"outcome": Outcome.LOSE}),
+        ((False, None, False, None, "index unavailable"), {}),
+        ((False,), {"error": "no alive replica"}),
+        ((), {"ok": True, "value": b"v", "existed": False,
+              "outcome": Outcome.WIN_RULE1, "error": None}),
+    ]
+
+    def test_mirrors_the_dataclass(self):
+        ours = [OpResult(*a, **kw) for a, kw in self.CASES]
+        theirs = [self.Dataclass(*a, **kw) for a, kw in self.CASES]
+        for mine, ref in zip(ours, theirs):
+            assert repr(mine) == repr(ref).replace(
+                "TestOpResult.Dataclass", "OpResult")
+            assert hash(mine) == hash(ref)
+            assert dataclasses.astuple(ref) == (
+                mine.ok, mine.value, mine.existed, mine.outcome, mine.error)
+        for i, mine in enumerate(ours):
+            for j, other in enumerate(ours):
+                assert (mine == other) == (theirs[i] == theirs[j])
+                assert (mine != other) == (theirs[i] != theirs[j])
+        assert OpResult(True) != (True, None, False, None, None)
+        assert OpResult(True) != self.Dataclass(True)
+        assert len({OpResult(True, b"v"), OpResult(True, b"v")}) == 1
+
+    def test_construction_errors_and_no_instance_dict(self):
+        with pytest.raises(TypeError):
+            OpResult()
+        with pytest.raises(TypeError):
+            OpResult(True, nope=1)
+        assert not hasattr(OpResult(True), "__dict__")
+
+    def test_absent_key_is_a_plain_failure(self, cluster, client):
+        result = run(cluster, client._search_impl(b"missing"))
+        assert result == OpResult(ok=False)
+        assert result.error is None and result.value is None
+
+
+class TestKvReadOp:
+    """``_kv_read_op``: one READ of an alive data replica, chosen by the
+    ``read_spread`` policy and counted once in ``kv_replica_reads``."""
+
+    @staticmethod
+    def bed(read_spread):
+        cluster = FuseeCluster(small_config(replication_factor=3))
+        client = cluster.new_client(read_spread=read_spread)
+        assert run(cluster, client.insert(b"k", b"v")).ok
+        gaddr = unpack_slot(client.cache.lookup(b"k").slot_word).pointer
+        return cluster, client, gaddr, cluster.region_map.translate(gaddr)
+
+    def test_primary_reads_the_first_alive_replica(self):
+        cluster, client, gaddr, replicas = self.bed("primary")
+        reads = cluster.fabric.stats.kv_replica_reads
+        assert len(replicas) == 3
+        for n_crashed, (mn_id, addr) in enumerate(replicas):
+            before = dict(reads)
+            assert client._kv_read_op(gaddr, 128) == ReadOp(mn_id, addr, 128)
+            after = {mn: n - before.get(mn, 0) for mn, n in reads.items()}
+            assert {mn: n for mn, n in after.items() if n} == {mn_id: 1}
+            cluster.crash_memory_node(mn_id)
+        before = dict(reads)
+        assert client._kv_read_op(gaddr, 128) is None
+        assert reads == before          # nothing picked, nothing counted
+
+    def test_round_robin_rotates_over_the_alive_replicas(self):
+        cluster, client, gaddr, replicas = self.bed("round_robin")
+        start = client.read_policy._rr
+        picks = [client._kv_read_op(gaddr, 64) for _ in range(6)]
+        assert [(op.mn_id, op.addr) for op in picks] == [
+            replicas[(start + i) % 3] for i in range(6)]
+        cluster.crash_memory_node(replicas[1][0])
+        alive = [replicas[0], replicas[2]]
+        start = client.read_policy._rr
+        picks = [client._kv_read_op(gaddr, 64) for _ in range(4)]
+        assert [(op.mn_id, op.addr) for op in picks] == [
+            alive[(start + i) % 2] for i in range(4)]
+
+    def test_least_loaded_skips_the_backlogged_replica(self):
+        cluster, client, gaddr, replicas = self.bed("least_loaded")
+        cluster.env.run(until=cluster.env.now + 50.0)    # drain the NICs
+        assert client._kv_read_op(gaddr, 64).mn_id == replicas[0][0]
+        cluster.fabric.node(replicas[0][0]).nic_tx.finish_time(5.0)
+        assert client._kv_read_op(gaddr, 64).mn_id == replicas[1][0]
+        cluster.crash_memory_node(replicas[1][0])
+        cluster.fabric.node(replicas[2][0]).nic_tx.finish_time(9.0)
+        assert client._kv_read_op(gaddr, 64).mn_id == replicas[0][0]
 
 
 class TestCrossClient:

@@ -170,6 +170,75 @@ def test_fates_are_deterministic_and_window_scoped():
                 for f in inside}) > 1
 
 
+def _parent_fate(inj, ident, mn_id, attempt, now, port=None):
+    """``FaultInjector.fate`` as it was when every draw ``repr``'d its own
+    tuple of parts: the oracle for the shared-tail spelling."""
+    from hashlib import blake2b
+
+    from repro.faults.model import Fate
+
+    def u(*parts):
+        h = blake2b(repr(parts).encode(), digest_size=8, key=inj._key)
+        return int.from_bytes(h.digest(), "big") / 2.0 ** 64
+
+    drop_req, drop_rep = inj.cn_partition(mn_id, now, port)
+    dup = False
+    jit_req = jit_rep = 0.0
+    for i, lf in inj._active_link_faults(mn_id, now, port):
+        if lf.drop_p > 0.0:
+            drop_req = drop_req or (
+                u("dq", i, mn_id, ident, attempt, now) < lf.drop_p)
+            drop_rep = drop_rep or (
+                u("dr", i, mn_id, ident, attempt, now) < lf.drop_p)
+        if lf.dup_p > 0.0:
+            dup = dup or (u("dup", i, mn_id, ident, attempt, now) < lf.dup_p)
+        if lf.jitter_us > 0.0:
+            jit_req += lf.jitter_us * u("jq", i, mn_id, ident, attempt, now)
+            jit_rep += lf.jitter_us * u("jr", i, mn_id, ident, attempt, now)
+    if not (drop_req or drop_rep or dup or jit_req or jit_rep):
+        return Fate()
+    return Fate(drop_request=drop_req, drop_reply=drop_rep, duplicate=dup,
+                request_jitter_us=jit_req, reply_jitter_us=jit_rep,
+                backoff_u=u("bo", mn_id, ident, attempt, now))
+
+
+def test_fates_hash_what_the_per_draw_repr_hashed():
+    """One shared ``repr`` per fate must feed every draw the bytes its own
+    ``repr(parts)`` did: same drops, dups, jitters and backoff variates."""
+    plan = FaultPlan(
+        link_faults=[
+            LinkFault(drop_p=0.3, dup_p=0.2, jitter_us=1.5),
+            LinkFault(mn_id=1, drop_p=0.5, start_us=50.0, end_us=150.0),
+            LinkFault(mn_id=0, jitter_us=0.25, port=1),
+            LinkFault(dup_p=0.4, start_us=100.0)],
+        partitions=[Partition(a=CN, b=2, start_us=120.0, end_us=140.0)],
+        seed=0xFA7E)
+    inj = FaultInjector(plan)
+    idents = [("W", 4096, bytes(range(256)) * 4),           # a 1 KB body
+              ("W", 64, b"it's \"quoted\"\n\x00"), ("rpc", "alloc", (3, 7)),
+              ("C", 8, 0, 1 << 63), ("F", 16, -1)]
+    idents += [("R", 64 * i, 8 + i) for i in range(45)]
+    fates = {}
+    for ident in idents:
+        for mn_id in (-1, 0, 1, 2):
+            for attempt in (1, 2, 5):
+                for now, port in ((0.0, None), (99.99999999999999, 0),
+                                  (130.5, 1), (1e-07, None), (1234567.0, 1)):
+                    args = (ident, mn_id, attempt, now, port)
+                    fates[args] = inj.fate(*args)
+                    assert fates[args] == _parent_fate(inj, *args), args
+    assert len(fates) == 3000
+    kinds = {(f.drop_request, f.drop_reply, f.duplicate,
+              f.request_jitter_us > 0.0) for f in fates.values()}
+    assert len(kinds) >= 8          # every outcome is drawn, not just one
+    # a partition-only fate (no link fault active) still draws its backoff
+    lone = FaultInjector(FaultPlan(partitions=[
+        Partition(a=CN, b=0, start_us=0.0, end_us=10.0)], seed=3))
+    args = (("R", 0, 8), 0, 1, 5.0)
+    assert lone.fate(*args) == _parent_fate(lone, *args)
+    assert lone.fate(*args).drop_request and lone.fate(*args).backoff_u > 0.0
+
+
 def test_partition_topology_queries():
     plan = FaultPlan(partitions=[
         Partition(a=CN, b=1, start_us=0.0, end_us=50.0,

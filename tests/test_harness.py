@@ -122,6 +122,37 @@ class TestRunner:
         assert result.ops == 0
         assert result.errors > 0
 
+    def test_both_op_tuple_forms_and_unmeasured_ops(self):
+        """``next_op()`` may return ``(op, key, value)`` or ``(op, key,
+        value, measured)``; an unmeasured op runs but is not recorded."""
+        class Alternating:
+            def __init__(self):
+                self.issued = []
+
+            def next_op(self):
+                form = len(self.issued) % 3
+                self.issued.append(form)
+                op = ("search", key_bytes(0), None)
+                return op if form == 0 else op + (form == 1,)
+
+        bed = self.make_bed()
+        workload = Alternating()
+        executed = []
+
+        def execute(client, op, key, value):
+            executed.append(op)
+            return (yield from bed.execute(client, op, key, value))
+
+        result = run_closed_loop(bed.env, [bed.new_client()],
+                                 lambda i: workload, execute,
+                                 duration_us=300.0, collect_latency=True)
+        assert len(executed) == len(workload.issued) > 9
+        finished = len(executed) - 1     # the last op straddles the deadline
+        measured = sum(form != 2 for form in workload.issued[:finished])
+        assert result.ops == result.per_op_counts["search"] == measured
+        assert len(result.latencies["search"]) == measured
+        assert result.errors == 0
+
     def test_timeline_buckets(self):
         bed = self.make_bed()
         clients = [bed.new_client() for _ in range(2)]

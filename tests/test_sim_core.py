@@ -583,12 +583,16 @@ class TestKernelConformance:
         assert run_zero("fast") == run_zero("reference")
 
     def test_profiler_installed_mid_run_matches_reference(self):
-        """A hook installed from a callback takes the single drain loop
-        off its inlined body at the next event; the run must still end
-        at its deadline with the log the reference kernel produces."""
+        """A hook installed from a callback mid-run: the run must still
+        end at its deadline with the log, clock and event count the
+        reference kernel produces.  Only a controlled *scheduler* takes
+        the single drain loop off its inlined body (at the next event);
+        nothing in ``step()`` serves a profiler, so a profiled run keeps
+        the pooled body."""
         from repro.obs import Profiler
+        from tests.test_fabric import _HeapOrderScheduler
 
-        def run_mid(mode):
+        def run_mid(mode, hook):
             with kernel_mode(mode):
                 env = Environment()
                 log, inlined = [], []
@@ -601,7 +605,10 @@ class TestKernelConformance:
 
                 def install():
                     yield env.timeout(4.0)
-                    Profiler().install(env)
+                    if hook == "profiler":
+                        Profiler().install(env)
+                    else:
+                        env.set_scheduler(_HeapOrderScheduler())
                     log.append(("installed", env.now))
 
                 for pid, period in enumerate((1.0, 1.5, 2.5)):
@@ -610,10 +617,12 @@ class TestKernelConformance:
                 env.run(until=10.25)
                 return log, env.now, env._eid, inlined
 
-        fast, reference = run_mid("fast"), run_mid("reference")
-        assert fast[:3] == reference[:3]
-        assert fast[1] == 10.25
-        assert fast[0][-1] == (0, 10.0)
-        # the fast run really did switch bodies part-way
-        assert fast[3][0] and not fast[3][-1]
-        assert not any(reference[3])
+        for hook in ("profiler", "scheduler"):
+            fast, reference = run_mid("fast", hook), run_mid("reference", hook)
+            assert fast[:3] == reference[:3]
+            assert fast[1] == 10.25
+            assert fast[0][-1] == (0, 10.0)
+            # a scheduler really does switch bodies part-way; a profiler
+            # does not
+            assert fast[3][0] and fast[3][-1] == (hook == "profiler")
+            assert not any(reference[3])

@@ -142,6 +142,29 @@ class TestFastReferenceDifferential:
         assert len(fast) > 500
         assert fast == slow
 
+    def test_profiled_64c_2mn_run_keeps_the_pooled_kernel(self):
+        """Nothing in ``Environment.step`` serves a profiler, so a profiled
+        run stays on the inlined, event-recycling drain loop — and still
+        renders the JSONL (and the intervals) of the reference kernel."""
+        from repro.sim.core import kernel_mode
+
+        def profiled():
+            result = observed_ycsb(
+                7, 150.0, 64, profile=True,
+                bed_kw=dict(n_memory_nodes=2, max_clients=72))
+            return result.profiler, jsonl_lines(result.tracer)
+
+        fast, fast_lines = profiled()
+        with kernel_mode("reference"):
+            slow, slow_lines = profiled()
+        assert fast.env._fast and fast.env._hooked and fast.env._timeout_pool
+        assert not slow.env._fast and not slow.env._timeout_pool
+        assert len(fast_lines) > 200 and fast_lines == slow_lines
+        assert len(fast.intervals) > 1000
+        assert [(span and span.sid, *rest) for span, *rest in fast.intervals] \
+            == [(span and span.sid, *rest) for span, *rest in slow.intervals]
+        assert fast.env._eid == slow.env._eid
+
     def test_profiler_on_vs_off_trace_byte_identical(self):
         """Installing the profiler must only *observe*: span/fabric JSONL
         from a profiled run matches the unprofiled run byte-for-byte."""

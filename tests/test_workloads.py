@@ -18,6 +18,7 @@ from repro.workloads import (
     key_bytes,
     make_value,
 )
+from repro.workloads.ycsb import _SCATTER, scatter
 
 
 class TestZipfian:
@@ -105,6 +106,42 @@ class TestScrambledZipfian:
         gen = ScrambledZipfian(1000, seed=4)
         counts = Counter(gen.next() for _ in range(30000))
         assert counts.most_common(1)[0][1] / 30000 > 0.05
+
+    @staticmethod
+    def _byte_loop_scatter(rank, n):
+        """The per-draw hash the table replaced, kept here as the oracle."""
+        h = 0xCBF29CE484222325
+        for _ in range(8):
+            h ^= rank & 0xFF
+            h = (h * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+            rank >>= 8
+        return h % n
+
+    @pytest.mark.parametrize("n", [1, 2, 200, 20_000])
+    def test_scatter_table_is_the_byte_loop(self, n):
+        for rank in range(n):
+            expect = self._byte_loop_scatter(rank, n)
+            assert scatter(rank, n) == expect
+            assert scatter(rank, n) == expect      # from the table
+        # a rotated scenario rank is just another rank of the key space
+        assert scatter(n + 12345, n) == self._byte_loop_scatter(n + 12345, n)
+
+    def test_streams_of_one_key_space_share_one_table(self):
+        # 1237 keys: a key space no other test draws from
+        config = YcsbConfig(workload="C", n_keys=1237)
+        a, b = YcsbWorkload(config, seed=1), YcsbWorkload(config, seed=2)
+        assert 1237 not in _SCATTER
+        drawn = {a.next_op()[1] for _ in range(200)}
+        table = _SCATTER[1237]
+        filled = len(table)
+        assert 0 < filled <= 200 and len(drawn) <= filled
+        for _ in range(200):
+            b.next_op()
+        assert table is _SCATTER[1237]
+        assert filled <= len(table) < 2 * filled   # b re-used a's hot ranks
+        assert all(index == self._byte_loop_scatter(rank, 1237)
+                   for rank, index in table.items())
+        assert _SCATTER[1238] is not table
 
 
 class TestLatest:
