@@ -7,7 +7,9 @@ machine-dependent, so the baseline file also records the runtime of a
 fixed pure-Python **calibration workload** whose instruction mix (heap
 churn, method calls, small-tuple allocation, dict traffic) resembles the
 DES hot loop; at gate time the baseline seconds are rescaled by
-``calibration_now / calibration_recorded`` before the speedup assertion.
+``calibration_now / calibration_recorded`` before the speedup assertion,
+with ``calibration_now`` taken beside each timed repeat
+(:func:`best_calibrated_speedup`), not once per session.
 
 Everything here is deliberately deterministic: fixed seeds, fixed op
 counts, no wall-clock-dependent control flow — two runs of a bed do the
@@ -131,3 +133,29 @@ def calibration_seconds(rounds: int = 150_000) -> float:
 def measure_calibration(repeats: int = 3) -> float:
     """Best-of-N calibration time (minimum filters scheduler noise)."""
     return min(calibration_seconds() for _ in range(repeats))
+
+
+def best_calibrated_speedup(run, baseline_seconds: float,
+                            calibration_recorded: float, repeats: int = 3):
+    """Time ``run()`` ``repeats`` times, each against a budget calibrated
+    beside it; returns ``(speedup, seconds, budget, ops)`` of the repeat
+    with the best speedup.
+
+    A shared host changes speed for seconds at a time (this sandbox flips
+    between two states 1.3-1.7x apart), so a calibration taken once per
+    session scales the budget by one state and times the bed in the
+    other.  Here the calibration brackets each repeat — the faster of the
+    readings just before and just after, so a flip *during* the repeat
+    shrinks its budget and never inflates it — and the gate reads the
+    best per-repeat ratio: noise is one-sided for a ratio of two timings
+    taken in one state just as it is for a single timing.
+    """
+    best = None
+    for _ in range(repeats):
+        before = measure_calibration(2)
+        seconds, ops = run()
+        calibration = min(before, measure_calibration(2))
+        budget = baseline_seconds * calibration / calibration_recorded
+        if best is None or budget / seconds > best[0]:
+            best = (budget / seconds, seconds, budget, ops)
+    return best

@@ -191,6 +191,12 @@ class Fate:
     reply_jitter_us: float = 0.0
     backoff_u: float = 0.0      # uniform variate for the retry backoff
 
+    @property
+    def clean(self) -> bool:
+        """Nothing lost, duplicated or delayed: the clean fabric's delivery."""
+        return not (self.drop_request or self.drop_reply or self.duplicate
+                    or self.request_jitter_us or self.reply_jitter_us)
+
 
 _CLEAN_FATE = Fate()
 

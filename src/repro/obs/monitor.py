@@ -106,6 +106,9 @@ class Monitor:
         # which MNs expose per-port scopes (single-port == the MN itself)
         self._multiport = {mn_id: node.num_ports > 1
                            for mn_id, node in fabric.nodes.items()}
+        # note_verb's scope and family strings: formatted once per MN and
+        # per (verb class, payload bit length), not once per verb
+        self._labels: Dict[object, str] = {}
         self.rows: List[dict] = []
         self.skew_rows: List[dict] = []
         self._last_port_ops: Dict[str, int] = {}
@@ -212,11 +215,14 @@ class Monitor:
         if detector is None:
             return
         self.hook_calls += 1
-        pane = int(self.env.now // self.width)
-        family = (f"{_VERB_KIND.get(verb_cls, 'verb')}"
-                  f"@{int(nbytes).bit_length()}")
+        pane = int(self.env._now // self.width)
+        labels = self._labels
+        bits = int(nbytes).bit_length()
+        family = labels.get((verb_cls, bits)) or labels.setdefault(
+            (verb_cls, bits), f"{_VERB_KIND.get(verb_cls, 'verb')}@{bits}")
+        scope = labels.get(mn_id) or labels.setdefault(mn_id, f"mn{mn_id}")
         per_verb = service_us / n if n > 1 else service_us
-        detector.observe(pane, f"mn{mn_id}", family, per_verb, n)
+        detector.observe(pane, scope, family, per_verb, n)
         if self._multiport.get(mn_id):
             detector.observe(pane, port_label, family, per_verb, n)
 
@@ -227,7 +233,7 @@ class Monitor:
         if detector is None:
             return
         self.hook_calls += 1
-        pane = int(self.env.now // self.width)
+        pane = int(self.env._now // self.width)
         detector.observe(pane, shard_label, f"rpc:{name}", cpu_us)
 
     # --------------------------------------------------------- evaluate

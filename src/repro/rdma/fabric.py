@@ -455,72 +455,147 @@ class Fabric:
                      qp: int = 0) -> Event:
         """Doorbell batch under an installed fault injector.
 
-        Each verb runs in its own delivery process: per attempt the
-        injector draws a fate (lost request, lost reply, duplicated
-        delivery, extra jitter) and the transport retries with capped
-        backoff under the *same* idempotency token, so the memory node
-        applies each verb at most once (`MemoryNode.apply_once`).  A verb
-        whose retry budget runs out completes with :data:`TIMEOUT`.
-        Verbs are applied at their simulated arrival time, so effects
-        still land inside the invocation-completion window and executions
-        remain linearizable.
+        Per attempt the injector draws a verb's fate (lost request, lost
+        reply, duplicated delivery, extra jitter) and the transport
+        retries with capped backoff under the *same* idempotency token,
+        so the memory node applies each verb at most once
+        (`MemoryNode.apply_once`); a verb whose retry budget runs out
+        completes with :data:`TIMEOUT`.  Verbs are applied at their
+        simulated arrival time, so effects still land inside the
+        invocation-completion window and executions remain linearizable.
+        On a multi-port node each retry rotates the affinity hash by one,
+        so a QP stuck behind a partitioned or gray *port* reaches a
+        healthy one within ``num_ports`` attempts.
 
-        On a multi-port node each retry attempt rotates the affinity
-        hash by one, so a QP stuck behind a partitioned or gray *port*
-        deterministically reaches a healthy one within ``num_ports``
-        attempts.
-
-        This is deliberately a second verb path, not a mode of the loop
-        in :meth:`post`: only a process per verb can express loss,
-        duplication and retry, and a process per verb cannot be the
-        default.  It shares ``_port_for`` and ``_service_time`` with the
-        clean loop, so affinity and service costs have one definition.
+        First-attempt fates are drawn here, in posted order (a fate is a
+        pure hash of what is sent and when).  A batch no fault reaches —
+        every fate clean, every target alive — is one delivery process,
+        four kernel events whatever its size; any other batch gets a
+        process per verb, the only shape that can express loss,
+        duplication and retry.  Both are spawned here, so same-instant
+        batches of one QP reach the MN in post order whichever shape each
+        took, and both share `_arrive`, `_port_for` and `_service_time`.
         """
         env = self.env
-        t0 = env.now
         self.stats.batches += 1
         span = self.tracer.current_span() if self.tracer.enabled else None
         prof = env._profiler
         pspan = None
         if prof is not None and not unsignaled:
             pspan = prof.current_span()
+        inj = self.injector    # a delivery keeps the one it was posted under
+        untouched = True
+        verbs = []
+        for op in ops:
+            node = self.nodes[op.mn_id]
+            pidx, port = self._port_for(node, op.__class__ is ReadOp, qp)
+            fate = inj.fate(verb_ident(op), op.mn_id, 1, env._now, port=pidx)
+            env.note_access(("crash", op.mn_id), False)
+            untouched = untouched and fate.clean and not node.crashed
+            verbs.append((op, node, op_bytes(op), env.next_uid(), pidx, port,
+                          fate))
         completions: List[Completion] = [None] * len(ops)
+        if untouched:
+            return env.process(self._deliver_batch(
+                inj, ops, verbs, completions, unsignaled, span, pspan),
+                name="batch")
         procs = []
-        for i, op in enumerate(ops):
+        for i, verb in enumerate(verbs):
             proc = env.process(
-                self._deliver_verb(i, op, env.next_uid(), completions, span,
-                                   qp),
-                name=f"verb:{i}@MN{op.mn_id}")
+                self._deliver_verb(i, verb, inj, completions, span, qp),
+                name=f"verb:{i}@MN{verb[0].mn_id}")
             if prof is not None:
-                # Delivery runs in its own process, so interval emission
-                # inside it cannot see the posting span via the tracer's
-                # per-process stack — bind explicitly (None when
+                # A delivery process cannot see the posting span via the
+                # tracer's per-process stack — bind explicitly (None when
                 # unsignaled, to keep the intervals resource-only).
                 prof.bind(proc, pspan)
             procs.append(proc)
-        return env.process(self._gather_batch(ops, procs, completions, t0,
-                                              unsignaled, span),
+        return env.process(self._gather_batch(ops, procs, completions,
+                                              env._now, unsignaled, span),
                            name="batch")
 
-    def _gather_batch(self, ops, procs, completions, t0, unsignaled, span):
-        if len(procs) == 1:
-            yield procs[0]
+    def _gather_batch(self, ops, events, completions, t0, unsignaled, span):
+        if len(events) == 1:
+            yield events[0]
         else:
-            yield self.env.all_of(procs)
+            yield self.env.all_of(events)
         if self.tracer.enabled:
             self.tracer.on_batch(ops, completions, t0, self.env.now,
                                  unsignaled=unsignaled, span=span)
         return completions
 
-    def _deliver_verb(self, i, op, token, completions, span, qp=0):
+    def _deliver_batch(self, inj, ops, verbs, completions, unsignaled,
+                       span, pspan):
+        """Every verb's clean first attempt in one process: the steps of
+        `_deliver_verb`, in posted order, at the same instants."""
         env = self.env
         cfg = self.config
-        inj = self.injector
+        t0 = env._now
+        t_sent = t0 + cfg.post_overhead_us
+        prof = env._profiler
+        for op, _, nbytes, *_ in verbs:
+            self._count(op.__class__, op.mn_id, nbytes)
+            if prof is not None:
+                prof.note("client", "post", t0, t_sent, pspan)
+                prof.note("propagation", "net.request", t_sent,
+                          t_sent + cfg.one_way_delay_us, pspan)
+        yield env.timeout(cfg.post_overhead_us + cfg.one_way_delay_us)
+        if prof is not None:
+            prof.begin_batch(pspan)   # resolved once, not per interval
+        back = 0.0
+        for i, verb in enumerate(verbs):
+            back = max(back,
+                       self._arrive(i, *verb, inj, prof, completions) or 0.0)
+        if prof is not None:
+            prof.end_batch()
+        return (yield from self._gather_batch(
+            ops, [env.timeout(back)], completions, t0, unsignaled, span))
+
+    def _arrive(self, i, op, node, nbytes, token, pidx, port, fate, inj,
+                prof, completions):
+        """A request reaching its MN under an injector: crash check (FAIL
+        on the spot, no return leg), at-most-once apply, gray-inflated
+        service, a slot on ``port``.  Files the completion; returns how
+        long until the reply is back, or None if the MN is down."""
+        env = self.env
+        env.note_access(("crash", op.mn_id), False)
+        if node.crashed:
+            self.stats.failed_verbs += 1
+            completions[i] = Completion(op, FAIL)
+            return None
+        value, deduped = node.apply_once(token, op)
+        if deduped:
+            self.stats.dedup_hits += 1
+        completions[i] = Completion(op, value)
+        service = (self._service_time(node, op, nbytes)
+                   * inj.service_factor(op.mn_id, env._now, port=pidx))
+        self._note_port(port)
+        if self.monitor is not None:
+            self.monitor.note_verb(op.mn_id, port.label, op.__class__,
+                                   nbytes, service)
+        done = port.finish_time(service, env._now)
+        if fate.duplicate:
+            # The fabric delivered the request twice: the second copy hits
+            # the token cache (no re-execution) but still costs NIC service.
+            self.stats.duplicates += 1
+            if node.apply_once(token, op)[1]:
+                self.stats.dedup_hits += 1
+            self._note_port(port)
+            port.finish_time(service, env._now)
+        one_way = self.config.one_way_delay_us
+        if prof is not None and not fate.drop_reply:
+            # [now, done] is NIC queue+service, already attributed by
+            # the port; only the reply's travel back is propagation.
+            prof.note("propagation", "net.reply", done,
+                      done + one_way + fate.reply_jitter_us)
+        return max(0.0, done - env._now) + one_way + fate.reply_jitter_us
+
+    def _deliver_verb(self, i, verb, inj, completions, span, qp=0):
+        env = self.env
+        cfg = self.config
         policy = inj.retry
-        node = self.nodes[op.mn_id]
-        self._count(op, node)
-        ident = verb_ident(op)
-        is_read = isinstance(op, ReadOp)
+        op, node, nbytes, token, _, _, fate = verb
+        self._count(op.__class__, op.mn_id, nbytes)
         for attempt in range(1, policy.max_attempts + 1):
             if attempt > 1:
                 self.stats.transport_retries += 1
@@ -533,11 +608,12 @@ class Fabric:
                 yield _prop(env, cfg.fail_delay_us, "net.fail")
                 completions[i] = Completion(op, FAIL)
                 return
-            # per-attempt salt: a retry re-hashes onto the next port, so
-            # port-level faults are escaped instead of hammered
-            pidx, port = self._port_for(node, is_read, qp,
+            # per-attempt salt: a retry re-hashes onto the next port
+            pidx, port = self._port_for(node, op.__class__ is ReadOp, qp,
                                         salt=attempt - 1)
-            fate = inj.fate(ident, op.mn_id, attempt, t_attempt, port=pidx)
+            if attempt > 1:   # the first fate was drawn at post time
+                fate = inj.fate(verb_ident(op), op.mn_id, attempt,
+                                t_attempt, port=pidx)
             backoff = policy.backoff_us(attempt, fate.backoff_u)
             if fate.drop_request:
                 self.stats.dropped_requests += 1
@@ -545,42 +621,19 @@ class Fabric:
                 yield _backoff(env, policy.verb_timeout_us + backoff,
                                "verb.timeout")
                 continue
-            # request propagation (plus drawn jitter)
             prof = env._profiler
             if prof is not None:
-                t = env.now
-                t_sent = t + cfg.post_overhead_us
-                prof.note("client", "post", t, t_sent)
+                t_sent = t_attempt + cfg.post_overhead_us
+                prof.note("client", "post", t_attempt, t_sent)
                 prof.note("propagation", "net.request", t_sent,
                           t_sent + cfg.one_way_delay_us
                           + fate.request_jitter_us)
             yield env.timeout(cfg.post_overhead_us + cfg.one_way_delay_us
                               + fate.request_jitter_us)
-            env.note_access(("crash", node.mn_id), False)
-            if node.crashed:
-                self.stats.failed_verbs += 1
-                completions[i] = Completion(op, FAIL)
+            back = self._arrive(i, op, node, nbytes, token, pidx, port, fate,
+                                inj, prof, completions)
+            if back is None:
                 return
-            value, deduped = node.apply_once(token, op)
-            if deduped:
-                self.stats.dedup_hits += 1
-            service = (self._service_time(node, op)
-                       * inj.service_factor(op.mn_id, env.now, port=pidx))
-            self._note_port(port)
-            if self.monitor is not None:
-                self.monitor.note_verb(op.mn_id, port.label, op.__class__,
-                                       op_bytes(op), service)
-            done = port.finish_time(service, not_before=env.now)
-            if fate.duplicate:
-                # The fabric delivered the request twice.  The second copy
-                # hits the token cache (no re-execution) but still costs
-                # NIC service.
-                self.stats.duplicates += 1
-                _, dup_hit = node.apply_once(token, op)
-                if dup_hit:
-                    self.stats.dedup_hits += 1
-                self._note_port(port)
-                port.finish_time(service, not_before=env.now)
             if fate.drop_reply:
                 self.stats.dropped_replies += 1
                 self._note_drop(port)
@@ -590,15 +643,7 @@ class Fabric:
                     max(0.0, policy.verb_timeout_us - elapsed) + backoff,
                     "verb.timeout")
                 continue
-            if prof is not None:
-                # [now, done] is NIC queue+service, already attributed by
-                # the port; only the reply's travel back is propagation.
-                prof.note("propagation", "net.reply", done,
-                          done + cfg.one_way_delay_us
-                          + fate.reply_jitter_us)
-            yield env.timeout(max(0.0, done - env.now)
-                              + cfg.one_way_delay_us + fate.reply_jitter_us)
-            completions[i] = Completion(op, value)
+            yield env.timeout(back)
             return
         self.stats.verb_timeouts += 1
         completions[i] = Completion(op, TIMEOUT)
@@ -743,9 +788,11 @@ class Fabric:
         return FAIL
 
     # -- internals -----------------------------------------------------------
-    def _service_time(self, node: MemoryNode, op: Verb) -> float:
+    def _service_time(self, node: MemoryNode, op: Verb,
+                      nbytes: int | None = None) -> float:
         """NIC service time of one verb alone in its slot (memoised)."""
-        nbytes = op_bytes(op)
+        if nbytes is None:
+            nbytes = op_bytes(op)
         key = (node.mn_id, op.__class__, nbytes)
         service = self._verb_cache.get(key)
         if service is None:
@@ -758,16 +805,16 @@ class Fabric:
                 fixed + profile.byte_time(nbytes)
         return service
 
-    def _count(self, op: Verb, node: MemoryNode) -> None:
+    def _count(self, cls, mn_id: int, nbytes: int) -> None:
         stats = self.stats
-        if isinstance(op, ReadOp):
+        if cls is ReadOp:
             stats.reads += 1
-        elif isinstance(op, WriteOp):
+        elif cls is WriteOp:
             stats.writes += 1
         else:
             stats.atomics += 1
-        stats.bytes_moved += op_bytes(op)
-        stats.per_mn_ops[node.mn_id] = stats.per_mn_ops.get(node.mn_id, 0) + 1
+        stats.bytes_moved += nbytes
+        stats.per_mn_ops[mn_id] = stats.per_mn_ops.get(mn_id, 0) + 1
 
 
 class QpFabric:

@@ -8,12 +8,22 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.faults import FaultInjector, FaultPlan
-from repro.obs import Profiler
+from repro.faults import (
+    CN,
+    FaultInjector,
+    FaultPlan,
+    GrayNode,
+    LinkFault,
+    Partition,
+    RetryPolicy,
+)
+from repro.obs import Monitor, Profiler, Tracer, jsonl_lines
 from repro.rdma import (
     FAIL,
     PORT_AFFINITY_MODES,
+    TIMEOUT,
     CasOp,
+    Completion,
     Fabric,
     FabricConfig,
     FaaOp,
@@ -21,7 +31,10 @@ from repro.rdma import (
     QpFabric,
     ReadOp,
     WriteOp,
+    op_bytes,
 )
+from repro.rdma.fabric import _backoff, _prop
+from repro.rdma.verbs import verb_ident
 from repro.sim import Environment, NicProfile
 
 
@@ -851,6 +864,358 @@ class TestOneVerbLoop:
         else:
             assert replace(f_stats, coalesced_slots=stats.coalesced_slots,
                            coalesced_verbs=stats.coalesced_verbs) == stats
+
+
+class _ProcessPerVerbFabric(Fabric):
+    """The injected verb path as it was before a clean batch became one
+    process: every verb in its own delivery process, every batch gathered
+    by a third.  Kept verbatim as the reference `TestInjectedBatch`
+    compares the fabric against."""
+
+    def _post_faulty(self, ops, unsignaled, qp=0):
+        env = self.env
+        t0 = env.now
+        self.stats.batches += 1
+        span = self.tracer.current_span() if self.tracer.enabled else None
+        prof = env._profiler
+        pspan = None
+        if prof is not None and not unsignaled:
+            pspan = prof.current_span()
+        completions = [None] * len(ops)
+        procs = []
+        for i, op in enumerate(ops):
+            proc = env.process(
+                self._deliver_verb(i, op, env.next_uid(), completions, span,
+                                   qp),
+                name=f"verb:{i}@MN{op.mn_id}")
+            if prof is not None:
+                prof.bind(proc, pspan)
+            procs.append(proc)
+        return env.process(self._gather_batch(ops, procs, completions, t0,
+                                              unsignaled, span),
+                           name="batch")
+
+    def _gather_batch(self, ops, procs, completions, t0, unsignaled, span):
+        if len(procs) == 1:
+            yield procs[0]
+        else:
+            yield self.env.all_of(procs)
+        if self.tracer.enabled:
+            self.tracer.on_batch(ops, completions, t0, self.env.now,
+                                 unsignaled=unsignaled, span=span)
+        return completions
+
+    def _deliver_verb(self, i, op, token, completions, span, qp=0):
+        env = self.env
+        cfg = self.config
+        inj = self.injector
+        policy = inj.retry
+        node = self.nodes[op.mn_id]
+        self._count(op, node)
+        ident = verb_ident(op)
+        is_read = isinstance(op, ReadOp)
+        for attempt in range(1, policy.max_attempts + 1):
+            if attempt > 1:
+                self.stats.transport_retries += 1
+                if span is not None:
+                    self.tracer.note_transport_retry(span)
+            t_attempt = env.now
+            env.note_access(("crash", node.mn_id), False)
+            if node.crashed:
+                self.stats.failed_verbs += 1
+                yield _prop(env, cfg.fail_delay_us, "net.fail")
+                completions[i] = Completion(op, FAIL)
+                return
+            pidx, port = self._port_for(node, is_read, qp,
+                                        salt=attempt - 1)
+            fate = inj.fate(ident, op.mn_id, attempt, t_attempt, port=pidx)
+            backoff = policy.backoff_us(attempt, fate.backoff_u)
+            if fate.drop_request:
+                self.stats.dropped_requests += 1
+                self._note_drop(port)
+                yield _backoff(env, policy.verb_timeout_us + backoff,
+                               "verb.timeout")
+                continue
+            prof = env._profiler
+            if prof is not None:
+                t = env.now
+                t_sent = t + cfg.post_overhead_us
+                prof.note("client", "post", t, t_sent)
+                prof.note("propagation", "net.request", t_sent,
+                          t_sent + cfg.one_way_delay_us
+                          + fate.request_jitter_us)
+            yield env.timeout(cfg.post_overhead_us + cfg.one_way_delay_us
+                              + fate.request_jitter_us)
+            env.note_access(("crash", node.mn_id), False)
+            if node.crashed:
+                self.stats.failed_verbs += 1
+                completions[i] = Completion(op, FAIL)
+                return
+            value, deduped = node.apply_once(token, op)
+            if deduped:
+                self.stats.dedup_hits += 1
+            service = (self._service_time(node, op)
+                       * inj.service_factor(op.mn_id, env.now, port=pidx))
+            self._note_port(port)
+            if self.monitor is not None:
+                self.monitor.note_verb(op.mn_id, port.label, op.__class__,
+                                       op_bytes(op), service)
+            done = port.finish_time(service, not_before=env.now)
+            if fate.duplicate:
+                self.stats.duplicates += 1
+                _, dup_hit = node.apply_once(token, op)
+                if dup_hit:
+                    self.stats.dedup_hits += 1
+                self._note_port(port)
+                port.finish_time(service, not_before=env.now)
+            if fate.drop_reply:
+                self.stats.dropped_replies += 1
+                self._note_drop(port)
+                elapsed = env.now - t_attempt
+                yield _backoff(
+                    env,
+                    max(0.0, policy.verb_timeout_us - elapsed) + backoff,
+                    "verb.timeout")
+                continue
+            if prof is not None:
+                prof.note("propagation", "net.reply", done,
+                          done + cfg.one_way_delay_us
+                          + fate.reply_jitter_us)
+            yield env.timeout(max(0.0, done - env.now)
+                              + cfg.one_way_delay_us + fate.reply_jitter_us)
+            completions[i] = Completion(op, value)
+            return
+        self.stats.verb_timeouts += 1
+        completions[i] = Completion(op, TIMEOUT)
+
+    def _count(self, op, node):
+        stats = self.stats
+        if isinstance(op, ReadOp):
+            stats.reads += 1
+        elif isinstance(op, WriteOp):
+            stats.writes += 1
+        else:
+            stats.atomics += 1
+        stats.bytes_moved += op_bytes(op)
+        stats.per_mn_ops[node.mn_id] = stats.per_mn_ops.get(node.mn_id, 0) + 1
+
+
+_RETRY = RetryPolicy(max_attempts=4, verb_timeout_us=4.0,
+                     backoff_base_us=1.0, backoff_cap_us=8.0)
+_POST_AT = 5.0      # the batch under test is posted here; it arrives 1.1 later
+_PLANS = {
+    "none": dict(),
+    "not-yet": dict(link_faults=[LinkFault(drop_p=0.9, dup_p=0.9,
+                                           jitter_us=2.0, start_us=500.0)]),
+    "loss": dict(link_faults=[LinkFault(drop_p=0.35)]),
+    "dup": dict(link_faults=[LinkFault(dup_p=0.5)]),
+    "jitter": dict(link_faults=[LinkFault(mn_id=0, jitter_us=1.5)]),
+    "gray": dict(gray_nodes=[GrayNode(mn_id=0, factor=6.0)]),
+    "gray-port": dict(gray_nodes=[GrayNode(mn_id=0, factor=6.0, port=1)]),
+    "partition": dict(partitions=[Partition(a=CN, b=0, end_us=12.0)]),
+    "lost-replies": dict(partitions=[Partition(a=CN, b=0, end_us=9.0,
+                                               drop_requests=False)]),
+    "partition-port": dict(partitions=[Partition(a=CN, b=0, port=0)]),
+    "loss-port": dict(link_faults=[LinkFault(drop_p=0.6, dup_p=0.3, port=1)]),
+    "mixed": dict(link_faults=[LinkFault(drop_p=0.15, dup_p=0.15,
+                                         jitter_us=0.5)],
+                  gray_nodes=[GrayNode(mn_id=1, factor=3.0)]),
+}
+
+
+def _injected_run(fabric_cls, batch, n_mns, num_ports, plan, seed, crash,
+                  heal, unsignaled, observers, qp, preload, single=False):
+    """Post ``batch`` at `_POST_AT` under an injector and report everything
+    an observer of the run could see (kernel event ids excepted)."""
+    env = Environment()
+    tracer = Tracer() if "tracer" in observers else None
+    fab = fabric_cls(env, FabricConfig(), tracer=tracer)
+    for mn_id in range(n_mns):
+        fab.add_node(MemoryNode(env, mn_id, capacity=128,
+                                num_ports=num_ports))
+    prof = Profiler(tracer).install(env) if "profiler" in observers else None
+    if "monitor" in observers:
+        fab.monitor = Monitor(env, fab)
+    fab.injector = FaultInjector(FaultPlan(seed=seed, **_PLANS[plan]),
+                                 retry=_RETRY)
+    ops = _verbs(batch, n_mns)
+    if crash is not None:
+        when, mn_id = crash
+
+        def crasher():
+            yield env.timeout(when)
+            fab.node(mn_id % n_mns).crash()
+        env.process(crasher())
+    if heal is not None:
+        def healer():
+            yield env.timeout(heal)
+            fab.injector = None
+        env.process(healer())
+    fired = {}
+
+    def client():
+        yield env.timeout(_POST_AT)
+        span = tracer.begin_span("update", 0) if tracer else None
+        if preload:
+            # a fire-and-forget batch of the same QP, same instant: the
+            # ports are busy and the token tables non-empty on arrival
+            fab.post([op for mn_id in range(n_mns)
+                      for op in (WriteOp(mn_id, 64, bytes(48)),
+                                 FaaOp(mn_id, 120, 1))],
+                     unsignaled=True, qp=qp)
+        if single:
+            comps = [(yield fab.post_one(ops[0], qp=qp))]
+        else:
+            comps = yield fab.post(ops, unsignaled=unsignaled, qp=qp)
+        fired["at"] = env.now
+        if tracer:
+            tracer.end_span(span, ok=not any(c.failed for c in comps))
+        return comps
+
+    comps = env.run(until=env.process(client()))
+    env.run(until=200.0)    # the preload's retries, the detector's panes
+    assert [c.op for c in comps] == ops[:len(comps)]
+    sid = {id(s): s.sid for s in tracer.spans} if tracer else {}
+    return {
+        "values": [c.value for c in comps],
+        "fired": fired["at"],
+        "stats": fab.stats.snapshot(),
+        "memory": [bytes(fab.node(m).memory) for m in range(n_mns)],
+        "tokens": [list(fab.node(m)._verb_results.items())
+                   for m in range(n_mns)],
+        "trace": jsonl_lines(tracer) if tracer else None,
+        "intervals": [(sid.get(id(span)), *rest)
+                      for span, *rest in prof.intervals] if prof else None,
+        "detector": {
+            pane: {key: (sk.count, sk.total, sk.zero_count, sk.min_seen,
+                         sk.max_seen, sorted(sk.buckets.items()))
+                   for key, sk in per_pane.items()}
+            for pane, per_pane in fab.monitor.detector._panes.items()}
+        if fab.monitor else None,
+        "ports": [(port.label, port._next_free, port.total_busy, port.ops)
+                  for m in range(n_mns) for port in
+                  (*fab.node(m).rx_ports, *fab.node(m).tx_ports)],
+    }
+
+
+_OBSERVERS = st.sets(st.sampled_from(["tracer", "profiler", "monitor"]))
+# before the post / between post and arrival / between arrival and the
+# reply / after everything — never *at* an instant the batch acts
+_CRASH = st.one_of(st.none(), st.tuples(
+    st.sampled_from([2.0, _POST_AT + 0.6, _POST_AT + 1.15, 150.0]),
+    st.integers(0, 2)))
+# the injector uninstalled (`clear_faults`) under verbs still in flight
+_HEAL = st.sampled_from([None, _POST_AT + 0.6, _POST_AT + 1.15, 9.0])
+
+
+class TestInjectedBatch:
+    """Under an injector a batch no fault reaches is one delivery process
+    and any other batch a process per verb.  Which one ran must be
+    invisible: same completions at the same instant, same counters,
+    bytes, dedup tables, trace, profile and detector state as the
+    process-per-verb reference kept above."""
+
+    @given(batch=st.lists(_VERB, min_size=1, max_size=6),
+           n_mns=st.integers(1, 3), num_ports=st.integers(1, 3),
+           plan=st.sampled_from(sorted(_PLANS)), seed=st.integers(0, 50),
+           crash=_CRASH, heal=_HEAL, unsignaled=st.booleans(),
+           observers=_OBSERVERS, qp=st.integers(0, 7), preload=st.booleans())
+    @example(batch=[("w", 0, 0, b"a" * 8), ("faa", 1, 0, 3), ("r", 0, 0, 8)],
+             n_mns=2, num_ports=2, plan="not-yet", seed=0,
+             crash=(_POST_AT + 0.6, 1), heal=None, unsignaled=False,
+             observers={"tracer", "profiler", "monitor"}, qp=3, preload=True)
+    @example(batch=[("cas", 0, 0, 0), ("w", 0, 8, b"b" * 16)],
+             n_mns=1, num_ports=1, plan="lost-replies", seed=1, crash=None,
+             heal=_POST_AT + 0.6, unsignaled=True, observers={"profiler"},
+             qp=0, preload=False)
+    @settings(max_examples=400, deadline=None)
+    def test_one_process_or_one_per_verb_is_unobservable(
+            self, batch, n_mns, num_ports, plan, seed, crash, heal,
+            unsignaled, observers, qp, preload):
+        args = (batch, n_mns, num_ports, plan, seed, crash, heal, unsignaled,
+                observers, qp, preload)
+        want = _injected_run(_ProcessPerVerbFabric, *args)
+        got = _injected_run(Fabric, *args)
+        for what in want:
+            assert got[what] == want[what], what
+
+    @given(verb=_VERB, plan=st.sampled_from(sorted(_PLANS)),
+           seed=st.integers(0, 50), crash=_CRASH, heal=_HEAL,
+           observers=_OBSERVERS)
+    @settings(max_examples=40, deadline=None)
+    def test_post_one_under_an_injector(self, verb, plan, seed, crash, heal,
+                                        observers):
+        args = ([verb], 2, 2, plan, seed, crash, heal, False, observers, 1,
+                False)
+        assert _injected_run(Fabric, *args, single=True) \
+            == _injected_run(_ProcessPerVerbFabric, *args, single=True)
+
+    @staticmethod
+    def _bed(**plan):
+        env = Environment()
+        fab = Fabric(env, FabricConfig())
+        for mn_id in range(2):
+            fab.add_node(MemoryNode(env, mn_id, capacity=128))
+        fab.injector = FaultInjector(FaultPlan(**plan), retry=_RETRY)
+        spawned = []
+        spawn = env.process
+
+        def process(generator, name=""):
+            spawned.append(name)
+            return spawn(generator, name=name)
+        env.process = process
+        return env, fab, spawned
+
+    def test_a_clean_batch_is_four_kernel_events(self):
+        env, fab, spawned = self._bed(
+            link_faults=[LinkFault(drop_p=0.9, start_us=500.0)],
+            gray_nodes=[GrayNode(mn_id=1, factor=4.0)])
+        before = env._eid
+        batch = fab.post([WriteOp(0, 0, b"x" * 8), FaaOp(1, 8, 2),
+                          ReadOp(0, 0, 8)])
+        comps = env.run(until=batch)
+        assert [c.value for c in comps] == [None, 0, b"x" * 8]
+        assert spawned == ["batch"]
+        # start, request leg, reply leg, completion
+        assert env._eid - before <= 4
+        assert env.now == pytest.approx(2.0 + fab.config.post_overhead_us,
+                                        abs=0.2)
+
+    def test_a_touched_batch_retries_under_the_same_token(self):
+        # MN 0 hears requests but its replies are lost until t=3: the FAA's
+        # first attempt applies, the retry must be answered from the token
+        # cache; its batch-mate to MN 1 draws a clean fate all along
+        env, fab, spawned = self._bed(partitions=[
+            Partition(a=CN, b=0, end_us=3.0, drop_requests=False)])
+        comps = env.run(until=fab.post([FaaOp(0, 0, 5), WriteOp(1, 0, b"y")]))
+        assert spawned == ["verb:0@MN0", "verb:1@MN1", "batch"]
+        assert [c.value for c in comps] == [0, None]
+        assert fab.node(0).read_word(0) == 5
+        assert len(fab.node(0)._verb_results) == 1
+        stats = fab.stats
+        assert (stats.dropped_replies, stats.transport_retries,
+                stats.dedup_hits, stats.verb_timeouts) == (1, 1, 1, 0)
+
+    @pytest.mark.parametrize("first_touched", [False, True])
+    @pytest.mark.parametrize("second_touched", [False, True])
+    def test_same_instant_batches_of_one_qp_apply_in_post_order(
+            self, first_touched, second_touched):
+        # A verb to MN 1 draws jitter, which makes its whole batch take
+        # the process-per-verb shape; the verbs to MN 0 are clean-fated in
+        # every batch and arrive at one instant.
+        env, fab, spawned = self._bed(
+            link_faults=[LinkFault(mn_id=1, jitter_us=1.0)])
+        extra = [ReadOp(1, 0, 8)]
+        first = fab.post([FaaOp(0, 0, 1), WriteOp(0, 8, b"first...")]
+                         + extra * first_touched, qp=2)
+        second = fab.post([FaaOp(0, 0, 10), ReadOp(0, 8, 8)]
+                          + extra * second_touched, qp=2)
+        env.run(until=env.all_of([first, second]))
+        assert ("verb:0@MN0" in spawned) == (first_touched or second_touched)
+        assert spawned.count("batch") == 2
+        assert first.value[0].value == 0        # the FAAs saw 0, then 1
+        assert second.value[0].value == 1
+        assert second.value[1].value == b"first..."
 
 
 _PAGE = 4096
