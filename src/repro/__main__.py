@@ -623,10 +623,10 @@ def main(argv=None) -> int:
     profile_parser.add_argument("--tail-pct", type=float, default=99.0,
                                 help="tail percentile for the slowest-"
                                      "spans breakdown")
-    profile_parser.add_argument("--out", default="BENCH_profile.json",
+    profile_parser.add_argument("--out", default="profile.json",
                                 metavar="OUT.json",
                                 help="write the attribution bundle "
-                                     "(default BENCH_profile.json; '' "
+                                     "(default profile.json; '' "
                                      "to skip)")
     profile_parser.add_argument("--flame", default=None,
                                 metavar="OUT.folded",

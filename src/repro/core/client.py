@@ -232,15 +232,10 @@ class FuseeClient:
         self.read_policy = ReplicaReadPolicy(
             fabric, mode=self.config.read_spread, cid=cid,
             suspect_window_us=self.config.read_suspect_window_us)
-        self.protocol = create_protocol(self.config.replication_mode,
-                                        cid=cid)
+        self.protocol = create_protocol(self.config.replication_mode)
         self.stats = ClientStats()
         self.crashed = False
         self._crash_point: Optional[CrashPoint] = None
-        # Optional monitor key-touch hook (repro.obs.monitor hot-key
-        # tracking): called with (op, key) at the top of every KV op.
-        # None keeps the hot path at a single attribute check.
-        self.key_hook = None
 
     # ------------------------------------------------------------------ utils
     def arm_crash(self, point: CrashPoint) -> None:
@@ -256,6 +251,17 @@ class FuseeClient:
         if self.crashed:
             raise ClientCrashed("client has crashed")
 
+    def _start_op(self, op: str, key: bytes) -> None:
+        """The top of every KV op: one key touch for the monitor's
+        hot-key tracking (read where it is attached, ``fabric.monitor``,
+        so traced and untraced beds count alike), the crash check, and
+        the op count."""
+        monitor = self.fabric.monitor
+        if monitor is not None:
+            monitor.on_key(op, key)
+        self._require_alive()
+        self.stats.count_op(op)
+
     def _traced(self, op: str, impl, key: Optional[bytes] = None,
                 wrote: Optional[bytes] = None):
         """Wrap an operation generator in a tracer span (generator).
@@ -266,8 +272,6 @@ class FuseeClient:
         concurrent histories can be reconstructed for linearizability
         checking (docs/checking.md).
         """
-        if self.key_hook is not None and key is not None:
-            self.key_hook(op, key)
         tracer = self.fabric.tracer
         if not tracer.enabled:
             return (yield from impl)
@@ -428,8 +432,7 @@ class FuseeClient:
         return self._traced("search", self._search_impl(key), key=key)
 
     def _search_impl(self, key: bytes):
-        self._require_alive()
-        self.stats.count_op("search")
+        self._start_op("search", key)
         for _attempt in range(4):
             epoch0 = self.master.epoch if self.master else -1
             meta = self.race.key_meta(key)
@@ -765,8 +768,7 @@ class FuseeClient:
                             key=key, wrote=value)
 
     def _insert_impl(self, key: bytes, value: bytes):
-        self._require_alive()
-        self.stats.count_op("insert")
+        self._start_op("insert", key)
         meta = self.race.key_meta(key)
         yield from self._wait_if_blocked(meta.subtable)
         prepared = yield from self._prepare_kv(key, value, OP_INSERT, meta)
@@ -983,8 +985,7 @@ class FuseeClient:
         """UPDATE and DELETE are the same phases ①-④ (Fig. 9): DELETE
         stages a temp object and installs the null word instead of a
         pointer to it."""
-        self._require_alive()
-        self.stats.count_op(name)
+        self._start_op(name, key)
         meta = self.race.key_meta(key)
         yield from self._wait_if_blocked(meta.subtable)
         prepared = yield from self._prepare_kv(key, value, opcode, meta)

@@ -163,7 +163,7 @@ class FuseeCluster:
     def _build_allocators(self) -> None:
         self.mn_allocators = {
             mn_id: MnBlockAllocator(self.fabric.node(mn_id), self.region_map,
-                                    self.fabric.nodes)
+                                    self.fabric)
             for mn_id in range(self.config.n_memory_nodes)}
 
     # ------------------------------------------------------- pool elasticity
@@ -223,9 +223,7 @@ class FuseeCluster:
                 rid, lambda mn, nbytes: self.fabric.node(mn).carve(nbytes),
                 mn_ids=[mn_id] + backups)
         self.mn_allocators[mn_id] = MnBlockAllocator(
-            node, self.region_map, self.fabric.nodes)
-        # a node joining mid-campaign lives on the same imperfect fabric
-        self.mn_allocators[mn_id].injector = self.fabric.injector
+            node, self.region_map, self.fabric)
         return mn_id
 
     def grow_pool(self, regions: Optional[int] = None):
@@ -309,9 +307,6 @@ class FuseeCluster:
                              cid=cid,
                              size_classes=self.size_classes,
                              master=self.master, config=base)
-        monitor = getattr(self, "_monitor", None)
-        if monitor is not None and monitor.wants_keys:
-            client.key_hook = monitor.on_key
         self.clients.append(client)
         return client
 
@@ -331,45 +326,35 @@ class FuseeCluster:
         if tracer.env is None:
             tracer.env = self.env
         self.fabric.tracer = tracer
-        monitor = getattr(self, "_monitor", None)
+        monitor = self.fabric.monitor
         if monitor is not None and tracer.enabled:
             tracer.monitor = monitor
 
     def attach_monitor(self, monitor):
-        """Attach (or detach, with ``None``) an online telemetry monitor.
+        """Attach an online telemetry monitor and start its pane-boundary
+        evaluation process (docs/monitoring.md).  Returns the monitor.
 
-        Wires the fabric service/drop hooks, the tracer span hook and
-        the per-client key-touch hook, then starts the monitor's
-        pane-boundary evaluation process (docs/monitoring.md).  Returns
-        the monitor.
+        The monitor's one home is ``fabric.monitor``: the fabric feeds it
+        service times and drops from there, and every client's KV op
+        reads it there to feed hot-key tracking — traced or not, created
+        before or after this call.  An enabled tracer also keeps a link
+        to it, to hand over every ended span.
         """
-        if monitor is None:
-            self.fabric.monitor = None
-            tracer = self.fabric.tracer
-            if getattr(tracer, "monitor", None) is not None:
-                tracer.monitor = None
-            for client in self.clients:
-                client.key_hook = None
-            self._monitor = None
-            return None
-        self._monitor = monitor
         self.fabric.monitor = monitor
         tracer = self.fabric.tracer
         if tracer.enabled:
             tracer.monitor = monitor
-        hook = monitor.on_key if monitor.wants_keys else None
-        for client in self.clients:
-            client.key_hook = hook
         monitor.start()
         return monitor
 
     # --------------------------------------------------------------- faults
     def install_faults(self, plan, retry=None):
-        """Install a fault plan (or a prebuilt injector) on the cluster.
+        """Install a fault plan (or a prebuilt injector) on the fabric.
 
-        Wires the injector into the fabric (verb/RPC delivery), the master
-        (RPC idempotency dedup), and every MN block allocator (replica
-        mirror writes honour partitions).  ``retry`` overrides the client
+        ``fabric.injector`` is the injector's one home — verb/RPC
+        delivery, the clients' master calls and every MN block
+        allocator's mirror writes read it there — so this is the same as
+        setting that attribute directly.  ``retry`` overrides the client
         retry policy.  Pass ``None`` to uninstall.  Returns the injector.
         """
         from ..faults.model import FaultInjector, FaultPlan
@@ -386,9 +371,6 @@ class FuseeCluster:
                                 f"got {type(plan).__name__}")
             injector = FaultInjector(plan, retry=retry)
         self.fabric.injector = injector
-        self.master.fault_injector = injector
-        for allocator in self.mn_allocators.values():
-            allocator.injector = injector
         return injector
 
     def clear_faults(self):

@@ -162,7 +162,6 @@ class Master:
         # Client-RPC idempotency (repro.faults): results cached by token so
         # a client retransmission after a lost reply never re-runs the
         # handler — in particular a completed split is never split again.
-        self.fault_injector = None
         self.rpc_dedup_hits = 0
         self._rpc_results: "OrderedDict[int, tuple]" = OrderedDict()
         # Insert-duplicate arbitration (RACE's post-install re-read check):

@@ -104,12 +104,14 @@ class MnBlockAllocator:
     MN_CENTRAL_CID = 0xFFFF  # owner recorded for MN-side central slabs
 
     def __init__(self, node: MemoryNode, region_map: RegionMap,
-                 nodes: Dict[int, MemoryNode],
+                 fabric: Fabric,
                  alloc_cpu_us: float = 2.0,
                  alloc_object_cpu_us: float = 12.0):
         self.node = node
         self.region_map = region_map
-        self.nodes = nodes
+        # the replicas' nodes, and the fault injector the mirror writes
+        # honour (an injected MN<->MN partition skips the replica)
+        self.fabric = fabric
         self.alloc_cpu_us = alloc_cpu_us
         # Per-object allocation on the weak MN cores — only used by the
         # MN-centric ablation of Fig. 17; deliberately expensive.
@@ -120,9 +122,6 @@ class MnBlockAllocator:
             for region_id in region_map.primary_regions_of(node.mn_id)
             for block in range(layout.n_blocks))
         self._central_free: Dict[int, Deque[int]] = {}
-        # Optional fault injection: MN->MN mirror writes are skipped while
-        # an injected MN<->MN partition blocks the replica (repro.faults).
-        self.injector = None
         node.register_rpc("alloc_block", self._handle_alloc)
         node.register_rpc("free_block", self._handle_free)
         node.register_rpc("find_client_blocks", self._handle_find_blocks)
@@ -132,13 +131,6 @@ class MnBlockAllocator:
     def free_block_count(self) -> int:
         return len(self._free_blocks)
 
-    def _replica_reachable(self, mn_id: int) -> bool:
-        """Is the replica MN reachable for a mirror write right now?"""
-        if mn_id == self.node.mn_id or self.injector is None:
-            return True
-        return self.injector.mn_reachable(self.node.mn_id, mn_id,
-                                          self.node.env.now)
-
     def _mirror_block(self, region_id: int, block: int, entry: int) -> None:
         """Write ``entry`` into the block's table slot and zero its free
         bitmap on every region replica this MN can reach (a crashed or
@@ -147,9 +139,14 @@ class MnBlockAllocator:
         table_off = layout.block_table_entry_offset(block)
         bitmap_off = layout.bitmap_offset_of(block)
         cleared = bytes(layout.bitmap_bytes_per_block)
+        me = self.node.mn_id
+        injector = self.fabric.injector
         for mn_id, base in self.region_map.placement(region_id):
-            replica = self.nodes[mn_id]
-            if replica.crashed or not self._replica_reachable(mn_id):
+            replica = self.fabric.nodes[mn_id]
+            if replica.crashed or (
+                    injector is not None and mn_id != me
+                    and not injector.mn_reachable(me, mn_id,
+                                                  self.node.env.now)):
                 continue
             replica.write_word(base + table_off, entry)
             replica.memory[base + bitmap_off:

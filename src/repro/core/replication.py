@@ -13,7 +13,7 @@ protocol decision, and this module makes it pluggable:
   broadcast to *all* replicas — primary included — in a single doorbell
   batch, so the conflict-free fast path completes in **1 RTT**.
 
-Every strategy implements the same three hooks:
+Every strategy implements the same two hooks:
 
 ``write(fabric, ref, v_old, v_new, ...)``
     The replicated slot write (a DES generator returning a
@@ -22,10 +22,6 @@ Every strategy implements the same three hooks:
     ``LOSE``/``FINISH`` mean the write linearized immediately before the
     winner's (last-writer-wins register semantics), and ``NEED_MASTER``
     escalates to the master through the client's existing seam.
-``read(fabric, ref)``
-    The slot read (generator returning a
-    :class:`~repro.core.snapshot.ReadResult`); ``value=None`` defers to
-    the master.
 ``repair_choice(words, primary_alive)``
     The recovery hook: when the master repairs a subtable after an MN
     crash (Algorithm 3) and the surviving replicas of a slot disagree,
@@ -73,9 +69,11 @@ timestamps.  This port maps the idea onto FUSEE's slot words:
   - any replica FAIL/TIMEOUT → ``NEED_MASTER`` (the CAS may have
     applied; only the master can resolve the slot, exactly as in
     SNAPSHOT).
-* **READ** (:func:`swarm_read`) — read the least-loaded alive *backup*
-  and the primary's timestamp word in the same doorbell batch (two
-  8-byte READs to different MNs: still 1 RTT).  A value is returned
+* **READ** (:func:`swarm_read`; the schedule explorer and the unit
+  tests drive it, while the store reads buckets the same way under
+  every strategy) — read the least-loaded alive *backup* and the
+  primary's timestamp word in the same doorbell batch (two 8-byte
+  READs to different MNs: still 1 RTT).  A value is returned
   only when the backup vouches for the primary's word (the broadcast
   reached both): a word the primary alone holds may still be in flight
   to every backup, and returning it would let a post-crash survivor
@@ -131,18 +129,11 @@ class ReplicationProtocol:
     #: last-writer-wins "we linearized before the winner"?
     retry_on_lose: bool = False
 
-    def __init__(self, cid: int = 0):
-        self.cid = cid
-
     def write(self, fabric: Fabric, ref: SlotRef, v_old: int, v_new: int,
               on_win: Optional[Callable[[int], object]] = None,
               retry_sleep_us: float = 2.0,
               phase_guard: Optional[Callable[[], object]] = None):
         """Replicated slot write (generator -> WriteResult)."""
-        raise NotImplementedError
-
-    def read(self, fabric: Fabric, ref: SlotRef):
-        """Slot read (generator -> ReadResult)."""
         raise NotImplementedError
 
     @staticmethod
@@ -178,11 +169,10 @@ def validate_replication_mode(name: str) -> None:
             f"{', '.join(registered_protocols())}")
 
 
-def create_protocol(name: str, cid: int = 0) -> ReplicationProtocol:
-    """Instantiate a registered strategy (per client: strategies may
-    keep per-client state such as a read-rotation seed)."""
+def create_protocol(name: str) -> ReplicationProtocol:
+    """Instantiate a registered strategy."""
     validate_replication_mode(name)
-    return REPLICATION_PROTOCOLS[name](cid=cid)
+    return REPLICATION_PROTOCOLS[name]()
 
 
 # --------------------------------------------------------------------------
@@ -200,9 +190,6 @@ class SnapshotProtocol(ReplicationProtocol):
         return (yield from snapshot_mod.snapshot_write(
             fabric, ref, v_old, v_new, on_win=on_win,
             retry_sleep_us=retry_sleep_us, phase_guard=phase_guard))
-
-    def read(self, fabric, ref):
-        return (yield from snapshot_mod.snapshot_read(fabric, ref))
 
     @staticmethod
     def repair_choice(words: List[int], primary_alive: bool) -> int:
@@ -399,11 +386,6 @@ class SwarmProtocol(ReplicationProtocol):
         return (yield from _MODULE.swarm_write(
             fabric, ref, v_old, v_new, on_win=on_win,
             retry_sleep_us=retry_sleep_us, phase_guard=phase_guard))
-
-    def read(self, fabric, ref):
-        result = yield from _MODULE.swarm_read(fabric, ref,
-                                               rotation=self.cid)
-        return result
 
     @staticmethod
     def repair_choice(words: List[int], primary_alive: bool) -> int:

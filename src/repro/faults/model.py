@@ -204,9 +204,10 @@ _CLEAN_FATE = Fate()
 class FaultInjector:
     """Evaluates a :class:`FaultPlan` into per-delivery :class:`Fate`\\ s.
 
-    Installed on a fabric via
-    :meth:`repro.core.kvstore.FuseeCluster.install_faults` (or by setting
-    ``fabric.injector`` directly for substrate-level tests).
+    Lives in one place, ``fabric.injector``: verb/RPC delivery, the
+    clients' master calls and the MN block allocators' mirror writes all
+    read it there.  :meth:`repro.core.kvstore.FuseeCluster.install_faults`
+    and setting ``fabric.injector`` directly are the same thing.
     """
 
     def __init__(self, plan: FaultPlan, retry: RetryPolicy | None = None):

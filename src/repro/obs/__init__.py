@@ -45,7 +45,7 @@ from .profile import (
 from .sketches import DDSketch, SpaceSaving
 from .slo import KV_OPS, SloSpec, SloState
 from .tracer import NULL_TRACER, NullTracer, Span, Tracer, verb_kind
-from .windows import WindowStore, windowed_metrics
+from .windows import WindowStore
 
 __all__ = [
     "Tracer",
@@ -79,7 +79,6 @@ __all__ = [
     "DDSketch",
     "SpaceSaving",
     "WindowStore",
-    "windowed_metrics",
     "SloSpec",
     "SloState",
     "KV_OPS",

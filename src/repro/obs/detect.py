@@ -97,7 +97,7 @@ class DetectorFlag:
 
 
 class GrayDetector:
-    """Windowed peer-comparison scoring (see module docstring)."""
+    """Per-window peer-comparison scoring (see module docstring)."""
 
     def __init__(self, alpha: float = 0.01, rel_threshold: float = 2.0,
                  z_threshold: float = 3.5, min_count: int = 8,

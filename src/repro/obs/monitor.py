@@ -4,10 +4,10 @@
 one live cluster:
 
 * a :class:`~repro.obs.windows.WindowStore` of tumbling panes fed from
-  ended tracer spans (per-op latency sketches, ok/err counters) and —
-  via :attr:`metrics` — from any harness metrics call site;
-* optional Space-Saving hot-key / hot-bucket sketches fed from the
-  client key-touch hook, plus per-MN skew from fabric op counters;
+  ended tracer spans (per-op latency sketches, ok/err counters);
+* optional Space-Saving hot-key / hot-bucket sketches fed by every
+  client KV op (:meth:`Monitor.on_key`), plus per-MN skew from fabric
+  op counters;
 * :class:`~repro.obs.slo.SloState` burn-rate evaluation per closed
   pane, emitting ``alert.slo.*`` spans into the tracer;
 * a :class:`~repro.obs.detect.GrayDetector` fed per-delivery service
@@ -39,7 +39,7 @@ from ..rdma.verbs import CasOp, FaaOp, ReadOp, WriteOp
 from .detect import GrayDetector
 from .sketches import SpaceSaving
 from .slo import ERR_STREAM, KV_OPS, OK_STREAM, SloSpec, SloState
-from .windows import WindowStore, windowed_metrics
+from .windows import WindowStore
 
 __all__ = ["MonitorConfig", "Monitor", "render_health", "write_health",
            "load_health", "health_fingerprint"]
@@ -70,9 +70,10 @@ class MonitorConfig:
 class Monitor:
     """Online telemetry over one cluster (see module docstring).
 
-    Attach with :meth:`FuseeCluster.attach_monitor`, which wires the
-    fabric service/drop hooks, the client key-touch hook and the tracer
-    span hook, then starts the pane-boundary evaluation process.
+    Attach with :meth:`FuseeCluster.attach_monitor`, which sets
+    ``fabric.monitor`` — the one place the fabric's service/drop hooks
+    and every client's key touch read it — links the tracer's span hook,
+    then starts the pane-boundary evaluation process.
     """
 
     def __init__(self, env, fabric, config: Optional[MonitorConfig] = None,
@@ -83,7 +84,6 @@ class Monitor:
         self.race = race
         self.width = cfg.window_us
         self.windows = WindowStore(env, cfg.window_us, alpha=cfg.alpha)
-        self.metrics = windowed_metrics(self.windows)
         self.slo_states = [
             SloState(spec, fast_panes=cfg.fast_panes,
                      slow_panes=cfg.slow_panes,
@@ -123,11 +123,6 @@ class Monitor:
         self._start_wall: Optional[float] = None
         self._eval_wall = 0.0
         self._health: Optional[dict] = None
-
-    # ------------------------------------------------------------ wants
-    @property
-    def wants_keys(self) -> bool:
-        return self.hot_total is not None
 
     # -------------------------------------------------------- lifecycle
     def start(self) -> None:
@@ -187,7 +182,8 @@ class Monitor:
             windows.observe(f"span.latency_us.{op}", duration)
 
     def on_key(self, op: str, key: bytes) -> None:
-        """Client hook: one KV-op key touch (hot-key tracking)."""
+        """Client hook: one KV-op key touch (hot-key tracking), called at
+        the top of every op by every client of the fabric."""
         if self.hot_total is None:
             return
         self.hook_calls += 1

@@ -142,7 +142,8 @@ class Tracer:
         # compares monitored clean runs minus alerts against unmonitored
         # runs byte-for-byte).
         self._alert_sid = itertools.count(1)
-        # Optional online monitor (repro.obs.monitor): receives every
+        # Span-end link to the fabric's online monitor (repro.obs.monitor),
+        # set by ``attach_monitor`` / ``attach_tracer``: receives every
         # ended span.  None keeps end_span at one attribute check.
         self.monitor = None
 

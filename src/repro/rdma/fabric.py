@@ -192,13 +192,16 @@ class Fabric:
         elif tracer.env is None:
             tracer.env = env   # late-bind: Tracer() made before the env
         self.tracer = tracer
-        # Optional fault injection (repro.faults).  None keeps the clean
-        # fast path at one attribute check per post/rpc.
+        # Optional fault injection (repro.faults), its one home: set
+        # directly or by ``FuseeCluster.install_faults``, read here by
+        # delivery, the clients' master calls and the MN allocators'
+        # mirror writes.  None keeps the clean fast path at one attribute
+        # check per post/rpc.
         self.injector = None
-        # Optional online monitor (repro.obs.monitor).  None keeps every
-        # hook site at a single attribute check; attached, the fabric
-        # feeds per-delivery service times and per-port drop counts to
-        # the gray-failure detector.
+        # Optional online monitor (repro.obs.monitor), its one home: set
+        # by ``FuseeCluster.attach_monitor``, fed per-delivery service
+        # times and per-port drops by the fabric and a key touch by every
+        # client KV op.  None keeps every hook site at one attribute check.
         self.monitor = None
         # Hot-path memo tables.  Port/CPU affinity is a pure function of
         # (mn, direction, qp) at salt 0 (ports never change after build),
@@ -823,7 +826,7 @@ class QpFabric:
     Clients receive one of these instead of the raw fabric: it exposes
     the same API but stamps this QP's identity on every ``post`` /
     ``post_one`` / ``rpc``, which is what multi-queue port affinity
-    hashes on.  Everything else (stats, topology, tracer, injector)
+    hashes on.  Everything else (stats, topology, the observers)
     delegates to the underlying fabric, so helper code that only reads
     fabric state works unchanged.  At ``num_ports=1`` the identity is
     inert and behaviour is byte-identical to the raw fabric.
@@ -864,6 +867,10 @@ class QpFabric:
     @property
     def injector(self):
         return self._fabric.injector
+
+    @property
+    def monitor(self):
+        return self._fabric.monitor
 
     def post(self, ops: Sequence[Verb], unsignaled: bool = False) -> Event:
         return self._fabric.post(ops, unsignaled=unsignaled, qp=self.qp)

@@ -614,9 +614,8 @@ def tenant_report(metrics, scenario: Scenario) -> Dict[str, dict]:
     """Summarise per-tenant isolation from a run's ``Metrics``.
 
     The paced/open-loop runner records ``tenant.<name>.ops``,
-    ``tenant.<name>.errors`` and ``tenant.<name>.latency_us`` (and,
-    under :func:`repro.obs.windowed_metrics`, the same per windowed
-    pane).  Returns per tenant: op count, throughput share, error
+    ``tenant.<name>.errors`` and ``tenant.<name>.latency_us``.
+    Returns per tenant: op count, throughput share, error
     share, and p50/p99 latency — the numbers a multi-tenant SLO would
     be written against.
     """

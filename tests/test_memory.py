@@ -10,6 +10,7 @@ from repro.core.memory import (
     unpack_block_entry,
 )
 from repro.core.wire import NULL_ADDR
+from repro.faults import FaultInjector, FaultPlan, Partition
 from tests.conftest import small_config, run
 from repro.core import FuseeCluster
 
@@ -139,6 +140,66 @@ class TestMnAllocation:
         run(cluster, proc())
         assert owned <= found  # watermark may have adopted extra blocks
         assert len(found) == client.allocator.stats_blocks_allocated
+
+
+class TestMirrorWritesUnderPartition:
+    """ALLOC's MN-side mirror writes read the injector where it lives,
+    ``fabric.injector``: an MN<->MN partition skips the cut replica for
+    allocators built with the cluster and for one ``add_memory_node``
+    builds after the install, and removing the injector heals both."""
+
+    CID = 9
+
+    @staticmethod
+    def _cut(mn_id, others):
+        """Partitions cutting MN ``mn_id`` off from each of ``others``."""
+        return [Partition(a=mn_id, b=other) for other in others]
+
+    def _grant(self, cluster, mn_id):
+        """ALLOC one block on ``mn_id``: {replica MN: its entry's owner}."""
+        def proc():
+            return (yield cluster.fabric.rpc(
+                mn_id, "alloc_block", {"cid": self.CID, "class_idx": 0}))
+
+        reply = run(cluster, proc())
+        off = cluster.region_map.layout.block_table_entry_offset(
+            reply["block"])
+        placement = cluster.region_map.placement(reply["region"])
+        assert placement[0][0] == mn_id and len(placement) == 2
+        return {mn: unpack_block_entry(cluster.fabric.node(mn).read_word(
+                    base + off)) for mn, base in placement}
+
+    def _backup_of_next_grant(self, cluster, mn_id):
+        region_id, _block = cluster.mn_allocators[mn_id]._free_blocks[0]
+        return cluster.region_map.placement(region_id)[1][0]
+
+    def test_install_faults_reaches_built_and_added_allocators(self, cluster):
+        new_mn = max(cluster.fabric.nodes) + 1
+        everyone = list(range(new_mn + 1))
+        cluster.install_faults(FaultPlan(
+            partitions=self._cut(0, everyone[1:])
+            + self._cut(new_mn, everyone[:-1])))
+        assert cluster.add_memory_node(regions=2) == new_mn
+        owner = (self.CID, 0)
+        for mn_id in (0, new_mn):
+            backup = self._backup_of_next_grant(cluster, mn_id)
+            assert self._grant(cluster, mn_id) == {mn_id: owner,
+                                                   backup: None}
+        cluster.clear_faults()
+        for mn_id in (0, new_mn):
+            backup = self._backup_of_next_grant(cluster, mn_id)
+            assert self._grant(cluster, mn_id) == {mn_id: owner,
+                                                   backup: owner}
+
+    def test_setting_fabric_injector_directly_reaches_them(self, cluster):
+        cluster.fabric.injector = FaultInjector(
+            FaultPlan(partitions=self._cut(0, (1, 2))))
+        backup = self._backup_of_next_grant(cluster, 0)
+        assert self._grant(cluster, 0) == {0: (self.CID, 0), backup: None}
+        cluster.fabric.injector = None
+        backup = self._backup_of_next_grant(cluster, 0)
+        assert self._grant(cluster, 0) == {0: (self.CID, 0),
+                                           backup: (self.CID, 0)}
 
 
 class TestClientSlabs:

@@ -65,9 +65,7 @@ class TestRegistry:
             assert issubclass(cls, ReplicationProtocol)
 
     def test_create_protocol_instantiates_per_client(self):
-        proto = create_protocol("swarm", cid=3)
-        assert isinstance(proto, SwarmProtocol)
-        assert proto.cid == 3
+        assert isinstance(create_protocol("swarm"), SwarmProtocol)
         assert isinstance(create_protocol("snapshot"), SnapshotProtocol)
         assert isinstance(create_protocol("sequential"), SequentialProtocol)
 
@@ -118,7 +116,6 @@ class TestClientConfigValidation:
         cluster = FuseeCluster(small_config())
         client = cluster.new_client(replication_mode="swarm")
         assert isinstance(client.protocol, SwarmProtocol)
-        assert client.protocol.cid == client.cid
 
     def test_swarm_cluster_round_trip(self):
         """End-to-end smoke: a swarm-mode cluster serves the full op mix."""

@@ -4,9 +4,8 @@ Four layers, tested bottom-up:
 
 * the streaming sketches (``DDSketch``, ``SpaceSaving``) against their
   published guarantees, with Hypothesis driving the value streams;
-* the windowed views (``WindowStore``, ``windowed_metrics``) — pane
-  edges as a pure function of simulated time, exact sliding merges,
-  bounded memory;
+* the windowed view (``WindowStore``) — pane edges as a pure function
+  of simulated time, exact sliding merges, bounded memory;
 * the SLO burn-rate evaluator and the comparative gray-failure
   detector as units, on synthetic streams with known answers;
 * the assembled :class:`~repro.obs.Monitor` on live beds — hot-key
@@ -38,7 +37,6 @@ from repro.obs import (
     health_fingerprint,
     load_health,
     render_health,
-    windowed_metrics,
     write_health,
 )
 from repro.obs.metrics import Histogram, TimeSeries
@@ -208,7 +206,7 @@ class TestSpaceSaving:
 
 
 # ---------------------------------------------------------------------------
-# WindowStore + windowed metrics proxies
+# WindowStore
 # ---------------------------------------------------------------------------
 class TestWindowStore:
     def test_pane_edges_are_pure_functions_of_time(self):
@@ -246,42 +244,10 @@ class TestWindowStore:
             env.now = t
             store.inc("ops")
             store.observe("lat", t)
-            store.set_gauge("g", t)
         store.prune(before_pane=2)
         assert store.panes() == [2]
         assert store.count("ops", 2) == 1
         assert store.count("ops", 1) == 0
-
-    def test_pane_summary_is_sorted_and_json_safe(self):
-        env = _FakeEnv(now=120.0)
-        store = WindowStore(env, width_us=100.0)
-        store.inc("b.ops")
-        store.inc("a.ops", 3)
-        store.observe("lat", 5.0)
-        summary = store.pane_summary(1)
-        assert list(summary["counters"]) == ["a.ops", "b.ops"]
-        assert summary["t0"] == 100.0 and summary["t1"] == 200.0
-        assert summary["quantiles"]["lat"]["count"] == 1
-        json.dumps(summary)   # JSONL-safe
-
-    def test_windowed_metrics_feed_base_and_store(self):
-        env = _FakeEnv(now=30.0)
-        store = WindowStore(env, width_us=100.0)
-        metrics = windowed_metrics(store)
-        metrics.counter("ops.search").inc()
-        metrics.counter("ops.search").inc(2)
-        metrics.histogram("latency_us.search").observe(4.0)
-        metrics.gauge("depth").set(7.0)
-        metrics.timeseries("util").record(30.0, 0.5)
-        # base instruments behave exactly like plain Metrics
-        assert metrics.counter("ops.search").value == 3
-        assert metrics.histogram("latency_us.search").count == 1
-        assert metrics.snapshot()["gauges"]["depth"] == 7.0
-        # ... and the same observations landed in pane 0
-        assert store.count("ops.search", 0) == 3
-        assert store.sketch("latency_us.search", 0).count == 1
-        assert store.gauge("depth", 0) == 7.0
-        assert store.sketch("util", 0).count == 1
 
 
 # ---------------------------------------------------------------------------
@@ -660,10 +626,10 @@ class TestDetectorVerdict:
 def monitored_ycsb_run(seed, duration_us=1500.0, n_clients=2,
                        n_memory_nodes=2, nic_ports=1, rpc_shards=1,
                        slos=(), hotkeys=8, window_us=250.0,
-                       port_affinity="qp", monitored=True):
+                       port_affinity="qp", monitored=True, traced=True):
     """A fusee bed driving seeded YCSB-A clients with the monitor
-    attached (tracer always on); returns ``(tracer, health)`` — health
-    is None when ``monitored=False``."""
+    attached; returns ``(tracer, health)`` — tracer is None when
+    ``traced=False``, health is None when ``monitored=False``."""
     from repro.harness.runner import run_closed_loop
     from repro.harness.systems import fusee_bed
     from repro.workloads import YcsbConfig, YcsbWorkload
@@ -677,8 +643,9 @@ def monitored_ycsb_run(seed, duration_us=1500.0, n_clients=2,
     seeder = YcsbWorkload(config, seed=seed)
     bed.load((key, seeder.load_value(i))
              for i, key in enumerate(seeder.load_keys()))
-    tracer = Tracer()
-    bed.cluster.attach_tracer(tracer)
+    tracer = Tracer() if traced else None
+    if traced:
+        bed.cluster.attach_tracer(tracer)
     monitor = None
     if monitored:
         monitor = Monitor(bed.env, bed.cluster.fabric,
@@ -774,6 +741,45 @@ class TestMonitorOnCleanBeds:
         ops = kv_ops_from_spans(tracer.spans)
         assert ops
         assert all(op.kind in KV_OPS and op.op_id >= 0 for op in ops)
+
+
+class TestMonitorWiring:
+    """The monitor has one home, ``fabric.monitor``: every client reads
+    it there at the top of each KV op, traced or not, whenever it was
+    created."""
+
+    def test_untraced_bed_counts_hot_keys(self):
+        _tracer, health = monitored_ycsb_run(seed=7, traced=False)
+        assert health["hot_keys"]["n"] > 0
+        assert health["hot_buckets"]["top"]
+
+    def test_hot_keys_are_the_same_traced_or_not(self):
+        _tracer, traced = monitored_ycsb_run(seed=7)
+        _none, untraced = monitored_ycsb_run(seed=7, traced=False)
+        assert untraced["hot_keys"] == traced["hot_keys"]
+        assert untraced["hot_buckets"] == traced["hot_buckets"]
+        assert ([row.get("hot_keys") for row in untraced["windows"]["rows"]]
+                == [row.get("hot_keys") for row in traced["windows"]["rows"]])
+
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_clients_made_before_and_after_attach_feed_it(self, traced):
+        from repro.core import FuseeCluster
+        from tests.conftest import small_config
+
+        cluster = FuseeCluster(small_config(),
+                               tracer=Tracer() if traced else None)
+        before = cluster.new_client()
+        monitor = cluster.attach_monitor(Monitor(
+            cluster.env, cluster.fabric,
+            config=MonitorConfig(hotkey_capacity=8), race=cluster.race))
+        after = cluster.new_client()
+        cluster.run_op(before.insert(b"made-before", b"v"))
+        cluster.run_op(after.insert(b"made-after", b"v"))
+        cluster.run_op(after.search(b"made-before"))
+        cluster.run_op(before.update(b"made-after", b"w"))
+        assert monitor.hot_total.estimate(b"made-before") == (2, 0)
+        assert monitor.hot_total.estimate(b"made-after") == (2, 0)
+        assert monitor.hot_total.n == 4
 
 
 class TestMonitorOnFaultedBeds:
