@@ -68,6 +68,14 @@ class RegionConfig:
             raise ValueError("block_size exceeds region_size")
         if self.min_object_size > self.block_size:
             raise ValueError("min_object_size exceeds block_size")
+        # One free bit per smallest object: a block's bitmap must be at
+        # least the 8-byte word clients FAA and ``reclaim`` reads and
+        # CASes, or that word would reach into the next block's bitmap.
+        if self.block_size < 64 * self.min_object_size:
+            raise ValueError(
+                f"block_size {self.block_size} holds fewer than 64 objects "
+                f"of min_object_size {self.min_object_size}: its free "
+                f"bitmap would be under one 8-byte word")
 
     @property
     def region_shift(self) -> int:

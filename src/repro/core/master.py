@@ -797,7 +797,7 @@ class Master:
             ref = view.empties[0]
             result = yield from snapshot_write(
                 self.fabric, ref, 0, word,
-                on_win=self._commit_hook(tail, 0))
+                on_win=self._commit_hook(tail))
             return result.outcome.won
         if located is None:
             return False  # UPDATE/DELETE of a key that no longer exists
@@ -807,10 +807,10 @@ class Master:
             return v_old == word
         result = yield from snapshot_write(
             self.fabric, ref, v_old, v_new,
-            on_win=self._commit_hook(tail, v_old))
+            on_win=self._commit_hook(tail))
         return result.outcome.won and not v_new == 0
 
-    def _commit_hook(self, tail: WalkedObject, v_old: int):
+    def _commit_hook(self, tail: WalkedObject):
         def hook(old_value: int):
             ops = commit_old_value_ops(self.region_map, self.fabric,
                                        tail.gaddr,

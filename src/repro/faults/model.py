@@ -26,9 +26,10 @@ from __future__ import annotations
 import math
 import random
 import struct
+from bisect import bisect_right
 from dataclasses import dataclass
 from hashlib import blake2b
-from typing import List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..rdma.verbs import verb_ident
 from .retry import RetryPolicy
@@ -201,6 +202,13 @@ class Fate:
 _CLEAN_FATE = Fate()
 
 
+def _port_match(fault_port: Optional[int], port: Optional[int]) -> bool:
+    """Does a fault scoped to ``fault_port`` hit a delivery on ``port``?
+    ``fault_port=None`` hits every port; a port-scoped fault never hits a
+    path that has no port (MN↔MN mirrors)."""
+    return fault_port is None or fault_port == port
+
+
 class FaultInjector:
     """Evaluates a :class:`FaultPlan` into per-delivery :class:`Fate`\\ s.
 
@@ -214,33 +222,60 @@ class FaultInjector:
         self.plan = plan
         self.retry = retry or RetryPolicy()
         self._key = struct.pack(">q", plan.seed & ((1 << 63) - 1))
+        # The keyed BLAKE2b state every draw copies: keying is done once.
+        self._keyed = blake2b(digest_size=8, key=self._key)
+        # The plan is frozen, so the set of active faults changes only at
+        # a window edge.  Between two consecutive edges (an *epoch*) every
+        # link, partition and gray query answers the same; each epoch keeps
+        # those answers, filled by a plan scan on first use.
+        self._edges = sorted({
+            t for f in (*plan.link_faults, *plan.partitions,
+                        *plan.gray_nodes)
+            for t in (f.start_us, f.end_us)})
+        self._epochs: Dict[int, tuple] = {}
+        # the epoch of the last query: [lo, hi) and its two tables
+        self._lo, self._hi = _INF, -_INF
+        self._links: Dict[tuple, tuple] = {}
+        self._reach: Dict[tuple, bool] = {}
 
     # ------------------------------------------------------------ draws
     def _u(self, parts: str) -> float:
         """Deterministic uniform in [0, 1) keyed by seed + ``parts``, the
         ``repr`` of the draw's tuple of parts."""
-        h = blake2b(parts.encode(), digest_size=8, key=self._key)
+        h = self._keyed.copy()
+        h.update(parts.encode())
         return int.from_bytes(h.digest(), "big") / 2.0 ** 64
 
-    # ------------------------------------------------------------ topology
-    @staticmethod
-    def _port_match(fault_port: Optional[int],
-                    port: Optional[int]) -> bool:
-        """Does a fault scoped to ``fault_port`` hit a delivery on
-        ``port``?  ``fault_port=None`` hits every port; a port-scoped
-        fault never hits a path that has no port (MN↔MN mirrors)."""
-        return fault_port is None or fault_port == port
+    # ------------------------------------------------------------ epochs
+    def _enter(self, now: float) -> None:
+        """Make the epoch holding ``now`` the current one.
 
-    def cn_partition(self, mn_id: int, now: float,
-                     port: Optional[int] = None) -> Tuple[bool, bool]:
-        """Active compute↔MN partition state → (drop_request, drop_reply).
-
-        ``port`` is the NIC port the delivery hashed onto; port-scoped
-        partitions only bite deliveries on their port.
+        Edge ``e`` closes the epoch before it, so with ``e_k`` the last
+        edge ``<= now`` a fault is active at ``now`` iff ``start_us <=
+        e_k < end_us`` — the same for every time in ``[e_k, e_k+1)``.
         """
+        edges = self._edges
+        k = bisect_right(edges, now)
+        tables = self._epochs.get(k)
+        if tables is None:
+            tables = self._epochs[k] = (
+                edges[k - 1] if k else -_INF,
+                edges[k] if k < len(edges) else _INF, {}, {})
+        self._lo, self._hi, self._links, self._reach = tables
+
+    def _link(self, mn_id: int, now: float, port: Optional[int]) -> tuple:
+        """The compute↔``mn_id`` link on ``port`` in the epoch of ``now``:
+        ``((drop_request, drop_reply), active link faults, gray factor)``.
+        """
+        if not self._lo <= now < self._hi:
+            self._enter(now)
+        state = self._links.get((mn_id, port))
+        if state is not None:
+            return state
+        plan = self.plan
         drop_req = drop_rep = False
-        for p in self.plan.partitions:
-            if not p.active(now) or not self._port_match(p.port, port):
+        for p in plan.partitions:
+            if not p.active(now) or not _port_match(p.port, port):
                 continue
             if p.a == CN and p.b == mn_id:
                 drop_req |= p.drop_requests
@@ -248,35 +283,56 @@ class FaultInjector:
             elif p.a == mn_id and p.b == CN:
                 drop_req |= p.drop_replies
                 drop_rep |= p.drop_requests
-        return drop_req, drop_rep
+        active = tuple(
+            (i, lf) for i, lf in enumerate(plan.link_faults)
+            if (lf.mn_id is None or lf.mn_id == mn_id)
+            and lf.active(now) and _port_match(lf.port, port))
+        factor = 1.0
+        for g in plan.gray_nodes:
+            if g.mn_id == mn_id and g.active(now) \
+                    and _port_match(g.port, port):
+                factor *= g.factor
+        state = self._links[(mn_id, port)] = (
+            (drop_req, drop_rep), active, factor)
+        return state
+
+    # ------------------------------------------------------------ topology
+    def cn_partition(self, mn_id: int, now: float,
+                     port: Optional[int] = None) -> Tuple[bool, bool]:
+        """Active compute↔MN partition state → (drop_request, drop_reply).
+
+        ``port`` is the NIC port the delivery hashed onto; port-scoped
+        partitions only bite deliveries on their port.
+        """
+        return self._link(mn_id, now, port)[0]
 
     def mn_reachable(self, src: int, dst: int, now: float) -> bool:
         """Can MN ``src`` currently push traffic to MN ``dst``?"""
+        if not self._lo <= now < self._hi:
+            self._enter(now)
+        reachable = self._reach.get((src, dst))
+        if reachable is not None:
+            return reachable
+        reachable = True
         for p in self.plan.partitions:
             if not p.active(now) or p.port is not None:
                 continue
-            if p.a == src and p.b == dst and p.drop_requests:
-                return False
-            if p.a == dst and p.b == src and p.drop_replies:
-                return False
-        return True
+            if (p.a == src and p.b == dst and p.drop_requests) or \
+                    (p.a == dst and p.b == src and p.drop_replies):
+                reachable = False
+                break
+        self._reach[(src, dst)] = reachable
+        return reachable
 
     def service_factor(self, mn_id: int, now: float,
                        port: Optional[int] = None) -> float:
-        factor = 1.0
-        for g in self.plan.gray_nodes:
-            if g.mn_id == mn_id and g.active(now) \
-                    and self._port_match(g.port, port):
-                factor *= g.factor
-        return factor
+        return self._link(mn_id, now, port)[2]
 
     # ------------------------------------------------------------ fates
     def _active_link_faults(self, mn_id: int, now: float,
                             port: Optional[int] = None
-                            ) -> List[Tuple[int, LinkFault]]:
-        return [(i, lf) for i, lf in enumerate(self.plan.link_faults)
-                if (lf.mn_id is None or lf.mn_id == mn_id)
-                and lf.active(now) and self._port_match(lf.port, port)]
+                            ) -> Tuple[Tuple[int, LinkFault], ...]:
+        return self._link(mn_id, now, port)[1]
 
     def fate(self, ident: tuple, mn_id: int, attempt: int,
              now: float, port: Optional[int] = None) -> Fate:
@@ -288,8 +344,7 @@ class FaultInjector:
         into the hash keys, so single-port campaigns draw byte-identical
         fates with or without the multi-queue machinery.
         """
-        drop_req, drop_rep = self.cn_partition(mn_id, now, port)
-        active = self._active_link_faults(mn_id, now, port)
+        (drop_req, drop_rep), active, _ = self._link(mn_id, now, port)
         if not (active or drop_req or drop_rep):
             return _CLEAN_FATE
         dup = False

@@ -10,9 +10,10 @@ one live cluster:
   op counters;
 * :class:`~repro.obs.slo.SloState` burn-rate evaluation per closed
   pane, emitting ``alert.slo.*`` spans into the tracer;
-* a :class:`~repro.obs.detect.GrayDetector` fed per-delivery service
-  times from the fabric (``note_verb``/``note_rpc``) and per-port
-  drop/op deltas, emitting ``alert.gray.*`` spans.
+* a :class:`~repro.obs.detect.GrayDetector` fed the fabric's service
+  times (``note_rpc`` per call; ``note_verb`` tallied and fed once per
+  distinct slot and pane before a pane is scored) and per-port drop/op
+  deltas, emitting ``alert.gray.*`` spans.
 
 The monitor runs as one DES process that wakes at every pane boundary
 (pure function of simulated time, so window edges are deterministic),
@@ -35,17 +36,16 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from ..rdma.verbs import CasOp, FaaOp, ReadOp, WriteOp
 from .detect import GrayDetector
 from .sketches import SpaceSaving
 from .slo import ERR_STREAM, KV_OPS, OK_STREAM, SloSpec, SloState
+from .tracer import VERB_KINDS
 from .windows import WindowStore
 
 __all__ = ["MonitorConfig", "Monitor", "render_health", "write_health",
            "load_health", "health_fingerprint"]
 
 _KV_OPS = frozenset(KV_OPS)
-_VERB_KIND = {ReadOp: "read", WriteOp: "write", CasOp: "cas", FaaOp: "faa"}
 
 
 @dataclass(frozen=True)
@@ -106,9 +106,15 @@ class Monitor:
         # which MNs expose per-port scopes (single-port == the MN itself)
         self._multiport = {mn_id: node.num_ports > 1
                            for mn_id, node in fabric.nodes.items()}
-        # note_verb's scope and family strings: formatted once per MN and
-        # per (verb class, payload bit length), not once per verb
-        self._labels: Dict[object, str] = {}
+        # note_verb's slots, counted per (pane, mn, port label, verb class,
+        # payload bytes, service, slot width) until _flush_verbs feeds
+        # them to the detector — service times take a handful of values
+        # per pane, so a verb costs one dict increment
+        self._verb_tally: Dict[tuple, int] = {}
+        # the detector's family and scope strings, formatted at flush once
+        # per (verb class, payload bytes) and once per MN
+        self._families: Dict[tuple, str] = {}
+        self._scopes: Dict[int, str] = {}
         self.rows: List[dict] = []
         self.skew_rows: List[dict] = []
         self._last_port_ops: Dict[str, int] = {}
@@ -206,21 +212,37 @@ class Monitor:
 
     def note_verb(self, mn_id: int, port_label: str, verb_cls, nbytes: int,
                   service_us: float, n: int = 1) -> None:
-        """Fabric hook: one NIC serialisation slot's service time."""
-        detector = self.detector
-        if detector is None:
+        """Fabric hook: one NIC serialisation slot's service time (``n``
+        verbs sharing the slot), tallied for the detector."""
+        if self.detector is None:
             return
-        self.hook_calls += 1
-        pane = int(self.env._now // self.width)
-        labels = self._labels
-        bits = int(nbytes).bit_length()
-        family = labels.get((verb_cls, bits)) or labels.setdefault(
-            (verb_cls, bits), f"{_VERB_KIND.get(verb_cls, 'verb')}@{bits}")
-        scope = labels.get(mn_id) or labels.setdefault(mn_id, f"mn{mn_id}")
-        per_verb = service_us / n if n > 1 else service_us
-        detector.observe(pane, scope, family, per_verb, n)
-        if self._multiport.get(mn_id):
-            detector.observe(pane, port_label, family, per_verb, n)
+        key = (int(self.env._now // self.width), mn_id, port_label,
+               verb_cls, nbytes, service_us, n)
+        tally = self._verb_tally
+        tally[key] = tally.get(key, 0) + 1
+
+    def _flush_verbs(self) -> None:
+        """Feed the tallied slots to the detector: one observation per
+        distinct slot and pane, weighted by how often it was seen."""
+        detector = self.detector
+        families = self._families
+        scopes = self._scopes
+        for (pane, mn_id, port_label, verb_cls, nbytes, service_us,
+             n), seen in self._verb_tally.items():
+            family = families.get((verb_cls, nbytes))
+            if family is None:
+                bits = int(nbytes).bit_length()
+                family = families[(verb_cls, nbytes)] = \
+                    f"{VERB_KINDS.get(verb_cls, 'verb')}@{bits}"
+            scope = scopes.get(mn_id)
+            if scope is None:
+                scope = scopes[mn_id] = f"mn{mn_id}"
+            per_verb = service_us / n if n > 1 else service_us
+            detector.observe(pane, scope, family, per_verb, n * seen)
+            if self._multiport.get(mn_id):
+                detector.observe(pane, port_label, family, per_verb, n * seen)
+            self.hook_calls += seen
+        self._verb_tally.clear()
 
     def note_rpc(self, mn_id: int, shard_label: str, name: str,
                  cpu_us: float) -> None:
@@ -235,6 +257,8 @@ class Monitor:
     # --------------------------------------------------------- evaluate
     def _evaluate_through(self, last_pane: int) -> None:
         t_wall = time.perf_counter()
+        if self._verb_tally:
+            self._flush_verbs()    # before any pane is scored
         while self._next_pane <= last_pane:
             self._evaluate_pane(self._next_pane)
             self._next_pane += 1

@@ -29,22 +29,20 @@ from __future__ import annotations
 import itertools
 from typing import Dict, List, Optional
 
-from ..rdma.verbs import CasOp, FaaOp, ReadOp, Verb, WriteOp, op_bytes
+from ..rdma.verbs import (FAIL, TIMEOUT, CasOp, FaaOp, ReadOp, Verb, WriteOp,
+                          op_bytes)
 
 __all__ = ["Span", "Tracer", "NullTracer", "NULL_TRACER", "verb_kind"]
 
 
+#: Short lowercase kind tag per verb class: what trace records and the
+#: gray detector's families call a verb.
+VERB_KINDS = {ReadOp: "read", WriteOp: "write", CasOp: "cas", FaaOp: "faa"}
+
+
 def verb_kind(op: Verb) -> str:
     """Short lowercase kind tag for a verb descriptor."""
-    if isinstance(op, ReadOp):
-        return "read"
-    if isinstance(op, WriteOp):
-        return "write"
-    if isinstance(op, CasOp):
-        return "cas"
-    if isinstance(op, FaaOp):
-        return "faa"
-    return "verb"
+    return VERB_KINDS.get(op.__class__, "verb")
 
 
 class Span:
@@ -235,15 +233,18 @@ class Tracer:
         completes inside a fabric-internal delivery process (fault
         injection) rather than the client's own process step.
         """
+        verbs = []
+        for op, comp in zip(ops, completions):
+            value = comp.value
+            verbs.append({"kind": VERB_KINDS.get(op.__class__, "verb"),
+                          "mn": op.mn_id, "bytes": op_bytes(op),
+                          "failed": value is FAIL or value is TIMEOUT})
         record = {
             "kind": "batch",
             "phase": "",
             "t0": t0,
             "t1": t1,
-            "verbs": [{"kind": verb_kind(op), "mn": op.mn_id,
-                       "bytes": op_bytes(op),
-                       "failed": comp.failed}
-                      for op, comp in zip(ops, completions)],
+            "verbs": verbs,
         }
         if unsignaled:
             record["unsignaled"] = True

@@ -172,6 +172,25 @@ class FabricStats:
         return FabricStats(**values)
 
 
+class _Delivery:
+    """One verb of a batch a fault reaches, as its delivery process carries
+    it: its slot in the batch, the verb, its node, payload bytes and
+    idempotency token, and the current attempt's port and fate."""
+
+    __slots__ = ("i", "op", "node", "nbytes", "token", "pidx", "port",
+                 "fate")
+
+    def __init__(self, i: int, op: Verb, node: MemoryNode, token: int,
+                 fate):
+        self.i = i
+        self.op = op
+        self.node = node
+        self.nbytes = op_bytes(op)
+        self.token = token
+        self.pidx = self.port = None
+        self.fate = fate
+
+
 class Fabric:
     """Posts verbs and RPCs to memory nodes with simulated timing.
 
@@ -472,12 +491,11 @@ class Fabric:
 
         First-attempt fates are drawn here, in posted order (a fate is a
         pure hash of what is sent and when).  A batch no fault reaches —
-        every fate clean, every target alive — is one delivery process,
-        four kernel events whatever its size; any other batch gets a
-        process per verb, the only shape that can express loss,
-        duplication and retry.  Both are spawned here, so same-instant
-        batches of one QP reach the MN in post order whichever shape each
-        took, and both share `_arrive`, `_port_for` and `_service_time`.
+        every fate clean, every target alive — is three kernel callbacks
+        (`_deliver_untouched`); any other batch gets a process per verb,
+        the only shape that can express loss, duplication and retry.  Both
+        start from here, so same-instant batches of one QP reach the MN in
+        post order whichever shape each took.
         """
         env = self.env
         self.stats.batches += 1
@@ -487,26 +505,39 @@ class Fabric:
         if prof is not None and not unsignaled:
             pspan = prof.current_span()
         inj = self.injector    # a delivery keeps the one it was posted under
+        now = env._now
+        nodes = self.nodes
+        pcache = self._port_cache
+        draw = inj.fate
+        hook = env._access_hook
         untouched = True
-        verbs = []
+        fates = []
         for op in ops:
-            node = self.nodes[op.mn_id]
-            pidx, port = self._port_for(node, op.__class__ is ReadOp, qp)
-            fate = inj.fate(verb_ident(op), op.mn_id, 1, env._now, port=pidx)
-            env.note_access(("crash", op.mn_id), False)
-            untouched = untouched and fate.clean and not node.crashed
-            verbs.append((op, node, op_bytes(op), env.next_uid(), pidx, port,
-                          fate))
-        completions: List[Completion] = [None] * len(ops)
+            mn = op.mn_id
+            node = nodes[mn]
+            is_read = op.__class__ is ReadOp
+            choice = pcache.get((mn, is_read, qp)) \
+                or self._port_for(node, is_read, qp)
+            fate = draw(verb_ident(op), mn, 1, now, choice[0])
+            if hook is not None:
+                hook(("crash", mn), False)
+            if untouched and (node.crashed or not fate.clean):
+                untouched = False
+            fates.append(fate)
+        # Every verb draws a token, used or not: the uid sequence (and so
+        # the RPC and master tokens that later fates hash) must not depend
+        # on which shape a batch took.
+        tokens = [env.next_uid() for _ in ops]
         if untouched:
-            return env.process(self._deliver_batch(
-                inj, ops, verbs, completions, unsignaled, span, pspan),
-                name="batch")
+            return self._deliver_untouched(ops, inj, unsignaled, span, pspan,
+                                           qp)
+        completions: List[Completion] = [None] * len(ops)
         procs = []
-        for i, verb in enumerate(verbs):
+        for i, op in enumerate(ops):
+            verb = _Delivery(i, op, nodes[op.mn_id], tokens[i], fates[i])
             proc = env.process(
-                self._deliver_verb(i, verb, inj, completions, span, qp),
-                name=f"verb:{i}@MN{verb[0].mn_id}")
+                self._deliver_verb(verb, inj, completions, span, qp),
+                name=f"verb:{i}@MN{op.mn_id}")
             if prof is not None:
                 # A delivery process cannot see the posting span via the
                 # tracer's per-process stack — bind explicitly (None when
@@ -514,74 +545,160 @@ class Fabric:
                 prof.bind(proc, pspan)
             procs.append(proc)
         return env.process(self._gather_batch(ops, procs, completions,
-                                              env._now, unsignaled, span),
+                                              now, unsignaled, span),
                            name="batch")
 
-    def _gather_batch(self, ops, events, completions, t0, unsignaled, span):
-        if len(events) == 1:
-            yield events[0]
+    def _gather_batch(self, ops, procs, completions, t0, unsignaled, span):
+        if len(procs) == 1:
+            yield procs[0]
         else:
-            yield self.env.all_of(events)
+            yield self.env.all_of(procs)
         if self.tracer.enabled:
             self.tracer.on_batch(ops, completions, t0, self.env.now,
                                  unsignaled=unsignaled, span=span)
         return completions
 
-    def _deliver_batch(self, inj, ops, verbs, completions, unsignaled,
-                       span, pspan):
-        """Every verb's clean first attempt in one process: the steps of
-        `_deliver_verb`, in posted order, at the same instants."""
+    def _deliver_untouched(self, ops, inj, unsignaled, span, pspan,
+                           qp) -> Event:
+        """A batch no fault reaches, as three kernel callbacks on the event
+        ids and instants of one delivery process: the start at the post
+        instant (counters, request-leg intervals), the arrival (per verb in
+        posted order: crash check, apply, gray-inflated service, a slot on
+        its port) and the reply of the slowest verb, which succeeds the
+        returned event — the fourth id, on which the caller resumes.
+
+        No token is recorded: a token is only ever read by a re-delivery,
+        and a verb that drew no drop, duplicate or retry has none."""
         env = self.env
         cfg = self.config
         t0 = env._now
-        t_sent = t0 + cfg.post_overhead_us
-        prof = env._profiler
-        for op, _, nbytes, *_ in verbs:
-            self._count(op.__class__, op.mn_id, nbytes)
-            if prof is not None:
-                prof.note("client", "post", t0, t_sent, pspan)
-                prof.note("propagation", "net.request", t_sent,
-                          t_sent + cfg.one_way_delay_us, pspan)
-        yield env.timeout(cfg.post_overhead_us + cfg.one_way_delay_us)
-        if prof is not None:
-            prof.begin_batch(pspan)   # resolved once, not per interval
-        back = 0.0
-        for i, verb in enumerate(verbs):
-            back = max(back,
-                       self._arrive(i, *verb, inj, prof, completions) or 0.0)
-        if prof is not None:
-            prof.end_batch()
-        return (yield from self._gather_batch(
-            ops, [env.timeout(back)], completions, t0, unsignaled, span))
+        completions: List[Completion] = [None] * len(ops)
+        finished = Event(env)
+        prof = None     # the profiler the start saw, kept for the arrival
 
-    def _arrive(self, i, op, node, nbytes, token, pidx, port, fate, inj,
-                prof, completions):
-        """A request reaching its MN under an injector: crash check (FAIL
-        on the spot, no return leg), at-most-once apply, gray-inflated
-        service, a slot on ``port``.  Files the completion; returns how
-        long until the reply is back, or None if the MN is down."""
+        def start(_event):
+            nonlocal prof
+            prof = env._profiler
+            stats = self.stats
+            per_mn = stats.per_mn_ops
+            reads = writes = atomics = moved = 0
+            for op in ops:
+                cls = op.__class__
+                if cls is ReadOp:
+                    reads += 1
+                    moved += op.length
+                elif cls is WriteOp:
+                    writes += 1
+                    moved += len(op.data)
+                else:
+                    atomics += 1
+                    moved += 8
+                per_mn[op.mn_id] = per_mn.get(op.mn_id, 0) + 1
+            stats.reads += reads
+            stats.writes += writes
+            stats.atomics += atomics
+            stats.bytes_moved += moved
+            if prof is not None:
+                t_sent = t0 + cfg.post_overhead_us
+                for _ in ops:
+                    prof.note("client", "post", t0, t_sent, pspan)
+                    prof.note("propagation", "net.request", t_sent,
+                              t_sent + cfg.one_way_delay_us, pspan)
+            env.timeout(cfg.post_overhead_us
+                        + cfg.one_way_delay_us).callbacks.append(arrive)
+
+        def arrive(_event):
+            now = env._now
+            nodes = self.nodes
+            stats = self.stats
+            per_port = stats.per_port_ops
+            pcache = self._port_cache
+            vcache = self._verb_cache
+            monitor = self.monitor
+            hook = env._access_hook
+            one_way = cfg.one_way_delay_us
+            if prof is not None:
+                prof.begin_batch(pspan)   # resolved once, not per interval
+            back = 0.0
+            for i, op in enumerate(ops):
+                mn = op.mn_id
+                node = nodes[mn]
+                if hook is not None:
+                    hook(("crash", mn), False)
+                if node.crashed:   # crashed in flight: no return leg
+                    stats.failed_verbs += 1
+                    completions[i] = Completion(op, FAIL)
+                    continue
+                try:
+                    value = node.apply(op)
+                except Exception as exc:   # e.g. a verb outside the node
+                    # the poster gets it, as from a failed delivery process
+                    finished.fail(exc)
+                    return
+                completions[i] = Completion(op, value)
+                cls = op.__class__
+                is_read = cls is ReadOp
+                nbytes = op.length if is_read else (
+                    len(op.data) if cls is WriteOp else 8)
+                pidx, port = pcache.get((mn, is_read, qp)) \
+                    or self._port_for(node, is_read, qp)
+                service = vcache.get((mn, cls, nbytes))
+                if service is None:
+                    service = self._service_time(node, op, nbytes)
+                service *= inj.service_factor(mn, now, pidx)
+                label = port.label
+                per_port[label] = per_port.get(label, 0) + 1
+                if monitor is not None:
+                    monitor.note_verb(mn, label, cls, nbytes, service)
+                done = port.finish_time(service, now)
+                if prof is not None:
+                    prof.note("propagation", "net.reply", done,
+                              done + one_way)
+                until_back = done - now + one_way
+                if until_back > back:
+                    back = until_back
+            if prof is not None:
+                prof.end_batch()
+            env.timeout(back).callbacks.append(reply)
+
+        def reply(_event):
+            if self.tracer.enabled:
+                self.tracer.on_batch(ops, completions, t0, env._now,
+                                     unsignaled=unsignaled, span=span)
+            finished.succeed(completions)
+
+        env.timeout(0.0).callbacks.append(start)
+        return finished
+
+    def _arrive(self, verb: "_Delivery", inj, prof, completions):
+        """A request of a batch a fault reaches arriving at its MN: crash
+        check (FAIL on the spot, no return leg), at-most-once apply,
+        gray-inflated service, a slot on the attempt's port.  Files the
+        completion; returns how long until the reply is back, or None if
+        the MN is down."""
         env = self.env
+        op, node, port, fate = verb.op, verb.node, verb.port, verb.fate
         env.note_access(("crash", op.mn_id), False)
         if node.crashed:
             self.stats.failed_verbs += 1
-            completions[i] = Completion(op, FAIL)
+            completions[verb.i] = Completion(op, FAIL)
             return None
-        value, deduped = node.apply_once(token, op)
+        value, deduped = node.apply_once(verb.token, op)
         if deduped:
             self.stats.dedup_hits += 1
-        completions[i] = Completion(op, value)
-        service = (self._service_time(node, op, nbytes)
-                   * inj.service_factor(op.mn_id, env._now, port=pidx))
+        completions[verb.i] = Completion(op, value)
+        service = (self._service_time(node, op, verb.nbytes)
+                   * inj.service_factor(op.mn_id, env._now, port=verb.pidx))
         self._note_port(port)
         if self.monitor is not None:
             self.monitor.note_verb(op.mn_id, port.label, op.__class__,
-                                   nbytes, service)
+                                   verb.nbytes, service)
         done = port.finish_time(service, env._now)
         if fate.duplicate:
             # The fabric delivered the request twice: the second copy hits
             # the token cache (no re-execution) but still costs NIC service.
             self.stats.duplicates += 1
-            if node.apply_once(token, op)[1]:
+            if node.apply_once(verb.token, op)[1]:
                 self.stats.dedup_hits += 1
             self._note_port(port)
             port.finish_time(service, env._now)
@@ -593,12 +710,12 @@ class Fabric:
                       done + one_way + fate.reply_jitter_us)
         return max(0.0, done - env._now) + one_way + fate.reply_jitter_us
 
-    def _deliver_verb(self, i, verb, inj, completions, span, qp=0):
+    def _deliver_verb(self, verb: "_Delivery", inj, completions, span, qp):
         env = self.env
         cfg = self.config
         policy = inj.retry
-        op, node, nbytes, token, _, _, fate = verb
-        self._count(op.__class__, op.mn_id, nbytes)
+        op, node = verb.op, verb.node
+        self._count(op.__class__, op.mn_id, verb.nbytes)
         for attempt in range(1, policy.max_attempts + 1):
             if attempt > 1:
                 self.stats.transport_retries += 1
@@ -609,18 +726,19 @@ class Fabric:
             if node.crashed:
                 self.stats.failed_verbs += 1
                 yield _prop(env, cfg.fail_delay_us, "net.fail")
-                completions[i] = Completion(op, FAIL)
+                completions[verb.i] = Completion(op, FAIL)
                 return
             # per-attempt salt: a retry re-hashes onto the next port
-            pidx, port = self._port_for(node, op.__class__ is ReadOp, qp,
-                                        salt=attempt - 1)
+            verb.pidx, verb.port = self._port_for(
+                node, op.__class__ is ReadOp, qp, salt=attempt - 1)
             if attempt > 1:   # the first fate was drawn at post time
-                fate = inj.fate(verb_ident(op), op.mn_id, attempt,
-                                t_attempt, port=pidx)
+                verb.fate = inj.fate(verb_ident(op), op.mn_id, attempt,
+                                     t_attempt, port=verb.pidx)
+            fate = verb.fate
             backoff = policy.backoff_us(attempt, fate.backoff_u)
             if fate.drop_request:
                 self.stats.dropped_requests += 1
-                self._note_drop(port)
+                self._note_drop(verb.port)
                 yield _backoff(env, policy.verb_timeout_us + backoff,
                                "verb.timeout")
                 continue
@@ -633,13 +751,12 @@ class Fabric:
                           + fate.request_jitter_us)
             yield env.timeout(cfg.post_overhead_us + cfg.one_way_delay_us
                               + fate.request_jitter_us)
-            back = self._arrive(i, op, node, nbytes, token, pidx, port, fate,
-                                inj, prof, completions)
+            back = self._arrive(verb, inj, prof, completions)
             if back is None:
                 return
             if fate.drop_reply:
                 self.stats.dropped_replies += 1
-                self._note_drop(port)
+                self._note_drop(verb.port)
                 elapsed = env.now - t_attempt
                 yield _backoff(
                     env,
@@ -649,7 +766,7 @@ class Fabric:
             yield env.timeout(back)
             return
         self.stats.verb_timeouts += 1
-        completions[i] = Completion(op, TIMEOUT)
+        completions[verb.i] = Completion(op, TIMEOUT)
 
     # -- RPCs -------------------------------------------------------------------
     def rpc(self, mn_id: int, name: str, payload: dict,

@@ -35,6 +35,23 @@ class TestRegionConfig:
         with pytest.raises(ValueError):
             RegionConfig(region_size=1 << 12, block_size=1 << 13)
 
+    @pytest.mark.parametrize("block_size,min_object_size", [
+        (256, 64),      # 4 objects: a zero-byte bitmap
+        (1024, 64),     # 16 objects: a 2-byte bitmap reclaim CASes as a word
+        (2048, 64),     # 32 objects: 4 bytes
+        (256, 8),
+    ])
+    def test_bitmap_under_one_word_rejected(self, block_size,
+                                            min_object_size):
+        with pytest.raises(ValueError, match="one 8-byte word"):
+            RegionConfig(region_size=1 << 16, block_size=block_size,
+                         min_object_size=min_object_size)
+
+    def test_bitmap_of_exactly_one_word_accepted(self):
+        cfg = RegionConfig(region_size=1 << 16, block_size=1 << 12,
+                           min_object_size=64)
+        assert RegionLayout(cfg).bitmap_bytes_per_block == 8
+
     def test_shift_and_mask(self):
         cfg = RegionConfig(region_size=1 << 20)
         assert cfg.region_shift == 20

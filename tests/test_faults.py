@@ -17,8 +17,10 @@ The long random sweep is marked ``campaign`` and excluded from tier-1;
 run it with ``pytest -m campaign``.
 """
 
+import math
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import FuseeCluster
@@ -260,6 +262,140 @@ def test_gray_node_service_factor():
     assert inj.service_factor(1, 15.0) == 4.0
     assert inj.service_factor(1, 25.0) == 1.0
     assert inj.service_factor(0, 15.0) == 1.0
+
+
+# --------------------------------------------------------------------------
+# Window queries memoised per epoch
+# --------------------------------------------------------------------------
+_EDGES = (-math.inf, 0.0, 10.0, 10.5, 99.99999999999999, 100.0, 250.0,
+          math.inf)
+_EDGE = st.sampled_from(_EDGES)
+_SPOT = st.one_of(_EDGE, st.floats(-20.0, 300.0, allow_nan=False))
+_ENDPOINT = st.sampled_from([CN, 0, 1, 2])
+_MNS = (-1, 0, 1, 2)           # -1: the clients' master link
+_PORTS = (None, 0, 1)
+
+
+@st.composite
+def _plans_and_queries(draw):
+    """Plans of every fault kind whose windows start and end on shared
+    edges, at ±inf, at random instants, or the wrong way round, and the
+    ``(time, "link" | "mn")`` queries to ask them."""
+    def window():
+        return dict(start_us=draw(_SPOT), end_us=draw(_SPOT))
+
+    port = st.sampled_from(_PORTS)
+    links = draw(st.lists(st.builds(
+        lambda mn, p, drop, dup, jit, w: LinkFault(
+            mn_id=mn, drop_p=drop, dup_p=dup, jitter_us=jit, port=p, **w),
+        st.sampled_from([None, 0, 1, 2]), port,
+        st.sampled_from([0.0, 0.3, 1.0]), st.sampled_from([0.0, 0.4]),
+        st.sampled_from([0.0, 1.5]), st.builds(window)), max_size=3))
+    parts = draw(st.lists(st.builds(
+        lambda a, b, req, rep, p, w: Partition(
+            a=a, b=b, drop_requests=req, drop_replies=rep, port=p, **w),
+        _ENDPOINT, _ENDPOINT, st.booleans(), st.booleans(), port,
+        st.builds(window)), max_size=3))
+    grays = draw(st.lists(st.builds(
+        lambda mn, f, p, w: GrayNode(mn_id=mn, factor=f, port=p, **w),
+        st.sampled_from([0, 1, 2]), st.sampled_from([2.0, 3.5, 8.0]), port,
+        st.builds(window)), max_size=2))
+    plan = FaultPlan(link_faults=links, partitions=parts, gray_nodes=grays,
+                     seed=draw(st.integers(0, 9)))
+    # window edges exactly, their float neighbours, anything, and out of
+    # order: revisiting an earlier epoch reuses its tables, and either
+    # kind of query may be the first to reach an epoch
+    edges = sorted({t for f in (*links, *parts, *grays)
+                    for t in (f.start_us, f.end_us)} | set(_EDGES))
+    near = st.sampled_from(edges).map(lambda t: math.nextafter(t, math.inf))
+    queries = draw(st.lists(st.tuples(
+        st.one_of(st.sampled_from(edges), near, _SPOT),
+        st.sampled_from(["link", "mn"])), min_size=1, max_size=10))
+    return plan, queries
+
+
+def _scanned(plan, mn_id, now, port):
+    """The plan scan every window query made before it was memoised."""
+    def hits(fault_port):
+        return fault_port is None or fault_port == port
+
+    drop_req = drop_rep = False
+    for p in plan.partitions:
+        if not p.active(now) or not hits(p.port):
+            continue
+        if p.a == CN and p.b == mn_id:
+            drop_req |= p.drop_requests
+            drop_rep |= p.drop_replies
+        elif p.a == mn_id and p.b == CN:
+            drop_req |= p.drop_replies
+            drop_rep |= p.drop_requests
+    factor = 1.0
+    for g in plan.gray_nodes:
+        if g.mn_id == mn_id and g.active(now) and hits(g.port):
+            factor *= g.factor
+    active = [(i, lf) for i, lf in enumerate(plan.link_faults)
+              if (lf.mn_id is None or lf.mn_id == mn_id)
+              and lf.active(now) and hits(lf.port)]
+    return (drop_req, drop_rep), factor, active
+
+
+def _scanned_reachable(plan, src, dst, now):
+    for p in plan.partitions:
+        if not p.active(now) or p.port is not None:
+            continue
+        if p.a == src and p.b == dst and p.drop_requests:
+            return False
+        if p.a == dst and p.b == src and p.drop_replies:
+            return False
+    return True
+
+
+class TestEpochMemo:
+    """A `FaultInjector` resolves the plan once per epoch — the span
+    between two consecutive window edges — and keeps the answers.  One
+    injector asked in any order must answer every query exactly as the
+    plan scan does and as a fresh injector does."""
+
+    @given(case=_plans_and_queries())
+    # an epoch's last instant, then the edge that closes it
+    @example(case=(FaultPlan(gray_nodes=[GrayNode(
+        mn_id=0, start_us=10.0, end_us=100.0)]), [(100.0, "link")]))
+    # an edge first, then the epoch it closes
+    @example(case=(FaultPlan(gray_nodes=[GrayNode(
+        mn_id=0, start_us=10.0, end_us=100.0)]),
+        [(10.0, "link"), (5.0, "link")]))
+    # a new epoch reached first by an MN↔MN query, then the old one again
+    @example(case=(FaultPlan(partitions=[Partition(
+        a=0, b=1, start_us=10.0, end_us=100.0)]),
+        [(5.0, "link"), (50.0, "mn"), (5.0, "mn")]))
+    @settings(max_examples=150, deadline=None)
+    def test_memoised_queries_answer_as_a_fresh_scan(self, case):
+        plan, queries = case
+        # every time is asked just below first
+        queries = [(below, kind) for now, kind in queries
+                   for below in (math.nextafter(now, -math.inf), now)]
+        memo = FaultInjector(plan)
+        ident = ("W", 64, b"\x00" * 8)
+        for now, kind in queries + queries[::-1]:
+            if kind == "mn":
+                for src in _MNS:
+                    for dst in _MNS:
+                        assert memo.mn_reachable(src, dst, now) \
+                            == _scanned_reachable(plan, src, dst, now) \
+                            == FaultInjector(plan).mn_reachable(src, dst,
+                                                                now)
+                continue
+            for mn_id in _MNS:
+                for port in _PORTS:
+                    partition, factor, active = _scanned(plan, mn_id, now,
+                                                         port)
+                    assert memo.cn_partition(mn_id, now, port) == partition
+                    assert memo.service_factor(mn_id, now, port) == factor
+                    assert list(memo._active_link_faults(
+                        mn_id, now, port)) == active
+                    assert memo.fate(ident, mn_id, 2, now, port) \
+                        == FaultInjector(plan).fate(ident, mn_id, 2, now,
+                                                    port)
 
 
 # --------------------------------------------------------------------------

@@ -820,6 +820,37 @@ class TestMonitorOnFaultedBeds:
         assert verdict["caught"][0]["flag_scope"].endswith(".p1")
         assert report.sound
 
+    def test_per_pane_tally_reports_what_per_verb_feeding_does(
+            self, monkeypatch):
+        """The monitor tallies the fabric's service observations and feeds
+        the detector once per distinct slot and pane, at evaluation.  A
+        monitor that feeds it after every verb must write the same health
+        report, flags and their sample counts included."""
+        import repro.obs
+        from repro.faults.campaign import run_campaign
+        from repro.workloads import SMOKE_TRIM
+
+        class _PerVerbMonitor(Monitor):
+            def note_verb(self, *args):
+                super().note_verb(*args)
+                self._flush_verbs()
+
+        def health():
+            return run_campaign(
+                scenario="flash-crowd-gray", seed=0,
+                scenario_overrides=SMOKE_TRIM,
+                monitor_config=MonitorConfig(window_us=250.0,
+                                             hotkey_capacity=4),
+                slos=[SloSpec.parse("errors:0.05")]).health
+
+        tallied = health()
+        monkeypatch.setattr(repro.obs, "Monitor", _PerVerbMonitor)
+        per_verb = health()
+        assert tallied["detector"]["flags"]
+        assert health_fingerprint(tallied) == health_fingerprint(per_verb)
+        assert tallied["overhead"]["hook_calls"] \
+            == per_verb["overhead"]["hook_calls"]
+
     def test_detector_failure_breaks_campaign_soundness(self):
         from repro.faults.campaign import CampaignReport
         from repro.faults.model import FaultPlan
