@@ -19,6 +19,7 @@ Run:  python examples/fault_tolerance.py
 from repro.core import ClusterConfig, FuseeCluster
 from repro.core.addressing import RegionConfig
 from repro.core.client import ClientCrashed, CrashPoint
+from repro.core.master import LEASE_US
 from repro.core.race import RaceConfig
 
 
@@ -41,8 +42,7 @@ def main() -> None:
 
     cluster.crash_memory_node(1)
     print("MN 1 crashed; waiting out the membership lease...")
-    lease = cluster.config.master.lease_us
-    cluster.run(until=cluster.env.now + lease * 3)
+    cluster.run(until=cluster.env.now + LEASE_US * 3)
     print(f"master handled failures for MNs: "
           f"{cluster.master.handled_mn_failures} "
           f"(epoch {cluster.master.epoch})")

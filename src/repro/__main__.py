@@ -307,6 +307,13 @@ def cmd_check(args) -> int:
                   f"{spec.max_schedules}, {spec.max_decisions}")
         return 0
 
+    for kind, name, known in (("scenario", args.scenario, SCENARIOS),
+                              ("mutation", args.mutation, MUTATIONS)):
+        if name and name not in known:
+            print(f"unknown {kind} {name!r}", file=sys.stderr)
+            print(f"available: {', '.join(known)}", file=sys.stderr)
+            return 2
+
     if args.replay is not None:
         if not args.scenario:
             print("--replay needs --scenario", file=sys.stderr)

@@ -62,8 +62,7 @@ Scenario = Callable[[ControlledScheduler], Optional[str]]
 
 # Free fabric + free NIC: every event lands at t=0 and becomes
 # co-runnable with everything else.  Only explicit sleeps advance time.
-ZERO_LATENCY_FABRIC = FabricConfig(one_way_delay_us=0.0, fail_delay_us=0.0,
-                                   post_overhead_us=0.0)
+ZERO_LATENCY_FABRIC = FabricConfig(one_way_delay_us=0.0, post_overhead_us=0.0)
 ZERO_COST_NIC = NicProfile(op_overhead=0.0, atomic_overhead=0.0,
                            bandwidth_gbps=float("inf"), rpc_overhead=0.0)
 

@@ -4,7 +4,7 @@ from .addressing import RegionConfig, RegionLayout, RegionMap
 from .cache import AdaptiveIndexCache, CacheEntry, CacheStats
 from .client import ClientConfig, ClientCrashed, CrashPoint, FuseeClient, OpResult
 from .kvstore import ClusterConfig, FuseeCluster, FuseeKV
-from .master import Master, MasterConfig, RecoveredClientState, RecoveryReport
+from .master import Master, RecoveredClientState, RecoveryReport
 from .memory import (
     AllocationError,
     AllocResult,
@@ -46,7 +46,7 @@ __all__ = [
     "AdaptiveIndexCache", "CacheEntry", "CacheStats",
     "ClientConfig", "ClientCrashed", "CrashPoint", "FuseeClient", "OpResult",
     "ClusterConfig", "FuseeCluster", "FuseeKV",
-    "Master", "MasterConfig", "RecoveredClientState", "RecoveryReport",
+    "Master", "RecoveredClientState", "RecoveryReport",
     "AllocationError", "AllocResult", "ClientAllocator", "ClientTable",
     "MnBlockAllocator", "size_classes_for",
     "CrashCase", "LogWalker", "WalkedObject",

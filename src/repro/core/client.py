@@ -83,10 +83,7 @@ class ClientConfig:
     # (FUSEE-CR) or "swarm" (1-RTT in-place broadcast writes).
     replication_mode: str = "snapshot"
     cache_enabled: bool = True          # False => FUSEE-NC
-    cache_capacity: int = 1 << 16
     cache_threshold: float = 0.5        # adaptive bypass threshold (Fig. 16)
-    retry_sleep_us: float = 2.0
-    max_op_retries: int = 64
     # Fig. 17 ablation: allocate every object via an MN-side RPC.
     mn_centric_alloc: bool = False
     # Log-maintenance ablation: False adds the separate log-entry write
@@ -96,8 +93,6 @@ class ClientConfig:
     # paper-faithful first-alive replica; "round_robin"/"least_loaded"
     # spread reads across replicas (see repro.core.readpolicy).
     read_spread: str = "primary"
-    # How long a replica stays deprioritised after a READ timeout.
-    read_suspect_window_us: float = 500.0
 
     def __post_init__(self):
         validate_replication_mode(self.replication_mode)
@@ -182,6 +177,11 @@ def _not_located(located) -> OpResult:
 #: master lives in the compute pool, not on a memory node).
 _MASTER_LINK = -1
 
+#: The pause before a client retries a lost or conflicting round.
+RETRY_SLEEP_US = 2.0
+#: Rounds an operation (or a bucket read) may retry before giving up.
+MAX_OP_RETRIES = 64
+
 
 @dataclass
 class ClientStats:
@@ -226,12 +226,10 @@ class FuseeClient:
         self.allocator = ClientAllocator(
             env, fabric, region_map, client_table, cid, size_classes,
             mn_centric=self.config.mn_centric_alloc)
-        self.cache = AdaptiveIndexCache(capacity=self.config.cache_capacity,
-                                        threshold=self.config.cache_threshold,
+        self.cache = AdaptiveIndexCache(threshold=self.config.cache_threshold,
                                         enabled=self.config.cache_enabled)
         self.read_policy = ReplicaReadPolicy(
-            fabric, mode=self.config.read_spread, cid=cid,
-            suspect_window_us=self.config.read_suspect_window_us)
+            fabric, mode=self.config.read_spread, cid=cid)
         self.protocol = create_protocol(self.config.replication_mode)
         self.stats = ClientStats()
         self.crashed = False
@@ -415,7 +413,7 @@ class FuseeClient:
             on_win = self._log_committer(prepared)
         result = yield from self.protocol.write(
             self.fabric, ref, v_old, v_new, on_win=on_win,
-            retry_sleep_us=self.config.retry_sleep_us,
+            retry_sleep_us=RETRY_SLEEP_US,
             phase_guard=lambda: self._wait_if_blocked(ref.subtable))
         self._maybe_crash(CrashPoint.C3)
         self.stats.count_outcome(result.outcome)
@@ -605,7 +603,7 @@ class FuseeClient:
         with None, ``error`` None means the key is definitely absent and
         an error string that its presence could not be determined.
         """
-        for _ in range(self.config.max_op_retries):
+        for _ in range(MAX_OP_RETRIES):
             self.fabric.trace_phase(phase)
             view = yield from self._read_buckets(meta, extra_ops=piggyback)
             piggyback = None
@@ -622,7 +620,7 @@ class FuseeClient:
             # the slot shortly rather than conclude absence.
             self._retry()
             yield self.env.attributed_timeout(
-                self.config.retry_sleep_us, "backoff", "client.retry")
+                RETRY_SLEEP_US, "backoff", "client.retry")
         return None, "retries exhausted"
 
     def _read_buckets(self, meta: KeyMeta, extra_ops: Optional[list] = None):
@@ -651,7 +649,7 @@ class FuseeClient:
             comps = yield self.fabric.post(list(extra_ops))
             if any(c.value is TIMEOUT for c in comps):
                 return None
-        for _attempt in range(self.config.max_op_retries):
+        for _attempt in range(MAX_OP_RETRIES):
             placement = self.race.placement(meta.subtable)
             if not self.fabric.node(placement[0][0]).crashed:
                 # the master reconfigured a new primary while we waited
@@ -659,7 +657,7 @@ class FuseeClient:
                 if view is not None:
                     return view
                 yield self.env.attributed_timeout(
-                    self.config.retry_sleep_us, "backoff", "client.retry")
+                    RETRY_SLEEP_US, "backoff", "client.retry")
                 continue
             alive = [replica for replica, (mn, _b) in enumerate(placement)
                      if not self.fabric.node(mn).crashed]
@@ -687,7 +685,7 @@ class FuseeClient:
             self.stats.master_escalations += 1
             yield from self._wait_if_blocked(meta.subtable)
             yield self.env.attributed_timeout(
-                self.config.retry_sleep_us, "backoff", "client.retry")
+                RETRY_SLEEP_US, "backoff", "client.retry")
         return None
 
     def _primary_bucket_read(self, meta: KeyMeta,
@@ -826,7 +824,7 @@ class FuseeClient:
             if view is None:
                 return OpResult(ok=False, error="index unavailable")
         empties = list(view.empties)
-        for attempt in range(self.config.max_op_retries):
+        for attempt in range(MAX_OP_RETRIES):
             if not empties:
                 raise IndexFullError(
                     f"no free slot for key {key!r} in subtable "
@@ -1033,7 +1031,7 @@ class FuseeClient:
     def _write_slot(self, key: bytes, meta: KeyMeta, prepared: _PreparedKv,
                     ref: SlotRef, v_old: int, v_new: int, opcode: int):
         """Phases ②-④ for UPDATE/DELETE, including conflict retries."""
-        for attempt in range(self.config.max_op_retries):
+        for attempt in range(MAX_OP_RETRIES):
             # Pick up any placement reconfiguration done by the master.
             ref = self.race.slot_ref(ref.subtable, ref.slot_index)
             result = yield from self._replicated_write(ref, v_old, v_new,
@@ -1249,11 +1247,10 @@ class FuseeClient:
             yield from self.allocator.release_empty_blocks()
         return reclaimed
 
-    def start_background(self, interval_us: float = 200.0,
-                         release_every: int = 8):
+    def start_background(self, interval_us: float = 200.0):
         """Spawn the periodic free/reclaim thread (§4.4's background
-        batched reclamation).  Every ``release_every``-th cycle also
-        returns fully-free blocks to the pool.  Returns the process."""
+        batched reclamation).  Every 8th cycle also returns fully-free
+        blocks to the pool.  Returns the process."""
         def loop():
             cycle = 0
             while not self.crashed:
@@ -1261,8 +1258,7 @@ class FuseeClient:
                 cycle += 1
                 try:
                     yield from self.maintenance(
-                        release_blocks=(release_every > 0
-                                        and cycle % release_every == 0))
+                        release_blocks=cycle % 8 == 0)
                 except ClientCrashed:
                     return
         return self.env.process(loop(), name=f"bg-client-{self.cid}")

@@ -19,7 +19,7 @@ from ..rdma import Fabric, FabricConfig, MemoryNode
 from ..sim import Environment, NicProfile
 from .addressing import RegionConfig, RegionMap
 from .client import ClientConfig, FuseeClient
-from .master import Master, MasterConfig
+from .master import LEASE_US, Master
 from .memory import ClientTable, MnBlockAllocator, size_classes_for
 from .race import RaceConfig, RaceHashing
 from .ring import ConsistentHashRing
@@ -28,6 +28,9 @@ __all__ = ["ClusterConfig", "FuseeCluster", "FuseeKV"]
 
 # Key-space offset separating index-subtable ring keys from region ring keys.
 _SUBTABLE_RING_BASE = 1 << 40
+# Carve headroom per node for pool growth, in regions: backup replicas of
+# regions added with add_memory_node() land on existing nodes.
+_GROWTH_HEADROOM_REGIONS = 2
 
 
 @dataclass(frozen=True)
@@ -43,19 +46,12 @@ class ClusterConfig:
     race: RaceConfig = field(default_factory=RaceConfig)
     fabric: FabricConfig = field(default_factory=FabricConfig)
     nic: NicProfile = field(default_factory=NicProfile)
-    master: MasterConfig = field(default_factory=MasterConfig)
     client: ClientConfig = field(default_factory=ClientConfig)
-    mn_cpu_cores: int = 2
     # Multi-queue memory nodes: rx/tx NIC port pairs per MN and
     # independent RPC-serving CPU shards.  1/1 (the default) is the
     # paper-faithful single-queue node, byte-identical to older traces.
     nic_ports: int = 1
     rpc_shards: int = 1
-    largest_object: Optional[int] = None
-    virtual_nodes: int = 64
-    # carve headroom per node for pool growth: backup replicas of regions
-    # added with add_memory_node() land on existing nodes
-    growth_headroom_regions: int = 2
 
     def __post_init__(self):
         if self.n_memory_nodes < 1:
@@ -86,11 +82,9 @@ class FuseeCluster:
         self.env = env or Environment()
         cfg = self.config
         self.size_classes = size_classes_for(cfg.region.min_object_size,
-                                             cfg.region.block_size,
-                                             cfg.largest_object)
+                                             cfg.region.block_size)
         self.fabric = Fabric(self.env, cfg.fabric, tracer=tracer)
-        self.ring = ConsistentHashRing(range(cfg.n_memory_nodes),
-                                       virtual_nodes=cfg.virtual_nodes)
+        self.ring = ConsistentHashRing(range(cfg.n_memory_nodes))
         self._build_memory_pool()
         self._build_index()
         self._build_client_table()
@@ -98,7 +92,6 @@ class FuseeCluster:
         from .replication import create_protocol
         self.master = Master(self.env, self.fabric, self.region_map,
                              self.race, self.client_table, self.size_classes,
-                             cfg.master,
                              replication=create_protocol(
                                  cfg.client.replication_mode))
         self.master.subtable_allocator = self._allocate_subtable
@@ -124,13 +117,12 @@ class FuseeCluster:
         # headroom: room to double the index via extendible splits, plus
         # backup replicas of future pool-growth regions
         slack = ((1 << 16) + 2 * index_bytes
-                 + cfg.growth_headroom_regions * cfg.region.region_size)
+                 + _GROWTH_HEADROOM_REGIONS * cfg.region.region_size)
         for mn_id in range(cfg.n_memory_nodes):
             capacity = (region_bytes[mn_id] + index_bytes + table_bytes
                         + slack)
             node = MemoryNode(self.env, mn_id, capacity,
                               nic_profile=cfg.nic,
-                              cpu_cores=cfg.mn_cpu_cores,
                               num_ports=cfg.nic_ports,
                               rpc_shards=cfg.rpc_shards)
             self.fabric.add_node(node)
@@ -186,7 +178,7 @@ class FuseeCluster:
                     * cfg.replication_factor
                     + 2 * index_bytes + table_bytes + (1 << 16))
         node = MemoryNode(self.env, mn_id, capacity,
-                          nic_profile=cfg.nic, cpu_cores=cfg.mn_cpu_cores,
+                          nic_profile=cfg.nic,
                           num_ports=cfg.nic_ports,
                           rpc_shards=cfg.rpc_shards)
         self.fabric.add_node(node)
@@ -218,7 +210,7 @@ class FuseeCluster:
             if len(backups) < cfg.replication_factor - 1:
                 raise MemoryError(
                     "existing nodes lack carve headroom for backup "
-                    "replicas; raise growth_headroom_regions")
+                    "replicas; raise _GROWTH_HEADROOM_REGIONS")
             self.region_map.place_region(
                 rid, lambda mn, nbytes: self.fabric.node(mn).carve(nbytes),
                 mn_ids=[mn_id] + backups)
@@ -237,7 +229,7 @@ class FuseeCluster:
 
         * ``rebalance.snapshot_window`` — the read-only quiesce: the
           master holds writers off placement changes for one lease
-          (``MasterConfig.lease_us``) while the region map snapshot is
+          (``repro.core.master.LEASE_US``) while the region map snapshot is
           taken, exactly the barrier an index split pays.
         * ``rebalance.copy`` — streaming the client-table replica and
           the index subtable images onto the new node at the NIC's line
@@ -254,7 +246,7 @@ class FuseeCluster:
 
         span = (tracer.begin_span("rebalance.snapshot_window", -1)
                 if traced else None)
-        yield self.env.timeout(self.master.config.lease_us)
+        yield self.env.timeout(LEASE_US)
         if span is not None:
             tracer.end_span(span, ok=True)
 

@@ -52,29 +52,23 @@ from .wire import (
     unpack_slot,
 )
 
-__all__ = ["Master", "MasterConfig", "RecoveryReport", "RecoveredClientState"]
+__all__ = ["Master", "RecoveryReport", "RecoveredClientState"]
 
-
-@dataclass(frozen=True)
-class MasterConfig:
-    lease_us: float = 30.0              # membership lease (uKharon-scale)
-    detector_interval_us: float = 10.0  # failure-detector scan period
-    rpc_one_way_us: float = 0.9         # client <-> master RPC propagation
-    rpc_service_us: float = 1.0
-    cpu_cores: int = 2
-    # Recovering a client re-establishes one QP per memory node and
-    # re-registers the client's memory regions with the RNIC.  MR
-    # registration dominates (the testbed machines hold 16 GB;
-    # registration costs ~10 ms/GB on commodity RNICs), which is why the
-    # paper's Table 1 shows 163.1 ms / 92.1% for this step.
-    qp_setup_us: float = 620.0              # per memory node
-    mr_register_us_per_gb: float = 10_000.0
-    client_mr_gb: float = 16.0
-    free_list_cpu_per_object_us: float = 4.0
-
-    def recovery_conn_mr_us(self, n_memory_nodes: int) -> float:
-        return (n_memory_nodes * self.qp_setup_us
-                + self.client_mr_gb * self.mr_register_us_per_gb)
+# The master's timing (simulated microseconds).
+LEASE_US = 30.0               # membership lease (uKharon-scale)
+DETECTOR_INTERVAL_US = 10.0   # failure-detector scan period
+RPC_ONE_WAY_US = 0.9          # client <-> master RPC propagation
+RPC_SERVICE_US = 1.0
+CPU_CORES = 2
+# Recovering a client re-establishes one QP per memory node and
+# re-registers the client's memory regions with the RNIC.  MR registration
+# dominates (the testbed machines hold 16 GB; registration costs ~10 ms/GB
+# on commodity RNICs), which is why the paper's Table 1 shows 163.1 ms /
+# 92.1% for this step.
+QP_SETUP_US = 620.0           # per memory node
+MR_REGISTER_US_PER_GB = 10_000.0
+CLIENT_MR_GB = 16.0
+FREE_LIST_CPU_PER_OBJECT_US = 4.0
 
 
 @dataclass
@@ -134,7 +128,6 @@ class Master:
     def __init__(self, env: Environment, fabric: Fabric,
                  region_map: RegionMap, race: RaceHashing,
                  client_table: ClientTable, size_classes: List[int],
-                 config: Optional[MasterConfig] = None,
                  replication=None):
         from .replication import create_protocol
 
@@ -144,14 +137,12 @@ class Master:
         self.race = race
         self.client_table = client_table
         self.size_classes = size_classes
-        self.config = config or MasterConfig()
         # The cluster's slot-replication strategy: subtable repair defers
         # its divergent-word choice to the protocol (SNAPSHOT prefers
         # backups, SWARM the primary — see ReplicationProtocol.
         # repair_choice).  Defaults to the paper's SNAPSHOT.
         self.replication = replication or create_protocol("snapshot")
-        self.cpu = Resource(env, capacity=self.config.cpu_cores,
-                            label="master.cpu")
+        self.cpu = Resource(env, capacity=CPU_CORES, label="master.cpu")
         self.epoch = 0
         self.handled_mn_failures: List[int] = []
         self._blocked: Dict[int, Event] = {}
@@ -194,7 +185,7 @@ class Master:
 
     def _detector(self):
         while True:
-            yield self.env.timeout(self.config.detector_interval_us)
+            yield self.env.timeout(DETECTOR_INTERVAL_US)
             for mn_id, node in self.fabric.nodes.items():
                 if node.crashed and mn_id not in self.handled_mn_failures:
                     self.handled_mn_failures.append(mn_id)
@@ -220,7 +211,7 @@ class Master:
                 barriers[subtable] = barrier
         # member_prepare_change: wait out the lease so no client holding the
         # old membership view can still modify the crashed slots.
-        yield self.env.timeout(self.config.lease_us)
+        yield self.env.timeout(LEASE_US)
         for subtable in list(barriers):
             self.fabric.trace_phase("failover.repair_subtable")
             yield from self._repair_subtable(subtable)
@@ -314,14 +305,14 @@ class Master:
             token, self._request_expand(subtable)))
 
     def _request_expand(self, subtable: int):
-        yield self.env.timeout(self.config.rpc_one_way_us)
+        yield self.env.timeout(RPC_ONE_WAY_US)
         barrier = self._blocked.get(subtable)
         if barrier is not None:
             yield barrier  # a split (or failover) is already in flight
-            yield self.env.timeout(self.config.rpc_one_way_us)
+            yield self.env.timeout(RPC_ONE_WAY_US)
             return True
         ok = yield from self.expand_subtable(subtable)
-        yield self.env.timeout(self.config.rpc_one_way_us)
+        yield self.env.timeout(RPC_ONE_WAY_US)
         return ok
 
     def expand_subtable(self, subtable: int):
@@ -342,7 +333,7 @@ class Master:
         barrier = self.env.event()
         self._blocked[subtable] = barrier
         try:
-            yield self.env.timeout(self.config.lease_us)
+            yield self.env.timeout(LEASE_US)
             ok = yield from self._do_split(subtable)
         finally:
             del self._blocked[subtable]
@@ -450,11 +441,11 @@ class Master:
     def _rpc_arrival(self):
         """A client RPC reaching the master: one-way propagation, then the
         service time on one of the master's cores (generator)."""
-        yield self.env.timeout(self.config.rpc_one_way_us)
+        yield self.env.timeout(RPC_ONE_WAY_US)
         req = self.cpu.request()
         yield req
         try:
-            yield self.env.timeout(self.config.rpc_service_us)
+            yield self.env.timeout(RPC_SERVICE_US)
         finally:
             req.release()
 
@@ -475,7 +466,7 @@ class Master:
             verdict = "concede"
             if len(self._insert_conceded) > 1024:
                 self._insert_conceded.popitem(last=False)
-        yield self.env.timeout(self.config.rpc_one_way_us)
+        yield self.env.timeout(RPC_ONE_WAY_US)
         return verdict
 
     # ------------------------------------------------------------ fail_query
@@ -505,11 +496,11 @@ class Master:
             new_ref = self.race.slot_ref(ref.subtable, ref.slot_index)
             primary_mn, primary_addr = new_ref.primary()
             if self.fabric.node(primary_mn).crashed:
-                yield self.env.timeout(self.config.detector_interval_us)
+                yield self.env.timeout(DETECTOR_INTERVAL_US)
                 continue
             comp = yield self.fabric.post_one(
                 ReadOp(primary_mn, primary_addr, 8))
-            yield self.env.timeout(self.config.rpc_one_way_us)
+            yield self.env.timeout(RPC_ONE_WAY_US)
             if comp.failed:
                 continue
             return int.from_bytes(comp.value, "big")
@@ -529,8 +520,8 @@ class Master:
         t0 = self.env.now
 
         # Step 1: re-establish connections and re-register memory regions.
-        yield self.env.timeout(self.config.recovery_conn_mr_us(
-            len(self.fabric.nodes)))
+        yield self.env.timeout(len(self.fabric.nodes) * QP_SETUP_US
+                               + CLIENT_MR_GB * MR_REGISTER_US_PER_GB)
         report.connect_mr_us = self.env.now - t0
 
         # Step 2: fetch the client's metadata (per-size-class list heads).
@@ -920,4 +911,4 @@ class Master:
                 chain[-1].gaddr if chain else NULL_ADDR)
         # CPU cost of scanning objects and rebuilding lists.
         yield self.env.timeout(
-            self.config.free_list_cpu_per_object_us * max(1, total_objects))
+            FREE_LIST_CPU_PER_OBJECT_US * max(1, total_objects))

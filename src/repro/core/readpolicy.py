@@ -22,7 +22,7 @@ primary.  Index (slot) reads are unaffected, and the degraded read path
 of Algorithm 4 still goes through the index placement.
 
 Under fault injection a replica whose read just timed out is marked
-*suspect* for ``suspect_window_us`` and deprioritised, so the client's
+*suspect* for ``SUSPECT_WINDOW_US`` and deprioritised, so the client's
 retry lands on a different replica instead of hammering a partitioned or
 gray node (``primary`` mode skips this to stay byte-identical to the
 paper's behaviour).  Every choice increments
@@ -38,25 +38,25 @@ __all__ = ["ReplicaReadPolicy", "READ_SPREAD_MODES"]
 
 READ_SPREAD_MODES = ("primary", "round_robin", "least_loaded")
 
+#: How long a replica stays deprioritised after a READ timeout (us).
+SUSPECT_WINDOW_US = 500.0
+
 
 class ReplicaReadPolicy:
     """Per-client choice of which alive data replica serves a KV READ."""
 
-    def __init__(self, fabric, mode: str = "primary", cid: int = 0,
-                 suspect_window_us: float = 500.0):
+    def __init__(self, fabric, mode: str = "primary", cid: int = 0):
         if mode not in READ_SPREAD_MODES:
             raise ValueError(f"unknown read_spread mode {mode!r}; "
                              f"pick from {READ_SPREAD_MODES}")
         self.fabric = fabric
         self.mode = mode
-        self.suspect_window_us = suspect_window_us
         self._rr = cid  # seeded rotation offset: clients start staggered
         self._suspects: Dict[int, float] = {}
 
     def note_timeout(self, mn_id: int) -> None:
         """Deprioritise a replica whose READ just timed out."""
-        self._suspects[mn_id] = (self.fabric.env.now
-                                 + self.suspect_window_us)
+        self._suspects[mn_id] = self.fabric.env.now + SUSPECT_WINDOW_US
 
     def _fresh(self, candidates: List[Tuple[int, int]]
                ) -> List[Tuple[int, int]]:

@@ -382,8 +382,9 @@ class SwarmProtocol(ReplicationProtocol):
 
     def write(self, fabric, ref, v_old, v_new, on_win=None,
               retry_sleep_us=2.0, phase_guard=None):
-        # Dynamic lookup so repro.check.mutations can patch swarm_write.
-        return (yield from _MODULE.swarm_write(
+        # A module global, looked up per call: repro.check.mutations
+        # patches swarm_write.
+        return (yield from swarm_write(
             fabric, ref, v_old, v_new, on_win=on_win,
             retry_sleep_us=retry_sleep_us, phase_guard=phase_guard))
 
@@ -397,8 +398,3 @@ class SwarmProtocol(ReplicationProtocol):
             return 0
         target, _count = Counter(words).most_common(1)[0]
         return words.index(target)
-
-
-import sys as _sys  # noqa: E402  (after definitions: self-module handle)
-
-_MODULE = _sys.modules[__name__]

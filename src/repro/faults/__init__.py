@@ -19,21 +19,19 @@ from .model import (
     Partition,
     verb_ident,
 )
-from .retry import NO_RETRY, FaultError, RetriesExhausted, RetryPolicy
+from .retry import NO_RETRY, RetryPolicy
 
 __all__ = [
     "CAMPAIGNS",
     "CampaignReport",
     "CN",
     "Fate",
-    "FaultError",
     "FaultInjector",
     "FaultPlan",
     "GrayNode",
     "LinkFault",
     "NO_RETRY",
     "Partition",
-    "RetriesExhausted",
     "RetryPolicy",
     "run_campaign",
     "verb_ident",

@@ -456,14 +456,13 @@ def run_campaign(name: str = "mixed", seed: int = 0, retries: bool = True,
     if monitor is not None:
         from ..obs import detector_verdict
         report.health = monitor.finish()
-        if monitor.detector is not None:
-            # A fault seeded after the last op completes is invisible to
-            # any comparative detector — exclude it from "expected".
-            traffic_end = max((s.end_us for s in spans
-                               if s.end_us is not None), default=None)
-            report.detector = detector_verdict(
-                plan, monitor.detector.flags, monitor.width,
-                windows=DETECT_WINDOWS, traffic_end_us=traffic_end)
+        # A fault seeded after the last op completes is invisible to any
+        # comparative detector — exclude it from "expected".
+        traffic_end = max((s.end_us for s in spans
+                           if s.end_us is not None), default=None)
+        report.detector = detector_verdict(
+            plan, monitor.detector.flags, monitor.width,
+            windows=DETECT_WINDOWS, traffic_end_us=traffic_end)
 
     report.ops_total = len(spans)
     for span in spans:

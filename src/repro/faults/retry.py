@@ -1,4 +1,4 @@
-"""Transport-level retry/backoff policy and typed fault errors.
+"""Transport-level retry/backoff policy.
 
 The policy mirrors what a reliable-connection RNIC does in hardware:
 each verb (and each RPC) gets a per-attempt timeout; a lost request or
@@ -18,8 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["RetryPolicy", "NO_RETRY", "FaultError", "RetriesExhausted",
-           "backoff_wait"]
+__all__ = ["RetryPolicy", "NO_RETRY", "backoff_wait"]
+
+#: Fraction of a backoff the jitter variate may shave off.
+JITTER_FRAC = 0.5
 
 
 def backoff_wait(env, duration_us: float, label: str = "retry"):
@@ -33,14 +35,6 @@ def backoff_wait(env, duration_us: float, label: str = "retry"):
     installed this is exactly ``env.timeout(duration_us)``.
     """
     return env.attributed_timeout(duration_us, "backoff", label)
-
-
-class FaultError(Exception):
-    """Base class for typed failures surfaced by the fault layer."""
-
-
-class RetriesExhausted(FaultError):
-    """An operation ran out of transport retries (link down too long)."""
 
 
 @dataclass(frozen=True)
@@ -57,13 +51,10 @@ class RetryPolicy:
     rpc_timeout_us: float = 60.0    # RPCs queue on the weak MN CPU
     backoff_base_us: float = 2.0
     backoff_cap_us: float = 64.0
-    jitter_frac: float = 0.5        # fraction of the backoff jittered away
 
     def __post_init__(self):
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
-        if not 0.0 <= self.jitter_frac <= 1.0:
-            raise ValueError("jitter_frac must be in [0, 1]")
 
     def backoff_us(self, attempt: int, u: float = 0.0) -> float:
         """Backoff before retransmitting after failed attempt ``attempt``.
@@ -76,18 +67,7 @@ class RetryPolicy:
             raise ValueError("attempt is 1-based")
         raw = self.backoff_base_us * (2.0 ** (attempt - 1))
         capped = min(raw, self.backoff_cap_us)
-        return capped * (1.0 - self.jitter_frac * u)
-
-    def timeout_us(self, rpc: bool) -> float:
-        return self.rpc_timeout_us if rpc else self.verb_timeout_us
-
-    def budget_us(self, rpc: bool = False) -> float:
-        """Worst-case time spent before giving up (timeouts + backoffs)."""
-        timeout = self.timeout_us(rpc)
-        total = self.max_attempts * timeout
-        for attempt in range(1, self.max_attempts):
-            total += self.backoff_us(attempt, 0.0)
-        return total
+        return capped * (1.0 - JITTER_FRAC * u)
 
 
 #: One shot, no retransmissions — used to demonstrate that campaigns fail

@@ -146,10 +146,12 @@ def fusee_bed(n_memory_nodes: int = 2,
     """
     region = RegionConfig(region_size=1 << 22, block_size=1 << 16,
                           min_object_size=64)
-    # Size the pool: dataset * replication + churn/grant headroom.
+    # Size the pool: dataset * replication + churn/grant headroom.  Zero
+    # MNs divides by one here, so ClusterConfig rejects it as it does any
+    # other bad geometry.
     need = dataset_bytes * replication_factor * 3 + (64 << 20)
     regions_per_mn = max(
-        4, math.ceil(need / (region.region_size * n_memory_nodes)))
+        4, math.ceil(need / (region.region_size * max(1, n_memory_nodes))))
     variant_modes = {"fusee-cr": "sequential", "fusee-swarm": "swarm"}
     client_cfg = ClientConfig(
         replication_mode=replication or variant_modes.get(variant,

@@ -118,41 +118,15 @@ class Histogram:
 
 
 class TimeSeries:
-    """Sampled ``(sim_time, value)`` points (NIC utilisation, queues).
+    """Sampled ``(sim_time, value)`` points (NIC utilisation, queues)."""
 
-    ``max_points`` bounds memory on long sweeps with stride-doubling
-    uniform downsampling: only every ``stride``-th sample is retained,
-    and whenever the retained set reaches the cap, every other point is
-    dropped and the stride doubles.  Retained samples are always exactly
-    the records whose index is a multiple of the current stride, so they
-    stay uniformly spaced over the whole run, and between
-    ``max_points/2`` and ``max_points`` points are held at any moment.
-    The default ``None`` preserves the historical unbounded behaviour
-    byte-for-byte.
-    """
+    __slots__ = ("points",)
 
-    __slots__ = ("points", "max_points", "_stride", "_n")
-
-    def __init__(self, max_points: Optional[int] = None):
-        if max_points is not None and max_points < 2:
-            raise ValueError("max_points must be >= 2")
+    def __init__(self):
         self.points: List[Tuple[float, float]] = []
-        self.max_points = max_points
-        self._stride = 1
-        self._n = 0
 
     def record(self, t: float, value: float) -> None:
-        if self.max_points is None:
-            self.points.append((t, value))
-            return
-        index = self._n
-        self._n += 1
-        if index % self._stride:
-            return
         self.points.append((t, value))
-        if len(self.points) >= self.max_points:
-            del self.points[1::2]
-            self._stride *= 2
 
     @property
     def values(self) -> List[float]:
@@ -181,15 +155,11 @@ class Metrics:
         metrics.histogram("latency_us.search").observe(4.2)
     """
 
-    def __init__(self, max_series_points: Optional[int] = None):
+    def __init__(self):
         self.counters: Dict[str, Counter] = {}
         self.gauges: Dict[str, Gauge] = {}
         self.histograms: Dict[str, Histogram] = {}
         self.series: Dict[str, TimeSeries] = {}
-        # Cap applied to every timeseries created by this registry (see
-        # TimeSeries.max_points); None = unbounded, the historical
-        # default.
-        self.max_series_points = max_series_points
 
     def counter(self, name: str) -> Counter:
         inst = self.counters.get(name)
@@ -213,8 +183,7 @@ class Metrics:
     def timeseries(self, name: str) -> TimeSeries:
         inst = self.series.get(name)
         if inst is None:
-            inst = self.series[name] = TimeSeries(
-                max_points=self.max_series_points)
+            inst = self.series[name] = TimeSeries()
         return inst
 
     def names(self) -> List[str]:

@@ -38,7 +38,8 @@ from typing import Dict, List, Optional, Sequence
 
 from .detect import GrayDetector
 from .sketches import SpaceSaving
-from .slo import ERR_STREAM, KV_OPS, OK_STREAM, SloSpec, SloState
+from .slo import (BURN_THRESHOLD, ERR_STREAM, FAST_PANES, KV_OPS, OK_STREAM,
+                  SLOW_PANES, SloSpec, SloState)
 from .tracer import VERB_KINDS
 from .windows import WindowStore
 
@@ -48,23 +49,25 @@ __all__ = ["MonitorConfig", "Monitor", "render_health", "write_health",
 _KV_OPS = frozenset(KV_OPS)
 
 
+#: Health-report window rows (and skew rows) retained.
+_KEEP_ROWS = 512
+
+
 @dataclass(frozen=True)
 class MonitorConfig:
-    """Knobs of the telemetry plane (defaults match docs/monitoring.md)."""
+    """The two settings of the telemetry plane (docs/monitoring.md); the
+    sketch accuracy, SLO windows and detector thresholds are the defaults
+    of :class:`WindowStore`, :class:`SloState` and :class:`GrayDetector`."""
 
     window_us: float = 250.0       # tumbling pane width (simulated us)
-    alpha: float = 0.01            # DDSketch relative accuracy
-    fast_panes: int = 1            # SLO fast window (panes)
-    slow_panes: int = 6            # SLO slow window (panes, merged)
-    burn_threshold: float = 2.0    # both windows must burn >= this
-    min_volume: int = 20           # slow-window ops needed to alert
     hotkey_capacity: int = 0       # Space-Saving size; 0 = off
-    detector: bool = True
-    detect_rel: float = 2.0        # peer-median ratio to flag
-    detect_z: float = 3.5          # robust z needed at >= 4 peers
-    detect_min_count: int = 8      # observations per scope/family/pane
-    drop_rate_threshold: float = 0.5
-    keep_rows: int = 512           # health-report window rows retained
+
+    def __post_init__(self):
+        if not self.window_us > 0.0:   # also rejects NaN
+            raise ValueError(f"window_us must be > 0, got {self.window_us!r}")
+        if self.hotkey_capacity < 0:
+            raise ValueError(f"hotkey_capacity must be >= 0 (0 = off), "
+                             f"got {self.hotkey_capacity!r}")
 
 
 class Monitor:
@@ -83,18 +86,9 @@ class Monitor:
         self.config = cfg = config or MonitorConfig()
         self.race = race
         self.width = cfg.window_us
-        self.windows = WindowStore(env, cfg.window_us, alpha=cfg.alpha)
-        self.slo_states = [
-            SloState(spec, fast_panes=cfg.fast_panes,
-                     slow_panes=cfg.slow_panes,
-                     burn_threshold=cfg.burn_threshold,
-                     min_volume=cfg.min_volume)
-            for spec in slos]
-        self.detector = GrayDetector(
-            alpha=cfg.alpha, rel_threshold=cfg.detect_rel,
-            z_threshold=cfg.detect_z, min_count=cfg.detect_min_count,
-            drop_rate_threshold=cfg.drop_rate_threshold,
-        ) if cfg.detector else None
+        self.windows = WindowStore(env, cfg.window_us)
+        self.slo_states = [SloState(spec) for spec in slos]
+        self.detector = GrayDetector()
         if cfg.hotkey_capacity > 0:
             self.hot_total = SpaceSaving(cfg.hotkey_capacity)
             self.bucket_total = SpaceSaving(cfg.hotkey_capacity)
@@ -214,8 +208,6 @@ class Monitor:
                   service_us: float, n: int = 1) -> None:
         """Fabric hook: one NIC serialisation slot's service time (``n``
         verbs sharing the slot), tallied for the detector."""
-        if self.detector is None:
-            return
         key = (int(self.env._now // self.width), mn_id, port_label,
                verb_cls, nbytes, service_us, n)
         tally = self._verb_tally
@@ -247,12 +239,9 @@ class Monitor:
     def note_rpc(self, mn_id: int, shard_label: str, name: str,
                  cpu_us: float) -> None:
         """Fabric hook: one RPC handler's CPU service time."""
-        detector = self.detector
-        if detector is None:
-            return
         self.hook_calls += 1
         pane = int(self.env._now // self.width)
-        detector.observe(pane, shard_label, f"rpc:{name}", cpu_us)
+        self.detector.observe(pane, shard_label, f"rpc:{name}", cpu_us)
 
     # --------------------------------------------------------- evaluate
     def _evaluate_through(self, last_pane: int) -> None:
@@ -283,7 +272,6 @@ class Monitor:
         return port_rates, d_mn
 
     def _evaluate_pane(self, pane: int) -> None:
-        cfg = self.config
         t0 = pane * self.width
         t1 = (pane + 1) * self.width
         tracer = self.fabric.tracer
@@ -298,7 +286,7 @@ class Monitor:
             self.skew_rows.append(
                 {"pane": pane, "t0": t0, "skew": skew,
                  "per_mn": {f"mn{mn}": d_mn[mn] for mn in sorted(d_mn)}})
-            del self.skew_rows[:-cfg.keep_rows]
+            del self.skew_rows[:-_KEEP_ROWS]
 
         alerts = []
         for state in self.slo_states:
@@ -312,16 +300,14 @@ class Monitor:
                                  f"burn_slow={alert.burn_slow:.2f} "
                                  f"bad={alert.bad}/{alert.total}"))
 
-        flags = []
-        if self.detector is not None:
-            flags = self.detector.evaluate(pane, t0, t1, port_rates)
-            for flag in flags:
-                if emit:
-                    tracer.alert(
-                        f"alert.gray.{flag.scope}", t0, t1,
-                        outcome=(f"{flag.kind} {flag.family} "
-                                 f"rel={flag.rel:.2f} z={flag.z:.2f}"))
-            self.detector.prune(pane + 1)
+        flags = self.detector.evaluate(pane, t0, t1, port_rates)
+        for flag in flags:
+            if emit:
+                tracer.alert(
+                    f"alert.gray.{flag.scope}", t0, t1,
+                    outcome=(f"{flag.kind} {flag.family} "
+                             f"rel={flag.rel:.2f} z={flag.z:.2f}"))
+        self.detector.prune(pane + 1)
 
         latency = self.windows.sketch("span.latency_us.all", pane)
         row = {
@@ -349,30 +335,29 @@ class Monitor:
         if flags:
             row["flags"] = [flag.scope for flag in flags]
         self.rows.append(row)
-        del self.rows[:-cfg.keep_rows]
+        del self.rows[:-_KEEP_ROWS]
         self._panes_evaluated += 1
 
-        # bound memory: keep only the panes future sliding windows need
-        max_slow = max([cfg.slow_panes]
-                       + [s.slow_panes for s in self.slo_states])
-        self.windows.prune(pane - max_slow + 2)
+        # bound memory: keep only the panes the slow SLO window needs
+        self.windows.prune(pane - SLOW_PANES + 2)
 
     # ------------------------------------------------------------ health
     def _build_health(self) -> dict:
         cfg = self.config
+        detector = self.detector
         wall = (time.perf_counter() - self._start_wall
                 if self._start_wall is not None else 0.0)
         health: dict = {
             "config": {
                 "window_us": cfg.window_us,
-                "alpha": cfg.alpha,
-                "fast_panes": cfg.fast_panes,
-                "slow_panes": cfg.slow_panes,
-                "burn_threshold": cfg.burn_threshold,
+                "alpha": self.windows.alpha,
+                "fast_panes": FAST_PANES,
+                "slow_panes": SLOW_PANES,
+                "burn_threshold": BURN_THRESHOLD,
                 "hotkey_capacity": cfg.hotkey_capacity,
-                "detector": cfg.detector,
-                "detect_rel": cfg.detect_rel,
-                "detect_z": cfg.detect_z,
+                "detector": True,
+                "detect_rel": detector.rel_threshold,
+                "detect_z": detector.z_threshold,
             },
             "run": {
                 "start_us": self._start_us,
@@ -381,8 +366,7 @@ class Monitor:
             },
             "windows": {"width_us": self.width, "rows": self.rows},
             "slos": [state.to_dict() for state in self.slo_states],
-            "detector": (self.detector.to_dict()
-                         if self.detector is not None else None),
+            "detector": detector.to_dict(),
             "hot_keys": (self.hot_total.to_dict(_key_repr)
                          if self.hot_total is not None else None),
             "hot_buckets": (self.bucket_total.to_dict(_key_repr)

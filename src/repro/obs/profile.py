@@ -220,6 +220,8 @@ class RunProfile:
         Unfinished spans (cut off at the run deadline) are counted and
         skipped — they have no defined duration to partition.
         """
+        if not 0 <= tail_pct <= 100:   # also rejects NaN
+            raise ValueError(f"tail_pct={tail_pct!r} outside [0, 100]")
         prof = cls()
         by_span: Dict[int, List[tuple]] = {}
         for span, cat, label, a, b in profiler.intervals:

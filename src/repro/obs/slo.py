@@ -42,6 +42,12 @@ LATENCY_STREAM = "span.latency_us.{op}"
 OK_STREAM = "span.ok"
 ERR_STREAM = "span.err"
 
+# The default burn-rate rule: the fast and slow windows (panes) that must
+# both burn at least the threshold.
+FAST_PANES = 1
+SLOW_PANES = 6
+BURN_THRESHOLD = 2.0
+
 
 @dataclass(frozen=True)
 class SloSpec:
@@ -134,8 +140,9 @@ class SloAlert:
 class SloState:
     """Per-run evaluation state of one :class:`SloSpec`."""
 
-    def __init__(self, spec: SloSpec, fast_panes: int = 1,
-                 slow_panes: int = 6, burn_threshold: float = 2.0,
+    def __init__(self, spec: SloSpec, fast_panes: int = FAST_PANES,
+                 slow_panes: int = SLOW_PANES,
+                 burn_threshold: float = BURN_THRESHOLD,
                  min_volume: int = 20):
         self.spec = spec
         self.fast_panes = max(1, fast_panes)

@@ -79,10 +79,6 @@ class FabricConfig:
     """Network-level timing parameters (microseconds)."""
 
     one_way_delay_us: float = 0.9
-    # Completion delay for verbs aimed at a crashed node.  Real RNICs take a
-    # retry timeout to report this; we use one RTT to keep simulations fast
-    # (documented deviation in DESIGN.md §6).
-    fail_delay_us: float = 1.8
     # Client-side cost of building/posting a doorbell batch and polling the
     # completion queue (amortised by selective signaling, §4.6).
     post_overhead_us: float = 0.20
@@ -93,12 +89,11 @@ class FabricConfig:
     # coalescing; atomics never coalesce (the RNIC atomics unit is the
     # bottleneck, Kalia et al. [30]).  Order within a slot is the posted
     # order, so §4.6 body-before-entry WRITE semantics are untouched.
-    max_coalesce_width: int = 1
-    # Adaptive coalescing: only widen a slot when the target port is
+    # Coalescing is adaptive: a slot widens only when the target port is
     # already backlogged, so unloaded latency stays identical to the
     # uncoalesced fabric and the win appears exactly where the NIC
     # serialisation line is the bottleneck (Fig. 13's plateau).
-    coalesce_adaptive: bool = True
+    max_coalesce_width: int = 1
     # Multi-queue port affinity (only meaningful when memory nodes have
     # num_ports > 1).  "qp": a stable hash of the posting queue pair
     # picks the same-numbered rx and tx port for all of that QP's
@@ -116,6 +111,14 @@ class FabricConfig:
             raise ValueError(
                 f"unknown port_affinity {self.port_affinity!r}; "
                 f"pick from {PORT_AFFINITY_MODES}")
+
+    @property
+    def fail_delay_us(self) -> float:
+        """Completion delay of a verb or RPC posted to an already-crashed
+        node: one RTT.  Real RNICs take a retry timeout to report this;
+        one RTT keeps simulations fast (documented deviation in DESIGN.md
+        §6)."""
+        return 2 * self.one_way_delay_us
 
 
 @dataclass
@@ -420,13 +423,12 @@ class Fabric:
                     service = self._service_time(node, op)
                 riders = 0
                 # Adjacent same-node READs (or WRITEs) may ride along,
-                # up to ``width`` per slot; atomics never do.  Adaptive
-                # mode widens only a port already backlogged at arrival,
-                # probed here so the slot sees the queue that earlier
-                # slots of this batch just built.
-                if width > 1 and (is_read or cls is WriteOp) and (
-                        not cfg.coalesce_adaptive
-                        or port.backlog(arrive) > 0.0):
+                # up to ``width`` per slot; atomics never do.  Only a port
+                # already backlogged at arrival widens, probed here so
+                # the slot sees the queue that earlier slots of this
+                # batch just built.
+                if width > 1 and (is_read or cls is WriteOp) \
+                        and port.backlog(arrive) > 0.0:
                     room = width - 1
                     head_bytes = nbytes
                     profile = node.nic.profile

@@ -60,3 +60,12 @@ def client(cluster):
 def run(cluster, generator):
     """Drive a client operation generator to completion."""
     return cluster.run_op(generator)
+
+
+def backlog_ports(fabric, for_us: float) -> None:
+    """Queue ``for_us`` of service on every NIC port of every node.
+    Doorbell coalescing widens only a backlogged port, so while the
+    backlog lasts every slot that may widen does."""
+    for node in fabric.nodes.values():
+        for port in (*node.rx_ports, *node.tx_ports):
+            port.finish_time(for_us)

@@ -15,6 +15,7 @@ import pytest
 from repro.core import FuseeCluster
 from repro.core.addressing import RegionConfig
 from repro.core.client import ClientCrashed, CrashPoint
+from repro.core.master import LEASE_US
 from repro.core.race import RaceConfig
 from repro.faults import CN, FaultPlan, LinkFault, Partition
 from tests.conftest import run
@@ -155,7 +156,7 @@ def test_full_lifecycle(seed):
     # phase 3: crash a memory node mid-traffic
     victim_mn = rng.choice([0, 1, 2])
     cluster.crash_memory_node(victim_mn)
-    cluster.run(until=cluster.env.now + cluster.config.master.lease_us * 4)
+    cluster.run(until=cluster.env.now + LEASE_US * 4)
     audit(cluster, model, "mn-crash", deleted)
     for i in range(20):
         key = f"post-crash-{seed}-{i}".encode()

@@ -31,8 +31,7 @@ from repro.check import (
 from repro.rdma import Fabric, FabricConfig, MemoryNode, ReadOp, WriteOp
 from repro.sim import Environment, NicProfile
 
-ZERO_FABRIC = FabricConfig(one_way_delay_us=0.0, fail_delay_us=0.0,
-                           post_overhead_us=0.0)
+ZERO_FABRIC = FabricConfig(one_way_delay_us=0.0, post_overhead_us=0.0)
 ZERO_NIC = NicProfile(op_overhead=0.0, atomic_overhead=0.0,
                       bandwidth_gbps=float("inf"), rpc_overhead=0.0)
 

@@ -100,6 +100,37 @@ class TestProfile:
         assert "overall:" in text
         assert "makespan:" in text
 
+    def test_tail_pct_outside_0_100_rejected(self, tmp_path):
+        """Used to write a profile whose ``tail.pct`` was 150."""
+        out = tmp_path / "p.json"
+        with pytest.raises(ValueError, match="outside"):
+            main(["profile", "--scale", "tiny", "--clients", "2",
+                  "--tail-pct", "150", "--out", str(out)])
+        assert not out.exists()
+
+
+class TestBadInputs:
+    @pytest.mark.parametrize("flag", ["--scenario", "--mutation"])
+    def test_unknown_check_name_exits_2_naming_the_choices(self, flag,
+                                                           capsys):
+        """Used to end in a bare KeyError."""
+        from repro.check import MUTATIONS, SCENARIOS
+
+        assert main(["check", flag, "nope"]) == 2
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert "'nope'" in captured.err
+        known = SCENARIOS if flag == "--scenario" else MUTATIONS
+        assert all(name in captured.err for name in known)
+
+    @pytest.mark.parametrize("flags", ["--hotkeys -1", "--windows 0",
+                                       "--windows -250"])
+    def test_bad_monitor_settings_rejected(self, flags):
+        """``--hotkeys -1`` used to mean "off" without a word."""
+        with pytest.raises(ValueError):
+            main(["ycsb", "--keys", "100", "--clients", "2",
+                  "--duration-us", "500", *flags.split()])
+
 
 # --------------------------------------------------------------------------
 # Every run-driving entry point, once: the CLI bodies share one recipe

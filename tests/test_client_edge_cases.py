@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core import ClusterConfig, FuseeCluster
+from repro.core import AdaptiveIndexCache, ClusterConfig, FuseeCluster
+from repro.core import client as client_mod
 from repro.core.addressing import RegionConfig
 from repro.core.memory import AllocationError
 from repro.core.race import IndexFullError, RaceConfig
@@ -120,7 +121,8 @@ class TestCacheCoherenceEdges:
         assert run(cluster, b.search(b"k")).value == b"v2"
 
     def test_cache_eviction_does_not_lose_data(self, cluster):
-        client = cluster.new_client(cache_capacity=4)
+        client = cluster.new_client()
+        client.cache = AdaptiveIndexCache(capacity=4)
         keys = [f"evict-{i}".encode() for i in range(20)]
         for key in keys:
             run(cluster, client.insert(key, key))
@@ -129,7 +131,8 @@ class TestCacheCoherenceEdges:
             assert run(cluster, client.search(key)).value == key
 
     def test_update_loop_with_tiny_cache(self, cluster):
-        client = cluster.new_client(cache_capacity=1)
+        client = cluster.new_client()
+        client.cache = AdaptiveIndexCache(capacity=1)
         run(cluster, client.insert(b"a", b"1"))
         run(cluster, client.insert(b"b", b"2"))
         for i in range(10):
@@ -251,17 +254,19 @@ class TestStagedObjectReclaim:
         bytes_now, bit = self.bitmap_bytes(cluster, gaddr)
         assert bytes_now and all(byte == 1 << bit for byte in bytes_now)
 
-    def test_update_out_of_retries_reclaims_its_object(self):
+    def test_update_out_of_retries_reclaims_its_object(self, monkeypatch):
         """Left behind, it is a used, uncommitted entry in the client's
         log chain: recovery may replay a request the application was
         told had failed."""
         cluster = FuseeCluster(small_config())
         writer = cluster.new_client()
         assert run(cluster, writer.insert(b"k", b"v")).ok
-        client = cluster.new_client(max_op_retries=0)
+        client = cluster.new_client()
         entry = writer.cache.peek(b"k")
         client.cache.store(b"k", entry.slot_ref, entry.slot_word)
-        result = run(cluster, client.update(b"k", b"v2"))
+        with monkeypatch.context() as patch:
+            patch.setattr(client_mod, "MAX_OP_RETRIES", 0)
+            result = run(cluster, client.update(b"k", b"v2"))
         assert not result.ok and result.error == "retries exhausted"
         assert client.allocator.pending_free_count == 1
         assert run(cluster, writer.search(b"k")).value == b"v"

@@ -36,6 +36,7 @@ from repro.rdma import (
 from repro.rdma.fabric import _backoff, _prop
 from repro.rdma.verbs import verb_ident
 from repro.sim import Environment, NicProfile
+from tests.conftest import backlog_ports
 
 
 @pytest.fixture
@@ -278,6 +279,29 @@ class TestCrashes:
         assert not FAIL
         assert repr(FAIL) == "FAIL"
 
+    @pytest.mark.parametrize("path", ["post", "injected post", "rpc",
+                                      "injected rpc"])
+    def test_crashed_node_fails_one_rtt_later(self, path):
+        """A verb or RPC posted to an already-crashed MN completes FAIL
+        one RTT later, ``2 * one_way_delay_us`` (DESIGN.md §6), on the
+        clean loop, the injected per-verb path and an RPC alike."""
+        env = Environment()
+        fab = Fabric(env, FabricConfig(one_way_delay_us=0.5))
+        node = MemoryNode(env, 0, capacity=64)
+        node.register_rpc("ping", lambda payload: ({}, 0.5))
+        fab.add_node(node)
+        node.crash()
+        if path.startswith("injected"):
+            fab.injector = FaultInjector(FaultPlan())
+
+        def proc():
+            if path.endswith("rpc"):
+                return (yield fab.rpc(0, "ping", {}))
+            return (yield fab.post([ReadOp(0, 0, 8)]))[0].value
+
+        assert env.run(until=env.process(proc())) is FAIL
+        assert env.now == 1.0
+
 
 class TestRpc:
     def test_rpc_roundtrip(self, env, fabric):
@@ -384,19 +408,22 @@ class TestFabricStatsSnapshot:
         assert fabric.stats.snapshot().failed_verbs == 1
 
 
-def _coalescing_fabric(width, adaptive=False, capacity=1 << 20):
+def _coalescing_fabric(width, backlogged=True, capacity=1 << 20):
     env = Environment()
-    fab = Fabric(env, FabricConfig(max_coalesce_width=width,
-                                   coalesce_adaptive=adaptive))
+    fab = Fabric(env, FabricConfig(max_coalesce_width=width))
     for mn_id in range(2):
         fab.add_node(MemoryNode(env, mn_id, capacity=capacity))
+    if backlogged:
+        backlog_ports(fab, 1000.0)
     return env, fab
 
 
 class TestDoorbellCoalescing:
     """Adaptive verb coalescing: adjacent same-QP READs/WRITEs of one
     doorbell batch may share a NIC serialisation slot (one op_overhead
-    for the group), bounded by ``max_coalesce_width``."""
+    for the group), bounded by ``max_coalesce_width``, when the port is
+    backlogged (``_coalescing_fabric`` backlogs every port unless told
+    otherwise)."""
 
     def test_width_below_one_rejected(self):
         with pytest.raises(ValueError):
@@ -453,13 +480,13 @@ class TestDoorbellCoalescing:
         assert fab.stats.batches == 1
 
     def test_adaptive_idle_port_does_not_coalesce(self):
-        env, fab = _coalescing_fabric(width=8, adaptive=True)
+        env, fab = _coalescing_fabric(width=8, backlogged=False)
         run_batch(env, fab, [WriteOp(0, 0, b"a" * 8),
                              WriteOp(0, 8, b"b" * 8)])
         assert fab.stats.coalesced_slots == 0
 
     def test_adaptive_backlogged_port_coalesces(self):
-        env, fab = _coalescing_fabric(width=8, adaptive=True)
+        env, fab = _coalescing_fabric(width=8, backlogged=False)
 
         def load():
             yield fab.post([WriteOp(0, 0, bytes(64 << 10))])
@@ -642,8 +669,8 @@ class TestMultiQueue:
 class TestCoalescingOrdering:
     """§4.6 doorbell semantics: coalescing must never reorder same-QP
     WRITEs — the body-before-entry ordering crash consistency rests on
-    — for any batch width, port count, or affinity policy, adaptive or
-    not."""
+    — for any batch width, port count, or affinity policy, on idle or
+    backlogged ports."""
 
     @given(writes=st.lists(
                st.tuples(st.integers(0, 1),          # memory node
@@ -651,23 +678,24 @@ class TestCoalescingOrdering:
                          st.binary(min_size=1, max_size=16)),
                min_size=1, max_size=12),
            width=st.integers(1, 12),
-           adaptive=st.booleans(),
+           backlogged=st.booleans(),
            preload=st.booleans(),
            num_ports=st.integers(1, 4),
            affinity=st.sampled_from(PORT_AFFINITY_MODES),
            qp=st.integers(0, 7))
     @settings(max_examples=60, deadline=None)
     def test_memory_matches_sequential_application(self, writes, width,
-                                                   adaptive, preload,
+                                                   backlogged, preload,
                                                    num_ports, affinity,
                                                    qp):
         env = Environment()
         fab = Fabric(env, FabricConfig(max_coalesce_width=width,
-                                       coalesce_adaptive=adaptive,
                                        port_affinity=affinity))
         for mn_id in range(2):
             fab.add_node(MemoryNode(env, mn_id, capacity=128,
                                     num_ports=num_ports))
+        if backlogged:
+            backlog_ports(fab, 1000.0)
         if preload:
             # queue service on both rx ports so adaptive mode widens
             def busy():
@@ -699,11 +727,11 @@ class TestCoalescingOrdering:
         whatever port its QP hashes to."""
         env = Environment()
         fab = Fabric(env, FabricConfig(max_coalesce_width=width,
-                                       coalesce_adaptive=False,
                                        port_affinity=affinity))
         for mn_id in range(2):
             fab.add_node(MemoryNode(env, mn_id, capacity=128,
                                     num_ports=num_ports))
+        backlog_ports(fab, 1000.0)
         reference = {0: bytearray(128), 1: bytearray(128)}
         ops, expect = [], []
         for mn, addr, data in batch:
@@ -792,27 +820,28 @@ class TestOneVerbLoop:
            n_mns=st.integers(1, 2),
            crashed=st.booleans(),
            width=st.integers(1, 12),
-           adaptive=st.booleans(),
+           backlogged=st.booleans(),
            preload=st.booleans(),
            num_ports=st.integers(1, 4),
            affinity=st.sampled_from(PORT_AFFINITY_MODES),
            qp=st.integers(0, 7))
     @example(batch=[("w", 0, 0, b"a" * 8)] * 3 + [("r", 0, 0, 8)] * 2
              + [("cas", 0, 0, 0), ("w", 1, 8, b"b" * 8), ("faa", 1, 1, 2)],
-             n_mns=2, crashed=True, width=8, adaptive=False, preload=False,
+             n_mns=2, crashed=True, width=8, backlogged=True, preload=False,
              num_ports=2, affinity="rss", qp=3)
     @settings(max_examples=80, deadline=None)
     def test_optional_stages_never_change_a_batch(
-            self, batch, n_mns, crashed, width, adaptive, preload,
+            self, batch, n_mns, crashed, width, backlogged, preload,
             num_ports, affinity, qp):
         def run(stage):
             env = Environment()
             fab = Fabric(env, FabricConfig(max_coalesce_width=width,
-                                           coalesce_adaptive=adaptive,
                                            port_affinity=affinity))
             for mn_id in range(n_mns):
                 fab.add_node(MemoryNode(env, mn_id, capacity=128,
                                         num_ports=num_ports))
+            if backlogged:
+                backlog_ports(fab, 1000.0)
             if crashed:
                 fab.node(n_mns - 1).crash()
             observer = None

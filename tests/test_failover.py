@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import FuseeCluster
+from repro.core.master import DETECTOR_INTERVAL_US, LEASE_US
 from tests.conftest import small_config, run
 
 
@@ -14,8 +15,8 @@ def cluster():
 
 def settle(cluster, extra_us=500.0):
     """Give the detector + repair machinery time to finish."""
-    cluster.env.run(until=cluster.env.now + cluster.config.master.lease_us
-                    + cluster.config.master.detector_interval_us + extra_us)
+    cluster.env.run(until=cluster.env.now + LEASE_US + DETECTOR_INTERVAL_US
+                    + extra_us)
 
 
 class TestDetection:

@@ -31,11 +31,11 @@ from repro.faults import (
     FaultPlan,
     GrayNode,
     LinkFault,
-    NO_RETRY,
     Partition,
     RetryPolicy,
     run_campaign,
 )
+from repro.faults import retry as retry_mod
 from repro.rdma.memory_node import MemoryNode
 from repro.rdma.verbs import CasOp, FaaOp
 from repro.sim import Environment
@@ -46,8 +46,7 @@ from tests.conftest import run, small_config
 # Retry / backoff policy
 # --------------------------------------------------------------------------
 def test_backoff_schedule_is_deterministic_and_exponential():
-    policy = RetryPolicy(backoff_base_us=2.0, backoff_cap_us=64.0,
-                         jitter_frac=0.5)
+    policy = RetryPolicy(backoff_base_us=2.0, backoff_cap_us=64.0)
     # same (attempt, u) -> same delay, every time
     for attempt in range(1, 8):
         for u in (0.0, 0.25, 0.999):
@@ -59,33 +58,21 @@ def test_backoff_schedule_is_deterministic_and_exponential():
 
 
 def test_backoff_cap_and_jitter_bounds():
-    policy = RetryPolicy(backoff_base_us=3.0, backoff_cap_us=50.0,
-                         jitter_frac=0.5)
+    policy = RetryPolicy(backoff_base_us=3.0, backoff_cap_us=50.0)
     for attempt in range(1, 20):
         for u in (0.0, 0.1, 0.5, 0.999999):
             delay = policy.backoff_us(attempt, u)
             assert delay <= policy.backoff_cap_us
-            # jitter shaves off at most jitter_frac of the capped delay
+            # jitter shaves off at most JITTER_FRAC of the capped delay
             full = policy.backoff_us(attempt, 0.0)
-            assert delay >= full * (1.0 - policy.jitter_frac)
+            assert delay >= full * (1.0 - retry_mod.JITTER_FRAC)
 
 
 def test_policy_validation():
     with pytest.raises(ValueError):
         RetryPolicy(max_attempts=0)
     with pytest.raises(ValueError):
-        RetryPolicy(jitter_frac=1.5)
-    with pytest.raises(ValueError):
         RetryPolicy().backoff_us(0)
-
-
-def test_budget_covers_all_attempts():
-    policy = RetryPolicy(max_attempts=4, verb_timeout_us=10.0,
-                         backoff_base_us=2.0, backoff_cap_us=64.0,
-                         jitter_frac=0.5)
-    # 4 timeouts + 3 undithered backoffs (2 + 4 + 8)
-    assert policy.budget_us(rpc=False) == 4 * 10.0 + 2.0 + 4.0 + 8.0
-    assert NO_RETRY.budget_us(rpc=False) == NO_RETRY.verb_timeout_us
 
 
 # --------------------------------------------------------------------------
@@ -459,7 +446,7 @@ class TestPortScopedFaults:
         inj = FaultInjector(plan)
         assert inj.mn_reachable(0, 1, 10.0)
 
-    def test_verb_retry_rehashes_to_live_port(self):
+    def test_verb_retry_rehashes_to_live_port(self, no_jitter):
         """Substrate: the QP's home tx port is partitioned; the retry
         must land on a different port and succeed without exhausting
         the budget (transport retries, zero verb timeouts)."""
@@ -488,7 +475,7 @@ class TestPortScopedFaults:
         # the retry's port differs from the partitioned home port
         assert fab._port_for(node, True, qp, salt=1)[0] != home
 
-    def test_rpc_retry_rehashes_to_live_port(self):
+    def test_rpc_retry_rehashes_to_live_port(self, no_jitter):
         from repro.rdma import Fabric, FabricConfig
 
         env = Environment()
@@ -633,7 +620,13 @@ class TestSwarmCampaigns:
 # --------------------------------------------------------------------------
 _SHORT_RETRY = RetryPolicy(max_attempts=2, verb_timeout_us=8.0,
                            rpc_timeout_us=40.0, backoff_base_us=2.0,
-                           backoff_cap_us=8.0, jitter_frac=0.0)
+                           backoff_cap_us=8.0)
+
+
+@pytest.fixture
+def no_jitter(monkeypatch):
+    """Un-jittered backoffs: the capped exponential schedule exactly."""
+    monkeypatch.setattr(retry_mod, "JITTER_FRAC", 0.0)
 
 
 def _spread_cluster(read_spread):
@@ -666,7 +659,7 @@ def _key_with_offnode_kv_primary(cluster, client):
     raise AssertionError("no key with off-node KV primary found")
 
 
-def test_partitioned_read_replica_retry_lands_on_another_replica():
+def test_partitioned_read_replica_retry_lands_on_another_replica(no_jitter):
     """The replica serving a key's READs gets partitioned; the retry must
     land on a different replica, the op must succeed, and the recorded
     history must stay linearizable."""
@@ -698,7 +691,7 @@ def test_partitioned_read_replica_retry_lands_on_another_replica():
     assert violation is None, violation
 
 
-def test_round_robin_survives_partitioned_replica():
+def test_round_robin_survives_partitioned_replica(no_jitter):
     """Rotation keeps hitting the dark replica's turn; the suspect window
     must steer follow-up reads away and every search must stay ok."""
     from repro.check.history import kv_ops_from_spans

@@ -437,6 +437,13 @@ class TestBeds:
 
             assert bed.env.run(until=bed.env.process(proc()))
 
+    @pytest.mark.parametrize("n_memory_nodes", [0, -1])
+    def test_no_memory_node_rejected_like_any_bad_geometry(self,
+                                                           n_memory_nodes):
+        """Zero used to die sizing the pool, with a ZeroDivisionError."""
+        with pytest.raises(ValueError, match="need at least one memory node"):
+            fusee_bed(n_memory_nodes=n_memory_nodes)
+
     def test_fusee_nc_has_no_cache(self):
         bed = fusee_bed(dataset_bytes=1 << 20, variant="fusee-nc",
                         background_interval_us=0)

@@ -9,6 +9,7 @@ directory math and the full end-to-end split.
 import pytest
 
 from repro.core import FuseeCluster
+from repro.core.master import LEASE_US
 from repro.core.race import RaceConfig, RaceHashing, hash_key
 from tests.conftest import small_config, run
 
@@ -173,8 +174,7 @@ class TestEndToEndExpansion:
         for i in range(20):
             run(cluster, client.insert(f"f-{i}".encode(), b"v"))
         cluster.crash_memory_node(1)
-        cluster.run(until=cluster.env.now
-                    + cluster.config.master.lease_us * 4)
+        cluster.run(until=cluster.env.now + LEASE_US * 4)
         for i in range(20, 110):
             assert run(cluster, client.insert(f"f-{i}".encode(), b"v")).ok
         for i in range(110):

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import FuseeCluster
 from repro.core.client import ClientCrashed, CrashPoint
+from repro.core.master import LEASE_US
 from repro.harness import fusee_bed, run_closed_loop
 from repro.harness.experiments import _dataset, _ycsb_factory
 from repro.harness import Scale
@@ -68,8 +69,7 @@ class TestMixedCrashes:
             run(cluster, client.update(b"key-5", b"crashed-write"))
         cluster.crash_memory_node(2)
         # master: MN failover first
-        lease = cluster.config.master.lease_us
-        cluster.run(until=cluster.env.now + lease * 4)
+        cluster.run(until=cluster.env.now + LEASE_US * 4)
         assert 2 in cluster.master.handled_mn_failures
         # then client recovery
         def proc():

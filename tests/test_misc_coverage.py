@@ -143,3 +143,56 @@ class TestFacadeEdge:
         kv = FuseeKV(small_config())
         assert kv.insert(b"\x00", b"nul-key")
         assert kv.search(b"\x00") == b"nul-key"
+
+
+class TestSettingsInventory:
+    """Every settable value has a caller outside the tests.  A config
+    field stays only while two callers outside ``tests/`` and
+    ``examples/`` (the CLI, ``harness/``, ``check/``, ``faults/``,
+    ``benchmarks/``) pass it different values; any other value is a
+    constant where it is used."""
+
+    SETTINGS = {
+        "FabricConfig": ["one_way_delay_us", "post_overhead_us",
+                         "max_coalesce_width", "port_affinity"],
+        "ClientConfig": ["replication_mode", "cache_enabled",
+                         "cache_threshold", "mn_centric_alloc",
+                         "embedded_log", "read_spread"],
+        "ClusterConfig": ["n_memory_nodes", "replication_factor",
+                          "index_replication", "regions_per_mn",
+                          "max_clients", "region", "race", "fabric", "nic",
+                          "client", "nic_ports", "rpc_shards"],
+        "MonitorConfig": ["window_us", "hotkey_capacity"],
+        "RetryPolicy": ["max_attempts", "verb_timeout_us", "rpc_timeout_us",
+                        "backoff_base_us", "backoff_cap_us"],
+    }
+
+    def test_config_fields_are_the_inventory(self):
+        import dataclasses
+
+        from repro.core import ClientConfig, ClusterConfig
+        from repro.faults import RetryPolicy
+        from repro.obs import MonitorConfig
+
+        found = {cls.__name__: [f.name for f in dataclasses.fields(cls)]
+                 for cls in (FabricConfig, ClientConfig, ClusterConfig,
+                             MonitorConfig, RetryPolicy)}
+        assert found == self.SETTINGS, (
+            "the settings inventory changed: a new setting needs two "
+            "callers outside tests/ and examples/ that pass it different "
+            "values; with one value in use it is a constant")
+        assert sum(map(len, found.values())) == 29
+
+    def test_constants_take_no_setting(self):
+        import inspect
+
+        import repro.core.master as master_mod
+        from repro.core import FuseeClient, Master
+        from repro.obs.metrics import Metrics, TimeSeries
+
+        assert not hasattr(master_mod, "MasterConfig")
+        assert "config" not in inspect.signature(Master).parameters
+        assert not inspect.signature(TimeSeries).parameters
+        assert not inspect.signature(Metrics).parameters
+        assert list(inspect.signature(FuseeClient.start_background)
+                    .parameters) == ["self", "interval_us"]

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import FuseeCluster
+from repro.core.master import LEASE_US
 from tests.conftest import small_config, run
 
 
@@ -93,8 +94,7 @@ class TestAddMemoryNode:
         for i in range(30):
             run(cluster, client.insert(f"g-{i}".encode(), b"v"))
         cluster.crash_memory_node(mn_id)
-        cluster.run(until=cluster.env.now
-                    + cluster.config.master.lease_us * 4)
+        cluster.run(until=cluster.env.now + LEASE_US * 4)
         reader = cluster.new_client()
         for i in range(30):
             assert run(cluster, reader.search(f"g-{i}".encode())).ok

@@ -268,6 +268,21 @@ class TestRunProfile:
         assert "overall:" in text
         assert "slowest tail" in text
 
+    @pytest.mark.parametrize("pct", [150.0, -5.0, math.nan])
+    def test_tail_pct_outside_0_100_rejected(self, pct):
+        """The rank used to be clamped, so 150 reported ``tail.pct`` 150
+        over the single slowest span."""
+        tracer, profiler = profiled_ycsb_run()
+        with pytest.raises(ValueError, match="outside"):
+            RunProfile.collect(profiler, tracer.spans, tail_pct=pct)
+
+    @pytest.mark.parametrize("pct", [0.0, 100.0])
+    def test_tail_pct_edges_accepted(self, pct):
+        tracer, profiler = profiled_ycsb_run()
+        profile = RunProfile.collect(profiler, tracer.spans, tail_pct=pct)
+        assert profile.tail["pct"] == pct
+        assert profile.tail["count"] >= 1
+
 
 class TestCriticalPath:
     def test_attribution_sums_to_makespan(self):

@@ -45,11 +45,13 @@ import pytest
 from repro import ClusterConfig, FuseeCluster, Tracer
 from repro.core.addressing import RegionConfig
 from repro.core.race import RaceConfig
+from tests.conftest import backlog_ports
 
 
 def traced_cluster(n_memory_nodes=3, replication_factor=2,
                    index_replication=1, fabric_overrides=None,
-                   cluster_overrides=None, **client_overrides):
+                   cluster_overrides=None, backlogged=False,
+                   **client_overrides):
     config = ClusterConfig(
         n_memory_nodes=n_memory_nodes,
         replication_factor=replication_factor,
@@ -69,6 +71,16 @@ def traced_cluster(n_memory_nodes=3, replication_factor=2,
                          client=replace(config.client, **client_overrides))
     tracer = Tracer()
     cluster = FuseeCluster(config, tracer=tracer)
+    if backlogged:
+        # every batch arrives at backlogged ports: each slot that may
+        # coalesce does
+        fabric = cluster.fabric
+        post = fabric.post
+
+        def post_backlogged(ops, unsignaled=False, qp=0):
+            backlog_ports(fabric, 2.0)
+            return post(ops, unsignaled=unsignaled, qp=qp)
+        fabric.post = post_backlogged
     return cluster, cluster.new_client(), tracer
 
 
@@ -452,11 +464,11 @@ class TestBudgetsUnderHotPathKnobs:
         {"read_spread": "round_robin"},
         {"read_spread": "least_loaded"},
         {"fabric_overrides": {"max_coalesce_width": 8}},
-        {"fabric_overrides": {"max_coalesce_width": 8,
-                              "coalesce_adaptive": False}},
+        {"fabric_overrides": {"max_coalesce_width": 8},
+         "backlogged": True},
         {"read_spread": "least_loaded",
-         "fabric_overrides": {"max_coalesce_width": 8,
-                              "coalesce_adaptive": False}},
+         "fabric_overrides": {"max_coalesce_width": 8},
+         "backlogged": True},
     ]
 
     @pytest.mark.parametrize("knobs", KNOBS)

@@ -15,6 +15,7 @@ import pytest
 
 from repro.core import FuseeCluster
 from repro.core.linearizability import History, check_linearizable
+from repro.core.master import LEASE_US
 from repro.core.race import SlotRef
 from repro.core.snapshot import Outcome, snapshot_read, snapshot_write
 from repro.rdma import Fabric, FabricConfig, MemoryNode
@@ -145,7 +146,7 @@ def test_random_cluster_ops_with_mn_crash(seed):
     env.process(crasher())
     env.run(until=env.all_of(procs))
     # settle failover
-    cluster.run(until=env.now + cluster.config.master.lease_us * 4)
+    cluster.run(until=env.now + LEASE_US * 4)
     assert all(result.ok for _k, _v, result in results)
     reader = cluster.new_client()
     for key in keys:

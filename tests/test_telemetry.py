@@ -251,7 +251,7 @@ class TestWindowStore:
 
 
 # ---------------------------------------------------------------------------
-# Satellites: TimeSeries cap, Histogram edge cases
+# Satellites: TimeSeries, Histogram edge cases
 # ---------------------------------------------------------------------------
 class TestTimeSeriesCap:
     def test_default_is_unbounded_and_byte_identical(self):
@@ -260,34 +260,6 @@ class TestTimeSeriesCap:
             plain.record(float(i), float(i) * 0.5)
         assert plain.points == [(float(i), float(i) * 0.5)
                                 for i in range(1000)]
-
-    @given(n=st.integers(min_value=0, max_value=3000),
-           cap=st.sampled_from([2, 8, 64]))
-    @settings(max_examples=40, deadline=None)
-    def test_capped_series_stays_bounded_and_uniform(self, n, cap):
-        series = TimeSeries(max_points=cap)
-        for i in range(n):
-            series.record(float(i), float(i))
-        assert len(series.points) <= cap
-        if n >= cap:
-            assert len(series.points) >= cap // 2
-        # retained samples are exactly the multiples of one stride
-        times = [t for t, _v in series.points]
-        if len(times) >= 2:
-            stride = times[1] - times[0]
-            assert times == [i * stride for i in range(len(times))]
-
-    def test_capped_series_still_summarises(self):
-        series = TimeSeries(max_points=8)
-        for i in range(100):
-            series.record(float(i), 1.0)
-        assert series.mean() == 1.0
-        assert series.peak() == 1.0
-        assert series.summary()["samples"] == len(series.points)
-
-    def test_cap_below_two_rejected(self):
-        with pytest.raises(ValueError):
-            TimeSeries(max_points=1)
 
 
 class TestHistogramEdgeCases:
@@ -661,6 +633,25 @@ def monitored_ycsb_run(seed, duration_us=1500.0, n_clients=2,
         bed.execute, duration_us=duration_us, monitor=monitor)
     assert result.ops > 0
     return tracer, result.health
+
+
+class TestMonitorConfig:
+    @pytest.mark.parametrize("kwargs", [
+        {"hotkey_capacity": -1}, {"window_us": 0.0}, {"window_us": -250.0},
+        {"window_us": math.nan}])
+    def test_bad_settings_rejected(self, kwargs):
+        """A negative hotkey capacity used to mean "off" without a word."""
+        with pytest.raises(ValueError):
+            MonitorConfig(**kwargs)
+
+    def test_health_reports_the_thresholds_it_ran_with(self):
+        """The sketch accuracy, SLO windows and detector thresholds are
+        their classes' defaults; the report still names every one."""
+        _tracer, health = monitored_ycsb_run(seed=7)
+        assert health["config"] == {
+            "window_us": 250.0, "alpha": 0.01, "fast_panes": 1,
+            "slow_panes": 6, "burn_threshold": 2.0, "hotkey_capacity": 8,
+            "detector": True, "detect_rel": 2.0, "detect_z": 3.5}
 
 
 class TestMonitorOnCleanBeds:

@@ -177,7 +177,7 @@ def _inline_replicated_write(self, ref, v_old, v_new, prepared):
     """The pre-seam ``FuseeClient._replicated_write``, copied verbatim:
     inline if/else dispatch on ``replication_mode`` instead of the
     ``ReplicationProtocol`` strategy object."""
-    from repro.core.client import CrashPoint
+    from repro.core.client import RETRY_SLEEP_US, CrashPoint
     from repro.core.snapshot import sequential_write, snapshot_write
 
     on_win = None
@@ -189,7 +189,7 @@ def _inline_replicated_write(self, ref, v_old, v_new, prepared):
     else:
         result = yield from snapshot_write(
             self.fabric, ref, v_old, v_new, on_win=on_win,
-            retry_sleep_us=self.config.retry_sleep_us,
+            retry_sleep_us=RETRY_SLEEP_US,
             phase_guard=lambda: self._wait_if_blocked(ref.subtable))
     self._maybe_crash(CrashPoint.C3)
     self.stats.count_outcome(result.outcome)
