@@ -829,8 +829,7 @@ class FuseeClient:
                 raise IndexFullError(
                     f"no free slot for key {key!r} in subtable "
                     f"{meta.subtable} after conflict retries")
-            ref = empties.pop(0)
-            ref = self.race.slot_ref(ref.subtable, ref.slot_index)
+            ref = self.race.slot_ref(meta.subtable, empties.pop(0))
             result = yield from self._replicated_write(ref, 0,
                                                        prepared.slot_word,
                                                        prepared)

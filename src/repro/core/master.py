@@ -785,7 +785,7 @@ class Master:
             view = yield from self._read_view(meta)
             if view is None or not view.empties:
                 return False
-            ref = view.empties[0]
+            ref = self.race.slot_ref(meta.subtable, view.empties[0])
             result = yield from snapshot_write(
                 self.fabric, ref, 0, word,
                 on_win=self._commit_hook(tail))

@@ -25,7 +25,8 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Tuple
 
-from ..rdma import FAIL, CasOp, Fabric, FaaOp, MemoryNode, ReadOp, WriteOp
+from ..rdma import (FAIL, TIMEOUT, CasOp, Fabric, FaaOp, MemoryNode, ReadOp,
+                    WriteOp)
 from .addressing import RegionMap
 from .wire import NULL_ADDR
 
@@ -316,6 +317,7 @@ class ClientAllocator:
         self._owned_blocks: List[Tuple[int, int, int]] = []  # (region, block, class)
         self._pending_frees: Dict[int, None] = {}  # an ordered set
         self.stats_blocks_allocated = 0
+        self.stats_free_timeouts = 0   # see flush_frees
 
     # -- helpers ---------------------------------------------------------------
     def class_for(self, nbytes: int) -> int:
@@ -456,8 +458,11 @@ class ClientAllocator:
     def flush_frees(self):
         """Set the free bit of every queued object with RDMA_FAAs (generator).
 
-        One FAA per (object, replica); all are posted as a single doorbell
-        batch — this is the off-critical-path background work.
+        One FAA per (object, alive replica), in queue then placement
+        order; all are posted as a single doorbell batch — this is the
+        off-critical-path background work.  A replica FAA that ends
+        ``TIMEOUT`` is counted in ``stats_free_timeouts``: its bit may
+        never have been set, and nothing posts it again.
         """
         if not self._pending_frees:
             return
@@ -472,7 +477,10 @@ class ClientAllocator:
                     continue
                 ops.append(FaaOp(mn_id, base + word_off, mask))
         if ops:
-            yield self.fabric.post(ops)
+            comps = yield self.fabric.post(ops)
+            for comp in comps:
+                if comp.value is TIMEOUT:
+                    self.stats_free_timeouts += 1
 
     def release_empty_blocks(self):
         """Return fully-free blocks to their memory nodes (generator).

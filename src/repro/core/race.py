@@ -20,7 +20,7 @@ This module is deliberately **pure**: it computes verb lists and parses
 payloads but never talks to the fabric, so the protocol layers above own
 all timing.  A bucket read is decoded on demand (:class:`BucketView`):
 fingerprint hits by a scan of the payload's fingerprint column, free
-slots when an INSERT reads them; nothing is kept per read.  RACE's
+slot indexes when an INSERT reads them; nothing is kept per read.  RACE's
 extendible-resize directory is implemented here (``staged_split`` /
 ``commit_split``); the split itself — a stop-the-world per-subtable
 reorganisation — is executed by the master (``Master.expand_subtable``),
@@ -167,9 +167,10 @@ class BucketView:
     """Candidate slots for one key, from one bucket read.
 
     ``matches`` (fingerprint hits, ordered by slot index) is decoded with
-    the view; ``empties`` (free slots, preferred insert order) and
-    ``occupied`` (non-empty slots seen, the load metric) from the kept
-    payloads when first read — only an INSERT does.
+    the view; ``empties`` (free slot indexes in the key's subtable,
+    preferred insert order) and ``occupied`` (non-empty slots seen, the
+    load metric) from the kept payloads when first read — only an INSERT
+    does, and it builds a :class:`SlotRef` only for the slot it tries.
     """
 
     __slots__ = ("matches", "_undecoded", "_empties", "_occupied",
@@ -177,10 +178,10 @@ class BucketView:
 
     def __init__(self, matches: Tuple[SlotSnapshot, ...], undecoded: tuple):
         self.matches = matches
-        self._undecoded = undecoded   # (race, subtable, scan, payloads)
+        self._undecoded = undecoded   # (race, scan, payloads)
 
     @property
-    def empties(self) -> Tuple[SlotRef, ...]:
+    def empties(self) -> Tuple[int, ...]:
         if self._undecoded:
             race, *read = self._undecoded
             self._empties, self._occupied = race._free_slots(*read)
@@ -429,14 +430,16 @@ class RaceHashing:
                     matches += (SlotSnapshot(
                         self.slot_ref(meta.subtable, start + i), word),)
                 i = column.find(fingerprint, i + 1)
-        return BucketView(matches, (self, meta.subtable, scan, payloads))
+        return BucketView(matches, (self, scan, payloads))
 
-    def _free_slots(self, subtable: int, scan: tuple, payloads):
+    def _free_slots(self, scan: tuple, payloads):
         """``(empties, occupied)`` of one bucket read, for its view.
 
-        Empty slots are ordered to fill the *less loaded* combined bucket
-        first, which is RACE's load-balancing rule (ties in hash order,
-        slot order within a bucket; a shared slot counts for the first).
+        Empty slots are slot indexes within the read's subtable, ordered
+        to fill the *less loaded* combined bucket first, which is RACE's
+        load-balancing rule (ties in hash order, slot order within a
+        bucket; a shared slot counts for the first).  No :class:`SlotRef`
+        is built here: an INSERT resolves one for the slot it tries.
         """
         per_cb = []
         for which, start, skip in scan:
@@ -445,8 +448,8 @@ class RaceHashing:
                     if not word]
             per_cb.append((len(words) - len(free), which, free))
         per_cb.sort()   # by (load, hash order); never reaches the lists
-        return (tuple([self.slot_ref(subtable, index)
-                       for _load, _which, free in per_cb for index in free]),
+        return (tuple([index for _load, _which, free in per_cb
+                       for index in free]),
                 sum(load for load, _which, _free in per_cb))
 
     # -- bulk helpers for the master ------------------------------------------------

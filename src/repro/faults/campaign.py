@@ -158,6 +158,10 @@ class CampaignReport:
     master_dedup_hits: int = 0
     blocks_outstanding: int = 0    # granted by MNs and not returned
     blocks_owned: int = 0          # adopted and still held by clients
+    # Replica FAAs of batched frees that timed out: each may have left an
+    # object's free bit unset on that replica, never to be posted again
+    # (ClientAllocator.stats_free_timeouts; ROADMAP item 3(e)).
+    free_faa_timeouts: int = 0
     linearizable: bool = True
     violation: Optional[str] = None
     # Gray-failure detector verdict (repro.obs.detect.detector_verdict)
@@ -219,6 +223,9 @@ class CampaignReport:
             f"  alloc balance: {self.blocks_outstanding} outstanding at "
             f"MNs vs {self.blocks_owned} owned by clients "
             f"[{'ok' if self.balance_ok else 'LEAK'}]")
+        lines.append(
+            f"  batched frees: {self.free_faa_timeouts} replica FAA(s) "
+            f"timed out")
         lines.append(
             "  linearizable: " + ("yes" if self.linearizable else
                                   f"NO\n{self.violation}"))
@@ -482,6 +489,8 @@ def run_campaign(name: str = "mixed", seed: int = 0, retries: bool = True,
         for mn, alloc in cluster.mn_allocators.items())
     report.blocks_owned = sum(len(c.allocator.owned_blocks())
                               for c in cluster.clients)
+    report.free_faa_timeouts = sum(c.allocator.stats_free_timeouts
+                                   for c in cluster.clients)
 
     from ..check.history import kv_ops_from_spans
     from ..core.linearizability import check_kv_linearizable

@@ -326,6 +326,16 @@ class TestOneDefinition:
                 assert rmap.block_of(gaddr) == ref_block_of(rmap, gaddr)
                 assert (rmap.block_of(gaddr) is None) \
                     == (offset < layout.data_offset)
+            # free_bit agrees on the same edges: its value off metadata,
+            # the chain's ValueError on it
+            if offset < layout.data_offset:
+                for free_bit in (layout.free_bit,
+                                 lambda off: ref_free_bit(layout, off)):
+                    with pytest.raises(ValueError, match="metadata"):
+                        free_bit(offset)
+            else:
+                assert layout.free_bit(offset) == ref_free_bit(layout,
+                                                               offset)
         for block in range(layout.n_blocks):
             gaddr = rmap.block_gaddr(1, block)
             assert gaddr == rmap.gaddr(1, layout.block_offset(block))
@@ -335,3 +345,7 @@ class TestOneDefinition:
             # the unusable tail of a region is no block either: loudly
             with pytest.raises(IndexError):
                 rmap.block_of(rmap.gaddr(0, blocks_end))
+            for free_bit in (layout.free_bit,
+                             lambda off: ref_free_bit(layout, off)):
+                with pytest.raises(IndexError):
+                    free_bit(blocks_end)

@@ -104,6 +104,32 @@ class TestIndexRepair:
         assert run(cluster, reader.search(b"fresh-key")).value \
             == b"fresh-value"
 
+    def test_crashed_insert_c1_redone_into_the_first_empty_slot(self,
+                                                                cluster):
+        """The redo tries ``empties[0]`` of the primary's bucket view —
+        the slot the crashed round had CASed on the backups."""
+        client = cluster.new_client()
+        for i in range(24):
+            assert run(cluster, client.insert(f"warm-{i}".encode(), b"x")).ok
+        race = cluster.race
+        meta = race.key_meta(b"fresh-key")
+        view = race.parse_buckets(meta, [
+            cluster.fabric.node(op.mn_id).memory[op.addr:op.addr + op.length]
+            for op in race.bucket_read_ops(meta)])
+        client.arm_crash(CrashPoint.C1)
+        with pytest.raises(ClientCrashed):
+            run(cluster, client.insert(b"fresh-key", b"fresh-value"))
+        report, _ = recover(cluster, client)
+        assert report.requests_redone == 1
+        reader = cluster.new_client()
+        assert run(cluster, reader.search(b"fresh-key")).value \
+            == b"fresh-value"
+        slot = reader.cache.peek(b"fresh-key").slot_ref
+        assert slot.key == (meta.subtable, view.empties[0])
+        assert {cluster.fabric.node(mn).read_word(addr)
+                for mn, addr in slot.locations()} \
+            == {reader.cache.peek(b"fresh-key").slot_word}
+
     def test_crashed_delete_c1_redone(self, cluster):
         client = cluster.new_client()
         run(cluster, client.insert(b"victim", b"v"))

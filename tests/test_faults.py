@@ -556,6 +556,25 @@ def test_mixed_campaign_without_retries_fails():
     assert report.ops_failed > 0 or not report.balance_ok
 
 
+def test_campaign_reports_lost_batched_frees(monkeypatch):
+    """The report sums every client's timed-out free FAAs
+    (``ClientAllocator.stats_free_timeouts``) and prints them.  A named
+    campaign flushes its frees only after the heal, so none times out
+    there: here each client starts as if one already had."""
+    new_client = FuseeCluster.new_client
+
+    def with_a_lost_free(self, *args, **kwargs):
+        client = new_client(self, *args, **kwargs)
+        client.allocator.stats_free_timeouts = 1
+        return client
+
+    monkeypatch.setattr(FuseeCluster, "new_client", with_a_lost_free)
+    report = run_campaign("loss", seed=0, clients=2, ops_per_client=10)
+    assert report.free_faa_timeouts == 3     # the loader and two workers
+    assert "\n  batched frees: 3 replica FAA(s) timed out\n" \
+        in report.render()
+
+
 @pytest.mark.parametrize("name,replication,index_replication", [
     # the paper's default bed: one index replica
     *[pytest.param(name, "snapshot", 1, id=name)

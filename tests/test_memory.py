@@ -10,7 +10,9 @@ from repro.core.memory import (
     unpack_block_entry,
 )
 from repro.core.wire import NULL_ADDR
-from repro.faults import FaultInjector, FaultPlan, Partition
+from repro.faults import CN, FaultInjector, FaultPlan, Partition
+from repro.harness.systems import fusee_bed
+from repro.rdma import FaaOp
 from tests.conftest import small_config, run
 from repro.core import FuseeCluster
 
@@ -374,6 +376,76 @@ class TestFreeAndReclaim:
             return "done"
 
         assert run(cluster, proc()) == "done"
+
+    def test_flush_posts_the_faas_of_the_long_way(self, cluster, client):
+        """One batch: per queued object, in queue order, an FAA of its
+        free bit on each replica in placement order — ``split`` ->
+        ``object_bit`` -> placement, spelled out below — skipping a
+        crashed replica."""
+        rmap, layout = cluster.region_map, cluster.region_map.layout
+        objects = [alloc(cluster, client, class_idx).gaddr
+                   for class_idx in (0, 3, 1, 5) for _ in range(12)]
+        crashed = rmap.placement(rmap.split(objects[0])[0])[1][0]
+        cluster.crash_memory_node(crashed)
+        want = []
+        for gaddr in objects:
+            client.allocator.note_free(gaddr)
+            region_id, offset = rmap.split(gaddr)
+            byte_off, bit = layout.object_bit(offset)
+            for mn_id, base in rmap.placement(region_id):
+                if mn_id != crashed:
+                    want.append((mn_id, base + byte_off - byte_off % 8,
+                                 1 << (7 - byte_off % 8) * 8 + bit))
+        posted = []
+        post = cluster.fabric.post
+
+        def recording_post(ops, *args, **kwargs):
+            posted.append([(op.__class__, op.mn_id, op.addr, op.delta)
+                           for op in ops])
+            return post(ops, *args, **kwargs)
+
+        cluster.fabric.post = recording_post
+        run(cluster, client.allocator.flush_frees())
+        assert posted == [[(FaaOp, *faa) for faa in want]]
+        assert len(want) < 2 * len(objects)      # some replica skipped
+        assert client.allocator.stats_free_timeouts == 0
+
+
+class TestLostBatchedFree:
+    """A replica FAA of a flushed free that times out is counted.  The
+    object has left the pending set either way; its bit is set on the
+    replicas that answered and may be unset on the one that did not, so
+    the replicas' bitmaps disagree until someone re-checks that word."""
+
+    def test_a_timed_out_free_faa_is_counted(self):
+        bed = fusee_bed(background_interval_us=0, dataset_bytes=1 << 20)
+        cluster, client = bed.cluster, bed.new_client()
+        keys = [f"key-{i:02d}".encode() for i in range(40)]
+        for key in keys:
+            assert run(cluster, client.insert(key, b"v" * 100)).ok
+        for key in keys:
+            assert run(cluster, client.update(key, b"w" * 100)).ok
+        allocator, rmap = client.allocator, cluster.region_map
+        superseded = list(allocator._pending_frees)
+        assert len(superseded) == len(keys)
+        primaries = {rmap.placement(rmap.split(gaddr)[0])[0][0]
+                     for gaddr in superseded}
+        assert len(primaries) == 1   # the one MN cut off below
+        cluster.install_faults(FaultPlan(
+            partitions=[Partition(a=CN, b=mn) for mn in primaries]))
+        run(cluster, allocator.flush_frees())
+        cluster.clear_faults()
+        assert allocator.pending_free_count == 0
+        assert allocator.stats_free_timeouts == len(superseded)
+        # what the counter reports: bit set on the backup, not the primary
+        layout = rmap.layout
+        for gaddr in superseded:
+            region_id, offset = rmap.split(gaddr)
+            word_off, mask = layout.free_bit(offset)
+            primary, backup = [
+                bool(cluster.fabric.node(mn).read_word(base + word_off)
+                     & mask) for mn, base in rmap.placement(region_id)]
+            assert (primary, backup) == (False, True)
 
 
 class TestBlockFree:

@@ -19,6 +19,7 @@ from repro.core.race import (
 )
 from repro.core.wire import SLOT_SIZE, pack_slot
 from repro.harness.loader import fusee_load
+from repro.harness.systems import fusee_bed
 from tests.conftest import run, small_config
 
 
@@ -214,7 +215,7 @@ class TestParsing:
         word = pack_slot(meta.fingerprint, 1, 0x1000)
         view = race.parse_buckets(
             meta, self.payload_pair(race, meta, {idx: word}))
-        assert idx not in {ref.slot_index for ref in view.empties}
+        assert idx not in view.empties
 
     def test_matches_sorted_by_slot_index(self):
         race = make_race()
@@ -235,7 +236,7 @@ class TestParsing:
         fill = {ranges[0][0] + i: pack_slot(7, 1, 0x100 + i)
                 for i in range(3)}
         view = race.parse_buckets(meta, self.payload_pair(race, meta, fill))
-        first_empty = view.empties[0].slot_index
+        first_empty = view.empties[0]
         cb2_indexes = set(range(ranges[1][0], ranges[1][0] + ranges[1][1]))
         assert first_empty in cb2_indexes
 
@@ -318,9 +319,9 @@ class TestWholeSubtableHelpers:
 def eager_reference_decode(race, meta, payloads):
     """The decoder ``parse_buckets`` replaced, kept as the reference: it
     unpacks every slot word of both combined buckets in a Python loop,
-    resolves a ``SlotRef`` for every empty slot and every fingerprint
-    hit, and ranks the two buckets by load.  Returns ``(matches,
-    empties, occupied)``."""
+    resolves a ``SlotRef`` for every fingerprint hit, lists every empty
+    slot's index, and ranks the two buckets by load.  Returns
+    ``(matches, empties, occupied)``."""
     ranges = race._combined_ranges(meta)
     matches = []
     per_cb_empties = []
@@ -335,7 +336,7 @@ def eager_reference_decode(race, meta, payloads):
             if seen_start <= index <= seen_end:
                 continue  # shared overflow bucket counted once
             if word == 0:
-                empties.append(race.slot_ref(meta.subtable, index))
+                empties.append(index)
             else:
                 load += 1
                 if (word >> 56) & 0xFF == meta.fingerprint:
@@ -416,7 +417,7 @@ class TestDecodeOnDemand:
         view = race.parse_buckets(meta, [first, second])
         assert [(m.ref.slot_index, m.word) for m in view.matches] \
             == [(13, hit), (15, hit + 1), (16, hit + 3)]
-        assert [ref.slot_index for ref in view.empties] == [17, 12, 14]
+        assert list(view.empties) == [17, 12, 14]
         assert view.occupied == 3
         assert (view.matches, view.empties, view.occupied) \
             == eager_reference_decode(race, meta, [first, second])
@@ -526,11 +527,12 @@ class TestAnOpPaysForWhatItUses:
         first, sweep = counted.views
         assert counted.free_decodes == 1
         assert first._undecoded is None and sweep._undecoded is not None
-        empties = [ref.key for ref in first.empties]
-        # every ref resolved is a hit, a free slot of the first read, or
-        # the chosen slot re-resolved before the write
+        subtable = cluster.race.key_meta(b"a-new-key").subtable
+        empties = [(subtable, index) for index in first.empties]
+        # every ref resolved is a hit or the one free slot the insert
+        # tries: the first read's other free slots stay indexes
         assert counted.resolved == (
-            [m.ref.key for m in first.matches] + empties + empties[:1]
+            [m.ref.key for m in first.matches] + empties[:1]
             + [m.ref.key for m in sweep.matches])
         assert empties[0] in [m.ref.key for m in sweep.matches]
 
@@ -556,6 +558,22 @@ class TestNothingRetainedPerRead:
         assert len(views) == 5   # search, insert + sweep, update, delete
         assert [ref() for ref in views] == [None] * 5
 
+    def test_inserts_keep_a_ref_only_for_the_slots_they_cas(self):
+        """On the default bed an INSERT's bucket read shows it ~27 free
+        slots; the ref memo grows by the one slot each INSERT CASes, not
+        by every free slot it saw."""
+        bed = fusee_bed()
+        cluster, client = bed.cluster, bed.new_client()
+        memo = cluster.race._slot_ref_cache
+        before = set(memo)
+        keys = [f"lazy-{i:03d}".encode() for i in range(60)]
+        for key in keys:
+            assert cluster.run_op(client.insert(key, b"v" * 32)).ok
+        cased = {client.cache.peek(key).slot_ref.key for key in keys}
+        assert len(cased) == len(keys)
+        assert len(memo) - len(before) <= len(cased)
+        assert set(memo) - before == cased
+
     def test_distinct_bucket_states_leave_no_residue(self):
         race = make_race()
         meta = race.key_meta(b"key")
@@ -571,7 +589,8 @@ class TestNothingRetainedPerRead:
             return {name: len(value) for name, value in vars(race).items()
                     if hasattr(value, "__len__")}
 
-        race.parse_buckets(meta, state(0)).empties   # warm the ref memo
+        # memoise the hit's SlotRef; decoding the free slots builds none
+        race.parse_buckets(meta, state(0)).empties
         before = sizes()
         for serial in range(1, 2001):
             view = race.parse_buckets(meta, state(serial))
