@@ -268,8 +268,7 @@ def swarm_skip_ts_validation():
 # --------------------------------------------------------------------------
 
 def _early_ack_swarm_write(fabric, ref, v_old, v_new, on_win=None,
-                           retry_sleep_us=2.0, max_fixup_rounds=8,
-                           phase_guard=None):
+                           max_fixup_rounds=8, phase_guard=None):
     """A SWARM write that commits at the primary and hands the backup
     CASes to a detached replicator: 'the broadcast is in flight, that's
     as good as done'.
@@ -319,8 +318,7 @@ def swarm_early_ack():
 # --------------------------------------------------------------------------
 
 def _blind_fixup_swarm_write(fabric, ref, v_old, v_new, on_win=None,
-                             retry_sleep_us=2.0, max_fixup_rounds=8,
-                             phase_guard=None):
+                             max_fixup_rounds=8, phase_guard=None):
     """A SWARM write whose fixup overwrites divergent backups with a
     plain RDMA_WRITE instead of the timestamp-guarded CAS.
 

@@ -283,8 +283,7 @@ def make_swarm_write_race(writers: int = 2, readers: int = 2,
 
         def writer(val: int):
             invoked = sched.logical_clock()
-            res = yield from replication_mod.swarm_write(
-                fabric, ref, 0, val, retry_sleep_us=1.0)
+            res = yield from replication_mod.swarm_write(fabric, ref, 0, val)
             results[val] = res
             if res.outcome.won:
                 history.record("w", val, invoked, sched.logical_clock())
@@ -356,8 +355,7 @@ def make_swarm_crash_read(replicas: int = 3) -> Scenario:
 
         def writer():
             invoked = sched.logical_clock()
-            res = yield from replication_mod.swarm_write(
-                fabric, ref, 0, 100, retry_sleep_us=1.0)
+            res = yield from replication_mod.swarm_write(fabric, ref, 0, 100)
             if res.outcome.won:
                 history.record("w", 100, invoked, sched.logical_clock())
             else:
@@ -415,8 +413,7 @@ def make_swarm_write_chain(replicas: int = 3) -> Scenario:
 
         def writer(val: int):
             invoked = sched.logical_clock()
-            res = yield from replication_mod.swarm_write(
-                fabric, ref, 0, val, retry_sleep_us=1.0)
+            res = yield from replication_mod.swarm_write(fabric, ref, 0, val)
             results.append((0, val, res))
             if res.outcome.won:
                 history.record("w", val, invoked, sched.logical_clock())
@@ -439,7 +436,7 @@ def make_swarm_write_chain(replicas: int = 3) -> Scenario:
             history.record("r", observed, invoked, sched.logical_clock())
             invoked = sched.logical_clock()
             res = yield from replication_mod.swarm_write(
-                fabric, ref, observed, val, retry_sleep_us=1.0)
+                fabric, ref, observed, val)
             results.append((observed, val, res))
             if res.outcome.won:
                 history.record("w", val, invoked, sched.logical_clock())

@@ -1171,13 +1171,17 @@ class FuseeClient:
 
     # ------------------------------------------------------------ failures
     def _wait_if_blocked(self, subtable: int):
-        """Honour the master's membership barrier during MN failover."""
+        """Honour the master's membership barrier during MN failover
+        (generator; returns True if a barrier was up and waited out)."""
         if self.master is None:
-            return
+            return False
+        waited = False
         barrier = self.master.blocked_barrier(subtable)
         while barrier is not None:
+            waited = True
             yield barrier
             barrier = self.master.blocked_barrier(subtable)
+        return waited
 
     def _escalate(self, ref: SlotRef, v_old: int):
         """fail_query RPC to the master (Algorithm 4); returns the resolved

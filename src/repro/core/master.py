@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..rdma import CasOp, FaaOp, Fabric, ReadOp, WriteOp
+from ..rdma.memory_node import TokenCache
 from ..sim import Environment, Event, Resource
 from .addressing import RegionMap
 from .memory import ClientTable, unpack_block_entry
@@ -69,6 +70,7 @@ QP_SETUP_US = 620.0           # per memory node
 MR_REGISTER_US_PER_GB = 10_000.0
 CLIENT_MR_GB = 16.0
 FREE_LIST_CPU_PER_OBJECT_US = 4.0
+RPC_DEDUP_CAPACITY = 4096     # client-RPC tokens the master remembers
 
 
 @dataclass
@@ -154,7 +156,7 @@ class Master:
         # a client retransmission after a lost reply never re-runs the
         # handler — in particular a completed split is never split again.
         self.rpc_dedup_hits = 0
-        self._rpc_results: "OrderedDict[int, tuple]" = OrderedDict()
+        self._rpc_results = TokenCache(RPC_DEDUP_CAPACITY)
         # Insert-duplicate arbitration (RACE's post-install re-read check):
         # per key, the (subtable, slot_index) -> word of every slot whose
         # owner has conceded this episode.  See ``arbitrate_insert``.
@@ -171,9 +173,7 @@ class Master:
             call.close()
             return hit[0]
         result = yield from call
-        self._rpc_results[token] = (result,)
-        if len(self._rpc_results) > 4096:
-            self._rpc_results.popitem(last=False)
+        self._rpc_results.put(token, result)
         return result
 
     # ------------------------------------------------------------ membership

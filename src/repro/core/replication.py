@@ -209,7 +209,8 @@ class SequentialProtocol(SnapshotProtocol):
     def write(self, fabric, ref, v_old, v_new, on_win=None,
               retry_sleep_us=2.0, phase_guard=None):
         return (yield from snapshot_mod.sequential_write(
-            fabric, ref, v_old, v_new, on_win=on_win))
+            fabric, ref, v_old, v_new, on_win=on_win,
+            phase_guard=phase_guard))
 
 
 # --------------------------------------------------------------------------
@@ -218,7 +219,6 @@ class SequentialProtocol(SnapshotProtocol):
 
 def swarm_write(fabric: Fabric, ref: SlotRef, v_old: int, v_new: int,
                 on_win: Optional[Callable[[int], object]] = None,
-                retry_sleep_us: float = 2.0,
                 max_fixup_rounds: int = 8,
                 phase_guard: Optional[Callable[[], object]] = None):
     """SWARM-style replicated write (generator): one CAS broadcast to
@@ -386,7 +386,7 @@ class SwarmProtocol(ReplicationProtocol):
         # patches swarm_write.
         return (yield from swarm_write(
             fabric, ref, v_old, v_new, on_win=on_win,
-            retry_sleep_us=retry_sleep_us, phase_guard=phase_guard))
+            phase_guard=phase_guard))
 
     @staticmethod
     def repair_choice(words: List[int], primary_alive: bool) -> int:

@@ -302,20 +302,36 @@ def snapshot_write(fabric: Fabric, ref: SlotRef, v_old: int, v_new: int,
 
 
 def sequential_write(fabric: Fabric, ref: SlotRef, v_old: int, v_new: int,
-                     on_win: Optional[Callable[[int], object]] = None):
+                     on_win: Optional[Callable[[int], object]] = None,
+                     phase_guard: Optional[Callable[[], object]] = None):
     """FUSEE-CR ablation (§6.1): CAS replicas one at a time, backups first.
 
     Costs one RTT per replica (latency grows linearly with r, Fig. 19) and
     serializes conflicting writers: losing the first CAS aborts the round.
+    Like SNAPSHOT, every CAS round (the undo included) first passes
+    ``phase_guard``, so no replica is touched while the master holds the
+    subtable.  A guard that had to wait (it returns True) after this round
+    already swapped a replica means the master repaired or split the
+    subtable mid-round, from replicas that held part of this round: the
+    slot is then the master's to settle (``NEED_MASTER``), and the round
+    neither goes on from its stale ``v_old`` nor undoes what the repair
+    may have kept.
     """
     rtts = 0
     locations = ref.backups() + [ref.primary()]
     committed: List[Tuple[int, int]] = []
+
+    def held_mid_round():
+        return (phase_guard is not None and (yield from phase_guard())
+                and bool(committed))
+
     for i, (mn, addr) in enumerate(locations):
         is_primary = i == len(locations) - 1
         if is_primary and on_win is not None:
             yield from on_win(v_old)
             rtts += 1
+        if (yield from held_mid_round()):
+            return WriteResult(Outcome.NEED_MASTER, v_old, v_new, None, rtts)
         fabric.trace_phase("repl.seq_primary_cas" if is_primary
                            else "repl.seq_backup_cas")
         comp = yield fabric.post_one(CasOp(mn, addr, expected=v_old,
@@ -326,6 +342,9 @@ def sequential_write(fabric: Fabric, ref: SlotRef, v_old: int, v_new: int,
         if not comp.cas_succeeded():
             # Conflict: roll back our partial modifications and lose.
             if committed:
+                if (yield from held_mid_round()):
+                    return WriteResult(Outcome.NEED_MASTER, v_old, v_new,
+                                       None, rtts)
                 undo = [CasOp(mn2, addr2, expected=v_new, swap=v_old)
                         for mn2, addr2 in committed]
                 fabric.trace_phase("repl.seq_undo")

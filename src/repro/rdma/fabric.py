@@ -176,22 +176,24 @@ class FabricStats:
 
 
 class _Delivery:
-    """One verb of a batch a fault reaches, as its delivery process carries
-    it: its slot in the batch, the verb, its node, payload bytes and
-    idempotency token, and the current attempt's port and fate."""
+    """One verb of a batch posted under an injector, in either delivery
+    shape: its slot in the batch, the verb, its node, payload bytes, the
+    current attempt's port and fate, and an idempotency token only when
+    the delivery can be repeated (None in a batch no fault reaches)."""
 
-    __slots__ = ("i", "op", "node", "nbytes", "token", "pidx", "port",
-                 "fate")
+    __slots__ = ("i", "op", "node", "nbytes", "pidx", "port", "fate",
+                 "token")
 
-    def __init__(self, i: int, op: Verb, node: MemoryNode, token: int,
+    def __init__(self, i: int, op: Verb, node: MemoryNode, pidx: int, port,
                  fate):
         self.i = i
         self.op = op
         self.node = node
         self.nbytes = op_bytes(op)
-        self.token = token
-        self.pidx = self.port = None
+        self.pidx = pidx
+        self.port = port
         self.fate = fate
+        self.token = None
 
 
 class Fabric:
@@ -492,12 +494,14 @@ class Fabric:
         healthy one within ``num_ports`` attempts.
 
         First-attempt fates are drawn here, in posted order (a fate is a
-        pure hash of what is sent and when).  A batch no fault reaches —
-        every fate clean, every target alive — is three kernel callbacks
-        (`_deliver_untouched`); any other batch gets a process per verb,
-        the only shape that can express loss, duplication and retry.  Both
-        start from here, so same-instant batches of one QP reach the MN in
-        post order whichever shape each took.
+        pure hash of what is sent and when), into one `_Delivery` per
+        verb.  A batch no fault reaches — every fate clean, every target
+        alive — is three kernel callbacks (`_deliver_untouched`); any
+        other batch gets a process per verb, the only shape that can
+        express loss, duplication and retry.  Both count a delivery with
+        `_count`, note its request leg with `_note_request` and deliver it
+        with `_arrive`, and both start from here, so same-instant batches
+        of one QP reach the MN in post order whichever shape each took.
         """
         env = self.env
         self.stats.batches += 1
@@ -513,33 +517,36 @@ class Fabric:
         draw = inj.fate
         hook = env._access_hook
         untouched = True
-        fates = []
-        for op in ops:
+        verbs = []
+        for i, op in enumerate(ops):
             mn = op.mn_id
             node = nodes[mn]
             is_read = op.__class__ is ReadOp
-            choice = pcache.get((mn, is_read, qp)) \
+            pidx, port = pcache.get((mn, is_read, qp)) \
                 or self._port_for(node, is_read, qp)
-            fate = draw(verb_ident(op), mn, 1, now, choice[0])
+            fate = draw(verb_ident(op), mn, 1, now, pidx)
             if hook is not None:
                 hook(("crash", mn), False)
             if untouched and (node.crashed or not fate.clean):
                 untouched = False
-            fates.append(fate)
-        # Every verb draws a token, used or not: the uid sequence (and so
+            verbs.append(_Delivery(i, op, node, pidx, port, fate))
+        # Every verb draws a uid, used or not: the uid sequence (and so
         # the RPC and master tokens that later fates hash) must not depend
-        # on which shape a batch took.
-        tokens = [env.next_uid() for _ in ops]
+        # on which shape a batch took.  A token is only ever read by a
+        # re-delivery, so a batch no fault reaches records none.
+        for verb in verbs:
+            token = env.next_uid()
+            if not untouched:
+                verb.token = token
         if untouched:
-            return self._deliver_untouched(ops, inj, unsignaled, span, pspan,
-                                           qp)
+            return self._deliver_untouched(ops, verbs, inj, unsignaled, span,
+                                           pspan)
         completions: List[Completion] = [None] * len(ops)
         procs = []
-        for i, op in enumerate(ops):
-            verb = _Delivery(i, op, nodes[op.mn_id], tokens[i], fates[i])
+        for verb in verbs:
             proc = env.process(
                 self._deliver_verb(verb, inj, completions, span, qp),
-                name=f"verb:{i}@MN{op.mn_id}")
+                name=f"verb:{verb.i}@MN{verb.op.mn_id}")
             if prof is not None:
                 # A delivery process cannot see the posting span via the
                 # tracer's per-process stack — bind explicitly (None when
@@ -560,17 +567,15 @@ class Fabric:
                                  unsignaled=unsignaled, span=span)
         return completions
 
-    def _deliver_untouched(self, ops, inj, unsignaled, span, pspan,
-                           qp) -> Event:
+    def _deliver_untouched(self, ops, verbs, inj, unsignaled, span,
+                           pspan) -> Event:
         """A batch no fault reaches, as three kernel callbacks on the event
         ids and instants of one delivery process: the start at the post
-        instant (counters, request-leg intervals), the arrival (per verb in
-        posted order: crash check, apply, gray-inflated service, a slot on
-        its port) and the reply of the slowest verb, which succeeds the
-        returned event — the fourth id, on which the caller resumes.
-
-        No token is recorded: a token is only ever read by a re-delivery,
-        and a verb that drew no drop, duplicate or retry has none."""
+        instant (`_count`, `_note_request`), the arrival (`_arrive` per
+        verb in posted order) and the reply of the slowest verb, which
+        succeeds the returned event — the fourth id, on which the caller
+        resumes.  The profiler's span is set per callback, not per
+        interval."""
         env = self.env
         cfg = self.config
         t0 = env._now
@@ -581,86 +586,31 @@ class Fabric:
         def start(_event):
             nonlocal prof
             prof = env._profiler
-            stats = self.stats
-            per_mn = stats.per_mn_ops
-            reads = writes = atomics = moved = 0
-            for op in ops:
-                cls = op.__class__
-                if cls is ReadOp:
-                    reads += 1
-                    moved += op.length
-                elif cls is WriteOp:
-                    writes += 1
-                    moved += len(op.data)
-                else:
-                    atomics += 1
-                    moved += 8
-                per_mn[op.mn_id] = per_mn.get(op.mn_id, 0) + 1
-            stats.reads += reads
-            stats.writes += writes
-            stats.atomics += atomics
-            stats.bytes_moved += moved
+            for verb in verbs:
+                self._count(verb)
             if prof is not None:
-                t_sent = t0 + cfg.post_overhead_us
-                for _ in ops:
-                    prof.note("client", "post", t0, t_sent, pspan)
-                    prof.note("propagation", "net.request", t_sent,
-                              t_sent + cfg.one_way_delay_us, pspan)
+                prof.begin_batch(pspan)
+                for verb in verbs:
+                    self._note_request(prof, verb, t0)
+                prof.end_batch()
             env.timeout(cfg.post_overhead_us
                         + cfg.one_way_delay_us).callbacks.append(arrive)
 
         def arrive(_event):
-            now = env._now
-            nodes = self.nodes
-            stats = self.stats
-            per_port = stats.per_port_ops
-            pcache = self._port_cache
-            vcache = self._verb_cache
-            monitor = self.monitor
-            hook = env._access_hook
-            one_way = cfg.one_way_delay_us
             if prof is not None:
-                prof.begin_batch(pspan)   # resolved once, not per interval
+                prof.begin_batch(pspan)
             back = 0.0
-            for i, op in enumerate(ops):
-                mn = op.mn_id
-                node = nodes[mn]
-                if hook is not None:
-                    hook(("crash", mn), False)
-                if node.crashed:   # crashed in flight: no return leg
-                    stats.failed_verbs += 1
-                    completions[i] = Completion(op, FAIL)
-                    continue
-                try:
-                    value = node.apply(op)
-                except Exception as exc:   # e.g. a verb outside the node
-                    # the poster gets it, as from a failed delivery process
-                    finished.fail(exc)
-                    return
-                completions[i] = Completion(op, value)
-                cls = op.__class__
-                is_read = cls is ReadOp
-                nbytes = op.length if is_read else (
-                    len(op.data) if cls is WriteOp else 8)
-                pidx, port = pcache.get((mn, is_read, qp)) \
-                    or self._port_for(node, is_read, qp)
-                service = vcache.get((mn, cls, nbytes))
-                if service is None:
-                    service = self._service_time(node, op, nbytes)
-                service *= inj.service_factor(mn, now, pidx)
-                label = port.label
-                per_port[label] = per_port.get(label, 0) + 1
-                if monitor is not None:
-                    monitor.note_verb(mn, label, cls, nbytes, service)
-                done = port.finish_time(service, now)
+            try:
+                for verb in verbs:
+                    until_back = self._arrive(verb, inj, prof, completions)
+                    if until_back is not None and until_back > back:
+                        back = until_back
+            except Exception as exc:   # e.g. a verb outside its node:
+                finished.fail(exc)     # the poster gets it, as from a process
+                return
+            finally:
                 if prof is not None:
-                    prof.note("propagation", "net.reply", done,
-                              done + one_way)
-                until_back = done - now + one_way
-                if until_back > back:
-                    back = until_back
-            if prof is not None:
-                prof.end_batch()
+                    prof.end_batch()
             env.timeout(back).callbacks.append(reply)
 
         def reply(_event):
@@ -672,22 +622,35 @@ class Fabric:
         env.timeout(0.0).callbacks.append(start)
         return finished
 
-    def _arrive(self, verb: "_Delivery", inj, prof, completions):
-        """A request of a batch a fault reaches arriving at its MN: crash
-        check (FAIL on the spot, no return leg), at-most-once apply,
-        gray-inflated service, a slot on the attempt's port.  Files the
-        completion; returns how long until the reply is back, or None if
-        the MN is down."""
+    def _note_request(self, prof, verb: _Delivery, t: float) -> None:
+        """The request leg of an attempt posted at ``t``: the client's post
+        overhead, then propagation plus the attempt's jitter."""
+        cfg = self.config
+        t_sent = t + cfg.post_overhead_us
+        prof.note("client", "post", t, t_sent)
+        prof.note("propagation", "net.request", t_sent,
+                  t_sent + cfg.one_way_delay_us + verb.fate.request_jitter_us)
+
+    def _arrive(self, verb: _Delivery, inj, prof, completions):
+        """A verb's request arriving at its MN, in either delivery shape:
+        crash check (FAIL on the spot, no return leg), apply (at most once
+        per token when the delivery has one), gray-inflated service, a slot
+        on the attempt's port.  Files the completion; returns how long
+        until the reply is back, or None if the MN is down."""
         env = self.env
+        stats = self.stats
         op, node, port, fate = verb.op, verb.node, verb.port, verb.fate
         env.note_access(("crash", op.mn_id), False)
         if node.crashed:
-            self.stats.failed_verbs += 1
+            stats.failed_verbs += 1
             completions[verb.i] = Completion(op, FAIL)
             return None
-        value, deduped = node.apply_once(verb.token, op)
-        if deduped:
-            self.stats.dedup_hits += 1
+        if verb.token is None:
+            value = node.apply(op)
+        else:
+            value, deduped = node.apply_once(verb.token, op)
+            if deduped:
+                stats.dedup_hits += 1
         completions[verb.i] = Completion(op, value)
         service = (self._service_time(node, op, verb.nbytes)
                    * inj.service_factor(op.mn_id, env._now, port=verb.pidx))
@@ -699,9 +662,9 @@ class Fabric:
         if fate.duplicate:
             # The fabric delivered the request twice: the second copy hits
             # the token cache (no re-execution) but still costs NIC service.
-            self.stats.duplicates += 1
+            stats.duplicates += 1
             if node.apply_once(verb.token, op)[1]:
-                self.stats.dedup_hits += 1
+                stats.dedup_hits += 1
             self._note_port(port)
             port.finish_time(service, env._now)
         one_way = self.config.one_way_delay_us
@@ -712,12 +675,12 @@ class Fabric:
                       done + one_way + fate.reply_jitter_us)
         return max(0.0, done - env._now) + one_way + fate.reply_jitter_us
 
-    def _deliver_verb(self, verb: "_Delivery", inj, completions, span, qp):
+    def _deliver_verb(self, verb: _Delivery, inj, completions, span, qp):
         env = self.env
         cfg = self.config
         policy = inj.retry
         op, node = verb.op, verb.node
-        self._count(op.__class__, op.mn_id, verb.nbytes)
+        self._count(verb)
         for attempt in range(1, policy.max_attempts + 1):
             if attempt > 1:
                 self.stats.transport_retries += 1
@@ -730,10 +693,11 @@ class Fabric:
                 yield _prop(env, cfg.fail_delay_us, "net.fail")
                 completions[verb.i] = Completion(op, FAIL)
                 return
-            # per-attempt salt: a retry re-hashes onto the next port
-            verb.pidx, verb.port = self._port_for(
-                node, op.__class__ is ReadOp, qp, salt=attempt - 1)
-            if attempt > 1:   # the first fate was drawn at post time
+            if attempt > 1:
+                # a retry re-hashes onto the next port (per-attempt salt)
+                # and draws its own fate; the first's were drawn at post
+                verb.pidx, verb.port = self._port_for(
+                    node, op.__class__ is ReadOp, qp, salt=attempt - 1)
                 verb.fate = inj.fate(verb_ident(op), op.mn_id, attempt,
                                      t_attempt, port=verb.pidx)
             fate = verb.fate
@@ -746,11 +710,7 @@ class Fabric:
                 continue
             prof = env._profiler
             if prof is not None:
-                t_sent = t_attempt + cfg.post_overhead_us
-                prof.note("client", "post", t_attempt, t_sent)
-                prof.note("propagation", "net.request", t_sent,
-                          t_sent + cfg.one_way_delay_us
-                          + fate.request_jitter_us)
+                self._note_request(prof, verb, t_attempt)
             yield env.timeout(cfg.post_overhead_us + cfg.one_way_delay_us
                               + fate.request_jitter_us)
             back = self._arrive(verb, inj, prof, completions)
@@ -860,7 +820,7 @@ class Fabric:
             if node.crashed:
                 yield _prop(env, cfg.one_way_delay_us, "net.fail")
                 return FAIL
-            cached = None if inj is None else node.rpc_reply_cached(token)
+            cached = None if inj is None else node.rpc_replies.get(token)
             if cached is not None:
                 self.stats.rpc_dedup_hits += 1
                 reply = cached[0]
@@ -888,7 +848,7 @@ class Fabric:
                 finally:
                     req.release()
                 if inj is not None:
-                    node.cache_rpc_reply(token, reply)
+                    node.rpc_replies.put(token, reply)
             if node.crashed:
                 yield _prop(env, cfg.one_way_delay_us, "net.fail")
                 return FAIL
@@ -927,15 +887,17 @@ class Fabric:
                 fixed + profile.byte_time(nbytes)
         return service
 
-    def _count(self, cls, mn_id: int, nbytes: int) -> None:
+    def _count(self, verb: _Delivery) -> None:
         stats = self.stats
+        cls = verb.op.__class__
         if cls is ReadOp:
             stats.reads += 1
         elif cls is WriteOp:
             stats.writes += 1
         else:
             stats.atomics += 1
-        stats.bytes_moved += nbytes
+        stats.bytes_moved += verb.nbytes
+        mn_id = verb.op.mn_id
         stats.per_mn_ops[mn_id] = stats.per_mn_ops.get(mn_id, 0) + 1
 
 

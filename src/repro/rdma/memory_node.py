@@ -27,19 +27,37 @@ from __future__ import annotations
 import mmap
 import struct
 from collections import OrderedDict
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Tuple
 
 from ..sim import Environment, NicPort, NicProfile, Resource
 from .verbs import WORD, CasOp, FaaOp, ReadOp, WriteOp
 
-__all__ = ["MemoryNode", "MASK64"]
+__all__ = ["MemoryNode", "MASK64", "TokenCache"]
 
 MASK64 = (1 << 64) - 1
+# Tokens an MN remembers per table (verb results, RPC replies).
+DEDUP_CAPACITY = 8192
 
 _U64 = struct.Struct(">Q")
 
 # An RPC handler maps a payload dict to (reply dict, cpu service time in us).
 RpcHandler = Callable[[dict], Tuple[dict, float]]
+
+
+class TokenCache(OrderedDict):
+    """First replies by idempotency token, so a re-delivery is answered
+    instead of re-executed.  Holds ``(reply,)``, so a None reply is still
+    a hit; past ``capacity`` tokens the oldest is evicted (FIFO: a hit
+    does not refresh it)."""
+
+    def __init__(self, capacity: int):
+        super().__init__()
+        self.capacity = capacity
+
+    def put(self, token: int, reply) -> None:
+        self[token] = (reply,)
+        if len(self) > self.capacity:
+            self.popitem(last=False)
 
 
 class MemoryNode:
@@ -112,9 +130,8 @@ class MemoryNode:
         # so a retransmission after a lost reply is answered from the
         # cache instead of re-executing — a retried CAS/FAA can never
         # double-apply and a retried ALLOC/FREE RPC can never re-run.
-        self._verb_results: "OrderedDict[int, tuple]" = OrderedDict()
-        self._rpc_replies: "OrderedDict[int, tuple]" = OrderedDict()
-        self.dedup_capacity = 8192
+        self._verb_results = TokenCache(DEDUP_CAPACITY)
+        self.rpc_replies = TokenCache(DEDUP_CAPACITY)
 
     # -- cluster-build-time helpers ---------------------------------------
     def carve(self, nbytes: int, align: int = WORD) -> int:
@@ -218,19 +235,8 @@ class MemoryNode:
         if hit is not None:
             return hit[0], True
         value = self.apply(op)
-        self._verb_results[token] = (value,)
-        if len(self._verb_results) > self.dedup_capacity:
-            self._verb_results.popitem(last=False)
+        self._verb_results.put(token, value)
         return value, False
-
-    def rpc_reply_cached(self, token: int) -> Optional[tuple]:
-        """``(reply,)`` if an RPC with this token already ran, else None."""
-        return self._rpc_replies.get(token)
-
-    def cache_rpc_reply(self, token: int, reply: dict) -> None:
-        self._rpc_replies[token] = (reply,)
-        if len(self._rpc_replies) > self.dedup_capacity:
-            self._rpc_replies.popitem(last=False)
 
     def _note_words(self, addr: int, length: int, write: bool) -> None:
         """Report touched 8-byte words to the schedule explorer, if any."""

@@ -9,7 +9,7 @@ from repro.core import ClusterConfig, FuseeCluster
 from repro.core.client import ClientCrashed, CrashPoint, OpResult
 from repro.core.snapshot import Outcome
 from repro.core.wire import unpack_slot
-from repro.rdma.verbs import ReadOp
+from repro.rdma.verbs import CasOp, ReadOp
 from tests.conftest import small_config, run
 
 
@@ -358,6 +358,73 @@ class TestVariants:
         cluster.env.run(until=cluster.env.all_of(procs))
         final = run(cluster, seed.search(b"hot"))
         assert final.ok
+
+    def test_sequential_update_waits_out_the_subtable_barrier(self):
+        # FUSEE-CR checks the master's barrier before every CAS round, as
+        # SNAPSHOT does: a barrier raised once the UPDATE is past its
+        # op-start check must still hold back every CAS on the slot
+        cluster = FuseeCluster(small_config(index_replication=2))
+        env, master = cluster.env, cluster.master
+        client = cluster.new_client(replication_mode="sequential")
+        run(cluster, client.insert(b"k", b"v1"))
+        subtable = cluster.race.key_meta(b"k").subtable
+        barrier = env.event()
+        posted = []
+        post = cluster.fabric.post
+
+        def spy(ops, *args, **kwargs):
+            if not posted:
+                master._blocked[subtable] = barrier
+            posted.extend(ops)
+            return post(ops, *args, **kwargs)
+
+        cluster.fabric.post = spy
+        update = env.process(client.update(b"k", b"v2"))
+        env.run(until=env.now + 200.0)
+        assert posted and not update.triggered
+        assert not any(isinstance(op, CasOp) for op in posted)
+        del master._blocked[subtable]
+        barrier.succeed()
+        assert env.run(until=update).ok
+        assert any(isinstance(op, CasOp) for op in posted)
+        assert run(cluster, client.search(b"k")).value == b"v2"
+
+    def test_sequential_round_cut_by_a_failover_defers_to_the_master(self):
+        # r=3: the primary's MN crashes while the first backup CAS is in
+        # flight.  The repair copies that backup's v_new onto the second
+        # backup while the round waits at the barrier; going on from the
+        # stale v_old would lose that CAS and undo the first backup, which
+        # is the reconfigured primary.  The master settles the slot instead
+        cluster = FuseeCluster(small_config(index_replication=3))
+        env, master, fabric = cluster.env, cluster.master, cluster.fabric
+        client = cluster.new_client(replication_mode="sequential")
+        run(cluster, client.insert(b"k", b"v1"))
+        ref = client.cache.peek(b"k").slot_ref
+        primary_mn = ref.primary()[0]
+        post_one = fabric.post_one
+
+        def spy(op, *args, **kwargs):
+            if (isinstance(op, CasOp) and not master.handled_mn_failures
+                    and (op.mn_id, op.addr) == ref.backups()[0]):
+                fabric.node(primary_mn).crash()
+                master.handled_mn_failures.append(primary_mn)
+                env.process(master.handle_mn_failure(primary_mn))
+            return post_one(op, *args, **kwargs)
+
+        fabric.post_one = spy
+        result = run(cluster, client.update(b"k", b"v2"))
+        assert master.handled_mn_failures == [primary_mn]
+        assert result.ok and result.outcome is Outcome.NEED_MASTER
+
+        def alive_words():
+            comps = yield fabric.post([ReadOp(mn, addr, 8)
+                                       for mn, addr in ref.locations()
+                                       if not fabric.node(mn).crashed])
+            return [int.from_bytes(c.value, "big") for c in comps]
+
+        words = run(cluster, alive_words())
+        assert len(words) == 2 and len(set(words)) == 1
+        assert run(cluster, client.search(b"k")).value == b"v2"
 
     def test_single_replica_config(self):
         cluster = FuseeCluster(small_config(n_memory_nodes=2,

@@ -36,6 +36,7 @@ from repro.faults import (
     run_campaign,
 )
 from repro.faults import retry as retry_mod
+from repro.rdma import Fabric, FabricConfig
 from repro.rdma.memory_node import MemoryNode
 from repro.rdma.verbs import CasOp, FaaOp
 from repro.sim import Environment
@@ -109,14 +110,20 @@ def test_mn_cas_dedup_returns_first_outcome():
 
 def test_mn_rpc_reply_cache_round_trip_and_eviction():
     mn = _bare_mn()
-    assert mn.rpc_reply_cached(1) is None
-    mn.cache_rpc_reply(1, {"ok": True, "block": 3})
-    assert mn.rpc_reply_cached(1) == ({"ok": True, "block": 3},)
-    mn.dedup_capacity = 4
-    for token in range(2, 10):
-        mn.cache_rpc_reply(token, {"ok": True})
-    assert mn.rpc_reply_cached(1) is None      # oldest evicted
-    assert mn.rpc_reply_cached(9) is not None
+    replies = mn.rpc_replies
+    assert replies.get(1) is None
+    replies.put(1, {"ok": True, "block": 3})
+    assert replies.get(1) == ({"ok": True, "block": 3},)
+    replies.capacity = 4
+    for token in range(2, 6):          # token 5 is the capacity + 1-th
+        replies.put(token, {"ok": True})
+    assert len(replies) == 4
+    assert replies.get(1) is None      # oldest evicted
+    assert replies.get(2) is not None
+    for token in range(6, 10):
+        replies.put(token, {"ok": True})
+    assert replies.get(5) is None
+    assert replies.get(9) is not None
 
 
 def test_master_rpc_dedup_runs_handler_once():
@@ -138,6 +145,82 @@ def test_master_rpc_dedup_runs_handler_once():
     assert run(cluster, master._dedup_call(None, handler("c"))) == "reply-c"
     assert run(cluster, master._dedup_call(None, handler("d"))) == "reply-d"
     assert calls == ["a", "c", "d"]
+
+
+def _returned(gen):
+    """The return value of a generator that finishes without yielding."""
+    with pytest.raises(StopIteration) as stop:
+        next(gen)
+    return stop.value.value
+
+
+class TestTokenCache:
+    """The MN verb results, the MN RPC replies and the master's client-RPC
+    results are one bounded FIFO cache each: a token within capacity is
+    answered from it, the (capacity + 1)-th evicts the oldest."""
+
+    def test_capacities(self):
+        mn = _bare_mn()
+        master = FuseeCluster(small_config()).master
+        assert (mn._verb_results.capacity, mn.rpc_replies.capacity,
+                master._rpc_results.capacity) == (8192, 8192, 4096)
+
+    def test_mn_verb_results_evict_the_oldest_at_capacity_plus_one(self):
+        mn = _bare_mn()
+        capacity = mn._verb_results.capacity
+        for token in range(capacity + 1):
+            assert mn.apply_once(token, FaaOp(mn_id=0, addr=0, delta=1)) \
+                == (token, False)
+        assert len(mn._verb_results) == capacity
+        # token 1 is still held: answered, memory untouched
+        assert mn.apply_once(1, FaaOp(mn_id=0, addr=0, delta=1)) == (1, True)
+        # token 0 was evicted: a re-delivery of it applies again
+        assert mn.apply_once(0, FaaOp(mn_id=0, addr=0, delta=1)) \
+            == (capacity + 1, False)
+
+    def test_mn_rpc_retransmission_is_answered_without_rerunning(self):
+        # MN 0 hears requests but its replies are lost until t=50: the
+        # first attempt runs the handler, the retransmission must not
+        env = Environment()
+        fab = Fabric(env, FabricConfig())
+        node = MemoryNode(env, 0, capacity=4096)
+        fab.add_node(node)
+        calls = []
+
+        def alloc(payload):
+            calls.append(payload)
+            return {"ok": True, "block": len(calls)}, 1.0
+
+        node.register_rpc("alloc", alloc)
+        fab.injector = FaultInjector(FaultPlan(partitions=[
+            Partition(a=CN, b=0, end_us=50.0, drop_requests=False)]))
+        reply = env.run(until=fab.rpc(0, "alloc", {"size": 64}))
+        assert reply == {"ok": True, "block": 1}
+        assert calls == [{"size": 64}]
+        assert fab.stats.rpc_retries >= 1
+        assert fab.stats.rpc_dedup_hits == fab.stats.rpc_retries
+        assert len(node.rpc_replies) == 1
+
+    def test_master_results_evict_the_oldest_at_capacity_plus_one(self):
+        master = FuseeCluster(small_config()).master
+        calls = []
+
+        def handler(tag):
+            calls.append(tag)
+            return tag
+            yield   # a generator, like every master RPC handler
+
+        capacity = master._rpc_results.capacity
+        for token in range(capacity + 1):
+            assert _returned(master._dedup_call(token, handler(token))) \
+                == token
+        assert len(master._rpc_results) == capacity
+        # a retransmission within capacity: the cached result, no re-run
+        assert _returned(master._dedup_call(1, handler("again"))) == 1
+        assert master.rpc_dedup_hits == 1
+        # token 0 was evicted: its retransmission runs the handler again
+        assert _returned(master._dedup_call(0, handler("rerun"))) == "rerun"
+        assert calls[-1] == "rerun" and "again" not in calls
 
 
 # --------------------------------------------------------------------------
