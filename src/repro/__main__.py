@@ -318,7 +318,7 @@ def cmd_check(args) -> int:
         if not args.scenario:
             print("--replay needs --scenario", file=sys.stderr)
             return 2
-        decisions = [int(d) for d in args.replay.split(",") if d.strip()]
+        decisions = args.replay
         scenario = SCENARIOS[args.scenario]()
         if args.mutation:
             with MUTATIONS[args.mutation]():
@@ -330,12 +330,18 @@ def cmd_check(args) -> int:
         print(f"  -> {violation or 'clean'}")
         return 0 if (violation is not None) == bool(args.mutation) else 1
 
+    def bounds(schedules: int, decisions: int):
+        """The documented bounds, unless a flag overrides them."""
+        return (schedules if args.max_schedules is None
+                else args.max_schedules,
+                decisions if args.max_decisions is None
+                else args.max_decisions)
+
     def detect(name: str) -> bool:
         """Explore a mutated protocol; True iff the mutation is caught."""
         spec = MUTATION_SPECS[name]
         factory = SCENARIOS[spec.scenario]
-        budget = args.max_schedules or spec.max_schedules
-        depth = args.max_decisions or spec.max_decisions
+        budget, depth = bounds(spec.max_schedules, spec.max_decisions)
         with MUTATIONS[name]():
             result = ScheduleExplorer(factory(), max_schedules=budget,
                                       max_decisions=depth).explore()
@@ -369,8 +375,7 @@ def cmd_check(args) -> int:
         spec_depth = max((s.max_decisions for s in MUTATION_SPECS.values()
                           if s.scenario == args.scenario), default=40)
         return 0 if clean(args.scenario,
-                          args.max_schedules or spec_budget,
-                          args.max_decisions or spec_depth) else 1
+                          *bounds(spec_budget, spec_depth)) else 1
 
     # Default: the full matrix — every mutation caught, every scenario
     # clean at the same documented bounds.
@@ -378,10 +383,33 @@ def cmd_check(args) -> int:
     for name in MUTATION_SPECS:
         ok = detect(name) and ok
     for name, spec in MUTATION_SPECS.items():
-        ok = clean(spec.scenario, args.max_schedules or spec.max_schedules,
-                   args.max_decisions or spec.max_decisions) and ok
+        ok = clean(spec.scenario,
+                   *bounds(spec.max_schedules, spec.max_decisions)) and ok
     print("check matrix:", "PASS" if ok else "FAIL")
     return 0 if ok else 1
+
+
+def _at_least(low: int):
+    """An argparse type: an integer no smaller than ``low``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < low:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer >= {low}, got {text!r}")
+        return value
+    return parse
+
+
+def _decisions(text: str) -> list:
+    """An argparse type: comma-separated non-negative integers."""
+    parts = [part.strip() for part in text.split(",") if part.strip()]
+    if not all(part.isascii() and part.isdigit() for part in parts):
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated non-negative integers, got {text!r}")
+    return [int(part) for part in parts]
 
 
 def cmd_faults(args) -> int:
@@ -664,14 +692,18 @@ def main(argv=None) -> int:
     check_parser.add_argument("--mutation", default=None,
                               help="explore one mutated protocol "
                                    "(expects a violation)")
-    check_parser.add_argument("--replay", default=None, metavar="0,1,0",
+    check_parser.add_argument("--replay", type=_decisions, default=None,
+                              metavar="0,1,0",
                               help="replay a recorded decision sequence "
                                    "(with --scenario, optionally "
                                    "--mutation)")
-    check_parser.add_argument("--max-schedules", type=int, default=None,
+    check_parser.add_argument("--max-schedules", type=_at_least(1),
+                              default=None,
                               help="override the documented schedule budget")
-    check_parser.add_argument("--max-decisions", type=int, default=None,
-                              help="override the branch depth bound")
+    check_parser.add_argument("--max-decisions", type=_at_least(0),
+                              default=None,
+                              help="override the branch depth bound (0: "
+                                   "the canonical schedule only)")
     check_parser.set_defaults(func=cmd_check)
 
     faults_parser = sub.add_parser(

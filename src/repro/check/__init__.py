@@ -15,7 +15,7 @@ The pieces (see docs/checking.md for the full story):
   catch within the budgets in :data:`MUTATION_SPECS`.
 """
 
-from .explore import ExploreResult, ScheduleExplorer, explore
+from .explore import ExploreResult, ScheduleExplorer
 from .history import LogicalClockTracer, kv_ops_from_spans
 from .minimize import MinimizeResult, format_repro, minimize_schedule
 from .mutations import MUTATION_SPECS, MUTATIONS, MutationSpec
@@ -31,7 +31,6 @@ __all__ = [
     "RedundantSchedule",
     "ScheduleExplorer",
     "ExploreResult",
-    "explore",
     "minimize_schedule",
     "MinimizeResult",
     "format_repro",

@@ -38,15 +38,19 @@ is visited (unless ``max_schedules`` truncates the run — reported via
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
 from .scheduler import (ControlledScheduler, RedundantSchedule,
                         ScheduleBudgetExceeded, SleepEntry)
 
-__all__ = ["ScheduleExplorer", "ExploreResult", "explore"]
+__all__ = ["ScheduleExplorer", "ExploreResult"]
 
 Scenario = Callable[[ControlledScheduler], Optional[str]]
+
+# Events one run may dispatch before it is abandoned as unfair or
+# divergent (``ExploreResult.aborted``); the minimizer replays with it too.
+MAX_STEPS = 50_000
 
 
 @dataclass
@@ -78,15 +82,11 @@ class ScheduleExplorer:
     def __init__(self, scenario: Scenario, *,
                  max_schedules: int = 2_000,
                  max_decisions: int = 40,
-                 max_steps: int = 50_000,
-                 dpor: bool = True,
-                 stop_on_violation: bool = True):
+                 dpor: bool = True):
         self.scenario = scenario
         self.max_schedules = max_schedules
         self.max_decisions = max_decisions
-        self.max_steps = max_steps
         self.dpor = dpor
-        self.stop_on_violation = stop_on_violation
 
     # ----------------------------------------------------------------- run
     def run_one(self, decisions: List[int],
@@ -97,8 +97,7 @@ class ScheduleExplorer:
         Returns ``(scheduler, violation, aborted, redundant)``.
         """
         sched = ControlledScheduler(decisions=decisions,
-                                    max_steps=self.max_steps,
-                                    sleep=sleep)
+                                    max_steps=MAX_STEPS, sleep=sleep)
         try:
             violation = self.scenario(sched)
         except ScheduleBudgetExceeded:
@@ -108,6 +107,8 @@ class ScheduleExplorer:
         return sched, violation, False, False
 
     def explore(self) -> ExploreResult:
+        """Explore until the first violation, the schedule budget, or
+        an exhausted frontier."""
         result = ExploreResult(complete=True)
         # Stack of (prefix, sleep entries) still to expand; seeded with the
         # canonical run (empty prefix, nothing asleep).
@@ -127,12 +128,11 @@ class ScheduleExplorer:
             if redundant:
                 result.redundant += 1
                 continue   # covered by a sibling subtree: nothing to expand
-            if violation is not None and result.violation is None:
+            if violation is not None:
                 result.violation = violation
                 result.violating_decisions = list(sched.trace)
-                if self.stop_on_violation:
-                    result.complete = False
-                    return result
+                result.complete = False
+                return result
             self._expand(sched, prefix, sleep, aborted, frontier, result)
         if frontier:
             result.complete = False
@@ -172,8 +172,3 @@ class ScheduleExplorer:
                     fp_j = sched.footprint_of(bp.events[j])
                     if fp_j is not None:
                         covered.append((i, j, fp_j))
-
-
-def explore(scenario: Scenario, **kwargs) -> ExploreResult:
-    """Convenience wrapper: ``ScheduleExplorer(scenario, **kwargs).explore()``."""
-    return ScheduleExplorer(scenario, **kwargs).explore()

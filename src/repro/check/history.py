@@ -68,8 +68,8 @@ class LogicalClockTracer(Tracer):
     linearizability history).
     """
 
-    def __init__(self, clock, env=None, enabled: bool = True):
-        super().__init__(env=env, enabled=enabled)
+    def __init__(self, clock, env=None):
+        super().__init__(env=env)
         self.clock = clock
 
     def begin_span(self, op, cid, key=None, wrote=None) -> Span:

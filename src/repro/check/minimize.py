@@ -23,11 +23,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Optional
 
+from .explore import MAX_STEPS
 from .scheduler import ControlledScheduler, ScheduleBudgetExceeded
 
 __all__ = ["MinimizeResult", "minimize_schedule", "format_repro"]
 
 Scenario = Callable[[ControlledScheduler], Optional[str]]
+
+# Scenario runs one minimization may spend; past it the sequence found
+# so far is returned.
+MAX_RUNS = 500
 
 
 @dataclass
@@ -51,9 +56,8 @@ def _strip_zeros(decisions: List[int]) -> List[int]:
     return decisions[:end]
 
 
-def minimize_schedule(scenario: Scenario, decisions: List[int], *,
-                      max_steps: int = 50_000,
-                      max_runs: int = 500) -> Optional[MinimizeResult]:
+def minimize_schedule(scenario: Scenario,
+                      decisions: List[int]) -> Optional[MinimizeResult]:
     """Shrink ``decisions`` to a minimal sequence that still violates.
 
     Returns ``None`` if the input sequence does not reproduce a violation
@@ -64,11 +68,10 @@ def minimize_schedule(scenario: Scenario, decisions: List[int], *,
 
     def fails(candidate: List[int]) -> Optional[str]:
         nonlocal runs
-        if runs >= max_runs:
+        if runs >= MAX_RUNS:
             return None
         runs += 1
-        sched = ControlledScheduler(decisions=candidate,
-                                    max_steps=max_steps)
+        sched = ControlledScheduler(decisions=candidate, max_steps=MAX_STEPS)
         try:
             return scenario(sched)
         except ScheduleBudgetExceeded:

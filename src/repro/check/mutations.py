@@ -1,7 +1,8 @@
 """Known-bad protocol mutations, for validating the schedule explorer.
 
-Each mutation is a context manager that monkey-patches one protocol
-decision the FUSEE papers argue is load-bearing.  The harness
+Each mutation, called with no arguments, gives a context manager that
+monkey-patches one protocol decision the FUSEE papers argue is
+load-bearing (through :func:`_patch`).  The harness
 (``tests/test_check.py``, ``python -m repro check``) asserts that the
 explorer finds a violating schedule for every mutation within its
 documented budget — i.e. that the checker would actually catch these
@@ -17,6 +18,7 @@ from __future__ import annotations
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict
 
 from ..core import client as client_mod
@@ -39,18 +41,27 @@ class MutationSpec:
     the same exploration clean.
     """
 
-    name: str
     scenario: str            # key into repro.check.scenarios.SCENARIOS
     max_schedules: int
     max_decisions: int
     description: str
 
 
+@contextmanager
+def _patch(owner, name: str, replacement):
+    """Set ``owner.name`` to ``replacement`` for the ``with`` block."""
+    original = getattr(owner, name)
+    setattr(owner, name, replacement)
+    try:
+        yield
+    finally:
+        setattr(owner, name, original)
+
+
 # --------------------------------------------------------------------------
 # skip-cas-recheck — Algorithm 2 without re-checking CAS results
 # --------------------------------------------------------------------------
 
-@contextmanager
 def skip_cas_recheck():
     """Writers no longer re-check that the unanimous/majority value in
     ``v_list`` is *their own* before declaring victory.
@@ -74,11 +85,7 @@ def skip_cas_recheck():
             return RuleDecision.RULE2   # BUG: same
         return original(v_list, v_new, check_value=check_value, v_old=v_old)
 
-    snapshot_mod.evaluate_rules = mutated
-    try:
-        yield
-    finally:
-        snapshot_mod.evaluate_rules = original
+    return _patch(snapshot_mod, "evaluate_rules", mutated)
 
 
 # --------------------------------------------------------------------------
@@ -121,26 +128,14 @@ def _primary_first_write(fabric, ref, v_old: int, v_new: int, on_win=None,
     return WriteResult(Outcome.WIN_RULE1, v_old, v_new, v_new, rtts)
 
 
-@contextmanager
-def reorder_replica_writes():
-    original = snapshot_mod.snapshot_write
-    snapshot_mod.snapshot_write = _primary_first_write
-    try:
-        yield
-    finally:
-        snapshot_mod.snapshot_write = original
-
-
 # --------------------------------------------------------------------------
 # drop-invalidation-write — winner skips marking the displaced object
 # --------------------------------------------------------------------------
 
-@contextmanager
 def drop_invalidation_write():
     """The winning writer frees the displaced object but never writes its
     invalidation flag (§4.6), so clients with a stale cached pointer can
     keep validating the dead value forever."""
-    original = client_mod.FuseeClient._after_win
 
     def mutated(self, key, meta, ref, v_old, v_new, opcode):
         if v_old != 0:
@@ -150,11 +145,7 @@ def drop_invalidation_write():
         else:
             self.cache.store(key, ref, v_new)
 
-    client_mod.FuseeClient._after_win = mutated
-    try:
-        yield
-    finally:
-        client_mod.FuseeClient._after_win = original
+    return _patch(client_mod.FuseeClient, "_after_win", mutated)
 
 
 # --------------------------------------------------------------------------
@@ -172,8 +163,6 @@ def insert_skip_conflict_recheck():
     Each masks the other's absence in the common interleavings, so this
     mutation strips both — modelling an insert path with no duplicate
     detection at all, which double-inserts the key."""
-    original_recheck = client_mod.FuseeClient._insert_conflict_recheck
-    original_dedup = client_mod.FuseeClient._insert_dedup
 
     def mutated_recheck(self, key, meta, committed):
         return False
@@ -183,20 +172,16 @@ def insert_skip_conflict_recheck():
         return True
         yield  # pragma: no cover — keeps this a generator like the original
 
-    client_mod.FuseeClient._insert_conflict_recheck = mutated_recheck
-    client_mod.FuseeClient._insert_dedup = mutated_dedup
-    try:
+    with _patch(client_mod.FuseeClient, "_insert_conflict_recheck",
+                mutated_recheck), \
+            _patch(client_mod.FuseeClient, "_insert_dedup", mutated_dedup):
         yield
-    finally:
-        client_mod.FuseeClient._insert_conflict_recheck = original_recheck
-        client_mod.FuseeClient._insert_dedup = original_dedup
 
 
 # --------------------------------------------------------------------------
 # insert-skip-dedup-sweep — winner skips the post-install duplicate re-read
 # --------------------------------------------------------------------------
 
-@contextmanager
 def insert_skip_dedup_sweep():
     """A winning inserter skips RACE's post-install bucket re-read.
 
@@ -206,17 +191,12 @@ def insert_skip_dedup_sweep():
     reads, the two inserters pick *different* empty slots, both CASes
     succeed, and only the post-install sweep can notice the duplicate —
     skipping it yields two ok=True inserts of one key."""
-    original = client_mod.FuseeClient._insert_dedup
 
     def mutated(self, key, meta, ref, prepared):
         return True
         yield  # pragma: no cover — keeps this a generator like the original
 
-    client_mod.FuseeClient._insert_dedup = mutated
-    try:
-        yield
-    finally:
-        client_mod.FuseeClient._insert_dedup = original
+    return _patch(client_mod.FuseeClient, "_insert_dedup", mutated)
 
 
 # --------------------------------------------------------------------------
@@ -251,16 +231,6 @@ def _unvalidated_swarm_read(fabric, ref, rotation=0,
     return ReadResult(value=int.from_bytes(comp.value, "big"),
                       from_backups=chosen != locations[0], rtts=1,
                       validated=True)  # BUG: claimed, never checked
-
-
-@contextmanager
-def swarm_skip_ts_validation():
-    original = replication_mod.swarm_read
-    replication_mod.swarm_read = _unvalidated_swarm_read
-    try:
-        yield
-    finally:
-        replication_mod.swarm_read = original
 
 
 # --------------------------------------------------------------------------
@@ -301,16 +271,6 @@ def _early_ack_swarm_write(fabric, ref, v_old, v_new, on_win=None,
         yield from on_win(v_old)
         rtts += 1
     return WriteResult(Outcome.WIN_SWARM, v_old, v_new, v_new, rtts)
-
-
-@contextmanager
-def swarm_early_ack():
-    original = replication_mod.swarm_write
-    replication_mod.swarm_write = _early_ack_swarm_write
-    try:
-        yield
-    finally:
-        replication_mod.swarm_write = original
 
 
 # --------------------------------------------------------------------------
@@ -357,34 +317,27 @@ def _blind_fixup_swarm_write(fabric, ref, v_old, v_new, on_win=None,
     return WriteResult(outcome, v_old, v_new, v_new, rtts)
 
 
-@contextmanager
-def swarm_nonmonotonic_fixup():
-    original = replication_mod.swarm_write
-    replication_mod.swarm_write = _blind_fixup_swarm_write
-    try:
-        yield
-    finally:
-        replication_mod.swarm_write = original
-
-
 # --------------------------------------------------------------------------
 # Registry + documented detection budgets
 # --------------------------------------------------------------------------
 
 MUTATIONS: Dict[str, Callable] = {
     "skip-cas-recheck": skip_cas_recheck,
-    "reorder-replica-writes": reorder_replica_writes,
+    "reorder-replica-writes": partial(
+        _patch, snapshot_mod, "snapshot_write", _primary_first_write),
     "drop-invalidation-write": drop_invalidation_write,
     "insert-skip-conflict-recheck": insert_skip_conflict_recheck,
     "insert-skip-dedup-sweep": insert_skip_dedup_sweep,
-    "swarm-skip-ts-validation": swarm_skip_ts_validation,
-    "swarm-early-ack": swarm_early_ack,
-    "swarm-nonmonotonic-fixup": swarm_nonmonotonic_fixup,
+    "swarm-skip-ts-validation": partial(
+        _patch, replication_mod, "swarm_read", _unvalidated_swarm_read),
+    "swarm-early-ack": partial(
+        _patch, replication_mod, "swarm_write", _early_ack_swarm_write),
+    "swarm-nonmonotonic-fixup": partial(
+        _patch, replication_mod, "swarm_write", _blind_fixup_swarm_write),
 }
 
 MUTATION_SPECS: Dict[str, MutationSpec] = {
     "skip-cas-recheck": MutationSpec(
-        name="skip-cas-recheck",
         scenario="slot-write-race",
         max_schedules=256,
         max_decisions=24,
@@ -392,21 +345,18 @@ MUTATION_SPECS: Dict[str, MutationSpec] = {
                     "value the backup CASes installed",
     ),
     "reorder-replica-writes": MutationSpec(
-        name="reorder-replica-writes",
         scenario="slot-crash-read",
         max_schedules=256,
         max_decisions=24,
         description="primary replica committed before the backups",
     ),
     "drop-invalidation-write": MutationSpec(
-        name="drop-invalidation-write",
         scenario="cluster-update-invalidate",
         max_schedules=64,
         max_decisions=24,
         description="winner never marks the displaced object invalid",
     ),
     "insert-skip-conflict-recheck": MutationSpec(
-        name="insert-skip-conflict-recheck",
         scenario="cluster-insert-race",
         max_schedules=256,
         max_decisions=32,
@@ -414,7 +364,6 @@ MUTATION_SPECS: Dict[str, MutationSpec] = {
                     "key and double-inserts",
     ),
     "insert-skip-dedup-sweep": MutationSpec(
-        name="insert-skip-dedup-sweep",
         scenario="cluster-insert-delete-race",
         max_schedules=16384,   # catch ~330; clean exhausts ~9.8k (complete)
         max_decisions=40,
@@ -422,7 +371,6 @@ MUTATION_SPECS: Dict[str, MutationSpec] = {
                     "re-read, missing a duplicate in a different slot",
     ),
     "swarm-skip-ts-validation": MutationSpec(
-        name="swarm-skip-ts-validation",
         scenario="swarm-write-race",
         max_schedules=32768,   # catch ~3.2k; clean exhausts ~25.4k
         max_decisions=24,
@@ -430,7 +378,6 @@ MUTATION_SPECS: Dict[str, MutationSpec] = {
                     "without validating the primary timestamp",
     ),
     "swarm-early-ack": MutationSpec(
-        name="swarm-early-ack",
         scenario="swarm-crash-read",
         max_schedules=1024,    # catch ~16; clean exhausts ~150
         max_decisions=24,
@@ -438,7 +385,6 @@ MUTATION_SPECS: Dict[str, MutationSpec] = {
                     "backup broadcast still in flight",
     ),
     "swarm-nonmonotonic-fixup": MutationSpec(
-        name="swarm-nonmonotonic-fixup",
         scenario="swarm-write-chain",
         max_schedules=2048,    # catch ~260; clean exhausts ~380
         max_decisions=32,

@@ -72,6 +72,8 @@ ZERO_COST_NIC = NicProfile(op_overhead=0.0, atomic_overhead=0.0,
 # --------------------------------------------------------------------------
 
 def _slot_world(sched: ControlledScheduler, replicas: int):
+    """One slot replicated on ``replicas`` free MNs, and its (empty)
+    register history."""
     env = Environment()
     env.set_scheduler(sched)
     fabric = Fabric(env, ZERO_LATENCY_FABRIC)
@@ -80,7 +82,75 @@ def _slot_world(sched: ControlledScheduler, replicas: int):
                                    cpu_cores=1))
     ref = SlotRef(subtable=0, slot_index=0,
                   placement=tuple((mn, 0) for mn in range(replicas)))
-    return env, fabric, ref
+    return env, fabric, ref, History(initial_value=0)
+
+
+def _write(sched: ControlledScheduler, history: History, results: Dict,
+           value: int, write, done: str):
+    """Run ``write`` (a writer's protocol generator for ``value``), keep
+    its result in ``results[value]`` and record it: as a completed write
+    when its outcome is ``done`` (``"completed"`` or ``"won"``), else as
+    a pending one."""
+    invoked = sched.logical_clock()
+    results[value] = res = yield from write
+    if getattr(res.outcome, done):
+        history.record("w", value, invoked, sched.logical_clock())
+    else:
+        history.record_pending("w", value, invoked)
+
+
+def _reads(sched: ControlledScheduler, history: History, read,
+           times: int):
+    """``times`` sequential reads, each a fresh ``read()`` generator; a
+    read that returned a value is recorded, one that returned none is
+    not (it constrains nothing)."""
+    for _ in range(times):
+        invoked = sched.logical_clock()
+        res = yield from read()
+        if res.value is not None:
+            history.record("r", res.value, invoked, sched.logical_clock())
+
+
+def _crash_primary(env: Environment, fabric: Fabric, ref: SlotRef):
+    yield env.timeout(0.0)
+    fabric.node(ref.primary()[0]).crash()
+
+
+def _plant(env: Environment, fabric: Fabric, ref: SlotRef, value: int):
+    """A straggler's raw conflicting ``CAS(0 -> value)`` on the first
+    backup: a same-round writer whose client died before reaching the
+    primary.  The word commits nowhere, so it is deliberately *not* in
+    the history and no read path may ever return it; whoever wins the
+    slot owns converging it away."""
+    mn, addr = ref.backups()[0]
+    yield env.timeout(0.0)
+    yield fabric.post_one(CasOp(mn, addr, expected=0, swap=value))
+
+
+def _diverged(fabric: Fabric, replicas: int, what: str, winners=(),
+              verb: str = "wrote") -> Optional[str]:
+    """The violation if the replicas disagree at quiescence (``what``
+    names it), or agree on something other than the round's winner."""
+    words = {mn: fabric.node(mn).read_word(0) for mn in range(replicas)}
+    if len(set(words.values())) > 1:
+        return f"{what}: {words}"
+    if winners and words[0] != winners[0]:
+        return (f"winner {verb} {winners[0]} but replicas hold "
+                f"{words[0]} at quiescence")
+    return None
+
+
+def _register_verdict(history: History, what: str) -> Optional[str]:
+    if check_linearizable(history):
+        return None
+    ops = [(op.kind, op.value, op.invoked, op.completed)
+           for op in history.ops]
+    return f"{what}: {ops}"
+
+
+def _no_master(results: Dict) -> bool:
+    return all(r.outcome is not snapshot_mod.Outcome.NEED_MASTER
+               for r in results.values())
 
 
 def make_slot_write_race(writers: int = 2, readers: int = 1,
@@ -93,32 +163,20 @@ def make_slot_write_race(writers: int = 2, readers: int = 1,
     """
 
     def scenario(sched: ControlledScheduler) -> Optional[str]:
-        env, fabric, ref = _slot_world(sched, replicas)
-        history = History(initial_value=0)
+        env, fabric, ref, history = _slot_world(sched, replicas)
         results = {}
 
-        def writer(val: int):
-            invoked = sched.logical_clock()
-            res = yield from snapshot_mod.snapshot_write(
-                fabric, ref, 0, val, retry_sleep_us=1.0, max_wait_rounds=64)
-            results[val] = res
-            if res.outcome.completed:
-                history.record("w", val, invoked, sched.logical_clock())
-            else:
-                history.record_pending("w", val, invoked)
-
-        def reader():
-            for _ in range(2):
-                invoked = sched.logical_clock()
-                res = yield from snapshot_mod.snapshot_read(fabric, ref)
-                if res.value is not None:
-                    history.record("r", res.value, invoked,
-                                   sched.logical_clock())
+        def read():
+            return snapshot_mod.snapshot_read(fabric, ref)
 
         for i in range(writers):
-            env.process(writer(100 + i), name=f"writer-{i}")
+            write = snapshot_mod.snapshot_write(
+                fabric, ref, 0, 100 + i, retry_sleep_us=1.0,
+                max_wait_rounds=64)
+            env.process(_write(sched, history, results, 100 + i, write,
+                               "completed"), name=f"writer-{i}")
         for i in range(readers):
-            env.process(reader(), name=f"reader-{i}")
+            env.process(_reads(sched, history, read, 2), name=f"reader-{i}")
         env.run()
 
         winners = sorted(v for v, r in results.items() if r.outcome.won)
@@ -127,17 +185,29 @@ def make_slot_write_race(writers: int = 2, readers: int = 1,
                     f"(SNAPSHOT guarantees a unique winner)")
         if len(results) == writers and not winners:
             return "no writer won although every writer completed"
-        words = {mn: fabric.node(mn).read_word(0) for mn in range(replicas)}
-        if len(set(words.values())) > 1:
-            return f"replica divergence at quiescence: {words}"
-        if winners and words[0] != winners[0]:
-            return (f"winner wrote {winners[0]} but replicas hold "
-                    f"{words[0]} at quiescence")
-        if not check_linearizable(history):
-            ops = [(op.kind, op.value, op.invoked, op.completed)
-                   for op in history.ops]
-            return f"slot history not linearizable as a register: {ops}"
-        return None
+        return (_diverged(fabric, replicas,
+                          "replica divergence at quiescence", winners)
+                or _register_verdict(
+                    history, "slot history not linearizable as a register"))
+
+    return scenario
+
+
+def _crash_read(write, read, done: str, what: str,
+                replicas: int) -> Scenario:
+    """A writer of 100, two sequential reads and a primary crash, over
+    the protocol generators ``write(fabric, ref)`` / ``read(fabric,
+    ref)``; ``done`` is the outcome that completes the write."""
+
+    def scenario(sched: ControlledScheduler) -> Optional[str]:
+        env, fabric, ref, history = _slot_world(sched, replicas)
+        env.process(_write(sched, history, {}, 100, write(fabric, ref),
+                           done), name="writer")
+        env.process(_reads(sched, history, lambda: read(fabric, ref), 2),
+                    name="reader")
+        env.process(_crash_primary(env, fabric, ref), name="crasher")
+        env.run()
+        return _register_verdict(history, what)
 
     return scenario
 
@@ -151,45 +221,12 @@ def make_slot_crash_read(replicas: int = 3) -> Scenario:
     the scenario that distinguishes backups-first from primary-first
     replica write ordering.
     """
-
-    def scenario(sched: ControlledScheduler) -> Optional[str]:
-        env, fabric, ref = _slot_world(sched, replicas)
-        history = History(initial_value=0)
-
-        def writer():
-            invoked = sched.logical_clock()
-            res = yield from snapshot_mod.snapshot_write(
-                fabric, ref, 0, 100, retry_sleep_us=1.0, max_wait_rounds=16)
-            if res.outcome.completed:
-                history.record("w", 100, invoked, sched.logical_clock())
-            else:
-                history.record_pending("w", 100, invoked)
-
-        def reader():
-            for _ in range(2):
-                invoked = sched.logical_clock()
-                res = yield from snapshot_mod.snapshot_read(fabric, ref)
-                if res.value is not None:
-                    history.record("r", res.value, invoked,
-                                   sched.logical_clock())
-
-        def crasher():
-            yield env.timeout(0.0)
-            fabric.node(ref.primary()[0]).crash()
-
-        env.process(writer(), name="writer")
-        env.process(reader(), name="reader")
-        env.process(crasher(), name="crasher")
-        env.run()
-
-        if not check_linearizable(history):
-            ops = [(op.kind, op.value, op.invoked, op.completed)
-                   for op in history.ops]
-            return (f"crash-read history not linearizable as a register: "
-                    f"{ops}")
-        return None
-
-    return scenario
+    return _crash_read(
+        lambda fabric, ref: snapshot_mod.snapshot_write(
+            fabric, ref, 0, 100, retry_sleep_us=1.0, max_wait_rounds=16),
+        lambda fabric, ref: snapshot_mod.snapshot_read(fabric, ref),
+        "completed", "crash-read history not linearizable as a register",
+        replicas)
 
 
 def make_slot_write_race_lossy(writers: int = 2, replicas: int = 3) -> Scenario:
@@ -208,44 +245,29 @@ def make_slot_write_race_lossy(writers: int = 2, replicas: int = 3) -> Scenario:
         seed=7)
 
     def scenario(sched: ControlledScheduler) -> Optional[str]:
-        env, fabric, ref = _slot_world(sched, replicas)
+        env, fabric, ref, history = _slot_world(sched, replicas)
         fabric.injector = FaultInjector(
             plan, retry=RetryPolicy(max_attempts=4, verb_timeout_us=4.0,
                                     backoff_base_us=1.0, backoff_cap_us=8.0))
-        history = History(initial_value=0)
         results = {}
-
-        def writer(val: int):
-            invoked = sched.logical_clock()
-            res = yield from snapshot_mod.snapshot_write(
-                fabric, ref, 0, val, retry_sleep_us=1.0, max_wait_rounds=64)
-            results[val] = res
-            if res.outcome.completed:
-                history.record("w", val, invoked, sched.logical_clock())
-            else:
-                history.record_pending("w", val, invoked)
-
         for i in range(writers):
-            env.process(writer(100 + i), name=f"writer-{i}")
+            write = snapshot_mod.snapshot_write(
+                fabric, ref, 0, 100 + i, retry_sleep_us=1.0,
+                max_wait_rounds=64)
+            env.process(_write(sched, history, results, 100 + i, write,
+                               "completed"), name=f"writer-{i}")
         env.run()
 
         winners = sorted(v for v, r in results.items() if r.outcome.won)
         if len(winners) > 1:
             return (f"two last writers decided for one round under loss: "
                     f"{winners}")
-        uncertain = [v for v, r in results.items()
-                     if not r.outcome.completed]
-        if not uncertain:
-            # Every round decided without the master: replicas converge.
-            words = {mn: fabric.node(mn).read_word(0)
-                     for mn in range(replicas)}
-            if len(set(words.values())) > 1:
-                return f"replica divergence without NEED_MASTER: {words}"
-        if not check_linearizable(history):
-            ops = [(op.kind, op.value, op.invoked, op.completed)
-                   for op in history.ops]
-            return f"lossy slot history not linearizable: {ops}"
-        return None
+        # Every round decided without the master: replicas converge.
+        return (all(r.outcome.completed for r in results.values())
+                and _diverged(fabric, replicas,
+                              "replica divergence without NEED_MASTER")
+                or _register_verdict(history,
+                                     "lossy slot history not linearizable"))
 
     return scenario
 
@@ -271,45 +293,28 @@ def make_swarm_write_race(writers: int = 2, readers: int = 2,
     """
 
     def scenario(sched: ControlledScheduler) -> Optional[str]:
-        env, fabric, ref = _slot_world(sched, replicas)
-        history = History(initial_value=0)
+        env, fabric, ref, history = _slot_world(sched, replicas)
         results = {}
 
-        def straggler():
-            # Uncommitted loser debris; the round winner converges it.
-            mn, addr = ref.backups()[0]
-            yield env.timeout(0.0)
-            yield fabric.post_one(CasOp(mn, addr, expected=0, swap=77))
-
-        def writer(val: int):
-            invoked = sched.logical_clock()
-            res = yield from replication_mod.swarm_write(fabric, ref, 0, val)
-            results[val] = res
-            if res.outcome.won:
-                history.record("w", val, invoked, sched.logical_clock())
-            else:
-                # LOSE included: a swarm loser returns in 1 RTT without
-                # waiting out the round, so its invocation may postdate
-                # the winner's commit — pinning it "immediately before
-                # the winner" could fall outside its own window.  Its
-                # value is transient-or-nothing: a pending op.
-                history.record_pending("w", val, invoked)
-
-        def reader(rotation: int):
-            invoked = sched.logical_clock()
-            res = yield from replication_mod.swarm_read(
+        def read(rotation: int):
+            return lambda: replication_mod.swarm_read(
                 fabric, ref, rotation=rotation, max_validate_rounds=2)
-            if res.value is not None:
-                history.record("r", res.value, invoked,
-                               sched.logical_clock())
 
         for i in range(writers):
-            env.process(writer(100 + i), name=f"writer-{i}")
-        env.process(straggler(), name="straggler")
+            # A LOSE is recorded pending: a swarm loser returns in 1 RTT
+            # without waiting out the round, so its invocation may
+            # postdate the winner's commit — pinning it "immediately
+            # before the winner" could fall outside its own window.  Its
+            # value is transient-or-nothing: a pending op.
+            write = replication_mod.swarm_write(fabric, ref, 0, 100 + i)
+            env.process(_write(sched, history, results, 100 + i, write,
+                               "won"), name=f"writer-{i}")
+        env.process(_plant(env, fabric, ref, 77), name="straggler")
         for i in range(readers):
             # rotation=i+1 spreads readers across distinct backups on an
             # idle fabric (reader replicas-1 lands on the debris target).
-            env.process(reader(i + 1), name=f"reader-{i}")
+            env.process(_reads(sched, history, read(i + 1), 1),
+                        name=f"reader-{i}")
         env.run()
 
         winners = sorted(v for v, r in results.items() if r.outcome.won)
@@ -318,20 +323,12 @@ def make_swarm_write_race(writers: int = 2, readers: int = 2,
                     f"{winners} (the primary CAS admits one winner)")
         if len(results) == writers and not winners:
             return "no writer won although every writer completed"
-        if all(r.outcome is not snapshot_mod.Outcome.NEED_MASTER
-               for r in results.values()):
-            words = {mn: fabric.node(mn).read_word(0)
-                     for mn in range(replicas)}
-            if len(set(words.values())) > 1:
-                return f"replica divergence at quiescence: {words}"
-            if winners and words[0] != winners[0]:
-                return (f"winner installed {winners[0]} but replicas hold "
-                        f"{words[0]} at quiescence")
-        if not check_linearizable(history):
-            ops = [(op.kind, op.value, op.invoked, op.completed)
-                   for op in history.ops]
-            return f"swarm history not linearizable as a register: {ops}"
-        return None
+        return (_no_master(results)
+                and _diverged(fabric, replicas,
+                              "replica divergence at quiescence", winners,
+                              "installed")
+                or _register_verdict(
+                    history, "swarm history not linearizable as a register"))
 
     return scenario
 
@@ -348,44 +345,11 @@ def make_swarm_crash_read(replicas: int = 3) -> Scenario:
     degraded backup-unanimity reads are only sound without a concurrent
     multi-writer conflict.)
     """
-
-    def scenario(sched: ControlledScheduler) -> Optional[str]:
-        env, fabric, ref = _slot_world(sched, replicas)
-        history = History(initial_value=0)
-
-        def writer():
-            invoked = sched.logical_clock()
-            res = yield from replication_mod.swarm_write(fabric, ref, 0, 100)
-            if res.outcome.won:
-                history.record("w", 100, invoked, sched.logical_clock())
-            else:
-                history.record_pending("w", 100, invoked)
-
-        def reader():
-            for _ in range(2):
-                invoked = sched.logical_clock()
-                res = yield from replication_mod.swarm_read(fabric, ref)
-                if res.value is not None:
-                    history.record("r", res.value, invoked,
-                                   sched.logical_clock())
-
-        def crasher():
-            yield env.timeout(0.0)
-            fabric.node(ref.primary()[0]).crash()
-
-        env.process(writer(), name="writer")
-        env.process(reader(), name="reader")
-        env.process(crasher(), name="crasher")
-        env.run()
-
-        if not check_linearizable(history):
-            ops = [(op.kind, op.value, op.invoked, op.completed)
-                   for op in history.ops]
-            return (f"swarm crash-read history not linearizable as a "
-                    f"register: {ops}")
-        return None
-
-    return scenario
+    return _crash_read(
+        lambda fabric, ref: replication_mod.swarm_write(fabric, ref, 0, 100),
+        lambda fabric, ref: replication_mod.swarm_read(fabric, ref),
+        "won", "swarm crash-read history not linearizable as a register",
+        replicas)
 
 
 def make_swarm_write_chain(replicas: int = 3) -> Scenario:
@@ -407,26 +371,8 @@ def make_swarm_write_chain(replicas: int = 3) -> Scenario:
     """
 
     def scenario(sched: ControlledScheduler) -> Optional[str]:
-        env, fabric, ref = _slot_world(sched, replicas)
-        history = History(initial_value=0)
-        results = []
-
-        def writer(val: int):
-            invoked = sched.logical_clock()
-            res = yield from replication_mod.swarm_write(fabric, ref, 0, val)
-            results.append((0, val, res))
-            if res.outcome.won:
-                history.record("w", val, invoked, sched.logical_clock())
-            else:
-                history.record_pending("w", val, invoked)
-
-        def straggler():
-            # An uncommitted loser word: never reaches the primary, so no
-            # read path may ever return it — it is deliberately *not* in
-            # the history.  Whoever wins the slot owns converging it away.
-            mn, addr = ref.backups()[0]
-            yield env.timeout(0.0)
-            yield fabric.post_one(CasOp(mn, addr, expected=0, swap=101))
+        env, fabric, ref, history = _slot_world(sched, replicas)
+        results = {}
 
         def chained(val: int):
             invoked = sched.logical_clock()
@@ -434,40 +380,32 @@ def make_swarm_write_chain(replicas: int = 3) -> Scenario:
             comp = yield fabric.post_one(ReadOp(primary_mn, primary_addr, 8))
             observed = int.from_bytes(comp.value, "big")
             history.record("r", observed, invoked, sched.logical_clock())
-            invoked = sched.logical_clock()
-            res = yield from replication_mod.swarm_write(
-                fabric, ref, observed, val)
-            results.append((observed, val, res))
-            if res.outcome.won:
-                history.record("w", val, invoked, sched.logical_clock())
-            else:
-                history.record_pending("w", val, invoked)
+            yield from _write(
+                sched, history, results, val,
+                replication_mod.swarm_write(fabric, ref, observed, val),
+                "won")
 
-        env.process(writer(100), name="writer-0")
-        env.process(straggler(), name="straggler")
+        env.process(_write(sched, history, results, 100,
+                           replication_mod.swarm_write(fabric, ref, 0, 100),
+                           "won"), name="writer-0")
+        env.process(_plant(env, fabric, ref, 101), name="straggler")
         env.process(chained(200), name="chained")
         env.run()
 
         rounds: Dict[int, List] = {}
-        for v_old, v_new, res in results:
+        for res in results.values():
             if res.outcome.won:
-                rounds.setdefault(v_old, []).append(v_new)
+                rounds.setdefault(res.v_old, []).append(res.v_new)
         for v_old, winners in rounds.items():
             if len(winners) > 1:
                 return (f"round v_old={v_old} has {len(winners)} winners: "
                         f"{sorted(winners)}")
-        if all(res.outcome is not snapshot_mod.Outcome.NEED_MASTER
-               for _o, _n, res in results):
-            words = {mn: fabric.node(mn).read_word(0)
-                     for mn in range(replicas)}
-            if len(set(words.values())) > 1:
-                return (f"replica divergence at quiescence (a stale fixup "
-                        f"clobbered a later round): {words}")
-        if not check_linearizable(history):
-            ops = [(op.kind, op.value, op.invoked, op.completed)
-                   for op in history.ops]
-            return f"chained swarm history not linearizable: {ops}"
-        return None
+        return (_no_master(results)
+                and _diverged(fabric, replicas,
+                              "replica divergence at quiescence (a stale "
+                              "fixup clobbered a later round)")
+                or _register_verdict(
+                    history, "chained swarm history not linearizable"))
 
     return scenario
 
@@ -476,9 +414,14 @@ def make_swarm_write_chain(replicas: int = 3) -> Scenario:
 # Cluster-level scenarios
 # --------------------------------------------------------------------------
 
-def _small_cluster_config() -> ClusterConfig:
-    """The smallest fully featured cluster (fast to rebuild per schedule)."""
-    return ClusterConfig(
+def _cluster_world(sched: ControlledScheduler,
+                   client: Optional[ClientConfig] = None):
+    """The smallest fully featured cluster (fast to rebuild per
+    schedule), traced on the scheduler's logical clock.  The scheduler
+    is not installed yet: set-up runs in canonical order."""
+    env = Environment()
+    tracer = LogicalClockTracer(sched.logical_clock, env=env)
+    config = ClusterConfig(
         n_memory_nodes=3,
         replication_factor=2,
         regions_per_mn=1,
@@ -488,7 +431,31 @@ def _small_cluster_config() -> ClusterConfig:
         race=RaceConfig(n_subtables=1, n_groups=4, slots_per_bucket=4),
         fabric=ZERO_LATENCY_FABRIC,
         nic=ZERO_COST_NIC,
+        client=client or ClientConfig(),
     )
+    return env, tracer, FuseeCluster(config, env=env, tracer=tracer)
+
+
+def _race(env: Environment, sched: ControlledScheduler,
+          *ops) -> Optional[List]:
+    """Install the scheduler and run the ``(name, generator)`` ops
+    concurrently: their results, or None if any of them hung."""
+    env.set_scheduler(sched)
+    procs = [env.process(op, name=name) for name, op in ops]
+    env.run(until=env.all_of(procs))
+    if all(p.triggered for p in procs):
+        return [p.value for p in procs]
+    return None
+
+
+def _kv_verdict(tracer: LogicalClockTracer) -> Optional[str]:
+    violation = check_kv_linearizable(kv_ops_from_spans(tracer.spans))
+    return str(violation) if violation is not None else None
+
+
+# The faulted cluster scenarios' client retry policy.
+_RETRY = RetryPolicy(max_attempts=4, verb_timeout_us=4.0, rpc_timeout_us=8.0,
+                     backoff_base_us=1.0, backoff_cap_us=8.0)
 
 
 def _key_slot_words(cluster: FuseeCluster, key: bytes) -> List[int]:
@@ -504,6 +471,14 @@ def _key_slot_words(cluster: FuseeCluster, key: bytes) -> List[int]:
     return words
 
 
+def _duplicate(cluster: FuseeCluster, key: bytes) -> Optional[str]:
+    slots = _key_slot_words(cluster, key)
+    if len(slots) > 1:
+        return (f"duplicate insert: key occupies {len(slots)} index "
+                f"slots {[hex(w) for w in slots]}")
+    return None
+
+
 def make_cluster_insert_race() -> Scenario:
     """Two clients concurrently INSERT the same key.
 
@@ -517,10 +492,7 @@ def make_cluster_insert_race() -> Scenario:
     """
 
     def scenario(sched: ControlledScheduler) -> Optional[str]:
-        env = Environment()
-        tracer = LogicalClockTracer(sched.logical_clock, env=env)
-        cluster = FuseeCluster(_small_cluster_config(), env=env,
-                               tracer=tracer)
+        env, tracer, cluster = _cluster_world(sched)
         c1, c2 = cluster.new_client(), cluster.new_client()
         key = b"contended-key"
         # Warm each client's allocator (fetch a block, set up the size
@@ -530,15 +502,11 @@ def make_cluster_insert_race() -> Scenario:
         cluster.run_op(c1.insert(b"warmup-1", b"x"))
         cluster.run_op(c2.insert(b"warmup-2", b"x"))
 
-        env.set_scheduler(sched)
-        p1 = env.process(c1.insert(key, b"value-one"), name="insert-1")
-        p2 = env.process(c2.insert(key, b"value-two"), name="insert-2")
-        env.run(until=env.all_of([p1, p2]))
-
-        slots = _key_slot_words(cluster, key)
-        if len(slots) > 1:
-            return (f"duplicate insert: key occupies {len(slots)} index "
-                    f"slots {[hex(w) for w in slots]}")
+        _race(env, sched, ("insert-1", c1.insert(key, b"value-one")),
+              ("insert-2", c2.insert(key, b"value-two")))
+        violation = _duplicate(cluster, key)
+        if violation:
+            return violation
         won = [s for s in tracer.spans
                if s.op == "insert" and s.key == key and s.ok
                and s.outcome and s.outcome.startswith("rule")]
@@ -551,8 +519,7 @@ def make_cluster_insert_race() -> Scenario:
         # scheduler is still installed, so these run hook-aware.
         cluster.run_op(c1.delete(key), fast=False)
         cluster.run_op(c2.search(key), fast=False)
-        violation = check_kv_linearizable(kv_ops_from_spans(tracer.spans))
-        return str(violation) if violation is not None else None
+        return _kv_verdict(tracer)
 
     return scenario
 
@@ -572,28 +539,17 @@ def make_cluster_insert_delete_race() -> Scenario:
     """
 
     def scenario(sched: ControlledScheduler) -> Optional[str]:
-        env = Environment()
-        tracer = LogicalClockTracer(sched.logical_clock, env=env)
-        cluster = FuseeCluster(_small_cluster_config(), env=env,
-                               tracer=tracer)
+        env, tracer, cluster = _cluster_world(sched)
         c1, c2, c3 = (cluster.new_client() for _ in range(3))
         victim, key = b"ck-0", b"ck-2"   # overlapping candidate buckets
         cluster.run_op(c1.insert(victim, b"seed"))
         cluster.run_op(c2.insert(b"warmup-2", b"x"))
         cluster.run_op(c3.insert(b"warmup-3", b"x"))
 
-        env.set_scheduler(sched)
-        p1 = env.process(c1.delete(victim), name="delete-victim")
-        p2 = env.process(c2.insert(key, b"value-one"), name="insert-1")
-        p3 = env.process(c3.insert(key, b"value-two"), name="insert-2")
-        env.run(until=env.all_of([p1, p2, p3]))
-
-        slots = _key_slot_words(cluster, key)
-        if len(slots) > 1:
-            return (f"duplicate insert: key occupies {len(slots)} index "
-                    f"slots {[hex(w) for w in slots]}")
-        violation = check_kv_linearizable(kv_ops_from_spans(tracer.spans))
-        return str(violation) if violation is not None else None
+        _race(env, sched, ("delete-victim", c1.delete(victim)),
+              ("insert-1", c2.insert(key, b"value-one")),
+              ("insert-2", c3.insert(key, b"value-two")))
+        return _duplicate(cluster, key) or _kv_verdict(tracer)
 
     return scenario
 
@@ -608,10 +564,7 @@ def make_cluster_update_invalidate() -> Scenario:
     """
 
     def scenario(sched: ControlledScheduler) -> Optional[str]:
-        env = Environment()
-        tracer = LogicalClockTracer(sched.logical_clock, env=env)
-        cluster = FuseeCluster(_small_cluster_config(), env=env,
-                               tracer=tracer)
+        env, tracer, cluster = _cluster_world(sched)
         c1, c2 = cluster.new_client(), cluster.new_client()
         key = b"updated-key"
         cluster.run_op(c1.insert(key, b"old-value"))
@@ -620,20 +573,9 @@ def make_cluster_update_invalidate() -> Scenario:
             return f"setup failed: {len(old)} slots for the key"
         old_ptr = unpack_slot(old[0]).pointer
 
-        env.set_scheduler(sched)
-        results = {}
-
-        def updater():
-            results["update"] = yield from c1.update(key, b"new-value")
-
-        def searcher():
-            results["search"] = yield from c2.search(key)
-
-        p1 = env.process(updater(), name="update")
-        p2 = env.process(searcher(), name="search")
-        env.run(until=env.all_of([p1, p2]))
-
-        upd = results["update"]
+        upd, _found = _race(env, sched,
+                            ("update", c1.update(key, b"new-value")),
+                            ("search", c2.search(key)))
         if upd.ok and upd.outcome is not None and upd.outcome.won:
             for mn_id, addr in cluster.region_map.translate(old_ptr):
                 node = cluster.fabric.node(mn_id)
@@ -643,8 +585,7 @@ def make_cluster_update_invalidate() -> Scenario:
                     return (f"displaced object at MN{mn_id}+{addr:#x} not "
                             f"invalidation-marked after a won update "
                             f"(stale cached readers would never notice)")
-        violation = check_kv_linearizable(kv_ops_from_spans(tracer.spans))
-        return str(violation) if violation is not None else None
+        return _kv_verdict(tracer)
 
     return scenario
 
@@ -660,10 +601,7 @@ def make_cluster_partition_heal() -> Scenario:
     claim absence it could not prove.
     """
     def scenario(sched: ControlledScheduler) -> Optional[str]:
-        env = Environment()
-        tracer = LogicalClockTracer(sched.logical_clock, env=env)
-        cluster = FuseeCluster(_small_cluster_config(), env=env,
-                               tracer=tracer)
+        env, tracer, cluster = _cluster_world(sched)
         c1, c2 = cluster.new_client(), cluster.new_client()
         key = b"partitioned-key"
         cluster.run_op(c1.insert(key, b"old-value"))
@@ -672,23 +610,16 @@ def make_cluster_partition_heal() -> Scenario:
         cluster.install_faults(
             FaultPlan(partitions=[Partition(a=CN, b=primary_mn,
                                             start_us=0.0, end_us=40.0)],
-                      seed=3),
-            retry=RetryPolicy(max_attempts=4, verb_timeout_us=4.0,
-                              rpc_timeout_us=8.0, backoff_base_us=1.0,
-                              backoff_cap_us=8.0))
+                      seed=3), retry=_RETRY)
 
-        env.set_scheduler(sched)
-        p1 = env.process(c1.update(key, b"new-value"), name="update")
-        p2 = env.process(c2.search(key), name="search")
-        env.run(until=env.all_of([p1, p2]))
-        if not (p1.triggered and p2.triggered):
+        if _race(env, sched, ("update", c1.update(key, b"new-value")),
+                 ("search", c2.search(key))) is None:
             return "an operation hung across the partition"
         cluster.clear_faults()
         # Epilogue on the healed fabric: the final value must be one the
         # history can explain (scheduler still installed: hook-aware).
         cluster.run_op(c2.search(key), fast=False)
-        violation = check_kv_linearizable(kv_ops_from_spans(tracer.spans))
-        return str(violation) if violation is not None else None
+        return _kv_verdict(tracer)
 
     return scenario
 
@@ -717,10 +648,7 @@ def make_cluster_gray_expansion() -> Scenario:
     """
 
     def scenario(sched: ControlledScheduler) -> Optional[str]:
-        env = Environment()
-        tracer = LogicalClockTracer(sched.logical_clock, env=env)
-        cluster = FuseeCluster(_small_cluster_config(), env=env,
-                               tracer=tracer)
+        env, tracer, cluster = _cluster_world(sched)
         c1, c2 = cluster.new_client(), cluster.new_client()
         keys = [f"gk-{i}".encode() for i in range(3)]
         for i, key in enumerate(keys):
@@ -730,18 +658,12 @@ def make_cluster_gray_expansion() -> Scenario:
         cluster.install_faults(
             FaultPlan(gray_nodes=[GrayNode(mn_id=primary_mn, factor=8.0,
                                            start_us=0.0, end_us=1e9)],
-                      seed=7),
-            retry=RetryPolicy(max_attempts=4, verb_timeout_us=4.0,
-                              rpc_timeout_us=8.0, backoff_base_us=1.0,
-                              backoff_cap_us=8.0))
+                      seed=7), retry=_RETRY)
         before = cluster.master.splits_performed
 
-        env.set_scheduler(sched)
-        p1 = env.process(cluster.master.expand_subtable(0), name="expand")
-        p2 = env.process(c1.update(keys[0], b"mid-split"), name="update")
-        p3 = env.process(c2.search(keys[1]), name="search")
-        env.run(until=env.all_of([p1, p2, p3]))
-        if not (p1.triggered and p2.triggered and p3.triggered):
+        if _race(env, sched, ("expand", cluster.master.expand_subtable(0)),
+                 ("update", c1.update(keys[0], b"mid-split")),
+                 ("search", c2.search(keys[1]))) is None:
             return "expansion or a client op hung on the gray primary"
         if cluster.master.splits_performed != before + 1:
             return "the index split never committed"
@@ -751,8 +673,7 @@ def make_cluster_gray_expansion() -> Scenario:
         # (scheduler still installed: hook-aware).
         for key in keys:
             cluster.run_op(c2.search(key), fast=False)
-        violation = check_kv_linearizable(kv_ops_from_spans(tracer.spans))
-        return str(violation) if violation is not None else None
+        return _kv_verdict(tracer)
 
     return scenario
 
@@ -769,28 +690,19 @@ def make_cluster_swarm_race() -> Scenario:
     """
 
     def scenario(sched: ControlledScheduler) -> Optional[str]:
-        import dataclasses
-        env = Environment()
-        tracer = LogicalClockTracer(sched.logical_clock, env=env)
-        config = dataclasses.replace(
-            _small_cluster_config(),
-            client=ClientConfig(replication_mode="swarm"))
-        cluster = FuseeCluster(config, env=env, tracer=tracer)
+        env, tracer, cluster = _cluster_world(
+            sched, ClientConfig(replication_mode="swarm"))
         c1, c2, c3 = (cluster.new_client() for _ in range(3))
         key = b"swarm-key"
         cluster.run_op(c1.insert(key, b"old-value"))
 
-        env.set_scheduler(sched)
-        p1 = env.process(c1.update(key, b"new-value-1"), name="update-1")
-        p2 = env.process(c2.update(key, b"new-value-2"), name="update-2")
-        p3 = env.process(c3.search(key), name="search")
-        env.run(until=env.all_of([p1, p2, p3]))
-
+        _race(env, sched, ("update-1", c1.update(key, b"new-value-1")),
+              ("update-2", c2.update(key, b"new-value-2")),
+              ("search", c3.search(key)))
         # Epilogue on the quiesced cluster (scheduler still installed):
         # the final value must be one the history can explain.
         cluster.run_op(c3.search(key), fast=False)
-        violation = check_kv_linearizable(kv_ops_from_spans(tracer.spans))
-        return str(violation) if violation is not None else None
+        return _kv_verdict(tracer)
 
     return scenario
 

@@ -1,15 +1,17 @@
 """Linearizability checkers for replicated-slot and whole-KV histories.
 
 The paper verifies SNAPSHOT with TLA+; here we mechanically check the same
-safety property on *actual executions*.  Two checkers share the classical
-Wing & Gong search with memoisation on (set of linearized ops, abstract
-state), which is exact and fast for the history sizes our protocol tests
-produce (well under ~25 operations per partition):
+safety property on *actual executions*.  Two checkers run one classical
+Wing & Gong search (:func:`_linearize`), memoised on (set of linearized
+ops, abstract state), which is exact and fast for the history sizes our
+protocol tests produce (well under ~25 operations per partition).  They
+differ only in the ``step`` function that gives the object's semantics:
 
 * :func:`check_linearizable` — a history of READ/WRITE operations on one
   replicated 8-byte slot is linearizable iff there is a total order of the
   operations that (1) respects real-time precedence and (2) is legal for a
-  register: every read returns the most recently written value.
+  register: every read returns the most recently written value
+  (:func:`_register_step`).
 
 * :func:`check_kv_linearizable` — a history of SEARCH / INSERT / UPDATE /
   DELETE operations against the whole store, with operations that *truly
@@ -18,13 +20,14 @@ produce (well under ~25 operations per partition):
   By the Herlihy & Wing locality theorem, and because FUSEE keys are
   independent objects, the history is linearizable iff each per-key
   subhistory is — so the checker partitions by key and runs an
-  independent search per partition against map semantics.  Each
-  partition is further decomposed at **quiescent cuts** (instants with
-  no op on that key in flight): real time totally orders the bursts on
-  either side, so the search runs per concurrent burst, threading the
-  set of legally reachable states across cuts.  Long paced histories
-  (production traffic scenarios) therefore check in time linear in run
-  length — the exponential search is bounded by the widest burst.
+  independent search per partition against map semantics
+  (:func:`_legal`).  Each partition is further decomposed at
+  **quiescent cuts** (instants with no op on that key in flight): real
+  time totally orders the bursts on either side, so the search runs per
+  concurrent burst, threading the set of legally reachable states
+  across cuts.  Long paced histories (production traffic scenarios)
+  therefore check in time linear in run length — the exponential search
+  is bounded by the widest burst.
 
 Both checkers accept **pending** operations (``required=False``): an
 operation that was invoked but never completed (its issuer crashed, or it
@@ -105,64 +108,79 @@ class History:
         return len(self.ops)
 
 
+def _linearize(ops: Sequence, initial, step, max_states: int,
+               finals: Optional[Set] = None) -> bool:
+    """The Wing & Gong search, memoised on (linearized set, state).
+
+    ``step(op, state)`` is the object's semantics: is ``op``'s reported
+    result legal in ``state``, and the state after it.  True iff some
+    order respecting real-time precedence linearizes every required op
+    (the pending ones may be dropped).  With ``finals`` given the search
+    does not stop at the first linearization: it adds the end state of
+    every complete one to ``finals`` (and returns False).
+
+    Raises ``ValueError`` beyond 63 ops (the bitmask) and
+    ``RuntimeError`` once the search exceeds ``max_states`` states.
+    """
+    n = len(ops)
+    if n > 63:
+        raise ValueError(f"too many concurrent ops for the bitmask "
+                         f"checker ({n})")
+    required = sum(1 << i for i, op in enumerate(ops) if op.required)
+    seen: Set[Tuple[int, object]] = set()
+    states = 0
+
+    def search(done: int, state) -> bool:
+        nonlocal states
+        if done & required == required:
+            # Every completed op is linearized; the remaining (pending)
+            # ops may simply never have taken effect.
+            if finals is None:
+                return True
+            finals.add(state)
+            return False
+        if (done, state) in seen:
+            return False
+        seen.add((done, state))
+        states += 1
+        if states > max_states:
+            raise RuntimeError("linearizability search exploded")
+        # Candidates: not done, and no *other* undone op completes
+        # strictly before their invocation.
+        undone = [i for i in range(n) if not done & (1 << i)]
+        horizon = min(ops[i].completed for i in undone)
+        for i in undone:
+            if ops[i].invoked <= horizon:
+                ok, after = step(ops[i], state)
+                if ok and search(done | (1 << i), after):
+                    return True
+        return False
+
+    return search(0, initial)
+
+
+def _register_step(op: Op, value: int) -> Tuple[bool, int]:
+    """Register semantics: a read returns the current value, a write
+    replaces it."""
+    if op.kind == "r":
+        return op.value == value, value
+    return True, op.value
+
+
 def check_linearizable(history: History,
                        max_states: int = 2_000_000) -> bool:
     """True iff the history linearizes against register semantics.
 
-    Raises ``RuntimeError`` if the search exceeds ``max_states`` explored
-    states (never observed for protocol-test-sized histories).
+    The whole history is one search (no cut decomposition), so more than
+    63 operations raise ``ValueError``.  Raises ``RuntimeError`` if the
+    search exceeds ``max_states`` explored states (never observed for
+    protocol-test-sized histories).
     """
     # A pending read constrains nothing (its result was never returned),
     # so drop them up front; pending writes stay as optional candidates.
     ops = [op for op in history.ops if op.required or op.kind == "w"]
-    n = len(ops)
-    if n == 0:
-        return True
-    if n > 63:
-        raise ValueError("history too large for the bitmask checker")
-
-    all_required = 0
-    for i, op in enumerate(ops):
-        if op.required:
-            all_required |= 1 << i
-    seen: Set[Tuple[int, int]] = set()
-    states = 0
-
-    def candidates(done_mask: int) -> List[int]:
-        """Ops that may be linearized next: not done, and no *other*
-        pending op completes strictly before their invocation."""
-        pending = [i for i in range(n) if not done_mask & (1 << i)]
-        if not pending:
-            return []
-        min_completed = min(ops[i].completed for i in pending)
-        return [i for i in pending if ops[i].invoked <= min_completed]
-
-    def search(done_mask: int, value: int) -> bool:
-        nonlocal states
-        if done_mask & all_required == all_required:
-            # Every completed op is linearized; the remaining (pending)
-            # ops may simply never have taken effect.
-            return True
-        key = (done_mask, value)
-        if key in seen:
-            return False
-        seen.add(key)
-        states += 1
-        if states > max_states:
-            raise RuntimeError("linearizability search exploded")
-        for i in candidates(done_mask):
-            op = ops[i]
-            if op.kind == "r":
-                if op.value != value:
-                    continue
-                if search(done_mask | (1 << i), value):
-                    return True
-            else:
-                if search(done_mask | (1 << i), op.value):
-                    return True
-        return False
-
-    return search(0, history.initial_value)
+    return _linearize(ops, history.initial_value, _register_step,
+                      max_states)
 
 
 # --------------------------------------------------------------------------
@@ -298,93 +316,6 @@ def _segments(ops: Sequence[KvOp]) -> List[List[KvOp]]:
     return segments
 
 
-def _segment_guard(n: int) -> None:
-    if n > 63:
-        raise ValueError(
-            f"per-key concurrent burst too large for the bitmask "
-            f"checker ({n} overlapping ops)")
-
-
-def _final_states(ops: Sequence[KvOp], initial: Optional[bytes],
-                  max_states: int) -> Set[Optional[bytes]]:
-    """All states a complete linearization of ``ops`` can leave the key
-    in (empty set = no legal linearization).  Only called on non-final
-    segments, where every op is required and completed."""
-    n = len(ops)
-    _segment_guard(n)
-    full = (1 << n) - 1
-    seen: Set[Tuple[int, Optional[bytes]]] = set()
-    finals: Set[Optional[bytes]] = set()
-    states = 0
-
-    def candidates(done_mask: int) -> List[int]:
-        pending = [i for i in range(n) if not done_mask & (1 << i)]
-        if not pending:
-            return []
-        min_completed = min(ops[i].completed for i in pending)
-        return [i for i in pending if ops[i].invoked <= min_completed]
-
-    def search(done_mask: int, state: Optional[bytes]) -> None:
-        nonlocal states
-        if done_mask == full:
-            finals.add(state)
-            return
-        key = (done_mask, state)
-        if key in seen:
-            return
-        seen.add(key)
-        states += 1
-        if states > max_states:
-            raise RuntimeError("kv linearizability search exploded")
-        for i in candidates(done_mask):
-            ok, next_state = _legal(ops[i], state)
-            if ok:
-                search(done_mask | (1 << i), next_state)
-
-    search(0, initial)
-    return finals
-
-
-def _segment_linearizable(ops: Sequence[KvOp], initial: Optional[bytes],
-                          max_states: int) -> bool:
-    n = len(ops)
-    if n == 0:
-        return True
-    _segment_guard(n)
-    all_required = 0
-    for i, op in enumerate(ops):
-        if op.required:
-            all_required |= 1 << i
-    seen: Set[Tuple[int, Optional[bytes]]] = set()
-    states = 0
-
-    def candidates(done_mask: int) -> List[int]:
-        pending = [i for i in range(n) if not done_mask & (1 << i)]
-        if not pending:
-            return []
-        min_completed = min(ops[i].completed for i in pending)
-        return [i for i in pending if ops[i].invoked <= min_completed]
-
-    def search(done_mask: int, state: Optional[bytes]) -> bool:
-        nonlocal states
-        if done_mask & all_required == all_required:
-            return True
-        key = (done_mask, state)
-        if key in seen:
-            return False
-        seen.add(key)
-        states += 1
-        if states > max_states:
-            raise RuntimeError("kv linearizability search exploded")
-        for i in candidates(done_mask):
-            ok, next_state = _legal(ops[i], state)
-            if ok and search(done_mask | (1 << i), next_state):
-                return True
-        return False
-
-    return search(0, initial)
-
-
 def _check_partition(ops: Sequence[KvOp], initial: Optional[bytes],
                      max_states: int) -> bool:
     """Check one per-key subhistory, decomposed at quiescent cuts.
@@ -402,11 +333,11 @@ def _check_partition(ops: Sequence[KvOp], initial: Optional[bytes],
     for segment in segments[:-1]:
         reached: Set[Optional[bytes]] = set()
         for state in possible:
-            reached |= _final_states(segment, state, max_states)
+            _linearize(segment, state, _legal, max_states, finals=reached)
         if not reached:
             return False
         possible = reached
-    return any(_segment_linearizable(segments[-1], state, max_states)
+    return any(_linearize(segments[-1], state, _legal, max_states)
                for state in sorted(possible,
                                    key=lambda s: (s is None, s)))
 

@@ -16,6 +16,8 @@ Four contracts (ISSUE acceptance criteria):
    the *same* exploration clean.
 """
 
+import functools
+
 import pytest
 
 from repro.check import (
@@ -58,6 +60,17 @@ def _two_writer_world(sched, same_word: bool):
     env.process(reader(), name="r")
     env.run()
     return log
+
+
+@functools.lru_cache(maxsize=None)
+def _explore_mutant(name):
+    """Explore a mutated protocol at its documented bounds, once per
+    test run: detection, replay and minimization all read this result."""
+    spec = MUTATION_SPECS[name]
+    with MUTATIONS[name]():
+        return ScheduleExplorer(
+            SCENARIOS[spec.scenario](), max_schedules=spec.max_schedules,
+            max_decisions=spec.max_decisions).explore()
 
 
 # --------------------------------------------------------------------------
@@ -110,13 +123,10 @@ class TestReplay:
     def test_violating_schedule_replays_deterministically(self, name):
         """A violation found under sleep-set exploration must reproduce
         on a *plain* scheduler from its decision sequence alone."""
-        spec = MUTATION_SPECS[name]
-        factory = SCENARIOS[spec.scenario]
+        factory = SCENARIOS[MUTATION_SPECS[name].scenario]
+        result = _explore_mutant(name)
+        assert result.found
         with MUTATIONS[name]():
-            result = ScheduleExplorer(
-                factory(), max_schedules=spec.max_schedules,
-                max_decisions=spec.max_decisions).explore()
-            assert result.found
             v1 = factory()(ControlledScheduler(
                 decisions=result.violating_decisions))
             v2 = factory()(ControlledScheduler(
@@ -189,11 +199,9 @@ class TestMinimize:
     def test_minimized_schedule_still_fails_and_renders(self):
         spec = MUTATION_SPECS["reorder-replica-writes"]
         factory = SCENARIOS[spec.scenario]
+        result = _explore_mutant("reorder-replica-writes")
+        assert result.found
         with MUTATIONS["reorder-replica-writes"]():
-            result = ScheduleExplorer(
-                factory(), max_schedules=spec.max_schedules,
-                max_decisions=spec.max_decisions).explore()
-            assert result.found
             minimized = minimize_schedule(factory(),
                                           result.violating_decisions)
             assert minimized is not None
@@ -224,11 +232,7 @@ class TestMutations:
     @pytest.mark.parametrize("name", sorted(MUTATION_SPECS))
     def test_mutation_detected_within_budget(self, name):
         spec = MUTATION_SPECS[name]
-        factory = SCENARIOS[spec.scenario]
-        with MUTATIONS[name]():
-            result = ScheduleExplorer(
-                factory(), max_schedules=spec.max_schedules,
-                max_decisions=spec.max_decisions).explore()
+        result = _explore_mutant(name)
         assert result.found, (
             f"{name}: no violating schedule within {spec.max_schedules} "
             f"schedules x {spec.max_decisions} decisions "
@@ -247,6 +251,36 @@ class TestMutations:
         assert result.complete, (
             f"clean {spec.scenario} did not exhaust within the documented "
             f"budget ({result.summary()})")
+
+
+# --------------------------------------------------------------------------
+# Every registered scenario is explored clean somewhere in tier-1
+# --------------------------------------------------------------------------
+
+# The scenarios no mutation spec (and no other test here) explores:
+# (max_schedules, max_decisions, must exhaust).
+UNMUTATED_SCENARIOS = {
+    "cluster-swarm-race": (2000, 40, True),      # exhausts in 620
+    "slot-write-race-lossy": (200, 16, False),
+    "cluster-partition-heal": (100, 16, False),
+}
+
+
+def test_every_scenario_is_explored():
+    explored = {spec.scenario for spec in MUTATION_SPECS.values()}
+    explored |= set(UNMUTATED_SCENARIOS) | {"cluster-gray-expansion"}
+    assert explored == set(SCENARIOS)
+
+
+@pytest.mark.parametrize("name", sorted(UNMUTATED_SCENARIOS))
+def test_unmutated_scenario_explores_clean(name):
+    budget, depth, exhausts = UNMUTATED_SCENARIOS[name]
+    result = ScheduleExplorer(SCENARIOS[name](), max_schedules=budget,
+                              max_decisions=depth).explore()
+    assert not result.found, (
+        f"clean {name}: {result.violation}\n"
+        f"decisions={result.violating_decisions}")
+    assert result.complete or not exhausts, result.summary()
 
 
 # --------------------------------------------------------------------------

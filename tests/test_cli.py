@@ -123,6 +123,29 @@ class TestBadInputs:
         known = SCENARIOS if flag == "--scenario" else MUTATIONS
         assert all(name in captured.err for name in known)
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--replay", "0,x"), ("--replay", "-1,5"),
+        ("--max-schedules", "0"), ("--max-decisions", "-1")])
+    def test_bad_check_number_exits_2_naming_the_flag(self, flag, value,
+                                                      capsys):
+        """``--replay 0,x`` used to end in a ValueError traceback,
+        ``--replay=-1,5`` clamped the -1 without a word, and
+        ``--max-schedules 0`` was read as "not given"."""
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--scenario", "slot-write-race",
+                  f"{flag}={value}"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert f"argument {flag}:" in captured.err
+
+    def test_max_decisions_zero_is_honoured(self, capsys):
+        """An explicit 0 is the canonical schedule only, not "not
+        given" (which explores 129 schedules)."""
+        assert main(["check", "--scenario", "slot-write-race",
+                     "--max-decisions", "0"]) == 0
+        assert "1 schedules run" in capsys.readouterr().out
+
     @pytest.mark.parametrize("flags", ["--hotkeys -1", "--windows 0",
                                        "--windows -250"])
     def test_bad_monitor_settings_rejected(self, flags):

@@ -26,11 +26,9 @@ from hypothesis.stateful import (
 )
 
 from repro.check import ControlledScheduler, kv_ops_from_spans
-from repro.check.history import LogicalClockTracer
-from repro.check.scenarios import _small_cluster_config
+from repro.check.scenarios import _cluster_world
 from repro.core import FuseeCluster
 from repro.core.linearizability import check_kv_linearizable
-from repro.sim import Environment
 from tests.conftest import small_config
 
 KEYS = [f"mb-key-{i}".format(i).encode() for i in range(12)]
@@ -142,9 +140,7 @@ def _run_concurrent_programs(seed, programs, replication_mode):
     Gong checker, which searches for *some* legal linearization.
     """
     sched = ControlledScheduler(rng=random.Random(seed), max_steps=200_000)
-    env = Environment()
-    tracer = LogicalClockTracer(sched.logical_clock, env=env)
-    cluster = FuseeCluster(_small_cluster_config(), env=env, tracer=tracer)
+    env, tracer, cluster = _cluster_world(sched)
     clients = [cluster.new_client(replication_mode=replication_mode)
                for _ in range(3)]
     # A deterministic sequential prefix: one key present, allocators warm.
