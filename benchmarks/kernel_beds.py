@@ -48,8 +48,9 @@ def big_bed_run(n_clients: int, n_memory_nodes: int, duration_us: float,
                 seed: int = 13):
     """Run the multi-queue YCSB-A bed; returns ``(wall_seconds, ops)``.
 
-    Mirrors the scale-smoke bed: rss port affinity, 4 NIC ports, 2 RPC
-    shards, no tracer/profiler/scheduler — the pure kernel fast path.
+    Mirrors the trimmed multi-queue bed of ``test_smoke_gates.py``: rss
+    port affinity, 4 NIC ports, 2 RPC shards, no tracer/profiler/
+    scheduler — the pure kernel fast path.
     """
     bed = fusee_bed(n_memory_nodes=n_memory_nodes, replication_factor=2,
                     dataset_bytes=1 << 18, background_interval_us=0.0,

@@ -1,45 +1,13 @@
-"""Fig. 13: YCSB throughput vs number of clients, three systems.
-
-Besides the qualitative-shape assertions, this benchmark is the head of
-the perf trajectory: it writes ``BENCH_ycsb.json`` at the repo root (one
-row per workload x client count, Mops per system) so CI can archive the
-numbers per commit and trends stay diffable.
-"""
-
-import json
-import pathlib
+"""Fig. 13: YCSB throughput vs number of clients, three systems."""
 
 from repro.harness import fig13_ycsb_scalability
 
 from .conftest import run_once
 
-_REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
-
-
-def _emit_bench_json(result, scale) -> None:
-    payload = {
-        "benchmark": "ycsb-scalability",
-        "figure": "fig13",
-        "unit": "Mops",
-        "scale": {"n_keys": scale.n_keys,
-                  "clients_sweep": list(scale.clients_sweep),
-                  "duration_us": scale.duration_us},
-        "rows": [
-            {"workload": w, "clients": c,
-             "fusee": f, "clover": cl, "pdpm": p}
-            for w, c, f, cl, p in result.rows
-        ],
-    }
-    (_REPO_ROOT / "BENCH_ycsb.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
 
 def test_fig13_ycsb_scalability(benchmark, scale, record):
     result = run_once(benchmark, fig13_ycsb_scalability, scale)
     record(result)
-    # Emit the perf artifact before the shape assertions so a regression
-    # still leaves numbers behind for CI to archive and compare.
-    _emit_bench_json(result, scale)
     table = {(w, c): (f, cl, p) for w, c, f, cl, p in result.rows}
     lo, hi = min(scale.clients_sweep), max(scale.clients_sweep)
     # FUSEE scales with clients on the write-heavy workload...

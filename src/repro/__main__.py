@@ -615,8 +615,8 @@ def main(argv=None) -> int:
         "ycsb", help="run a closed-loop YCSB workload (traceable)")
     ycsb_parser.add_argument("--workload", default="A",
                              choices=sorted("ABCD"))
-    ycsb_parser.add_argument("--keys", type=int, default=2000)
-    ycsb_parser.add_argument("--clients", type=int, default=4)
+    ycsb_parser.add_argument("--keys", type=_at_least(1), default=2000)
+    ycsb_parser.add_argument("--clients", type=_at_least(1), default=4)
     ycsb_parser.add_argument("--duration-us", type=float, default=20_000.0)
     ycsb_parser.add_argument("--seed", type=int, default=42)
     ycsb_parser.add_argument("--memory-nodes", type=int, default=2)
@@ -649,7 +649,7 @@ def main(argv=None) -> int:
     profile_parser.add_argument("--scale", default="bench",
                                 choices=("tiny", "bench", "full",
                                          "production"))
-    profile_parser.add_argument("--clients", type=int, default=None,
+    profile_parser.add_argument("--clients", type=_at_least(1), default=None,
                                 help="override the scale's client count")
     profile_parser.add_argument("--memory-nodes", type=int, default=2)
     profile_parser.add_argument("--metadata-cores", type=int, default=2,
@@ -714,8 +714,9 @@ def main(argv=None) -> int:
     faults_parser.add_argument("--seed", type=int, default=0,
                                help="fate seed (and plan seed for "
                                     "'random')")
-    faults_parser.add_argument("--clients", type=int, default=3)
-    faults_parser.add_argument("--ops-per-client", type=int, default=120)
+    faults_parser.add_argument("--clients", type=_at_least(1), default=3)
+    faults_parser.add_argument("--ops-per-client", type=_at_least(1),
+                               default=120)
     faults_parser.add_argument("--no-retries", action="store_true",
                                help="disable the client retry layer "
                                     "(negative control)")
@@ -741,10 +742,10 @@ def main(argv=None) -> int:
                                      "of a clean YCSB bed; the seeded "
                                      "gray/port faults must be caught")
     monitor_parser.add_argument("--seed", type=int, default=0)
-    monitor_parser.add_argument("--clients", type=int, default=4)
+    monitor_parser.add_argument("--clients", type=_at_least(1), default=4)
     monitor_parser.add_argument("--duration-us", type=float,
                                 default=20_000.0)
-    monitor_parser.add_argument("--keys", type=int, default=2000)
+    monitor_parser.add_argument("--keys", type=_at_least(1), default=2000)
     monitor_parser.add_argument("--workload", default="A",
                                 choices=sorted("ABCD"))
     monitor_parser.add_argument("--memory-nodes", type=int, default=2)

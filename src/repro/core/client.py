@@ -35,7 +35,12 @@ from ..rdma import CasOp, Fabric, ReadOp, TIMEOUT, WriteOp
 from .addressing import RegionMap
 from .cache import AdaptiveIndexCache, CacheEntry
 from .memory import AllocResult, ClientAllocator, ClientTable
-from .oplog import clear_used_ops, commit_old_value_ops, entry_for_alloc
+from .oplog import (
+    clear_used_ops,
+    commit_old_value_ops,
+    entry_for_alloc,
+    replica_write_ops,
+)
 from .race import IndexFullError, KeyMeta, RaceHashing, SlotRef
 from .readpolicy import READ_SPREAD_MODES, ReplicaReadPolicy
 from .replication import create_protocol, validate_replication_mode
@@ -365,24 +370,19 @@ class FuseeClient:
 
     def _invalidate_object_ops(self, slot_word: int) -> List[WriteOp]:
         """WRITEs setting the invalidation flag of an old KV pair (§4.6)."""
-        gaddr = unpack_slot(slot_word).pointer
-        ops = []
-        for mn_id, addr in self.region_map.translate(gaddr):
-            if not self.fabric.node(mn_id).crashed:
-                ops.append(WriteOp(mn_id, addr, bytes([FLAG_INVALID])))
-        return ops
+        return replica_write_ops(self.region_map, self.fabric,
+                                 unpack_slot(slot_word).pointer, 0,
+                                 bytes([FLAG_INVALID]))
 
     def _maybe_separate_log(self, prepared: _PreparedKv):
         """Ablation: a conventional (non-embedded) operation log writes its
         entry in its own round trip (generator)."""
         if self.config.embedded_log:
             return
-        entry_off = prepared.alloc.size - LOG_ENTRY_SIZE
-        ops = []
-        for mn_id, addr in self.region_map.translate(prepared.alloc.gaddr):
-            if not self.fabric.node(mn_id).crashed:
-                ops.append(WriteOp(mn_id, addr + entry_off,
-                                   bytes(LOG_ENTRY_SIZE)))
+        ops = replica_write_ops(self.region_map, self.fabric,
+                                prepared.alloc.gaddr,
+                                prepared.alloc.size - LOG_ENTRY_SIZE,
+                                bytes(LOG_ENTRY_SIZE))
         if ops:
             self.fabric.trace_phase("log.separate_write")
             yield self.fabric.post(ops)

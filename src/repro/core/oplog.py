@@ -42,6 +42,7 @@ __all__ = [
     "entry_for_alloc",
     "commit_old_value_ops",
     "clear_used_ops",
+    "replica_write_ops",
     "read_first_alive",
     "parse_object",
     "LogWalker",
@@ -60,8 +61,10 @@ def entry_for_alloc(alloc: AllocResult, opcode: int) -> LogEntry:
                     old_value=0, old_value_crc=0, opcode=opcode, used=True)
 
 
-def _replica_ops(region_map: RegionMap, fabric: Fabric, gaddr: int,
-                 offset_in_block: int, data: bytes) -> List[WriteOp]:
+def replica_write_ops(region_map: RegionMap, fabric: Fabric, gaddr: int,
+                      offset_in_block: int, data: bytes) -> List[WriteOp]:
+    """One WRITE of ``data`` at ``offset_in_block`` into the object at
+    ``gaddr`` on every alive replica, in placement order."""
     ops = []
     for mn_id, addr in region_map.translate(gaddr):
         if fabric.node(mn_id).crashed:
@@ -74,9 +77,9 @@ def commit_old_value_ops(region_map: RegionMap, fabric: Fabric, gaddr: int,
                          block_size: int, old_value: int) -> List[WriteOp]:
     """Phase-3 verbs: write (old value, CRC) into the embedded entry of the
     object at ``gaddr`` on every alive replica (one doorbell batch)."""
-    return _replica_ops(region_map, fabric, gaddr,
-                        old_value_offset(block_size),
-                        committed_old_value_bytes(old_value))
+    return replica_write_ops(region_map, fabric, gaddr,
+                             old_value_offset(block_size),
+                             committed_old_value_bytes(old_value))
 
 
 def clear_used_ops(region_map: RegionMap, fabric: Fabric, gaddr: int,
@@ -84,7 +87,7 @@ def clear_used_ops(region_map: RegionMap, fabric: Fabric, gaddr: int,
     """Verbs resetting the used bit of a losing writer's object, marking it
     free for recovery and reclamation."""
     data = bytes([(opcode << 1) | 0])
-    return _replica_ops(region_map, fabric, gaddr, block_size - 1, data)
+    return replica_write_ops(region_map, fabric, gaddr, block_size - 1, data)
 
 
 # ---------------------------------------------------------------------------

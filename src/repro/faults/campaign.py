@@ -331,6 +331,11 @@ def run_campaign(name: str = "mixed", seed: int = 0, retries: bool = True,
         name = f"scenario:{scenario.name}"
         if plan is None and scenario.faults:
             plan = scenario_fault_plan(scenario, seed)
+    # a campaign that issues no operation checks nothing: not CLEAN
+    if clients < 1:
+        raise ValueError(f"clients must be >= 1, got {clients}")
+    if scenario is None and ops_per_client < 1:
+        raise ValueError(f"ops_per_client must be >= 1, got {ops_per_client}")
     if plan is None:
         plan = campaign_plan(ambient, N_MNS, seed)
     cluster = _small_cluster(N_MNS, nic_ports=nic_ports,

@@ -55,8 +55,10 @@ class TestProfile:
 
         out = tmp_path / "BENCH_profile.json"
         flame = tmp_path / "profile.folded"
+        trace = tmp_path / "profile_trace.json"
         assert main(["profile", "--scale", "tiny", "--clients", "4",
-                     "--out", str(out), "--flame", str(flame)]) == 0
+                     "--out", str(out), "--flame", str(flame),
+                     "--trace", str(trace)]) == 0
         text = capsys.readouterr().out
         assert "overall:" in text and "makespan:" in text
         payload = json.loads(out.read_text())
@@ -65,6 +67,9 @@ class TestProfile:
         assert payload["critical_path"]["makespan_us"] > 0
         lines = flame.read_text().splitlines()
         assert lines and all(len(l.split(";")) == 3 for l in lines)
+        events = json.loads(trace.read_text())["traceEvents"]
+        assert any(e.get("ph") == "C" for e in events), \
+            "no counter tracks in the Chrome trace"
 
     def test_profile_clover_bed(self, capsys):
         assert main(["profile", "--system", "clover", "--scale", "tiny",
@@ -134,6 +139,23 @@ class TestBadInputs:
         with pytest.raises(SystemExit) as exc:
             main(["check", "--scenario", "slot-write-race",
                   f"{flag}={value}"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert f"argument {flag}:" in captured.err
+
+    @pytest.mark.parametrize("command", [
+        "faults --clients 0", "faults --ops-per-client 0",
+        "faults --ops-per-client -3", "ycsb --clients 0", "ycsb --keys 0",
+        "profile --clients 0", "monitor --clients 0", "monitor --keys 0"])
+    def test_a_run_of_no_operations_exits_2_naming_the_flag(self, command,
+                                                            capsys):
+        """``faults --clients 0`` used to print ``ops: 0 total`` and
+        ``verdict: CLEAN``; ``ycsb --clients 0`` loaded the bed, then
+        ended in a ValueError traceback."""
+        subcommand, flag, value = command.split()
+        with pytest.raises(SystemExit) as exc:
+            main([subcommand, flag, value])
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert not captured.out

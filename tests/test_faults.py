@@ -639,6 +639,15 @@ def test_mixed_campaign_without_retries_fails():
     assert report.ops_failed > 0 or not report.balance_ok
 
 
+@pytest.mark.parametrize("clients,ops_per_client", [(0, 60), (3, 0),
+                                                    (3, -3)])
+def test_a_campaign_of_no_operations_is_refused(clients, ops_per_client):
+    """Used to report ``ops: 0 total`` with the verdict CLEAN."""
+    with pytest.raises(ValueError, match="must be >= 1"):
+        run_campaign("mixed", seed=0, clients=clients,
+                     ops_per_client=ops_per_client)
+
+
 def test_campaign_reports_lost_batched_frees(monkeypatch):
     """The report sums every client's timed-out free FAAs
     (``ClientAllocator.stats_free_timeouts``) and prints them.  A named

@@ -1,5 +1,8 @@
 """Targeted tests for remaining cold paths across modules."""
 
+import pathlib
+import re
+
 import pytest
 
 from repro.core import FuseeCluster
@@ -196,3 +199,60 @@ class TestSettingsInventory:
         assert not inspect.signature(Metrics).parameters
         assert list(inspect.signature(FuseeClient.start_background)
                     .parameters) == ["self", "interval_us"]
+
+
+class TestCiRunsEachCheckOnce:
+    """CI runs each check in one place.  Tier-1 tests run only in the
+    ``tests`` job (the ``-m campaign`` step runs the ones it deselects),
+    ``benchmarks/`` tests only in ``benchmarks-smoke`` (the
+    ``benchmarks/perf`` self-test has its own job), and a gate is a named
+    test, never inline Python.  ``ci.yml`` is read as text: CI installs no
+    YAML parser."""
+
+    SELF_TEST = "benchmarks/perf/test_perf.py"
+
+    @staticmethod
+    def _ci_text():
+        root = pathlib.Path(__file__).resolve().parents[1]
+        return (root / ".github" / "workflows" / "ci.yml").read_text()
+
+    def _jobs(self):
+        """Job id -> its text, continued shell lines joined."""
+        body = self._ci_text().split("\njobs:\n", 1)[1]
+        body = re.sub(r"\\\n\s*", " ", body)
+        parts = re.split(r"^  ([\w-]+):\n", body, flags=re.MULTILINE)
+        jobs = dict(zip(parts[1::2], parts[2::2]))
+        assert {"tests", "benchmarks-smoke"} <= set(jobs), list(jobs)
+        return jobs
+
+    def _pytest_commands(self):
+        """(job, command) for every pytest command."""
+        return [(job, line.strip()) for job, text in self._jobs().items()
+                for line in text.splitlines() if "-m pytest" in line]
+
+    def test_no_inline_python(self):
+        heredocs = re.findall(r"<<-?\s*['\"]?\w+", self._ci_text())
+        assert not heredocs, "a gate belongs in a named test, not inline"
+
+    def test_tier1_tests_run_only_in_the_tests_job(self):
+        for job, command in self._pytest_commands():
+            if job == "tests":
+                continue
+            assert not re.search(r"(?<![\w/.-])tests/", command), (
+                f"{job} re-runs a tier-1 test: {command}")
+            # no path at all collects testpaths, i.e. tier-1 again
+            assert "benchmarks" in command or "-m campaign" in command, (
+                f"{job} re-runs the tier-1 suite: {command}")
+
+    def test_benchmarks_run_only_in_benchmarks_smoke(self):
+        for job, text in self._jobs().items():
+            if job == "benchmarks-smoke":
+                continue
+            files = set(re.findall(r"benchmarks/\S*test_\w+\.py", text))
+            assert files <= {self.SELF_TEST}, (job, files)
+        for job, command in self._pytest_commands():
+            if job == "benchmarks-smoke":
+                continue
+            others = command.replace(self.SELF_TEST, "")
+            assert "benchmarks" not in others, (
+                f"{job} re-runs a benchmarks-smoke test: {command}")
