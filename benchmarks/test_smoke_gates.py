@@ -124,18 +124,19 @@ def test_the_cached_search_workload_runs_and_verifies():
     assert doc["correct"] is True, doc
 
 
-def test_a_batch_no_fault_touches_is_three_callbacks():
-    """An exact count, not a timing: under the injector a clean doorbell
-    batch is no process but three kernel callbacks on four event ids
-    whatever its size, a touched one four events per verb plus three.
-    At smoke size the workload reads 13.3 events per op; with a process
-    per verb for every batch it read 31.0."""
+def test_a_verb_no_fault_touches_is_one_event():
+    """An exact count, not a timing: under the injector a verb whose first
+    fate is clean goes through the bare fabric's loop, so a batch of them
+    is one kernel event whatever its size, and only a touched verb gets
+    a delivery process.  At smoke size the workload reads 5.0 events per
+    op; with an untouched batch taking three callbacks on four event ids
+    it read 13.3, and with a process per verb for every batch 31.0."""
     doc = _perf("--workload scenario_faulty_obs --smoke --trace 1")
     assert doc["correct"] is True, doc
     per_op = doc["metrics"]["sim.events_per_op"]["value"]
-    assert per_op <= 18, (
-        f"sim.events_per_op {per_op:.1f} > 18: "
-        "a process per verb for clean batches again")
+    assert per_op <= 8, (
+        f"sim.events_per_op {per_op:.1f} > 8: "
+        "clean-fated verbs no longer take the loop")
 
 
 def test_a_default_bed_stays_lazily_zeroed():

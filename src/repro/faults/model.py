@@ -51,6 +51,14 @@ CN = "cn"
 _INF = math.inf
 
 
+def _check_window(fault) -> None:
+    """A fault window must not end before it starts."""
+    if not fault.start_us <= fault.end_us:
+        raise ValueError(
+            f"{type(fault).__name__}: start_us={fault.start_us!r} must be "
+            f"<= end_us={fault.end_us!r}")
+
+
 @dataclass(frozen=True)
 class LinkFault:
     """Loss / duplication / jitter on a compute-side↔MN link.
@@ -66,6 +74,16 @@ class LinkFault:
     start_us: float = 0.0
     end_us: float = _INF
     port: Optional[int] = None     # None: every NIC port of the MN
+
+    def __post_init__(self):
+        for name in ("drop_p", "dup_p"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"LinkFault: {name}={getattr(self, name)!r}"
+                                 " is a probability, outside [0, 1]")
+        if not self.jitter_us >= 0.0:
+            raise ValueError(
+                f"LinkFault: jitter_us={self.jitter_us!r} must be >= 0")
+        _check_window(self)
 
     def active(self, now: float) -> bool:
         return self.start_us <= now < self.end_us
@@ -91,6 +109,9 @@ class Partition:
     drop_replies: bool = True
     port: Optional[int] = None
 
+    def __post_init__(self):
+        _check_window(self)
+
     def active(self, now: float) -> bool:
         return self.start_us <= now < self.end_us
 
@@ -109,6 +130,12 @@ class GrayNode:
     start_us: float = 0.0
     end_us: float = _INF
     port: Optional[int] = None
+
+    def __post_init__(self):
+        if not self.factor > 0.0:
+            raise ValueError(
+                f"GrayNode: factor={self.factor!r} must be > 0")
+        _check_window(self)
 
     def active(self, now: float) -> bool:
         return self.start_us <= now < self.end_us

@@ -55,6 +55,11 @@ class RetryPolicy:
     def __post_init__(self):
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
+        for name in ("verb_timeout_us", "rpc_timeout_us", "backoff_base_us",
+                     "backoff_cap_us"):
+            if not getattr(self, name) >= 0.0:
+                raise ValueError(f"RetryPolicy: {name}="
+                                 f"{getattr(self, name)!r} must be >= 0")
 
     def backoff_us(self, attempt: int, u: float = 0.0) -> float:
         """Backoff before retransmitting after failed attempt ``attempt``.

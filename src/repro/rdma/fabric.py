@@ -16,7 +16,9 @@ The fabric is where the reproduction's performance model lives:
   propagation delay is uniform and NIC queues are FIFO, post order equals
   hardware serialisation order, and every verb's effect falls inside its
   invocation-completion window — so simulated executions remain
-  linearizable exactly like the hardware ones.
+  linearizable exactly like the hardware ones.  Under a fault injector
+  only a verb whose first attempt draws a fault applies later, at its
+  arrival (`Fabric.post`).
 * RPCs (memory ALLOC/FREE, Clover metadata operations) traverse the same
   NIC and then occupy an MN/server CPU core, modelling the weak compute
   power of the memory pool.
@@ -176,16 +178,15 @@ class FabricStats:
 
 
 class _Delivery:
-    """One verb of a batch posted under an injector, in either delivery
-    shape: its slot in the batch, the verb, its node, payload bytes, the
-    current attempt's port and fate, and an idempotency token only when
-    the delivery can be repeated (None in a batch no fault reaches)."""
+    """One touched verb in its delivery process: its slot in the batch,
+    the verb, its node, payload bytes, the current attempt's port and
+    fate, and the idempotency token every attempt is sent under."""
 
     __slots__ = ("i", "op", "node", "nbytes", "pidx", "port", "fate",
                  "token")
 
     def __init__(self, i: int, op: Verb, node: MemoryNode, pidx: int, port,
-                 fate):
+                 fate, token: int):
         self.i = i
         self.op = op
         self.node = node
@@ -193,7 +194,7 @@ class _Delivery:
         self.pidx = pidx
         self.port = port
         self.fate = fate
-        self.token = None
+        self.token = token
 
 
 class Fabric:
@@ -322,21 +323,31 @@ class Fabric:
         ``qp`` is the posting queue pair's identity — on multi-port
         memory nodes it selects the NIC port via the configured affinity
         policy (irrelevant at ``num_ports=1``).
+
+        One loop delivers every verb whose first-attempt fate is clean,
+        with or without a fault injector: the verb applies at post, takes
+        its NIC slot at post for the arrival instant, may coalesce, and on
+        a crashed node fails one RTT later.  An injector adds two things.
+        Its gray factor, taken at the arrival instant, scales the service
+        of a slot.  A verb whose first fate is not clean (`_first_fates`)
+        is *touched*: it never heads or rides a slot, and
+        `_deliver_touched` gives it a delivery process of its own.
         """
         if not ops:
             raise ValueError("empty doorbell batch")
-        if self.injector is not None:
-            return self._post_faulty(ops, unsignaled, qp)
         env = self.env
         cfg = self.config
         now = env._now
+        inj = self.injector
+        touched = None if inj is None else \
+            self._first_fates(ops, inj, now, qp)
         one_way = cfg.one_way_delay_us
         arrive = now + cfg.post_overhead_us + one_way
         stats = self.stats
         stats.batches += 1
         # Optional stages, resolved once per batch and tested on locals
         # per verb: latency attribution, schedule-exploration footprints,
-        # the telemetry monitor, and doorbell coalescing.
+        # the telemetry monitor, doorbell coalescing and touched verbs.
         prof = env._profiler
         hook = env._access_hook
         monitor = self.monitor
@@ -346,9 +357,12 @@ class Fabric:
             # waited on, so their intervals must not land in the active
             # span's breakdown; span=None keeps them resource-only.
             prof.begin_batch(None if unsignaled else prof.current_span())
-            prof.note("client", "post", now, now + cfg.post_overhead_us)
-            prof.note("propagation", "net.request",
-                      now + cfg.post_overhead_us, arrive)
+            if touched is None or None in touched:
+                # the request leg of the verbs this loop delivers (a
+                # touched verb notes its own, per attempt)
+                prof.note("client", "post", now, now + cfg.post_overhead_us)
+                prof.note("propagation", "net.request",
+                          now + cfg.post_overhead_us, arrive)
         completions = []
         append = completions.append
         finish = now
@@ -379,6 +393,9 @@ class Fabric:
             per_mn[mn] = per_mn.get(mn, 0) + 1
             if hook is not None:
                 hook(("crash", mn), False)
+            if touched is not None and touched[i - 1] is not None:
+                append(None)    # filled in by its delivery process
+                continue
             if node.crashed:
                 # No slot is open here: a rider targets its head's node,
                 # which was live, so a crashed-node verb is never a rider.
@@ -423,6 +440,9 @@ class Fabric:
                 service = vcache.get((mn, cls, nbytes))
                 if service is None:
                     service = self._service_time(node, op)
+                if inj is not None:
+                    gray = inj.service_factor(mn, arrive, port=choice[0])
+                    service *= gray
                 riders = 0
                 # Adjacent same-node READs (or WRITEs) may ride along,
                 # up to ``width`` per slot; atomics never do.  Only a port
@@ -437,13 +457,16 @@ class Fabric:
                     slot_bytes = profile.byte_time(nbytes)
             if room:
                 if i < n_ops and ops[i].mn_id == mn \
-                        and ops[i].__class__ is cls:
+                        and ops[i].__class__ is cls \
+                        and (touched is None or touched[i] is None):
                     continue    # the next verb rides this slot
                 room = 0
             # Close the slot: one reservation on the serialisation line.
             label = port.label
             if riders:
                 service = profile.op_overhead + slot_bytes
+                if inj is not None:
+                    service *= gray
                 nbytes = head_bytes   # a slot is filed under its head
                 stats.coalesced_slots += 1
                 stats.coalesced_verbs += riders
@@ -463,6 +486,9 @@ class Fabric:
         stats.bytes_moved += moved
         if prof is not None:
             prof.end_batch()
+        if touched is not None:
+            return self._deliver_touched(ops, touched, inj, completions,
+                                         finish, unsignaled, qp)
         if self.tracer.enabled:
             self.tracer.on_batch(ops, completions, now, finish,
                                  unsignaled=unsignaled)
@@ -476,220 +502,100 @@ class Fabric:
             lambda ev: proxy.succeed(ev.value[0]) if ev.ok else proxy.fail(ev.value))
         return proxy
 
-    # -- fault-injected verb path (repro.faults) ------------------------------
-    def _post_faulty(self, ops: Sequence[Verb], unsignaled: bool,
-                     qp: int = 0) -> Event:
-        """Doorbell batch under an installed fault injector.
-
-        Per attempt the injector draws a verb's fate (lost request, lost
-        reply, duplicated delivery, extra jitter) and the transport
-        retries with capped backoff under the *same* idempotency token,
-        so the memory node applies each verb at most once
-        (`MemoryNode.apply_once`); a verb whose retry budget runs out
-        completes with :data:`TIMEOUT`.  Verbs are applied at their
-        simulated arrival time, so effects still land inside the
-        invocation-completion window and executions remain linearizable.
-        On a multi-port node each retry rotates the affinity hash by one,
-        so a QP stuck behind a partitioned or gray *port* reaches a
-        healthy one within ``num_ports`` attempts.
-
-        First-attempt fates are drawn here, in posted order (a fate is a
-        pure hash of what is sent and when), into one `_Delivery` per
-        verb.  A batch no fault reaches — every fate clean, every target
-        alive — is three kernel callbacks (`_deliver_untouched`); any
-        other batch gets a process per verb, the only shape that can
-        express loss, duplication and retry.  Both count a delivery with
-        `_count`, note its request leg with `_note_request` and deliver it
-        with `_arrive`, and both start from here, so same-instant batches
-        of one QP reach the MN in post order whichever shape each took.
-        """
-        env = self.env
-        self.stats.batches += 1
-        span = self.tracer.current_span() if self.tracer.enabled else None
-        prof = env._profiler
-        pspan = None
-        if prof is not None and not unsignaled:
-            pspan = prof.current_span()
-        inj = self.injector    # a delivery keeps the one it was posted under
-        now = env._now
+    # -- touched verbs (repro.faults) ------------------------------------------
+    def _first_fates(self, ops: Sequence[Verb], inj, now: float, qp: int):
+        """Draw every verb's first-attempt fate at the post instant, in
+        posted order (a fate is a pure hash of what is sent and when, on
+        the port the QP hashes to).  None when every fate is clean, else
+        per verb None (clean) or ``(port index, port, fate)``."""
+        touched = None
         nodes = self.nodes
         pcache = self._port_cache
-        draw = inj.fate
-        hook = env._access_hook
-        untouched = True
-        verbs = []
         for i, op in enumerate(ops):
             mn = op.mn_id
-            node = nodes[mn]
             is_read = op.__class__ is ReadOp
             pidx, port = pcache.get((mn, is_read, qp)) \
-                or self._port_for(node, is_read, qp)
-            fate = draw(verb_ident(op), mn, 1, now, pidx)
-            if hook is not None:
-                hook(("crash", mn), False)
-            if untouched and (node.crashed or not fate.clean):
-                untouched = False
-            verbs.append(_Delivery(i, op, node, pidx, port, fate))
-        # Every verb draws a uid, used or not: the uid sequence (and so
-        # the RPC and master tokens that later fates hash) must not depend
-        # on which shape a batch took.  A token is only ever read by a
-        # re-delivery, so a batch no fault reaches records none.
-        for verb in verbs:
-            token = env.next_uid()
-            if not untouched:
-                verb.token = token
-        if untouched:
-            return self._deliver_untouched(ops, verbs, inj, unsignaled, span,
-                                           pspan)
-        completions: List[Completion] = [None] * len(ops)
-        procs = []
-        for verb in verbs:
+                or self._port_for(nodes[mn], is_read, qp)
+            fate = inj.fate(verb_ident(op), mn, 1, now, pidx)
+            if not fate.clean:
+                if touched is None:
+                    touched = [None] * len(ops)
+                touched[i] = (pidx, port, fate)
+        return touched
+
+    def _deliver_touched(self, ops, touched, inj, completions, finish,
+                         unsignaled, qp) -> Event:
+        """Give each touched verb of a batch its delivery process under a
+        fresh idempotency token (`_deliver_verb`), and gather them with the
+        loop's finish time into the batch's one completion event."""
+        env = self.env
+        t0 = env._now
+        span = self.tracer.current_span() if self.tracer.enabled else None
+        prof = env._profiler
+        pspan = None if prof is None or unsignaled else prof.current_span()
+        waits = []
+        for i, first in enumerate(touched):
+            if first is None:
+                continue
+            op = ops[i]
+            verb = _Delivery(i, op, self.nodes[op.mn_id], *first,
+                             env.next_uid())
             proc = env.process(
                 self._deliver_verb(verb, inj, completions, span, qp),
-                name=f"verb:{verb.i}@MN{verb.op.mn_id}")
+                name=f"verb:{i}@MN{op.mn_id}")
             if prof is not None:
                 # A delivery process cannot see the posting span via the
                 # tracer's per-process stack — bind explicitly (None when
                 # unsignaled, to keep the intervals resource-only).
                 prof.bind(proc, pspan)
-            procs.append(proc)
-        return env.process(self._gather_batch(ops, procs, completions,
-                                              now, unsignaled, span),
+            waits.append(proc)
+        if finish > t0:
+            waits.append(env.timeout(finish - t0))  # the loop's verbs
+        return env.process(self._gather_batch(ops, waits, completions, t0,
+                                              unsignaled, span),
                            name="batch")
 
-    def _gather_batch(self, ops, procs, completions, t0, unsignaled, span):
-        if len(procs) == 1:
-            yield procs[0]
+    def _gather_batch(self, ops, waits, completions, t0, unsignaled, span):
+        if len(waits) == 1:
+            yield waits[0]
         else:
-            yield self.env.all_of(procs)
+            yield self.env.all_of(waits)
         if self.tracer.enabled:
             self.tracer.on_batch(ops, completions, t0, self.env.now,
                                  unsignaled=unsignaled, span=span)
         return completions
 
-    def _deliver_untouched(self, ops, verbs, inj, unsignaled, span,
-                           pspan) -> Event:
-        """A batch no fault reaches, as three kernel callbacks on the event
-        ids and instants of one delivery process: the start at the post
-        instant (`_count`, `_note_request`), the arrival (`_arrive` per
-        verb in posted order) and the reply of the slowest verb, which
-        succeeds the returned event — the fourth id, on which the caller
-        resumes.  The profiler's span is set per callback, not per
-        interval."""
-        env = self.env
-        cfg = self.config
-        t0 = env._now
-        completions: List[Completion] = [None] * len(ops)
-        finished = Event(env)
-        prof = None     # the profiler the start saw, kept for the arrival
-
-        def start(_event):
-            nonlocal prof
-            prof = env._profiler
-            for verb in verbs:
-                self._count(verb)
-            if prof is not None:
-                prof.begin_batch(pspan)
-                for verb in verbs:
-                    self._note_request(prof, verb, t0)
-                prof.end_batch()
-            env.timeout(cfg.post_overhead_us
-                        + cfg.one_way_delay_us).callbacks.append(arrive)
-
-        def arrive(_event):
-            if prof is not None:
-                prof.begin_batch(pspan)
-            back = 0.0
-            try:
-                for verb in verbs:
-                    until_back = self._arrive(verb, inj, prof, completions)
-                    if until_back is not None and until_back > back:
-                        back = until_back
-            except Exception as exc:   # e.g. a verb outside its node:
-                finished.fail(exc)     # the poster gets it, as from a process
-                return
-            finally:
-                if prof is not None:
-                    prof.end_batch()
-            env.timeout(back).callbacks.append(reply)
-
-        def reply(_event):
-            if self.tracer.enabled:
-                self.tracer.on_batch(ops, completions, t0, env._now,
-                                     unsignaled=unsignaled, span=span)
-            finished.succeed(completions)
-
-        env.timeout(0.0).callbacks.append(start)
-        return finished
-
-    def _note_request(self, prof, verb: _Delivery, t: float) -> None:
-        """The request leg of an attempt posted at ``t``: the client's post
-        overhead, then propagation plus the attempt's jitter."""
-        cfg = self.config
-        t_sent = t + cfg.post_overhead_us
-        prof.note("client", "post", t, t_sent)
-        prof.note("propagation", "net.request", t_sent,
-                  t_sent + cfg.one_way_delay_us + verb.fate.request_jitter_us)
-
-    def _arrive(self, verb: _Delivery, inj, prof, completions):
-        """A verb's request arriving at its MN, in either delivery shape:
-        crash check (FAIL on the spot, no return leg), apply (at most once
-        per token when the delivery has one), gray-inflated service, a slot
-        on the attempt's port.  Files the completion; returns how long
-        until the reply is back, or None if the MN is down."""
-        env = self.env
-        stats = self.stats
-        op, node, port, fate = verb.op, verb.node, verb.port, verb.fate
-        env.note_access(("crash", op.mn_id), False)
-        if node.crashed:
-            stats.failed_verbs += 1
-            completions[verb.i] = Completion(op, FAIL)
-            return None
-        if verb.token is None:
-            value = node.apply(op)
-        else:
-            value, deduped = node.apply_once(verb.token, op)
-            if deduped:
-                stats.dedup_hits += 1
-        completions[verb.i] = Completion(op, value)
-        service = (self._service_time(node, op, verb.nbytes)
-                   * inj.service_factor(op.mn_id, env._now, port=verb.pidx))
-        self._note_port(port)
-        if self.monitor is not None:
-            self.monitor.note_verb(op.mn_id, port.label, op.__class__,
-                                   verb.nbytes, service)
-        done = port.finish_time(service, env._now)
-        if fate.duplicate:
-            # The fabric delivered the request twice: the second copy hits
-            # the token cache (no re-execution) but still costs NIC service.
-            stats.duplicates += 1
-            if node.apply_once(verb.token, op)[1]:
-                stats.dedup_hits += 1
-            self._note_port(port)
-            port.finish_time(service, env._now)
-        one_way = self.config.one_way_delay_us
-        if prof is not None and not fate.drop_reply:
-            # [now, done] is NIC queue+service, already attributed by
-            # the port; only the reply's travel back is propagation.
-            prof.note("propagation", "net.reply", done,
-                      done + one_way + fate.reply_jitter_us)
-        return max(0.0, done - env._now) + one_way + fate.reply_jitter_us
-
     def _deliver_verb(self, verb: _Delivery, inj, completions, span, qp):
+        """One touched verb, attempt by attempt.
+
+        Per attempt the injector's fate may lose the request or the reply,
+        duplicate the delivery or add jitter; the transport retries with
+        capped backoff under the *same* idempotency token, so the memory
+        node applies the verb at most once (`MemoryNode.apply_once`).  A
+        verb whose retry budget runs out completes with :data:`TIMEOUT`.
+        The verb applies at its simulated arrival, inside the
+        invocation-completion window, so executions stay linearizable.  On
+        a multi-port node each retry rotates the affinity hash by one, so
+        a QP stuck behind a partitioned or gray *port* reaches a healthy
+        one within ``num_ports`` attempts.  A node down at an attempt's
+        start fails it one RTT later; one that went down in flight fails
+        it at arrival, with no return leg.
+        """
         env = self.env
         cfg = self.config
+        stats = self.stats
         policy = inj.retry
         op, node = verb.op, verb.node
-        self._count(verb)
+        one_way = cfg.one_way_delay_us
         for attempt in range(1, policy.max_attempts + 1):
             if attempt > 1:
-                self.stats.transport_retries += 1
+                stats.transport_retries += 1
                 if span is not None:
                     self.tracer.note_transport_retry(span)
             t_attempt = env.now
             env.note_access(("crash", node.mn_id), False)
             if node.crashed:
-                self.stats.failed_verbs += 1
+                stats.failed_verbs += 1
                 yield _prop(env, cfg.fail_delay_us, "net.fail")
                 completions[verb.i] = Completion(op, FAIL)
                 return
@@ -700,34 +606,66 @@ class Fabric:
                     node, op.__class__ is ReadOp, qp, salt=attempt - 1)
                 verb.fate = inj.fate(verb_ident(op), op.mn_id, attempt,
                                      t_attempt, port=verb.pidx)
-            fate = verb.fate
+            port, fate = verb.port, verb.fate
             backoff = policy.backoff_us(attempt, fate.backoff_u)
             if fate.drop_request:
-                self.stats.dropped_requests += 1
-                self._note_drop(verb.port)
+                stats.dropped_requests += 1
+                self._note_drop(port)
                 yield _backoff(env, policy.verb_timeout_us + backoff,
                                "verb.timeout")
                 continue
             prof = env._profiler
             if prof is not None:
-                self._note_request(prof, verb, t_attempt)
-            yield env.timeout(cfg.post_overhead_us + cfg.one_way_delay_us
+                t_sent = t_attempt + cfg.post_overhead_us
+                prof.note("client", "post", t_attempt, t_sent)
+                prof.note("propagation", "net.request", t_sent,
+                          t_sent + one_way + fate.request_jitter_us)
+            yield env.timeout(cfg.post_overhead_us + one_way
                               + fate.request_jitter_us)
-            back = self._arrive(verb, inj, prof, completions)
-            if back is None:
+            env.note_access(("crash", op.mn_id), False)
+            if node.crashed:
+                stats.failed_verbs += 1
+                completions[verb.i] = Completion(op, FAIL)
                 return
+            value, deduped = node.apply_once(verb.token, op)
+            if deduped:
+                stats.dedup_hits += 1
+            completions[verb.i] = Completion(op, value)
+            service = (self._service_time(node, op, verb.nbytes)
+                       * inj.service_factor(op.mn_id, env._now,
+                                            port=verb.pidx))
+            self._note_port(port)
+            if self.monitor is not None:
+                self.monitor.note_verb(op.mn_id, port.label, op.__class__,
+                                       verb.nbytes, service)
+            done = port.finish_time(service, env._now)
+            if fate.duplicate:
+                # The fabric delivered the request twice: the second copy
+                # hits the token cache (no re-execution) but still costs
+                # NIC service.
+                stats.duplicates += 1
+                if node.apply_once(verb.token, op)[1]:
+                    stats.dedup_hits += 1
+                self._note_port(port)
+                port.finish_time(service, env._now)
             if fate.drop_reply:
-                self.stats.dropped_replies += 1
-                self._note_drop(verb.port)
+                stats.dropped_replies += 1
+                self._note_drop(port)
                 elapsed = env.now - t_attempt
                 yield _backoff(
                     env,
                     max(0.0, policy.verb_timeout_us - elapsed) + backoff,
                     "verb.timeout")
                 continue
-            yield env.timeout(back)
+            if prof is not None:
+                # [now, done] is NIC queue+service, already attributed by
+                # the port; only the reply's travel back is propagation.
+                prof.note("propagation", "net.reply", done,
+                          done + one_way + fate.reply_jitter_us)
+            yield env.timeout(max(0.0, done - env._now) + one_way
+                              + fate.reply_jitter_us)
             return
-        self.stats.verb_timeouts += 1
+        stats.verb_timeouts += 1
         completions[verb.i] = Completion(op, TIMEOUT)
 
     # -- RPCs -------------------------------------------------------------------
@@ -886,19 +824,6 @@ class Fabric:
             service = self._verb_cache[key] = \
                 fixed + profile.byte_time(nbytes)
         return service
-
-    def _count(self, verb: _Delivery) -> None:
-        stats = self.stats
-        cls = verb.op.__class__
-        if cls is ReadOp:
-            stats.reads += 1
-        elif cls is WriteOp:
-            stats.writes += 1
-        else:
-            stats.atomics += 1
-        stats.bytes_moved += verb.nbytes
-        mn_id = verb.op.mn_id
-        stats.per_mn_ops[mn_id] = stats.per_mn_ops.get(mn_id, 0) + 1
 
 
 class QpFabric:

@@ -293,10 +293,9 @@ class TestGrayExpansionScenario:
     as *scheduler freedom* (a gray factor multiplies a zero service
     time, so the explorer's interleavings subsume every stretch
     factor); the injected fault still exercises the injector wiring on
-    a controlled-scheduler bed.  Unlike the two-client protocol
-    scenarios, the split generator racing two clients is too deep to
-    exhaust, so the contract is budgeted survival: no violation within
-    the documented schedule budget."""
+    a controlled-scheduler bed.  The gray fault draws no clean-fated verb
+    a process of its own, so the split racing two clients is explored
+    exhaustively within the documented budget, with no violation."""
 
     BUDGET_SCHEDULES = 150
     BUDGET_DECISIONS = 500
@@ -312,7 +311,6 @@ class TestGrayExpansionScenario:
         assert not result.found, (
             f"gray expansion: {result.violation}\n"
             f"decisions={result.violating_decisions}")
-        # The space is not exhaustible at any practical budget; make
-        # sure the budget was actually spent exploring, not cut short
-        # by a scenario-setup error.
-        assert result.schedules == self.BUDGET_SCHEDULES
+        # every schedule explored, none cut short by the budget or by a
+        # scenario-setup error
+        assert result.complete, result

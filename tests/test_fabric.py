@@ -1,7 +1,6 @@
 """Tests for the simulated RDMA fabric and memory nodes."""
 
 import os
-from dataclasses import replace
 from heapq import heappop
 
 import pytest
@@ -18,6 +17,7 @@ from repro.faults import (
     RetryPolicy,
 )
 from repro.obs import Monitor, Profiler, Tracer, jsonl_lines
+from repro.obs.tracer import NULL_TRACER
 from repro.rdma import (
     FAIL,
     PORT_AFFINITY_MODES,
@@ -280,11 +280,12 @@ class TestCrashes:
         assert repr(FAIL) == "FAIL"
 
     @pytest.mark.parametrize("path", ["post", "injected post", "rpc",
-                                      "injected rpc"])
+                                      "injected rpc", "touched post"])
     def test_crashed_node_fails_one_rtt_later(self, path):
         """A verb or RPC posted to an already-crashed MN completes FAIL
         one RTT later, ``2 * one_way_delay_us`` (DESIGN.md §6), on the
-        clean loop, the injected per-verb path and an RPC alike."""
+        loop with or without an injector, for a touched verb in its own
+        process and for an RPC alike."""
         env = Environment()
         fab = Fabric(env, FabricConfig(one_way_delay_us=0.5))
         node = MemoryNode(env, 0, capacity=64)
@@ -293,6 +294,9 @@ class TestCrashes:
         node.crash()
         if path.startswith("injected"):
             fab.injector = FaultInjector(FaultPlan())
+        elif path == "touched post":    # jitter touches every verb
+            fab.injector = FaultInjector(
+                FaultPlan(link_faults=[LinkFault(jitter_us=1.0)]))
 
         def proc():
             if path.endswith("rpc"):
@@ -810,11 +814,10 @@ def _verbs(batch, n_mns):
 
 
 class TestOneVerbLoop:
-    """``Fabric.post`` is one loop whose profiler / footprint / monitor
-    stages are optional: switching a stage on must observe the batch, never
-    change it.  The injector path is a different mechanism (kernel
-    callbacks per batch, or a process per verb) that must agree with the
-    loop whenever no fault is drawn."""
+    """``Fabric.post`` is one loop whose profiler / footprint / monitor /
+    injector stages are optional: switching a stage on must observe the
+    batch, never change it.  An injector with nothing to inject is the
+    bare fabric, coalescing and crashed nodes included."""
 
     @given(batch=st.lists(_VERB, min_size=1, max_size=12),
            n_mns=st.integers(1, 2),
@@ -869,7 +872,7 @@ class TestOneVerbLoop:
             return values, memory, env.now, fab.stats.snapshot(), observer
 
         values, memory, now, stats, _ = run("bare")
-        for stage in ("profiler", "access_hook", "monitor"):
+        for stage in ("profiler", "access_hook", "monitor", "injector"):
             got = run(stage)
             assert got[:4] == (values, memory, now, stats), stage
             observer = got[4]
@@ -879,66 +882,85 @@ class TestOneVerbLoop:
                 assert {token for token, write in observer.tokens
                         if token[0] == "crash" and not write} \
                     >= {("crash", op[1] % n_mns) for op in batch}
-            else:
+            elif stage == "monitor":
                 assert observer.verbs == (stats.reads + stats.writes
                                           + stats.atomics
                                           - stats.failed_verbs)
 
-        f_values, f_memory, f_now, f_stats, _ = run("injector")
-        assert (f_values, f_memory) == (values, memory)
-        # the per-verb delivery path never coalesces: timing and the
-        # coalescing counters agree only when the loop shared no slot
-        if stats.coalesced_slots == 0:
-            assert f_now == pytest.approx(now, rel=1e-12)
-            assert f_stats == stats
-        else:
-            assert replace(f_stats, coalesced_slots=stats.coalesced_slots,
-                           coalesced_verbs=stats.coalesced_verbs) == stats
-
 
 class _ProcessPerVerbFabric(Fabric):
-    """The injected verb path as it was before a clean batch lost its
-    delivery process: every verb in its own delivery process, every batch
-    gathered by a third.  Kept verbatim as the reference `TestInjectedBatch`
-    compares the fabric against; it only adds ``untouched_tokens``, the
-    tokens of the batches the fabric delivers without recording one (every
-    first-attempt fate clean, every target alive at post)."""
+    """The reference `TestInjectedBatch` compares the fabric against.  A
+    verb whose first-attempt fate is clean goes through the bare loop
+    (the injector uninstalled for the call, its gray factor at the arrival
+    instant folded into the service-time memo); every other verb gets a
+    delivery process of its own, as every verb did before the clean loop
+    took the untouched ones (kept verbatim below), and a third process
+    gathers the batch."""
 
-    untouched_tokens = frozenset()
-
-    def _post_faulty(self, ops, unsignaled, qp=0):
+    def post(self, ops, unsignaled=False, qp=0):
+        inj = self.injector
+        if inj is None:
+            return super().post(ops, unsignaled=unsignaled, qp=qp)
         env = self.env
+        cfg = self.config
         t0 = env.now
-        self.stats.batches += 1
+        arrive = t0 + cfg.post_overhead_us + cfg.one_way_delay_us
+        clean, touched, gray = [], [], {}
+        for i, op in enumerate(ops):
+            node = self.nodes[op.mn_id]
+            pidx = self._port_for(node, isinstance(op, ReadOp), qp)[0]
+            if inj.fate(verb_ident(op), op.mn_id, 1, t0, port=pidx).clean:
+                clean.append(i)
+                gray[(op.mn_id, op.__class__, op_bytes(op))] = (
+                    self._service_time(node, op)
+                    * inj.service_factor(op.mn_id, arrive, port=pidx))
+            else:
+                touched.append(i)
         span = self.tracer.current_span() if self.tracer.enabled else None
+        loop = None
+        if clean:
+            memo, tracer = self._verb_cache, self.tracer
+            self.injector, self._verb_cache = None, gray
+            if touched:     # the gatherer traces the whole batch
+                self.tracer = NULL_TRACER
+            try:
+                loop = super().post([ops[i] for i in clean],
+                                    unsignaled=unsignaled, qp=qp)
+            finally:
+                self.injector, self._verb_cache, self.tracer = \
+                    inj, memo, tracer
+            if not touched:
+                return loop
+        else:
+            self.stats.batches += 1
         prof = env._profiler
         pspan = None
         if prof is not None and not unsignaled:
             pspan = prof.current_span()
         completions = [None] * len(ops)
-        tokens = [env.next_uid() for _ in ops]
-        if all(not self.nodes[op.mn_id].crashed and self.injector.fate(
-                verb_ident(op), op.mn_id, 1, t0, port=self._port_for(
-                    self.nodes[op.mn_id], isinstance(op, ReadOp), qp)[0]
-                ).clean for op in ops):
-            self.untouched_tokens = self.untouched_tokens.union(tokens)
         procs = []
-        for i, op in enumerate(ops):
+        for i in touched:
             proc = env.process(
-                self._deliver_verb(i, op, tokens[i], completions, span, qp),
-                name=f"verb:{i}@MN{op.mn_id}")
+                self._deliver_verb(i, ops[i], env.next_uid(), completions,
+                                   span, qp),
+                name=f"verb:{i}@MN{ops[i].mn_id}")
             if prof is not None:
                 prof.bind(proc, pspan)
             procs.append(proc)
-        return env.process(self._gather_batch(ops, procs, completions, t0,
-                                              unsignaled, span),
+        return env.process(self._gather_batch(ops, clean, loop, procs,
+                                              completions, t0, unsignaled,
+                                              span),
                            name="batch")
 
-    def _gather_batch(self, ops, procs, completions, t0, unsignaled, span):
-        if len(procs) == 1:
-            yield procs[0]
+    def _gather_batch(self, ops, clean, loop, procs, completions, t0,
+                      unsignaled, span):
+        waits = procs + [loop] * (loop is not None)
+        if len(waits) == 1:
+            yield waits[0]
         else:
-            yield self.env.all_of(procs)
+            yield self.env.all_of(waits)
+        for i, completion in zip(clean, loop.value if loop else ()):
+            completions[i] = completion
         if self.tracer.enabled:
             self.tracer.on_batch(ops, completions, t0, self.env.now,
                                  unsignaled=unsignaled, span=span)
@@ -1051,6 +1073,9 @@ _PLANS = {
     "jitter": dict(link_faults=[LinkFault(mn_id=0, jitter_us=1.5)]),
     "gray": dict(gray_nodes=[GrayNode(mn_id=0, factor=6.0)]),
     "gray-port": dict(gray_nodes=[GrayNode(mn_id=0, factor=6.0, port=1)]),
+    # slow from after the post instant: the factor is the arrival's
+    "gray-onset": dict(gray_nodes=[GrayNode(mn_id=0, factor=6.0,
+                                            start_us=_POST_AT + 0.6)]),
     "partition": dict(partitions=[Partition(a=CN, b=0, end_us=12.0)]),
     "lost-replies": dict(partitions=[Partition(a=CN, b=0, end_us=9.0,
                                                drop_requests=False)]),
@@ -1125,14 +1150,8 @@ def _injected_run(fabric_cls, batch, n_mns, num_ports, plan, seed, crash,
         "fired": fired["at"],
         "stats": fab.stats.snapshot(),
         "memory": [bytes(fab.node(m).memory) for m in range(n_mns)],
-        # the oracle records a token for every delivery; the fabric only
-        # for a delivery that can be repeated
-        "tokens": [[(token, result) for token, result
-                    in fab.node(m)._verb_results.items()
-                    if token not in fab.untouched_tokens]
-                   for m in range(n_mns)]
-        if isinstance(fab, _ProcessPerVerbFabric)
-        else [list(fab.node(m)._verb_results.items()) for m in range(n_mns)],
+        "tokens": [list(fab.node(m)._verb_results.items())
+                   for m in range(n_mns)],
         "trace": jsonl_lines(tracer) if tracer else None,
         "intervals": [(sid.get(id(span)), *rest)
                       for span, *rest in prof.intervals] if prof else None,
@@ -1170,12 +1189,13 @@ _HEAL = st.sampled_from([None, _POST_AT + 0.6, _POST_AT + 1.15, 9.0])
 
 
 class TestInjectedBatch:
-    """Under an injector a batch no fault reaches is three kernel
-    callbacks and any other batch a process per verb.  Which one ran must
-    be invisible: same completions at the same instant, same counters,
-    bytes, trace, profile and detector state as the process-per-verb
-    reference kept above, and the same dedup tables but for the tokens
-    of the batches no fault reached, which nothing can read."""
+    """Under an injector a verb no fault reaches at its first attempt is
+    delivered by the bare loop, and any other verb by a process of its
+    own.  Which verb took which must be invisible: same completions at
+    the same instant, same counters, bytes, dedup tables, trace, profile
+    and detector state as the reference kept above, which posts the
+    clean verbs through the loop with the injector uninstalled and runs
+    the touched ones on the process-per-verb path."""
 
     @given(batch=st.lists(_VERB, min_size=1, max_size=6),
            n_mns=st.integers(1, 3), num_ports=st.integers(1, 3),
@@ -1213,9 +1233,9 @@ class TestInjectedBatch:
             _injected_run(_ProcessPerVerbFabric, *args, single=True))
 
     @staticmethod
-    def _bed(**plan):
+    def _bed(width=1, **plan):
         env = Environment()
-        fab = Fabric(env, FabricConfig())
+        fab = Fabric(env, FabricConfig(max_coalesce_width=width))
         for mn_id in range(2):
             fab.add_node(MemoryNode(env, mn_id, capacity=128))
         fab.injector = FaultInjector(FaultPlan(**plan), retry=_RETRY)
@@ -1228,7 +1248,7 @@ class TestInjectedBatch:
         env.process = process
         return env, fab, spawned
 
-    def test_a_clean_batch_is_four_kernel_events(self):
+    def test_a_clean_batch_is_one_kernel_event(self):
         env, fab, spawned = self._bed(
             link_faults=[LinkFault(drop_p=0.9, start_us=500.0)],
             gray_nodes=[GrayNode(mn_id=1, factor=4.0)])
@@ -1238,12 +1258,43 @@ class TestInjectedBatch:
         comps = env.run(until=batch)
         assert [c.value for c in comps] == [None, 0, b"x" * 8]
         assert spawned == []
-        # start, request leg, reply leg, completion
-        assert env._eid - before <= 4
+        # the loop's one timeout, as on a bare fabric
+        assert env._eid - before == 1
         # no delivery of it can be repeated, so no token is recorded
         assert all(not node._verb_results for node in fab.nodes.values())
         assert env.now == pytest.approx(2.0 + fab.config.post_overhead_us,
                                         abs=0.2)
+
+    def test_a_touched_verb_never_shares_a_slot(self):
+        env, fab, spawned = self._bed(
+            width=4, link_faults=[LinkFault(drop_p=0.2)], seed=3)
+        backlog_ports(fab, 1000.0)      # every slot that may widen does
+
+        def touched(addr):
+            return not fab.injector.fate(verb_ident(ReadOp(0, addr, 8)), 0,
+                                         1, env.now, port=0).clean
+
+        clean = [a for a in range(0, 128, 8) if not touched(a)][:4]
+        hit = next(a for a in range(0, 128, 8) if touched(a))
+        ops = [ReadOp(0, a, 8) for a in (*clean[:2], hit, *clean[2:])]
+        comps = env.run(until=fab.post(ops))
+        assert [c.value for c in comps] == [bytes(8)] * 5
+        assert spawned == ["verb:2@MN0", "batch"]
+        # the clean READs on either side of it pair up, one slot each
+        assert (fab.stats.coalesced_slots, fab.stats.coalesced_verbs) \
+            == (2, 2)
+
+    def test_the_gray_factor_scales_a_shared_slot(self):
+        env, fab, _spawned = self._bed(
+            width=4, gray_nodes=[GrayNode(mn_id=0, factor=4.0)])
+        backlog_ports(fab, 1000.0)
+        port = fab.node(0).tx_ports[0]      # READs leave on a tx port
+        busy = port.total_busy
+        env.run(until=fab.post([ReadOp(0, 8 * k, 8) for k in range(3)]))
+        assert fab.stats.coalesced_verbs == 2
+        profile = port.profile
+        assert port.total_busy - busy == pytest.approx(
+            4.0 * (profile.op_overhead + 3 * profile.byte_time(8)))
 
     def test_timed_out_and_failed_verbs_are_traced_as_failed(self):
         env = Environment()
@@ -1279,7 +1330,7 @@ class TestInjectedBatch:
         env, fab, spawned = self._bed(partitions=[
             Partition(a=CN, b=0, end_us=3.0, drop_requests=False)])
         comps = env.run(until=fab.post([FaaOp(0, 0, 5), WriteOp(1, 0, b"y")]))
-        assert spawned == ["verb:0@MN0", "verb:1@MN1", "batch"]
+        assert spawned == ["verb:0@MN0", "batch"]
         assert [c.value for c in comps] == [0, None]
         assert fab.node(0).read_word(0) == 5
         assert len(fab.node(0)._verb_results) == 1
@@ -1291,9 +1342,9 @@ class TestInjectedBatch:
     @pytest.mark.parametrize("second_touched", [False, True])
     def test_same_instant_batches_of_one_qp_apply_in_post_order(
             self, first_touched, second_touched):
-        # A verb to MN 1 draws jitter, which makes its whole batch take
-        # the process-per-verb shape; the verbs to MN 0 are clean-fated in
-        # every batch and arrive at one instant.
+        # A verb to MN 1 draws jitter, which gives it a delivery process;
+        # the verbs to MN 0 are clean-fated in every batch and go through
+        # the loop, which applies them at post in posted order.
         env, fab, spawned = self._bed(
             link_faults=[LinkFault(mn_id=1, jitter_us=1.0)])
         extra = [ReadOp(1, 0, 8)]
@@ -1302,8 +1353,9 @@ class TestInjectedBatch:
         second = fab.post([FaaOp(0, 0, 10), ReadOp(0, 8, 8)]
                           + extra * second_touched, qp=2)
         env.run(until=env.all_of([first, second]))
-        assert ("verb:0@MN0" in spawned) == (first_touched or second_touched)
-        # a gatherer per touched batch; an untouched one spawns nothing
+        assert "verb:0@MN0" not in spawned
+        # a process and a gatherer per touched verb; the loop spawns none
+        assert spawned.count("verb:2@MN1") == first_touched + second_touched
         assert spawned.count("batch") == first_touched + second_touched
         assert first.value[0].value == 0        # the FAAs saw 0, then 1
         assert second.value[0].value == 1

@@ -1,10 +1,19 @@
 """Fault injection on the substrate paths: RPCs under mid-service crashes,
 kernel error surfaces, and protocol behaviour under exotic failures."""
 
+from functools import lru_cache
+from hashlib import sha256
+
 import pytest
 
+from repro.faults import CN, FaultInjector, FaultPlan, GrayNode, LinkFault, \
+    Partition
+from repro.harness.runner import run_closed_loop
+from repro.harness.systems import fusee_bed
 from repro.rdma import FAIL, Fabric, FabricConfig, MemoryNode, ReadOp
 from repro.sim import Environment, SimulationError
+from repro.workloads.ycsb import YcsbConfig, YcsbWorkload, key_bytes, \
+    make_value
 
 
 @pytest.fixture
@@ -172,3 +181,54 @@ class TestSequentialWriteRollback:
         # the partially-modified backup was rolled back
         assert fabric.node(1).read_word(0) == 0
         assert fabric.node(0).read_word(0) == 0
+
+
+_RUN_US = 400.0
+# Every window of this plan opens after the run has ended.
+_LATE = FaultPlan(
+    link_faults=[LinkFault(drop_p=0.5, dup_p=0.5, jitter_us=2.0,
+                           start_us=10 * _RUN_US)],
+    partitions=[Partition(a=CN, b=1, start_us=10 * _RUN_US)],
+    gray_nodes=[GrayNode(mn_id=0, start_us=10 * _RUN_US)])
+
+
+@lru_cache(maxsize=None)
+def _ycsb_run(workload, width, plan=None):
+    """32 closed-loop YCSB clients for 400 us on a loaded two-MN bed, under
+    ``plan`` (None: no injector): what an observer of the run can see."""
+    bed = fusee_bed(n_memory_nodes=2, dataset_bytes=4 << 20,
+                    max_coalesce_width=width)
+    config = YcsbConfig(workload=workload, n_keys=2000, kv_size=256)
+    bed.load([(key_bytes(i), make_value(config.value_size, salt=i))
+              for i in range(config.n_keys)])
+    fabric = bed.cluster.fabric
+    if plan is not None:
+        fabric.injector = FaultInjector(plan)
+    clients = [bed.new_client() for _ in range(32)]
+    result = run_closed_loop(bed.env, clients,
+                             lambda i: YcsbWorkload(config, seed=i),
+                             bed.execute, duration_us=_RUN_US)
+    return (result.per_op_counts, bed.env.now, fabric.stats.snapshot(),
+            [sha256(node.memory).hexdigest()    # 2 x 100 MB: the fast one
+             for node in fabric.nodes.values()])
+
+
+class TestNothingToInjectIsTheBareFabric:
+    """An injector that draws no fault delivers every verb through the
+    bare fabric's loop: the same ops per kind, the same end instant, the
+    same fabric counters and the same bytes in every MN, with coalescing
+    on or off."""
+
+    @pytest.mark.parametrize("workload, width, plan", [
+        ("A", 1, FaultPlan()),
+        ("C", 4, FaultPlan()),
+        ("A", 1, _LATE),
+    ], ids=["ycsb-a", "ycsb-c-coalescing", "windows-after-the-run"])
+    def test_the_run_equals_the_bare_run(self, workload, width, plan):
+        counts, now, stats, memory = _ycsb_run(workload, width, plan)
+        bare_counts, bare_now, bare_stats, bare_memory = \
+            _ycsb_run(workload, width)
+        assert counts == bare_counts
+        assert now == bare_now
+        assert stats == bare_stats
+        assert memory == bare_memory

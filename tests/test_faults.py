@@ -76,6 +76,52 @@ def test_policy_validation():
         RetryPolicy().backoff_us(0)
 
 
+# Each primitive refuses a value that would corrupt a run, naming the field;
+# the gray factor scales the clean loop's NIC service, so a bad one would
+# corrupt the port state of every verb, not only the faulted ones.
+@pytest.mark.parametrize("build, field", [
+    pytest.param(lambda: GrayNode(mn_id=0, factor=-2.0), "factor",
+                 id="gray-negative-factor"),
+    pytest.param(lambda: GrayNode(mn_id=0, factor=0.0), "factor",
+                 id="gray-zero-factor"),
+    pytest.param(lambda: GrayNode(mn_id=0, factor=math.nan), "factor",
+                 id="gray-nan-factor"),
+    pytest.param(lambda: GrayNode(mn_id=0, start_us=10.0, end_us=5.0),
+                 "start_us", id="gray-window-reversed"),
+    pytest.param(lambda: LinkFault(drop_p=-0.1), "drop_p",
+                 id="link-negative-drop"),
+    pytest.param(lambda: LinkFault(drop_p=1.5), "drop_p",
+                 id="link-drop-above-one"),
+    pytest.param(lambda: LinkFault(dup_p=2), "dup_p",
+                 id="link-dup-above-one"),
+    pytest.param(lambda: LinkFault(jitter_us=-3), "jitter_us",
+                 id="link-negative-jitter"),
+    pytest.param(lambda: LinkFault(start_us=10, end_us=5), "start_us",
+                 id="link-window-reversed"),
+    pytest.param(lambda: Partition(a=CN, b=0, start_us=10.0, end_us=5.0),
+                 "start_us", id="partition-window-reversed"),
+    pytest.param(lambda: RetryPolicy(verb_timeout_us=-1), "verb_timeout_us",
+                 id="retry-negative-verb-timeout"),
+    pytest.param(lambda: RetryPolicy(rpc_timeout_us=-1), "rpc_timeout_us",
+                 id="retry-negative-rpc-timeout"),
+    pytest.param(lambda: RetryPolicy(backoff_base_us=-1), "backoff_base_us",
+                 id="retry-negative-backoff-base"),
+    pytest.param(lambda: RetryPolicy(backoff_cap_us=-0.5), "backoff_cap_us",
+                 id="retry-negative-backoff-cap"),
+])
+def test_fault_primitives_refuse_nonsense(build, field):
+    with pytest.raises(ValueError, match=field):
+        build()
+
+
+def test_fault_primitives_accept_their_edges():
+    LinkFault(drop_p=1.0, dup_p=0.0, jitter_us=0.0, start_us=5, end_us=5)
+    Partition(a=CN, b=0, start_us=3.0, end_us=3.0)
+    GrayNode(mn_id=0, factor=1e-3, start_us=-math.inf, end_us=math.inf)
+    RetryPolicy(verb_timeout_us=0.0, rpc_timeout_us=0.0, backoff_base_us=0.0,
+                backoff_cap_us=0.0)
+
+
 # --------------------------------------------------------------------------
 # Idempotency tokens
 # --------------------------------------------------------------------------
@@ -349,10 +395,11 @@ _PORTS = (None, 0, 1)
 @st.composite
 def _plans_and_queries(draw):
     """Plans of every fault kind whose windows start and end on shared
-    edges, at ±inf, at random instants, or the wrong way round, and the
-    ``(time, "link" | "mn")`` queries to ask them."""
+    edges, at ±inf, at random instants, or at one instant (empty), and
+    the ``(time, "link" | "mn")`` queries to ask them."""
     def window():
-        return dict(start_us=draw(_SPOT), end_us=draw(_SPOT))
+        start, end = sorted((draw(_SPOT), draw(_SPOT)))
+        return dict(start_us=start, end_us=end)
 
     port = st.sampled_from(_PORTS)
     links = draw(st.lists(st.builds(
