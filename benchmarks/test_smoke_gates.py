@@ -124,19 +124,39 @@ def test_the_cached_search_workload_runs_and_verifies():
     assert doc["correct"] is True, doc
 
 
-def test_a_verb_no_fault_touches_is_one_event():
+@pytest.fixture(scope="module")
+def faulty_obs():
+    """One traced smoke run of ``scenario_faulty_obs`` for the gates on
+    its exact counts."""
+    doc = _perf("--workload scenario_faulty_obs --smoke --trace 1")
+    assert doc["correct"] is True, doc
+    return doc
+
+
+def test_a_verb_no_fault_touches_is_one_event(faulty_obs):
     """An exact count, not a timing: under the injector a verb whose first
     fate is clean goes through the bare fabric's loop, so a batch of them
     is one kernel event whatever its size, and only a touched verb gets
     a delivery process.  At smoke size the workload reads 5.0 events per
     op; with an untouched batch taking three callbacks on four event ids
     it read 13.3, and with a process per verb for every batch 31.0."""
-    doc = _perf("--workload scenario_faulty_obs --smoke --trace 1")
-    assert doc["correct"] is True, doc
-    per_op = doc["metrics"]["sim.events_per_op"]["value"]
+    per_op = faulty_obs["metrics"]["sim.events_per_op"]["value"]
     assert per_op <= 8, (
         f"sim.events_per_op {per_op:.1f} > 8: "
         "clean-fated verbs no longer take the loop")
+
+
+def test_a_fate_is_one_hash(faulty_obs):
+    """An exact count, not a timing: a fate packs the message into one
+    key and takes one keyed digest per active link fault, so the fault
+    layer makes 28.4 calls per attempted op at smoke size.  With the
+    ``repr`` of the message hashed afresh for each of its three to five
+    draws it made 44.8."""
+    calls = faulty_obs["metrics"]["hostcalls.faults"]["value"]
+    per_op = calls / faulty_obs["attempted"]
+    assert per_op <= 36, (
+        f"hostcalls.faults / attempted op {per_op:.1f} > 36: "
+        "a fate draws more than one digest per active fault again")
 
 
 def test_a_default_bed_stays_lazily_zeroed():

@@ -17,7 +17,7 @@ from .model import (
     GrayNode,
     LinkFault,
     Partition,
-    verb_ident,
+    fate_key,
 )
 from .retry import NO_RETRY, RetryPolicy
 
@@ -33,6 +33,6 @@ __all__ = [
     "NO_RETRY",
     "Partition",
     "RetryPolicy",
+    "fate_key",
     "run_campaign",
-    "verb_ident",
 ]

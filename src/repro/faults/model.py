@@ -13,12 +13,23 @@ A :class:`FaultPlan` is a scripted timeline of network imperfections:
   are inflated by ``factor``.
 
 The :class:`FaultInjector` turns a plan into per-delivery *fates*.  Every
-probabilistic draw is a keyed hash (BLAKE2b over the plan seed, the link,
-the message identity, the attempt number, and the current sim time) —
-**not** a sequential RNG — so a fate depends only on *what* is sent and
+probabilistic draw is a keyed hash — **not** a sequential RNG and not
+Python's salted ``hash()`` — so a fate depends only on *what* is sent and
 *when*, never on how many unrelated draws happened before it.  Replaying
 a schedule replays the exact same faults, which keeps the
 :mod:`repro.check` schedule explorer and Hypothesis shrinking sound.
+
+A fate's key (:func:`fate_key`) is one injective byte string: a domain
+tag, the MN, the attempt and the instant as an IEEE double, then for a
+verb its kind, address and operands as the MN applies them (CAS
+``expected`` / ``swap`` and FAA ``delta`` masked to 64 bits; a WRITE's
+body length, then its raw bytes), and for any other message (an RPC or
+master identity tuple) the ``repr`` of that tuple under another tag.
+Each active link fault hashes the key and its own index with one BLAKE2b
+digest keyed by the plan seed; the digest's five 64-bit words are the
+drop-request, drop-reply, duplicate and two jitter variates.  A fate
+that is not clean takes one more digest for its backoff variate.  The
+NIC port never enters the key: it only scopes which faults apply.
 """
 
 from __future__ import annotations
@@ -31,7 +42,8 @@ from dataclasses import dataclass
 from hashlib import blake2b
 from typing import Dict, Optional, Tuple
 
-from ..rdma.verbs import verb_ident
+from ..rdma.memory_node import MASK64
+from ..rdma.verbs import CasOp, FaaOp, ReadOp, WriteOp
 from .retry import RetryPolicy
 
 __all__ = [
@@ -42,7 +54,7 @@ __all__ = [
     "FaultPlan",
     "Fate",
     "FaultInjector",
-    "verb_ident",
+    "fate_key",
 ]
 
 #: Endpoint label for the compute side of the fabric (clients + master).
@@ -219,14 +231,41 @@ class Fate:
     reply_jitter_us: float = 0.0
     backoff_u: float = 0.0      # uniform variate for the retry backoff
 
-    @property
-    def clean(self) -> bool:
-        """Nothing lost, duplicated or delayed: the clean fabric's delivery."""
-        return not (self.drop_request or self.drop_reply or self.duplicate
-                    or self.request_jitter_us or self.reply_jitter_us)
-
 
 _CLEAN_FATE = Fate()
+
+# fate_key's layouts: tag, mn, attempt, now, then kind, addr, operands
+_VERB_KEY = struct.Struct(">cqqdcqq")     # READ length; WRITE body length
+_CAS_KEY = struct.Struct(">cqqdcqQQ")
+_FAA_KEY = struct.Struct(">cqqdcqQ")
+_MSG_KEY = struct.Struct(">cqqd")         # then repr(identity)
+# A draw's suffix after the key: the link fault's index, or the backoff's.
+_INDEX = struct.Struct(">I")
+_BACKOFF = _INDEX.pack(0xFFFFFFFF)
+_VARIATES = struct.Struct(">5Q")          # dq, dr, dup, jq, jr
+_UNIT = 2.0 ** -53                        # top 53 bits -> [0, 1)
+
+
+def fate_key(msg, mn_id: int, attempt: int, now: float) -> bytes:
+    """The bytes a fate of ``msg`` is keyed on: injective over (message,
+    MN, attempt, instant).  ``msg`` is a verb, keyed on what goes on the
+    wire, or any other identity tuple (an RPC's or a master call's),
+    keyed on its ``repr``."""
+    cls = msg.__class__
+    if cls is ReadOp:
+        return _VERB_KEY.pack(b"V", mn_id, attempt, now, b"R", msg.addr,
+                              msg.length)
+    if cls is WriteOp:
+        data = msg.data
+        return _VERB_KEY.pack(b"V", mn_id, attempt, now, b"W", msg.addr,
+                              len(data)) + data
+    if cls is CasOp:
+        return _CAS_KEY.pack(b"V", mn_id, attempt, now, b"C", msg.addr,
+                             msg.expected & MASK64, msg.swap & MASK64)
+    if cls is FaaOp:
+        return _FAA_KEY.pack(b"V", mn_id, attempt, now, b"F", msg.addr,
+                             msg.delta & MASK64)
+    return _MSG_KEY.pack(b"M", mn_id, attempt, now) + repr(msg).encode()
 
 
 def _port_match(fault_port: Optional[int], port: Optional[int]) -> bool:
@@ -245,12 +284,21 @@ class FaultInjector:
     and setting ``fabric.injector`` directly are the same thing.
     """
 
+    #: The one clean :class:`Fate` (nothing lost, duplicated or delayed:
+    #: the clean fabric's delivery).  Every clean draw returns this object,
+    #: so a caller tests cleanness by identity.
+    clean_fate = _CLEAN_FATE
+
     def __init__(self, plan: FaultPlan, retry: RetryPolicy | None = None):
         self.plan = plan
         self.retry = retry or RetryPolicy()
-        self._key = struct.pack(">q", plan.seed & ((1 << 63) - 1))
         # The keyed BLAKE2b state every draw copies: keying is done once.
-        self._keyed = blake2b(digest_size=8, key=self._key)
+        self._keyed = blake2b(
+            digest_size=40,
+            key=struct.pack(">q", plan.seed & ((1 << 63) - 1)))
+        # each link fault's draw suffix, packed once
+        self._suffixes = tuple(_INDEX.pack(i)
+                               for i in range(len(plan.link_faults)))
         # The plan is frozen, so the set of active faults changes only at
         # a window edge.  Between two consecutive edges (an *epoch*) every
         # link, partition and gray query answers the same; each epoch keeps
@@ -264,14 +312,6 @@ class FaultInjector:
         self._lo, self._hi = _INF, -_INF
         self._links: Dict[tuple, tuple] = {}
         self._reach: Dict[tuple, bool] = {}
-
-    # ------------------------------------------------------------ draws
-    def _u(self, parts: str) -> float:
-        """Deterministic uniform in [0, 1) keyed by seed + ``parts``, the
-        ``repr`` of the draw's tuple of parts."""
-        h = self._keyed.copy()
-        h.update(parts.encode())
-        return int.from_bytes(h.digest(), "big") / 2.0 ** 64
 
     # ------------------------------------------------------------ epochs
     def _enter(self, now: float) -> None:
@@ -361,38 +401,48 @@ class FaultInjector:
                             ) -> Tuple[Tuple[int, LinkFault], ...]:
         return self._link(mn_id, now, port)[1]
 
-    def fate(self, ident: tuple, mn_id: int, attempt: int,
+    def fate(self, msg, mn_id: int, attempt: int,
              now: float, port: Optional[int] = None) -> Fate:
-        """Draw the fate of delivery attempt ``attempt`` of message
-        ``ident`` to/from ``mn_id`` starting at sim time ``now``, on
-        NIC port ``port`` of the target (None on single-queue paths).
+        """Draw the fate of delivery attempt ``attempt`` of ``msg`` (a
+        verb, or an RPC / master identity tuple) to/from ``mn_id``
+        starting at sim time ``now``, on NIC port ``port`` of the target
+        (None on single-queue paths).
 
-        ``port`` only *scopes* which faults apply — it is never mixed
-        into the hash keys, so single-port campaigns draw byte-identical
-        fates with or without the multi-queue machinery.
+        The draw is keyed on :func:`fate_key`: one digest per active link
+        fault over the key and the fault's index, and one more for the
+        backoff when the fate is not clean.  ``port`` only *scopes* which
+        faults apply — it is never in the key, so single-port campaigns
+        draw byte-identical fates with or without the multi-queue
+        machinery.  A clean fate is always :attr:`clean_fate` itself.
         """
         (drop_req, drop_rep), active, _ = self._link(mn_id, now, port)
         if not (active or drop_req or drop_rep):
             return _CLEAN_FATE
+        key = fate_key(msg, mn_id, attempt, now)
+        keyed = self._keyed
+        suffixes = self._suffixes
         dup = False
         jit_req = jit_rep = 0.0
-        # A draw hashes repr((kind, i, mn_id, ident, attempt, now)); all
-        # but the first two parts are the fate's own and ident may carry
-        # a WRITE's whole body, so that tail is repr'd once per fate.
-        tail = repr((mn_id, ident, attempt, now))[1:]
         for i, lf in active:
-            at = f"{i}, {tail}"
+            h = keyed.copy()
+            h.update(key)
+            h.update(suffixes[i])
+            dq, dr, dp, jq, jr = _VARIATES.unpack(h.digest())
             if lf.drop_p > 0.0:
-                drop_req = drop_req or self._u("('dq', " + at) < lf.drop_p
-                drop_rep = drop_rep or self._u("('dr', " + at) < lf.drop_p
+                drop_req = drop_req or (dq >> 11) * _UNIT < lf.drop_p
+                drop_rep = drop_rep or (dr >> 11) * _UNIT < lf.drop_p
             if lf.dup_p > 0.0:
-                dup = dup or self._u("('dup', " + at) < lf.dup_p
+                dup = dup or (dp >> 11) * _UNIT < lf.dup_p
             if lf.jitter_us > 0.0:
-                jit_req += lf.jitter_us * self._u("('jq', " + at)
-                jit_rep += lf.jitter_us * self._u("('jr', " + at)
+                jit_req += lf.jitter_us * ((jq >> 11) * _UNIT)
+                jit_rep += lf.jitter_us * ((jr >> 11) * _UNIT)
         if not (drop_req or drop_rep or dup or jit_req or jit_rep):
             return _CLEAN_FATE
+        h = keyed.copy()
+        h.update(key)
+        h.update(_BACKOFF)
         return Fate(drop_request=drop_req, drop_reply=drop_rep,
                     duplicate=dup, request_jitter_us=jit_req,
                     reply_jitter_us=jit_rep,
-                    backoff_u=self._u("('bo', " + tail))
+                    backoff_u=(_VARIATES.unpack(h.digest())[0] >> 11)
+                    * _UNIT)

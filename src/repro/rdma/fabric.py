@@ -41,7 +41,6 @@ from .verbs import (
     Verb,
     WriteOp,
     op_bytes,
-    verb_ident,
 )
 
 __all__ = ["Fabric", "FabricConfig", "FabricStats", "QpFabric",
@@ -505,19 +504,24 @@ class Fabric:
     # -- touched verbs (repro.faults) ------------------------------------------
     def _first_fates(self, ops: Sequence[Verb], inj, now: float, qp: int):
         """Draw every verb's first-attempt fate at the post instant, in
-        posted order (a fate is a pure hash of what is sent and when, on
-        the port the QP hashes to).  None when every fate is clean, else
-        per verb None (clean) or ``(port index, port, fate)``."""
+        posted order.  A fate is a pure keyed hash of the verb's wire
+        bytes, its MN, the attempt and the instant (`fate_key`); the port
+        the QP hashes to only scopes which faults apply.  A clean draw is
+        the injector's one ``clean_fate``, tested by identity.  None when
+        every fate is clean, else per verb None (clean) or ``(port index,
+        port, fate)``."""
         touched = None
         nodes = self.nodes
         pcache = self._port_cache
+        fate_of = inj.fate
+        clean = inj.clean_fate
         for i, op in enumerate(ops):
             mn = op.mn_id
             is_read = op.__class__ is ReadOp
             pidx, port = pcache.get((mn, is_read, qp)) \
                 or self._port_for(nodes[mn], is_read, qp)
-            fate = inj.fate(verb_ident(op), mn, 1, now, pidx)
-            if not fate.clean:
+            fate = fate_of(op, mn, 1, now, pidx)
+            if fate is not clean:
                 if touched is None:
                     touched = [None] * len(ops)
                 touched[i] = (pidx, port, fate)
@@ -579,7 +583,8 @@ class Fabric:
         a QP stuck behind a partitioned or gray *port* reaches a healthy
         one within ``num_ports`` attempts.  A node down at an attempt's
         start fails it one RTT later; one that went down in flight fails
-        it at arrival, with no return leg.
+        it one ``one_way_delay_us`` after the request reached it, the
+        failure's return leg, as `_rpc_proc` fails an RPC.
         """
         env = self.env
         cfg = self.config
@@ -604,8 +609,8 @@ class Fabric:
                 # and draws its own fate; the first's were drawn at post
                 verb.pidx, verb.port = self._port_for(
                     node, op.__class__ is ReadOp, qp, salt=attempt - 1)
-                verb.fate = inj.fate(verb_ident(op), op.mn_id, attempt,
-                                     t_attempt, port=verb.pidx)
+                verb.fate = inj.fate(op, op.mn_id, attempt, t_attempt,
+                                     port=verb.pidx)
             port, fate = verb.port, verb.fate
             backoff = policy.backoff_us(attempt, fate.backoff_u)
             if fate.drop_request:
@@ -625,6 +630,7 @@ class Fabric:
             env.note_access(("crash", op.mn_id), False)
             if node.crashed:
                 stats.failed_verbs += 1
+                yield _prop(env, one_way, "net.fail")
                 completions[verb.i] = Completion(op, FAIL)
                 return
             value, deduped = node.apply_once(verb.token, op)

@@ -27,7 +27,6 @@ __all__ = [
     "Completion",
     "Verb",
     "WORD",
-    "verb_ident",
 ]
 
 WORD = 8  # size of the atomic unit, bytes
@@ -219,24 +218,6 @@ class Completion:
         if not isinstance(self.op, CasOp):
             raise TypeError("cas_succeeded() on a non-CAS completion")
         return self.value == self.op.expected
-
-
-def verb_ident(op: Verb) -> tuple:
-    """Content identity of a verb (kind, address, operands).
-
-    The fault layer keys its deterministic fate draws on this, so a
-    fate depends on *what* is sent, not on how many unrelated draws
-    happened before it — replaying a schedule replays the same faults.
-    """
-    if isinstance(op, ReadOp):
-        return ("R", op.addr, op.length)
-    if isinstance(op, WriteOp):
-        return ("W", op.addr, op.data)
-    if isinstance(op, CasOp):
-        return ("C", op.addr, op.expected, op.swap)
-    if isinstance(op, FaaOp):
-        return ("F", op.addr, op.delta)
-    raise TypeError(f"unknown verb {op!r}")
 
 
 def op_bytes(op: Verb) -> int:

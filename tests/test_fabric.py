@@ -34,7 +34,6 @@ from repro.rdma import (
     op_bytes,
 )
 from repro.rdma.fabric import _backoff, _prop
-from repro.rdma.verbs import verb_ident
 from repro.sim import Environment, NicProfile
 from tests.conftest import backlog_ports
 
@@ -305,6 +304,51 @@ class TestCrashes:
 
         assert env.run(until=env.process(proc())) is FAIL
         assert env.now == 1.0
+
+    @pytest.mark.parametrize("path", ["touched post", "rpc"])
+    def test_a_crash_in_flight_fails_one_way_after_arrival(self, path):
+        """An MN that dies while a jitter-touched verb's or an RPC's
+        request is in flight fails it when the request reaches the node,
+        and the failure travels back: ``FAIL`` one ``one_way_delay_us``
+        after that arrival, the same return leg for both."""
+        env = Environment()
+        cfg = FabricConfig(one_way_delay_us=0.5)
+        fab = Fabric(env, cfg)
+        node = MemoryNode(env, 0, capacity=64)
+        node.register_rpc("ping", lambda payload: ({}, 0.5))
+        fab.add_node(node)
+        drawn = []
+
+        class Recording(FaultInjector):
+            def fate(self, *args, **kwargs):
+                drawn.append(super().fate(*args, **kwargs))
+                return drawn[-1]
+
+        fab.injector = Recording(
+            FaultPlan(link_faults=[LinkFault(jitter_us=1.0)], seed=5))
+
+        def crasher():
+            yield env.timeout(0.3)      # before any request can arrive
+            node.crash()
+
+        def proc():
+            if path == "rpc":
+                return (yield fab.rpc(0, "ping", {}))
+            return (yield fab.post([ReadOp(0, 0, 8)]))[0].value
+
+        env.process(crasher())
+        assert env.run(until=env.process(proc())) is FAIL
+        jitter = drawn[0].request_jitter_us
+        assert len(drawn) == 1 and jitter > 0.0
+        if path == "rpc":    # the request's NIC receive, then the check
+            arrival = (cfg.one_way_delay_us + jitter
+                       + node.nic.profile.rpc_overhead)
+        else:
+            arrival = cfg.post_overhead_us + cfg.one_way_delay_us + jitter
+            assert fab.stats.failed_verbs == 1
+        assert arrival > 0.3
+        assert env.now == pytest.approx(arrival + cfg.one_way_delay_us,
+                                        rel=0, abs=1e-12)
 
 
 class TestRpc:
@@ -894,8 +938,8 @@ class _ProcessPerVerbFabric(Fabric):
     (the injector uninstalled for the call, its gray factor at the arrival
     instant folded into the service-time memo); every other verb gets a
     delivery process of its own, as every verb did before the clean loop
-    took the untouched ones (kept verbatim below), and a third process
-    gathers the batch."""
+    took the untouched ones (kept below; an in-flight crash pays the
+    failure's return leg), and a third process gathers the batch."""
 
     def post(self, ops, unsignaled=False, qp=0):
         inj = self.injector
@@ -909,7 +953,7 @@ class _ProcessPerVerbFabric(Fabric):
         for i, op in enumerate(ops):
             node = self.nodes[op.mn_id]
             pidx = self._port_for(node, isinstance(op, ReadOp), qp)[0]
-            if inj.fate(verb_ident(op), op.mn_id, 1, t0, port=pidx).clean:
+            if inj.fate(op, op.mn_id, 1, t0, port=pidx) is inj.clean_fate:
                 clean.append(i)
                 gray[(op.mn_id, op.__class__, op_bytes(op))] = (
                     self._service_time(node, op)
@@ -973,7 +1017,6 @@ class _ProcessPerVerbFabric(Fabric):
         policy = inj.retry
         node = self.nodes[op.mn_id]
         self._count(op, node)
-        ident = verb_ident(op)
         is_read = isinstance(op, ReadOp)
         for attempt in range(1, policy.max_attempts + 1):
             if attempt > 1:
@@ -989,7 +1032,7 @@ class _ProcessPerVerbFabric(Fabric):
                 return
             pidx, port = self._port_for(node, is_read, qp,
                                         salt=attempt - 1)
-            fate = inj.fate(ident, op.mn_id, attempt, t_attempt, port=pidx)
+            fate = inj.fate(op, op.mn_id, attempt, t_attempt, port=pidx)
             backoff = policy.backoff_us(attempt, fate.backoff_u)
             if fate.drop_request:
                 self.stats.dropped_requests += 1
@@ -1010,6 +1053,7 @@ class _ProcessPerVerbFabric(Fabric):
             env.note_access(("crash", node.mn_id), False)
             if node.crashed:
                 self.stats.failed_verbs += 1
+                yield _prop(env, cfg.one_way_delay_us, "net.fail")
                 completions[i] = Completion(op, FAIL)
                 return
             value, deduped = node.apply_once(token, op)
@@ -1271,8 +1315,9 @@ class TestInjectedBatch:
         backlog_ports(fab, 1000.0)      # every slot that may widen does
 
         def touched(addr):
-            return not fab.injector.fate(verb_ident(ReadOp(0, addr, 8)), 0,
-                                         1, env.now, port=0).clean
+            inj = fab.injector
+            return inj.fate(ReadOp(0, addr, 8), 0, 1, env.now,
+                            port=0) is not inj.clean_fate
 
         clean = [a for a in range(0, 128, 8) if not touched(a)][:4]
         hit = next(a for a in range(0, 128, 8) if touched(a))

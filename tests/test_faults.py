@@ -17,7 +17,9 @@ The long random sweep is marked ``campaign`` and excluded from tier-1;
 run it with ``pytest -m campaign``.
 """
 
+import hashlib
 import math
+import struct
 
 import pytest
 from hypothesis import example, given, settings
@@ -27,18 +29,20 @@ from repro.core import FuseeCluster
 from repro.faults import (
     CN,
     CAMPAIGNS,
+    Fate,
     FaultInjector,
     FaultPlan,
     GrayNode,
     LinkFault,
     Partition,
     RetryPolicy,
+    fate_key,
     run_campaign,
 )
 from repro.faults import retry as retry_mod
 from repro.rdma import Fabric, FabricConfig
 from repro.rdma.memory_node import MemoryNode
-from repro.rdma.verbs import CasOp, FaaOp
+from repro.rdma.verbs import CasOp, FaaOp, ReadOp, WriteOp
 from repro.sim import Environment
 from tests.conftest import run, small_config
 
@@ -288,41 +292,67 @@ def test_fates_are_deterministic_and_window_scoped():
                 for f in inside}) > 1
 
 
-def _parent_fate(inj, ident, mn_id, attempt, now, port=None):
-    """``FaultInjector.fate`` as it was when every draw ``repr``'d its own
-    tuple of parts: the oracle for the shared-tail spelling."""
-    from hashlib import blake2b
+def _reference_key(msg, mn_id, attempt, now):
+    """The fate key, spelled out: a domain tag, the MN, the attempt and
+    the instant as an IEEE double, then a verb's kind, address and
+    operands at the wire width (a WRITE's body length, then its bytes),
+    or any other message's ``repr``."""
+    def i64(x):
+        return x.to_bytes(8, "big", signed=True)
 
-    from repro.faults.model import Fate
+    def u64(x):
+        return (x % 2 ** 64).to_bytes(8, "big")
 
-    def u(*parts):
-        h = blake2b(repr(parts).encode(), digest_size=8, key=inj._key)
-        return int.from_bytes(h.digest(), "big") / 2.0 ** 64
+    head = i64(mn_id) + i64(attempt) + struct.pack(">d", now)
+    if isinstance(msg, ReadOp):
+        return b"V" + head + b"R" + i64(msg.addr) + i64(msg.length)
+    if isinstance(msg, WriteOp):
+        return (b"V" + head + b"W" + i64(msg.addr) + i64(len(msg.data))
+                + bytes(msg.data))
+    if isinstance(msg, CasOp):
+        return (b"V" + head + b"C" + i64(msg.addr) + u64(msg.expected)
+                + u64(msg.swap))
+    if isinstance(msg, FaaOp):
+        return b"V" + head + b"F" + i64(msg.addr) + u64(msg.delta)
+    return b"M" + head + repr(msg).encode()
+
+
+def _reference_fate(inj, msg, mn_id, attempt, now, port=None):
+    """``FaultInjector.fate`` spelled with plain ``hashlib``: per active
+    link fault one BLAKE2b digest (40 bytes, keyed by the plan seed) of
+    the key and the fault's 4-byte index, read as five 64-bit words;
+    the backoff's digest takes index 0xFFFFFFFF."""
+    key = _reference_key(msg, mn_id, attempt, now)
+    seed = (inj.plan.seed % 2 ** 63).to_bytes(8, "big")
+
+    def words(index):
+        digest = hashlib.blake2b(key + index.to_bytes(4, "big"),
+                                 digest_size=40, key=seed).digest()
+        return [int.from_bytes(digest[k:k + 8], "big") >> 11
+                for k in range(0, 40, 8)]
 
     drop_req, drop_rep = inj.cn_partition(mn_id, now, port)
     dup = False
     jit_req = jit_rep = 0.0
     for i, lf in inj._active_link_faults(mn_id, now, port):
-        if lf.drop_p > 0.0:
-            drop_req = drop_req or (
-                u("dq", i, mn_id, ident, attempt, now) < lf.drop_p)
-            drop_rep = drop_rep or (
-                u("dr", i, mn_id, ident, attempt, now) < lf.drop_p)
-        if lf.dup_p > 0.0:
-            dup = dup or (u("dup", i, mn_id, ident, attempt, now) < lf.dup_p)
-        if lf.jitter_us > 0.0:
-            jit_req += lf.jitter_us * u("jq", i, mn_id, ident, attempt, now)
-            jit_rep += lf.jitter_us * u("jr", i, mn_id, ident, attempt, now)
+        dq, dr, dp, jq, jr = (w / 2.0 ** 53 for w in words(i))
+        drop_req = drop_req or dq < lf.drop_p
+        drop_rep = drop_rep or dr < lf.drop_p
+        dup = dup or dp < lf.dup_p
+        jit_req += lf.jitter_us * jq
+        jit_rep += lf.jitter_us * jr
     if not (drop_req or drop_rep or dup or jit_req or jit_rep):
         return Fate()
     return Fate(drop_request=drop_req, drop_reply=drop_rep, duplicate=dup,
                 request_jitter_us=jit_req, reply_jitter_us=jit_rep,
-                backoff_u=u("bo", mn_id, ident, attempt, now))
+                backoff_u=words(0xFFFFFFFF)[0] / 2.0 ** 53)
 
 
-def test_fates_hash_what_the_per_draw_repr_hashed():
-    """One shared ``repr`` per fate must feed every draw the bytes its own
-    ``repr(parts)`` did: same drops, dups, jitters and backoff variates."""
+def test_fates_hash_the_packed_wire_key():
+    """A fate is one keyed BLAKE2b digest per active link fault over the
+    packed key of the message, plus one for the backoff: the same drops,
+    dups, jitters and backoff variates as the reference spelling, for
+    verbs and for RPC / master identity tuples alike."""
     plan = FaultPlan(
         link_faults=[
             LinkFault(drop_p=0.3, dup_p=0.2, jitter_us=1.5),
@@ -332,19 +362,24 @@ def test_fates_hash_what_the_per_draw_repr_hashed():
         partitions=[Partition(a=CN, b=2, start_us=120.0, end_us=140.0)],
         seed=0xFA7E)
     inj = FaultInjector(plan)
-    idents = [("W", 4096, bytes(range(256)) * 4),           # a 1 KB body
-              ("W", 64, b"it's \"quoted\"\n\x00"), ("rpc", "alloc", (3, 7)),
-              ("C", 8, 0, 1 << 63), ("F", 16, -1)]
-    idents += [("R", 64 * i, 8 + i) for i in range(45)]
+    msgs = [WriteOp(0, 4096, bytes(range(256)) * 4),       # a 1 KB body
+            WriteOp(1, 64, b"it's \"quoted\"\n\x00"), WriteOp(0, 8, b""),
+            CasOp(0, 8, 0, 1 << 63), CasOp(2, 8, -1, 7), FaaOp(0, 16, -1),
+            FaaOp(0, 24, 1 << 63), ("rpc", "alloc", 37),
+            ("rpc", "free", (3, 7)), ("master", "fail_query", 12)]
+    msgs += [ReadOp(i % 3, 64 * i, 8 + i) for i in range(40)]
     fates = {}
-    for ident in idents:
+    for msg in msgs:
         for mn_id in (-1, 0, 1, 2):
             for attempt in (1, 2, 5):
                 for now, port in ((0.0, None), (99.99999999999999, 0),
                                   (130.5, 1), (1e-07, None), (1234567.0, 1)):
-                    args = (ident, mn_id, attempt, now, port)
+                    args = (msg, mn_id, attempt, now, port)
                     fates[args] = inj.fate(*args)
-                    assert fates[args] == _parent_fate(inj, *args), args
+                    assert fates[args] == _reference_fate(inj, *args), args
+                    # a clean draw is the one clean fate, by identity
+                    assert (fates[args] is inj.clean_fate) \
+                        == (fates[args] == Fate()), args
     assert len(fates) == 3000
     kinds = {(f.drop_request, f.drop_reply, f.duplicate,
               f.request_jitter_us > 0.0) for f in fates.values()}
@@ -352,9 +387,94 @@ def test_fates_hash_what_the_per_draw_repr_hashed():
     # a partition-only fate (no link fault active) still draws its backoff
     lone = FaultInjector(FaultPlan(partitions=[
         Partition(a=CN, b=0, start_us=0.0, end_us=10.0)], seed=3))
-    args = (("R", 0, 8), 0, 1, 5.0)
-    assert lone.fate(*args) == _parent_fate(lone, *args)
+    args = (ReadOp(0, 0, 8), 0, 1, 5.0)
+    assert lone.fate(*args) == _reference_fate(lone, *args)
     assert lone.fate(*args).drop_request and lone.fate(*args).backoff_u > 0.0
+
+
+class TestFateDraw:
+    """Properties of the one-digest draw that the reference spelling does
+    not state: calibrated and independent variates, a key that is the
+    wire value and never the port, and no collisions between messages."""
+
+    PLAN = FaultPlan(link_faults=[
+        LinkFault(drop_p=0.05, dup_p=0.05, jitter_us=2.0)], seed=2024)
+
+    def test_event_rates_match_their_probabilities(self):
+        inj = FaultInjector(self.PLAN)
+        n = 20000
+        fates = [inj.fate(ReadOp(i % 4, 8 * i, 8 + i % 64), i % 4, 1, 10.0)
+                 for i in range(n)]
+
+        def within_4_sigma(hits, p):
+            return abs(hits / n - p) <= 4 * math.sqrt(p * (1 - p) / n)
+
+        p = 0.05
+        assert within_4_sigma(sum(f.drop_request for f in fates), p)
+        assert within_4_sigma(sum(f.drop_reply for f in fates), p)
+        assert within_4_sigma(sum(f.duplicate for f in fates), p)
+        # two words of one digest are independent: both drops at p**2
+        assert within_4_sigma(
+            sum(f.drop_request and f.drop_reply for f in fates), p * p)
+        # jitter is uniform on [0, 2): mean 1, sd 2 / sqrt(12)
+        sd_mean = 2.0 / math.sqrt(12 * n)
+        for jitters in ([f.request_jitter_us for f in fates],
+                        [f.reply_jitter_us for f in fates]):
+            assert abs(sum(jitters) / n - 1.0) <= 4 * sd_mean
+            assert all(0.0 <= j < 2.0 for j in jitters)
+        assert all(0.0 <= f.backoff_u < 1.0 for f in fates)
+        assert abs(sum(f.backoff_u for f in fates) / n - 0.5) \
+            <= 4 / math.sqrt(12 * n)
+
+    def test_the_port_is_not_in_the_key(self):
+        inj = FaultInjector(self.PLAN)
+        for op in (ReadOp(0, 64, 8), WriteOp(1, 8, b"body"),
+                   CasOp(0, 8, 1, 2), ("rpc", "alloc", 5)):
+            assert len({inj.fate(op, 0, 1, 3.5, port)
+                        for port in (None, 0, 1)}) == 1
+
+    def test_a_new_attempt_or_instant_draws_afresh(self):
+        inj = FaultInjector(self.PLAN)
+        op = WriteOp(0, 64, bytes(16))
+        first = inj.fate(op, 0, 1, 3.5)
+        assert first == inj.fate(op, 0, 1, 3.5)
+        assert first != inj.fate(op, 0, 2, 3.5)
+        assert first != inj.fate(op, 0, 1, math.nextafter(3.5, 4.0))
+        assert first != inj.fate(op, 1, 1, 3.5)
+
+    def test_fates_are_keyed_on_the_wire_value(self):
+        """The MN applies CAS and FAA operands masked to 64 bits, so two
+        spellings of one wire value are one message and draw one fate."""
+        inj = FaultInjector(self.PLAN)
+        for a, b in ((CasOp(0, 8, -1, 5), CasOp(0, 8, 2 ** 64 - 1, 5)),
+                     (CasOp(0, 8, 5, -2), CasOp(0, 8, 5, 2 ** 64 - 2)),
+                     (FaaOp(0, 8, -1), FaaOp(0, 8, 2 ** 64 - 1))):
+            assert fate_key(a, 0, 1, 2.0) == fate_key(b, 0, 1, 2.0)
+            assert inj.fate(a, 0, 1, 2.0) == inj.fate(b, 0, 1, 2.0)
+        # the bitmap FAA sets bit 63: a valid unsigned word
+        assert inj.fate(FaaOp(0, 8, 1 << 63), 0, 1, 2.0) \
+            == _reference_fate(inj, FaaOp(0, 8, 1 << 63), 0, 1, 2.0)
+
+    def test_the_key_tells_adversarial_pairs_apart(self):
+        inj = FaultInjector(self.PLAN)
+        pairs = [
+            (WriteOp(0, 64, b"abcd"), WriteOp(0, 64, b"abce")),
+            (WriteOp(0, 64, b"abc"), WriteOp(0, 64, b"abcd")),
+            (WriteOp(0, 64, b"\x00"), WriteOp(0, 64, b"")),
+            (ReadOp(0, 8, 16), ReadOp(0, 16, 8)),
+            (ReadOp(0, 64, 4), WriteOp(0, 64, b"abcd")),
+            (CasOp(0, 8, 1, 2), CasOp(0, 8, 2, 1)),
+            (FaaOp(0, 8, 3), ReadOp(0, 8, 3)),
+            (ReadOp(0, 64, 8), ("R", 64, 8)),
+            (WriteOp(0, 64, b"x"), ("W", 64, b"x")),
+            (("rpc", "alloc", 1), ("rpc", "alloc", 11)),
+        ]
+        for a, b in pairs:
+            assert fate_key(a, 0, 1, 2.0) != fate_key(b, 0, 1, 2.0), (a, b)
+            assert inj.fate(a, 0, 1, 2.0) != inj.fate(b, 0, 1, 2.0), (a, b)
+        # the header's fields never run into each other
+        assert fate_key(ReadOp(0, 8, 8), 1, 2, 3.0) \
+            != fate_key(ReadOp(0, 8, 8), 2, 1, 3.0)
 
 
 def test_partition_topology_queries():
