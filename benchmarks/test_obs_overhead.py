@@ -1,16 +1,16 @@
-"""Overhead guard for the observability layer.
+"""Overhead bounds for the attached observers.
 
-The tracing hooks sit on the fabric's hottest paths (every doorbell
-batch, every client op), so the *disabled* configuration must stay
-essentially free: a single ``enabled`` attribute check per batch.  This
-test times a fixed update workload three ways — no tracer (the
-``NULL_TRACER`` default), a disabled ``Tracer`` attached, and a fully
-enabled one — and fails if the disabled path costs more than 5% over
-baseline.
+The observers' hooks sit on the fabric's hottest paths (every doorbell
+batch, every client op).  Detached, an observer is None and each hook
+site is one ``is None`` test; that an untraced, unmonitored, unprofiled
+bed calls no observer code at all is asserted exactly, not timed
+(``tests/test_obs.py::TestUntracedBed``).  These tests time a fixed
+update workload with no observer against the same workload with the
+tracer, the tracer and monitor, and the tracer and profiler attached,
+and bound each attached cost to the same order of magnitude.
 
 Timing uses min-of-N over repeated interleaved rounds, which suppresses
-scheduler noise far better than a single mean; the enabled path is only
-sanity-checked (it does real work and may legitimately cost more).
+scheduler noise far better than a single mean.
 """
 
 import gc
@@ -23,9 +23,8 @@ from repro.obs import Profiler, Tracer
 
 OPS_PER_ROUND = 300
 ROUNDS = 7
-# 5% is the contract; add a small absolute slack so sub-millisecond
-# timing jitter on loaded CI machines cannot flake the guard.
-RELATIVE_BUDGET = 1.05
+# A small absolute slack so sub-millisecond timing jitter on loaded CI
+# machines cannot flake a bound.
 ABSOLUTE_SLACK_S = 0.010
 
 
@@ -74,37 +73,15 @@ def _min_round_time(round_fns):
     return best
 
 
-def test_disabled_tracer_overhead_under_five_percent():
+def test_enabled_tracer_overhead_is_bounded():
+    """Tracing does real work per batch and span; it must stay the same
+    order of magnitude as untraced execution."""
     baseline_fn = _make_workload(tracer=None)
-    disabled_fn = _make_workload(tracer=Tracer(enabled=False))
     enabled_fn = _make_workload(tracer=Tracer())
-    baseline, disabled, enabled = _min_round_time(
-        [baseline_fn, disabled_fn, enabled_fn])
-    assert disabled <= baseline * RELATIVE_BUDGET + ABSOLUTE_SLACK_S, (
-        f"disabled tracer costs {disabled / baseline - 1:+.1%} "
-        f"(budget {RELATIVE_BUDGET - 1:.0%}): {disabled:.4f}s "
-        f"vs {baseline:.4f}s per round")
-    # Enabled tracing does real work; just require it stays same-order.
+    baseline, enabled = _min_round_time([baseline_fn, enabled_fn])
     assert enabled <= baseline * 2.0 + ABSOLUTE_SLACK_S, (
         f"enabled tracer is pathologically slow: {enabled:.4f}s "
         f"vs {baseline:.4f}s per round")
-
-
-def test_detached_monitor_keeps_disabled_path_free():
-    """The monitor's hook sites (fabric post/deliver/rpc, tracer
-    end_span, client key touch) are all single ``is None`` checks when no
-    monitor is attached — so the no-monitor configuration must stay
-    inside the same 5% budget as the disabled tracer.  The baseline
-    workload here *is* the detached-monitor configuration (``Fabric``
-    initialises ``monitor = None``), making this the enforcement teeth
-    for "monitoring disabled == free"."""
-    baseline_fn = _make_workload(tracer=None)
-    disabled_fn = _make_workload(tracer=Tracer(enabled=False))
-    baseline, disabled = _min_round_time([baseline_fn, disabled_fn])
-    assert disabled <= baseline * RELATIVE_BUDGET + ABSOLUTE_SLACK_S, (
-        f"detached monitor + disabled tracer costs "
-        f"{disabled / baseline - 1:+.1%} (budget "
-        f"{RELATIVE_BUDGET - 1:.0%}): {disabled:.4f}s vs {baseline:.4f}s")
 
 
 def test_enabled_monitor_overhead_is_bounded():
@@ -121,12 +98,9 @@ def test_enabled_monitor_overhead_is_bounded():
 def test_profiler_overhead_is_bounded():
     """The profiler's hooks ride the same hot paths as the tracer.
 
-    Its *disabled* configuration is ``env.profiler is None`` — exactly
-    what the baseline above times, since the resource/fabric checks run
-    unconditionally — so the 5% guard already covers it.  This guard
-    bounds the *enabled* cost: installing a profiler on top of an enabled
-    tracer records an interval per resource grant and NIC slot, which must
-    stay the same order of magnitude as untraced execution.
+    Installing a profiler on top of a tracer records an interval per
+    resource grant and NIC slot, which must stay the same order of
+    magnitude as untraced execution.
     """
     baseline_fn = _make_workload(tracer=None)
     profiled_fn = _make_workload(tracer=Tracer(), profile=True)

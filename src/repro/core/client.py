@@ -269,30 +269,36 @@ class FuseeClient:
                 wrote: Optional[bytes] = None):
         """Wrap an operation generator in a tracer span (generator).
 
-        With tracing disabled this adds one attribute check and a plain
-        ``yield from`` delegation to the hot path.  ``key`` and ``wrote``
-        (the value argument, for insert/update) flow into the span so
-        concurrent histories can be reconstructed for linearizability
-        checking (docs/checking.md).
+        The op entry points call this only on a traced fabric.  ``key``
+        and ``wrote`` (the value argument, for insert/update) flow into
+        the span so concurrent histories can be reconstructed for
+        linearizability checking (docs/checking.md).  The ended span goes
+        to the fabric's monitor, if one is attached — an op that raises
+        too, as an error: this is the monitor's only span feed.
         """
         tracer = self.fabric.tracer
-        if not tracer.enabled:
-            return (yield from impl)
         span = tracer.begin_span(op, self.cid, key=key, wrote=wrote)
         try:
             result = yield from impl
         except BaseException as exc:
             tracer.end_span(span, ok=False, error=type(exc).__name__)
             raise
-        tracer.end_span(
-            span, ok=result.ok,
-            outcome=result.outcome.value if result.outcome else None,
-            error=result.error, value=result.value, existed=result.existed)
-        return result
+        else:
+            tracer.end_span(
+                span, ok=result.ok,
+                outcome=result.outcome.value if result.outcome else None,
+                error=result.error, value=result.value,
+                existed=result.existed)
+            return result
+        finally:
+            monitor = self.fabric.monitor
+            if monitor is not None:
+                monitor.on_span(span)
 
     def _retry(self) -> None:
         self.stats.retries += 1
-        self.fabric.tracer.note_retry()
+        if self.fabric.tracer is not None:
+            self.fabric.tracer.note_retry()
 
     def _slot_word_for(self, meta: KeyMeta, key: bytes, value: bytes,
                        alloc: AllocResult) -> int:
@@ -422,7 +428,7 @@ class FuseeClient:
     # ------------------------------------------------------------- SEARCH
     def search(self, key: bytes):
         """SEARCH (generator): returns OpResult with the value or ok=False."""
-        if not self.fabric.tracer.enabled:
+        if self.fabric.tracer is None:
             # Skip the tracing wrapper frame entirely: a delegating
             # generator costs every event resume of the operation, not
             # just its start (same for the other op entry points).
@@ -760,7 +766,7 @@ class FuseeClient:
     # ------------------------------------------------------------- INSERT
     def insert(self, key: bytes, value: bytes):
         """INSERT (generator): ok=False with existed=True if already present."""
-        if not self.fabric.tracer.enabled:
+        if self.fabric.tracer is None:
             return self._insert_impl(key, value)
         return self._traced("insert", self._insert_impl(key, value),
                             key=key, wrote=value)
@@ -963,7 +969,7 @@ class FuseeClient:
     def update(self, key: bytes, value: bytes):
         """UPDATE (generator): ok=False if the key does not exist."""
         impl = self._write_impl("update", key, value, OP_UPDATE)
-        if not self.fabric.tracer.enabled:
+        if self.fabric.tracer is None:
             return impl
         return self._traced("update", impl, key=key, wrote=value)
 
@@ -974,7 +980,7 @@ class FuseeClient:
         key; it is freed once the request completes (§4.5).
         """
         impl = self._write_impl("delete", key, b"", OP_DELETE)
-        if not self.fabric.tracer.enabled:
+        if self.fabric.tracer is None:
             return impl
         return self._traced("delete", impl, key=key)
 
@@ -1217,7 +1223,8 @@ class FuseeClient:
         for attempt in range(1, policy.max_attempts + 1):
             if attempt > 1:
                 stats.rpc_retries += 1
-                self.fabric.tracer.note_transport_retry()
+                if self.fabric.tracer is not None:
+                    self.fabric.tracer.note_transport_retry()
             t0 = self.env.now
             fate = inj.fate(ident, _MASTER_LINK, attempt, t0)
             backoff = policy.backoff_us(attempt, fate.backoff_u)

@@ -241,7 +241,7 @@ class FuseeCluster:
         cfg = self.config
         n_regions = cfg.regions_per_mn if regions is None else regions
         tracer = self.fabric.tracer
-        traced = tracer is not None and getattr(tracer, "enabled", False)
+        traced = tracer is not None
         parent = tracer.begin_span("rebalance.grow", -1) if traced else None
 
         span = (tracer.begin_span("rebalance.snapshot_window", -1)
@@ -314,13 +314,9 @@ class FuseeCluster:
         return client
 
     def attach_tracer(self, tracer) -> None:
-        """Attach (or swap) an observability tracer on the running fabric."""
-        if tracer.env is None:
-            tracer.env = self.env
-        self.fabric.tracer = tracer
-        monitor = self.fabric.monitor
-        if monitor is not None and tracer.enabled:
-            tracer.monitor = monitor
+        """Attach (or swap) an observability tracer on the running fabric
+        (`Tracer.bind` refuses one bound to another environment)."""
+        self.fabric.tracer = tracer.bind(self.env)
 
     def attach_monitor(self, monitor):
         """Attach an online telemetry monitor and start its pane-boundary
@@ -329,13 +325,9 @@ class FuseeCluster:
         The monitor's one home is ``fabric.monitor``: the fabric feeds it
         service times and drops from there, and every client's KV op
         reads it there to feed hot-key tracking — traced or not, created
-        before or after this call.  An enabled tracer also keeps a link
-        to it, to hand over every ended span.
+        before or after this call — and, traced, its ended span.
         """
         self.fabric.monitor = monitor
-        tracer = self.fabric.tracer
-        if tracer.enabled:
-            tracer.monitor = monitor
         monitor.start()
         return monitor
 

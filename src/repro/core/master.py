@@ -201,7 +201,7 @@ class Master:
         """Algorithm 3: block, repair all affected slots, reconfigure."""
         tracer = self.fabric.tracer
         span = (tracer.begin_span("recover.mn_failover", mn_id)
-                if tracer.enabled else None)
+                if tracer is not None else None)
         affected = self.race.subtables_on(mn_id)
         barriers = {}
         for subtable in affected:
@@ -516,7 +516,7 @@ class Master:
         state = RecoveredClientState(cid=cid)
         tracer = self.fabric.tracer
         span = (tracer.begin_span("recover.client", cid)
-                if tracer.enabled else None)
+                if tracer is not None else None)
         t0 = self.env.now
 
         # Step 1: re-establish connections and re-register memory regions.
@@ -529,7 +529,7 @@ class Master:
         # (and folded stacks) break the recovery budget down per phase.
         t1 = self.env.now
         scan_span = (tracer.begin_span("recover.metadata_scan", cid)
-                     if tracer.enabled else None)
+                     if tracer is not None else None)
         self.fabric.trace_phase("recover.read_heads")
         heads = yield from self._read_heads(cid)
         if scan_span is not None:
@@ -541,7 +541,7 @@ class Master:
         # batched-free recovery and account for the Table-1 traversal cost).
         t2 = self.env.now
         replay_span = (tracer.begin_span("recover.log_replay", cid)
-                       if tracer.enabled else None)
+                       if tracer is not None else None)
         self.fabric.trace_phase("recover.walk_log")
         walker = LogWalker(self.fabric, self.region_map, self.size_classes)
         chains: Dict[int, List[WalkedObject]] = {}

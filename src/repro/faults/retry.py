@@ -6,7 +6,8 @@ reply triggers a retransmission after a capped exponential backoff with
 jitter.  Retransmissions carry the *same* idempotency token (the PSN
 analogue), so the responder deduplicates re-deliveries and a retry after
 a dropped reply never double-applies — see :mod:`repro.faults.model` and
-the fault-aware paths in :mod:`repro.rdma.fabric`.
+the fault-aware paths in :mod:`repro.rdma.fabric`.  Every retry sleep is
+an ``env.attributed_timeout(..., "backoff", label)``, profiled as backoff.
 
 All draws are externalised: :meth:`RetryPolicy.backoff_us` takes the
 uniform variate ``u`` as an argument, so the schedule is a pure function
@@ -18,23 +19,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["RetryPolicy", "NO_RETRY", "backoff_wait"]
+__all__ = ["RetryPolicy", "NO_RETRY"]
 
 #: Fraction of a backoff the jitter variate may shave off.
 JITTER_FRAC = 0.5
-
-
-def backoff_wait(env, duration_us: float, label: str = "retry"):
-    """A timeout attributed as backoff time in latency breakdowns.
-
-    Every deliberate retry/timeout sleep (transport retransmission waits,
-    client-level retry pauses, master-RPC re-sends) should yield this
-    instead of a bare ``env.timeout`` so the profiler
-    (:mod:`repro.obs.profile`) attributes the sleep explicitly rather
-    than leaving it in the client-compute residual.  Without a profiler
-    installed this is exactly ``env.timeout(duration_us)``.
-    """
-    return env.attributed_timeout(duration_us, "backoff", label)
 
 
 @dataclass(frozen=True)

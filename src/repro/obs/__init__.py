@@ -44,13 +44,11 @@ from .profile import (
 )
 from .sketches import DDSketch, SpaceSaving
 from .slo import KV_OPS, SloSpec, SloState
-from .tracer import NULL_TRACER, NullTracer, Span, Tracer, verb_kind
+from .tracer import Span, Tracer, verb_kind
 from .windows import WindowStore
 
 __all__ = [
     "Tracer",
-    "NullTracer",
-    "NULL_TRACER",
     "Span",
     "verb_kind",
     "Metrics",

@@ -4,7 +4,8 @@
 one live cluster:
 
 * a :class:`~repro.obs.windows.WindowStore` of tumbling panes fed from
-  ended tracer spans (per-op latency sketches, ok/err counters);
+  the ended span of every traced client KV op (per-op latency sketches,
+  ok/err counters);
 * optional Space-Saving hot-key / hot-bucket sketches fed by every
   client KV op (:meth:`Monitor.on_key`), plus per-MN skew from fabric
   op counters;
@@ -25,8 +26,9 @@ The monitor only *observes*: it reads resource counters and listens to
 hooks, never takes simulated time or resources, so an enabled monitor
 does not perturb operation timing (asserted by
 tests/test_trace_determinism.py: a monitored clean run's operation
-records are byte-identical to the unmonitored run).  Detached, every
-hook site is a single ``is None`` check (benchmarks/test_obs_overhead).
+records are byte-identical to the unmonitored run).  Detached
+(``fabric.monitor is None``), every hook site is a single ``is None``
+test and no monitor code runs (tests/test_obs.py::TestUntracedBed).
 """
 
 from __future__ import annotations
@@ -38,16 +40,13 @@ from typing import Dict, List, Optional, Sequence
 
 from .detect import GrayDetector
 from .sketches import SpaceSaving
-from .slo import (BURN_THRESHOLD, ERR_STREAM, FAST_PANES, KV_OPS, OK_STREAM,
+from .slo import (BURN_THRESHOLD, ERR_STREAM, FAST_PANES, OK_STREAM,
                   SLOW_PANES, SloSpec, SloState)
 from .tracer import VERB_KINDS
 from .windows import WindowStore
 
 __all__ = ["MonitorConfig", "Monitor", "render_health", "write_health",
            "load_health", "health_fingerprint"]
-
-_KV_OPS = frozenset(KV_OPS)
-
 
 #: Health-report window rows (and skew rows) retained.
 _KEEP_ROWS = 512
@@ -75,12 +74,14 @@ class Monitor:
 
     Attach with :meth:`FuseeCluster.attach_monitor`, which sets
     ``fabric.monitor`` — the one place the fabric's service/drop hooks
-    and every client's key touch read it — links the tracer's span hook,
-    then starts the pane-boundary evaluation process.
+    and every client's key touch and ended span read it — then starts
+    the pane-boundary evaluation process.  ``env`` must be the fabric's.
     """
 
     def __init__(self, env, fabric, config: Optional[MonitorConfig] = None,
                  slos: Sequence[SloSpec] = (), race=None):
+        if env is not fabric.env:
+            raise ValueError("the monitor's Environment is not the fabric's")
         self.env = env
         self.fabric = fabric
         self.config = cfg = config or MonitorConfig()
@@ -167,19 +168,13 @@ class Monitor:
 
     # ------------------------------------------------------------ hooks
     def on_span(self, span) -> None:
-        """Tracer hook: one ended span (called from ``Tracer.end_span``)."""
-        op = span.op
-        if op.startswith("alert."):
-            return
+        """Client hook: the ended span of one traced KV op."""
         self.hook_calls += 1
         windows = self.windows
         duration = span.duration_us
-        if op in _KV_OPS:
-            windows.inc(OK_STREAM if span.ok else ERR_STREAM)
-            windows.observe(f"span.latency_us.{op}", duration)
-            windows.observe("span.latency_us.all", duration)
-        else:
-            windows.observe(f"span.latency_us.{op}", duration)
+        windows.inc(OK_STREAM if span.ok else ERR_STREAM)
+        windows.observe(f"span.latency_us.{span.op}", duration)
+        windows.observe("span.latency_us.all", duration)
 
     def on_key(self, op: str, key: bytes) -> None:
         """Client hook: one KV-op key touch (hot-key tracking), called at
@@ -275,7 +270,6 @@ class Monitor:
         t0 = pane * self.width
         t1 = (pane + 1) * self.width
         tracer = self.fabric.tracer
-        emit = tracer.enabled
         port_rates, d_mn = self._pane_deltas()
 
         # per-MN skew over the pane's verb dispatches
@@ -293,7 +287,7 @@ class Monitor:
             alert = state.evaluate(self.windows, pane)
             if alert is not None:
                 alerts.append(state.spec.name)
-                if emit:
+                if tracer is not None:
                     tracer.alert(
                         f"alert.slo.{state.spec.name}", alert.t0, alert.t1,
                         outcome=(f"burn_fast={alert.burn_fast:.2f} "
@@ -302,7 +296,7 @@ class Monitor:
 
         flags = self.detector.evaluate(pane, t0, t1, port_rates)
         for flag in flags:
-            if emit:
+            if tracer is not None:
                 tracer.alert(
                     f"alert.gray.{flag.scope}", t0, t1,
                     outcome=(f"{flag.kind} {flag.family} "

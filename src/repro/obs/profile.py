@@ -77,10 +77,10 @@ class Profiler:
     # ---------------------------------------------------------- lifecycle
     def install(self, env) -> "Profiler":
         """Hook into ``env`` (sets ``env.profiler``); returns self."""
+        if self.tracer is not None:
+            self.tracer.bind(env)
         self.env = env
         env.profiler = self
-        if self.tracer is not None and self.tracer.env is None:
-            self.tracer.env = env
         return self
 
     def uninstall(self) -> None:

@@ -14,10 +14,9 @@ run as DES processes, and the fabric is always invoked synchronously from
 within a process step, so ``env.active_process`` identifies the operation
 a verb belongs to.  The tracer keeps a span stack per process.
 
-When tracing is off the fabric checks a single ``enabled`` attribute (the
-default is the shared :data:`NULL_TRACER`), so the disabled path costs one
-attribute read per batch — see ``benchmarks/test_obs_overhead.py`` for the
-regression guard.
+A tracer is attached or it is None, like every observer of the fabric:
+untraced, each hook site is one ``is None`` test, and an untraced bed
+calls no code of this package (``tests/test_obs.py::TestUntracedBed``).
 
 Everything recorded is derived from simulated time and posted verbs only —
 no wall-clock, no ``id()`` values — so traces of a seeded workload are
@@ -32,7 +31,7 @@ from typing import Dict, List, Optional
 from ..rdma.verbs import (FAIL, TIMEOUT, CasOp, FaaOp, ReadOp, Verb, WriteOp,
                           op_bytes)
 
-__all__ = ["Span", "Tracer", "NullTracer", "NULL_TRACER", "verb_kind"]
+__all__ = ["Span", "Tracer", "verb_kind"]
 
 
 #: Short lowercase kind tag per verb class: what trace records and the
@@ -124,12 +123,11 @@ class Span:
 class Tracer:
     """Records spans and fabric events for one simulation environment.
 
-    ``env`` may be left ``None``; the fabric binds it on attach.
+    ``env`` may be left ``None``; the fabric binds it on attach (`bind`).
     """
 
-    def __init__(self, env=None, enabled: bool = True):
+    def __init__(self, env=None):
         self.env = env
-        self.enabled = enabled
         self.spans: List[Span] = []        # in begin order
         self.orphan_batches: List[dict] = []   # batches outside any span
         self._stacks: Dict[object, List[Span]] = {}
@@ -140,10 +138,16 @@ class Tracer:
         # compares monitored clean runs minus alerts against unmonitored
         # runs byte-for-byte).
         self._alert_sid = itertools.count(1)
-        # Span-end link to the fabric's online monitor (repro.obs.monitor),
-        # set by ``attach_monitor`` / ``attach_tracer``: receives every
-        # ended span.  None keeps end_span at one attribute check.
-        self.monitor = None
+
+    def bind(self, env) -> "Tracer":
+        """Bind the tracer to ``env`` (a ``Tracer()`` made before it) and
+        return it; one bound to another environment would time spans on
+        the wrong clock, so it is refused."""
+        if self.env is None:
+            self.env = env
+        elif self.env is not env:
+            raise ValueError("the tracer is bound to another Environment")
+        return self
 
     # ------------------------------------------------------------- spans
     def _stack(self) -> Optional[List[Span]]:
@@ -185,8 +189,6 @@ class Tracer:
             stack.remove(span)
         if proc is not None and not stack:
             self._stacks.pop(proc, None)
-        if self.monitor is not None:
-            self.monitor.on_span(span)
 
     def alert(self, op: str, t0: float, t1: float,
               outcome: Optional[str] = None) -> Span:
@@ -294,49 +296,3 @@ class Tracer:
         """Drop recorded data (stacks of live processes are kept)."""
         self.spans = []
         self.orphan_batches = []
-
-
-class NullTracer:
-    """Shared no-op tracer: the disabled fast path.
-
-    Every hook is a no-op; the fabric and clients only ever check the
-    ``enabled`` attribute before doing any tracing work.
-    """
-
-    enabled = False
-    env = None
-    monitor = None
-    spans: List[Span] = []
-    orphan_batches: List[dict] = []
-
-    def begin_span(self, op: str, cid: int, key=None, wrote=None) -> None:
-        return None
-
-    def end_span(self, span, ok, outcome=None, error=None, value=None,
-                 existed=False) -> None:
-        pass
-
-    def phase(self, name: str) -> None:
-        pass
-
-    def note_retry(self) -> None:
-        pass
-
-    def note_transport_retry(self, span=None) -> None:
-        pass
-
-    def current_span(self) -> None:
-        return None
-
-    def on_batch(self, ops, completions, t0, t1, unsignaled=False,
-                 span=None) -> None:
-        pass
-
-    def on_rpc(self, mn_id: int, name: str) -> dict:
-        return {}
-
-    def alert(self, op: str, t0: float, t1: float, outcome=None) -> None:
-        return None
-
-
-NULL_TRACER = NullTracer()

@@ -176,46 +176,23 @@ class FabricStats:
         return FabricStats(**values)
 
 
-class _Delivery:
-    """One touched verb in its delivery process: its slot in the batch,
-    the verb, its node, payload bytes, the current attempt's port and
-    fate, and the idempotency token every attempt is sent under."""
-
-    __slots__ = ("i", "op", "node", "nbytes", "pidx", "port", "fate",
-                 "token")
-
-    def __init__(self, i: int, op: Verb, node: MemoryNode, pidx: int, port,
-                 fate, token: int):
-        self.i = i
-        self.op = op
-        self.node = node
-        self.nbytes = op_bytes(op)
-        self.pidx = pidx
-        self.port = port
-        self.fate = fate
-        self.token = token
-
-
 class Fabric:
     """Posts verbs and RPCs to memory nodes with simulated timing.
 
-    An optional :class:`~repro.obs.Tracer` observes every doorbell batch
-    and RPC; the default is the shared no-op tracer, so the untraced path
-    costs one attribute check per batch.
+    Its observers each have one home here and are off when None: the
+    :class:`~repro.obs.Tracer` (``tracer``) sees every doorbell batch and
+    RPC, the fault injector (``injector``) draws every verb's fate, and
+    the online monitor (``monitor``) takes every NIC slot's service time.
+    Each hook site is one ``is None`` test.
     """
 
     def __init__(self, env: Environment, config: FabricConfig | None = None,
                  tracer=None):
-        from ..obs.tracer import NULL_TRACER
         self.env = env
         self.config = config or FabricConfig()
         self.nodes: Dict[int, MemoryNode] = {}
         self.stats = FabricStats()
-        if tracer is None:
-            tracer = NULL_TRACER
-        elif tracer.env is None:
-            tracer.env = env   # late-bind: Tracer() made before the env
-        self.tracer = tracer
+        self.tracer = None if tracer is None else tracer.bind(env)
         # Optional fault injection (repro.faults), its one home: set
         # directly or by ``FuseeCluster.install_faults``, read here by
         # delivery, the clients' master calls and the MN allocators'
@@ -241,7 +218,7 @@ class Fabric:
 
     def trace_phase(self, name: str) -> None:
         """Label the current operation's next batches (no-op untraced)."""
-        if self.tracer.enabled:
+        if self.tracer is not None:
             self.tracer.phase(name)
 
     # -- topology ------------------------------------------------------------
@@ -488,7 +465,7 @@ class Fabric:
         if touched is not None:
             return self._deliver_touched(ops, touched, inj, completions,
                                          finish, unsignaled, qp)
-        if self.tracer.enabled:
+        if self.tracer is not None:
             self.tracer.on_batch(ops, completions, now, finish,
                                  unsignaled=unsignaled)
         return env.timeout(finish - now, completions)
@@ -534,7 +511,7 @@ class Fabric:
         loop's finish time into the batch's one completion event."""
         env = self.env
         t0 = env._now
-        span = self.tracer.current_span() if self.tracer.enabled else None
+        span = None if self.tracer is None else self.tracer.current_span()
         prof = env._profiler
         pspan = None if prof is None or unsignaled else prof.current_span()
         waits = []
@@ -542,10 +519,9 @@ class Fabric:
             if first is None:
                 continue
             op = ops[i]
-            verb = _Delivery(i, op, self.nodes[op.mn_id], *first,
-                             env.next_uid())
             proc = env.process(
-                self._deliver_verb(verb, inj, completions, span, qp),
+                self._deliver_verb(i, op, first, env.next_uid(), inj,
+                                   completions, span, qp),
                 name=f"verb:{i}@MN{op.mn_id}")
             if prof is not None:
                 # A delivery process cannot see the posting span via the
@@ -564,17 +540,19 @@ class Fabric:
             yield waits[0]
         else:
             yield self.env.all_of(waits)
-        if self.tracer.enabled:
+        if self.tracer is not None:
             self.tracer.on_batch(ops, completions, t0, self.env.now,
                                  unsignaled=unsignaled, span=span)
         return completions
 
-    def _deliver_verb(self, verb: _Delivery, inj, completions, span, qp):
-        """One touched verb, attempt by attempt.
+    def _deliver_verb(self, i: int, op: Verb, first, token: int, inj,
+                      completions, span, qp):
+        """Touched verb ``i`` of its batch, attempt by attempt; ``first``
+        is the ``(port index, port, fate)`` its first attempt drew at post.
 
         Per attempt the injector's fate may lose the request or the reply,
         duplicate the delivery or add jitter; the transport retries with
-        capped backoff under the *same* idempotency token, so the memory
+        capped backoff under the *same* idempotency ``token``, so the memory
         node applies the verb at most once (`MemoryNode.apply_once`).  A
         verb whose retry budget runs out completes with :data:`TIMEOUT`.
         The verb applies at its simulated arrival, inside the
@@ -590,7 +568,9 @@ class Fabric:
         cfg = self.config
         stats = self.stats
         policy = inj.retry
-        op, node = verb.op, verb.node
+        node = self.nodes[op.mn_id]
+        nbytes = op_bytes(op)
+        pidx, port, fate = first
         one_way = cfg.one_way_delay_us
         for attempt in range(1, policy.max_attempts + 1):
             if attempt > 1:
@@ -602,16 +582,14 @@ class Fabric:
             if node.crashed:
                 stats.failed_verbs += 1
                 yield _prop(env, cfg.fail_delay_us, "net.fail")
-                completions[verb.i] = Completion(op, FAIL)
+                completions[i] = Completion(op, FAIL)
                 return
             if attempt > 1:
                 # a retry re-hashes onto the next port (per-attempt salt)
                 # and draws its own fate; the first's were drawn at post
-                verb.pidx, verb.port = self._port_for(
+                pidx, port = self._port_for(
                     node, op.__class__ is ReadOp, qp, salt=attempt - 1)
-                verb.fate = inj.fate(op, op.mn_id, attempt, t_attempt,
-                                     port=verb.pidx)
-            port, fate = verb.port, verb.fate
+                fate = inj.fate(op, op.mn_id, attempt, t_attempt, port=pidx)
             backoff = policy.backoff_us(attempt, fate.backoff_u)
             if fate.drop_request:
                 stats.dropped_requests += 1
@@ -631,26 +609,25 @@ class Fabric:
             if node.crashed:
                 stats.failed_verbs += 1
                 yield _prop(env, one_way, "net.fail")
-                completions[verb.i] = Completion(op, FAIL)
+                completions[i] = Completion(op, FAIL)
                 return
-            value, deduped = node.apply_once(verb.token, op)
+            value, deduped = node.apply_once(token, op)
             if deduped:
                 stats.dedup_hits += 1
-            completions[verb.i] = Completion(op, value)
-            service = (self._service_time(node, op, verb.nbytes)
-                       * inj.service_factor(op.mn_id, env._now,
-                                            port=verb.pidx))
+            completions[i] = Completion(op, value)
+            service = (self._service_time(node, op, nbytes)
+                       * inj.service_factor(op.mn_id, env._now, port=pidx))
             self._note_port(port)
             if self.monitor is not None:
                 self.monitor.note_verb(op.mn_id, port.label, op.__class__,
-                                       verb.nbytes, service)
+                                       nbytes, service)
             done = port.finish_time(service, env._now)
             if fate.duplicate:
                 # The fabric delivered the request twice: the second copy
                 # hits the token cache (no re-execution) but still costs
                 # NIC service.
                 stats.duplicates += 1
-                if node.apply_once(verb.token, op)[1]:
+                if node.apply_once(token, op)[1]:
                     stats.dedup_hits += 1
                 self._note_port(port)
                 port.finish_time(service, env._now)
@@ -672,7 +649,7 @@ class Fabric:
                               + fate.reply_jitter_us)
             return
         stats.verb_timeouts += 1
-        completions[verb.i] = Completion(op, TIMEOUT)
+        completions[i] = Completion(op, TIMEOUT)
 
     # -- RPCs -------------------------------------------------------------------
     def rpc(self, mn_id: int, name: str, payload: dict,
@@ -685,7 +662,8 @@ class Fabric:
         node has crashed.  ``qp`` selects the NIC port and the RPC CPU
         shard on multi-queue nodes.
         """
-        span = self.tracer.current_span() if self.tracer.enabled else None
+        tracer = self.tracer
+        span = None if tracer is None else tracer.current_span()
         # The idempotency token is drawn only under an injector, so
         # clean-bed uid sequences (resource labels, footprints) never move.
         token = self.env.next_uid() if self.injector is not None else None
@@ -697,8 +675,8 @@ class Fabric:
             # The RPC runs in its own process; bind it to the caller's
             # span so NIC/CPU intervals emitted inside attribute correctly.
             prof.bind(proc, prof.current_span())
-        if self.tracer.enabled:
-            record = self.tracer.on_rpc(mn_id, name)
+        if tracer is not None:
+            record = tracer.on_rpc(mn_id, name)
             env = self.env
 
             def _finish(_event, record=record, env=env):

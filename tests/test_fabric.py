@@ -17,7 +17,6 @@ from repro.faults import (
     RetryPolicy,
 )
 from repro.obs import Monitor, Profiler, Tracer, jsonl_lines
-from repro.obs.tracer import NULL_TRACER
 from repro.rdma import (
     FAIL,
     PORT_AFFINITY_MODES,
@@ -960,13 +959,13 @@ class _ProcessPerVerbFabric(Fabric):
                     * inj.service_factor(op.mn_id, arrive, port=pidx))
             else:
                 touched.append(i)
-        span = self.tracer.current_span() if self.tracer.enabled else None
+        span = None if self.tracer is None else self.tracer.current_span()
         loop = None
         if clean:
             memo, tracer = self._verb_cache, self.tracer
             self.injector, self._verb_cache = None, gray
             if touched:     # the gatherer traces the whole batch
-                self.tracer = NULL_TRACER
+                self.tracer = None
             try:
                 loop = super().post([ops[i] for i in clean],
                                     unsignaled=unsignaled, qp=qp)
@@ -1005,7 +1004,7 @@ class _ProcessPerVerbFabric(Fabric):
             yield self.env.all_of(waits)
         for i, completion in zip(clean, loop.value if loop else ()):
             completions[i] = completion
-        if self.tracer.enabled:
+        if self.tracer is not None:
             self.tracer.on_batch(ops, completions, t0, self.env.now,
                                  unsignaled=unsignaled, span=span)
         return completions

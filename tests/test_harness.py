@@ -338,7 +338,7 @@ class TestObservedRun:
         # guard stands between a forgotten hook and a wasted load
         with pytest.raises(SimulationError, match="scheduler"):
             self.run(bed, profile=True, monitor_config=MonitorConfig())
-        assert not bed.cluster.fabric.tracer.enabled   # still the null one
+        assert bed.cluster.fabric.tracer is None    # still untraced
         assert len(bed.cluster.clients) == clients_before
 
     def test_paced_run_and_runner_keywords(self):

@@ -6,18 +6,23 @@ the CLI/report integration points.
 """
 
 import json
+import os
+import sys
 
 import pytest
 
+import repro.obs
 from repro import ClusterConfig, FuseeCluster, Tracer
 from repro.__main__ import main
 from repro.core.client import ClientCrashed, CrashPoint
 from repro.harness.report import obs_report
+from repro.harness.runner import run_closed_loop
+from repro.harness.systems import fusee_bed
 from repro.obs import (
-    NULL_TRACER,
     Histogram,
     Metrics,
-    NullTracer,
+    Monitor,
+    Profiler,
     chrome_trace,
     jsonl_lines,
     metrics_table,
@@ -27,7 +32,10 @@ from repro.obs import (
     write_chrome_trace,
     write_jsonl,
 )
+from repro.rdma import Fabric
 from repro.rdma.verbs import CasOp, FaaOp, ReadOp, WriteOp
+from repro.sim import Environment
+from repro.workloads import YcsbConfig, YcsbWorkload
 from tests.conftest import small_config, run
 
 
@@ -139,22 +147,43 @@ class TestTracerSpans:
         assert tracer.spans == [] and tracer.orphan_batches == []
 
 
-class TestNullTracer:
-    def test_shared_instance_is_disabled(self):
-        assert NULL_TRACER.enabled is False
-        assert isinstance(NULL_TRACER, NullTracer)
+class TestUntracedBed:
+    """An observer is attached or it is None, and a bed with none calls
+    no code of ``repro.obs``."""
 
-    def test_fabric_defaults_to_null_tracer(self):
+    def test_fabric_defaults_to_no_tracer(self):
         cluster = FuseeCluster(small_config())
-        assert cluster.fabric.tracer is NULL_TRACER
+        assert cluster.fabric.tracer is None
+        assert cluster.fabric.monitor is None
+        assert cluster.env._profiler is None
 
-    def test_untraced_run_records_nothing(self):
-        cluster = FuseeCluster(small_config())
-        client = cluster.new_client()
-        run(cluster, client.insert(b"k", b"v"))
-        assert NULL_TRACER.spans == []
-        # the singleton's env must never be captured by a cluster
-        assert NULL_TRACER.env is None
+    def test_untraced_bed_calls_no_observer_code(self):
+        obs_dir = os.path.dirname(repro.obs.__file__) + os.sep
+        config = YcsbConfig(workload="A", n_keys=20)
+        calls = []
+
+        def watch(frame, event, _arg):
+            if event == "call" \
+                    and frame.f_code.co_filename.startswith(obs_dir):
+                calls.append(frame.f_code.co_name)
+
+        sys.setprofile(watch)
+        try:
+            bed = fusee_bed(background_interval_us=200.0)
+            seeder = YcsbWorkload(config, seed=1)
+            bed.load((key, seeder.load_value(i))
+                     for i, key in enumerate(seeder.load_keys()))
+            clients = [bed.new_client() for _ in range(16)]
+            result = run_closed_loop(
+                bed.env, clients,
+                lambda index: YcsbWorkload(config, seed=2 + index),
+                bed.execute, duration_us=3000.0)
+        finally:
+            sys.setprofile(None)
+        assert result.ops > 0
+        # a protocol retry ran, the one hook an untraced op still reaches
+        assert sum(c.stats.retries for c in clients) >= 1
+        assert calls == []
 
     def test_attach_tracer_mid_run(self):
         cluster = FuseeCluster(small_config())
@@ -165,6 +194,37 @@ class TestNullTracer:
         assert tracer.env is cluster.env
         run(cluster, client.search(b"k"))
         assert [s.op for s in tracer.spans] == ["search"]
+
+
+def _tracer_on_fabric(env):
+    Fabric(Environment(), tracer=Tracer(env=env))
+
+
+def _tracer_on_cluster(env):
+    FuseeCluster(small_config(), tracer=Tracer(env=env))
+
+
+def _tracer_attached(env):
+    FuseeCluster(small_config()).attach_tracer(Tracer(env=env))
+
+
+def _tracer_profiled(env):
+    Profiler(tracer=Tracer(env=env)).install(Environment())
+
+
+def _monitor_on_fabric(env):
+    Monitor(env, FuseeCluster(small_config()).fabric)
+
+
+@pytest.mark.parametrize("attach", [_tracer_on_fabric, _tracer_on_cluster,
+                                    _tracer_attached, _tracer_profiled,
+                                    _monitor_on_fabric],
+                         ids=lambda attach: attach.__name__.strip("_"))
+def test_an_observer_of_another_environment_is_refused(attach):
+    """An observer reads its environment's clock: one bound to another
+    environment than the fabric's would time spans and panes wrongly."""
+    with pytest.raises(ValueError, match="Environment"):
+        attach(Environment())
 
 
 class TestVerbKind:

@@ -17,7 +17,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.faults.model import FaultPlan, LinkFault
-from repro.faults.retry import RetryPolicy, backoff_wait
+from repro.faults.retry import RetryPolicy
 from repro.harness.runner import run_closed_loop
 from repro.harness.systems import fusee_bed
 from repro.obs import (
@@ -204,18 +204,6 @@ class TestAttributedTimeout:
         env.process(proc())
         env.run(until=10.0)
         assert done == [5.0]
-
-    def test_backoff_wait_delegates(self):
-        env = Environment()
-        profiler = Profiler().install(env)
-
-        def proc():
-            yield backoff_wait(env, 3.0, label="verb.timeout")
-
-        env.process(proc())
-        env.run(until=10.0)
-        assert (None, "backoff", "verb.timeout", 0.0, 3.0) \
-            in profiler.intervals
 
     def test_zero_delay_records_nothing(self):
         env = Environment()

@@ -734,10 +734,22 @@ class TestMonitorOnCleanBeds:
         assert all(op.kind in KV_OPS and op.op_id >= 0 for op in ops)
 
 
+class _SpanRecorder(Monitor):
+    """A monitor that keeps every span handed to it."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.spans = []
+
+    def on_span(self, span):
+        self.spans.append(span)
+        super().on_span(span)
+
+
 class TestMonitorWiring:
     """The monitor has one home, ``fabric.monitor``: every client reads
     it there at the top of each KV op, traced or not, whenever it was
-    created."""
+    created, and hands it the op's ended span when traced."""
 
     def test_untraced_bed_counts_hot_keys(self):
         _tracer, health = monitored_ycsb_run(seed=7, traced=False)
@@ -771,6 +783,69 @@ class TestMonitorWiring:
         assert monitor.hot_total.estimate(b"made-before") == (2, 0)
         assert monitor.hot_total.estimate(b"made-after") == (2, 0)
         assert monitor.hot_total.n == 4
+
+    @pytest.mark.parametrize("monitor_first", [False, True],
+                             ids=["tracer-first", "monitor-first"])
+    def test_each_kv_span_reaches_it_once(self, monitor_first):
+        from repro.core import FuseeCluster
+        from tests.conftest import small_config
+
+        cluster = FuseeCluster(small_config())
+        tracer = Tracer()
+        monitor = _SpanRecorder(cluster.env, cluster.fabric)
+        attach = [lambda: cluster.attach_tracer(tracer),
+                  lambda: cluster.attach_monitor(monitor)]
+        for step in (attach[::-1] if monitor_first else attach):
+            step()
+        client = cluster.new_client()
+        cluster.run_op(client.insert(b"k", b"v"))
+        cluster.run_op(client.search(b"k"))
+        cluster.run_op(client.update(b"k", b"w"))
+        cluster.run_op(client.update(b"absent", b"w"))
+        cluster.run_op(client.delete(b"k"))
+        assert monitor.spans == tracer.spans
+        assert [span.op for span in monitor.spans] == [
+            "insert", "search", "update", "update", "delete"]
+        counts = monitor.windows.counts
+        assert sum(counts[OK_STREAM].values()) == 4
+        assert sum(counts[ERR_STREAM].values()) == 1
+
+    def test_an_op_that_raises_is_one_error(self):
+        from repro.core import FuseeCluster
+        from repro.core.client import ClientCrashed, CrashPoint
+        from tests.conftest import small_config
+
+        cluster = FuseeCluster(small_config(), tracer=Tracer())
+        monitor = cluster.attach_monitor(
+            _SpanRecorder(cluster.env, cluster.fabric))
+        client = cluster.new_client()
+        cluster.run_op(client.insert(b"k", b"v"))
+        client.arm_crash(CrashPoint.C1)
+        with pytest.raises(ClientCrashed):
+            cluster.run_op(client.update(b"k", b"w"))
+        assert [(span.op, span.ok, span.error) for span in monitor.spans] \
+            == [("insert", True, None), ("update", False, "ClientCrashed")]
+        counts = monitor.windows.counts
+        assert sum(counts[OK_STREAM].values()) == 1
+        assert sum(counts[ERR_STREAM].values()) == 1
+
+    def test_a_recovery_span_never_reaches_it(self):
+        from repro.core import FuseeCluster
+        from repro.core.master import DETECTOR_INTERVAL_US, LEASE_US
+        from tests.conftest import small_config
+
+        cluster = FuseeCluster(small_config(), tracer=Tracer())
+        monitor = cluster.attach_monitor(
+            _SpanRecorder(cluster.env, cluster.fabric))
+        client = cluster.new_client()
+        cluster.run_op(client.insert(b"k", b"v"))
+        cluster.crash_memory_node(1)
+        cluster.env.run(until=cluster.env.now + LEASE_US
+                        + DETECTOR_INTERVAL_US + 500.0)
+        failover = cluster.fabric.tracer.last_span("recover.mn_failover")
+        assert failover is not None and failover.ok
+        assert cluster.run_op(client.search(b"k")).ok
+        assert [span.op for span in monitor.spans] == ["insert", "search"]
 
 
 class TestMonitorOnFaultedBeds:
