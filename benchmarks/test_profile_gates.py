@@ -34,11 +34,13 @@ _FUSEE_SCALED = Scale(n_keys=800, n_clients=256, duration_us=600.0)
 
 
 def _write_bench_section(section: str, payload: dict) -> None:
-    """Merge one gate's evidence bundle into ``BENCH_profile.json``.
+    """Merge one gate's evidence — its ``bed``, ``knobs`` and ``gate``
+    numbers — into ``BENCH_profile.json``.
 
     The file holds one key per gate so the hotpath and multiqueue gates
     (and future ones) can each rewrite their own section without
-    clobbering the others."""
+    clobbering the others.  It holds no profile bundle: the differential
+    catalogue's ``cli/profile ...`` cells pin a bundle's bytes."""
     path = _REPO_ROOT / "BENCH_profile.json"
     try:
         doc = json.loads(path.read_text())
@@ -84,7 +86,7 @@ def test_hotpath_knobs_lift_the_fig13_plateau():
     """Tentpole gate (before/after): replica read-spreading + adaptive
     doorbell coalescing must cut NIC serialisation queueing — nic_wait
     share drops — and lift saturated throughput >=10% over the
-    paper-faithful seed on the same bed, with the evidence written to
+    paper-faithful seed on the same bed, with the numbers written to
     ``BENCH_profile.json``."""
     seed = profile_ycsb(system="fusee", workload="A",
                         scale=_FUSEE_LOADED, n_memory_nodes=2)
@@ -114,8 +116,6 @@ def test_hotpath_knobs_lift_the_fig13_plateau():
             "nic_wait_optimized": round(tuned.profile.share("nic_wait"),
                                         4),
         },
-        "seed": seed.to_dict(),
-        "optimized": tuned.to_dict(),
     }
     _write_bench_section("hotpath", payload)
 
@@ -124,7 +124,7 @@ def test_multiqueue_nics_break_the_tx_wall():
     """Tentpole gate (before/after): 4 NIC ports per MN with per-QP
     affinity plus a 2-way sharded MN RPC service must cut the saturated
     bed's nic_wait share from ~0.39+ to <=0.25 and lift throughput
-    >=15%, with both bundles written to ``BENCH_profile.json``."""
+    >=15%, with the numbers written to ``BENCH_profile.json``."""
     seed = profile_ycsb(system="fusee", workload="A",
                         scale=_FUSEE_LOADED, n_memory_nodes=2)
     mq = profile_ycsb(system="fusee", workload="A",
@@ -155,8 +155,6 @@ def test_multiqueue_nics_break_the_tx_wall():
             "nic_wait_seed": round(seed.profile.share("nic_wait"), 4),
             "nic_wait_optimized": round(mq.profile.share("nic_wait"), 4),
         },
-        "seed": seed.to_dict(),
-        "optimized": mq.to_dict(),
     }
     _write_bench_section("multiqueue", payload)
 
@@ -165,7 +163,7 @@ def test_scaled_bed_plateau_is_multiqueue_high():
     """The scale-test gate: at 256 clients / 8 MNs the single-queue
     model is hopelessly tx-walled (~0.60 nic_wait); the multi-queue +
     sharded bed must lift throughput >=2x and hand the bottleneck back
-    to wire propagation.  The bundle lands in ``BENCH_profile.json``."""
+    to wire propagation.  The numbers land in ``BENCH_profile.json``."""
     single = profile_ycsb(system="fusee", workload="A",
                           scale=_FUSEE_SCALED, n_memory_nodes=8)
     mq = profile_ycsb(system="fusee", workload="A",
@@ -193,8 +191,6 @@ def test_scaled_bed_plateau_is_multiqueue_high():
             "nic_wait_multiqueue":
                 round(mq.profile.share("nic_wait"), 4),
         },
-        "single_queue": single.to_dict(),
-        "multiqueue": mq.to_dict(),
     }
     _write_bench_section("multiqueue_scaled", payload)
 

@@ -29,6 +29,8 @@ Commands
     seeded-random timeline of packet loss, duplication, partitions and
     gray nodes under a multi-client workload, with a fault/outcome
     report and linearizability verdict.
+``differential {list,record,verify} [PATTERN...]``
+    Run the differential catalogue (``repro.check.differential``).
 ``monitor``
     Exercise the online telemetry plane (see docs/monitoring.md): run a
     monitored clean-bed YCSB workload (asserting the gray-failure
@@ -36,20 +38,14 @@ Commands
     (``--campaign``, asserting every seeded gray/port fault is caught),
     printing the end-of-run health report either way.
 
-Observability flags (``demo`` and ``ycsb``)
--------------------------------------------
-``--trace out.json``   write a Chrome ``trace_event`` file — open it at
-                       https://ui.perfetto.dev to see every KV operation
-                       span and RDMA verb on the simulated timeline.
-``--jsonl out.jsonl``  write one JSON record per span/batch (stable field
-                       order; byte-identical across same-seed runs).
-``--metrics``          print counters, latency histograms and NIC/CPU
-                       utilisation series at the end of the run.
+``demo`` and ``ycsb`` also write a Chrome trace (``--trace``), a JSONL log
+(``--jsonl``, byte-stable per seed) and a metrics report (``--metrics``).
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import pathlib
 import sys
 import time
@@ -389,6 +385,11 @@ def cmd_check(args) -> int:
     return 0 if ok else 1
 
 
+def cmd_differential(args) -> int:
+    from .check.differential import main as differential
+    return differential(args.action, args.patterns)
+
+
 def _at_least(low: int):
     """An argparse type: an integer no smaller than ``low``."""
     def parse(text: str) -> int:
@@ -401,6 +402,25 @@ def _at_least(low: int):
                 f"expected an integer >= {low}, got {text!r}")
         return value
     return parse
+
+
+def _number(ok, expected: str):
+    """An argparse type: a finite number for which ``ok(value)`` holds."""
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not (math.isfinite(value) and ok(value)):
+            raise argparse.ArgumentTypeError(
+                f"expected {expected}, got {text!r}")
+        return value
+    return parse
+
+
+_COUNT = _at_least(1)
+_POSITIVE = _number(lambda value: value > 0, "a finite number > 0")
+_PERCENT = _number(lambda pct: 0 <= pct <= 100, "a percentile in [0, 100]")
 
 
 def _decisions(text: str) -> list:
@@ -497,15 +517,15 @@ def _add_hotpath_flags(parser) -> None:
                         choices=("primary", "round_robin", "least_loaded"),
                         help="spread KV READs across alive replicas "
                              "(default: paper-faithful primary)")
-    parser.add_argument("--coalesce-width", type=int, default=1,
+    parser.add_argument("--coalesce-width", type=_COUNT, default=1,
                         metavar="N",
                         help="max verbs folded into one NIC doorbell "
                              "serialisation slot (default 1 = "
                              "paper-faithful, no coalescing)")
-    parser.add_argument("--nic-ports", type=int, default=1, metavar="N",
+    parser.add_argument("--nic-ports", type=_COUNT, default=1, metavar="N",
                         help="rx/tx NIC port pairs per memory node "
                              "(default 1 = paper-faithful single queue)")
-    parser.add_argument("--rpc-shards", type=int, default=1, metavar="N",
+    parser.add_argument("--rpc-shards", type=_COUNT, default=1, metavar="N",
                         help="independent RPC CPU shards per memory "
                              "node (default 1 = one pooled server loop)")
     parser.add_argument("--port-affinity", default="qp",
@@ -536,7 +556,7 @@ def _add_scenario_flags(parser) -> None:
 
 
 def _add_monitor_flags(parser, default_hotkeys: int = 0) -> None:
-    parser.add_argument("--windows", type=float, default=None,
+    parser.add_argument("--windows", type=_POSITIVE, default=None,
                         metavar="US",
                         help="attach the online monitor with tumbling "
                              "windows of US simulated microseconds "
@@ -547,7 +567,8 @@ def _add_monitor_flags(parser, default_hotkeys: int = 0) -> None:
                              "(latency:<op>:p<pct>:<us>, errors:<rate>, "
                              "availability:<rate>); repeatable; implies "
                              "--windows")
-    parser.add_argument("--hotkeys", type=int, default=default_hotkeys,
+    parser.add_argument("--hotkeys", type=_at_least(0),
+                        default=default_hotkeys,
                         metavar="K",
                         help="track the top-K hot keys and index buckets "
                              "per window (Space-Saving sketch); implies "
@@ -617,10 +638,10 @@ def main(argv=None) -> int:
                              choices=sorted("ABCD"))
     ycsb_parser.add_argument("--keys", type=_at_least(1), default=2000)
     ycsb_parser.add_argument("--clients", type=_at_least(1), default=4)
-    ycsb_parser.add_argument("--duration-us", type=float, default=20_000.0)
+    ycsb_parser.add_argument("--duration-us", type=_POSITIVE, default=2e4)
     ycsb_parser.add_argument("--seed", type=int, default=42)
-    ycsb_parser.add_argument("--memory-nodes", type=int, default=2)
-    ycsb_parser.add_argument("--replicas", type=int, default=2)
+    ycsb_parser.add_argument("--memory-nodes", type=_COUNT, default=2)
+    ycsb_parser.add_argument("--replicas", type=_COUNT, default=2)
     ycsb_parser.add_argument("--variant", default="fusee",
                              choices=("fusee", "fusee-cr", "fusee-nc",
                                       "fusee-swarm"))
@@ -630,7 +651,7 @@ def main(argv=None) -> int:
                                   "print the latency breakdown")
     _add_hotpath_flags(ycsb_parser)
     _add_obs_flags(ycsb_parser)
-    ycsb_parser.add_argument("--sample-interval", type=float,
+    ycsb_parser.add_argument("--sample-interval", type=_POSITIVE,
                              default=50.0, metavar="US",
                              help="fabric counter sampling interval for "
                                   "--metrics (simulated us, default 50)")
@@ -651,11 +672,11 @@ def main(argv=None) -> int:
                                          "production"))
     profile_parser.add_argument("--clients", type=_at_least(1), default=None,
                                 help="override the scale's client count")
-    profile_parser.add_argument("--memory-nodes", type=int, default=2)
+    profile_parser.add_argument("--memory-nodes", type=_COUNT, default=2)
     profile_parser.add_argument("--metadata-cores", type=int, default=2,
                                 help="Clover metadata-server cores "
                                      "(Fig. 2 knob)")
-    profile_parser.add_argument("--tail-pct", type=float, default=99.0,
+    profile_parser.add_argument("--tail-pct", type=_PERCENT, default=99.0,
                                 help="tail percentile for the slowest-"
                                      "spans breakdown")
     profile_parser.add_argument("--out", default="profile.json",
@@ -670,7 +691,7 @@ def main(argv=None) -> int:
                                 metavar="OUT.json",
                                 help="write a Chrome trace with counter "
                                      "tracks")
-    profile_parser.add_argument("--sample-interval", type=float,
+    profile_parser.add_argument("--sample-interval", type=_POSITIVE,
                                 default=50.0, metavar="US",
                                 help="fabric counter sampling interval "
                                      "(simulated us, default 50)")
@@ -723,7 +744,7 @@ def main(argv=None) -> int:
     faults_parser.add_argument("--list", action="store_true",
                                help="list campaign names")
     _add_replication_flag(faults_parser, default="snapshot")
-    faults_parser.add_argument("--index-replication", type=int, default=1,
+    faults_parser.add_argument("--index-replication", type=_COUNT, default=1,
                                help="index replica count (capped at the "
                                     "MN count); raise to exercise "
                                     "multi-replica protocol paths under "
@@ -743,19 +764,23 @@ def main(argv=None) -> int:
                                      "gray/port faults must be caught")
     monitor_parser.add_argument("--seed", type=int, default=0)
     monitor_parser.add_argument("--clients", type=_at_least(1), default=4)
-    monitor_parser.add_argument("--duration-us", type=float,
-                                default=20_000.0)
+    monitor_parser.add_argument("--duration-us", type=_POSITIVE, default=2e4)
     monitor_parser.add_argument("--keys", type=_at_least(1), default=2000)
     monitor_parser.add_argument("--workload", default="A",
                                 choices=sorted("ABCD"))
-    monitor_parser.add_argument("--memory-nodes", type=int, default=2)
-    monitor_parser.add_argument("--nic-ports", type=int, default=1,
+    monitor_parser.add_argument("--memory-nodes", type=_COUNT, default=2)
+    monitor_parser.add_argument("--nic-ports", type=_COUNT, default=1,
                                 metavar="N")
-    monitor_parser.add_argument("--rpc-shards", type=int, default=1,
+    monitor_parser.add_argument("--rpc-shards", type=_COUNT, default=1,
                                 metavar="N")
     _add_monitor_flags(monitor_parser, default_hotkeys=8)
     _add_scenario_flags(monitor_parser)
     monitor_parser.set_defaults(func=cmd_monitor)
+
+    diff_parser = sub.add_parser("differential", help="same-bytes catalogue")
+    diff_parser.add_argument("action", choices=("list", "record", "verify"))
+    diff_parser.add_argument("patterns", nargs="*", metavar="PATTERN")
+    diff_parser.set_defaults(func=cmd_differential)
 
     args = parser.parse_args(argv)
     return args.func(args)

@@ -10,6 +10,7 @@ buckets completions into fixed windows.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -57,8 +58,9 @@ def _drive(env: Environment, clients: Sequence, source_factory: Callable,
     decides *when* a client issues its next operation — the only thing
     closed-loop and paced runs disagree on.
     """
-    if not 0 <= warmup_us < duration_us:
-        raise ValueError(f"need 0 <= warmup_us < duration_us, got "
+    # ``inf`` would never return and ``nan`` compares false to everything.
+    if not (0 <= warmup_us < duration_us and math.isfinite(duration_us)):
+        raise ValueError(f"need 0 <= warmup_us < duration_us < inf, got "
                          f"warmup_us={warmup_us}, duration_us={duration_us}")
     if monitor is not None:
         monitor.start()

@@ -105,12 +105,15 @@ class TestProfile:
         assert "overall:" in text
         assert "makespan:" in text
 
-    def test_tail_pct_outside_0_100_rejected(self, tmp_path):
-        """Used to write a profile whose ``tail.pct`` was 150."""
+    def test_tail_pct_outside_0_100_rejected(self, tmp_path, capsys):
+        """Used to write a profile whose ``tail.pct`` was 150, then to end
+        in a ValueError traceback after the bed was built."""
         out = tmp_path / "p.json"
-        with pytest.raises(ValueError, match="outside"):
+        with pytest.raises(SystemExit) as exc:
             main(["profile", "--scale", "tiny", "--clients", "2",
                   "--tail-pct", "150", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "argument --tail-pct:" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -153,6 +156,27 @@ class TestBadInputs:
         """``faults --clients 0`` used to print ``ops: 0 total`` and
         ``verdict: CLEAN``; ``ycsb --clients 0`` loaded the bed, then
         ended in a ValueError traceback."""
+        self._exits_2_naming_the_flag(command, capsys)
+
+    @pytest.mark.parametrize("command", [
+        "ycsb --duration-us inf", "ycsb --duration-us nan",
+        "ycsb --duration-us 0", "monitor --duration-us -1",
+        "ycsb --memory-nodes 0", "profile --memory-nodes 0",
+        "monitor --memory-nodes 0", "ycsb --replicas 0",
+        "ycsb --coalesce-width 0", "profile --coalesce-width 0",
+        "ycsb --nic-ports 0", "monitor --nic-ports 0", "ycsb --rpc-shards 0",
+        "monitor --rpc-shards 0", "ycsb --windows 0", "faults --windows nan",
+        "ycsb --sample-interval -1", "profile --sample-interval inf",
+        "faults --index-replication 0", "profile --tail-pct 150",
+        "profile --tail-pct -1", "ycsb --hotkeys -1"])
+    def test_an_out_of_range_number_exits_2_naming_the_flag(self, command,
+                                                            capsys):
+        """``ycsb --duration-us inf`` used to run forever; the others
+        built the bed, then ended in a ValueError traceback."""
+        self._exits_2_naming_the_flag(command, capsys)
+
+    @staticmethod
+    def _exits_2_naming_the_flag(command, capsys):
         subcommand, flag, value = command.split()
         with pytest.raises(SystemExit) as exc:
             main([subcommand, flag, value])
@@ -170,11 +194,14 @@ class TestBadInputs:
 
     @pytest.mark.parametrize("flags", ["--hotkeys -1", "--windows 0",
                                        "--windows -250"])
-    def test_bad_monitor_settings_rejected(self, flags):
-        """``--hotkeys -1`` used to mean "off" without a word."""
-        with pytest.raises(ValueError):
+    def test_bad_monitor_settings_rejected(self, flags, capsys):
+        """``--hotkeys -1`` used to mean "off" without a word, then to end
+        in a ValueError traceback."""
+        with pytest.raises(SystemExit) as exc:
             main(["ycsb", "--keys", "100", "--clients", "2",
                   "--duration-us", "500", *flags.split()])
+        assert exc.value.code == 2
+        assert f"argument {flags.split()[0]}:" in capsys.readouterr().err
 
 
 # --------------------------------------------------------------------------

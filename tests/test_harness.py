@@ -1,5 +1,6 @@
 """Tests for the closed-loop runner, latency driver, and system beds."""
 
+import math
 from types import SimpleNamespace
 
 import pytest
@@ -264,6 +265,15 @@ class TestRunner:
                 lambda i: sources.append(i) or _FixedWorkload(),
                 bed.execute, duration_us=duration_us, warmup_us=warmup_us)
         assert not sources and bed.env.now == loaded_at
+
+    @pytest.mark.parametrize("duration_us, warmup_us", [
+        (math.inf, 0.0),  # used to return with no clients, hang with any
+        (math.nan, 0.0), (100.0, math.nan), (math.inf, math.inf)])
+    def test_non_finite_window_rejected(self, duration_us, warmup_us):
+        with pytest.raises(ValueError, match="warmup_us < duration_us"):
+            run_closed_loop(Environment(), [], lambda i: _FixedWorkload(),
+                            None, duration_us=duration_us,
+                            warmup_us=warmup_us)
 
     def test_run_latency_sequential(self):
         bed = self.make_bed()

@@ -5,7 +5,9 @@ records only simulated time and verb contents (no wall clock, no memory
 addresses).  So the JSONL rendering of a seeded YCSB run must be
 byte-for-byte reproducible — that property is what makes traces usable
 as regression artifacts (diff two trace files to see exactly where an
-optimisation changed the verb stream).
+optimisation changed the verb stream).  A same-seed run is compared with
+its cell in ``DIFFERENTIAL.json`` (``repro.check.differential``), whose
+digest another process recorded.
 """
 
 import json
@@ -13,6 +15,7 @@ import json
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.check.differential import digest, recorded
 from repro.harness import fusee_bed, observed_run
 from repro.obs import chrome_trace, folded_stacks, jsonl_lines
 from repro.workloads import YcsbConfig, YcsbWorkload
@@ -54,23 +57,22 @@ def traced_ycsb_run(seed: int, duration_us: float = 1500.0, profile=False,
 
 
 class TestTraceDeterminism:
+    """``bed/trace/<seed>`` cells: ``trace`` is the JSONL, ``out`` the
+    Chrome trace."""
+
     def test_same_seed_gives_identical_jsonl(self):
-        first = jsonl_lines(traced_ycsb_run(seed=7))
-        second = jsonl_lines(traced_ycsb_run(seed=7))
-        assert len(first) > 50  # a real run, not a trivial one
-        assert first == second
+        lines = jsonl_lines(traced_ycsb_run(seed=7))
+        assert len(lines) > 50  # a real run, not a trivial one
+        assert digest("\n".join(lines)) == recorded()["bed/trace/7"]["trace"]
 
     def test_same_seed_gives_identical_chrome_trace(self):
-        first = json.dumps(chrome_trace(traced_ycsb_run(seed=7)),
-                           sort_keys=True)
-        second = json.dumps(chrome_trace(traced_ycsb_run(seed=7)),
-                            sort_keys=True)
-        assert first == second
+        text = json.dumps(chrome_trace(traced_ycsb_run(seed=7)),
+                          sort_keys=True, separators=(",", ":"))
+        assert digest(text) == recorded()["bed/trace/7"]["out"]
 
     def test_different_seed_gives_different_trace(self):
-        first = jsonl_lines(traced_ycsb_run(seed=7))
-        second = jsonl_lines(traced_ycsb_run(seed=8))
-        assert first != second
+        lines = jsonl_lines(traced_ycsb_run(seed=7))
+        assert digest("\n".join(lines)) != recorded()["bed/trace/8"]["trace"]
 
     def test_jsonl_lines_are_valid_sorted_json(self):
         lines = jsonl_lines(traced_ycsb_run(seed=7))
@@ -97,20 +99,20 @@ def scaled_ycsb_trace(seed: int, n_clients: int = 256,
 
 class TestScaledBedDeterminism:
     """The scale-test beds inherit the determinism contract: a fixed
-    seed on a 256-client / 8-MN multi-queue bed renders byte-identical
-    JSONL traces across independent runs."""
+    seed on a 256-client / 8-MN multi-queue bed renders the JSONL trace
+    its ``bed/scaled-*`` cell recorded in another process."""
 
     def test_256_client_8_mn_multiqueue_trace_is_reproducible(self):
-        first = scaled_ycsb_trace(seed=13)
-        second = scaled_ycsb_trace(seed=13)
-        assert len(first) > 500  # hundreds of clients really ran
-        assert first == second
+        lines = scaled_ycsb_trace(seed=13)
+        assert len(lines) > 500  # hundreds of clients really ran
+        assert digest("\n".join(lines)) == \
+            recorded()["bed/scaled-256c-8mn/13"]["trace"]
 
     def test_scaled_bed_seed_still_matters(self):
-        assert scaled_ycsb_trace(seed=13, n_clients=64, n_memory_nodes=4,
-                                 duration_us=150.0) != \
-            scaled_ycsb_trace(seed=14, n_clients=64, n_memory_nodes=4,
-                              duration_us=150.0)
+        lines = scaled_ycsb_trace(seed=13, n_clients=64, n_memory_nodes=4,
+                                  duration_us=150.0)
+        assert digest("\n".join(lines)) != \
+            recorded()["bed/scaled-64c-4mn/14"]["trace"]
 
 
 class TestFastReferenceDifferential:
