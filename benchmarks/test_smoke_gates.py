@@ -21,8 +21,8 @@ import pytest
 _REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
-def _run(argv, cwd):
-    env = dict(os.environ, PYTHONPATH=str(_REPO_ROOT / "src"))
+def _run(argv, cwd, **env_vars):
+    env = dict(os.environ, PYTHONPATH=str(_REPO_ROOT / "src"), **env_vars)
     proc = subprocess.run([sys.executable, *argv], cwd=cwd, env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stdout + proc.stderr
@@ -107,15 +107,47 @@ def test_a_bucket_read_is_decoded_not_looked_up(probes):
         f"{hit:.2f} us: parse_buckets is memoised again")
 
 
-def test_a_key_draw_costs_about_one_kernel_event(probes):
-    """With the rank -> key scatter looked up per key space the ratio
-    reads ~1.1; with FNV-1a run as a Python byte loop on every draw it
-    read 2.09."""
-    draw = probes["probe.ycsb.next_op_us"]["value"]
-    event = probes["probe.sim.us_per_event"]["value"]
-    assert draw <= 1.6 * event, (
-        f"probe.ycsb.next_op_us {draw:.2f} us > 1.6 x "
-        f"probe.sim.us_per_event {event:.2f} us: the rank -> key "
+@pytest.fixture(scope="module")
+def bytecodes():
+    """One ``python -m benchmarks.bytecodes`` process (~10 s): exact
+    instruction counts, so the runner's speed does not enter."""
+    stdout = _run(["-m", "benchmarks.bytecodes"], _REPO_ROOT,
+                  PYTHONHASHSEED="0")
+    return json.loads(stdout.splitlines()[-1])
+
+
+#: Instructions per attempted op of `benchmarks.bytecodes`' YCSB-A run,
+#: this change's count plus 5 %, per Python (each compiles differently).
+_YCSB_OP_BOUND = {"3.11": 4349, "3.12": 4140}
+
+
+def test_a_clean_ycsb_op_costs_few_bytecodes(bytecodes):
+    """An exact count, not a timing: the instructions a clean YCSB-A op
+    executes in ``src/repro``, at seed 13 on the ``ycsb_a_sat`` geometry
+    (``benchmarks/bytecodes.py``).  Before the delivery loop paid per
+    verb for its work only (one lane hit for port and service, the port
+    reservation inlined, no generator on the op path while no barrier is
+    up) an op executed 4 882 (Python 3.11) / 4 639 (3.12); now 4 142 /
+    3 943.  A cProfile call count would not do: it counts a ``dict.get``
+    like a Python frame."""
+    version = bytecodes["python"]
+    if version not in _YCSB_OP_BOUND:
+        pytest.skip(f"no bytecode bound measured for Python {version}")
+    per_op = bytecodes["ycsb_op"]["per_op"]
+    bound = _YCSB_OP_BOUND[version]
+    assert per_op <= bound, (
+        f"{per_op:.0f} bytecodes per YCSB-A op > {bound} (Python "
+        f"{version}): the op path pays for bookkeeping again")
+
+
+def test_a_key_draw_is_a_lookup_not_a_hash(bytecodes):
+    """An exact count, not a timing: a ``YcsbWorkload.next_op`` draw on
+    a warmed key space looks its rank -> key scatter up.  It executes 153
+    instructions (Python 3.11; 139 on 3.12); with FNV-1a run as a Python
+    byte loop on every draw it executed 319 (305)."""
+    per_op = bytecodes["next_op"]["per_op"]
+    assert per_op <= 200, (
+        f"{per_op:.0f} bytecodes per next_op > 200: the rank -> key "
         "scatter is being hashed per draw again")
 
 

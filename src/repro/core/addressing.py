@@ -237,6 +237,14 @@ class RegionMap:
         return [(mn_id, base + offset)
                 for mn_id, base in self._placement[gaddr >> self._shift]]
 
+    def live_replicas(self, gaddr: int, nodes) -> List[Tuple[int, int]]:
+        """``translate(gaddr)`` less the replicas whose node (looked up in
+        ``nodes``, a fabric's ``{mn_id: MemoryNode}``) has crashed."""
+        offset = gaddr & self._mask
+        return [(mn_id, base + offset)
+                for mn_id, base in self._placement[gaddr >> self._shift]
+                if not nodes[mn_id].crashed]
+
     def block_gaddr(self, region_id: int, block: int) -> int:
         """Global address of a block's first byte (``block_of``'s inverse);
         an object of the block is that plus its ``object_offsets`` entry."""

@@ -182,6 +182,9 @@ def _not_located(located) -> OpResult:
 #: master lives in the compute pool, not on a memory node).
 _MASTER_LINK = -1
 
+#: The outcomes of a round that linearized just before its winner's.
+_BEFORE_THE_WINNER = (Outcome.LOSE, Outcome.FINISH)
+
 #: The pause before a client retries a lost or conflicting round.
 RETRY_SLEEP_US = 2.0
 #: Rounds an operation (or a bucket read) may retry before giving up.
@@ -194,9 +197,6 @@ class ClientStats:
     outcomes: Dict[str, int] = field(default_factory=dict)
     retries: int = 0
     master_escalations: int = 0
-
-    def count_op(self, kind: str) -> None:
-        self.ops[kind] = self.ops.get(kind, 0) + 1
 
     def count_outcome(self, outcome: Outcome) -> None:
         self.outcomes[outcome.value] = self.outcomes.get(outcome.value, 0) + 1
@@ -262,8 +262,10 @@ class FuseeClient:
         monitor = self.fabric.monitor
         if monitor is not None:
             monitor.on_key(op, key)
-        self._require_alive()
-        self.stats.count_op(op)
+        if self.crashed:
+            raise ClientCrashed("client has crashed")
+        ops = self.stats.ops
+        ops[op] = ops.get(op, 0) + 1
 
     def _traced(self, op: str, impl, key: Optional[bytes] = None,
                 wrote: Optional[bytes] = None):
@@ -312,10 +314,7 @@ class FuseeClient:
         paper-faithful default reads the first alive (primary-most)
         replica; spreading modes rotate or load-balance across them.
         """
-        nodes = self.fabric.nodes
-        candidates = [replica
-                      for replica in self.region_map.translate(gaddr)
-                      if not nodes[replica[0]].crashed]
+        candidates = self.region_map.live_replicas(gaddr, self.fabric.nodes)
         if not candidates:
             return None
         mn_id, addr = self.read_policy.choose(candidates)
@@ -348,9 +347,8 @@ class FuseeClient:
             body = body[:len(body) // 2]  # torn write: no used bit
             entry_bytes = b""
         ops = []
-        for mn_id, addr in self.region_map.translate(alloc.gaddr):
-            if self.fabric.node(mn_id).crashed:
-                continue
+        for mn_id, addr in self.region_map.live_replicas(alloc.gaddr,
+                                                         self.fabric.nodes):
             ops.append(WriteOp(mn_id, addr, body))
             if entry_bytes:
                 ops.append(WriteOp(mn_id, addr + alloc.size - LOG_ENTRY_SIZE,
@@ -380,11 +378,9 @@ class FuseeClient:
                                  unpack_slot(slot_word).pointer, 0,
                                  bytes([FLAG_INVALID]))
 
-    def _maybe_separate_log(self, prepared: _PreparedKv):
-        """Ablation: a conventional (non-embedded) operation log writes its
-        entry in its own round trip (generator)."""
-        if self.config.embedded_log:
-            return
+    def _separate_log(self, prepared: _PreparedKv):
+        """Ablation (``embedded_log=False``): a conventional operation log
+        writes its entry in its own round trip (generator)."""
         ops = replica_write_ops(self.region_map, self.fabric,
                                 prepared.alloc.gaddr,
                                 prepared.alloc.size - LOG_ENTRY_SIZE,
@@ -401,14 +397,16 @@ class FuseeClient:
         installed when there are backups — see ``_replicated_write``.
         """
         def hook(v_old: int):
-            self._maybe_crash(CrashPoint.C1)
+            if self._crash_point is not None:
+                self._maybe_crash(CrashPoint.C1)
             ops = commit_old_value_ops(self.region_map, self.fabric,
                                        prepared.alloc.gaddr,
                                        prepared.alloc.size, v_old)
             if ops:
                 self.fabric.trace_phase("log.commit")
                 yield self.fabric.post(ops)
-            self._maybe_crash(CrashPoint.C2)
+            if self._crash_point is not None:
+                self._maybe_crash(CrashPoint.C2)
         return hook
 
     def _replicated_write(self, ref: SlotRef, v_old: int, v_new: int,
@@ -421,7 +419,8 @@ class FuseeClient:
             self.fabric, ref, v_old, v_new, on_win=on_win,
             retry_sleep_us=RETRY_SLEEP_US,
             phase_guard=lambda: self._wait_if_blocked(ref.subtable))
-        self._maybe_crash(CrashPoint.C3)
+        if self._crash_point is not None:
+            self._maybe_crash(CrashPoint.C3)
         self.stats.count_outcome(result.outcome)
         return result
 
@@ -481,7 +480,7 @@ class FuseeClient:
                                  entry.slot_ref.slot_index)
         primary_mn, primary_addr = ref.primary()
         kv_read = self._kv_read_op(slot.pointer, slot.block_bytes)
-        if self.fabric.node(primary_mn).crashed or kv_read is None:
+        if self.fabric.nodes[primary_mn].crashed or kv_read is None:
             return None
         self.fabric.trace_phase("search.cached_read")
         comps = yield self.fabric.post(
@@ -571,7 +570,7 @@ class FuseeClient:
         invalidated pair or an empty slot *mean* is the caller's policy.
         """
         primary_mn, primary_addr = ref.primary()
-        if self.fabric.node(primary_mn).crashed:
+        if self.fabric.nodes[primary_mn].crashed:
             if piggyback:
                 comps = yield self.fabric.post(piggyback)
                 if any(c.value is TIMEOUT for c in comps):
@@ -640,7 +639,7 @@ class FuseeClient:
         the client waits for the master's repair and retries.
         """
         placement = self.race.placement(meta.subtable)
-        if not self.fabric.node(placement[0][0]).crashed:
+        if not self.fabric.nodes[placement[0][0]].crashed:
             view, aborted = yield from self._primary_bucket_read(meta,
                                                                  extra_ops)
             if aborted:
@@ -657,7 +656,7 @@ class FuseeClient:
                 return None
         for _attempt in range(MAX_OP_RETRIES):
             placement = self.race.placement(meta.subtable)
-            if not self.fabric.node(placement[0][0]).crashed:
+            if not self.fabric.nodes[placement[0][0]].crashed:
                 # the master reconfigured a new primary while we waited
                 view, _aborted = yield from self._primary_bucket_read(meta)
                 if view is not None:
@@ -666,7 +665,7 @@ class FuseeClient:
                     RETRY_SLEEP_US, "backoff", "client.retry")
                 continue
             alive = [replica for replica, (mn, _b) in enumerate(placement)
-                     if not self.fabric.node(mn).crashed]
+                     if not self.fabric.nodes[mn].crashed]
             if not alive:
                 return None
             all_ops = []
@@ -707,12 +706,18 @@ class FuseeClient:
         mid-read) and the caller should retry or degrade.
         """
         ops = self.race.bucket_read_ops(meta, replica=0)
-        comps = yield self.fabric.post(ops + list(extra_ops or []))
-        if any(c.value is TIMEOUT for c in comps[len(ops):]):
-            return None, True
-        if any(c.failed for c in comps[:len(ops)]):
-            return None, False
-        payloads = [c.value for c in comps[:len(ops)]]
+        n_reads = len(ops)
+        if extra_ops:
+            ops.extend(extra_ops)
+        comps = yield self.fabric.post(ops)
+        for comp in comps[n_reads:]:
+            if comp.value is TIMEOUT:
+                return None, True
+        payloads = []
+        for comp in comps[:n_reads]:
+            if comp.failed:
+                return None, False
+            payloads.append(comp.value)
         return self.race.parse_buckets(meta, payloads), False
 
     def _read_candidates(self, snaps, phase: str):
@@ -792,8 +797,10 @@ class FuseeClient:
         self.fabric.trace_phase("insert.kv_write+bucket_read")
         view = yield from self._read_buckets(meta,
                                              extra_ops=prepared.write_ops)
-        yield from self._maybe_separate_log(prepared)
-        self._maybe_crash(CrashPoint.C0)
+        if not self.config.embedded_log:
+            yield from self._separate_log(prepared)
+        if self._crash_point is not None:
+            self._maybe_crash(CrashPoint.C0)
         if view is None:
             return OpResult(ok=False, error="index unavailable")
         for _expansion in range(8):
@@ -939,7 +946,7 @@ class FuseeClient:
         for slot_ref, word in clear:
             ops.extend(self._invalidate_object_ops(word))
             for mn_id, addr in slot_ref.locations():
-                if not self.fabric.node(mn_id).crashed:
+                if not self.fabric.nodes[mn_id].crashed:
                     ops.append(CasOp(mn_id, addr, expected=word, swap=0))
         if ops:
             self.fabric.trace_phase("insert.dedup_clear")
@@ -995,8 +1002,10 @@ class FuseeClient:
         epoch0 = self.master.epoch if self.master else -1
         located = yield from self._locate_for_write(key, meta,
                                                     prepared.write_ops)
-        yield from self._maybe_separate_log(prepared)
-        self._maybe_crash(CrashPoint.C0)
+        if not self.config.embedded_log:
+            yield from self._separate_log(prepared)
+        if self._crash_point is not None:
+            self._maybe_crash(CrashPoint.C0)
         if (located is None or located is _UNAVAILABLE) \
                 and self.master is not None and self.master.epoch != epoch0:
             # directory/membership changed under us: re-hash and re-locate
@@ -1029,7 +1038,7 @@ class FuseeClient:
         application was told had failed.
         """
         linked = (opcode != OP_DELETE and result.ok
-                  and result.outcome not in (Outcome.LOSE, Outcome.FINISH))
+                  and result.outcome not in _BEFORE_THE_WINNER)
         if not linked:
             self._discard_object(prepared.alloc, opcode)
 
@@ -1134,15 +1143,18 @@ class FuseeClient:
             slot = unpack_slot(entry.slot_word)
             primary_mn, primary_addr = ref.primary()
             kv_read = self._kv_read_op(slot.pointer, slot.block_bytes)
-            if not self.fabric.node(primary_mn).crashed and kv_read:
+            if not self.fabric.nodes[primary_mn].crashed and kv_read:
                 batch = list(kv_write_ops)
                 batch.append(ReadOp(primary_mn, primary_addr, 8))
                 batch.append(kv_read)
                 self.fabric.trace_phase("write.locate_cached")
                 comps = yield self.fabric.post(batch)
+                timed_out = False
                 for c in comps:
-                    self._note_kv_timeout(c)
-                if any(c.value is TIMEOUT for c in comps):
+                    if c.value is TIMEOUT:
+                        timed_out = True
+                        self._note_kv_timeout(c)
+                if timed_out:
                     # A piggy-backed KV replica write (or the slot read)
                     # may not have applied; the op must not proceed to CAS
                     # a pointer at possibly-unwritten memory.
@@ -1177,17 +1189,23 @@ class FuseeClient:
 
     # ------------------------------------------------------------ failures
     def _wait_if_blocked(self, subtable: int):
-        """Honour the master's membership barrier during MN failover
-        (generator; returns True if a barrier was up and waited out)."""
-        if self.master is None:
-            return False
-        waited = False
+        """Honour the master's membership barrier during MN failover.
+
+        Returns what the caller ``yield from``-s: an empty tuple while no
+        barrier is up (it yields nothing and evaluates to None, and no
+        generator is made on the op path), else `_wait_out_barriers`,
+        which evaluates to True."""
+        master = self.master
+        if master is None or master.blocked_barrier(subtable) is None:
+            return ()
+        return self._wait_out_barriers(subtable)
+
+    def _wait_out_barriers(self, subtable: int):
         barrier = self.master.blocked_barrier(subtable)
         while barrier is not None:
-            waited = True
             yield barrier
             barrier = self.master.blocked_barrier(subtable)
-        return waited
+        return True
 
     def _escalate(self, ref: SlotRef, v_old: int):
         """fail_query RPC to the master (Algorithm 4); returns the resolved

@@ -314,6 +314,7 @@ class ClientAllocator:
         self._mn_ids = list(mn_ids) if mn_ids else None
         self._rr = cid  # round-robin cursor, staggered per client
         self._classes = [_ClassState() for _ in size_classes]
+        self._class_of: Dict[int, int] = {}     # class_for's memo
         self._owned_blocks: List[Tuple[int, int, int]] = []  # (region, block, class)
         self._pending_frees: Dict[int, None] = {}  # an ordered set
         self.stats_blocks_allocated = 0
@@ -321,8 +322,12 @@ class ClientAllocator:
 
     # -- helpers ---------------------------------------------------------------
     def class_for(self, nbytes: int) -> int:
+        idx = self._class_of.get(nbytes)
+        if idx is not None:
+            return idx
         for idx, size in enumerate(self.size_classes):
             if size >= nbytes:
+                self._class_of[nbytes] = idx
                 return idx
         raise AllocationError(
             f"object of {nbytes}B exceeds largest size class "

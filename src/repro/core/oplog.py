@@ -65,12 +65,8 @@ def replica_write_ops(region_map: RegionMap, fabric: Fabric, gaddr: int,
                       offset_in_block: int, data: bytes) -> List[WriteOp]:
     """One WRITE of ``data`` at ``offset_in_block`` into the object at
     ``gaddr`` on every alive replica, in placement order."""
-    ops = []
-    for mn_id, addr in region_map.translate(gaddr):
-        if fabric.node(mn_id).crashed:
-            continue
-        ops.append(WriteOp(mn_id, addr + offset_in_block, data))
-    return ops
+    return [WriteOp(mn_id, addr + offset_in_block, data)
+            for mn_id, addr in region_map.live_replicas(gaddr, fabric.nodes)]
 
 
 def commit_old_value_ops(region_map: RegionMap, fabric: Fabric, gaddr: int,

@@ -133,7 +133,8 @@ class ReplicationProtocol:
               on_win: Optional[Callable[[int], object]] = None,
               retry_sleep_us: float = 2.0,
               phase_guard: Optional[Callable[[], object]] = None):
-        """Replicated slot write (generator -> WriteResult)."""
+        """Replicated slot write: a generator (a strategy may return one
+        it delegates to) whose value is the WriteResult."""
         raise NotImplementedError
 
     @staticmethod
@@ -187,9 +188,9 @@ class SnapshotProtocol(ReplicationProtocol):
 
     def write(self, fabric, ref, v_old, v_new, on_win=None,
               retry_sleep_us=2.0, phase_guard=None):
-        return (yield from snapshot_mod.snapshot_write(
+        return snapshot_mod.snapshot_write(
             fabric, ref, v_old, v_new, on_win=on_win,
-            retry_sleep_us=retry_sleep_us, phase_guard=phase_guard))
+            retry_sleep_us=retry_sleep_us, phase_guard=phase_guard)
 
     @staticmethod
     def repair_choice(words: List[int], primary_alive: bool) -> int:
@@ -208,9 +209,9 @@ class SequentialProtocol(SnapshotProtocol):
 
     def write(self, fabric, ref, v_old, v_new, on_win=None,
               retry_sleep_us=2.0, phase_guard=None):
-        return (yield from snapshot_mod.sequential_write(
+        return snapshot_mod.sequential_write(
             fabric, ref, v_old, v_new, on_win=on_win,
-            phase_guard=phase_guard))
+            phase_guard=phase_guard)
 
 
 # --------------------------------------------------------------------------

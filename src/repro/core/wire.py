@@ -384,12 +384,14 @@ class LogEntry:
 
 
 def encode_log_entry(entry: LogEntry) -> bytes:
-    for name, ptr in (("next", entry.next_ptr), ("prev", entry.prev_ptr)):
-        if not 0 <= ptr <= _POINTER_MASK:
-            raise ValueError(f"{name} pointer {ptr:#x} exceeds 48 bits")
+    next_ptr, prev_ptr = entry.next_ptr, entry.prev_ptr
+    if not (0 <= next_ptr <= _POINTER_MASK and 0 <= prev_ptr <= _POINTER_MASK):
+        for name, ptr in (("next", next_ptr), ("prev", prev_ptr)):
+            if not 0 <= ptr <= _POINTER_MASK:
+                raise ValueError(f"{name} pointer {ptr:#x} exceeds 48 bits")
     if not 0 <= entry.opcode < 128:
         raise ValueError(f"opcode {entry.opcode} exceeds 7 bits")
-    head = entry.next_ptr.to_bytes(6, "big") + entry.prev_ptr.to_bytes(6, "big")
+    head = next_ptr.to_bytes(6, "big") + prev_ptr.to_bytes(6, "big")
     tail = _LOG_TAIL.pack(entry.old_value & ((1 << 64) - 1),
                           entry.old_value_crc & 0xFF,
                           (entry.opcode << 1) | (1 if entry.used else 0))

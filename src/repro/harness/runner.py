@@ -74,7 +74,7 @@ def _drive(env: Environment, clients: Sequence, source_factory: Callable,
 
     def record(op: str, tenant: Optional[str], began: float,
                ok: bool) -> None:
-        now = env.now
+        now = env._now
         if now < measure_from or now > deadline:
             return
         if not ok:

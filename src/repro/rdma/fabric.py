@@ -26,6 +26,7 @@ The fabric is where the reproduction's performance model lives:
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field, fields
 from typing import Dict, List, Sequence
 
@@ -34,6 +35,7 @@ from .memory_node import MemoryNode
 from .verbs import (
     FAIL,
     TIMEOUT,
+    WORD,
     CasOp,
     Completion,
     FaaOp,
@@ -50,6 +52,14 @@ __all__ = ["Fabric", "FabricConfig", "FabricStats", "QpFabric",
 PORT_AFFINITY_MODES = ("qp", "rss")
 
 _MASK64 = (1 << 64) - 1
+# Fabric.post's inlined CAS (MemoryNode.apply's big-endian word) and
+# Completion constructor
+_unpack_word = struct.Struct(">Q").unpack_from
+_pack_word = struct.Struct(">Q").pack_into
+_new_completion = object.__new__
+
+#: Before every instant: the end of the NIC slot a batch has not taken.
+_NEVER = float("-inf")
 
 
 def _mix64(x: int) -> int:
@@ -206,15 +216,19 @@ class Fabric:
         self.monitor = None
         # Hot-path memo tables.  Port/CPU affinity is a pure function of
         # (mn, direction, qp) at salt 0 (ports never change after build),
-        # and per-verb service time is a pure function of (mn, verb
-        # class, payload bytes) — cache both so the per-verb cost is a
-        # dict hit instead of SplitMix64 hashing / float arithmetic.  The
-        # service key is low-cardinality (a handful of distinct sizes per
-        # verb kind), unlike any key that folds in the posting qp, which
-        # would never converge at scale.
+        # and a verb's service time alone in its slot a pure function of
+        # (mn, verb class, payload bytes).  ``_lanes`` joins the two per
+        # posting QP: ``_lanes[(qp, mn, class, bytes)]`` is the ``(port,
+        # service, port label, port index)`` a slot head needs, one dict
+        # hit per verb.  Folding in the QP multiplies the keys by the
+        # client count, but each QP's share converges, because a workload
+        # posts a handful of sizes per verb kind: ycsb_a_sat (4 MNs) fills
+        # 29 lanes per QP, 0.65 MB at 128 clients, so ~5 MB at 1024.  The
+        # two narrower memos serve lane misses, touched verbs and RPCs.
         self._port_cache: Dict[tuple, tuple] = {}
         self._cpu_cache: Dict[tuple, object] = {}
         self._verb_cache: Dict[tuple, float] = {}
+        self._lanes: Dict[tuple, tuple] = {}
 
     def trace_phase(self, name: str) -> None:
         """Label the current operation's next batches (no-op untraced)."""
@@ -308,6 +322,13 @@ class Fabric:
         of a slot.  A verb whose first fate is not clean (`_first_fates`)
         is *touched*: it never heads or rides a slot, and
         `_deliver_touched` gives it a delivery process of its own.
+
+        Per verb the loop pays for its work: one class dispatch that
+        counts, sizes and applies it, one lane hit for a slot head
+        (`_lanes`) and the port reservation (`NicPort.finish_time`
+        inlined), and counts straight into `stats`.  The optional stages —
+        footprints, touched verbs, coalescing, gray factor, monitor,
+        profiler — are resolved once per batch and tested on locals.
         """
         if not ops:
             raise ValueError("empty doorbell batch")
@@ -321,9 +342,6 @@ class Fabric:
         arrive = now + cfg.post_overhead_us + one_way
         stats = self.stats
         stats.batches += 1
-        # Optional stages, resolved once per batch and tested on locals
-        # per verb: latency attribution, schedule-exploration footprints,
-        # the telemetry monitor, doorbell coalescing and touched verbs.
         prof = env._profiler
         hook = env._access_hook
         monitor = self.monitor
@@ -340,126 +358,153 @@ class Fabric:
                 prof.note("propagation", "net.request",
                           now + cfg.post_overhead_us, arrive)
         completions = []
-        append = completions.append
-        finish = now
+        finish = now        # the latest failed verb's completion
+        last = _NEVER       # the latest end of a NIC slot
         nodes = self.nodes
+        lanes = self._lanes
         per_mn = stats.per_mn_ops
         per_port = stats.per_port_ops
-        pcache = self._port_cache
-        vcache = self._verb_cache
-        n_ops = len(ops)
-        reads = writes = atomics = moved = 0
         room = 0    # riders the open NIC slot may still take
-        i = 0       # index of the verb after ``op``
-        for op in ops:
-            i += 1
+        for i, op in enumerate(ops):
             mn = op.mn_id
             node = nodes[mn]
-            cls = op.__class__
-            if cls is ReadOp:
-                reads += 1
-                nbytes = op.length
-            elif cls is WriteOp:
-                writes += 1
-                nbytes = len(op.data)
-            else:
-                atomics += 1
-                nbytes = 8
-            moved += nbytes
-            per_mn[mn] = per_mn.get(mn, 0) + 1
+            try:
+                per_mn[mn] += 1
+            except KeyError:
+                per_mn[mn] = 1
             if hook is not None:
                 hook(("crash", mn), False)
-            if touched is not None and touched[i - 1] is not None:
-                append(None)    # filled in by its delivery process
+            if touched is not None and touched[i] is not None:
+                self._tally(op)
+                completions.append(None)  # filled in by its delivery process
                 continue
             if node.crashed:
                 # No slot is open here: a rider targets its head's node,
                 # which was live, so a crashed-node verb is never a rider.
+                self._tally(op)
                 stats.failed_verbs += 1
-                append(Completion(op, FAIL))
+                completions.append(Completion(op, FAIL))
                 done = now + cfg.fail_delay_us
                 if done > finish:
                     finish = done
                 if prof is not None:
                     prof.note("propagation", "net.fail", now, done)
                 continue
-            # Apply at post time, in posted order.  READ/WRITE are
-            # MemoryNode.apply inlined; a footprint hook wants the
-            # touched words, and atomics keep the full dispatch.
-            if cls is ReadOp and hook is None:
+            # Count, size and apply at post time, in posted order.  READ,
+            # WRITE and CAS are MemoryNode.apply inlined; a footprint hook
+            # wants the touched words, and FAA keeps the full dispatch.
+            cls = op.__class__
+            if cls is ReadOp:
+                stats.reads += 1
+                nbytes = op.length
+                if hook is None:
+                    addr = op.addr
+                    if addr < 0 or addr + nbytes > node.capacity:
+                        node._check_range(addr, nbytes)
+                    value = node.memory[addr:addr + nbytes]
+                else:
+                    value = node.apply(op)
+            elif cls is WriteOp:
+                stats.writes += 1
+                value = op.data
+                nbytes = len(value)
+                if hook is None:
+                    addr = op.addr
+                    if addr < 0 or addr + nbytes > node.capacity:
+                        node._check_range(addr, nbytes)
+                    node.memory[addr:addr + nbytes] = value
+                    value = None
+                else:
+                    value = node.apply(op)
+            elif cls is CasOp and hook is None:
+                stats.atomics += 1
+                nbytes = WORD
                 addr = op.addr
-                if addr < 0 or addr + nbytes > node.capacity:
-                    node._check_range(addr, nbytes)
-                append(Completion(op, node.memory[addr:addr + nbytes]))
-            elif cls is WriteOp and hook is None:
-                addr = op.addr
-                if addr < 0 or addr + nbytes > node.capacity:
-                    node._check_range(addr, nbytes)
-                node.memory[addr:addr + nbytes] = op.data
-                append(Completion(op, None))
+                if addr < 0 or addr + WORD > node.capacity:
+                    node._check_range(addr, WORD)
+                value = _unpack_word(node.memory, addr)[0]
+                if value == op.expected & _MASK64:
+                    _pack_word(node.memory, addr, op.swap & _MASK64)
             else:
-                append(Completion(op, node.apply(op)))
+                stats.atomics += 1
+                nbytes = WORD
+                value = node.apply(op)
+            # Completion(op, value) without the class call and its Python
+            # __init__ frame, the costliest step of a clean verb's apply
+            comp = _new_completion(Completion)
+            comp.op = op
+            comp.value = value
+            comp.failed = False
+            completions.append(comp)
+            stats.bytes_moved += nbytes
             if room:
-                # Rider (the lookahead below vouched for it): extends the
-                # open slot by its byte time only — the fixed per-verb
-                # overhead is paid once, by the head.
+                # Rider (the lookahead vouched for it): extends the open
+                # slot by its byte time only — the fixed per-verb overhead
+                # is paid once, by the head.
                 room -= 1
                 riders += 1
                 slot_bytes += profile.byte_time(nbytes)
-            else:
-                # Slot head: a singleton slot on this QP's port.
-                is_read = cls is ReadOp
-                choice = pcache.get((mn, is_read, qp))
-                if choice is None:
-                    choice = self._port_for(node, is_read, qp)
-                port = choice[1]
-                service = vcache.get((mn, cls, nbytes))
-                if service is None:
-                    service = self._service_time(node, op)
-                if inj is not None:
-                    gray = inj.service_factor(mn, arrive, port=choice[0])
-                    service *= gray
-                riders = 0
-                # Adjacent same-node READs (or WRITEs) may ride along,
-                # up to ``width`` per slot; atomics never do.  Only a port
-                # already backlogged at arrival widens, probed here so
-                # the slot sees the queue that earlier slots of this
-                # batch just built.
-                if width > 1 and (is_read or cls is WriteOp) \
-                        and port.backlog(arrive) > 0.0:
-                    room = width - 1
-                    head_bytes = nbytes
-                    profile = node.nic.profile
-                    slot_bytes = profile.byte_time(nbytes)
-            if room:
-                if i < n_ops and ops[i].mn_id == mn \
-                        and ops[i].__class__ is cls \
-                        and (touched is None or touched[i] is None):
-                    continue    # the next verb rides this slot
+                if room and self._rides(ops, i, touched):
+                    continue
                 room = 0
-            # Close the slot: one reservation on the serialisation line.
-            label = port.label
-            if riders:
                 service = profile.op_overhead + slot_bytes
                 if inj is not None:
                     service *= gray
                 nbytes = head_bytes   # a slot is filed under its head
                 stats.coalesced_slots += 1
                 stats.coalesced_verbs += riders
-            per_port[label] = per_port.get(label, 0) + 1 + riders
+            else:
+                # Slot head: a singleton slot on this QP's lane to the
+                # node for the verb's class and size.
+                try:
+                    port, service, label, pidx = lanes[qp, mn, cls, nbytes]
+                except KeyError:
+                    port, service, label, pidx = self._lane(node, op, nbytes,
+                                                            qp)
+                riders = 0
+                if inj is not None:
+                    gray = inj.service_factor(mn, arrive, port=pidx)
+                    service *= gray
+                # Adjacent same-node READs (or WRITEs) may ride along, up
+                # to ``width`` per slot; atomics never do.  Only a port
+                # already backlogged at arrival widens, probed here so the
+                # slot sees the queue that earlier slots of this batch
+                # just built.
+                if width > 1 and (cls is ReadOp or cls is WriteOp) \
+                        and port._next_free > arrive \
+                        and self._rides(ops, i, touched):
+                    room = width - 1
+                    head_bytes = nbytes
+                    profile = node.nic.profile
+                    slot_bytes = profile.byte_time(nbytes)
+                    continue    # the next verb rides this slot
+            # Close the slot: one reservation on the serialisation line.
+            try:
+                per_port[label] += 1 + riders
+            except KeyError:
+                per_port[label] = 1 + riders
             if monitor is not None:
                 monitor.note_verb(mn, label, cls, nbytes, service,
                                   1 + riders)
-            done = port.finish_time(service, arrive)
+            # NicPort.finish_time(service, not_before=arrive), inlined
+            start = port._next_free
+            if start < arrive:
+                start = arrive
+            end = start + service
+            port._next_free = end
+            port.total_busy += service
+            port.ops += 1
+            if end > last:
+                last = end
+            if hook is not None and service > 0.0:
+                hook(("nic", port._uid), True)
             if prof is not None:
-                prof.note("propagation", "net.reply", done, done + one_way)
-            done += one_way
-            if done > finish:
-                finish = done
-        stats.reads += reads
-        stats.writes += writes
-        stats.atomics += atomics
-        stats.bytes_moved += moved
+                if service > 0.0:
+                    prof.note_nic(label, arrive, start, end)
+                prof.note("propagation", "net.reply", end, end + one_way)
+        # the reply leg of the last slot to end, past any failure
+        if last + one_way > finish:
+            finish = last + one_way
         if prof is not None:
             prof.end_batch()
         if touched is not None:
@@ -470,12 +515,44 @@ class Fabric:
                                  unsignaled=unsignaled)
         return env.timeout(finish - now, completions)
 
+    @staticmethod
+    def _rides(ops, i: int, touched) -> bool:
+        """Whether verb ``i + 1`` may ride the slot verb ``i`` holds: the
+        same node and class, and not touched."""
+        if i + 1 == len(ops):
+            return False
+        op, after = ops[i], ops[i + 1]
+        return (after.mn_id == op.mn_id and after.__class__ is op.__class__
+                and (touched is None or touched[i + 1] is None))
+
+    def _lane(self, node: MemoryNode, op: Verb, nbytes: int,
+              qp: int) -> tuple:
+        """Fill QP ``qp``'s lane to ``op``'s node for its class and size."""
+        pidx, port = self._port_for(node, op.__class__ is ReadOp, qp)
+        lane = self._lanes[(qp, node.mn_id, op.__class__, nbytes)] = (
+            port, self._service_time(node, op, nbytes), port.label, pidx)
+        return lane
+
+    def _tally(self, op: Verb) -> None:
+        """Count a verb the loop does not apply (touched, or on a crashed
+        node) straight into the batch counters."""
+        stats = self.stats
+        cls = op.__class__
+        if cls is ReadOp:
+            stats.reads += 1
+        elif cls is WriteOp:
+            stats.writes += 1
+        else:
+            stats.atomics += 1
+        stats.bytes_moved += op_bytes(op)
+
     def post_one(self, op: Verb, qp: int = 0) -> Event:
         """Post a single verb; the event fires with one :class:`Completion`."""
         batch = self.post([op], qp=qp)
-        proxy = self.env.event()
+        proxy = Event(self.env)
         batch.callbacks.append(
-            lambda ev: proxy.succeed(ev.value[0]) if ev.ok else proxy.fail(ev.value))
+            lambda ev: proxy.succeed(ev._value[0]) if ev._ok
+            else proxy.fail(ev._value))
         return proxy
 
     # -- touched verbs (repro.faults) ------------------------------------------
@@ -822,34 +899,24 @@ class QpFabric:
     inert and behaviour is byte-identical to the raw fabric.
     """
 
-    __slots__ = ("_fabric", "qp", "trace_phase", "node")
+    __slots__ = ("_fabric", "qp", "trace_phase", "node", "env", "stats",
+                 "nodes", "config")
 
     def __init__(self, fabric: Fabric, qp: int):
         self._fabric = fabric
         self.qp = qp
-        # Pre-bound hot methods: a delegating property would manufacture
-        # a new bound method on every access (several per KV op).
+        # Pre-bound hot methods (a delegating property would manufacture
+        # a new bound method on every access, several per KV op) and the
+        # attributes a Fabric never rebinds, read with no call.
         self.trace_phase = fabric.trace_phase
         self.node = fabric.node
+        self.env = fabric.env
+        self.stats = fabric.stats
+        self.nodes = fabric.nodes
+        self.config = fabric.config
 
-    # Hot delegated attributes get direct properties so lookups skip the
-    # __getattr__ miss path; anything else still falls through to it.
-    @property
-    def env(self):
-        return self._fabric.env
-
-    @property
-    def stats(self):
-        return self._fabric.stats
-
-    @property
-    def nodes(self):
-        return self._fabric.nodes
-
-    @property
-    def config(self):
-        return self._fabric.config
-
+    # The observers are attached and detached at any time: properties, so
+    # a lookup skips the __getattr__ miss path and still sees the change.
     @property
     def tracer(self):
         return self._fabric.tracer
@@ -863,7 +930,7 @@ class QpFabric:
         return self._fabric.monitor
 
     def post(self, ops: Sequence[Verb], unsignaled: bool = False) -> Event:
-        return self._fabric.post(ops, unsignaled=unsignaled, qp=self.qp)
+        return self._fabric.post(ops, unsignaled, self.qp)
 
     def post_one(self, op: Verb) -> Event:
         return self._fabric.post_one(op, qp=self.qp)

@@ -194,11 +194,13 @@ class Completion:
     :data:`TIMEOUT` if transport retries were exhausted (fault injection).
     """
 
-    __slots__ = ("op", "value")
+    __slots__ = ("op", "value", "failed")
 
     def __init__(self, op: Verb, value: object):
         self.op = op
         self.value = value
+        # set once here, since callers test it per verb
+        self.failed = value is FAIL or value is TIMEOUT
 
     def __repr__(self) -> str:
         return f"Completion(op={self.op!r}, value={self.value!r})"
@@ -207,11 +209,6 @@ class Completion:
         if other.__class__ is not Completion:
             return NotImplemented
         return self.op == other.op and self.value == other.value
-
-    @property
-    def failed(self) -> bool:
-        value = self.value
-        return value is FAIL or value is TIMEOUT
 
     def cas_succeeded(self) -> bool:
         """For a CAS completion: did the swap take effect?"""

@@ -68,6 +68,8 @@ __all__ = [
 #: priority 1.  62 bits of insertion id is ~4.6e18 events — unreachable.
 _PRIO_SHIFT = 62
 _PRIO_NORMAL = 1 << _PRIO_SHIFT
+#: ``Environment.run``'s deadline when it has none.
+_FOREVER = float("inf")
 
 _KERNEL_MODES = ("fast", "reference")
 _DEFAULT_KERNEL = "fast"
@@ -283,47 +285,46 @@ class Process(Event):
         if (self._target is not None and self._target.callbacks is not None
                 and self._resume in self._target.callbacks):
             self._target.callbacks.remove(self._resume)
-        self._target = None
-        self._step(event.value, throw=True)
+        self._resume(event)     # a failed, defused event: thrown in
 
     def _resume(self, event: Event) -> None:
+        """Run the generator to its next yield with ``event``'s outcome
+        (sent as a value, or thrown if the event failed), then park it on
+        the event it yielded."""
         self._target = None
-        if event._ok:
-            self._step(event.value, throw=False)
-        else:
-            event._defused = True
-            self._step(event.value, throw=True)
-
-    def _step(self, value: Any, throw: bool) -> None:
         env = self.env
         env._active_process = self
         try:
-            if throw:
-                target = self._generator.throw(value)
+            if event._ok:
+                target = self._generator.send(event._value)
             else:
-                target = self._generator.send(value)
+                event._defused = True
+                target = self._generator.throw(event._value)
         except StopIteration as stop:
             env._active_process = None
             self.succeed(stop.value)
-            return
-        except Interrupt as exc:
-            env._active_process = None
-            self.fail(exc)
             return
         except BaseException as exc:
             env._active_process = None
             self.fail(exc)
             return
         env._active_process = None
-        if not isinstance(target, Event):
+        try:
+            processed = target._processed
+        except AttributeError:
             raise SimulationError(
-                f"process {self.name!r} yielded non-event {target!r}")
-        if target._processed:
+                f"process {self.name!r} yielded non-event {target!r}"
+            ) from None
+        if processed:
             # Already fired: resume immediately (next scheduler step).
             if env._fast:
                 pool = env._proxy_pool
-                proxy = pool.pop() if pool else _Proxy(env)
-                proxy._triggered = True
+                if pool:
+                    proxy = pool.pop()
+                    proxy._defused = False
+                else:
+                    proxy = _Proxy(env)
+                    proxy._triggered = True
             else:
                 proxy = Event(env)
                 proxy._triggered = True
@@ -453,7 +454,7 @@ class Environment:
         self._init_pool: List[Initialize] = []
         # The hot-path flags _update_fast keeps: _fast iff fast mode AND no
         # scheduler (the drain loop's per-event check), _hooked iff a profiler
-        # or access hook is installed (NicPort.finish_time's per-verb check).
+        # or access hook is installed (NicPort.finish_time's check).
         self._fast = kernel == "fast"
         self._hooked = False
 
@@ -553,10 +554,9 @@ class Environment:
         if self._fast and self._timeout_pool:
             if delay < 0:
                 raise SimulationError(f"negative delay {delay}")
-            tmo = self._timeout_pool.pop()
+            tmo = self._timeout_pool.pop()     # fired, so still triggered
             tmo.delay = delay
             tmo._value = value
-            tmo._triggered = True
             eid = self._eid
             self._eid = eid + 1
             heappush(self._queue,
@@ -648,7 +648,7 @@ class Environment:
         (slots-only), so no observer can tell identities were reused.
         """
         stop: Optional[Event] = None
-        deadline: Optional[float] = None
+        deadline = _FOREVER
         if isinstance(until, Event):
             stop = until
         elif until is not None:
@@ -669,8 +669,7 @@ class Environment:
                 if not queue:
                     raise SimulationError(
                         "simulation ended before awaited event fired")
-            elif not queue or (deadline is not None
-                               and queue[0][0] > deadline):
+            elif not queue or queue[0][0] > deadline:
                 break
             if not self._fast:
                 self.step()
@@ -682,10 +681,12 @@ class Environment:
             event._processed = True
             for callback in callbacks or ():
                 callback(event)
-            if event._ok is False and not event._defused:
+            if not event._ok and not event._defused:
                 raise event._value
             # Free-list reclamation.  Only fields that outlive a firing
-            # are reset; the factories set the rest on reuse.
+            # are reset (the value, so a pooled event holds no garbage);
+            # the factories set the rest on reuse, and only a proxy can
+            # have been defused.
             cls = event.__class__
             if cls is Timeout:
                 pool = tpool
@@ -696,14 +697,12 @@ class Environment:
             else:
                 continue
             if getrc(event) == 2 and callbacks is not None:
-                callbacks.clear()
-                event.callbacks = callbacks
+                event.callbacks = []
                 event._processed = False
-                event._defused = False
                 event._value = None
                 pool.append(event)
         if stop is None:
-            if deadline is not None:
+            if until is not None:
                 self._now = deadline
             return None
         if stop._ok:

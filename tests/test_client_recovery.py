@@ -421,3 +421,38 @@ class TestRecoverySpans:
         client = crash_during_update(cluster, CrashPoint.C1)
         report, _state = recover(cluster, client)
         assert report.traverse_log_us >= 0.0  # ran fine without a tracer
+
+
+@pytest.mark.campaign
+@pytest.mark.xfail(strict=True, reason="livelock: the revived client's "
+                   "UPDATEs of r05 escalate 64 times and run out of retries")
+def test_a_revived_client_updates_what_its_crashed_delete_left():
+    """The ``recovery/3mn_rf2_idx2/c1-delete/mn1`` differential cell: a
+    client crashes at c1 of a DELETE of ``r05``, MN 1 crashes, the master
+    recovers the client and it is revived.  Every UPDATE the revived
+    client then makes must succeed; today each one of ``r05`` escalates
+    to the master 64 times and fails ``retries exhausted`` (~36 s, so
+    not tier-1).  Fixing it moves the cell's recorded bytes."""
+    from unittest import mock
+
+    from repro.check.differential import _recovery
+
+    updates = []
+    real_revive = FuseeCluster.revive_client
+
+    def revive(cluster, victim, state):
+        client = real_revive(cluster, victim, state)
+        real_update = client.update
+
+        def update(key, value):
+            result = yield from real_update(key, value)
+            updates.append((key, result.ok, result.error))
+            return result
+
+        client.update = update
+        return client
+
+    with mock.patch.object(FuseeCluster, "revive_client", revive):
+        _recovery(0, "3mn_rf2_idx2", 1, 1)
+    assert updates, "the revived client made no UPDATE"
+    assert [u for u in updates if not u[1]] == []

@@ -935,10 +935,11 @@ class _ProcessPerVerbFabric(Fabric):
     """The reference `TestInjectedBatch` compares the fabric against.  A
     verb whose first-attempt fate is clean goes through the bare loop
     (the injector uninstalled for the call, its gray factor at the arrival
-    instant folded into the service-time memo); every other verb gets a
-    delivery process of its own, as every verb did before the clean loop
-    took the untouched ones (kept below; an in-flight crash pays the
-    failure's return leg), and a third process gathers the batch."""
+    instant folded into a fresh service-time memo and lane table); every
+    other verb gets a delivery process of its own, as every verb did
+    before the clean loop took the untouched ones (kept below; an
+    in-flight crash pays the failure's return leg), and a third process
+    gathers the batch."""
 
     def post(self, ops, unsignaled=False, qp=0):
         inj = self.injector
@@ -962,16 +963,16 @@ class _ProcessPerVerbFabric(Fabric):
         span = None if self.tracer is None else self.tracer.current_span()
         loop = None
         if clean:
-            memo, tracer = self._verb_cache, self.tracer
-            self.injector, self._verb_cache = None, gray
+            memo, lanes, tracer = self._verb_cache, self._lanes, self.tracer
+            self.injector, self._verb_cache, self._lanes = None, gray, {}
             if touched:     # the gatherer traces the whole batch
                 self.tracer = None
             try:
                 loop = super().post([ops[i] for i in clean],
                                     unsignaled=unsignaled, qp=qp)
             finally:
-                self.injector, self._verb_cache, self.tracer = \
-                    inj, memo, tracer
+                self.injector, self._verb_cache, self._lanes, self.tracer \
+                    = inj, memo, lanes, tracer
             if not touched:
                 return loop
         else:
@@ -1418,6 +1419,145 @@ _PAGED_VERB = st.one_of(
     st.tuples(st.just("w"), _NEAR_EDGE, st.binary(min_size=1, max_size=32)),
     st.tuples(st.just("cas"), _EDGE_WORD, st.integers(0, 3)),
     st.tuples(st.just("faa"), _EDGE_WORD, st.integers(1, 5)))
+
+
+class _Forgetful(dict):
+    """A memo table that keeps nothing."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+class _MemoFreeFabric(Fabric):
+    """The loop with nothing remembered: every lane, port choice and
+    service time is worked out afresh for each verb."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._lanes = _Forgetful()
+        self._port_cache = _Forgetful()
+        self._verb_cache = _Forgetful()
+
+
+def _lane_run(fabric_cls, batches, *, plan, width=1, num_ports=1,
+              affinity="qp", backlogged=False, crash_before=None):
+    """Post ``batches`` (``(qp, ops)`` pairs) one after the other from one
+    client under an injector with ``plan``; MN 1 crashes before batch
+    ``crash_before`` and recovers before the next one.  Returns what an
+    observer could see: values, memory, ``now``, counters and ports."""
+    env = Environment()
+    fab = fabric_cls(env, FabricConfig(max_coalesce_width=width,
+                                       port_affinity=affinity))
+    for mn_id in range(2):
+        fab.add_node(MemoryNode(env, mn_id, capacity=128,
+                                num_ports=num_ports))
+    fab.injector = FaultInjector(FaultPlan(**plan), retry=_RETRY)
+    if backlogged:
+        backlog_ports(fab, 1000.0)
+    values = []
+
+    def client():
+        for k, (qp, ops) in enumerate(batches):
+            if k == crash_before:
+                fab.node(1).crash()
+            elif crash_before is not None and k == crash_before + 1:
+                fab.node(1).recover()
+            comps = yield fab.post(ops, qp=qp)
+            values.append([c.value for c in comps])
+
+    env.run(until=env.process(client()))
+    return (values, [bytes(fab.node(m).memory) for m in range(2)], env.now,
+            fab.stats.snapshot(),
+            [(port.label, port._next_free, port.total_busy, port.ops)
+             for m in range(2) for port in
+             (*fab.node(m).rx_ports, *fab.node(m).tx_ports)])
+
+
+def _mixed(mn, base=0):
+    return [ReadOp(mn, base, 8), WriteOp(mn, base + 8, b"w" * 8),
+            CasOp(mn, base + 16, 0, 1), ReadOp(mn, base + 8, 16)]
+
+
+class TestLanes:
+    """The loop remembers, per posting QP, the port and alone-in-slot
+    service of each (MN, verb class, size) it has seen (`Fabric._lanes`).
+    Remembering must be unobservable: each case below equals, in values,
+    memory, ``now``, every counter and every port's reservations, the
+    process-per-verb reference (which posts the clean verbs through the
+    loop with a fresh lane table per batch) and the loop with no memo at
+    all."""
+
+    @staticmethod
+    def _same(batches, **kwargs):
+        got = _lane_run(Fabric, batches, **kwargs)
+        assert got == _lane_run(_MemoFreeFabric, batches, **kwargs)
+        return got
+
+    def test_two_qps_on_different_ports_of_an_rss_node(self):
+        env = Environment()
+        probe = Fabric(env, FabricConfig(port_affinity="rss"))
+        node = MemoryNode(env, 0, capacity=128, num_ports=4)
+        qa = 0
+        qb = next(qp for qp in range(1, 64)
+                  if probe._port_for(node, True, qp)[0]
+                  != probe._port_for(node, True, qa)[0])
+        batches = [(qa, _mixed(0) + _mixed(1)), (qb, _mixed(0) + _mixed(1)),
+                   (qa, _mixed(0, 32)), (qb, _mixed(1, 32))]
+        kwargs = dict(plan={}, num_ports=4, affinity="rss")
+        got = self._same(batches, **kwargs)
+        assert got == _lane_run(_ProcessPerVerbFabric, batches, **kwargs)
+        tx = {label for label, _free, busy, _ops in got[4]
+              if ".nic_tx.p" in label and label.startswith("mn0") and busy}
+        assert len(tx) == 2     # the two QPs' READs left by two ports
+
+    def test_one_lane_key_posted_from_many_qps(self):
+        batches = [(qp, [ReadOp(0, 0, 8), WriteOp(1, 0, b"v" * 8)])
+                   for qp in (0, 1, 2, 3, 0, 2)]
+        for num_ports in (1, 2):
+            kwargs = dict(plan={}, num_ports=num_ports)
+            got = self._same(batches, **kwargs)
+            assert got == _lane_run(_ProcessPerVerbFabric, batches,
+                                    **kwargs)
+
+    def test_coalescing_under_a_gray_factor(self):
+        """The reference has no gray model for a shared slot (its clean
+        verbs run with the injector uninstalled), so this case is held to
+        the memo-free loop; `test_the_gray_factor_scales_a_shared_slot`
+        pins the slot's arithmetic."""
+        reads = [ReadOp(0, 8 * k, 8) for k in range(3)]
+        writes = [WriteOp(0, 64 + 8 * k, b"g" * 8) for k in range(3)]
+        batches = [(1, reads + writes), (2, reads + [CasOp(0, 0, 0, 5)]),
+                   (1, writes + reads)]
+        got = self._same(batches, plan=dict(gray_nodes=[
+            GrayNode(mn_id=0, factor=3.0)]), width=4, backlogged=True)
+        # at least the first batch's runs of three shared a slot each
+        assert got[3].coalesced_verbs >= 4
+
+    def test_a_touched_verb_in_the_middle_of_a_batch(self):
+        plan = dict(link_faults=[LinkFault(drop_p=0.2)], seed=3)
+        inj = FaultInjector(FaultPlan(**plan), retry=_RETRY)
+        hit = next(a for a in range(0, 128, 8)
+                   if inj.fate(ReadOp(0, a, 8), 0, 1, 0.0, port=0)
+                   is not inj.clean_fate)
+        clean = [a for a in range(0, 120, 8)
+                 if inj.fate(ReadOp(0, a, 8), 0, 1, 0.0, port=0)
+                 is inj.clean_fate][:2]
+        middle = [ReadOp(0, clean[0], 8), ReadOp(0, hit, 8),
+                  ReadOp(0, clean[1], 8)]
+        # posted first, at t = 0 (the instant the fates above were drawn)
+        batches = [(0, middle), (0, middle), (5, middle)]
+        got = self._same(batches, plan=plan)
+        assert got == _lane_run(_ProcessPerVerbFabric, batches, plan=plan)
+        assert got[3].transport_retries + got[3].dropped_requests \
+            + got[3].dropped_replies > 0   # the middle verb was touched
+
+    def test_a_node_that_crashes_between_two_batches(self):
+        batches = [(1, _mixed(0) + _mixed(1))] * 4
+        kwargs = dict(plan={}, crash_before=1)
+        got = self._same(batches, **kwargs)
+        assert got == _lane_run(_ProcessPerVerbFabric, batches, **kwargs)
+        assert [v[4:] for v in got[0]][1] == [FAIL] * 4
+        assert got[3].failed_verbs == 4
 
 
 class TestMemoryAcrossPages:
