@@ -6,7 +6,9 @@ host, so a gate on it cannot flake the way a wall-clock ratio does on a
 busy two-core runner, and it measures the interpreter's share of host
 time (memory stalls it does not see).  Counted with ``sys.settrace`` and
 ``frame.f_trace_opcodes``: one ``opcode`` event per instruction executed
-in a frame whose code lives under ``src/repro``.  It is Python-version
+in a frame whose code lives under ``src/repro``, or was generated by one
+of its modules (a dataclass's ``__init__`` / ``__eq__`` / ``__hash__``,
+whose file name is ``<string>``).  It is Python-version
 specific (3.11 and 3.12 compile differently), so a bound is stated per
 version.
 
@@ -74,9 +76,16 @@ class OpcodeCounter:
 
     def _global(self, frame, event, arg):
         filename = frame.f_code.co_filename
-        ours = self._ours.get(filename)
-        if ours is None:
-            ours = self._ours[filename] = filename.startswith(_REPRO_ROOT)
+        if filename == "<string>":
+            # code generated at import time (a dataclass's ``__init__``,
+            # ``__eq__``, ``__hash__``) is ours if its module is
+            name = frame.f_globals.get("__name__", "")
+            ours = name == "repro" or name.startswith("repro.")
+        else:
+            ours = self._ours.get(filename)
+            if ours is None:
+                ours = self._ours[filename] = filename.startswith(
+                    _REPRO_ROOT)
         if not ours:
             return None
         frame.f_trace_lines = False

@@ -117,19 +117,24 @@ def bytecodes():
 
 
 #: Instructions per attempted op of `benchmarks.bytecodes`' YCSB-A run,
-#: this change's count plus 5 %, per Python (each compiles differently).
+#: the count when the bound was set (4 142 / 3 943, generated code then
+#: uncounted) plus 5 %, per Python (each compiles differently).
 _YCSB_OP_BOUND = {"3.11": 4349, "3.12": 4140}
 
 
 def test_a_clean_ycsb_op_costs_few_bytecodes(bytecodes):
     """An exact count, not a timing: the instructions a clean YCSB-A op
     executes in ``src/repro``, at seed 13 on the ``ycsb_a_sat`` geometry
-    (``benchmarks/bytecodes.py``).  Before the delivery loop paid per
-    verb for its work only (one lane hit for port and service, the port
-    reservation inlined, no generator on the op path while no barrier is
-    up) an op executed 4 882 (Python 3.11) / 4 639 (3.12); now 4 142 /
-    3 943.  A cProfile call count would not do: it counts a ``dict.get``
-    like a Python frame."""
+    (``benchmarks/bytecodes.py``), code that a ``repro`` module generated
+    (a dataclass's ``__init__`` / ``__eq__``, file ``<string>``)
+    included.  Before the delivery loop paid per verb for its work only
+    (one lane hit for port and service, the port reservation inlined, no
+    generator on the op path while no barrier is up) an op executed
+    4 882 (Python 3.11) / 4 639 (3.12) not counting generated code.  With
+    it counted, the tree before the hot records became ``__slots__``
+    classes executed 4 229 / 4 018 (4 142 / 3 943 without), and now
+    4 174 / 3 969.  A cProfile call count would not do: it counts a
+    ``dict.get`` like a Python frame."""
     version = bytecodes["python"]
     if version not in _YCSB_OP_BOUND:
         pytest.skip(f"no bytecode bound measured for Python {version}")

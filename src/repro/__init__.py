@@ -22,9 +22,16 @@ from .core import (
     FuseeKV,
     OpResult,
 )
-from .obs import Metrics, Tracer
+from ._lazy import lazy_exports
+from .obs import Tracer
 from .rdma import Fabric, FabricConfig, MemoryNode
 from .sim import Environment
+
+# The metrics registry (``repro.obs.metrics``) is imported when first
+# named, as it is in ``repro.obs``.
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    ".obs": ("Metrics",),
+})
 
 __version__ = "1.0.0"
 

@@ -15,13 +15,19 @@ The pieces (see docs/checking.md for the full story):
   catch within the budgets in :data:`MUTATION_SPECS`.
 """
 
-from .explore import ExploreResult, ScheduleExplorer
+from .._lazy import lazy_exports
 from .history import LogicalClockTracer, kv_ops_from_spans
-from .minimize import MinimizeResult, format_repro, minimize_schedule
-from .mutations import MUTATION_SPECS, MUTATIONS, MutationSpec
-from .scenarios import SCENARIOS
-from .scheduler import (BranchPoint, ControlledScheduler, Footprint,
-                        RedundantSchedule, ScheduleBudgetExceeded)
+
+# The explorer and its scenarios, mutations and minimiser are imported
+# when first named: a bed only turns spans into a history.
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    ".explore": ("ExploreResult", "ScheduleExplorer"),
+    ".minimize": ("MinimizeResult", "format_repro", "minimize_schedule"),
+    ".mutations": ("MUTATION_SPECS", "MUTATIONS", "MutationSpec"),
+    ".scenarios": ("SCENARIOS",),
+    ".scheduler": ("BranchPoint", "ControlledScheduler", "Footprint",
+                   "RedundantSchedule", "ScheduleBudgetExceeded"),
+})
 
 __all__ = [
     "ControlledScheduler",

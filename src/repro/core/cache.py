@@ -24,12 +24,36 @@ from .race import SlotRef
 __all__ = ["AdaptiveIndexCache", "CacheEntry", "CacheStats"]
 
 
-@dataclass
 class CacheEntry:
-    slot_ref: SlotRef
-    slot_word: int      # last observed slot content (fp | len | pointer)
-    access_count: int = 0
-    invalid_count: int = 0
+    """One cached key: its slot, the word last seen there, and the counts
+    behind the adaptive bypass.  One per cached key (a bulk load caches
+    every key it writes), so a ``__slots__`` class whose eq/repr mirror
+    the dataclass it replaced (mutable, so unhashable)."""
+
+    __slots__ = ("slot_ref", "slot_word", "access_count", "invalid_count")
+
+    def __init__(self, slot_ref: SlotRef, slot_word: int,
+                 access_count: int = 0, invalid_count: int = 0):
+        self.slot_ref = slot_ref
+        # last observed slot content (fp | len | pointer)
+        self.slot_word = slot_word
+        self.access_count = access_count
+        self.invalid_count = invalid_count
+
+    def _fields(self) -> tuple:
+        return (self.slot_ref, self.slot_word, self.access_count,
+                self.invalid_count)
+
+    def __repr__(self) -> str:
+        return ("CacheEntry(slot_ref=%r, slot_word=%r, access_count=%r, "
+                "invalid_count=%r)" % self._fields())
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not CacheEntry:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    __hash__ = None
 
     @property
     def invalid_ratio(self) -> float:
@@ -117,8 +141,7 @@ class AdaptiveIndexCache:
             if len(self._entries) >= self.capacity:
                 self._entries.popitem(last=False)
                 self.stats.evictions += 1
-            self._entries[key] = CacheEntry(slot_ref=slot_ref,
-                                            slot_word=slot_word)
+            self._entries[key] = CacheEntry(slot_ref, slot_word)
         else:
             entry.slot_ref = slot_ref
             entry.slot_word = slot_word

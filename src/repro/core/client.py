@@ -202,13 +202,16 @@ class ClientStats:
         self.outcomes[outcome.value] = self.outcomes.get(outcome.value, 0) + 1
 
 
-@dataclass(frozen=True)
 class _PreparedKv:
-    """A freshly allocated, not-yet-linked KV object."""
+    """A freshly allocated, not-yet-linked KV object (one per write op)."""
 
-    alloc: AllocResult
-    slot_word: int
-    write_ops: List[WriteOp]
+    __slots__ = ("alloc", "slot_word", "write_ops")
+
+    def __init__(self, alloc: AllocResult, slot_word: int,
+                 write_ops: List[WriteOp]):
+        self.alloc = alloc
+        self.slot_word = slot_word
+        self.write_ops = write_ops
 
 
 class FuseeClient:

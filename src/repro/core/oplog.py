@@ -57,8 +57,8 @@ def entry_for_alloc(alloc: AllocResult, opcode: int) -> LogEntry:
     The old-value field is left unwritten (zero, with a CRC that cannot
     verify) — only the decided last writer commits it later.
     """
-    return LogEntry(next_ptr=alloc.next_ptr, prev_ptr=alloc.prev_ptr,
-                    old_value=0, old_value_crc=0, opcode=opcode, used=True)
+    # (next_ptr, prev_ptr, old_value, old_value_crc, opcode, used)
+    return LogEntry(alloc.next_ptr, alloc.prev_ptr, 0, 0, opcode, True)
 
 
 def replica_write_ops(region_map: RegionMap, fabric: Fabric, gaddr: int,

@@ -97,23 +97,61 @@ def hash_key(key: bytes) -> int:
         hashlib.blake2b(key, digest_size=16).digest(), "big")
 
 
-@dataclass(frozen=True)
+# KeyMeta and SlotRef are memoised, one of each per loaded key: like
+# SlotSnapshot below, hand-written __slots__ classes (no instance dict).
 class KeyMeta:
     """Everything derived from hashing one key."""
 
-    subtable: int
-    group1: int
-    group2: int
-    fingerprint: int
+    __slots__ = ("subtable", "group1", "group2", "fingerprint")
+
+    def __init__(self, subtable: int, group1: int, group2: int,
+                 fingerprint: int):
+        self.subtable = subtable
+        self.group1 = group1
+        self.group2 = group2
+        self.fingerprint = fingerprint
+
+    def _fields(self) -> tuple:
+        return (self.subtable, self.group1, self.group2, self.fingerprint)
+
+    def __repr__(self) -> str:
+        return ("KeyMeta(subtable=%r, group1=%r, group2=%r, "
+                "fingerprint=%r)" % self._fields())
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not KeyMeta:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
 
 
-@dataclass(frozen=True)
 class SlotRef:
     """Identity of one logical slot across all index replicas."""
 
-    subtable: int
-    slot_index: int  # within the subtable's slot array
-    placement: Tuple[Tuple[int, int], ...]  # ((mn_id, subtable base), ...)
+    __slots__ = ("subtable", "slot_index", "placement")
+
+    def __init__(self, subtable: int, slot_index: int,
+                 placement: Tuple[Tuple[int, int], ...]):
+        self.subtable = subtable
+        self.slot_index = slot_index  # within the subtable's slot array
+        self.placement = placement    # ((mn_id, subtable base), ...)
+
+    def _fields(self) -> tuple:
+        return (self.subtable, self.slot_index, self.placement)
+
+    def __repr__(self) -> str:
+        return ("SlotRef(subtable=%r, slot_index=%r, placement=%r)"
+                % self._fields())
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not SlotRef:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
 
     def locations(self) -> List[Tuple[int, int]]:
         """(mn_id, byte address) of every replica of this slot, primary first."""
@@ -236,9 +274,16 @@ class RaceHashing:
         # invalidates the cache — refs embed the placement tuple.
         self._slot_ref_cache: Dict[Tuple[int, int], SlotRef] = {}
         self._n_slots = config.slots_per_subtable
-        # (group1, group2) -> combined-bucket ranges; geometry-only, so
-        # it never needs invalidation.
-        self._range_cache: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
+        # A key's combined buckets, per group: (main0 + overflow) of its
+        # first group, (overflow + main1) of its second.  Geometry only,
+        # so never invalidated.
+        spb = config.slots_per_bucket
+        self._first_ranges = {
+            group: (group * BUCKETS_PER_GROUP * spb, 2 * spb)
+            for group in range(config.n_groups)}
+        self._second_ranges = {
+            group: ((group * BUCKETS_PER_GROUP + 1) * spb, 2 * spb)
+            for group in range(config.n_groups)}
         # key -> KeyMeta; dropped on directory changes (see key_meta).
         self._meta_cache: Dict[bytes, KeyMeta] = {}
         # One combined bucket = 2 adjacent buckets; unpack all its slot
@@ -343,14 +388,13 @@ class RaceHashing:
         return meta
 
     def key_meta_for_digest(self, digest: int) -> KeyMeta:
-        cfg = self.config
-        subtable = self.table_for_digest(digest)
-        group1 = (digest >> 16) % cfg.n_groups
-        group2 = (digest >> 48) % cfg.n_groups
+        n_groups = self.config.n_groups
+        group1 = (digest >> 16) % n_groups
+        group2 = (digest >> 48) % n_groups
         if group2 == group1:
-            group2 = (group2 + 1) % cfg.n_groups
-        return KeyMeta(subtable=subtable, group1=group1, group2=group2,
-                       fingerprint=make_fingerprint(digest))
+            group2 = (group2 + 1) % n_groups
+        return KeyMeta(self.table_for_digest(digest), group1, group2,
+                       make_fingerprint(digest))
 
     # -- slot addressing -----------------------------------------------------------
     def slot_ref(self, subtable: int, slot_index: int) -> SlotRef:
@@ -359,32 +403,24 @@ class RaceHashing:
             return ref
         if not 0 <= slot_index < self._n_slots:
             raise IndexError(f"slot index {slot_index} out of range")
-        ref = SlotRef(subtable=subtable, slot_index=slot_index,
-                      placement=self._placements[subtable])
+        ref = SlotRef(subtable, slot_index, self._placements[subtable])
         self._slot_ref_cache[(subtable, slot_index)] = ref
         return ref
 
-    def _combined_ranges(self, meta: KeyMeta) -> List[Tuple[int, int]]:
+    def _combined_ranges(self, meta: KeyMeta) -> Tuple[Tuple[int, int], ...]:
         """Two (first slot index, slot count) ranges: the combined buckets.
 
-        Memoised per (group1, group2): a pure function of the groups and
-        the (fixed) bucket geometry, recomputed on every bucket read and
-        parse otherwise — so the group check costs a call nothing either.
+        Looked up in two per-group tables built once (a key's first range
+        depends on ``group1`` only, its second on ``group2`` only), so no
+        memo grows per group pair, and a group outside the subtable is a
+        miss in its table.
         """
-        key = (meta.group1, meta.group2)
-        ranges = self._range_cache.get(key)
-        if ranges is None:
-            cfg = self.config
-            for group in key:
-                if not 0 <= group < cfg.n_groups:
-                    raise ValueError(f"group {group} not in a subtable's "
-                                     f"0..{cfg.n_groups - 1}")
-            spb = cfg.slots_per_bucket
-            cb1 = (meta.group1 * BUCKETS_PER_GROUP) * spb       # main0+ovfl
-            cb2 = (meta.group2 * BUCKETS_PER_GROUP + 1) * spb   # ovfl+main1
-            ranges = [(cb1, 2 * spb), (cb2, 2 * spb)]
-            self._range_cache[key] = ranges
-        return ranges
+        try:
+            return (self._first_ranges[meta.group1],
+                    self._second_ranges[meta.group2])
+        except KeyError as missing:
+            raise ValueError(f"group {missing.args[0]} not in a subtable's "
+                             f"0..{self.config.n_groups - 1}") from None
 
     def bucket_read_ops(self, meta: KeyMeta,
                         replica: int = 0) -> List[ReadOp]:

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import dataclass
 
 __all__ = [
     "SLOT_SIZE",
@@ -97,7 +96,9 @@ _POINTER_MASK = (1 << 48) - 1
 FLAG_INVALID = 0x01
 
 _KV_HEADER = struct.Struct(">BHLL5x")
-_LOG_TAIL = struct.Struct(">QBB")  # old value, crc, opcode|used
+# next ptr and prev ptr (48 bits each, as 16 + 32), old value, crc,
+# opcode|used
+_LOG_ENTRY = struct.Struct(">HIHIQBB")
 
 
 # ---------------------------------------------------------------------------
@@ -168,11 +169,13 @@ class Slot:
 
 def pack_slot(fingerprint: int, length_units: int, pointer: int) -> int:
     """Pack slot fields into the 8-byte integer stored in the index."""
-    if not 0 <= fingerprint < 256:
-        raise ValueError(f"fingerprint {fingerprint} out of range")
-    if not 0 <= length_units < 256:
-        raise ValueError(f"length {length_units} out of range (in 64B units)")
-    if not 0 <= pointer <= _POINTER_MASK:
+    # one test for the common case: a negative field shifts to -1
+    if fingerprint >> 8 or length_units >> 8 or pointer >> 48:
+        if not 0 <= fingerprint < 256:
+            raise ValueError(f"fingerprint {fingerprint} out of range")
+        if not 0 <= length_units < 256:
+            raise ValueError(
+                f"length {length_units} out of range (in 64B units)")
         raise ValueError(f"pointer {pointer:#x} exceeds 48 bits")
     return (fingerprint << 56) | (length_units << 48) | pointer
 
@@ -247,12 +250,12 @@ def encode_kv_block(key: bytes, value: bytes, block_size: int,
     header, key, value, padding, then the log entry whose trailing used bit
     doubles as the whole-object integrity marker.
     """
-    need = kv_block_size(len(key), len(value))
-    if block_size < need:
-        raise ValueError(f"block of {block_size}B cannot hold {need}B KV pair")
-    body = encode_kv_body(key, value)
-    padding = bytes(block_size - len(body) - LOG_ENTRY_SIZE)
-    return body + padding + encode_log_entry(log_entry)
+    padding = block_size - kv_block_size(len(key), len(value))
+    if padding < 0:
+        raise ValueError(f"block of {block_size}B cannot hold "
+                         f"{block_size - padding}B KV pair")
+    return b"".join((_kv_header(key, value), key, value, bytes(padding),
+                     encode_log_entry(log_entry)))
 
 
 def encode_kv_body(key: bytes, value: bytes) -> bytes:
@@ -263,9 +266,13 @@ def encode_kv_body(key: bytes, value: bytes) -> bytes:
     is never transmitted, so callers that only need the wire images can
     skip materialising the whole block.
     """
-    header = _KV_HEADER.pack(0, len(key), len(value),
-                             zlib.crc32(key + value) & 0xFFFFFFFF)
-    return header + key + value
+    return b"".join((_kv_header(key, value), key, value))
+
+
+def _kv_header(key: bytes, value: bytes) -> bytes:
+    # the CRC of key + value, chained rather than over a concatenated copy
+    return _KV_HEADER.pack(0, len(key), len(value),
+                           zlib.crc32(value, zlib.crc32(key)))
 
 
 def _split_payload(data: bytes):
@@ -366,16 +373,38 @@ def old_value_offset(block_size: int) -> int:
 # ---------------------------------------------------------------------------
 # Embedded log entries
 # ---------------------------------------------------------------------------
-@dataclass(frozen=True)
+# Built for every KV object written (one per write op, one per
+# bulk-loaded key): a hand-written __slots__ class, like Slot.
 class LogEntry:
     """Decoded 22-byte embedded operation log entry (§4.5)."""
 
-    next_ptr: int
-    prev_ptr: int
-    old_value: int
-    old_value_crc: int
-    opcode: int
-    used: bool
+    __slots__ = ("next_ptr", "prev_ptr", "old_value", "old_value_crc",
+                 "opcode", "used")
+
+    def __init__(self, next_ptr: int, prev_ptr: int, old_value: int,
+                 old_value_crc: int, opcode: int, used: bool):
+        self.next_ptr = next_ptr
+        self.prev_ptr = prev_ptr
+        self.old_value = old_value
+        self.old_value_crc = old_value_crc
+        self.opcode = opcode
+        self.used = used
+
+    def _fields(self) -> tuple:
+        return (self.next_ptr, self.prev_ptr, self.old_value,
+                self.old_value_crc, self.opcode, self.used)
+
+    def __repr__(self) -> str:
+        return ("LogEntry(next_ptr=%r, prev_ptr=%r, old_value=%r, "
+                "old_value_crc=%r, opcode=%r, used=%r)" % self._fields())
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not LogEntry:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
 
     @property
     def old_value_committed(self) -> bool:
@@ -384,29 +413,27 @@ class LogEntry:
 
 
 def encode_log_entry(entry: LogEntry) -> bytes:
-    next_ptr, prev_ptr = entry.next_ptr, entry.prev_ptr
-    if not (0 <= next_ptr <= _POINTER_MASK and 0 <= prev_ptr <= _POINTER_MASK):
+    next_ptr, prev_ptr, opcode = entry.next_ptr, entry.prev_ptr, entry.opcode
+    # one test for the common case: a negative field shifts to -1
+    if (next_ptr | prev_ptr) >> 48 or opcode >> 7:
         for name, ptr in (("next", next_ptr), ("prev", prev_ptr)):
             if not 0 <= ptr <= _POINTER_MASK:
                 raise ValueError(f"{name} pointer {ptr:#x} exceeds 48 bits")
-    if not 0 <= entry.opcode < 128:
-        raise ValueError(f"opcode {entry.opcode} exceeds 7 bits")
-    head = next_ptr.to_bytes(6, "big") + prev_ptr.to_bytes(6, "big")
-    tail = _LOG_TAIL.pack(entry.old_value & ((1 << 64) - 1),
-                          entry.old_value_crc & 0xFF,
-                          (entry.opcode << 1) | (1 if entry.used else 0))
-    return head + tail
+        raise ValueError(f"opcode {opcode} exceeds 7 bits")
+    return _LOG_ENTRY.pack(next_ptr >> 32, next_ptr & 0xFFFFFFFF,
+                           prev_ptr >> 32, prev_ptr & 0xFFFFFFFF,
+                           entry.old_value & ((1 << 64) - 1),
+                           entry.old_value_crc & 0xFF,
+                           (opcode << 1) | (1 if entry.used else 0))
 
 
 def decode_log_entry(data: bytes) -> LogEntry:
     if len(data) != LOG_ENTRY_SIZE:
         raise ValueError(f"log entry must be {LOG_ENTRY_SIZE}B, got {len(data)}")
-    next_ptr = int.from_bytes(data[0:6], "big")
-    prev_ptr = int.from_bytes(data[6:12], "big")
-    old_value, crc, op_used = _LOG_TAIL.unpack_from(data, 12)
-    return LogEntry(next_ptr=next_ptr, prev_ptr=prev_ptr,
-                    old_value=old_value, old_value_crc=crc,
-                    opcode=op_used >> 1, used=bool(op_used & 1))
+    next_hi, next_lo, prev_hi, prev_lo, old_value, crc, op_used = \
+        _LOG_ENTRY.unpack(data)
+    return LogEntry((next_hi << 32) | next_lo, (prev_hi << 32) | prev_lo,
+                    old_value, crc, op_used >> 1, bool(op_used & 1))
 
 
 def committed_old_value_bytes(old_value: int) -> bytes:

@@ -30,6 +30,8 @@ from ..core.wire import KV_HOLDS_KEY, OP_INSERT, SLOT_SIZE, \
 
 __all__ = ["fusee_load", "clover_load", "pdpm_load"]
 
+_EMPTY_WORD = bytes(SLOT_SIZE)
+
 
 def fusee_load(cluster: FuseeCluster, client: FuseeClient,
                items: Iterable[Tuple[bytes, bytes]]) -> int:
@@ -47,56 +49,77 @@ def fusee_load(cluster: FuseeCluster, client: FuseeClient,
 
 
 def _load(cluster: FuseeCluster, client: FuseeClient, items):
-    """The load as one DES generator; its only yields are the allocator's."""
+    """The load as one DES generator; its only yields are the allocator's.
+
+    Per key it pays for the key's hash, one read of each combined bucket,
+    the allocation and the writes: everything else is bound once here.
+    """
     allocator = client.allocator
+    alloc_object, class_for = allocator.alloc, allocator.class_for
+    key_meta, slot_ref = cluster.race.key_meta, cluster.race.slot_ref
     translate = cluster.region_map.translate
-    node = cluster.fabric.node
+    nodes = cluster.fabric.nodes
+    store = client.cache.store
     loaded = 0
     for key, value in items:
-        meta = cluster.race.key_meta(key)
+        meta = key_meta(key)
         # Before allocating: a rejected key must not leave an unwritten
         # object in the client's log chain (recovery stops walking there).
-        ref = _pick_slot(cluster, meta, key)
-        class_idx = allocator.class_for(kv_block_size(len(key), len(value)))
-        alloc = yield from allocator.alloc(class_idx)
-        entry = entry_for_alloc(alloc, OP_INSERT)
-        block = encode_kv_block(key, value, alloc.size, entry)
+        ref = slot_ref(meta.subtable, _pick_slot(cluster, meta, key))
+        key_len, value_len = len(key), len(value)
+        alloc = yield from alloc_object(
+            class_for(kv_block_size(key_len, value_len)))
+        block = encode_kv_block(key, value, alloc.size,
+                                entry_for_alloc(alloc, OP_INSERT))
+        end = len(block)
         for mn_id, addr in translate(alloc.gaddr):
-            node(mn_id).memory[addr:addr + len(block)] = block
-        word = pack_slot(meta.fingerprint, kv_len_units(len(key), len(value)),
+            nodes[mn_id].memory[addr:addr + end] = block
+        word = pack_slot(meta.fingerprint, kv_len_units(key_len, value_len),
                          alloc.gaddr)
         for mn_id, addr in ref.locations():
-            node(mn_id).write_word(addr, word)
-        client.cache.store(key, ref, word)
+            nodes[mn_id].write_word(addr, word)
+        store(key, ref, word)
         loaded += 1
     return loaded
 
 
-def _pick_slot(cluster: FuseeCluster, meta, key: bytes):
-    """First empty candidate slot for ``key``, reading memory directly.
+def _pick_slot(cluster: FuseeCluster, meta, key: bytes) -> int:
+    """Index of the first empty candidate slot for ``key``, reading
+    memory directly.
 
-    Scans every candidate, not just up to the first hole: a live slot
-    whose fingerprint and stored key both match means the key is already
-    installed, and a second slot for it would break the one-live-slot-
-    per-key invariant every reader relies on.
+    Each combined bucket is read once and searched in C: its fingerprint
+    column (byte 0 of every big-endian slot word) for live slots that may
+    hold ``key``, and its bytes for the first aligned all-zero word.
+    Every candidate is checked, not just those up to the first hole: a
+    live slot whose fingerprint and stored key both match means the key
+    is already installed, and a second slot for it would break the
+    one-live-slot-per-key invariant every reader relies on.
     """
     race = cluster.race
     mn_id, base = race.placement(meta.subtable)[0]
-    memory = cluster.fabric.node(mn_id).memory
+    memory = cluster.fabric.nodes[mn_id].memory
     fingerprint = meta.fingerprint
     empty = None
-    for start, _count in race._combined_ranges(meta):
-        words = race._cb_struct.unpack_from(memory, base + start * SLOT_SIZE)
-        for i, word in enumerate(words):
-            if word == 0:
-                if empty is None:
-                    empty = start + i
-            elif word >> 56 == fingerprint \
-                    and _holds_key(cluster, word, key):
+    for start, count in race._combined_ranges(meta):
+        lo = base + start * SLOT_SIZE
+        raw = memory[lo:lo + count * SLOT_SIZE]
+        column = raw[::SLOT_SIZE]
+        i = column.find(fingerprint)
+        while i >= 0:
+            word = int.from_bytes(raw[i * SLOT_SIZE:(i + 1) * SLOT_SIZE],
+                                  "big")
+            if word and _holds_key(cluster, word, key):
                 raise ValueError(f"bulk load: key {key!r} is already loaded")
+            i = column.find(fingerprint, i + 1)
+        if empty is None:
+            hole = raw.find(_EMPTY_WORD)
+            while hole > 0 and hole % SLOT_SIZE:   # straddles two words
+                hole = raw.find(_EMPTY_WORD, hole + 1)
+            if hole >= 0:
+                empty = start + hole // SLOT_SIZE
     if empty is None:
         raise RuntimeError("index full during bulk load — enlarge RaceConfig")
-    return race.slot_ref(meta.subtable, empty)
+    return empty
 
 
 def _holds_key(cluster: FuseeCluster, word: int, key: bytes) -> bool:

@@ -7,24 +7,7 @@ end-to-end throughput.  See ``tests/test_rtt_budgets.py`` for the
 paper-derived regression suite built on top of it.
 """
 
-from .critical import CriticalPath, analyze_critical_path, critical_report
-from .export import (
-    chrome_trace,
-    jsonl_lines,
-    metrics_table,
-    summary_table,
-    write_chrome_trace,
-    write_jsonl,
-)
-from .flame import folded_stacks, write_folded
-from .metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    Metrics,
-    TimeSeries,
-    sample_fabric,
-)
+from .._lazy import lazy_exports
 from .detect import DetectorFlag, GrayDetector, detector_verdict
 from .monitor import (
     Monitor,
@@ -46,6 +29,18 @@ from .sketches import DDSketch, SpaceSaving
 from .slo import KV_OPS, SloSpec, SloState
 from .tracer import Span, Tracer, verb_kind
 from .windows import WindowStore
+
+# The offline analyses and exporters are imported when first named: an
+# observed bed records spans, profiles and panes, it does not export them.
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    ".critical": ("CriticalPath", "analyze_critical_path",
+                  "critical_report"),
+    ".export": ("chrome_trace", "jsonl_lines", "metrics_table",
+                "summary_table", "write_chrome_trace", "write_jsonl"),
+    ".flame": ("folded_stacks", "write_folded"),
+    ".metrics": ("Counter", "Gauge", "Histogram", "Metrics", "TimeSeries",
+                 "sample_fabric"),
+})
 
 __all__ = [
     "Tracer",

@@ -1,7 +1,7 @@
 """Workload generators: YCSB (§6.3), microbenchmarks (§6.2), and
 production traffic scenarios (time-varying load, multi-tenant mixes)."""
 
-from .micro import MicroConfig, MicroWorkload
+from .._lazy import lazy_exports
 from .scenarios import (
     ConstantRate,
     DiurnalRate,
@@ -33,6 +33,11 @@ from .ycsb import (
     key_bytes,
     make_value,
 )
+
+# The §6.2 microbenchmark is imported when first named.
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    ".micro": ("MicroConfig", "MicroWorkload"),
+})
 
 __all__ = [
     "MicroConfig",

@@ -230,7 +230,7 @@ class YcsbWorkload:
         return [key_bytes(i) for i in range(self.config.n_keys)]
 
     def load_value(self, index: int) -> bytes:
-        return make_value(self.config.value_size, salt=index)
+        return make_value(self._value_size, salt=index)
 
     def next_op(self) -> Tuple[str, bytes, Optional[bytes]]:
         """Returns ``(op, key, value)`` with op in search/update/insert."""

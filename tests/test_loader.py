@@ -3,7 +3,7 @@
 import pytest
 
 from repro.baselines import CloverCluster, CloverConfig, PdpmCluster, PdpmConfig
-from repro.core import FuseeCluster
+from repro.core import FuseeCluster, RaceConfig
 from repro.core.oplog import entry_for_alloc
 from repro.core.wire import OP_INSERT, encode_kv_block, kv_block_size, \
     kv_len_units, pack_slot
@@ -135,6 +135,28 @@ def _per_key_reference_load(cluster, client, items):
         client.cache.store(key, ref, word)
 
 
+def _crowding(cluster, client, items):
+    """``(keys whose slot is in their second combined bucket, keys whose
+    buckets held another key's live slot with their fingerprint when they
+    were loaded)`` of a finished load: slots never move during one."""
+    race = cluster.race
+    refs = {key: client.cache.peek(key).slot_ref for key, _value in items}
+    second_bucket = shared_fingerprint = 0
+    for n, (key, _value) in enumerate(items):
+        meta = race.key_meta(key)
+        (_, _), (start2, count2) = ranges = race._combined_ranges(meta)
+        if start2 <= refs[key].slot_index < start2 + count2:
+            second_bucket += 1
+        candidates = {index for start, count in ranges
+                      for index in range(start, start + count)}
+        if any(refs[earlier].subtable == meta.subtable
+               and refs[earlier].slot_index in candidates
+               and race.key_meta(earlier).fingerprint == meta.fingerprint
+               for earlier, _v in items[:n]):
+            shared_fingerprint += 1
+    return second_bucket, shared_fingerprint
+
+
 class TestOneProcessLoad:
     """One generator under one ``run_op`` leaves the cluster exactly as the
     per-key loop did: same bytes, same simulated clock, same counters."""
@@ -160,13 +182,22 @@ class TestOneProcessLoad:
             "cache": list(client.cache._entries.items()),
         }
 
-    @pytest.mark.parametrize("replication_factor", [1, 2])
-    def test_same_cluster_state_as_the_per_key_loop(self,
-                                                    replication_factor):
+    #: A RACE index 47 % full after the load: 6 keys find their first
+    #: combined bucket full, and 3 keys share a fingerprint with another
+    #: key's live slot in their buckets (see ``_crowding``).
+    CROWDED = RaceConfig(n_subtables=4, n_groups=8, slots_per_bucket=4)
+
+    @pytest.mark.parametrize("overrides", [
+        pytest.param(dict(replication_factor=1), id="1"),
+        pytest.param(dict(replication_factor=2), id="2"),
+        pytest.param(dict(replication_factor=1, index_replication=2),
+                     id="index-replication-2"),
+        pytest.param(dict(race=CROWDED), id="crowded"),
+    ])
+    def test_same_cluster_state_as_the_per_key_loop(self, overrides):
         states = []
         for load in (fusee_load, _per_key_reference_load):
-            cluster = FuseeCluster(
-                small_config(replication_factor=replication_factor))
+            cluster = FuseeCluster(small_config(**overrides))
             client = cluster.new_client()
             load(cluster, client, self.ITEMS)
             states.append(self._state(cluster, client))
@@ -180,6 +211,11 @@ class TestOneProcessLoad:
         assert len(blocks_per_class) == 2
         assert min(blocks_per_class.values()) >= 3
         assert reference["stats"].rpcs >= 6
+        if "race" in overrides:
+            # the slot scan's two harder cases both occur
+            second_bucket, shared_fingerprint = _crowding(cluster, client,
+                                                          self.ITEMS)
+            assert second_bucket >= 1 and shared_fingerprint >= 1
 
     def test_load_accepts_a_one_shot_iterator(self, cluster):
         loader = cluster.new_client()
@@ -253,6 +289,10 @@ class TestDuplicateKeys:
         reader = cluster.new_client()
         assert run(cluster, reader.search(b"twin-0")).value == b"a"
         assert run(cluster, reader.search(twin)).value == b"b"
+        # the twin is the second fingerprint hit of its buckets: the scan
+        # reads past the first
+        with pytest.raises(ValueError, match=repr(twin)[1:]):
+            fusee_load(cluster, loader, [(twin, b"again")])
 
 
 class TestCloverLoad:
