@@ -12,16 +12,22 @@ whose file name is ``<string>``).  It is Python-version
 specific (3.11 and 3.12 compile differently), so a bound is stated per
 version.
 
-    PYTHONHASHSEED=0 PYTHONPATH=src python -m benchmarks.bytecodes
+    PYTHONHASHSEED=0 PYTHONPATH=src python -m benchmarks.bytecodes [--top N]
 
 prints one JSON object: ``ycsb_op`` (per attempted op of the YCSB-A run
-below) and ``next_op`` (per `YcsbWorkload.next_op` draw on a warmed key
-space).  It needs nothing but the standard library and ``repro``, so it
-runs on an interpreter that has no pytest.
+below), ``ycsb_c_op`` (per attempted op of the YCSB-C run, the cached
+SEARCH) and ``next_op`` (per `YcsbWorkload.next_op` draw on a warmed key
+space).  ``--top N`` first prints, per run, the N code objects that
+executed the most instructions, with their instructions and calls per
+unit of work (a generator's call count is its resumes); the last line
+stays the JSON object.  It needs nothing but the standard library and
+``repro``, so it runs on an interpreter that has no pytest.
 """
 
 from __future__ import annotations
 
+import argparse
+import collections
 import json
 import os
 import sys
@@ -42,6 +48,14 @@ YCSB_DURATION_US = 1_000.0
 #: rank -> key scatter, then the same 2 000 (same seed) counted.
 DRAW_KEYS = 20_000
 DRAWS = 2_000
+#: The YCSB-C run: closed loop, 64 clients, 200 keys of 1 KB on the
+#: ycsb_c_hot geometry (2 MNs, one NIC port each, two data replicas),
+#: every key cached after the warm-up; 1 000 us of warm-up, then
+#: 2 000 us counted.
+YCSB_C_CLIENTS = 64
+YCSB_C_KEYS = 200
+YCSB_C_WARMUP_US = 1_000.0
+YCSB_C_DURATION_US = 3_000.0
 
 
 def _prime_opcode_events() -> None:
@@ -63,16 +77,43 @@ def _nothing() -> None:
 
 
 class OpcodeCounter:
-    """Counts instructions executed in ``src/repro`` while active."""
+    """Counts instructions executed in ``src/repro`` while active; with
+    ``by_code``, also per code object (``instructions`` and ``calls``,
+    keyed by code object) at the same total."""
 
-    def __init__(self):
+    def __init__(self, by_code: bool = False):
         self.count = 0
         self._ours = {}
+        self.instructions = collections.Counter()
+        self.calls = collections.Counter()
+        self._by_code = by_code
+        if by_code:
+            self._local = self._local_by_code
 
     def _local(self, frame, event, arg):
         if event == "opcode":
             self.count += 1
         return self._local
+
+    def _local_by_code(self, frame, event, arg):
+        if event == "opcode":
+            self.count += 1
+            self.instructions[frame.f_code] += 1
+        return self._local_by_code
+
+    def top(self, n: int, per: int) -> list:
+        """The ``n`` code objects that executed the most instructions:
+        ``(name, instructions / per, calls / per)``, most first."""
+        rows = []
+        for code, count in self.instructions.most_common(n):
+            module = os.path.relpath(code.co_filename, _REPRO_ROOT) \
+                if code.co_filename.startswith(_REPRO_ROOT) \
+                else code.co_filename
+            name = "%s:%d %s" % (module, code.co_firstlineno,
+                                 getattr(code, "co_qualname",
+                                         code.co_name))
+            rows.append((name, count / per, self.calls[code] / per))
+        return rows
 
     def _global(self, frame, event, arg):
         filename = frame.f_code.co_filename
@@ -88,6 +129,8 @@ class OpcodeCounter:
                     _REPRO_ROOT)
         if not ours:
             return None
+        if self._by_code:
+            self.calls[frame.f_code] += 1
         frame.f_trace_lines = False
         frame.f_trace_opcodes = True
         return self._local
@@ -106,28 +149,28 @@ class OpcodeCounter:
         sys.settrace(None)
 
 
-def ycsb_op_bytecodes(seed: int = 13) -> dict:
-    """Instructions per attempted op of the fixed YCSB-A run."""
+def _closed_ycsb(counter: OpcodeCounter, workload: str, n_keys: int,
+                 n_clients: int, warmup_us: float, duration_us: float,
+                 seed: int, **bed_kwargs) -> dict:
+    """Count a closed-loop YCSB run from ``warmup_us`` on, per attempted
+    op."""
     from repro.harness import fusee_bed, run_closed_loop
     from repro.workloads import YcsbConfig, YcsbWorkload
 
-    config = YcsbConfig(workload="A", n_keys=YCSB_KEYS)
+    config = YcsbConfig(workload=workload, n_keys=n_keys)
     seeder = YcsbWorkload(config, seed=seed)
-    bed = fusee_bed(n_memory_nodes=4, replication_factor=2, nic_ports=4,
-                    rpc_shards=2, port_affinity="rss",
-                    dataset_bytes=4 << 20, background_interval_us=0.0,
-                    max_clients=YCSB_CLIENTS + 8)
+    bed = fusee_bed(background_interval_us=0.0, max_clients=n_clients + 8,
+                    **bed_kwargs)
     bed.load((key, seeder.load_value(i))
              for i, key in enumerate(seeder.load_keys()))
-    clients = [bed.new_client() for _ in range(YCSB_CLIENTS)]
+    clients = [bed.new_client() for _ in range(n_clients)]
     streams = [YcsbWorkload(config, seed=seed * 1009 + 1 + i)
-               for i in range(YCSB_CLIENTS)]
-    counter = OpcodeCounter()
+               for i in range(n_clients)]
     try:
         result = run_closed_loop(
             bed.env, clients, lambda index: streams[index], bed.execute,
-            duration_us=YCSB_DURATION_US, warmup_us=YCSB_WARMUP_US,
-            events=[(YCSB_WARMUP_US, counter.start)])
+            duration_us=duration_us, warmup_us=warmup_us,
+            events=[(warmup_us, counter.start)])
     finally:
         counter.stop()
     attempted = result.ops + result.errors
@@ -135,7 +178,27 @@ def ycsb_op_bytecodes(seed: int = 13) -> dict:
             "per_op": counter.count / attempted}
 
 
-def next_op_bytecodes(seed: int = 7) -> dict:
+def ycsb_op_bytecodes(seed: int = 13,
+                      counter: OpcodeCounter = None) -> dict:
+    """Instructions per attempted op of the fixed YCSB-A run."""
+    return _closed_ycsb(
+        counter or OpcodeCounter(), "A", YCSB_KEYS, YCSB_CLIENTS,
+        YCSB_WARMUP_US, YCSB_DURATION_US, seed, n_memory_nodes=4,
+        replication_factor=2, nic_ports=4, rpc_shards=2,
+        port_affinity="rss", dataset_bytes=4 << 20)
+
+
+def ycsb_c_op_bytecodes(seed: int = 13,
+                        counter: OpcodeCounter = None) -> dict:
+    """Instructions per attempted op of the fixed YCSB-C run."""
+    return _closed_ycsb(
+        counter or OpcodeCounter(), "C", YCSB_C_KEYS, YCSB_C_CLIENTS,
+        YCSB_C_WARMUP_US, YCSB_C_DURATION_US, seed, n_memory_nodes=2,
+        replication_factor=2, nic_ports=1, rpc_shards=1)
+
+
+def next_op_bytecodes(seed: int = 7,
+                      counter: OpcodeCounter = None) -> dict:
     """Instructions per ``next_op`` draw once its ranks are scattered."""
     from repro.workloads import YcsbConfig, YcsbWorkload
 
@@ -145,7 +208,7 @@ def next_op_bytecodes(seed: int = 7) -> dict:
         warm.next_op()
     stream = YcsbWorkload(config, seed=seed)
     draw = stream.next_op
-    counter = OpcodeCounter()
+    counter = counter or OpcodeCounter()
     counter.start()
     try:
         for _ in range(DRAWS):
@@ -156,9 +219,29 @@ def next_op_bytecodes(seed: int = 7) -> dict:
             "per_op": counter.count / DRAWS}
 
 
-def main() -> int:
-    doc = {"python": "%d.%d" % sys.version_info[:2],
-           "ycsb_op": ycsb_op_bytecodes(), "next_op": next_op_bytecodes()}
+#: The runs: their key in the JSON object, the key of their unit count
+#: in their result, and what one unit is.
+RUNS = (("ycsb_op", ycsb_op_bytecodes, "attempted", "attempted op"),
+        ("ycsb_c_op", ycsb_c_op_bytecodes, "attempted", "attempted op"),
+        ("next_op", next_op_bytecodes, "draws", "draw"))
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(prog="python -m benchmarks.bytecodes")
+    parser.add_argument("--top", type=int, default=0, metavar="N",
+                        help="first print each run's N costliest code "
+                             "objects per unit of work")
+    args = parser.parse_args(argv)
+    doc = {"python": "%d.%d" % sys.version_info[:2]}
+    for name, run, units, unit in RUNS:
+        counter = OpcodeCounter(by_code=args.top > 0)
+        doc[name] = run(counter=counter)
+        if args.top > 0:
+            print(f"{name}: {doc[name]['per_op']:.1f} instructions per "
+                  f"{unit}; top {args.top} code objects, per {unit}:")
+            print(f"  {'instr':>8} {'calls':>6}  code")
+            for code, per, calls in counter.top(args.top, doc[name][units]):
+                print(f"  {per:8.1f} {calls:6.2f}  {code}")
     print(json.dumps(doc, sort_keys=True))
     return 0
 

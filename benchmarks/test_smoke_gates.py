@@ -109,7 +109,7 @@ def test_a_bucket_read_is_decoded_not_looked_up(probes):
 
 @pytest.fixture(scope="module")
 def bytecodes():
-    """One ``python -m benchmarks.bytecodes`` process (~10 s): exact
+    """One ``python -m benchmarks.bytecodes`` process (~12 s): exact
     instruction counts, so the runner's speed does not enter."""
     stdout = _run(["-m", "benchmarks.bytecodes"], _REPO_ROOT,
                   PYTHONHASHSEED="0")
@@ -143,6 +143,33 @@ def test_a_clean_ycsb_op_costs_few_bytecodes(bytecodes):
     assert per_op <= bound, (
         f"{per_op:.0f} bytecodes per YCSB-A op > {bound} (Python "
         f"{version}): the op path pays for bookkeeping again")
+
+
+#: Instructions per attempted op of `benchmarks.bytecodes`' YCSB-C run
+#: (the cached SEARCH), the count when the bound was set (1 431 / 1 371)
+#: plus 5 %, per Python.
+_YCSB_C_OP_BOUND = {"3.11": 1502, "3.12": 1439}
+
+
+def test_a_cached_search_costs_its_reads_not_its_bookkeeping(bytecodes):
+    """An exact count, not a timing: the instructions a YCSB-C op executes
+    in ``src/repro`` on the ``ycsb_c_hot`` geometry (64 clients, 200
+    keys, every key cached after the warm-up), the key draw, kernel,
+    fabric and runner included.  Before the read-hit path lost its
+    per-op bookkeeping (an ``(entry, bypassed)`` tuple and an
+    ``invalid_ratio`` call per probe, a live-replica list per KV read, a
+    ``Slot`` and a ``SlotRef`` looked up per cached word, a body copy per
+    CRC check, six frames per key draw, a ``trace_phase`` frame and two
+    observer properties per op) it executed 1 705 (Python 3.11) / 1 615
+    (3.12); now 1 431 / 1 371."""
+    version = bytecodes["python"]
+    if version not in _YCSB_C_OP_BOUND:
+        pytest.skip(f"no bytecode bound measured for Python {version}")
+    per_op = bytecodes["ycsb_c_op"]["per_op"]
+    bound = _YCSB_C_OP_BOUND[version]
+    assert per_op <= bound, (
+        f"{per_op:.0f} bytecodes per YCSB-C op > {bound} (Python "
+        f"{version}): the cached SEARCH pays for bookkeeping again")
 
 
 def test_a_key_draw_is_a_lookup_not_a_hash(bytecodes):

@@ -292,7 +292,8 @@ def _blind_fixup_swarm_write(fabric, ref, v_old, v_new, on_win=None,
     locations = ref.locations()
     if phase_guard is not None:
         yield from phase_guard()
-    fabric.trace_phase("repl.swarm_broadcast")
+    if fabric.tracer is not None:
+        fabric.tracer.phase("repl.swarm_broadcast")
     comps = yield fabric.post([CasOp(mn, addr, expected=v_old, swap=v_new)
                                for mn, addr in locations])
     rtts = 1
@@ -304,7 +305,8 @@ def _blind_fixup_swarm_write(fabric, ref, v_old, v_new, on_win=None,
                  if not comp.cas_succeeded()]
     outcome = Outcome.WIN_SWARM_FIXUP if divergent else Outcome.WIN_SWARM
     if divergent:
-        fabric.trace_phase("repl.swarm_fixup")
+        if fabric.tracer is not None:
+            fabric.tracer.phase("repl.swarm_fixup")
         fix_comps = yield fabric.post(
             [WriteOp(mn, addr, v_new.to_bytes(8, "big"))
              for mn, addr in divergent])  # BUG: unguarded overwrite

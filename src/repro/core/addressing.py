@@ -223,6 +223,14 @@ class RegionMap:
     def placement(self, region_id: int) -> List[Tuple[int, int]]:
         return list(self._placement[region_id])
 
+    @property
+    def placements(self) -> Dict[int, List[Tuple[int, int]]]:
+        """The live table behind :meth:`placement`, region id -> replicas
+        primary first, for a reader that resolves an address per KV READ
+        (``ReplicaReadPolicy``); it grows with the pool, and only this
+        map writes it."""
+        return self._placement
+
     def gaddr(self, region_id: int, region_offset: int) -> int:
         if not 0 <= region_offset < self.config.region_size:
             raise ValueError(f"offset {region_offset} outside region")

@@ -28,9 +28,11 @@ class CacheEntry:
     """One cached key: its slot, the word last seen there, and the counts
     behind the adaptive bypass.  One per cached key (a bulk load caches
     every key it writes), so a ``__slots__`` class whose eq/repr mirror
-    the dataclass it replaced (mutable, so unhashable)."""
+    the dataclass it replaced (mutable, so unhashable).  ``bypassed`` is
+    the adaptive decision of the latest access (not part of its value)."""
 
-    __slots__ = ("slot_ref", "slot_word", "access_count", "invalid_count")
+    __slots__ = ("slot_ref", "slot_word", "access_count", "invalid_count",
+                 "bypassed")
 
     def __init__(self, slot_ref: SlotRef, slot_word: int,
                  access_count: int = 0, invalid_count: int = 0):
@@ -39,6 +41,7 @@ class CacheEntry:
         self.slot_word = slot_word
         self.access_count = access_count
         self.invalid_count = invalid_count
+        self.bypassed = False
 
     def _fields(self) -> tuple:
         return (self.slot_ref, self.slot_word, self.access_count,
@@ -95,11 +98,12 @@ class AdaptiveIndexCache:
     def lookup(self, key: bytes) -> Optional[CacheEntry]:
         """Return the entry to use for this access, or ``None`` on a miss
         or adaptive bypass (see :meth:`lookup_for_access`)."""
-        entry, bypassed = self.lookup_for_access(key)
-        return None if bypassed else entry
+        entry = self.lookup_for_access(key)
+        return None if entry is None or entry.bypassed else entry
 
-    def lookup_for_access(self, key: bytes):
-        """Returns ``(entry, bypassed)``.
+    def lookup_for_access(self, key: bytes) -> Optional[CacheEntry]:
+        """The key's entry, its ``bypassed`` set for this access, or None
+        on a miss.
 
         A *bypassed* access still has the cached slot address available —
         the adaptive scheme only skips the parallel KV-pair fetch that
@@ -108,18 +112,23 @@ class AdaptiveIndexCache:
         invalid ratio decay when it turns read-intensive.
         """
         if not self.enabled:
-            return None, False
+            return None
         entry = self._entries.get(key)
         if entry is None:
             self.stats.misses += 1
-            return None, False
+            return None
         entry.access_count += 1
         self._entries.move_to_end(key)
-        if entry.invalid_ratio > self.threshold:
+        # invalid_ratio: 0 for a key never found stale (the common case),
+        # else a division by the access count, positive here
+        if entry.invalid_count \
+                and entry.invalid_count / entry.access_count > self.threshold:
             self.stats.bypasses += 1
-            return entry, True
-        self.stats.hits += 1
-        return entry, False
+            entry.bypassed = True
+        else:
+            self.stats.hits += 1
+            entry.bypassed = False
+        return entry
 
     def peek(self, key: bytes) -> Optional[CacheEntry]:
         """Inspect without touching counters or LRU order (tests/recovery)."""

@@ -55,6 +55,7 @@ from .wire import (
     OP_DELETE,
     OP_INSERT,
     OP_UPDATE,
+    SLOT_LEN_UNIT,
     encode_kv_body,
     encode_log_entry,
     kv_block_size,
@@ -153,6 +154,11 @@ class _Unavailable:
 
 _UNAVAILABLE = _Unavailable()
 
+#: A slot word's pointer field.  The op path reads a word's fields with
+#: shifts (wire.py: fingerprint 8 bits | length 8 | pointer 48) instead
+#: of decoding a ``Slot``.
+_POINTER_MASK = (1 << 48) - 1
+
 #: Two more statuses beside ``match_kv``'s, for a block a slot word named
 #: but no READ returned: nothing was read (no alive data replica, or the
 #: replica failed mid-read), or the READ timed out under fault injection
@@ -237,7 +243,11 @@ class FuseeClient:
         self.cache = AdaptiveIndexCache(threshold=self.config.cache_threshold,
                                         enabled=self.config.cache_enabled)
         self.read_policy = ReplicaReadPolicy(
-            fabric, mode=self.config.read_spread, cid=cid)
+            fabric, region_map, mode=self.config.read_spread, cid=cid)
+        # READ a KV block from the alive data replica the ``read_spread``
+        # policy picks (None when none is alive): the policy's own method,
+        # bound once, as several READs per op take it.
+        self._kv_read_op = self.read_policy.read_op
         self.protocol = create_protocol(self.config.replication_mode)
         self.stats = ClientStats()
         self.crashed = False
@@ -310,19 +320,6 @@ class FuseeClient:
         return pack_slot(meta.fingerprint, kv_len_units(len(key), len(value)),
                          alloc.gaddr)
 
-    def _kv_read_op(self, gaddr: int, nbytes: int) -> Optional[ReadOp]:
-        """READ a KV block from an alive data replica.
-
-        The replica is chosen by the ``read_spread`` policy — the
-        paper-faithful default reads the first alive (primary-most)
-        replica; spreading modes rotate or load-balance across them.
-        """
-        candidates = self.region_map.live_replicas(gaddr, self.fabric.nodes)
-        if not candidates:
-            return None
-        mn_id, addr = self.read_policy.choose(candidates)
-        return ReadOp(mn_id, addr, nbytes)
-
     def _note_kv_timeout(self, comp) -> None:
         """Tell the read policy a KV READ timed out, so its retry avoids
         that replica (gray/partitioned node) for the suspect window."""
@@ -332,7 +329,8 @@ class FuseeClient:
     def _prepare_kv(self, key: bytes, value: bytes, opcode: int,
                     meta: KeyMeta):
         """Allocate an object and build its replica WRITE ops (generator)."""
-        self.fabric.trace_phase("alloc")
+        if self.fabric.tracer is not None:
+            self.fabric.tracer.phase("alloc")
         need = kv_block_size(len(key), len(value))
         class_idx = self.allocator.class_for(need)
         alloc = yield from self.allocator.alloc(class_idx)
@@ -371,7 +369,8 @@ class FuseeClient:
         ops = clear_used_ops(self.region_map, self.fabric, alloc.gaddr,
                              alloc.size, opcode)
         if ops:
-            self.fabric.trace_phase("cleanup.discard")
+            if self.fabric.tracer is not None:
+                self.fabric.tracer.phase("cleanup.discard")
             self.fabric.post(ops, unsignaled=True)
         self.allocator.note_free(alloc.gaddr)
 
@@ -389,7 +388,8 @@ class FuseeClient:
                                 prepared.alloc.size - LOG_ENTRY_SIZE,
                                 bytes(LOG_ENTRY_SIZE))
         if ops:
-            self.fabric.trace_phase("log.separate_write")
+            if self.fabric.tracer is not None:
+                self.fabric.tracer.phase("log.separate_write")
             yield self.fabric.post(ops)
 
     def _log_committer(self, prepared: _PreparedKv):
@@ -406,7 +406,8 @@ class FuseeClient:
                                        prepared.alloc.gaddr,
                                        prepared.alloc.size, v_old)
             if ops:
-                self.fabric.trace_phase("log.commit")
+                if self.fabric.tracer is not None:
+                    self.fabric.tracer.phase("log.commit")
                 yield self.fabric.post(ops)
             if self._crash_point is not None:
                 self._maybe_crash(CrashPoint.C2)
@@ -440,17 +441,43 @@ class FuseeClient:
     def _search_impl(self, key: bytes):
         self._start_op("search", key)
         for _attempt in range(4):
-            epoch0 = self.master.epoch if self.master else -1
+            master = self.master
+            epoch0 = master.epoch if master else -1
             meta = self.race.key_meta(key)
-            yield from self._wait_if_blocked(meta.subtable)
-            entry, bypassed = self.cache.lookup_for_access(key)
-            if entry is not None:
-                if bypassed:
-                    result = yield from self._search_bypass(key, meta,
-                                                            entry)
-                else:
-                    result = yield from self._search_via_cache(key, meta,
-                                                               entry)
+            if master is not None and master.barriers:
+                # no call at all while no barrier is up
+                yield from self._wait_if_blocked(meta.subtable)
+            entry = self.cache.lookup_for_access(key)
+            if entry is not None and not entry.bypassed:
+                # The 1-RTT cached read (§4.6): the slot's primary word
+                # and the KV block the cached word names (its fields read
+                # with shifts), in one doorbell batch.
+                word = entry.slot_word
+                ref = self.race.current_ref(entry.slot_ref)
+                slot_read = ref.primary_read
+                kv_read = self._kv_read_op(
+                    word & _POINTER_MASK, (word >> 48 & 0xFF) * SLOT_LEN_UNIT)
+                fabric = self.fabric
+                if not fabric.nodes[slot_read.mn_id].crashed \
+                        and kv_read is not None:
+                    if fabric.tracer is not None:
+                        fabric.tracer.phase("search.cached_read")
+                    slot_comp, kv_comp = yield fabric.post(
+                        [slot_read, kv_read])
+                    if slot_comp.failed or kv_comp.failed:
+                        self._note_kv_timeout(kv_comp)
+                    else:
+                        word_now = int.from_bytes(slot_comp.value, "big")
+                        if word_now == word:
+                            status, value = match_kv(kv_comp.value, key)
+                            if status is KV_LIVE:
+                                return OpResult(True, value)
+                        result = yield from self._search_stale(
+                            key, meta, ref, word_now)
+                        if result is not None:
+                            return result
+            elif entry is not None:
+                result = yield from self._search_bypass(key, meta, entry)
                 if result is not None:
                     return result
             found, error = yield from self._scan_buckets(
@@ -467,35 +494,17 @@ class FuseeClient:
             self._retry()
         return result
 
-    def _search_via_cache(self, key: bytes, meta: KeyMeta,
-                          entry: CacheEntry):
-        """The 1-RTT fast path; returns None to fall back to the full path.
+    def _search_stale(self, key: bytes, meta: KeyMeta, ref: SlotRef,
+                      word_now: int):
+        """The cached read found the slot holding ``word_now``, not the
+        cached word's live pair (generator); returns None to fall back to
+        the full path.
 
         Kept apart from the cached probe of ``_locate_for_write`` on
         purpose: the two differ in whether an invalidated pair is a hit,
         what a timeout means, when the entry is charged, re-stored and
         dropped — a shared body would branch on its caller at each.
         """
-        slot = unpack_slot(entry.slot_word)
-        # Re-materialise the ref: the master may have reconfigured the
-        # subtable placement since this entry was cached (§5.2).
-        ref = self.race.slot_ref(entry.slot_ref.subtable,
-                                 entry.slot_ref.slot_index)
-        primary_mn, primary_addr = ref.primary()
-        kv_read = self._kv_read_op(slot.pointer, slot.block_bytes)
-        if self.fabric.nodes[primary_mn].crashed or kv_read is None:
-            return None
-        self.fabric.trace_phase("search.cached_read")
-        comps = yield self.fabric.post(
-            [ReadOp(primary_mn, primary_addr, 8), kv_read])
-        if comps[0].failed or comps[1].failed:
-            self._note_kv_timeout(comps[1])
-            return None
-        word_now = int.from_bytes(comps[0].value, "big")
-        if word_now == entry.slot_word:
-            status, value = match_kv(comps[1].value, key)
-            if status is KV_LIVE:
-                return OpResult(ok=True, value=value)
         # The cached address was stale: charge the invalid counter (§4.6).
         self.cache.record_invalid(key)
         if word_now == 0:
@@ -515,8 +524,7 @@ class FuseeClient:
         pair it currently names — 2 RTTs, but no bandwidth wasted on a
         probably-invalidated pair (§4.6).  A reader can always fall back:
         anything but the key's live pair returns None for the full path."""
-        ref = self.race.slot_ref(entry.slot_ref.subtable,
-                                 entry.slot_ref.slot_index)
+        ref = self.race.current_ref(entry.slot_ref)
         word, status, value = yield from self._probe_slot(
             key, meta, ref, None,
             "search.bypass_slot_read", "search.bypass_kv_read")
@@ -542,14 +550,14 @@ class FuseeClient:
         another fingerprint is another key's without a READ.  ``phase``
         labels the READ in traces; None leaves the caller's label on it.
         """
-        slot = unpack_slot(word)
-        if slot.fingerprint != meta.fingerprint:
+        if word >> 56 != meta.fingerprint:
             return KV_OTHER_KEY, None
-        kv_read = self._kv_read_op(slot.pointer, slot.block_bytes)
+        kv_read = self._kv_read_op(
+            word & _POINTER_MASK, (word >> 48 & 0xFF) * SLOT_LEN_UNIT)
         if kv_read is None:
             return _KV_UNREAD, None
-        if phase is not None:
-            self.fabric.trace_phase(phase)
+        if phase is not None and self.fabric.tracer is not None:
+            self.fabric.tracer.phase(phase)
         comp = yield self.fabric.post_one(kv_read)
         if comp.failed:
             self._note_kv_timeout(comp)
@@ -580,7 +588,8 @@ class FuseeClient:
                     return None, _KV_TIMED_OUT, None
             return None, _KV_UNREAD, None
         slot_read = ReadOp(primary_mn, primary_addr, 8)
-        self.fabric.trace_phase(slot_phase)
+        if self.fabric.tracer is not None:
+            self.fabric.tracer.phase(slot_phase)
         if piggyback is None:
             comp = yield self.fabric.post_one(slot_read)
             timed_out = comp.value is TIMEOUT
@@ -612,7 +621,8 @@ class FuseeClient:
         an error string that its presence could not be determined.
         """
         for _ in range(MAX_OP_RETRIES):
-            self.fabric.trace_phase(phase)
+            if self.fabric.tracer is not None:
+                self.fabric.tracer.phase(phase)
             view = yield from self._read_buckets(meta, extra_ops=piggyback)
             piggyback = None
             if view is None:
@@ -730,14 +740,16 @@ class FuseeClient:
         reads = []
         usable = []
         for snap in snaps:
-            slot = snap.slot
-            op = self._kv_read_op(slot.pointer, slot.block_bytes)
+            word = snap.word
+            op = self._kv_read_op(word & _POINTER_MASK,
+                                  (word >> 48 & 0xFF) * SLOT_LEN_UNIT)
             if op is not None:
                 reads.append(op)
                 usable.append(snap)
         if not reads:
             return []
-        self.fabric.trace_phase(phase)
+        if self.fabric.tracer is not None:
+            self.fabric.tracer.phase(phase)
         comps = yield self.fabric.post(reads)
         return list(zip(usable, comps))
 
@@ -797,7 +809,8 @@ class FuseeClient:
         """INSERT from phase ① on, its object staged (generator).  Never
         reclaims the object: ``_insert_impl`` does, from the result."""
         # Phase ①: KV replica writes + combined-bucket read, one batch.
-        self.fabric.trace_phase("insert.kv_write+bucket_read")
+        if self.fabric.tracer is not None:
+            self.fabric.tracer.phase("insert.kv_write+bucket_read")
         view = yield from self._read_buckets(meta,
                                              extra_ops=prepared.write_ops)
         if not self.config.embedded_log:
@@ -835,7 +848,8 @@ class FuseeClient:
                 raise IndexFullError(
                     f"subtable {meta.subtable} full and expansion failed")
             meta = self.race.key_meta(key)
-            self.fabric.trace_phase("insert.bucket_reread")
+            if self.fabric.tracer is not None:
+                self.fabric.tracer.phase("insert.bucket_reread")
             view = yield from self._read_buckets(meta)
             if view is None:
                 return OpResult(ok=False, error="index unavailable")
@@ -873,7 +887,8 @@ class FuseeClient:
                 return OpResult(ok=True, outcome=result.outcome)
             self._retry()
             if not empties:
-                self.fabric.trace_phase("insert.bucket_reread")
+                if self.fabric.tracer is not None:
+                    self.fabric.tracer.phase("insert.bucket_reread")
                 view = yield from self._read_buckets(meta)
                 if view is None:
                     break
@@ -905,7 +920,8 @@ class FuseeClient:
         slot — batched in one post, so readers never see a committed
         duplicate.
         """
-        self.fabric.trace_phase("insert.dedup_check")
+        if self.fabric.tracer is not None:
+            self.fabric.tracer.phase("insert.dedup_check")
         view = yield from self._read_buckets(meta)
         if view is None:
             # Bucket read failed (primary crashed mid-failover): keep the
@@ -952,7 +968,8 @@ class FuseeClient:
                 if not self.fabric.nodes[mn_id].crashed:
                     ops.append(CasOp(mn_id, addr, expected=word, swap=0))
         if ops:
-            self.fabric.trace_phase("insert.dedup_clear")
+            if self.fabric.tracer is not None:
+                self.fabric.tracer.phase("insert.dedup_clear")
             yield self.fabric.post(ops)
         return verdict == "win"
 
@@ -1107,7 +1124,8 @@ class FuseeClient:
         if v_old != 0:
             ops = self._invalidate_object_ops(v_old)
             if ops:
-                self.fabric.trace_phase("cleanup.invalidate")
+                if self.fabric.tracer is not None:
+                    self.fabric.tracer.phase("cleanup.invalidate")
                 self.fabric.post(ops, unsignaled=True)
             self.allocator.note_free(unpack_slot(v_old).pointer)
         if opcode == OP_DELETE:
@@ -1124,13 +1142,10 @@ class FuseeClient:
         :data:`_UNAVAILABLE` when transport timeouts left its presence
         unknown (generator).
         """
-        entry, bypassed = self.cache.lookup_for_access(key)
+        entry = self.cache.lookup_for_access(key)
         if entry is not None:
-            # Re-materialise the ref: the master may have reconfigured the
-            # subtable placement since this entry was cached (§5.2).
-            ref = self.race.slot_ref(entry.slot_ref.subtable,
-                                     entry.slot_ref.slot_index)
-            if bypassed:
+            ref = self.race.current_ref(entry.slot_ref)
+            if entry.bypassed:
                 word, status, _value = yield from self._probe_slot(
                     key, meta, ref, kv_write_ops, "write.locate_bypass")
                 located = _as_located(ref, word, status)
@@ -1141,16 +1156,18 @@ class FuseeClient:
                 kv_write_ops = []  # the KV writes were posted by the probe
                 entry = None
         if entry is not None:
-            # The 1-RTT cached probe; see _search_via_cache for why the
+            # The 1-RTT cached probe; see _search_stale for why the
             # two are not one.
-            slot = unpack_slot(entry.slot_word)
-            primary_mn, primary_addr = ref.primary()
-            kv_read = self._kv_read_op(slot.pointer, slot.block_bytes)
-            if not self.fabric.nodes[primary_mn].crashed and kv_read:
+            word = entry.slot_word
+            slot_read = ref.primary_read
+            kv_read = self._kv_read_op(
+                word & _POINTER_MASK, (word >> 48 & 0xFF) * SLOT_LEN_UNIT)
+            if not self.fabric.nodes[slot_read.mn_id].crashed and kv_read:
                 batch = list(kv_write_ops)
-                batch.append(ReadOp(primary_mn, primary_addr, 8))
+                batch.append(slot_read)
                 batch.append(kv_read)
-                self.fabric.trace_phase("write.locate_cached")
+                if self.fabric.tracer is not None:
+                    self.fabric.tracer.phase("write.locate_cached")
                 comps = yield self.fabric.post(batch)
                 timed_out = False
                 for c in comps:
@@ -1165,7 +1182,7 @@ class FuseeClient:
                 slot_comp, kv_comp = comps[-2], comps[-1]
                 if not slot_comp.failed:
                     word_now = int.from_bytes(slot_comp.value, "big")
-                    if (word_now == entry.slot_word and not kv_comp.failed
+                    if (word_now == word and not kv_comp.failed
                             and match_kv(kv_comp.value, key)[0]
                             in KV_HOLDS_KEY):
                         return ref, word_now
@@ -1199,15 +1216,16 @@ class FuseeClient:
         generator is made on the op path), else `_wait_out_barriers`,
         which evaluates to True."""
         master = self.master
-        if master is None or master.blocked_barrier(subtable) is None:
+        if master is None or master.barriers.get(subtable) is None:
             return ()
         return self._wait_out_barriers(subtable)
 
     def _wait_out_barriers(self, subtable: int):
-        barrier = self.master.blocked_barrier(subtable)
+        barriers = self.master.barriers
+        barrier = barriers.get(subtable)
         while barrier is not None:
             yield barrier
-            barrier = self.master.blocked_barrier(subtable)
+            barrier = barriers.get(subtable)
         return True
 
     def _escalate(self, ref: SlotRef, v_old: int):

@@ -147,7 +147,9 @@ class Master:
         self.cpu = Resource(env, capacity=CPU_CORES, label="master.cpu")
         self.epoch = 0
         self.handled_mn_failures: List[int] = []
-        self._blocked: Dict[int, Event] = {}
+        # subtable -> the barrier event clients wait on while the master
+        # repairs (Algorithm 3) or splits that subtable; empty otherwise
+        self.barriers: Dict[int, Event] = {}
         self._detector_proc = None
         # installed by the cluster: (new_id, n_replicas) -> placement
         self.subtable_allocator = None
@@ -192,10 +194,6 @@ class Master:
                     self.env.process(self.handle_mn_failure(mn_id),
                                      name=f"mn-failover-{mn_id}")
 
-    def blocked_barrier(self, subtable: int) -> Optional[Event]:
-        """Event clients wait on while the master repairs a subtable."""
-        return self._blocked.get(subtable)
-
     # --------------------------------------------------- MN crash (Algorithm 3)
     def handle_mn_failure(self, mn_id: int):
         """Algorithm 3: block, repair all affected slots, reconfigure."""
@@ -205,19 +203,20 @@ class Master:
         affected = self.race.subtables_on(mn_id)
         barriers = {}
         for subtable in affected:
-            if subtable not in self._blocked:
+            if subtable not in self.barriers:
                 barrier = self.env.event()
-                self._blocked[subtable] = barrier
+                self.barriers[subtable] = barrier
                 barriers[subtable] = barrier
         # member_prepare_change: wait out the lease so no client holding the
         # old membership view can still modify the crashed slots.
         yield self.env.timeout(LEASE_US)
         for subtable in list(barriers):
-            self.fabric.trace_phase("failover.repair_subtable")
+            if self.fabric.tracer is not None:
+                self.fabric.tracer.phase("failover.repair_subtable")
             yield from self._repair_subtable(subtable)
         self.epoch += 1
         for subtable, barrier in barriers.items():
-            del self._blocked[subtable]
+            del self.barriers[subtable]
             barrier.succeed(self.epoch)
         if span is not None:
             tracer.end_span(span, ok=True, outcome="reconfigured")
@@ -306,7 +305,7 @@ class Master:
 
     def _request_expand(self, subtable: int):
         yield self.env.timeout(RPC_ONE_WAY_US)
-        barrier = self._blocked.get(subtable)
+        barrier = self.barriers.get(subtable)
         if barrier is not None:
             yield barrier  # a split (or failover) is already in flight
             yield self.env.timeout(RPC_ONE_WAY_US)
@@ -327,16 +326,16 @@ class Master:
         """
         if self.subtable_allocator is None:
             return False
-        if subtable in self._blocked:
-            yield self._blocked[subtable]
+        if subtable in self.barriers:
+            yield self.barriers[subtable]
             return True
         barrier = self.env.event()
-        self._blocked[subtable] = barrier
+        self.barriers[subtable] = barrier
         try:
             yield self.env.timeout(LEASE_US)
             ok = yield from self._do_split(subtable)
         finally:
-            del self._blocked[subtable]
+            del self.barriers[subtable]
             self.epoch += 1
             barrier.succeed(self.epoch)
         if ok:
@@ -488,7 +487,7 @@ class Master:
         # membership change") — either the repair barrier, or one detector
         # period if the barrier is not up yet.
         for _ in range(1000):
-            barrier = self._blocked.get(ref.subtable)
+            barrier = self.barriers.get(ref.subtable)
             if barrier is not None:
                 yield barrier
                 continue
@@ -530,7 +529,8 @@ class Master:
         t1 = self.env.now
         scan_span = (tracer.begin_span("recover.metadata_scan", cid)
                      if tracer is not None else None)
-        self.fabric.trace_phase("recover.read_heads")
+        if self.fabric.tracer is not None:
+            self.fabric.tracer.phase("recover.read_heads")
         heads = yield from self._read_heads(cid)
         if scan_span is not None:
             tracer.end_span(scan_span, ok=True)
@@ -542,7 +542,8 @@ class Master:
         t2 = self.env.now
         replay_span = (tracer.begin_span("recover.log_replay", cid)
                        if tracer is not None else None)
-        self.fabric.trace_phase("recover.walk_log")
+        if self.fabric.tracer is not None:
+            self.fabric.tracer.phase("recover.walk_log")
         walker = LogWalker(self.fabric, self.region_map, self.size_classes)
         chains: Dict[int, List[WalkedObject]] = {}
         terminators: Dict[int, WalkedObject] = {}
@@ -565,7 +566,8 @@ class Master:
         # broken is a *chain end* — a potentially-crashed request, safe to
         # over-approximate because every repair below is guarded.
         t3 = self.env.now
-        self.fabric.trace_phase("recover.repair_requests")
+        if self.fabric.tracer is not None:
+            self.fabric.tracer.phase("recover.repair_requests")
         blocks, objects = yield from self._scan_owned_objects(cid)
         used_objects: Dict[int, Set[int]] = {}
         for gaddr, obj in objects.items():
@@ -603,7 +605,8 @@ class Master:
 
         # Step 5: reconstruct the free lists from block tables and bitmaps.
         t4 = self.env.now
-        self.fabric.trace_phase("recover.free_lists")
+        if self.fabric.tracer is not None:
+            self.fabric.tracer.phase("recover.free_lists")
         yield from self._construct_free_lists(cid, used_objects, heads,
                                               chains, state, report, blocks)
         report.construct_free_list_us = self.env.now - t4

@@ -35,7 +35,7 @@ from __future__ import annotations
 import hashlib
 import struct as _struct
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..rdma import ReadOp
 from .wire import SLOT_SIZE, Slot, make_fingerprint, unpack_slot
@@ -128,15 +128,23 @@ class KeyMeta:
 
 
 class SlotRef:
-    """Identity of one logical slot across all index replicas."""
+    """Identity of one logical slot across all index replicas.
 
-    __slots__ = ("subtable", "slot_index", "placement")
+    ``primary_read`` is the READ of the slot's primary word (a verb is an
+    immutable value), made when a cached access first asks
+    :meth:`RaceHashing.current_ref` for the ref, and None before: every
+    cached access posts it, while a bulk load makes a ref per key and
+    never reads one.
+    """
+
+    __slots__ = ("subtable", "slot_index", "placement", "primary_read")
 
     def __init__(self, subtable: int, slot_index: int,
                  placement: Tuple[Tuple[int, int], ...]):
         self.subtable = subtable
         self.slot_index = slot_index  # within the subtable's slot array
         self.placement = placement    # ((mn_id, subtable base), ...)
+        self.primary_read: Optional[ReadOp] = None
 
     def _fields(self) -> tuple:
         return (self.subtable, self.slot_index, self.placement)
@@ -405,6 +413,18 @@ class RaceHashing:
             raise IndexError(f"slot index {slot_index} out of range")
         ref = SlotRef(subtable, slot_index, self._placements[subtable])
         self._slot_ref_cache[(subtable, slot_index)] = ref
+        return ref
+
+    def current_ref(self, ref: SlotRef) -> SlotRef:
+        """The ref a cached access posts through, its ``primary_read``
+        made: ``ref`` itself while its subtable keeps the placement
+        ``ref`` was made with, else the same slot's ref under the current
+        one — the master may have reconfigured the placement since a
+        client cached ``ref`` (§5.2)."""
+        if ref.placement is not self._placements[ref.subtable]:
+            ref = self.slot_ref(ref.subtable, ref.slot_index)
+        if ref.primary_read is None:
+            ref.primary_read = ReadOp(*ref.primary(), SLOT_SIZE)
         return ref
 
     def _combined_ranges(self, meta: KeyMeta) -> Tuple[Tuple[int, int], ...]:

@@ -32,7 +32,9 @@ sampled into the ``kv_read_skew`` metrics series.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
+
+from ..rdma import ReadOp
 
 __all__ = ["ReplicaReadPolicy", "READ_SPREAD_MODES"]
 
@@ -45,14 +47,26 @@ SUSPECT_WINDOW_US = 500.0
 class ReplicaReadPolicy:
     """Per-client choice of which alive data replica serves a KV READ."""
 
-    def __init__(self, fabric, mode: str = "primary", cid: int = 0):
+    def __init__(self, fabric, region_map, mode: str = "primary",
+                 cid: int = 0):
         if mode not in READ_SPREAD_MODES:
             raise ValueError(f"unknown read_spread mode {mode!r}; "
                              f"pick from {READ_SPREAD_MODES}")
         self.fabric = fabric
+        self.region_map = region_map
         self.mode = mode
         self._rr = cid  # seeded rotation offset: clients start staggered
         self._suspects: Dict[int, float] = {}
+        self._primary = mode == "primary"
+        # What read_op reads per READ, bound once (none is ever rebound):
+        # the region map's placement table and the split of an address
+        # into region id and offset, walked in place in primary mode, and
+        # the fabric's nodes and read counter.
+        self._placements = region_map.placements
+        self._shift = region_map.config.region_shift
+        self._mask = region_map.config.offset_mask
+        self._nodes = fabric.nodes
+        self._reads = fabric.stats.kv_replica_reads
 
     def note_timeout(self, mn_id: int) -> None:
         """Deprioritise a replica whose READ just timed out."""
@@ -67,26 +81,51 @@ class ReplicaReadPolicy:
                  if self._suspects.get(c[0], -1.0) <= now]
         return fresh or candidates
 
-    def choose(self, candidates: List[Tuple[int, int]]) -> Tuple[int, int]:
-        """Pick one ``(mn_id, addr)`` from alive replicas, primary first."""
-        if self.mode == "primary" or len(candidates) == 1:
-            choice = candidates[0]
+    def read_op(self, gaddr: int, nbytes: int) -> Optional[ReadOp]:
+        """The READ of ``nbytes`` of the KV block at ``gaddr`` from the
+        alive replica this policy picks, or None when none is alive.
+
+        ``primary`` takes the first alive replica in placement order
+        without listing the others (the cached SEARCH runs this per op);
+        the spreading modes choose among all alive replicas.
+        """
+        if self._primary:
+            # live_replicas(gaddr, nodes)[0], without building the list
+            nodes = self._nodes
+            for mn_id, base in self._placements[gaddr >> self._shift]:
+                if not nodes[mn_id].crashed:
+                    break
+            else:
+                return None
+            addr = base + (gaddr & self._mask)
         else:
-            usable = self._fresh(candidates)
-            if self.mode == "round_robin":
-                choice = usable[self._rr % len(usable)]
-                self._rr += 1
-            else:  # least_loaded
-                now = self.fabric.env.now
-                choice = None
-                best = None
-                for index, cand in enumerate(usable):
-                    # total queued tx work across the node's ports —
-                    # identical to nic_tx.backlog on single-queue MNs
-                    backlog = self.fabric.node(cand[0]).tx_backlog(now)
-                    rank = (backlog, index)
-                    if best is None or rank < best:
-                        choice, best = cand, rank
-        reads = self.fabric.stats.kv_replica_reads
-        reads[choice[0]] = reads.get(choice[0], 0) + 1
+            candidates = self.region_map.live_replicas(gaddr, self._nodes)
+            if not candidates:
+                return None
+            mn_id, addr = self._spread(candidates)
+        reads = self._reads
+        reads[mn_id] = reads.get(mn_id, 0) + 1
+        return ReadOp(mn_id, addr, nbytes)
+
+    def _spread(self, candidates: List[Tuple[int, int]]) -> Tuple[int, int]:
+        """Pick one ``(mn_id, addr)`` from alive replicas, primary first:
+        rotating (``round_robin``) or by tx backlog (``least_loaded``)
+        over the replicas not suspected."""
+        if len(candidates) == 1:
+            return candidates[0]
+        usable = self._fresh(candidates)
+        if self.mode == "round_robin":
+            choice = usable[self._rr % len(usable)]
+            self._rr += 1
+            return choice
+        now = self.fabric.env.now
+        choice = None
+        best = None
+        for index, cand in enumerate(usable):
+            # total queued tx work across the node's ports —
+            # identical to nic_tx.backlog on single-queue MNs
+            backlog = self.fabric.node(cand[0]).tx_backlog(now)
+            rank = (backlog, index)
+            if best is None or rank < best:
+                choice, best = cand, rank
         return choice

@@ -236,7 +236,8 @@ def swarm_write(fabric: Fabric, ref: SlotRef, v_old: int, v_new: int,
     locations = ref.locations()  # primary first
     if phase_guard is not None:
         yield from phase_guard()
-    fabric.trace_phase("repl.swarm_broadcast")
+    if fabric.tracer is not None:
+        fabric.tracer.phase("repl.swarm_broadcast")
     comps = yield fabric.post([CasOp(mn, addr, expected=v_old, swap=v_new)
                                for mn, addr in locations])
     rtts = 1
@@ -278,7 +279,8 @@ def swarm_write(fabric: Fabric, ref: SlotRef, v_old: int, v_new: int,
         # "primary still holds v_new" a sound licence to CAS.
         if phase_guard is not None:
             yield from phase_guard()
-        fabric.trace_phase("repl.swarm_recheck")
+        if fabric.tracer is not None:
+            fabric.tracer.phase("repl.swarm_recheck")
         check = yield fabric.post_one(ReadOp(primary_mn, primary_addr, 8))
         rtts += 1
         if check.failed:
@@ -287,7 +289,8 @@ def swarm_write(fabric: Fabric, ref: SlotRef, v_old: int, v_new: int,
             break  # a later round committed; its winner converges
         if phase_guard is not None:
             yield from phase_guard()
-        fabric.trace_phase("repl.swarm_fixup")
+        if fabric.tracer is not None:
+            fabric.tracer.phase("repl.swarm_fixup")
         fix_comps = yield fabric.post(
             [CasOp(mn, addr, expected=seen, swap=v_new)
              for (mn, addr), seen in divergent])
@@ -331,7 +334,8 @@ def swarm_read(fabric: Fabric, ref: SlotRef, rotation: int = 0,
     primary = locations[0]
     rtts = 0
     if len(locations) == 1:
-        fabric.trace_phase("read.swarm_local")
+        if fabric.tracer is not None:
+            fabric.tracer.phase("read.swarm_local")
         comp = yield fabric.post_one(ReadOp(primary[0], primary[1], 8))
         if comp.failed:
             return ReadResult(value=None, from_backups=False, rtts=1)
@@ -346,7 +350,8 @@ def swarm_read(fabric: Fabric, ref: SlotRef, rotation: int = 0,
             key=lambda pair: (fabric.node(pair[1][0]).tx_backlog(now),
                               (pair[0] + rotation) % len(backups)))[1]
         for _ in range(max_validate_rounds):
-            fabric.trace_phase("read.swarm_local")
+            if fabric.tracer is not None:
+                fabric.tracer.phase("read.swarm_local")
             comps = yield fabric.post([ReadOp(chosen[0], chosen[1], 8),
                                        ReadOp(primary[0], primary[1], 8)])
             rtts += 1
@@ -366,7 +371,8 @@ def swarm_read(fabric: Fabric, ref: SlotRef, rotation: int = 0,
     alive = [loc for loc in locations if not fabric.node(loc[0]).crashed]
     if not alive:
         return ReadResult(value=None, from_backups=True, rtts=rtts)
-    fabric.trace_phase("read.swarm_majority")
+    if fabric.tracer is not None:
+        fabric.tracer.phase("read.swarm_majority")
     comps = yield fabric.post([ReadOp(mn, addr, 8) for mn, addr in alive])
     rtts += 1
     values = {int.from_bytes(c.value, "big") for c in comps if not c.failed}

@@ -153,7 +153,8 @@ def snapshot_read(fabric: Fabric, ref: SlotRef):
     (``value=None``).
     """
     primary_mn, primary_addr = ref.primary()
-    fabric.trace_phase("read.primary")
+    if fabric.tracer is not None:
+        fabric.tracer.phase("read.primary")
     comp = yield fabric.post_one(ReadOp(primary_mn, primary_addr, 8))
     if not comp.failed:
         return ReadResult(value=int.from_bytes(comp.value, "big"),
@@ -161,7 +162,8 @@ def snapshot_read(fabric: Fabric, ref: SlotRef):
     backups = ref.backups()
     if not backups:
         return ReadResult(value=None, from_backups=False, rtts=1)
-    fabric.trace_phase("read.backups")
+    if fabric.tracer is not None:
+        fabric.tracer.phase("read.backups")
     comps = yield fabric.post([ReadOp(mn, addr, 8) for mn, addr in backups])
     values = {int.from_bytes(c.value, "big") for c in comps if not c.failed}
     if len(values) == 1:
@@ -197,7 +199,8 @@ def snapshot_write(fabric: Fabric, ref: SlotRef, v_old: int, v_new: int,
             yield from on_win(v_old)
             rtts += 1
         primary_mn, primary_addr = ref.primary()
-        fabric.trace_phase("repl.primary_cas")
+        if fabric.tracer is not None:
+            fabric.tracer.phase("repl.primary_cas")
         comp = yield fabric.post_one(CasOp(primary_mn, primary_addr,
                                            expected=v_old, swap=v_new))
         rtts += 1
@@ -215,7 +218,8 @@ def snapshot_write(fabric: Fabric, ref: SlotRef, v_old: int, v_new: int,
     # generator per phase even with no guard installed.
     if phase_guard is not None:
         yield from phase_guard()
-    fabric.trace_phase("repl.backup_cas")
+    if fabric.tracer is not None:
+        fabric.tracer.phase("repl.backup_cas")
     comps = yield fabric.post([CasOp(mn, addr, expected=v_old, swap=v_new)
                                for mn, addr in backups])
     rtts += 1
@@ -235,7 +239,8 @@ def snapshot_write(fabric: Fabric, ref: SlotRef, v_old: int, v_new: int,
     decision = evaluate_rules(v_list, v_new)
     if decision is RuleDecision.NEED_CHECK:
         primary_mn, primary_addr = ref.primary()
-        fabric.trace_phase("repl.rule3_check")
+        if fabric.tracer is not None:
+            fabric.tracer.phase("repl.rule3_check")
         comp = yield fabric.post_one(ReadOp(primary_mn, primary_addr, 8))
         rtts += 1
         check = FAIL if comp.failed else int.from_bytes(comp.value, "big")
@@ -260,7 +265,8 @@ def snapshot_write(fabric: Fabric, ref: SlotRef, v_old: int, v_new: int,
             if fix:
                 if phase_guard is not None:
                     yield from phase_guard()
-                fabric.trace_phase("repl.fixup")
+                if fabric.tracer is not None:
+                    fabric.tracer.phase("repl.fixup")
                 fix_comps = yield fabric.post(fix)
                 rtts += 1
                 if any(c.failed for c in fix_comps):
@@ -272,7 +278,8 @@ def snapshot_write(fabric: Fabric, ref: SlotRef, v_old: int, v_new: int,
         if phase_guard is not None:
             yield from phase_guard()
         primary_mn, primary_addr = ref.primary()
-        fabric.trace_phase("repl.primary_cas")
+        if fabric.tracer is not None:
+            fabric.tracer.phase("repl.primary_cas")
         comp = yield fabric.post_one(CasOp(primary_mn, primary_addr,
                                            expected=v_old, swap=v_new))
         rtts += 1
@@ -289,7 +296,8 @@ def snapshot_write(fabric: Fabric, ref: SlotRef, v_old: int, v_new: int,
     for _ in range(max_wait_rounds):
         yield env.attributed_timeout(retry_sleep_us, "backoff",
                                      "write.wait_primary")
-        fabric.trace_phase("repl.wait_primary")
+        if fabric.tracer is not None:
+            fabric.tracer.phase("repl.wait_primary")
         comp = yield fabric.post_one(ReadOp(primary_mn, primary_addr, 8))
         rtts += 1
         if comp.failed:
@@ -332,8 +340,9 @@ def sequential_write(fabric: Fabric, ref: SlotRef, v_old: int, v_new: int,
             rtts += 1
         if (yield from held_mid_round()):
             return WriteResult(Outcome.NEED_MASTER, v_old, v_new, None, rtts)
-        fabric.trace_phase("repl.seq_primary_cas" if is_primary
-                           else "repl.seq_backup_cas")
+        if fabric.tracer is not None:
+            fabric.tracer.phase("repl.seq_primary_cas" if is_primary
+                                else "repl.seq_backup_cas")
         comp = yield fabric.post_one(CasOp(mn, addr, expected=v_old,
                                            swap=v_new))
         rtts += 1
@@ -347,7 +356,8 @@ def sequential_write(fabric: Fabric, ref: SlotRef, v_old: int, v_new: int,
                                        None, rtts)
                 undo = [CasOp(mn2, addr2, expected=v_new, swap=v_old)
                         for mn2, addr2 in committed]
-                fabric.trace_phase("repl.seq_undo")
+                if fabric.tracer is not None:
+                    fabric.tracer.phase("repl.seq_undo")
                 yield fabric.post(undo)
                 rtts += 1
             return WriteResult(Outcome.LOSE, v_old, v_new, comp.value, rtts)

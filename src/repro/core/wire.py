@@ -38,7 +38,7 @@ Formats (all integers big-endian):
 from __future__ import annotations
 
 import struct
-import zlib
+from zlib import crc32
 
 __all__ = [
     "SLOT_SIZE",
@@ -96,6 +96,7 @@ _POINTER_MASK = (1 << 48) - 1
 FLAG_INVALID = 0x01
 
 _KV_HEADER = struct.Struct(">BHLL5x")
+_unpack_kv_header = _KV_HEADER.unpack_from
 # next ptr and prev ptr (48 bits each, as 16 + 32), old value, crc,
 # opcode|used
 _LOG_ENTRY = struct.Struct(">HIHIQBB")
@@ -272,7 +273,7 @@ def encode_kv_body(key: bytes, value: bytes) -> bytes:
 def _kv_header(key: bytes, value: bytes) -> bytes:
     # the CRC of key + value, chained rather than over a concatenated copy
     return _KV_HEADER.pack(0, len(key), len(value),
-                           zlib.crc32(value, zlib.crc32(key)))
+                           crc32(value, crc32(key)))
 
 
 def _split_payload(data: bytes):
@@ -281,13 +282,14 @@ def _split_payload(data: bytes):
     if len(data) < KV_HEADER_SIZE:
         raise ValueError("block too small")
     flags, key_len, value_len, crc = _KV_HEADER.unpack_from(data, 0)
-    end = KV_HEADER_SIZE + key_len + value_len
+    start = KV_HEADER_SIZE + key_len
+    end = start + value_len
     if end > len(data):
         raise ValueError("header lengths exceed payload")
-    body = bytes(data[KV_HEADER_SIZE:end])
-    if zlib.crc32(body) & 0xFFFFFFFF != crc:
+    if crc32(data[KV_HEADER_SIZE:end]) != crc:
         raise ValueError("KV body CRC mismatch")
-    return flags, body[:key_len], body[key_len:], crc
+    return (flags, bytes(data[KV_HEADER_SIZE:start]), bytes(data[start:end]),
+            crc)
 
 
 def decode_kv_payload(data: bytes):
@@ -326,14 +328,24 @@ def match_kv(image: bytes, key: bytes):
     :data:`KV_INVALID` / :data:`KV_LIVE` for the key's own pair with and
     without the invalidation flag.  ``value`` is the pair's value for the
     last two and None otherwise.
+
+    Run on every KV block a SEARCH reads, so the checks work on the image
+    itself: the CRC over one slice of it, the key compared in place, and
+    the value sliced out only for the key's own pair.
     """
     try:
-        flags, kv_key, value, _crc = _split_payload(image)
-    except ValueError:
+        flags, key_len, value_len, crc = _unpack_kv_header(image)
+    except struct.error:    # shorter than a header
         return KV_TORN, None
-    if kv_key != key:
+    start = KV_HEADER_SIZE + key_len
+    end = start + value_len
+    if end > len(image) or crc32(image[KV_HEADER_SIZE:end]) != crc:
+        return KV_TORN, None
+    if image[KV_HEADER_SIZE:start] != key:
         return KV_OTHER_KEY, None
-    return (KV_INVALID if flags & FLAG_INVALID else KV_LIVE), value
+    # bytes() hands a bytes slice back as it is, and copies a view's
+    return ((KV_INVALID if flags & FLAG_INVALID else KV_LIVE),
+            bytes(image[start:end]))
 
 
 def decode_kv_block(data: bytes):
@@ -351,7 +363,7 @@ def decode_kv_block(data: bytes):
         raise ValueError("header lengths exceed block")
     key = bytes(data[KV_HEADER_SIZE:KV_HEADER_SIZE + key_len])
     value = bytes(data[KV_HEADER_SIZE + key_len:end])
-    if zlib.crc32(key + value) & 0xFFFFFFFF != crc:
+    if crc32(key + value) & 0xFFFFFFFF != crc:
         raise ValueError("KV body CRC mismatch")
     header = KvHeader(invalid=bool(flags & FLAG_INVALID),
                       key_len=key_len, value_len=value_len, crc32=crc)

@@ -72,8 +72,8 @@ def _drive(env: Environment, clients: Sequence, source_factory: Callable,
     result = RunResult(ops=0, duration_us=duration_us - warmup_us)
     buckets: Dict[int, int] = {}
 
-    def record(op: str, tenant: Optional[str], began: float,
-               ok: bool) -> None:
+    def record(op: str, tenant: Optional[str], began: float, ok) -> None:
+        # ``ok``: what ``execute`` returned, truthy on success
         now = env._now
         if now < measure_from or now > deadline:
             return
@@ -141,7 +141,7 @@ def _closed_client(env, client, workload, execute, start, deadline, record):
         except StopLoop:
             return
         if measured:
-            record(op, None, began, bool(ok))
+            record(op, None, began, ok)
 
 
 def _paced_client(env, client, stream, execute, start, deadline, record):
@@ -158,8 +158,7 @@ def _paced_client(env, client, stream, execute, start, deadline, record):
                                     arrival.value)
         except StopLoop:
             return
-        record(arrival.op, getattr(arrival, "tenant", None), began,
-               bool(ok))
+        record(arrival.op, getattr(arrival, "tenant", None), began, ok)
 
 
 def run_closed_loop(env: Environment,

@@ -184,7 +184,12 @@ def fusee_bed(n_memory_nodes: int = 2,
         return client
 
     def load(items):
-        return fusee_load(cluster, loader_client, items)
+        try:
+            return fusee_load(cluster, loader_client, items)
+        finally:
+            # The loader runs no op, so the entries it cached (one per
+            # key) would only hold memory for the rest of the run.
+            loader_client.cache.clear()
 
     return SystemBed(name=variant, env=cluster.env, cluster=cluster,
                      new_client=new_client, execute=_fusee_execute,

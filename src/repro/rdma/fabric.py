@@ -62,6 +62,11 @@ _new_completion = object.__new__
 _NEVER = float("-inf")
 
 
+#: The attributes of a :class:`Fabric` that hold its observers, each
+#: mirrored onto every :class:`QpFabric` view.
+_OBSERVERS = frozenset(("tracer", "injector", "monitor"))
+
+
 def _mix64(x: int) -> int:
     """SplitMix64 finaliser: a stable, platform-independent integer hash.
 
@@ -198,6 +203,8 @@ class Fabric:
 
     def __init__(self, env: Environment, config: FabricConfig | None = None,
                  tracer=None):
+        # The queue-pair views (`bind_qp`); each mirrors the observers.
+        self._views: List[QpFabric] = []
         self.env = env
         self.config = config or FabricConfig()
         self.nodes: Dict[int, MemoryNode] = {}
@@ -230,10 +237,14 @@ class Fabric:
         self._verb_cache: Dict[tuple, float] = {}
         self._lanes: Dict[tuple, tuple] = {}
 
-    def trace_phase(self, name: str) -> None:
-        """Label the current operation's next batches (no-op untraced)."""
-        if self.tracer is not None:
-            self.tracer.phase(name)
+    def __setattr__(self, name: str, value) -> None:
+        # An observer attached or detached here reaches every queue-pair
+        # view at once, so a view holds it as a plain slot and a client
+        # reads it with no Python frame (several reads per KV op).
+        object.__setattr__(self, name, value)
+        if name in _OBSERVERS:
+            for view in self._views:
+                object.__setattr__(view, name, value)
 
     # -- topology ------------------------------------------------------------
     def add_node(self, node: MemoryNode) -> None:
@@ -250,7 +261,9 @@ class Fabric:
     # -- multi-queue port selection -------------------------------------------
     def bind_qp(self, qp: int) -> "QpFabric":
         """A client-side view of this fabric bound to queue pair ``qp``."""
-        return QpFabric(self, qp)
+        view = QpFabric(self, qp)
+        self._views.append(view)
+        return view
 
     def _port_for(self, node: MemoryNode, tx: bool, qp: int,
                   salt: int = 0):
@@ -893,14 +906,14 @@ class QpFabric:
     Clients receive one of these instead of the raw fabric: it exposes
     the same API but stamps this QP's identity on every ``post`` /
     ``post_one`` / ``rpc``, which is what multi-queue port affinity
-    hashes on.  Everything else (stats, topology, the observers)
-    delegates to the underlying fabric, so helper code that only reads
-    fabric state works unchanged.  At ``num_ports=1`` the identity is
-    inert and behaviour is byte-identical to the raw fabric.
+    hashes on.  Everything else (stats, topology) delegates to the
+    underlying fabric, whose observers it mirrors, so helper code that
+    only reads fabric state works unchanged.  At ``num_ports=1`` the
+    identity is inert and behaviour is byte-identical to the raw fabric.
     """
 
-    __slots__ = ("_fabric", "qp", "trace_phase", "node", "env", "stats",
-                 "nodes", "config")
+    __slots__ = ("_fabric", "qp", "node", "env", "stats", "nodes", "config",
+                 "tracer", "injector", "monitor")
 
     def __init__(self, fabric: Fabric, qp: int):
         self._fabric = fabric
@@ -908,26 +921,16 @@ class QpFabric:
         # Pre-bound hot methods (a delegating property would manufacture
         # a new bound method on every access, several per KV op) and the
         # attributes a Fabric never rebinds, read with no call.
-        self.trace_phase = fabric.trace_phase
         self.node = fabric.node
         self.env = fabric.env
         self.stats = fabric.stats
         self.nodes = fabric.nodes
         self.config = fabric.config
-
-    # The observers are attached and detached at any time: properties, so
-    # a lookup skips the __getattr__ miss path and still sees the change.
-    @property
-    def tracer(self):
-        return self._fabric.tracer
-
-    @property
-    def injector(self):
-        return self._fabric.injector
-
-    @property
-    def monitor(self):
-        return self._fabric.monitor
+        # The observers, as attached now; the fabric sets every view's
+        # copy whenever one is attached or detached (Fabric.__setattr__).
+        self.tracer = fabric.tracer
+        self.injector = fabric.injector
+        self.monitor = fabric.monitor
 
     def post(self, ops: Sequence[Verb], unsignaled: bool = False) -> Event:
         return self._fabric.post(ops, unsignaled, self.qp)

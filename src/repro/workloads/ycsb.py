@@ -67,6 +67,8 @@ class ZipfianGenerator:
         self._eta = 1.0 if n <= 2 else (
             (1.0 - math.pow(2.0 / n, 1.0 - theta))
             / (1.0 - self._zeta2 / self._zetan))
+        # below this, a scaled draw is rank 1 (rank 0 below 1.0)
+        self._rank1_below = 1.0 + math.pow(0.5, theta)
 
     @staticmethod
     @functools.cache
@@ -80,10 +82,9 @@ class ZipfianGenerator:
         uz = u * self._zetan
         if uz < 1.0:
             return 0
-        if uz < 1.0 + math.pow(0.5, self.theta):
+        if uz < self._rank1_below:
             return 1
-        return int(self.n * math.pow(self._eta * u - self._eta + 1.0,
-                                     self._alpha))
+        return int(self.n * (self._eta * u - self._eta + 1.0) ** self._alpha)
 
     def __iter__(self) -> Iterator[int]:
         while True:
@@ -209,6 +210,11 @@ class YcsbWorkload:
         self.config = config
         self._tag = seed & 0xFFFF  # namespaces this client's fresh inserts
         self._rng = random.Random(seed ^ 0x5DEECE66D)
+        # A scrambled Zipfian stream (the default) draws its rank and
+        # looks it up in the shared scatter table in next_op itself:
+        # ``_rank`` is the Zipfian draw and ``_scattered`` the table.
+        # Read-latest and unscrambled streams go through ``_choose``.
+        self._rank = self._scattered = None
         if config.workload == "D" and config.mix is None:
             self._latest = LatestGenerator(config.n_keys, config.theta,
                                            seed=seed)
@@ -217,11 +223,16 @@ class YcsbWorkload:
             self._latest = None
             cls = ScrambledZipfian if config.scrambled else ZipfianGenerator
             self._chooser = cls(config.n_keys, config.theta, seed=seed)
+            if config.scrambled:
+                self._rank = self._chooser._zipf.next
+                self._scattered = _SCATTER[config.n_keys]
         self._next_insert = config.n_keys
         self._op_serial = 0
         # Per-op hot constants: the config properties re-derive these on
         # every access (value_size even formats a key), so copy once.
-        self._fractions = config.fractions
+        search_f, update_f, _insert_f = config.fractions
+        self._search_f = search_f
+        self._not_insert = search_f + update_f
         self._value_size = config.value_size
         self._n_keys = config.n_keys
 
@@ -234,16 +245,28 @@ class YcsbWorkload:
 
     def next_op(self) -> Tuple[str, bytes, Optional[bytes]]:
         """Returns ``(op, key, value)`` with op in search/update/insert."""
-        search_f, update_f, _insert_f = self._fractions
         r = self._rng.random()
         self._op_serial += 1
-        if r < search_f:
-            return "search", self._key(self._choose()), None
-        if r < search_f + update_f:
-            index = self._choose()
+        if r < self._not_insert:
+            scattered = self._scattered
+            if scattered is None:
+                index = self._choose()
+                if r < self._search_f:
+                    return "search", self._key(index), None
+                key = key_bytes(index)
+            else:
+                # ScrambledZipfian.next, scatter and key_bytes inlined:
+                # the same draw, placed by the same tables
+                rank = self._rank()
+                index = scattered.get(rank)
+                if index is None:
+                    index = scatter(rank, self._n_keys)
+                key = _KEY_BYTES_CACHE.get(index) or key_bytes(index)
+                if r < self._search_f:
+                    return "search", key, None
             value = make_value(self._value_size,
                                salt=index ^ self._op_serial)
-            return "update", key_bytes(index), value
+            return "update", key, value
         index = self._next_insert
         self._next_insert += 1
         if self._latest is not None:

@@ -7,6 +7,11 @@ import pytest
 
 from repro.core import ClusterConfig, FuseeCluster
 from repro.core.client import ClientCrashed, CrashPoint, OpResult
+from repro.core.readpolicy import (
+    READ_SPREAD_MODES,
+    SUSPECT_WINDOW_US,
+    ReplicaReadPolicy,
+)
 from repro.core.snapshot import Outcome
 from repro.core.wire import unpack_slot
 from repro.rdma.verbs import CasOp, ReadOp
@@ -198,6 +203,121 @@ class TestKvReadOp:
         assert client._kv_read_op(gaddr, 64).mn_id == replicas[0][0]
 
 
+class _ReferenceReadPolicy:
+    """The KV-read target as chosen before the cached SEARCH walked the
+    placement in place: ``RegionMap.live_replicas`` then the policy's
+    ``choose`` over the list, kept here verbatim as the reference."""
+
+    def __init__(self, fabric, region_map, mode, cid):
+        self.fabric = fabric
+        self.region_map = region_map
+        self.mode = mode
+        self._rr = cid
+        self._suspects = {}
+
+    def note_timeout(self, mn_id):
+        self._suspects[mn_id] = self.fabric.env.now + SUSPECT_WINDOW_US
+
+    def _fresh(self, candidates):
+        if not self._suspects:
+            return candidates
+        now = self.fabric.env.now
+        fresh = [c for c in candidates
+                 if self._suspects.get(c[0], -1.0) <= now]
+        return fresh or candidates
+
+    def choose(self, candidates):
+        if self.mode == "primary" or len(candidates) == 1:
+            choice = candidates[0]
+        else:
+            usable = self._fresh(candidates)
+            if self.mode == "round_robin":
+                choice = usable[self._rr % len(usable)]
+                self._rr += 1
+            else:
+                now = self.fabric.env.now
+                choice = None
+                best = None
+                for index, cand in enumerate(usable):
+                    backlog = self.fabric.node(cand[0]).tx_backlog(now)
+                    rank = (backlog, index)
+                    if best is None or rank < best:
+                        choice, best = cand, rank
+        reads = self.fabric.stats.kv_replica_reads
+        reads[choice[0]] = reads.get(choice[0], 0) + 1
+        return choice
+
+    def read_op(self, gaddr, nbytes):
+        candidates = self.region_map.live_replicas(gaddr, self.fabric.nodes)
+        if not candidates:
+            return None
+        mn_id, addr = self.choose(candidates)
+        return ReadOp(mn_id, addr, nbytes)
+
+
+class TestKvReadTargetConformance:
+    """``ReplicaReadPolicy.read_op`` picks the replica, and counts it in
+    ``kv_replica_reads``, exactly as ``live_replicas`` + ``choose`` did:
+    every mode x which replica has crashed x with or without a replica
+    inside its suspect window, over enough reads to turn a rotation."""
+
+    @staticmethod
+    def _counted(reads, call):
+        before = dict(reads)
+        op = call()
+        return op, {mn: n - before.get(mn, 0) for mn, n in reads.items()
+                    if n != before.get(mn, 0)}
+
+    @pytest.mark.parametrize("suspect", [False, True],
+                             ids=["no-suspect", "suspect"])
+    @pytest.mark.parametrize("crashed", [None, 0, 1],
+                             ids=["none-crashed", "primary-crashed",
+                                  "backup-crashed"])
+    @pytest.mark.parametrize("mode", READ_SPREAD_MODES)
+    def test_same_target_and_count(self, mode, crashed, suspect):
+        cluster = FuseeCluster(small_config(replication_factor=3))
+        writer = cluster.new_client()
+        assert run(cluster, writer.insert(b"k", b"v")).ok
+        gaddr = unpack_slot(writer.cache.lookup(b"k").slot_word).pointer
+        replicas = cluster.region_map.translate(gaddr)
+        fabric = cluster.fabric
+        policy = ReplicaReadPolicy(fabric, cluster.region_map, mode=mode,
+                                   cid=5)
+        reference = _ReferenceReadPolicy(fabric, cluster.region_map, mode,
+                                         cid=5)
+        # a backlog on the primary's tx port, so least_loaded looks past it
+        fabric.node(replicas[0][0]).nic_tx.finish_time(3.0)
+        if crashed is not None:
+            cluster.crash_memory_node(replicas[crashed][0])
+        if suspect:
+            # the last replica timed out just now: inside its window
+            policy.note_timeout(replicas[-1][0])
+            reference.note_timeout(replicas[-1][0])
+            assert fabric.env.now < policy._suspects[replicas[-1][0]]
+        reads = fabric.stats.kv_replica_reads
+        for _ in range(7):
+            got, got_counts = self._counted(
+                reads, lambda: policy.read_op(gaddr, 128))
+            want, want_counts = self._counted(
+                reads, lambda: reference.read_op(gaddr, 128))
+            assert got == want
+            assert got_counts == want_counts == {got.mn_id: 1}
+
+    @pytest.mark.parametrize("mode", READ_SPREAD_MODES)
+    def test_none_alive_is_no_read_and_no_count(self, mode):
+        cluster = FuseeCluster(small_config(replication_factor=3))
+        writer = cluster.new_client()
+        assert run(cluster, writer.insert(b"k", b"v")).ok
+        gaddr = unpack_slot(writer.cache.lookup(b"k").slot_word).pointer
+        for mn_id, _addr in cluster.region_map.translate(gaddr):
+            cluster.crash_memory_node(mn_id)
+        policy = ReplicaReadPolicy(cluster.fabric, cluster.region_map,
+                                   mode=mode)
+        reads = dict(cluster.fabric.stats.kv_replica_reads)
+        assert policy.read_op(gaddr, 64) is None
+        assert cluster.fabric.stats.kv_replica_reads == reads
+
+
 class TestCrossClient:
     def test_visibility(self, cluster):
         a, b = cluster.new_client(), cluster.new_client()
@@ -374,7 +494,7 @@ class TestVariants:
 
         def spy(ops, *args, **kwargs):
             if not posted:
-                master._blocked[subtable] = barrier
+                master.barriers[subtable] = barrier
             posted.extend(ops)
             return post(ops, *args, **kwargs)
 
@@ -383,7 +503,7 @@ class TestVariants:
         env.run(until=env.now + 200.0)
         assert posted and not update.triggered
         assert not any(isinstance(op, CasOp) for op in posted)
-        del master._blocked[subtable]
+        del master.barriers[subtable]
         barrier.succeed()
         assert env.run(until=update).ok
         assert any(isinstance(op, CasOp) for op in posted)

@@ -95,8 +95,8 @@ def _batched_read_slot_kv(self, key, meta, word, phase=None):
     kv_read = self._kv_read_op(slot.pointer, slot.block_bytes)
     if kv_read is None:
         return mod._KV_UNREAD, None
-    if phase is not None:
-        self.fabric.trace_phase(phase)
+    if phase is not None and self.fabric.tracer is not None:
+        self.fabric.tracer.phase(phase)
     comp, = yield self.fabric.post([kv_read])
     if comp.failed:
         self._note_kv_timeout(comp)

@@ -88,6 +88,19 @@ class TestFuseeLoad:
         run(cluster, proc())
         assert len(found) >= 1
 
+    def test_a_loaded_bed_keeps_no_loader_cache(self):
+        """A bed's own loader client runs no op: the entry it cached per
+        loaded key is dropped when the load returns (or raises)."""
+        bed = fusee_bed(n_memory_nodes=2, dataset_bytes=1 << 20)
+        loader = bed.cluster.clients[0]
+        assert bed.load([(b"k%d" % i, b"v") for i in range(50)]) == 50
+        assert len(loader.cache) == 0 and loader.stats.ops == {}
+        with pytest.raises(ValueError, match="b'k7'"):
+            bed.load([(b"fresh", b"y"), (b"k7", b"w")])
+        assert len(loader.cache) == 0
+        client = bed.new_client()
+        assert bed.cluster.run_op(client.search(b"k7")).value == b"v"
+
     def test_recovery_after_load_and_crash(self, cluster):
         """Loaded state composes with the crash-recovery machinery."""
         from repro.core.client import ClientCrashed, CrashPoint

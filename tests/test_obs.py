@@ -12,6 +12,7 @@ import sys
 import pytest
 
 import repro.obs
+import repro.rdma.fabric
 from repro import ClusterConfig, FuseeCluster, Tracer
 from repro.__main__ import main
 from repro.core.client import ClientCrashed, CrashPoint
@@ -158,14 +159,24 @@ class TestUntracedBed:
         assert cluster.env._profiler is None
 
     def test_untraced_bed_calls_no_observer_code(self):
+        """Nor any fabric frame that would only find the observers absent:
+        a phase label is set by ``tracer.phase`` behind an ``is None``
+        test, and a client's queue-pair view holds the observers as plain
+        slots (no property)."""
         obs_dir = os.path.dirname(repro.obs.__file__) + os.sep
+        fabric_file = repro.rdma.fabric.__file__
+        observer_reads = {"trace_phase", "tracer", "injector", "monitor"}
         config = YcsbConfig(workload="A", n_keys=20)
         calls = []
 
         def watch(frame, event, _arg):
-            if event == "call" \
-                    and frame.f_code.co_filename.startswith(obs_dir):
-                calls.append(frame.f_code.co_name)
+            if event != "call":
+                return
+            code = frame.f_code
+            if code.co_filename.startswith(obs_dir) or (
+                    code.co_filename == fabric_file
+                    and code.co_name in observer_reads):
+                calls.append(code.co_name)
 
         sys.setprofile(watch)
         try:
@@ -184,6 +195,33 @@ class TestUntracedBed:
         # a protocol retry ran, the one hook an untraced op still reaches
         assert sum(c.stats.retries for c in clients) >= 1
         assert calls == []
+
+    def test_a_tracer_attached_after_the_clients_sees_their_phases(self):
+        """Attaching a tracer reaches every existing client's queue-pair
+        view: a bed traced after its clients exist labels the same phases
+        as one traced from the start.  Detaching reaches them too."""
+        def crud(cluster, client):
+            for op in (client.insert(b"k", b"v"), client.search(b"k"),
+                       client.update(b"k", b"w"), client.search(b"k"),
+                       client.delete(b"k")):
+                assert run(cluster, op).ok
+
+        early = Tracer()
+        traced = FuseeCluster(small_config(), tracer=early)
+        crud(traced, traced.new_client())
+        cluster = FuseeCluster(small_config())
+        client = cluster.new_client()
+        late = Tracer()
+        cluster.attach_tracer(late)
+        assert client.fabric.tracer is late
+        crud(cluster, client)
+        phases = [(s.op, s.phases()) for s in late.spans]
+        assert phases == [(s.op, s.phases()) for s in early.spans]
+        assert ("search", ["search.cached_read"]) in phases
+        cluster.fabric.tracer = None
+        assert client.fabric.tracer is None
+        run(cluster, client.search(b"k"))
+        assert len(late.spans) == len(phases)
 
     def test_attach_tracer_mid_run(self):
         cluster = FuseeCluster(small_config())

@@ -130,7 +130,8 @@ class TestScrambledZipfian:
         # 1237 keys: a key space no other test draws from
         config = YcsbConfig(workload="C", n_keys=1237)
         a, b = YcsbWorkload(config, seed=1), YcsbWorkload(config, seed=2)
-        assert 1237 not in _SCATTER
+        # a scrambled stream binds its key space's table when it is made
+        assert _SCATTER[1237] == {}
         drawn = {a.next_op()[1] for _ in range(200)}
         table = _SCATTER[1237]
         filled = len(table)
