@@ -16,7 +16,7 @@ access counter keeps growing while the invalid counter stalls.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .race import SlotRef
@@ -24,39 +24,18 @@ from .race import SlotRef
 __all__ = ["AdaptiveIndexCache", "CacheEntry", "CacheStats"]
 
 
+@dataclass(slots=True)
 class CacheEntry:
     """One cached key: its slot, the word last seen there, and the counts
-    behind the adaptive bypass.  One per cached key (a bulk load caches
-    every key it writes), so a ``__slots__`` class whose eq/repr mirror
-    the dataclass it replaced (mutable, so unhashable).  ``bypassed`` is
-    the adaptive decision of the latest access (not part of its value)."""
+    behind the adaptive bypass.  ``bypassed`` is the adaptive decision of
+    the latest access (not part of its value)."""
 
-    __slots__ = ("slot_ref", "slot_word", "access_count", "invalid_count",
-                 "bypassed")
-
-    def __init__(self, slot_ref: SlotRef, slot_word: int,
-                 access_count: int = 0, invalid_count: int = 0):
-        self.slot_ref = slot_ref
-        # last observed slot content (fp | len | pointer)
-        self.slot_word = slot_word
-        self.access_count = access_count
-        self.invalid_count = invalid_count
-        self.bypassed = False
-
-    def _fields(self) -> tuple:
-        return (self.slot_ref, self.slot_word, self.access_count,
-                self.invalid_count)
-
-    def __repr__(self) -> str:
-        return ("CacheEntry(slot_ref=%r, slot_word=%r, access_count=%r, "
-                "invalid_count=%r)" % self._fields())
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not CacheEntry:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    __hash__ = None
+    slot_ref: SlotRef
+    slot_word: int  # last observed slot content (fp | len | pointer)
+    access_count: int = 0
+    invalid_count: int = 0
+    bypassed: bool = field(default=False, init=False, compare=False,
+                           repr=False)
 
     @property
     def invalid_ratio(self) -> float:

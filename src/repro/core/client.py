@@ -107,35 +107,13 @@ class ClientConfig:
                              f"pick from {READ_SPREAD_MODES}")
 
 
-# One per KV operation, so a hand-written value class like ``Slot`` and
-# ``Completion`` (wire.py, verbs.py) rather than a frozen dataclass: plain
-# assignment, with eq/hash/repr mirroring the dataclass exactly.
+@dataclass(slots=True, unsafe_hash=True)
 class OpResult:
-    __slots__ = ("ok", "value", "existed", "outcome", "error")
-
-    def __init__(self, ok: bool, value: Optional[bytes] = None,
-                 existed: bool = False, outcome: Optional[Outcome] = None,
-                 error: Optional[str] = None):
-        self.ok = ok
-        self.value = value
-        self.existed = existed      # INSERT: the key was already present
-        self.outcome = outcome
-        self.error = error
-
-    def _fields(self) -> tuple:
-        return (self.ok, self.value, self.existed, self.outcome, self.error)
-
-    def __repr__(self) -> str:
-        return ("OpResult(ok=%r, value=%r, existed=%r, outcome=%r, "
-                "error=%r)" % self._fields())
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not OpResult:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
+    ok: bool
+    value: Optional[bytes] = None
+    existed: bool = False      # INSERT: the key was already present
+    outcome: Optional[Outcome] = None
+    error: Optional[str] = None
 
 
 class _Unavailable:

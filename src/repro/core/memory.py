@@ -22,6 +22,7 @@ words with CAS and appending the objects to its free lists.
 from __future__ import annotations
 
 from collections import Counter, deque
+from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Tuple
 
 from ..rdma import (FAIL, TIMEOUT, CasOp, Fabric, FaaOp, MemoryNode, ReadOp,
@@ -267,40 +268,15 @@ class ClientTable:
 # ---------------------------------------------------------------------------
 # Level 2: client-side slab allocation
 # ---------------------------------------------------------------------------
+@dataclass(slots=True, unsafe_hash=True)
 class AllocResult:
-    """An allocated object plus the pre-positioned log-list pointers.
+    """An allocated object plus the pre-positioned log-list pointers."""
 
-    One per allocation: a hand-written ``__slots__`` class (plain
-    attribute stores, no instance dict) whose eq/hash/repr mirror the
-    frozen dataclass it replaced."""
-
-    __slots__ = ("gaddr", "class_idx", "size", "next_ptr", "prev_ptr")
-
-    def __init__(self, gaddr: int, class_idx: int, size: int,
-                 next_ptr: int, prev_ptr: int):
-        self.gaddr = gaddr
-        self.class_idx = class_idx
-        self.size = size
-        # head of the free list after this pop (0 if none known)
-        self.next_ptr = next_ptr
-        # previously allocated object of this class (0 if first)
-        self.prev_ptr = prev_ptr
-
-    def _fields(self) -> tuple:
-        return (self.gaddr, self.class_idx, self.size, self.next_ptr,
-                self.prev_ptr)
-
-    def __repr__(self) -> str:
-        return ("AllocResult(gaddr=%r, class_idx=%r, size=%r, next_ptr=%r, "
-                "prev_ptr=%r)" % self._fields())
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not AllocResult:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
+    gaddr: int
+    class_idx: int
+    size: int
+    next_ptr: int  # head of the free list after this pop (0 if none known)
+    prev_ptr: int  # previously allocated object of this class (0 if first)
 
 
 class _ClassState:

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import hashlib
 import struct as _struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..rdma import ReadOp
@@ -97,36 +97,17 @@ def hash_key(key: bytes) -> int:
         hashlib.blake2b(key, digest_size=16).digest(), "big")
 
 
-# KeyMeta and SlotRef are memoised, one of each per loaded key: like
-# SlotSnapshot below, hand-written __slots__ classes (no instance dict).
+@dataclass(slots=True, unsafe_hash=True)
 class KeyMeta:
     """Everything derived from hashing one key."""
 
-    __slots__ = ("subtable", "group1", "group2", "fingerprint")
-
-    def __init__(self, subtable: int, group1: int, group2: int,
-                 fingerprint: int):
-        self.subtable = subtable
-        self.group1 = group1
-        self.group2 = group2
-        self.fingerprint = fingerprint
-
-    def _fields(self) -> tuple:
-        return (self.subtable, self.group1, self.group2, self.fingerprint)
-
-    def __repr__(self) -> str:
-        return ("KeyMeta(subtable=%r, group1=%r, group2=%r, "
-                "fingerprint=%r)" % self._fields())
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not KeyMeta:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
+    subtable: int
+    group1: int
+    group2: int
+    fingerprint: int
 
 
+@dataclass(slots=True, unsafe_hash=True)
 class SlotRef:
     """Identity of one logical slot across all index replicas.
 
@@ -137,29 +118,11 @@ class SlotRef:
     never reads one.
     """
 
-    __slots__ = ("subtable", "slot_index", "placement", "primary_read")
-
-    def __init__(self, subtable: int, slot_index: int,
-                 placement: Tuple[Tuple[int, int], ...]):
-        self.subtable = subtable
-        self.slot_index = slot_index  # within the subtable's slot array
-        self.placement = placement    # ((mn_id, subtable base), ...)
-        self.primary_read: Optional[ReadOp] = None
-
-    def _fields(self) -> tuple:
-        return (self.subtable, self.slot_index, self.placement)
-
-    def __repr__(self) -> str:
-        return ("SlotRef(subtable=%r, slot_index=%r, placement=%r)"
-                % self._fields())
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not SlotRef:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
+    subtable: int
+    slot_index: int  # within the subtable's slot array
+    placement: Tuple[Tuple[int, int], ...]  # ((mn_id, subtable base), ...)
+    primary_read: Optional[ReadOp] = field(default=None, init=False,
+                                           compare=False, repr=False)
 
     def locations(self) -> List[Tuple[int, int]]:
         """(mn_id, byte address) of every replica of this slot, primary first."""
@@ -179,29 +142,12 @@ class SlotRef:
         return (self.subtable, self.slot_index)
 
 
-# SlotSnapshot and BucketView are built on every bucket parse (several
-# per KV op); hand-written __slots__ classes keep construction to plain
-# attribute stores while eq/repr mirror the frozen dataclasses they
-# replaced.
+@dataclass(slots=True, unsafe_hash=True)
 class SlotSnapshot:
     """A slot reference plus the value observed in the primary replica."""
 
-    __slots__ = ("ref", "word")
-
-    def __init__(self, ref: SlotRef, word: int):
-        self.ref = ref
-        self.word = word
-
-    def __repr__(self) -> str:
-        return f"SlotSnapshot(ref={self.ref!r}, word={self.word!r})"
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not SlotSnapshot:
-            return NotImplemented
-        return self.ref == other.ref and self.word == other.word
-
-    def __hash__(self) -> int:
-        return hash((self.ref, self.word))
+    ref: SlotRef
+    word: int
 
     @property
     def slot(self) -> Slot:
@@ -217,6 +163,7 @@ class BucketView:
     preferred insert order) and ``occupied`` (non-empty slots seen, the
     load metric) from the kept payloads when first read — only an INSERT
     does, and it builds a :class:`SlotRef` only for the slot it tries.
+    A view, not a value: it compares by identity.
     """
 
     __slots__ = ("matches", "_undecoded", "_empties", "_occupied",
@@ -242,16 +189,6 @@ class BucketView:
     def __repr__(self) -> str:
         return (f"BucketView(matches={self.matches!r}, "
                 f"empties={self.empties!r}, occupied={self.occupied!r})")
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not BucketView:
-            return NotImplemented
-        return (self.matches == other.matches
-                and self.empties == other.empties
-                and self.occupied == other.occupied)
-
-    def __hash__(self) -> int:
-        return hash((self.matches, self.empties, self.occupied))
 
 
 class RaceHashing:

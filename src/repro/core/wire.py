@@ -38,6 +38,7 @@ Formats (all integers big-endian):
 from __future__ import annotations
 
 import struct
+from dataclasses import dataclass
 from zlib import crc32
 
 __all__ = [
@@ -130,34 +131,13 @@ def crc8(data: bytes, init: int = 0x9E) -> int:
 # ---------------------------------------------------------------------------
 # Index slots
 # ---------------------------------------------------------------------------
-# Decoded on every index READ (several per KV operation), so a
-# hand-written __slots__ class instead of a frozen dataclass: plain
-# attribute assignment beats object.__setattr__ several times over,
-# while eq/hash/repr mirror the dataclass exactly.
+@dataclass(slots=True, unsafe_hash=True)
 class Slot:
     """Decoded 8-byte index slot."""
 
-    __slots__ = ("fingerprint", "length_units", "pointer")
-
-    def __init__(self, fingerprint: int, length_units: int, pointer: int):
-        self.fingerprint = fingerprint
-        self.length_units = length_units  # KV block size in SLOT_LEN_UNIT units
-        self.pointer = pointer  # 48-bit global address
-
-    def __repr__(self) -> str:
-        return (f"Slot(fingerprint={self.fingerprint!r}, "
-                f"length_units={self.length_units!r}, "
-                f"pointer={self.pointer!r})")
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not Slot:
-            return NotImplemented
-        return (self.fingerprint == other.fingerprint
-                and self.length_units == other.length_units
-                and self.pointer == other.pointer)
-
-    def __hash__(self) -> int:
-        return hash((self.fingerprint, self.length_units, self.pointer))
+    fingerprint: int
+    length_units: int  # KV block size in SLOT_LEN_UNIT units
+    pointer: int  # 48-bit global address
 
     @property
     def empty(self) -> bool:
@@ -200,34 +180,14 @@ def make_fingerprint(key_hash: int) -> int:
 # ---------------------------------------------------------------------------
 # KV blocks
 # ---------------------------------------------------------------------------
+@dataclass(slots=True, unsafe_hash=True)
 class KvHeader:
-    """Decoded KV-block header (one per SEARCH-path READ — see Slot)."""
+    """Decoded KV-block header (one per SEARCH-path READ)."""
 
-    __slots__ = ("invalid", "key_len", "value_len", "crc32")
-
-    def __init__(self, invalid: bool, key_len: int, value_len: int,
-                 crc32: int):
-        self.invalid = invalid
-        self.key_len = key_len
-        self.value_len = value_len
-        self.crc32 = crc32
-
-    def __repr__(self) -> str:
-        return (f"KvHeader(invalid={self.invalid!r}, "
-                f"key_len={self.key_len!r}, value_len={self.value_len!r}, "
-                f"crc32={self.crc32!r})")
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not KvHeader:
-            return NotImplemented
-        return (self.invalid == other.invalid
-                and self.key_len == other.key_len
-                and self.value_len == other.value_len
-                and self.crc32 == other.crc32)
-
-    def __hash__(self) -> int:
-        return hash((self.invalid, self.key_len, self.value_len,
-                     self.crc32))
+    invalid: bool
+    key_len: int
+    value_len: int
+    crc32: int
 
 
 def kv_block_size(key_len: int, value_len: int) -> int:
@@ -385,38 +345,16 @@ def old_value_offset(block_size: int) -> int:
 # ---------------------------------------------------------------------------
 # Embedded log entries
 # ---------------------------------------------------------------------------
-# Built for every KV object written (one per write op, one per
-# bulk-loaded key): a hand-written __slots__ class, like Slot.
+@dataclass(slots=True, unsafe_hash=True)
 class LogEntry:
     """Decoded 22-byte embedded operation log entry (§4.5)."""
 
-    __slots__ = ("next_ptr", "prev_ptr", "old_value", "old_value_crc",
-                 "opcode", "used")
-
-    def __init__(self, next_ptr: int, prev_ptr: int, old_value: int,
-                 old_value_crc: int, opcode: int, used: bool):
-        self.next_ptr = next_ptr
-        self.prev_ptr = prev_ptr
-        self.old_value = old_value
-        self.old_value_crc = old_value_crc
-        self.opcode = opcode
-        self.used = used
-
-    def _fields(self) -> tuple:
-        return (self.next_ptr, self.prev_ptr, self.old_value,
-                self.old_value_crc, self.opcode, self.used)
-
-    def __repr__(self) -> str:
-        return ("LogEntry(next_ptr=%r, prev_ptr=%r, old_value=%r, "
-                "old_value_crc=%r, opcode=%r, used=%r)" % self._fields())
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not LogEntry:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
+    next_ptr: int
+    prev_ptr: int
+    old_value: int
+    old_value_crc: int
+    opcode: int
+    used: bool
 
     @property
     def old_value_committed(self) -> bool:

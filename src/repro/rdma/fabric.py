@@ -221,20 +221,14 @@ class Fabric:
         # times and per-port drops by the fabric and a key touch by every
         # client KV op.  None keeps every hook site at one attribute check.
         self.monitor = None
-        # Hot-path memo tables.  Port/CPU affinity is a pure function of
-        # (mn, direction, qp) at salt 0 (ports never change after build),
-        # and a verb's service time alone in its slot a pure function of
-        # (mn, verb class, payload bytes).  ``_lanes`` joins the two per
-        # posting QP: ``_lanes[(qp, mn, class, bytes)]`` is the ``(port,
-        # service, port label, port index)`` a slot head needs, one dict
-        # hit per verb.  Folding in the QP multiplies the keys by the
-        # client count, but each QP's share converges, because a workload
-        # posts a handful of sizes per verb kind: ycsb_a_sat (4 MNs) fills
-        # 29 lanes per QP, 0.65 MB at 128 clients, so ~5 MB at 1024.  The
-        # two narrower memos serve lane misses, touched verbs and RPCs.
-        self._port_cache: Dict[tuple, tuple] = {}
-        self._cpu_cache: Dict[tuple, object] = {}
-        self._verb_cache: Dict[tuple, float] = {}
+        # The one memo table: ``_lanes[(qp, mn, class, bytes)]`` is the
+        # ``(port, service, port label, port index)`` of a verb posted by
+        # that QP, a pure function of its key at salt 0 (ports never
+        # change after build), one dict hit per verb.  Folding in the QP
+        # multiplies the keys by the client count, but each QP's share
+        # converges, because a workload posts a handful of sizes per verb
+        # kind: ycsb_a_sat (4 MNs) fills 29 lanes per QP, 0.65 MB at 128
+        # clients, so ~5 MB at 1024.
         self._lanes: Dict[tuple, tuple] = {}
 
     def __setattr__(self, name: str, value) -> None:
@@ -275,10 +269,6 @@ class Fabric:
         the transport bumps it per retry attempt so a retransmission
         escapes a port-level partition within ``num_ports`` attempts.
         """
-        if salt == 0:
-            cached = self._port_cache.get((node.mn_id, tx, qp))
-            if cached is not None:
-                return cached
         ports = node.tx_ports if tx else node.rx_ports
         if len(ports) == 1:
             key = 0
@@ -288,23 +278,15 @@ class Fabric:
         else:  # "qp"
             key = salt + _mix64(2 * qp + 1)
         index = key % len(ports)
-        choice = index, ports[index]
-        if salt == 0:
-            self._port_cache[(node.mn_id, tx, qp)] = choice
-        return choice
+        return index, ports[index]
 
-    def _cpu_for(self, node: MemoryNode, qp: int):
+    @staticmethod
+    def _cpu_for(node: MemoryNode, qp: int):
         """Pick the RPC CPU shard serving queue pair ``qp``."""
-        cached = self._cpu_cache.get((node.mn_id, qp))
-        if cached is not None:
-            return cached
         shards = node.cpus
         if len(shards) == 1:
-            shard = shards[0]
-        else:
-            shard = shards[_mix64(2 * qp + 1) % len(shards)]
-        self._cpu_cache[(node.mn_id, qp)] = shard
-        return shard
+            return shards[0]
+        return shards[_mix64(2 * qp + 1) % len(shards)]
 
     def _note_port(self, port) -> None:
         per_port = self.stats.per_port_ops
@@ -575,23 +557,24 @@ class Fabric:
         bytes, its MN, the attempt and the instant (`fate_key`); the port
         the QP hashes to only scopes which faults apply.  A clean draw is
         the injector's one ``clean_fate``, tested by identity.  None when
-        every fate is clean, else per verb None (clean) or ``(port index,
-        port, fate)``."""
+        every fate is clean, else per verb None (clean) or ``(lane,
+        fate)``, the verb's lane (`_lanes`) giving its first port."""
         touched = None
-        nodes = self.nodes
-        pcache = self._port_cache
+        lanes = self._lanes
         fate_of = inj.fate
         clean = inj.clean_fate
         for i, op in enumerate(ops):
             mn = op.mn_id
-            is_read = op.__class__ is ReadOp
-            pidx, port = pcache.get((mn, is_read, qp)) \
-                or self._port_for(nodes[mn], is_read, qp)
-            fate = fate_of(op, mn, 1, now, pidx)
+            nbytes = op_bytes(op)
+            try:
+                lane = lanes[qp, mn, op.__class__, nbytes]
+            except KeyError:
+                lane = self._lane(self.nodes[mn], op, nbytes, qp)
+            fate = fate_of(op, mn, 1, now, lane[3])
             if fate is not clean:
                 if touched is None:
                     touched = [None] * len(ops)
-                touched[i] = (pidx, port, fate)
+                touched[i] = (lane, fate)
         return touched
 
     def _deliver_touched(self, ops, touched, inj, completions, finish,
@@ -638,7 +621,8 @@ class Fabric:
     def _deliver_verb(self, i: int, op: Verb, first, token: int, inj,
                       completions, span, qp):
         """Touched verb ``i`` of its batch, attempt by attempt; ``first``
-        is the ``(port index, port, fate)`` its first attempt drew at post.
+        is the ``(lane, fate)`` its first attempt drew at post.  A verb's
+        service alone in its slot is its lane's, whichever port it takes.
 
         Per attempt the injector's fate may lose the request or the reply,
         duplicate the delivery or add jitter; the transport retries with
@@ -660,7 +644,7 @@ class Fabric:
         policy = inj.retry
         node = self.nodes[op.mn_id]
         nbytes = op_bytes(op)
-        pidx, port, fate = first
+        (port, alone, _label, pidx), fate = first
         one_way = cfg.one_way_delay_us
         for attempt in range(1, policy.max_attempts + 1):
             if attempt > 1:
@@ -705,8 +689,8 @@ class Fabric:
             if deduped:
                 stats.dedup_hits += 1
             completions[i] = Completion(op, value)
-            service = (self._service_time(node, op, nbytes)
-                       * inj.service_factor(op.mn_id, env._now, port=pidx))
+            service = alone * inj.service_factor(op.mn_id, env._now,
+                                                 port=pidx)
             self._note_port(port)
             if self.monitor is not None:
                 self.monitor.note_verb(op.mn_id, port.label, op.__class__,
@@ -882,22 +866,18 @@ class Fabric:
         return FAIL
 
     # -- internals -----------------------------------------------------------
-    def _service_time(self, node: MemoryNode, op: Verb,
+    @staticmethod
+    def _service_time(node: MemoryNode, op: Verb,
                       nbytes: int | None = None) -> float:
-        """NIC service time of one verb alone in its slot (memoised)."""
+        """NIC service time of one verb alone in its slot."""
         if nbytes is None:
             nbytes = op_bytes(op)
-        key = (node.mn_id, op.__class__, nbytes)
-        service = self._verb_cache.get(key)
-        if service is None:
-            profile = node.nic.profile
-            if isinstance(op, (CasOp, FaaOp)):
-                fixed = profile.atomic_overhead
-            else:
-                fixed = profile.op_overhead
-            service = self._verb_cache[key] = \
-                fixed + profile.byte_time(nbytes)
-        return service
+        profile = node.nic.profile
+        if isinstance(op, (CasOp, FaaOp)):
+            fixed = profile.atomic_overhead
+        else:
+            fixed = profile.op_overhead
+        return fixed + profile.byte_time(nbytes)
 
 
 class QpFabric:

@@ -1,8 +1,5 @@
 """End-to-end tests of FUSEE client operations on a live cluster."""
 
-import dataclasses
-from typing import Optional
-
 import pytest
 
 from repro.core import ClusterConfig, FuseeCluster
@@ -100,52 +97,7 @@ class TestBasicOps:
 
 
 class TestOpResult:
-    """``OpResult`` is a hand-written value class; it must behave as the
-    frozen dataclass it replaced (kept here as the oracle)."""
-
-    @dataclasses.dataclass(frozen=True)
-    class Dataclass:
-        ok: bool
-        value: Optional[bytes] = None
-        existed: bool = False
-        outcome: Optional[Outcome] = None
-        error: Optional[str] = None
-
-    CASES = [
-        ((True,), {}), ((False,), {}), ((), {"ok": False}),
-        ((True, b"v"), {}), ((True,), {"value": b""}),
-        ((False, None, True), {}), ((False,), {"existed": True}),
-        ((True, None, False, Outcome.WIN_RULE1), {}),
-        ((True,), {"outcome": Outcome.LOSE}),
-        ((False, None, False, None, "index unavailable"), {}),
-        ((False,), {"error": "no alive replica"}),
-        ((), {"ok": True, "value": b"v", "existed": False,
-              "outcome": Outcome.WIN_RULE1, "error": None}),
-    ]
-
-    def test_mirrors_the_dataclass(self):
-        ours = [OpResult(*a, **kw) for a, kw in self.CASES]
-        theirs = [self.Dataclass(*a, **kw) for a, kw in self.CASES]
-        for mine, ref in zip(ours, theirs):
-            assert repr(mine) == repr(ref).replace(
-                "TestOpResult.Dataclass", "OpResult")
-            assert hash(mine) == hash(ref)
-            assert dataclasses.astuple(ref) == (
-                mine.ok, mine.value, mine.existed, mine.outcome, mine.error)
-        for i, mine in enumerate(ours):
-            for j, other in enumerate(ours):
-                assert (mine == other) == (theirs[i] == theirs[j])
-                assert (mine != other) == (theirs[i] != theirs[j])
-        assert OpResult(True) != (True, None, False, None, None)
-        assert OpResult(True) != self.Dataclass(True)
-        assert len({OpResult(True, b"v"), OpResult(True, b"v")}) == 1
-
-    def test_construction_errors_and_no_instance_dict(self):
-        with pytest.raises(TypeError):
-            OpResult()
-        with pytest.raises(TypeError):
-            OpResult(True, nope=1)
-        assert not hasattr(OpResult(True), "__dict__")
+    """``OpResult``'s record contract is `tests/test_records.py`'s."""
 
     def test_absent_key_is_a_plain_failure(self, cluster, client):
         result = run(cluster, client._search_impl(b"missing"))

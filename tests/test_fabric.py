@@ -935,7 +935,7 @@ class _ProcessPerVerbFabric(Fabric):
     """The reference `TestInjectedBatch` compares the fabric against.  A
     verb whose first-attempt fate is clean goes through the bare loop
     (the injector uninstalled for the call, its gray factor at the arrival
-    instant folded into a fresh service-time memo and lane table); every
+    instant folded into a fresh lane table); every
     other verb gets a delivery process of its own, as every verb did
     before the clean loop took the untouched ones (kept below; an
     in-flight crash pays the failure's return leg), and a third process
@@ -952,27 +952,27 @@ class _ProcessPerVerbFabric(Fabric):
         clean, touched, gray = [], [], {}
         for i, op in enumerate(ops):
             node = self.nodes[op.mn_id]
-            pidx = self._port_for(node, isinstance(op, ReadOp), qp)[0]
+            pidx, port = self._port_for(node, isinstance(op, ReadOp), qp)
             if inj.fate(op, op.mn_id, 1, t0, port=pidx) is inj.clean_fate:
                 clean.append(i)
-                gray[(op.mn_id, op.__class__, op_bytes(op))] = (
-                    self._service_time(node, op)
-                    * inj.service_factor(op.mn_id, arrive, port=pidx))
+                gray[(qp, op.mn_id, op.__class__, op_bytes(op))] = (
+                    port, self._service_time(node, op)
+                    * inj.service_factor(op.mn_id, arrive, port=pidx),
+                    port.label, pidx)
             else:
                 touched.append(i)
         span = None if self.tracer is None else self.tracer.current_span()
         loop = None
         if clean:
-            memo, lanes, tracer = self._verb_cache, self._lanes, self.tracer
-            self.injector, self._verb_cache, self._lanes = None, gray, {}
+            lanes, tracer = self._lanes, self.tracer
+            self.injector, self._lanes = None, gray
             if touched:     # the gatherer traces the whole batch
                 self.tracer = None
             try:
                 loop = super().post([ops[i] for i in clean],
                                     unsignaled=unsignaled, qp=qp)
             finally:
-                self.injector, self._verb_cache, self._lanes, self.tracer \
-                    = inj, memo, lanes, tracer
+                self.injector, self._lanes, self.tracer = inj, lanes, tracer
             if not touched:
                 return loop
         else:
@@ -1435,8 +1435,6 @@ class _MemoFreeFabric(Fabric):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._lanes = _Forgetful()
-        self._port_cache = _Forgetful()
-        self._verb_cache = _Forgetful()
 
 
 def _lane_run(fabric_cls, batches, *, plan, width=1, num_ports=1,

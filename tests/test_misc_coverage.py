@@ -256,3 +256,29 @@ class TestCiRunsEachCheckOnce:
             others = command.replace(self.SELF_TEST, "")
             assert "benchmarks" not in others, (
                 f"{job} re-runs a benchmarks-smoke test: {command}")
+
+
+class TestPythonFloor:
+    """``requires-python`` names the oldest Python CI tests: the records'
+    ``@dataclass(slots=True)`` needs 3.10.  Both files are read as text
+    (``tomllib`` is 3.11+)."""
+
+    @staticmethod
+    def _version(text: str) -> tuple:
+        return tuple(int(part) for part in text.split("."))
+
+    def test_requires_python_is_the_lowest_ci_matrix_version(self):
+        root = pathlib.Path(__file__).resolve().parents[1]
+        floor = re.search(r'^requires-python = ">=([\d.]+)"$',
+                          (root / "pyproject.toml").read_text(),
+                          flags=re.MULTILINE)
+        assert floor, "pyproject.toml states no requires-python floor"
+        matrix = re.search(r"^\s+python-version: \[([^\]]*)\]",
+                           (root / ".github" / "workflows" / "ci.yml")
+                           .read_text(), flags=re.MULTILINE)
+        assert matrix, "ci.yml has no python-version matrix"
+        tested = [self._version(v.strip(" \"'"))
+                  for v in matrix.group(1).split(",")]
+        assert self._version(floor.group(1)) == min(tested), (
+            f"requires-python >={floor.group(1)}, but CI's oldest Python "
+            f"is {'.'.join(map(str, min(tested)))}")

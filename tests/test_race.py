@@ -33,6 +33,11 @@ def make_race(n_subtables=4, n_groups=16, spb=7, replicas=2):
     return RaceHashing(config, placements)
 
 
+def _decoded(view):
+    """What a :class:`BucketView` holds, decoded."""
+    return view.matches, view.empties, view.occupied
+
+
 class TestConfig:
     def test_geometry_arithmetic(self):
         cfg = RaceConfig(n_subtables=2, n_groups=8, slots_per_bucket=7)
@@ -269,8 +274,7 @@ class TestParsing:
         views = [race.parse_buckets(meta, [kind(p) for p in payloads])
                  for kind in (bytes, bytearray, memoryview)]
         assert len(views[0].matches) == 2 and views[0].occupied == 3
-        assert views[0] == views[1] == views[2]
-        assert len({hash(view) for view in views}) == 1
+        assert _decoded(views[0]) == _decoded(views[1]) == _decoded(views[2])
 
     @given(st.binary(min_size=1, max_size=16))
     @settings(max_examples=50)
@@ -400,8 +404,9 @@ class TestDecodeOnDemand:
             assert getattr(view, name) == want[name]
         assert view.empties is view.empties
         untouched = race.parse_buckets(meta, payloads)
-        assert untouched == view and hash(untouched) == hash(view)
-        assert hash(view) == hash((matches, empties, occupied))
+        assert _decoded(untouched) == _decoded(view) \
+            == (matches, empties, occupied)
+        assert untouched != view    # a view compares by identity
         assert repr(view) == (f"BucketView(matches={matches!r}, "
                               f"empties={empties!r}, occupied={occupied!r})")
 
