@@ -433,11 +433,12 @@ class FuseeClient:
                 word = entry.slot_word
                 ref = self.race.current_ref(entry.slot_ref)
                 slot_read = ref.primary_read
-                kv_read = self._kv_read_op(
-                    word & _POINTER_MASK, (word >> 48 & 0xFF) * SLOT_LEN_UNIT)
                 fabric = self.fabric
-                if not fabric.nodes[slot_read.mn_id].crashed \
-                        and kv_read is not None:
+                # a READ is chosen, and counted, only if it will be posted
+                kv_read = None if fabric.nodes[slot_read.mn_id].crashed \
+                    else self._kv_read_op(word & _POINTER_MASK,
+                                          (word >> 48 & 0xFF) * SLOT_LEN_UNIT)
+                if kv_read is not None:
                     if fabric.tracer is not None:
                         fabric.tracer.phase("search.cached_read")
                     slot_comp, kv_comp = yield fabric.post(
@@ -1138,9 +1139,10 @@ class FuseeClient:
             # two are not one.
             word = entry.slot_word
             slot_read = ref.primary_read
-            kv_read = self._kv_read_op(
-                word & _POINTER_MASK, (word >> 48 & 0xFF) * SLOT_LEN_UNIT)
-            if not self.fabric.nodes[slot_read.mn_id].crashed and kv_read:
+            kv_read = None if self.fabric.nodes[slot_read.mn_id].crashed \
+                else self._kv_read_op(word & _POINTER_MASK,
+                                      (word >> 48 & 0xFF) * SLOT_LEN_UNIT)
+            if kv_read is not None:
                 batch = list(kv_write_ops)
                 batch.append(slot_read)
                 batch.append(kv_read)

@@ -155,6 +155,45 @@ class TestKvReadOp:
         assert client._kv_read_op(gaddr, 64).mn_id == replicas[0][0]
 
 
+    @pytest.mark.parametrize("op", ["search", "update"])
+    @pytest.mark.parametrize("read_spread", ["primary", "round_robin"])
+    def test_a_cached_op_counts_only_the_reads_it_posts(self, read_spread,
+                                                        op):
+        """The slot's primary index MN has crashed, so the cached 1-RTT
+        probe is skipped for the bucket path: its KV READ must be neither
+        counted in ``kv_replica_reads`` nor turn the round-robin."""
+        cluster = FuseeCluster(small_config(replication_factor=3,
+                                            index_replication=2))
+        client = cluster.new_client(read_spread=read_spread)
+        assert run(cluster, client.insert(b"k", b"v")).ok
+        entry = client.cache.lookup(b"k")
+        ref = client.race.current_ref(entry.slot_ref)
+        picked, posted = [], []
+        pick, post = client._kv_read_op, cluster.fabric.post
+
+        def kv_read_op(gaddr, nbytes):
+            picked.append(pick(gaddr, nbytes))
+            return picked[-1]
+
+        def post_batch(ops, *args, **kwargs):
+            posted.extend(ops)
+            return post(ops, *args, **kwargs)
+
+        client._kv_read_op = kv_read_op
+        cluster.fabric.post = post_batch
+        cluster.crash_memory_node(ref.primary()[0])
+        reads = cluster.fabric.stats.kv_replica_reads
+        before, rr = sum(reads.values()), client.read_policy._rr
+        result = run(cluster, client.search(b"k") if op == "search"
+                     else client.update(b"k", b"w"))
+        assert result.ok
+        assert picked and all(any(read is sent for sent in posted)
+                              for read in picked)
+        assert sum(reads.values()) - before == len(picked)
+        if read_spread == "round_robin":
+            assert client.read_policy._rr - rr == len(picked)
+
+
 class _ReferenceReadPolicy:
     """The KV-read target as chosen before the cached SEARCH walked the
     placement in place: ``RegionMap.live_replicas`` then the policy's
