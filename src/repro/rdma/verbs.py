@@ -126,8 +126,8 @@ class Completion:
     ``value`` is ``bytes`` for READ, ``None`` for WRITE, the old integer for
     CAS/FAA, :data:`FAIL` if the target memory node had crashed, or
     :data:`TIMEOUT` if transport retries were exhausted (fault injection).
-    ``failed`` is derived from ``value``, once here, since callers test it
-    per verb.
+    ``failed`` is derived from ``value`` when the completion is built,
+    since callers test it per verb, and is not part of the value.
     """
 
     op: Verb
