@@ -16,7 +16,8 @@ version.
 
 prints one JSON object: ``ycsb_op`` (per attempted op of the YCSB-A run
 below), ``ycsb_c_op`` (per attempted op of the YCSB-C run, the cached
-SEARCH) and ``next_op`` (per `YcsbWorkload.next_op` draw on a warmed key
+SEARCH), ``cold_search`` (per SEARCH of a fresh client, the cache-miss
+path) and ``next_op`` (per `YcsbWorkload.next_op` draw on a warmed key
 space).  ``--top N`` first prints, per run, the N code objects that
 executed the most instructions, with their instructions and calls per
 unit of work (a generator's call count is its resumes); the last line
@@ -44,6 +45,9 @@ YCSB_CLIENTS = 32
 YCSB_KEYS = 2_000
 YCSB_WARMUP_US = 300.0
 YCSB_DURATION_US = 1_000.0
+#: The ycsb_a_sat geometry the YCSB-A and cold-SEARCH runs share.
+A_SAT_BED = dict(n_memory_nodes=4, replication_factor=2, nic_ports=4,
+                 rpc_shards=2, port_affinity="rss", dataset_bytes=4 << 20)
 #: The key draws: YCSB-A over 20 000 keys, 2 000 draws to warm the
 #: rank -> key scatter, then the same 2 000 (same seed) counted.
 DRAW_KEYS = 20_000
@@ -149,20 +153,32 @@ class OpcodeCounter:
         sys.settrace(None)
 
 
+def _loaded_bed(workload: str, n_keys: int, seed: int, max_clients: int,
+                **bed_kwargs):
+    """A FUSEE bed holding the YCSB load of ``n_keys`` keys; returns
+    ``(bed, config, load keys)``."""
+    from repro.harness import fusee_bed
+    from repro.workloads import YcsbConfig, YcsbWorkload
+
+    config = YcsbConfig(workload=workload, n_keys=n_keys)
+    seeder = YcsbWorkload(config, seed=seed)
+    keys = seeder.load_keys()
+    bed = fusee_bed(background_interval_us=0.0, max_clients=max_clients,
+                    **bed_kwargs)
+    bed.load((key, seeder.load_value(i)) for i, key in enumerate(keys))
+    return bed, config, keys
+
+
 def _closed_ycsb(counter: OpcodeCounter, workload: str, n_keys: int,
                  n_clients: int, warmup_us: float, duration_us: float,
                  seed: int, **bed_kwargs) -> dict:
     """Count a closed-loop YCSB run from ``warmup_us`` on, per attempted
     op."""
-    from repro.harness import fusee_bed, run_closed_loop
-    from repro.workloads import YcsbConfig, YcsbWorkload
+    from repro.harness import run_closed_loop
+    from repro.workloads import YcsbWorkload
 
-    config = YcsbConfig(workload=workload, n_keys=n_keys)
-    seeder = YcsbWorkload(config, seed=seed)
-    bed = fusee_bed(background_interval_us=0.0, max_clients=n_clients + 8,
-                    **bed_kwargs)
-    bed.load((key, seeder.load_value(i))
-             for i, key in enumerate(seeder.load_keys()))
+    bed, config, _keys = _loaded_bed(workload, n_keys, seed, n_clients + 8,
+                                     **bed_kwargs)
     clients = [bed.new_client() for _ in range(n_clients)]
     streams = [YcsbWorkload(config, seed=seed * 1009 + 1 + i)
                for i in range(n_clients)]
@@ -183,9 +199,7 @@ def ycsb_op_bytecodes(seed: int = 13,
     """Instructions per attempted op of the fixed YCSB-A run."""
     return _closed_ycsb(
         counter or OpcodeCounter(), "A", YCSB_KEYS, YCSB_CLIENTS,
-        YCSB_WARMUP_US, YCSB_DURATION_US, seed, n_memory_nodes=4,
-        replication_factor=2, nic_ports=4, rpc_shards=2,
-        port_affinity="rss", dataset_bytes=4 << 20)
+        YCSB_WARMUP_US, YCSB_DURATION_US, seed, **A_SAT_BED)
 
 
 def ycsb_c_op_bytecodes(seed: int = 13,
@@ -195,6 +209,31 @@ def ycsb_c_op_bytecodes(seed: int = 13,
         counter or OpcodeCounter(), "C", YCSB_C_KEYS, YCSB_C_CLIENTS,
         YCSB_C_WARMUP_US, YCSB_C_DURATION_US, seed, n_memory_nodes=2,
         replication_factor=2, nic_ports=1, rpc_shards=1)
+
+
+def cold_search_bytecodes(seed: int = 13,
+                          counter: OpcodeCounter = None) -> dict:
+    """Instructions per SEARCH of one fresh client reading each key of
+    the YCSB-A load once: every SEARCH misses its cache, so it reads the
+    combined buckets and then the fingerprint hits."""
+    bed, _config, keys = _loaded_bed("A", YCSB_KEYS, seed, 8, **A_SAT_BED)
+    client = bed.new_client()
+
+    def searches():
+        found = 0
+        for key in keys:
+            result = yield from client.search(key)
+            found += result.ok
+        return found
+
+    counter = counter or OpcodeCounter()
+    counter.start()
+    try:
+        found = bed.cluster.run_op(searches())
+    finally:
+        counter.stop()
+    return {"bytecodes": counter.count, "searches": len(keys),
+            "found": found, "per_op": counter.count / len(keys)}
 
 
 def next_op_bytecodes(seed: int = 7,
@@ -223,6 +262,7 @@ def next_op_bytecodes(seed: int = 7,
 #: in their result, and what one unit is.
 RUNS = (("ycsb_op", ycsb_op_bytecodes, "attempted", "attempted op"),
         ("ycsb_c_op", ycsb_c_op_bytecodes, "attempted", "attempted op"),
+        ("cold_search", cold_search_bytecodes, "searches", "SEARCH"),
         ("next_op", next_op_bytecodes, "draws", "draw"))
 
 

@@ -172,6 +172,32 @@ def test_a_cached_search_costs_its_reads_not_its_bookkeeping(bytecodes):
         f"{version}): the cached SEARCH pays for bookkeeping again")
 
 
+#: Instructions per SEARCH of `benchmarks.bytecodes`' cold-SEARCH run
+#: (the cache-miss path), the count when the bound was set (2 171 /
+#: 2 066) plus 5 %, per Python.
+_COLD_SEARCH_BOUND = {"3.11": 2280, "3.12": 2169}
+
+
+def test_a_cold_search_is_one_bucket_read_and_one_candidate_match(
+        bytecodes):
+    """An exact count, not a timing: the instructions one fresh client's
+    SEARCH executes in ``src/repro`` on the ``ycsb_a_sat`` geometry, each
+    of the 2 000 loaded keys read once, so every SEARCH misses its cache
+    and reads the combined buckets, then the fingerprint hits.  While the
+    primary bucket read was a generator of its own, called from two
+    places, and the candidate READ batch another, it executed 2 192
+    (Python 3.11) / 2 086 (3.12); now 2 171 / 2 066."""
+    version = bytecodes["python"]
+    if version not in _COLD_SEARCH_BOUND:
+        pytest.skip(f"no bytecode bound measured for Python {version}")
+    assert bytecodes["cold_search"]["found"] == 2000
+    per_op = bytecodes["cold_search"]["per_op"]
+    bound = _COLD_SEARCH_BOUND[version]
+    assert per_op <= bound, (
+        f"{per_op:.0f} bytecodes per cold SEARCH > {bound} (Python "
+        f"{version}): the cache-miss path grew a step again")
+
+
 def test_a_key_draw_is_a_lookup_not_a_hash(bytecodes):
     """An exact count, not a timing: a ``YcsbWorkload.next_op`` draw on
     a warmed key space looks its rank -> key scatter up.  It executes 153

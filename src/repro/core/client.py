@@ -600,9 +600,7 @@ class FuseeClient:
         an error string that its presence could not be determined.
         """
         for _ in range(MAX_OP_RETRIES):
-            if self.fabric.tracer is not None:
-                self.fabric.tracer.phase(phase)
-            view = yield from self._read_buckets(meta, extra_ops=piggyback)
+            view = yield from self._read_buckets(meta, phase, piggyback)
             piggyback = None
             if view is None:
                 return None, "index unavailable"
@@ -620,102 +618,84 @@ class FuseeClient:
                 RETRY_SLEEP_US, "backoff", "client.retry")
         return None, "retries exhausted"
 
-    def _read_buckets(self, meta: KeyMeta, extra_ops: Optional[list] = None):
-        """Read the key's combined buckets (generator); returns a
-        BucketView or None.
+    def _read_buckets(self, meta: KeyMeta, phase: str,
+                      piggyback: Optional[List[WriteOp]] = None):
+        """Read the key's combined buckets (generator): a BucketView, or
+        None when none could be read or a ``piggyback`` WRITE timed out
+        (it may never have applied, so the op must not link it).
 
-        Normally reads the primary index replica.  When the primary has
-        crashed, Algorithm 4 READ applies: backup values may be *newer*
-        than the committed primary value during write conflicts, so the
-        backups are only safe to read if they all agree; on disagreement
-        the client waits for the master's repair and retries.
+        The WRITEs share the first primary read's doorbell batch, or are
+        posted once alone while the primary is down.  Without the primary,
+        Algorithm 4 READ applies: backup values may be *newer* than the
+        committed primary value during write conflicts, so the backups
+        are only safe to read if they all agree; on disagreement the
+        client waits for the master's repair and retries.
         """
-        placement = self.race.placement(meta.subtable)
-        if not self.fabric.nodes[placement[0][0]].crashed:
-            view, aborted = yield from self._primary_bucket_read(meta,
-                                                                 extra_ops)
-            if aborted:
-                # A KV replica write timed out: it may never have applied,
-                # so the op cannot go on to install a pointer to it.
-                return None
-            if view is not None:
-                return view
-            extra_ops = None  # crashed mid-read; writes were still posted
-        elif extra_ops:
-            # honour the piggy-backed KV writes exactly once
-            comps = yield self.fabric.post(list(extra_ops))
-            if any(c.value is TIMEOUT for c in comps):
-                return None
-        for _attempt in range(MAX_OP_RETRIES):
+        if self.fabric.tracer is not None:
+            self.fabric.tracer.phase(phase)
+        # Round -1 is the entry: a primary read retried without a pause,
+        # or, with the primary down, the WRITEs' post or nothing.
+        for attempt in range(-1, MAX_OP_RETRIES):
             placement = self.race.placement(meta.subtable)
             if not self.fabric.nodes[placement[0][0]].crashed:
-                # the master reconfigured a new primary while we waited
-                view, _aborted = yield from self._primary_bucket_read(meta)
-                if view is not None:
-                    return view
+                ops = self.race.bucket_read_ops(meta, replica=0)
+                n_reads = len(ops)
+                if piggyback:
+                    ops.extend(piggyback)
+                comps = yield self.fabric.post(ops)
+                if piggyback:
+                    for comp in comps[n_reads:]:
+                        if comp.value is TIMEOUT:
+                            return None
+                    piggyback = None
+                payloads = []
+                for comp in comps[:n_reads]:
+                    if comp.failed:
+                        break
+                    payloads.append(comp.value)
+                else:
+                    return self.race.parse_buckets(meta, payloads)
+                if attempt >= 0:
+                    yield self.env.attributed_timeout(
+                        RETRY_SLEEP_US, "backoff", "client.retry")
+            elif piggyback:
+                comps = yield self.fabric.post(list(piggyback))
+                if any(c.value is TIMEOUT for c in comps):
+                    return None
+                piggyback = None
+            elif attempt >= 0:
+                alive = [replica for replica, (mn, _b) in enumerate(placement)
+                         if not self.fabric.nodes[mn].crashed]
+                if not alive:
+                    return None
+                all_ops = []
+                for replica in alive:
+                    ops = self.race.bucket_read_ops(meta, replica=replica)
+                    per_replica = len(ops)
+                    all_ops.extend(ops)
+                comps = yield self.fabric.post(all_ops)
+                payload_sets = []
+                for i in range(0, len(comps), per_replica):
+                    group = comps[i:i + per_replica]
+                    if not any(c.failed for c in group):
+                        payload_sets.append(tuple(c.value for c in group))
+                if not payload_sets:
+                    return None
+                if all(p == payload_sets[0] for p in payload_sets):
+                    return self.race.parse_buckets(meta, payload_sets[0])
+                # Backups disagree: a write was in flight when the primary
+                # died; wait for the master to act as representative last
+                # writer (Algorithm 4), then retry.
+                self.stats.master_escalations += 1
+                yield from self._wait_if_blocked(meta.subtable)
                 yield self.env.attributed_timeout(
                     RETRY_SLEEP_US, "backoff", "client.retry")
-                continue
-            alive = [replica for replica, (mn, _b) in enumerate(placement)
-                     if not self.fabric.nodes[mn].crashed]
-            if not alive:
-                return None
-            all_ops = []
-            per_replica = 2
-            for replica in alive:
-                ops = self.race.bucket_read_ops(meta, replica=replica)
-                per_replica = len(ops)
-                all_ops.extend(ops)
-            comps = yield self.fabric.post(all_ops)
-            payload_sets = []
-            for i in range(0, len(comps), per_replica):
-                group = comps[i:i + per_replica]
-                if not any(c.failed for c in group):
-                    payload_sets.append(tuple(c.value for c in group))
-            if not payload_sets:
-                return None
-            if all(p == payload_sets[0] for p in payload_sets):
-                return self.race.parse_buckets(meta, list(payload_sets[0]))
-            # Backups disagree: a write was in flight when the primary
-            # died; wait for the master to act as representative last
-            # writer (Algorithm 4), then retry.
-            self.stats.master_escalations += 1
-            yield from self._wait_if_blocked(meta.subtable)
-            yield self.env.attributed_timeout(
-                RETRY_SLEEP_US, "backoff", "client.retry")
         return None
 
-    def _primary_bucket_read(self, meta: KeyMeta,
-                             extra_ops: Optional[list] = None):
-        """One combined-bucket READ of the primary index replica, with
-        any piggy-backed KV writes in the same doorbell batch (generator).
-
-        The single place ``bucket_read_ops(meta, replica=0)`` is built for
-        the non-degraded path.  Returns ``(view, aborted)``: ``aborted``
-        is True when a piggy-backed write timed out (the caller must not
-        go on to install a pointer at possibly-unwritten memory); ``view``
-        is None when the bucket read itself failed (primary crashed
-        mid-read) and the caller should retry or degrade.
-        """
-        ops = self.race.bucket_read_ops(meta, replica=0)
-        n_reads = len(ops)
-        if extra_ops:
-            ops.extend(extra_ops)
-        comps = yield self.fabric.post(ops)
-        for comp in comps[n_reads:]:
-            if comp.value is TIMEOUT:
-                return None, True
-        payloads = []
-        for comp in comps[:n_reads]:
-            if comp.failed:
-                return None, False
-            payloads.append(comp.value)
-        return self.race.parse_buckets(meta, payloads), False
-
-    def _read_candidates(self, snaps, phase: str):
-        """One batch READ of the KV blocks a set of slot snapshots name
-        (generator); returns ``[(snap, completion)]`` for the snapshots
-        whose block has an alive data replica."""
+    def _candidate_reads(self, snaps, phase: str):
+        """The READs of the KV blocks that slot snapshots name, one batch
+        for the caller to post, and the snapshots they read (those whose
+        block has an alive data replica); ``phase`` labels the batch."""
         reads = []
         usable = []
         for snap in snaps:
@@ -725,12 +705,9 @@ class FuseeClient:
             if op is not None:
                 reads.append(op)
                 usable.append(snap)
-        if not reads:
-            return []
-        if self.fabric.tracer is not None:
+        if reads and self.fabric.tracer is not None:
             self.fabric.tracer.phase(phase)
-        comps = yield self.fabric.post(reads)
-        return list(zip(usable, comps))
+        return reads, usable
 
     def _match_candidates(self, key: bytes, matches):
         """Read fingerprint-hit KV blocks and return the true key match
@@ -745,11 +722,13 @@ class FuseeClient:
         out (fault injection): the key's presence is unknown, so callers
         must not conclude absence from this view.
         """
+        reads, usable = self._candidate_reads(matches, "kv.match_read")
+        if not reads:
+            return None, False, False
+        comps = yield self.fabric.post(reads)
         saw_invalid = False
         unreadable = False
-        candidates = yield from self._read_candidates(matches,
-                                                      "kv.match_read")
-        for snap, comp in candidates:
+        for snap, comp in zip(usable, comps):
             if comp.failed:
                 if comp.value is TIMEOUT:
                     unreadable = True
@@ -788,10 +767,8 @@ class FuseeClient:
         """INSERT from phase ① on, its object staged (generator).  Never
         reclaims the object: ``_insert_impl`` does, from the result."""
         # Phase ①: KV replica writes + combined-bucket read, one batch.
-        if self.fabric.tracer is not None:
-            self.fabric.tracer.phase("insert.kv_write+bucket_read")
-        view = yield from self._read_buckets(meta,
-                                             extra_ops=prepared.write_ops)
+        view = yield from self._read_buckets(
+            meta, "insert.kv_write+bucket_read", prepared.write_ops)
         if not self.config.embedded_log:
             yield from self._separate_log(prepared)
         if self._crash_point is not None:
@@ -827,9 +804,7 @@ class FuseeClient:
                 raise IndexFullError(
                     f"subtable {meta.subtable} full and expansion failed")
             meta = self.race.key_meta(key)
-            if self.fabric.tracer is not None:
-                self.fabric.tracer.phase("insert.bucket_reread")
-            view = yield from self._read_buckets(meta)
+            view = yield from self._read_buckets(meta, "insert.bucket_reread")
             if view is None:
                 return OpResult(ok=False, error="index unavailable")
         empties = list(view.empties)
@@ -866,9 +841,8 @@ class FuseeClient:
                 return OpResult(ok=True, outcome=result.outcome)
             self._retry()
             if not empties:
-                if self.fabric.tracer is not None:
-                    self.fabric.tracer.phase("insert.bucket_reread")
-                view = yield from self._read_buckets(meta)
+                view = yield from self._read_buckets(meta,
+                                                     "insert.bucket_reread")
                 if view is None:
                     break
                 empties = list(view.empties)
@@ -899,21 +873,22 @@ class FuseeClient:
         slot — batched in one post, so readers never see a committed
         duplicate.
         """
-        if self.fabric.tracer is not None:
-            self.fabric.tracer.phase("insert.dedup_check")
-        view = yield from self._read_buckets(meta)
+        view = yield from self._read_buckets(meta, "insert.dedup_check")
         if view is None:
             # Bucket read failed (primary crashed mid-failover): keep the
             # slot; the master's subtable repair owns consistency now.
             return True
         own_id = (ref.subtable, ref.slot_index)
-        candidates = yield from self._read_candidates(
+        reads, usable = self._candidate_reads(
             [snap for snap in view.matches
              if (snap.ref.subtable, snap.ref.slot_index) != own_id],
             "insert.dedup_match_read")
+        if not reads:
+            return True
+        comps = yield self.fabric.post(reads)
         # Invalidation-marked copies are already mid-concession (or
         # mid-replacement); they never reach a reader.
-        foreigns = [snap for snap, comp in candidates
+        foreigns = [snap for snap, comp in zip(usable, comps)
                     if not comp.failed
                     and match_kv(comp.value, key)[0] is KV_LIVE]
         if not foreigns:

@@ -1,5 +1,7 @@
 """Edge cases and error paths of the FUSEE client."""
 
+import types
+
 import pytest
 
 from repro.core import AdaptiveIndexCache, ClusterConfig, FuseeCluster
@@ -166,11 +168,63 @@ class TestReuseAfterChurn:
         assert visited[-1].is_tail
 
 
-class TestPrimaryBucketRead:
-    """The deduplicated primary combined-bucket read: one
-    ``bucket_read_ops(meta, replica=0)`` build per attempt, and a
-    piggy-backed KV-write timeout aborts the caller (the op must not go
-    on to install a pointer at possibly-unwritten memory)."""
+class _ByHand:
+    """Stands in for a client's fabric and environment while a test
+    drives one of its steps by hand: records every posted batch and every
+    backoff, and answers each batch's READs with ``read_value`` and its
+    other verbs with ``write_value``."""
+
+    tracer = None
+
+    def __init__(self, nodes, read_value, write_value=None):
+        self.nodes = nodes
+        self.read_value, self.write_value = read_value, write_value
+        self.events = []
+
+    def post(self, ops):
+        self.events.append(("post", list(ops)))
+        return "posted"
+
+    def attributed_timeout(self, delay, category, label):
+        self.events.append(("backoff", delay))
+        return "slept"
+
+    def drive(self, step):
+        """Run ``step`` to its end; returns what it returned."""
+        from repro.rdma import Completion, ReadOp
+
+        reply = None
+        while True:
+            try:
+                token = step.send(reply)
+            except StopIteration as stop:
+                return stop.value
+            reply = None
+            if token == "posted":
+                reply = [Completion(op, self.read_value
+                                    if isinstance(op, ReadOp)
+                                    else self.write_value)
+                         for op in self.events[-1][1]]
+
+
+class TestReadBuckets:
+    """The one combined-bucket read: one ``bucket_read_ops(meta,
+    replica=0)`` build per primary read, a piggy-backed KV-write timeout
+    aborts it (the op must not go on to install a pointer at
+    possibly-unwritten memory), a failed bucket READ is retried, and the
+    retry budget and backoffs are fixed."""
+
+    @staticmethod
+    def by_hand(client, monkeypatch, read_value, write_value=None,
+                crashed=()):
+        """Put a `_ByHand` in place of the client's fabric and env;
+        ``crashed`` names the MNs it reports down."""
+        nodes = [types.SimpleNamespace(crashed=mn in crashed)
+                 for mn in range(len(client.fabric.nodes))]
+        hand = _ByHand(nodes, read_value, write_value)
+        monkeypatch.setattr(client, "fabric", hand)
+        monkeypatch.setattr(client, "env", hand)
+        return hand
 
     def test_bucket_read_ops_built_once_per_bucket_read(self, cluster,
                                                         monkeypatch):
@@ -185,40 +239,59 @@ class TestPrimaryBucketRead:
         assert run(cluster, client.search(b"k")).ok
         assert calls == [0]
 
-    def test_piggybacked_write_timeout_aborts_the_read(self, cluster,
-                                                       client):
-        from repro.rdma import Completion, TIMEOUT, WriteOp
+    def test_piggybacked_write_timeout_aborts_the_read(self, client,
+                                                       monkeypatch):
+        from repro.rdma import TIMEOUT, WriteOp
 
-        assert run(cluster, client.insert(b"k", b"v")).ok
         meta = client.race.key_meta(b"k")
         extra = WriteOp(0, 0, b"x" * 8)
-        gen = client._read_buckets(meta, extra_ops=[extra])
-        next(gen)  # posts the combined bucket read + piggy-backed write
-        n_reads = len(client.race.bucket_read_ops(meta, replica=0))
-        comps = [Completion(op, b"")  # bucket payloads are never parsed
-                 for op in client.race.bucket_read_ops(meta, replica=0)]
-        comps.append(Completion(extra, TIMEOUT))
-        with pytest.raises(StopIteration) as stop:
-            gen.send(comps)
-        assert stop.value.value is None
-        assert len(comps) == n_reads + 1
+        # bucket payloads are never parsed: the write's timeout comes first
+        hand = self.by_hand(client, monkeypatch, b"", TIMEOUT)
+        assert hand.drive(client._read_buckets(meta, "p", [extra])) is None
+        assert hand.events == [
+            ("post", client.race.bucket_read_ops(meta) + [extra])]
 
-    def test_bucket_read_timeout_is_not_an_abort(self, cluster, client):
-        """A timed-out *bucket* read retries (view None, not aborted);
-        only a piggy-backed write timeout may abort."""
-        from repro.rdma import Completion, TIMEOUT, WriteOp
+    def test_bucket_read_timeout_is_retried_not_aborted(self, client,
+                                                        monkeypatch):
+        """A timed-out *bucket* read is retried at once, without the
+        write (it landed); only a piggy-backed write timeout aborts."""
+        from repro.rdma import TIMEOUT, WriteOp
 
-        assert run(cluster, client.insert(b"k", b"v")).ok
         meta = client.race.key_meta(b"k")
         extra = WriteOp(0, 0, b"x" * 8)
-        gen = client._primary_bucket_read(meta, [extra])
-        next(gen)
-        comps = [Completion(op, TIMEOUT)
-                 for op in client.race.bucket_read_ops(meta, replica=0)]
-        comps.append(Completion(extra, None))  # the write landed
-        with pytest.raises(StopIteration) as stop:
-            gen.send(comps)
-        assert stop.value.value == (None, False)
+        hand = self.by_hand(client, monkeypatch, TIMEOUT)
+        assert hand.drive(client._read_buckets(meta, "p", [extra])) is None
+        reads = client.race.bucket_read_ops(meta)
+        assert hand.events[:2] == [("post", reads + [extra]),
+                                   ("post", reads)]
+
+    def test_a_failing_primary_is_read_65_times_with_64_backoffs(
+            self, client, monkeypatch):
+        from repro.core.client import MAX_OP_RETRIES, RETRY_SLEEP_US
+        from repro.rdma import FAIL
+
+        meta = client.race.key_meta(b"k")
+        hand = self.by_hand(client, monkeypatch, FAIL)
+        assert hand.drive(client._read_buckets(meta, "p")) is None
+        reads = ("post", client.race.bucket_read_ops(meta))
+        backoff = ("backoff", RETRY_SLEEP_US)
+        assert MAX_OP_RETRIES == 64
+        assert hand.events == [reads] + [reads, backoff] * 64
+
+    def test_writes_go_alone_before_the_first_degraded_round(
+            self, monkeypatch):
+        from repro.rdma import FAIL, WriteOp
+
+        cluster = FuseeCluster(small_config(index_replication=2))
+        client = cluster.new_client()
+        meta = client.race.key_meta(b"k")
+        (primary, _), (backup, _) = client.race.placement(meta.subtable)
+        writes = [WriteOp(backup, 0, b"x" * 8), WriteOp(backup, 8, b"y")]
+        hand = self.by_hand(client, monkeypatch, FAIL, crashed={primary})
+        assert hand.drive(client._read_buckets(meta, "p", writes)) is None
+        assert hand.events == [
+            ("post", writes),
+            ("post", client.race.bucket_read_ops(meta, replica=1))]
 
 
 class TestStagedObjectReclaim:
