@@ -370,8 +370,10 @@ def main(action: str, patterns: list[str], path: pathlib.Path = PATH) -> int:
         return 0
     failing = stale + [n for n in names if n not in old and action != "record"]
     todo = [name for name in names if name not in failing]
-    # two workers: a cell shares no state with the cells built before it
-    with multiprocessing.get_context("spawn").Pool(2) as pool:
+    # two workers: a cell shares no state with the cells built before it;
+    # they hash under one seed whatever the caller's shell says
+    with mock.patch.dict(os.environ, PYTHONHASHSEED="0"), \
+            multiprocessing.get_context("spawn").Pool(2) as pool:
         fresh = dict(zip(todo, pool.map(build, todo, chunksize=1)))
     for name in failing:
         print(f"{'stale' if name in stale else 'unrecorded':11} {name}")
@@ -386,7 +388,7 @@ def main(action: str, patterns: list[str], path: pathlib.Path = PATH) -> int:
         cells = sorted({**{n: c for n, c in old.items() if n not in stale},
                         **fresh}.items())
         header = {"python": sys.version.split()[0], "cells": len(cells),
-                  "PYTHONHASHSEED": os.environ.get("PYTHONHASHSEED", "random")}
+                  "PYTHONHASHSEED": "0"}
         path.write_text(f'{{"header": {_canon(header)},\n"cells": {{\n'
                         + ",\n".join(f"{json.dumps(n)}: {_canon(c)}"
                                       for n, c in cells) + "}}\n")

@@ -71,6 +71,24 @@ class TestCommand:
         assert "unrecorded  check/slot-crash-read" in out
         assert "unrecorded  check/slot-write-race-lossy" in out
 
+    def test_record_does_not_depend_on_the_callers_hash_seed(
+            self, tmp_path, monkeypatch):
+        """Re-recording a cell from a shell without ``PYTHONHASHSEED``
+        keeps the header's ``"0"`` (its workers run under it) and every
+        other line of the file."""
+        path = tmp_path / "d.json"
+        path.write_text(differential.PATH.read_text())
+        monkeypatch.delenv("PYTHONHASHSEED", raising=False)
+        assert differential.main("record", ["check/slot-write-race"],
+                                 path) == 0
+        old, new = (p.read_text() for p in (differential.PATH, path))
+        assert new.splitlines()[1:] == old.splitlines()[1:]
+        old_header, new_header = (json.loads(doc)["header"]
+                                  for doc in (old, new))
+        assert new_header["PYTHONHASHSEED"] == "0"
+        # the interpreter's version is the one field a caller may move
+        assert {**new_header, "python": ""} == {**old_header, "python": ""}
+
     def test_a_pattern_matching_nothing_exits_2(self, capsys):
         assert differential.main("list", ["no/such/*"]) == 2
         assert "no cell matches" in capsys.readouterr().err
