@@ -15,19 +15,19 @@ Per closed window the detector scores every scope against its peers:
   work, never confounded by a different verb or payload mix.  For each
   (peer class, family) with enough volume, a scope's median ``x`` is
   compared to the median of its peers' medians (leave-one-out):
-  flagged when ``x / peer_median >= rel_threshold`` (default 2.0 —
-  campaign gray factors are 4-8x) **and**, when 4+ peers exist, the
-  robust z-score ``0.6745 * (x - peer_median) / MAD`` clears
-  ``z_threshold`` (the MAD is floored at 5% of the peer median so a
-  zero-variance clean group cannot divide by zero).  In a clean
+  flagged when ``x / peer_median >= REL_THRESHOLD`` (2.0 — campaign
+  gray factors are 4-8x) **and**, when 4+ peers exist, the robust
+  z-score ``0.6745 * (x - peer_median) / MAD`` clears ``Z_THRESHOLD``
+  (the MAD is floored at 5% of the peer median so a zero-variance clean
+  group cannot divide by zero).  In a clean
   homogeneous bed every scope's median is the same pure function of
   (profile, verb, bytes), so the ratio is exactly 1.0 and the clean
   false-positive rate is structurally zero.
 * **Drop rule** — a port whose requests vanish (port-scoped partition
   or link fault) produces *no* service observations, so it is caught by
   its per-window drop rate instead: flagged when
-  ``drops / (drops + ops) >= drop_rate_threshold`` with at least
-  ``drop_min_attempts`` attempts while the peer-median drop rate stays
+  ``drops / (drops + ops) >= DROP_RATE_THRESHOLD`` with at least
+  ``DROP_MIN_ATTEMPTS`` attempts while the peer-median drop rate stays
   under 10%.
 
 Scopes are labelled like the profiler's resources: ``mn0`` (whole-MN
@@ -50,6 +50,21 @@ from typing import Dict, List, Optional, Tuple
 from .sketches import DDSketch
 
 __all__ = ["DetectorFlag", "GrayDetector", "detector_verdict"]
+
+#: Relative accuracy of the per-(scope, family) service-time sketches.
+ALPHA = 0.01
+#: A scope is slow at this multiple of its peers' median ...
+REL_THRESHOLD = 2.0
+#: ... and, against 4+ peers, at this robust z-score.
+Z_THRESHOLD = 3.5
+#: Observations a (scope, family) needs in a pane to be scored.
+MIN_COUNT = 8
+#: A median less than this above its peers' (us) is never slow.
+MIN_GAP_US = 0.05
+#: A port is starved at this drop rate ...
+DROP_RATE_THRESHOLD = 0.5
+#: ... over at least this many attempts in a pane.
+DROP_MIN_ATTEMPTS = 5
 
 
 def _median(values: List[float]) -> float:
@@ -99,18 +114,7 @@ class DetectorFlag:
 class GrayDetector:
     """Per-window peer-comparison scoring (see module docstring)."""
 
-    def __init__(self, alpha: float = 0.01, rel_threshold: float = 2.0,
-                 z_threshold: float = 3.5, min_count: int = 8,
-                 min_gap_us: float = 0.05,
-                 drop_rate_threshold: float = 0.5,
-                 drop_min_attempts: int = 5):
-        self.alpha = alpha
-        self.rel_threshold = rel_threshold
-        self.z_threshold = z_threshold
-        self.min_count = min_count
-        self.min_gap_us = min_gap_us
-        self.drop_rate_threshold = drop_rate_threshold
-        self.drop_min_attempts = drop_min_attempts
+    def __init__(self):
         # pane -> (scope, family) -> sketch of service times
         self._panes: Dict[int, Dict[Tuple[str, str], DDSketch]] = {}
         self.scopes_seen: set = set()
@@ -125,7 +129,7 @@ class GrayDetector:
         key = (scope, family)
         sketch = per_pane.get(key)
         if sketch is None:
-            sketch = per_pane[key] = DDSketch(self.alpha)
+            sketch = per_pane[key] = DDSketch(ALPHA)
             self.scopes_seen.add(scope)
         sketch.add(value, n)
 
@@ -153,7 +157,7 @@ class GrayDetector:
         # (class, family) -> list of (scope, median, count)
         groups: Dict[Tuple[str, str], List[Tuple[str, float, int]]] = {}
         for (scope, family), sketch in per_pane.items():
-            if sketch.count < self.min_count:
+            if sketch.count < MIN_COUNT:
                 continue
             groups.setdefault((_scope_class(scope), family), []).append(
                 (scope, sketch.quantile(0.5), sketch.count))
@@ -164,15 +168,15 @@ class GrayDetector:
             for scope, x, count in sorted(rows):
                 others = [m for s, m, _c in rows if s != scope]
                 peer_med = _median(others)
-                if x - peer_med < self.min_gap_us:
+                if x - peer_med < MIN_GAP_US:
                     continue
                 rel = x / peer_med if peer_med > 0.0 else float("inf")
                 mad = _median([abs(m - peer_med) for m in others])
                 mad = max(mad, 0.05 * peer_med, 1e-9)
                 z = 0.6745 * (x - peer_med) / mad
-                if rel < self.rel_threshold:
+                if rel < REL_THRESHOLD:
                     continue
-                if len(others) >= 4 and z < self.z_threshold:
+                if len(others) >= 4 and z < Z_THRESHOLD:
                     continue
                 flags.append(DetectorFlag(
                     scope=scope, scope_class=scope_class, kind="service",
@@ -186,13 +190,13 @@ class GrayDetector:
         rates = {}
         for label, (ops, drops) in port_rates.items():
             attempts = ops + drops
-            if attempts >= self.drop_min_attempts:
+            if attempts >= DROP_MIN_ATTEMPTS:
                 rates[label] = (drops / attempts, attempts, drops)
         if len(rates) < 2:
             return []
         flags = []
         for label, (rate, attempts, drops) in sorted(rates.items()):
-            if drops == 0 or rate < self.drop_rate_threshold:
+            if drops == 0 or rate < DROP_RATE_THRESHOLD:
                 continue
             others = [r for other, (r, _a, _d) in rates.items()
                       if other != label]
@@ -215,9 +219,9 @@ class GrayDetector:
 
     def to_dict(self) -> dict:
         return {
-            "rel_threshold": self.rel_threshold,
-            "z_threshold": self.z_threshold,
-            "min_count": self.min_count,
+            "rel_threshold": REL_THRESHOLD,
+            "z_threshold": Z_THRESHOLD,
+            "min_count": MIN_COUNT,
             "scopes_seen": sorted(self.scopes_seen),
             "flags": [flag.to_dict() for flag in self.flags],
         }

@@ -38,7 +38,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from .detect import GrayDetector
+from .detect import REL_THRESHOLD, Z_THRESHOLD, GrayDetector
 from .sketches import SpaceSaving
 from .slo import (BURN_THRESHOLD, ERR_STREAM, FAST_PANES, OK_STREAM,
                   SLOW_PANES, SloSpec, SloState)
@@ -338,7 +338,6 @@ class Monitor:
     # ------------------------------------------------------------ health
     def _build_health(self) -> dict:
         cfg = self.config
-        detector = self.detector
         wall = (time.perf_counter() - self._start_wall
                 if self._start_wall is not None else 0.0)
         health: dict = {
@@ -350,8 +349,8 @@ class Monitor:
                 "burn_threshold": BURN_THRESHOLD,
                 "hotkey_capacity": cfg.hotkey_capacity,
                 "detector": True,
-                "detect_rel": detector.rel_threshold,
-                "detect_z": detector.z_threshold,
+                "detect_rel": REL_THRESHOLD,
+                "detect_z": Z_THRESHOLD,
             },
             "run": {
                 "start_us": self._start_us,
@@ -360,7 +359,7 @@ class Monitor:
             },
             "windows": {"width_us": self.width, "rows": self.rows},
             "slos": [state.to_dict() for state in self.slo_states],
-            "detector": detector.to_dict(),
+            "detector": self.detector.to_dict(),
             "hot_keys": (self.hot_total.to_dict(_key_repr)
                          if self.hot_total is not None else None),
             "hot_buckets": (self.bucket_total.to_dict(_key_repr)

@@ -191,12 +191,14 @@ class TestSettingsInventory:
 
         import repro.core.master as master_mod
         from repro.core import FuseeClient, Master
+        from repro.obs import GrayDetector
         from repro.obs.metrics import Metrics, TimeSeries
 
         assert not hasattr(master_mod, "MasterConfig")
         assert "config" not in inspect.signature(Master).parameters
         assert not inspect.signature(TimeSeries).parameters
         assert not inspect.signature(Metrics).parameters
+        assert not inspect.signature(GrayDetector).parameters
         assert list(inspect.signature(FuseeClient.start_background)
                     .parameters) == ["self", "interval_us"]
 

@@ -455,7 +455,7 @@ class TestGrayDetector:
                 det.observe(pane, scope, family, median)
 
     def test_flags_slow_scope_against_clean_peers(self):
-        det = GrayDetector(rel_threshold=2.0, min_count=8)
+        det = GrayDetector()
         self._feed_pane(det, 0, {"mn0": 6.0, "mn1": 1.0, "mn2": 1.0})
         flags = det.evaluate(0, 0.0, 250.0)
         assert [f.scope for f in flags] == ["mn0"]
@@ -473,7 +473,7 @@ class TestGrayDetector:
         assert det.evaluate(0, 0.0, 250.0) == []
 
     def test_low_volume_scopes_are_ignored(self):
-        det = GrayDetector(min_count=8)
+        det = GrayDetector()
         self._feed_pane(det, 0, {"mn0": 6.0, "mn1": 1.0}, count=3)
         assert det.evaluate(0, 0.0, 250.0) == []
 
@@ -486,15 +486,23 @@ class TestGrayDetector:
         assert det.evaluate(0, 0.0, 250.0) == []
 
     def test_z_gate_applies_with_four_plus_peers(self):
-        # five peers with real spread: rel barely over 2 but z below the
-        # bar must not flag
-        det = GrayDetector(rel_threshold=2.0, z_threshold=1e9)
-        self._feed_pane(det, 0, {"mn0": 2.2, "mn1": 1.0, "mn2": 0.8,
-                                 "mn3": 1.2, "mn4": 0.9, "mn5": 1.1})
+        # five peers with real spread: rel 2.2 clears the bar, but the
+        # peers' MAD of 0.4 keeps z at ~2.0, under it, so no flag
+        from repro.obs.detect import REL_THRESHOLD, Z_THRESHOLD
+
+        peers = {"mn1": 1.0, "mn2": 0.5, "mn3": 1.5, "mn4": 0.6, "mn5": 1.4}
+        assert 2.2 / 1.0 > REL_THRESHOLD
+        assert 0.6745 * (2.2 - 1.0) / 0.4 < Z_THRESHOLD
+        det = GrayDetector()
+        self._feed_pane(det, 0, {"mn0": 2.2, **peers})
         assert det.evaluate(0, 0.0, 250.0) == []
+        # the same slow scope against peers with no spread is flagged
+        det = GrayDetector()
+        self._feed_pane(det, 0, {"mn0": 2.2, **dict.fromkeys(peers, 1.0)})
+        assert [f.scope for f in det.evaluate(0, 0.0, 250.0)] == ["mn0"]
 
     def test_drop_rule_flags_starved_port(self):
-        det = GrayDetector(drop_rate_threshold=0.5)
+        det = GrayDetector()
         port_rates = {"mn0.nic_rx.p0": (40, 0),
                       "mn0.nic_rx.p1": (2, 38),   # 95% dropped
                       "mn1.nic_rx.p0": (40, 0)}
