@@ -69,15 +69,19 @@ timestamps.  This port maps the idea onto FUSEE's slot words:
   - any replica FAIL/TIMEOUT → ``NEED_MASTER`` (the CAS may have
     applied; only the master can resolve the slot, exactly as in
     SNAPSHOT).
-* **READ** (:func:`swarm_read`; the schedule explorer and the unit
-  tests drive it, while the store reads buckets the same way under
-  every strategy) — read the least-loaded alive *backup* and the
-  primary's timestamp word in the same doorbell batch (two 8-byte
-  READs to different MNs: still 1 RTT).  A value is returned
-  only when the backup vouches for the primary's word (the broadcast
-  reached both): a word the primary alone holds may still be in flight
-  to every backup, and returning it would let a post-crash survivor
-  read travel backwards in time.  On a torn mismatch the reader
+* **Reads.**  The store reads buckets the same way under every
+  strategy: ``FuseeClient._read_buckets`` reads the primary index
+  replica and, once it has crashed, runs Algorithm 4's all-replica
+  read.  :func:`swarm_read` (like
+  :func:`repro.core.snapshot.snapshot_read`) is a slot-level reader that
+  only the schedule explorer's scenarios and the unit tests drive, until
+  ``ReplicationProtocol`` gains a read hook.  It reads the least-loaded
+  alive *backup* and the primary's timestamp word in the same doorbell
+  batch (two 8-byte READs to different MNs: still 1 RTT).  A value is
+  returned only when the backup vouches for the primary's word (the
+  broadcast reached both): a word the primary alone holds may still be
+  in flight to every backup, and returning it would let a post-crash
+  survivor read travel backwards in time.  On a torn mismatch the reader
   re-reads a bounded number of rounds (never repairing the slot itself
   — a reader CAS would race the writer's broadcast), then defers to
   the master.  When the primary is unreachable, a survivor read must

@@ -169,17 +169,22 @@ class TestReuseAfterChurn:
 
 
 class _ByHand:
-    """Stands in for a client's fabric and environment while a test
-    drives one of its steps by hand: records every posted batch and every
-    backoff, and answers each batch's READs with ``read_value`` and its
-    other verbs with ``write_value``."""
+    """Takes the place of a client's fabric and environment so that a
+    test can drive one of its steps by hand: records every posted batch
+    and every backoff, answers each batch's READs with ``read_value`` and
+    its other verbs with ``write_value``, and reports the MNs in
+    ``crashed`` down."""
 
     tracer = None
 
-    def __init__(self, nodes, read_value, write_value=None):
-        self.nodes = nodes
+    def __init__(self, client, monkeypatch, read_value, write_value=None,
+                 crashed=()):
+        self.nodes = [types.SimpleNamespace(crashed=mn in crashed)
+                      for mn in range(len(client.fabric.nodes))]
         self.read_value, self.write_value = read_value, write_value
         self.events = []
+        monkeypatch.setattr(client, "fabric", self)
+        monkeypatch.setattr(client, "env", self)
 
     def post(self, ops):
         self.events.append(("post", list(ops)))
@@ -207,24 +212,12 @@ class _ByHand:
                          for op in self.events[-1][1]]
 
 
-class TestReadBuckets:
-    """The one combined-bucket read: one ``bucket_read_ops(meta,
-    replica=0)`` build per primary read, a piggy-backed KV-write timeout
-    aborts it (the op must not go on to install a pointer at
-    possibly-unwritten memory), a failed bucket READ is retried, and the
-    retry budget and backoffs are fixed."""
-
-    @staticmethod
-    def by_hand(client, monkeypatch, read_value, write_value=None,
-                crashed=()):
-        """Put a `_ByHand` in place of the client's fabric and env;
-        ``crashed`` names the MNs it reports down."""
-        nodes = [types.SimpleNamespace(crashed=mn in crashed)
-                 for mn in range(len(client.fabric.nodes))]
-        hand = _ByHand(nodes, read_value, write_value)
-        monkeypatch.setattr(client, "fabric", hand)
-        monkeypatch.setattr(client, "env", hand)
-        return hand
+class TestPrimaryBucketRead:
+    """The combined-bucket read, ``_read_buckets``: one
+    ``bucket_read_ops(meta, replica=0)`` build per primary read, a
+    piggy-backed KV-write timeout aborts it (the op must not go on to
+    install a pointer at possibly-unwritten memory), a failed bucket READ
+    is retried, and the retry budget and backoffs are fixed."""
 
     def test_bucket_read_ops_built_once_per_bucket_read(self, cluster,
                                                         monkeypatch):
@@ -246,12 +239,12 @@ class TestReadBuckets:
         meta = client.race.key_meta(b"k")
         extra = WriteOp(0, 0, b"x" * 8)
         # bucket payloads are never parsed: the write's timeout comes first
-        hand = self.by_hand(client, monkeypatch, b"", TIMEOUT)
+        hand = _ByHand(client, monkeypatch, b"", TIMEOUT)
         assert hand.drive(client._read_buckets(meta, "p", [extra])) is None
         assert hand.events == [
             ("post", client.race.bucket_read_ops(meta) + [extra])]
 
-    def test_bucket_read_timeout_is_retried_not_aborted(self, client,
+    def test_bucket_read_timeout_is_not_an_abort(self, client,
                                                         monkeypatch):
         """A timed-out *bucket* read is retried at once, without the
         write (it landed); only a piggy-backed write timeout aborts."""
@@ -259,7 +252,7 @@ class TestReadBuckets:
 
         meta = client.race.key_meta(b"k")
         extra = WriteOp(0, 0, b"x" * 8)
-        hand = self.by_hand(client, monkeypatch, TIMEOUT)
+        hand = _ByHand(client, monkeypatch, TIMEOUT)
         assert hand.drive(client._read_buckets(meta, "p", [extra])) is None
         reads = client.race.bucket_read_ops(meta)
         assert hand.events[:2] == [("post", reads + [extra]),
@@ -271,7 +264,7 @@ class TestReadBuckets:
         from repro.rdma import FAIL
 
         meta = client.race.key_meta(b"k")
-        hand = self.by_hand(client, monkeypatch, FAIL)
+        hand = _ByHand(client, monkeypatch, FAIL)
         assert hand.drive(client._read_buckets(meta, "p")) is None
         reads = ("post", client.race.bucket_read_ops(meta))
         backoff = ("backoff", RETRY_SLEEP_US)
@@ -287,7 +280,7 @@ class TestReadBuckets:
         meta = client.race.key_meta(b"k")
         (primary, _), (backup, _) = client.race.placement(meta.subtable)
         writes = [WriteOp(backup, 0, b"x" * 8), WriteOp(backup, 8, b"y")]
-        hand = self.by_hand(client, monkeypatch, FAIL, crashed={primary})
+        hand = _ByHand(client, monkeypatch, FAIL, crashed={primary})
         assert hand.drive(client._read_buckets(meta, "p", writes)) is None
         assert hand.events == [
             ("post", writes),
